@@ -7,8 +7,8 @@ fails if any guard ratio regressed more than 20 % below the committed
 baseline in ``benchmarks/perf/baselines/``.
 
 Guards are in-process ratios (vectorized vs naive, zero-copy vs
-allocate-per-step, calendar vs heap), so the comparison holds across
-host speeds; absolute seconds in the sidecars are for humans only.
+allocate-per-step), so the comparison holds across host speeds;
+absolute seconds in the sidecars are for humans only.
 """
 
 from __future__ import annotations

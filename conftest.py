@@ -11,36 +11,13 @@ given, the full-size micro-benchmarks in ``tests/test_perf_regression``
 run and their guard ratios are diffed against the committed
 ``BENCH_*.json`` baselines (pass ``default`` for
 ``benchmarks/perf/baselines/``, or any directory holding baselines).
-
-An autouse fixture additionally fails any test that leaks the
-``parallel`` kernel variant's worker pool past its own teardown: the
-pool may only be alive between tests while a ``parallel`` selection is
-deliberately held open (as the kernel-property module does).
 """
 
-import sys
 from pathlib import Path
 
 import pytest
 
 pytest_plugins = ["repro.check.pytest_plugin"]
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_kernel_pool():
-    """Fail (and clean up) when a test leaves kernel workers running."""
-    yield
-    mod = sys.modules.get("repro.perf.parallel")
-    if mod is None or not mod.pool_active():
-        return
-    from repro.perf import REGISTRY
-
-    if REGISTRY.variant != "parallel":
-        mod.shutdown()
-        pytest.fail(
-            "kernel worker pool leaked past test end "
-            "(no parallel selection holds it open)"
-        )
 
 
 def pytest_addoption(parser):

@@ -15,8 +15,8 @@ Commands map to the experiment harness:
   invariants, differential operator oracles (``--fuzz N`` etc.; see
   ``python -m repro check --help``)
 - ``perf``           — hot-path micro-benchmarks: kernel variants
-  (naive/vectorized/parallel), FFS packing, event-queue backends, and
-  the 10k/50k/100k-rank weak-scaling sweep (``--scale``); writes
+  (naive/vectorized), FFS packing, and the 10k/50k/100k-rank
+  weak-scaling sweep (``perf scale``); writes
   ``BENCH_*.json`` sidecars and guards ratio metrics against the
   committed baseline (see ``python -m repro perf --help``)
 - ``jobs``           — multi-tenant pipeline service: run N tenants

@@ -22,7 +22,7 @@ RDMA get served by :meth:`StagingClient.serve_fetch`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.adios.group import OutputStep
@@ -94,7 +94,6 @@ class StagingClient:
         max_buffered_steps: int = 2,
         fetch_rate_cap: Optional[float] = None,
         resilient: bool = False,
-        zero_copy_pack: bool = True,
         tenant: Optional[str] = None,
     ):
         """``fetch_rate_cap`` (bytes/s per staging process) paces the
@@ -109,14 +108,12 @@ class StagingClient:
         staging world has finished the step — so a crashed stager's
         step can be re-fetched by survivors with zero data loss.
 
-        ``zero_copy_pack=True`` (default) packs each dump into a
-        per-rank :class:`repro.ffs.PackBuffer` donated downstream as a
-        read-only memoryview: after warm-up, Stage 1b allocates nothing
-        and copies each array exactly once.  Scratches are recycled at
-        :meth:`commit`, when the staging world is provably done with
-        the chunk and every array decoded from it.  ``False`` restores
-        the immutable ``bytes`` path (the allocation-per-step
-        baseline, kept for comparison benchmarks).
+        Each dump is packed into a pooled :class:`repro.ffs.PackBuffer`
+        donated downstream as a read-only memoryview: after warm-up,
+        Stage 1b allocates nothing and copies each array exactly once.
+        Scratches are recycled at :meth:`commit`, when the staging
+        world is provably done with the chunk and every array decoded
+        from it.
 
         ``tenant`` names the job this client belongs to under the
         multi-tenant jobs layer.  It qualifies every key this pipeline
@@ -145,7 +142,6 @@ class StagingClient:
         #: pending packed chunks keyed by (compute_rank, step)
         self._buffers: dict[tuple[int, int], _BufferRecord] = {}
         # -- zero-copy packing ------------------------------------------
-        self.zero_copy_pack = zero_copy_pack
         #: free PackBuffers, reused across (rank, step) packs
         self._scratch_pool: list = []
         #: in-flight scratch per (compute_rank, step), recycled at commit
@@ -331,17 +327,14 @@ class StagingClient:
 
         # Stage 1b: pack into a contiguous FFS buffer (memcpy-bound).
         t_pack = env.now
-        if self.zero_copy_pack:
-            if self._scratch_pool:
-                scratch = self._scratch_pool.pop()
-            else:
-                from repro.ffs import PackBuffer
-
-                scratch = PackBuffer()
-            payload = step.pack(scratch=scratch)
-            self._scratches[(comm.rank, step.step)] = scratch
+        if self._scratch_pool:
+            scratch = self._scratch_pool.pop()
         else:
-            payload = step.pack()
+            from repro.ffs import PackBuffer
+
+            scratch = PackBuffer()
+        payload = step.pack(scratch=scratch)
+        self._scratches[(comm.rank, step.step)] = scratch
         pack_time = 2.0 * node.memory_scan_time(step.nbytes_logical)
         if pack_time > 0:
             yield env.timeout(pack_time)

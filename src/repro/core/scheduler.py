@@ -40,17 +40,13 @@ class MovementScheduler:
         starvation when an application communicates continuously
         (Pixie3D's reduce/bcast-heavy inner loop is exactly such a
         case, §V.C).
-    batch_wakeups:
-        ``True`` (default): deferred fetches park on a per-node waiter
-        heap keyed ``(deadline, seq)``; one timer process per node
-        enforces ``max_defer`` for every waiter on that node, and
-        :meth:`exit_comm_phase` releases the node's waiters directly —
-        O(changed node's waiters) work with no per-waiter
-        ``Timeout``/``AnyOf`` allocation per loop turn.  ``False``
-        restores the legacy shape (per-waiter deadline timeout and a
-        shared clear event re-armed each turn), kept as the reference.
-        Both paths defer each fetch for exactly the same simulated
-        duration.
+
+    Deferred fetches park on a per-node waiter heap keyed
+    ``(deadline, seq)``; one timer process per node enforces
+    ``max_defer`` for every waiter on that node, and
+    :meth:`exit_comm_phase` releases the node's waiters directly —
+    O(changed node's waiters) work with no per-waiter
+    ``Timeout``/``AnyOf`` allocation per loop turn.
     """
 
     def __init__(
@@ -59,17 +55,14 @@ class MovementScheduler:
         *,
         enabled: bool = True,
         max_defer: float = 30.0,
-        batch_wakeups: bool = True,
     ):
         self.env = env
         self.enabled = enabled
         self.max_defer = max_defer
-        self.batch_wakeups = batch_wakeups
         #: per-node comm-phase nesting depth, numpy-backed (100k-node
         #: weak-scaling runs hammer this on every fetch admission)
         self._depth = RankLedger(dtype="int64")
-        self._clear_events: dict[int, Event] = {}
-        #: per-node waiter heaps [(deadline, seq, event)] (batched path)
+        #: per-node waiter heaps [(deadline, seq, event)]
         self._waiters: dict[int, list[tuple[float, int, Event]]] = {}
         self._timers: dict[int, Process] = {}
         self._wseq = 0
@@ -95,9 +88,6 @@ class MovementScheduler:
         depth -= 1
         self._depth.add(node_id, -1)
         if depth == 0:
-            ev = self._clear_events.pop(node_id, None)
-            if ev is not None and not ev.triggered:
-                ev.succeed()
             waiters = self._waiters.get(node_id)
             if waiters:
                 # release in (deadline, seq) order — deterministic
@@ -132,19 +122,7 @@ class MovementScheduler:
         if self.enabled and self.in_comm_phase(node_id):
             start = self.env.now
             self.deferred_fetches += 1
-            if self.batch_wakeups:
-                forced = yield from self._wait_batched(node_id, start + self.max_defer)
-            else:
-                deadline = self.env.timeout(self.max_defer)
-                while self.in_comm_phase(node_id):
-                    ev = self._clear_events.get(node_id)
-                    if ev is None or ev.triggered:
-                        ev = self.env.event()
-                        self._clear_events[node_id] = ev
-                    fired = yield self.env.any_of([ev, deadline])
-                    if deadline in fired:
-                        forced = True
-                        break  # anti-starvation: proceed despite the phase
+            forced = yield from self._wait_batched(node_id, start + self.max_defer)
             deferred = self.env.now - start
             self.total_defer_seconds += deferred
             obs = self.env.obs
@@ -166,13 +144,13 @@ class MovementScheduler:
             )
         return deferred
 
-    # -- batched waiter machinery -----------------------------------------
+    # -- waiter machinery -------------------------------------------------
     def _wait_batched(self, node_id: int, deadline_t: float) -> Generator:
         """Park on *node_id*'s waiter heap until clear or *deadline_t*.
 
         Returns True when the deadline forced the movement through.
-        Re-entry at the release timestamp keeps the waiter's original
-        deadline, matching the legacy loop turn for turn.
+        Re-entry at the release timestamp (the node re-entered its comm
+        phase in the same instant) keeps the waiter's original deadline.
         """
         while self.in_comm_phase(node_id):
             ev = self.env.event()

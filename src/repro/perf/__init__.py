@@ -1,8 +1,7 @@
 """Hot-path performance layer: selectable operator kernels + benchmarks.
 
 Three hot paths of the reproduction have dedicated fast
-implementations, all selectable and all locked to their reference
-counterparts by differential tests:
+implementations:
 
 - :mod:`repro.perf.kernels` — vectorized numpy kernels for histogram
   binning, WAH bitmap coding, sample-sort splitter selection /
@@ -10,13 +9,15 @@ counterparts by differential tests:
   their ``naive`` reference twins in :data:`REGISTRY`;
 - zero-copy FFS packing (:class:`repro.ffs.PackBuffer`,
   :func:`repro.ffs.encode_into`) used by the compute-side client;
-- the bucketed calendar queue in :class:`repro.sim.engine.Engine` and
-  batched :meth:`~repro.core.scheduler.MovementScheduler.wait_clear`
-  wakeups.
+- per-node batched :meth:`~repro.core.scheduler.MovementScheduler.wait_clear`
+  wakeups and numpy :class:`~repro.core.accounting.RankLedger`
+  bookkeeping, swept to 100k ranks by :mod:`repro.perf.scale`.
 
-:mod:`repro.perf.bench` drives micro-benchmarks over all of them and
-emits ``BENCH_*.json`` sidecars consumed by the perf-regression test
-harness (``tests/test_perf_regression.py``) and CI.
+Only the kernels are selectable (their ``naive`` twins are the oracle
+the differential tests compare against); the other two have exactly one
+implementation.  :mod:`repro.perf.bench` drives micro-benchmarks over
+them and emits ``BENCH_*.json`` sidecars consumed by the
+perf-regression test harness (``tests/test_perf_regression.py``) and CI.
 """
 
 from repro.perf.registry import (
@@ -27,11 +28,9 @@ from repro.perf.registry import (
     use_kernels,
 )
 from repro.perf import kernels  # noqa: E402  (registers naive + vectorized)
-from repro.perf import parallel  # noqa: E402  (registers the pool variant)
 
 __all__ = [
     "kernels",
-    "parallel",
     "REGISTRY",
     "VARIANTS",
     "KernelRegistry",

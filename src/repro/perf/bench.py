@@ -3,16 +3,11 @@
 Benchmark groups, one ``BENCH_*.json`` sidecar each:
 
 - :func:`bench_kernels` — every registered kernel, ``naive`` vs
-  ``vectorized`` vs ``parallel``, on adversarially dense inputs
-  (default 1M elements);
+  ``vectorized``, on adversarially dense inputs (default 1M elements);
 - :func:`bench_ffs` — FFS packing, allocate-per-step ``encode`` vs
   zero-copy ``encode_into`` with a warm :class:`~repro.ffs.PackBuffer`;
-- :func:`bench_engine` — event-queue backends (``heap`` vs
-  ``calendar``) on a bursty same-timestamp workload, plus legacy vs
-  batched :class:`~repro.core.scheduler.MovementScheduler` wakeups;
 - :func:`repro.perf.scale.bench_scale` — 10k/50k/100k-rank weak
-  scaling of the whole engine + scheduler stack, cross-checked
-  bit-for-bit against the heap-queue/dict-bookkeeping reference path.
+  scaling of the whole engine + scheduler stack.
 
 Each record carries a ``guards`` dict of *machine-portable* ratio
 metrics (fast path relative to the reference path, measured in the same
@@ -20,21 +15,15 @@ process on the same host).  :func:`compare` fails a run when any guard
 falls more than ``tolerance`` (default 20 %) below the committed
 baseline in ``benchmarks/perf/baselines/`` — absolute wall seconds are
 recorded for humans but never compared, so the guard is stable across
-host speeds.  A record may additionally carry ``floors`` —
-``{metric: {floor, measured}}`` acceptance criteria enforced by
-:func:`check_floors` on *every* run, baseline or not (e.g. the ≥2x
-parallel-kernel speedup on hosts with ≥4 cores, or fingerprint
-equality in the weak-scaling cross-check).
+host speeds.
 
-``python -m repro perf`` drives everything from the command line
-(``python -m repro perf --scale`` includes the weak-scaling sweep).
+``python -m repro perf`` drives everything from the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -42,15 +31,12 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.perf import kernels as K
-from repro.perf import parallel as P
 from repro.perf.registry import REGISTRY
 
 __all__ = [
     "bench_kernels",
     "bench_ffs",
-    "bench_engine",
     "compare",
-    "check_floors",
     "write_record",
     "default_baseline_dir",
     "main",
@@ -105,54 +91,26 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
 
 
 def bench_kernels(n: int = 1_000_000, repeat: int = 3, seed: int = 11) -> dict:
-    """Time every kernel in all three variants; guards are the speedups.
+    """Time every kernel in both variants; guards are the speedups.
 
     The ``speedup:*`` guards (naive vs vectorized) are ratio metrics
-    compared against the committed baseline.  The parallel variant is
-    timed inside one warm pool; on hosts with ≥4 usable workers the
-    ≥2x-over-vectorized acceptance floor for the hot kernels is emitted
-    in ``floors`` (enforced by the CLI on every run) — pool overhead on
-    smaller hosts makes an absolute floor meaningless there, so the
-    timings are recorded but unenforced.
+    compared against the committed baseline.
     """
     cases = _kernel_cases(n, np.random.default_rng(seed))
     results: dict[str, dict] = {}
     guards: dict[str, float] = {}
-    floors: dict[str, dict] = {}
-    workers = P.configured_workers()
-    with P.pooled(workers):
-        for name in REGISTRY.names():
-            args = cases[name]
-            t_naive = _best_of(lambda: REGISTRY.get(name, "naive")(*args), repeat)
-            t_vec = _best_of(
-                lambda: REGISTRY.get(name, "vectorized")(*args), repeat
-            )
-            t_par = _best_of(
-                lambda: REGISTRY.get(name, "parallel")(*args), repeat
-            )
-            speedup = t_naive / max(t_vec, 1e-9)
-            par_speedup = t_vec / max(t_par, 1e-9)
-            results[name] = {
-                "naive_seconds": t_naive,
-                "vectorized_seconds": t_vec,
-                "parallel_seconds": t_par,
-                "speedup": speedup,
-                "parallel_speedup": par_speedup,
-            }
-            guards[f"speedup:{name}"] = speedup
-            if workers >= 4 and (os.cpu_count() or 1) >= 4 and name in HOT_KERNELS:
-                floors[f"parallel_speedup:{name}"] = {
-                    "floor": 2.0,
-                    "measured": par_speedup,
-                }
-    return {
-        "bench": "kernels",
-        "n": n,
-        "workers": workers,
-        "kernels": results,
-        "guards": guards,
-        "floors": floors,
-    }
+    for name in REGISTRY.names():
+        args = cases[name]
+        t_naive = _best_of(lambda: REGISTRY.get(name, "naive")(*args), repeat)
+        t_vec = _best_of(lambda: REGISTRY.get(name, "vectorized")(*args), repeat)
+        speedup = t_naive / max(t_vec, 1e-9)
+        results[name] = {
+            "naive_seconds": t_naive,
+            "vectorized_seconds": t_vec,
+            "speedup": speedup,
+        }
+        guards[f"speedup:{name}"] = speedup
+    return {"bench": "kernels", "n": n, "kernels": results, "guards": guards}
 
 
 def bench_ffs(
@@ -192,95 +150,6 @@ def bench_ffs(
             "no_growth_after_warmup": 1.0
             if scratch.grows == grows_warm
             else 0.0,
-        },
-    }
-
-
-def _engine_burst(queue: str, nbacklog: int, nworkers: int, nhops: int) -> float:
-    """Seconds to drain a bursty workload on one queue backend.
-
-    ``nbacklog`` processes park on far-future timeouts (the standing
-    deadline/monitor population of a long pipeline); ``nworkers`` then
-    cascade ``nhops`` zero-delay event hops each at one shared instant —
-    the same-timestamp burst shape the calendar queue buckets.
-    """
-    from repro.sim.engine import Engine
-
-    eng = Engine(queue=queue)
-
-    def sleeper(i):
-        yield eng.timeout(1e6 + i)
-
-    def worker():
-        yield eng.timeout(1000.0)
-        for _ in range(nhops):
-            ev = eng.event()
-            ev.succeed()
-            yield ev
-
-    for i in range(nbacklog):
-        eng.process(sleeper(i))
-    for _ in range(nworkers):
-        eng.process(worker())
-    t0 = time.perf_counter()
-    eng.run(until=2000.0)
-    return time.perf_counter() - t0
-
-
-def _scheduler_storm(batch: bool, nwaiters: int, ncycles: int) -> float:
-    """Seconds to push *nwaiters* deferred fetches through comm cycles."""
-    from repro.core.scheduler import MovementScheduler
-    from repro.sim.engine import Engine
-
-    eng = Engine()
-    sched = MovementScheduler(eng, max_defer=1e6, batch_wakeups=batch)
-
-    def app():
-        for _ in range(ncycles):
-            sched.enter_comm_phase(0)
-            yield eng.timeout(1.0)
-            sched.exit_comm_phase(0)
-            yield eng.timeout(1.0)
-
-    def fetcher():
-        for _ in range(ncycles):
-            yield from sched.wait_clear(0)
-            yield eng.timeout(2.0)
-
-    eng.process(app())
-    # phase-align fetchers: first wait lands inside the first comm phase
-    for _ in range(nwaiters):
-        eng.process(fetcher())
-    t0 = time.perf_counter()
-    eng.run()
-    return time.perf_counter() - t0
-
-
-def bench_engine(
-    nbacklog: int = 10_000, nworkers: int = 100, nhops: int = 300,
-    nwaiters: int = 300, ncycles: int = 10, repeat: int = 3,
-) -> dict:
-    """Queue backends + scheduler wakeup strategies on bursty loads."""
-    t_heap = _best_of(
-        lambda: _engine_burst("heap", nbacklog, nworkers, nhops), repeat
-    )
-    t_cal = _best_of(
-        lambda: _engine_burst("calendar", nbacklog, nworkers, nhops), repeat
-    )
-    t_legacy = _best_of(lambda: _scheduler_storm(False, nwaiters, ncycles), repeat)
-    t_batch = _best_of(lambda: _scheduler_storm(True, nwaiters, ncycles), repeat)
-    nevents = nbacklog + nworkers * nhops
-    return {
-        "bench": "engine",
-        "burst_events": nevents,
-        "heap_seconds": t_heap,
-        "calendar_seconds": t_cal,
-        "calendar_events_per_s": nevents / max(t_cal, 1e-9),
-        "scheduler_legacy_seconds": t_legacy,
-        "scheduler_batched_seconds": t_batch,
-        "guards": {
-            "ratio:calendar_vs_heap": t_heap / max(t_cal, 1e-9),
-            "ratio:batched_vs_legacy": t_legacy / max(t_batch, 1e-9),
         },
     }
 
@@ -327,22 +196,6 @@ def compare(record: dict, baseline: dict, tolerance: float = 0.2) -> list[str]:
     return problems
 
 
-def check_floors(record: dict) -> list[str]:
-    """Unmet acceptance floors of *record* (empty when clean).
-
-    Unlike :func:`compare`, floors need no baseline: each entry of
-    ``record["floors"]`` carries its own bound and measurement, so
-    hard acceptance criteria (parallel-kernel speedup, weak-scaling
-    fingerprint equality) fail the CLI on any run that can measure
-    them.
-    """
-    return [
-        f"floor {key!r} not met: {v['measured']:.3g} < {v['floor']:.3g}"
-        for key, v in record.get("floors", {}).items()
-        if v["measured"] < v["floor"]
-    ]
-
-
 def _bench_query() -> dict:
     # lazy: repro.serve pulls in repro.query/operators, which must not
     # load just because the perf module was imported
@@ -369,7 +222,6 @@ def _bench_scale(ranks: Optional[list[int]] = None) -> dict:
 _BENCHES: dict[str, Callable[..., dict]] = {
     "kernels": bench_kernels,
     "ffs": bench_ffs,
-    "engine": bench_engine,
     "query": _bench_query,
     "stream": _bench_stream,
     "scale": _bench_scale,
@@ -393,10 +245,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="kernel benchmark element count (default 1M)",
     )
     ap.add_argument(
-        "--scale", action="store_true",
-        help="include the weak-scaling benchmark in the selection",
-    )
-    ap.add_argument(
         "--scale-ranks", type=int, nargs="+", default=None, metavar="N",
         help="weak-scaling rank counts (default 10000 50000 100000)",
     )
@@ -411,8 +259,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     args = ap.parse_args(argv)
     names = list(_BENCHES) if "all" in args.benches else list(dict.fromkeys(args.benches))
-    if args.scale and "scale" not in names:
-        names.append("scale")
     failures = []
     for name in names:
         if name == "kernels":
@@ -425,15 +271,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"[perf] {name}: wrote {path}")
         for key, val in sorted(record["guards"].items()):
             print(f"[perf]   {key} = {val:.3g}")
-        for key, bound in sorted(record.get("floors", {}).items()):
-            print(
-                f"[perf]   floor {key}: {bound['measured']:.3g} "
-                f"(required >= {bound['floor']:.3g})"
-            )
-        floor_problems = check_floors(record)
-        for p in floor_problems:
-            print(f"[perf]   FAILED {p}")
-        failures.extend(floor_problems)
         if args.baseline is not None:
             base_dir = (
                 default_baseline_dir()

@@ -2,22 +2,19 @@
 
 Every measured hot path in the pipeline (histogram binning, WAH bitmap
 run-length coding, sample-sort splitter selection and row partitioning,
-array-merge chunk stitching) exists in three registered variants:
+array-merge chunk stitching) exists in two registered variants:
 
 - ``naive`` — the straightforward reference implementation (per-element
   Python loops or the pre-optimisation code path).  This is the oracle
   baseline: slow, obviously correct, and kept forever so the
   differential checks in :mod:`repro.check` can compare against it.
 - ``vectorized`` — the numpy fast path the pipeline actually runs.
-- ``parallel`` — the vectorized kernels chunked over a shared-memory
-  :mod:`multiprocessing` pool (:mod:`repro.perf.parallel`): real cores,
-  order-independent merges, results identical to the other two.
 
-All variants of a kernel must be *bit-for-bit* interchangeable: the
+The two variants of a kernel must be *bit-for-bit* interchangeable: the
 property tests in ``tests/test_kernel_properties.py`` drive adversarial
-inputs through every pair and assert exact agreement, and the
+inputs through both and assert exact agreement, and the
 flag-matrix fingerprint test proves a full pipeline run is
-byte-identical under any selection.
+byte-identical under either selection.
 
 Selection is process-global (the simulation is single-threaded):
 ``REGISTRY.variant`` defaults to ``vectorized``, the environment
@@ -28,12 +25,6 @@ variable ``REPRO_KERNELS`` overrides the default at import, and
 
     with REGISTRY.use("naive"):
         counts = kernels.histogram1d(values, edges)
-
-A variant may register *teardown hooks* (the parallel pool does): they
-run when a selection of that variant is released — ``use()`` exits or
-``set_variant`` switches away — so worker processes never outlive the
-selection that spawned them.  Nested ``use("parallel")`` blocks tear
-down only at the outermost exit.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from typing import Callable, Iterator, Optional
 
 __all__ = ["VARIANTS", "KernelRegistry", "REGISTRY", "use_kernels", "kernel_variant"]
 
-VARIANTS = ("naive", "vectorized", "parallel")
+VARIANTS = ("naive", "vectorized")
 
 
 class KernelRegistry:
@@ -53,7 +44,6 @@ class KernelRegistry:
     def __init__(self, variant: str = "vectorized"):
         self._check_variant(variant)
         self._impls: dict[tuple[str, str], Callable] = {}
-        self._teardowns: dict[str, list[Callable[[], None]]] = {}
         self._variant = variant
 
     @staticmethod
@@ -72,32 +62,17 @@ class KernelRegistry:
     def set_variant(self, variant: str) -> None:
         """Switch the active variant for the rest of the process."""
         self._check_variant(variant)
-        previous, self._variant = self._variant, variant
-        self._release(previous)
+        self._variant = variant
 
     @contextmanager
     def use(self, variant: str) -> Iterator["KernelRegistry"]:
-        """Temporarily switch the active variant.
-
-        On exit the previous variant is restored and the temporary
-        variant's teardown hooks run — unless the restored variant is
-        the same one (nested ``use``), in which case resources stay
-        live for the enclosing selection.
-        """
+        """Temporarily switch the active variant."""
         self._check_variant(variant)
         saved, self._variant = self._variant, variant
         try:
             yield self
         finally:
             self._variant = saved
-            self._release(variant)
-
-    def _release(self, leaving: str) -> None:
-        """Run *leaving*'s teardown hooks if it is no longer active."""
-        if leaving == self._variant:
-            return
-        for fn in self._teardowns.get(leaving, ()):
-            fn()
 
     # -- registration ----------------------------------------------------
     def register(self, name: str, variant: str) -> Callable[[Callable], Callable]:
@@ -112,18 +87,6 @@ class KernelRegistry:
             return fn
 
         return deco
-
-    def register_teardown(self, variant: str, fn: Callable[[], None]) -> None:
-        """Register *fn* to run whenever a *variant* selection ends.
-
-        Hooks must be idempotent: they also run on a direct
-        :meth:`set_variant` away from *variant* and may therefore fire
-        when the resource they release was never created.
-        """
-        self._check_variant(variant)
-        hooks = self._teardowns.setdefault(variant, [])
-        if fn not in hooks:
-            hooks.append(fn)
 
     def get(self, name: str, variant: Optional[str] = None) -> Callable:
         """Implementation of *name* in *variant* (default: active)."""

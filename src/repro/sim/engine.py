@@ -5,20 +5,8 @@ event)`` entries.  :class:`Process` objects wrap generators; each time
 the event a process is waiting on fires, the engine advances the
 generator, obtaining the next event to wait on.
 
-Two queue backends share the exact pop order ``(time, priority, sub,
-seq)`` — schedules are byte-identical under either:
-
-- ``calendar`` (default) — a bucketed calendar queue: one small heap of
-  ``(priority, sub, seq, event)`` per distinct timestamp plus a heap of
-  distinct timestamps.  Staged pipelines fire large bursts of
-  same-time events (every ``succeed()`` lands at ``now``), so most
-  pushes are O(log burst) into a small bucket instead of O(log total)
-  into one big heap, and the timestamp heap stays tiny.
-- ``heap`` — the single binary heap the engine always had, kept as the
-  reference backend.
-
-Select with ``Engine(queue=...)`` or the ``REPRO_ENGINE_QUEUE``
-environment variable.
+The queue is one binary heap held as a plain list on :class:`Engine`
+and driven with :mod:`heapq` directly.
 
 Determinism: ties in the event queue are broken first by an optional
 pluggable :class:`TieBreaker` sub-key and finally by a monotonically
@@ -35,7 +23,6 @@ wall-clock time.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -136,7 +123,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.env._enqueue(0.0, NORMAL, self)
+        self.env._enqueue(0.0, priority, self)
         return self
 
     # -- internals -----------------------------------------------------
@@ -377,155 +364,6 @@ class SeededTieBreaker(TieBreaker):
         return f"SeededTieBreaker(seed={self.seed})"
 
 
-class _HeapQueue:
-    """Reference event queue: one binary heap of full entries."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, int, Event]] = []
-
-    def push(self, t: float, prio: int, sub: int, seq: int, event: Event) -> None:
-        heapq.heappush(self._heap, (t, prio, sub, seq, event))
-
-    def pop(self) -> tuple[float, int, int, int, Event]:
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float:
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class _CalendarQueue:
-    """Bucketed calendar queue: per-timestamp heaps + a timestamp heap.
-
-    ``_buckets`` maps each distinct pending timestamp to its pending
-    entries ``(priority, sub, seq, event)``: a bare tuple while the
-    bucket holds exactly one entry (the overwhelmingly common case for
-    spread-out timeouts — no list allocation), a heap list once a
-    second same-time entry arrives, or ``None`` after the last entry is
-    popped.  ``_times`` is a heap of the keys of ``_buckets``, each
-    exactly once.  A drained bucket is *not* removed eagerly:
-    same-time cascades (a popped event's callback scheduling more work
-    at ``now``) refill the current bucket over and over, and eager
-    removal would re-sift ``now`` to the top of the timestamp heap on
-    every refill.  Instead drained buckets linger and are reaped when
-    ``pop``/``peek_time`` finds one at the front — i.e. once the
-    simulation has truly moved past that instant.  ``seq`` is globally
-    unique, so bucket-heap comparisons terminate before reaching the
-    event, and the global pop order ``(time, priority, sub, seq)`` is
-    identical to :class:`_HeapQueue`.
-
-    :meth:`drain_bucket` removes the whole front bucket in one pop for
-    the engine's batched run loop.  ``urgent_pushes`` counts URGENT
-    pushes so the batch loop can detect an urgent entry scheduled *at
-    the drained instant* by one of the drained callbacks and requeue
-    the not-yet-run remainder (pop order stays identical to
-    :class:`_HeapQueue`; see :meth:`Engine.run`).
-    """
-
-    __slots__ = ("_buckets", "_times", "_len", "urgent_pushes")
-
-    _ABSENT: Any = object()
-
-    def __init__(self) -> None:
-        self._buckets: dict[float, Any] = {}
-        self._times: list[float] = []
-        self._len = 0
-        self.urgent_pushes = 0
-
-    def push(self, t: float, prio: int, sub: int, seq: int, event: Event) -> None:
-        entry = (prio, sub, seq, event)
-        if prio == URGENT:
-            self.urgent_pushes += 1
-        buckets = self._buckets
-        bucket = buckets.get(t, self._ABSENT)
-        if bucket is self._ABSENT:
-            buckets[t] = entry
-            heapq.heappush(self._times, t)
-        elif bucket is None:  # drained, timestamp still in _times
-            buckets[t] = entry
-        elif type(bucket) is list:
-            heapq.heappush(bucket, entry)
-        else:  # singleton -> two-entry heap
-            buckets[t] = [bucket, entry] if bucket < entry else [entry, bucket]
-        self._len += 1
-
-    def pop(self) -> tuple[float, int, int, int, Event]:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            if not bucket:  # None or drained list: reap and advance
-                del buckets[heapq.heappop(times)]
-                continue
-            if type(bucket) is list:
-                prio, sub, seq, event = heapq.heappop(bucket)
-            else:
-                prio, sub, seq, event = bucket
-                buckets[t] = None
-            self._len -= 1
-            return t, prio, sub, seq, event
-        raise IndexError("pop from an empty calendar queue")
-
-    def drain_bucket(self) -> tuple[float, list[tuple[int, int, int, Event]]]:
-        """Pop every entry of the front bucket, sorted, in one call.
-
-        Returns ``(t, entries)`` with entries in pop order
-        ``(priority, sub, seq)``.  The bucket is left drained (``None``)
-        so same-time pushes from the entries' callbacks refill it
-        without touching the timestamp heap.
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            if not bucket:  # None or drained list: reap and advance
-                del buckets[heapq.heappop(times)]
-                continue
-            buckets[t] = None
-            if type(bucket) is list:
-                bucket.sort()  # heap -> total order; seq is unique
-                entries = bucket
-            else:
-                entries = [bucket]
-            self._len -= len(entries)
-            return t, entries
-        raise IndexError("drain from an empty calendar queue")
-
-    def peek_time(self) -> float:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            if buckets[t]:
-                return t
-            del buckets[heapq.heappop(times)]
-        return float("inf")
-
-    def __len__(self) -> int:
-        return self._len
-
-
-_QUEUE_BACKENDS = {"heap": _HeapQueue, "calendar": _CalendarQueue}
-
-
-def _default_queue_backend() -> str:
-    env = os.environ.get("REPRO_ENGINE_QUEUE", "").strip()
-    if not env:
-        return "calendar"
-    if env not in _QUEUE_BACKENDS:
-        raise ValueError(
-            f"REPRO_ENGINE_QUEUE={env!r} is not a queue backend; "
-            f"expected one of {sorted(_QUEUE_BACKENDS)}"
-        )
-    return env
-
-
 class Engine:
     """The discrete-event simulation engine.
 
@@ -540,13 +378,6 @@ class Engine:
         same-``(time, priority)`` events.  ``None`` (default) assigns
         sub-key 0 to every entry — insertion order, byte-identical to
         the engine before tie-breaking became pluggable.
-    queue:
-        Event-queue backend: ``"calendar"`` (bucketed per-timestamp
-        heaps, the fast path) or ``"heap"`` (one binary heap, the
-        reference).  ``None`` (default) resolves the
-        ``REPRO_ENGINE_QUEUE`` environment variable, falling back to
-        ``"calendar"``.  Pop order — and therefore every schedule — is
-        identical under both.
 
     Attributes
     ----------
@@ -573,18 +404,11 @@ class Engine:
         *,
         catch_errors: bool = True,
         tie_breaker: Optional[TieBreaker] = None,
-        queue: Optional[str] = None,
     ):
-        if queue is None:
-            queue = _default_queue_backend()
-        if queue not in _QUEUE_BACKENDS:
-            raise ValueError(
-                f"unknown queue backend {queue!r}; "
-                f"expected one of {sorted(_QUEUE_BACKENDS)}"
-            )
         self._now = 0.0
-        self.queue_backend = queue
-        self._queue = _QUEUE_BACKENDS[queue]()
+        #: heap of ``(time, priority, sub, seq, event)``; ``seq`` is unique,
+        #: so comparisons never reach the event
+        self._heap: list[tuple[float, int, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._catch_errors = catch_errors
@@ -627,96 +451,34 @@ class Engine:
         return AllOf(self, events)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or simulated time reaches *until*.
-
-        With the calendar backend and no tie-breaker the loop drains
-        whole same-timestamp buckets in one pop
-        (:meth:`_CalendarQueue.drain_bucket`) instead of re-sifting the
-        bucket heap per event.  Pop order is provably unchanged: new
-        entries scheduled by a drained callback carry a larger ``seq``
-        than everything drained, so NORMAL/URGENT entries landing at the
-        same instant sort after the batch — except a *new URGENT entry
-        vs the batch's remaining NORMAL entries* (URGENT beats NORMAL
-        regardless of seq).  The loop watches the queue's
-        ``urgent_pushes`` counter for exactly that case and requeues the
-        unran remainder, falling back to a fresh drain.  A custom
-        tie-breaker may order a new entry *before* older ones at the
-        same ``(time, priority)``, so batching is disabled whenever one
-        is attached.
-        """
+        """Run until the queue drains or simulated time reaches *until*."""
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        queue = self._queue
-        if self._tie_breaker is None and type(queue) is _CalendarQueue:
-            self._run_batched(queue, until)
-            return
-        while queue:
-            t = queue.peek_time()
-            if until is not None and t > until:
+        heap = self._heap
+        fire_next = self._fire_next
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self._now = until
                 return
-            t, prio, sub, seq, event = queue.pop()
-            if t < self._now - 1e-12:
-                raise SimulationError("event queue time went backwards")
-            self._now = max(self._now, t)
-            if self.schedule_trace is not None:
-                self.schedule_trace.record(t, prio, sub, seq, event)
-            event._run_callbacks()
-        if until is not None:
-            self._now = max(self._now, until)
-
-    def _run_batched(self, queue: _CalendarQueue, until: Optional[float]) -> None:
-        """Batched run loop over whole calendar buckets (see :meth:`run`)."""
-        while queue:
-            t = queue.peek_time()
-            if until is not None and t > until:
-                self._now = until
-                return
-            t, entries = queue.drain_bucket()
-            if t < self._now - 1e-12:
-                raise SimulationError("event queue time went backwards")
-            self._now = max(self._now, t)
-            mark = queue.urgent_pushes
-            for i, (prio, sub, seq, event) in enumerate(entries):
-                if prio != URGENT and queue.urgent_pushes != mark:
-                    # A callback scheduled a new URGENT entry at this
-                    # instant: it must run before the batch's remaining
-                    # NORMAL entries.  Requeue them and re-drain.
-                    for p2, s2, q2, e2 in entries[i:]:
-                        queue.push(t, p2, s2, q2, e2)
-                    break
-                if self.schedule_trace is not None:
-                    self.schedule_trace.record(t, prio, sub, seq, event)
-                try:
-                    event._run_callbacks()
-                except BaseException:
-                    # Keep queue state identical to the per-pop loop:
-                    # everything not yet run goes back before raising.
-                    for p2, s2, q2, e2 in entries[i + 1 :]:
-                        queue.push(t, p2, s2, q2, e2)
-                    raise
+            fire_next()
         if until is not None:
             self._now = max(self._now, until)
 
     def run_until_process(self, proc: Process) -> Any:
         """Run until *proc* completes; return its value or raise its error."""
         while not proc._triggered:
-            if not self._queue:
+            if not self._heap:
                 raise SimulationError(
                     f"deadlock: queue empty but process {proc.name!r} alive"
                 )
-            t, prio, sub, seq, event = self._queue.pop()
-            self._now = max(self._now, t)
-            if self.schedule_trace is not None:
-                self.schedule_trace.record(t, prio, sub, seq, event)
-            event._run_callbacks()
+            self._fire_next()
         if not proc._ok:
             raise proc._value
         return proc._value
 
     def peek(self) -> float:
         """Time of the next queued event, or ``inf`` if the queue is empty."""
-        return self._queue.peek_time()
+        return self._heap[0][0] if self._heap else float("inf")
 
     # -- internals -------------------------------------------------------
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
@@ -730,4 +492,15 @@ class Engine:
             if self._tie_breaker is not None
             else 0
         )
-        self._queue.push(t, priority, sub, self._seq, event)
+        heapq.heappush(self._heap, (t, priority, sub, self._seq, event))
+
+    def _fire_next(self) -> None:
+        """Pop the front entry, advance the clock, trace it, fire it."""
+        t, prio, sub, seq, event = heapq.heappop(self._heap)
+        if t < self._now - 1e-12:
+            raise SimulationError("event queue time went backwards")
+        if t > self._now:
+            self._now = t
+        if self.schedule_trace is not None:
+            self.schedule_trace.record(t, prio, sub, seq, event)
+        event._run_callbacks()

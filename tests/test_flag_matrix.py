@@ -9,9 +9,9 @@ baseline wherever byte-identity is promised:
   checker) promises byte-identity even when ENABLED — the sinks are
   pure recorders — so within each (flow, faults, kernels) group the
   fingerprint must not move when tracing is switched on;
-- the *kernels* dimension (``naive``/``vectorized``/``parallel``
-  hot-path implementations) promises byte-identity every way — the
-  variants are bit-for-bit interchangeable — so within each
+- the *kernels* dimension (``naive``/``vectorized`` hot-path
+  implementations) promises byte-identity both ways — the variants
+  are bit-for-bit interchangeable — so within each
   (flow, trace, faults) group neither the fingerprint nor the
   executed-schedule hash may move when only the kernel selection
   differs;
@@ -32,7 +32,7 @@ from repro.obs import Observability
 from repro.perf import REGISTRY, VARIANTS
 
 FLAGS = list(itertools.product([False, True], repeat=3))  # (flow, trace, faults)
-COMBOS = [(*flags, kern) for flags in FLAGS for kern in VARIANTS]  # 24
+COMBOS = [(*flags, kern) for flags in FLAGS for kern in VARIANTS]  # 16
 
 
 def _run(flow: bool, trace: bool, faults: bool, kernels: str = "vectorized"):
@@ -79,7 +79,7 @@ def test_trace_dimension_is_byte_identical(matrix, flow, faults, kern):
 @pytest.mark.parametrize("faults", [False, True], ids=["faults-off", "faults-on"])
 @pytest.mark.parametrize("kern", [v for v in VARIANTS if v != "vectorized"])
 def test_kernel_dimension_is_byte_identical(matrix, flow, trace, faults, kern):
-    """naive/parallel kernels must produce runs identical to vectorized."""
+    """naive kernels must produce runs identical to vectorized."""
     fp_other = matrix[(flow, trace, faults, kern)][0]
     fp_vec = matrix[(flow, trace, faults, "vectorized")][0]
     assert fp_other == fp_vec, (

@@ -1,15 +1,12 @@
-"""Property tests: naive, vectorized, and parallel kernels agree bit for bit.
+"""Property tests: naive and vectorized kernels agree bit for bit.
 
 Hypothesis drives every registered kernel through the adversarial
 inputs a hand-written table misses — empty chunks, single-bin
 histograms, NaN/inf fields, duplicate sort keys, duplicate splitters —
-and asserts *exact* agreement across all three variants: same dtype,
-same shape, same bits.  The whole module runs under a forced 2-worker
-pool with the small-input cutoff disabled, so the ``parallel`` variant
-exercises its real scatter/merge path on every example instead of
-falling back in-process.  The deterministic tests at the bottom pin
-the named edge cases, non-contiguous (sliced, reversed, Fortran-order)
-inputs, single-element chunking, and pool sizes 1/2/4.
+and asserts *exact* agreement between the two variants: same dtype,
+same shape, same bits.  The deterministic tests at the bottom pin the
+named edge cases and non-contiguous (sliced, reversed, Fortran-order)
+inputs.
 """
 
 from __future__ import annotations
@@ -19,35 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf import REGISTRY, parallel
+from repro.perf import REGISTRY, registry
 from repro.perf import kernels as K
 
 FAST = settings(max_examples=60, deadline=None)
-
-THREE = ("naive", "vectorized", "parallel")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _forced_pool():
-    """Run the module on a real 2-worker pool, no small-input fallback.
-
-    Holding ``use("parallel")`` open marks the pool as sanctioned for
-    the leak-detection fixture in conftest; both context exits tear the
-    workers down deterministically at module end.
-    """
-    with parallel.pooled(2, cutoff=0):
-        with REGISTRY.use("parallel"):
-            yield
 
 
 def both(name, *args):
     """Run kernel *name* in naive + vectorized on the same arguments."""
     return REGISTRY.get(name, "naive")(*args), REGISTRY.get(name, "vectorized")(*args)
-
-
-def tri(name, *args):
-    """Run kernel *name* in all three variants on the same arguments."""
-    return [REGISTRY.get(name, v)(*args) for v in THREE]
 
 
 def assert_same_array(a, b):
@@ -57,9 +34,11 @@ def assert_same_array(a, b):
     np.testing.assert_array_equal(a, b)
 
 
-def assert_tri_same_array(results):
-    for other in results[1:]:
-        assert_same_array(results[0], other)
+def assert_same_groups(gn, gv):
+    assert len(gn) == len(gv)
+    for (bn, rn), (bv, rv) in zip(gn, gv):
+        assert bn == bv
+        assert_same_array(rn, rv)
 
 
 # strategies ----------------------------------------------------------
@@ -111,7 +90,7 @@ def paste_cases(draw):
 @FAST
 @given(values=fields, e=edges)
 def test_histogram1d_variants_agree(values, e):
-    assert_tri_same_array(tri("histogram1d", values, e))
+    assert_same_array(*both("histogram1d", values, e))
 
 
 @FAST
@@ -119,7 +98,7 @@ def test_histogram1d_variants_agree(values, e):
 def test_histogram2d_variants_agree(pts, ex, ey):
     x = np.asarray([p[0] for p in pts], dtype=float)
     y = np.asarray([p[1] for p in pts], dtype=float)
-    assert_tri_same_array(tri("histogram2d", x, y, ex, ey))
+    assert_same_array(*both("histogram2d", x, y, ex, ey))
 
 
 # WAH bitmap kernels --------------------------------------------------
@@ -127,19 +106,19 @@ def test_histogram2d_variants_agree(pts, ex, ey):
 @FAST
 @given(mask=masks)
 def test_wah_encode_variants_agree(mask):
-    naive, vec, par = tri("wah_encode", mask)
-    assert naive == vec == par  # identical word lists, tuple for tuple
+    naive, vec = both("wah_encode", mask)
+    assert naive == vec  # identical word lists, tuple for tuple
 
 
 @FAST
 @given(mask=masks)
 def test_wah_roundtrip_and_count(mask):
     words = K.wah_encode(mask)
-    dn, dv, dp = tri("wah_decode", words, mask.size)
+    dn, dv = both("wah_decode", words, mask.size)
     assert_same_array(dn, mask)
-    assert_tri_same_array([dn, dv, dp])
-    cn, cv, cp = tri("wah_count", words)
-    assert cn == cv == cp == int(mask.sum())
+    assert_same_array(dn, dv)
+    cn, cv = both("wah_count", words)
+    assert cn == cv == int(mask.sum())
 
 
 # sample-sort kernels -------------------------------------------------
@@ -148,15 +127,14 @@ def test_wah_roundtrip_and_count(mask):
 @given(pool=st.lists(anyfloat, min_size=1, max_size=100), nworkers=st.integers(1, 9))
 def test_select_splitters_variants_agree(pool, nworkers):
     pool = np.asarray(pool, dtype=float)
-    assert_tri_same_array(tri("select_splitters", pool, nworkers))
+    assert_same_array(*both("select_splitters", pool, nworkers))
 
 
 @FAST
 @given(keys=dup_keys, spl=splitters)
 def test_partition_rows_variants_agree(keys, spl):
-    n, v, p = tri("partition_rows", keys, spl)
+    n, v = both("partition_rows", keys, spl)
     assert_same_array(np.asarray(n, dtype=np.intp), np.asarray(v, dtype=np.intp))
-    assert_same_array(np.asarray(v, dtype=np.intp), np.asarray(p, dtype=np.intp))
 
 
 @FAST
@@ -164,12 +142,7 @@ def test_partition_rows_variants_agree(keys, spl):
 def test_group_rows_variants_agree(keys, spl):
     data = np.stack([keys, np.arange(keys.size, dtype=float)], axis=1)
     buckets = K.partition_rows(keys, spl)
-    gn, gv, gp = tri("group_rows", data, buckets)
-    assert len(gn) == len(gv) == len(gp)
-    for (bn, rn), (bv, rv), (bp, rp) in zip(gn, gv, gp):
-        assert bn == bv == bp
-        assert_same_array(rn, rv)
-        assert_same_array(rv, rp)
+    assert_same_groups(*both("group_rows", data, buckets))
 
 
 # array-merge kernel --------------------------------------------------
@@ -178,9 +151,9 @@ def test_group_rows_variants_agree(keys, spl):
 @given(case=paste_cases())
 def test_paste_pieces_variants_agree(case):
     shape, pieces, s_lo = case
-    (sn, un), (sv, uv), (sp, up) = tri("paste_pieces", shape, np.float64, pieces, s_lo)
-    assert un == uv == up
-    assert_tri_same_array([sn, sv, sp])
+    (sn, un), (sv, uv) = both("paste_pieces", shape, np.float64, pieces, s_lo)
+    assert un == uv
+    assert_same_array(sn, sv)
 
 
 # named edge cases ----------------------------------------------------
@@ -188,50 +161,49 @@ def test_paste_pieces_variants_agree(case):
 def test_empty_chunks_agree_everywhere():
     empty = np.asarray([], dtype=float)
     e = np.asarray([0.0, 1.0])
-    assert_tri_same_array(tri("histogram1d", empty, e))
-    assert_tri_same_array(tri("histogram2d", empty, empty, e, e))
-    assert tri("wah_encode", np.asarray([], dtype=bool)) == [[], [], []]
-    dn, dv, dp = tri("wah_decode", [], 0)
-    assert dn.size == dv.size == dp.size == 0
-    assert tri("wah_count", []) == [0, 0, 0]
-    assert_tri_same_array(tri("partition_rows", empty, np.asarray([1.0])))
-    assert tri(
+    assert_same_array(*both("histogram1d", empty, e))
+    assert_same_array(*both("histogram2d", empty, empty, e, e))
+    assert both("wah_encode", np.asarray([], dtype=bool)) == ([], [])
+    dn, dv = both("wah_decode", [], 0)
+    assert dn.size == dv.size == 0
+    assert both("wah_count", []) == (0, 0)
+    assert_same_array(*both("partition_rows", empty, np.asarray([1.0])))
+    assert both(
         "group_rows", empty.reshape(0, 2), np.asarray([], dtype=np.intp)
-    ) == [[], [], []]
+    ) == ([], [])
 
 
 def test_single_bin_histogram_right_inclusive_edge():
     values = np.asarray([0.0, 0.5, 1.0, 1.0, 1.5, np.nan, np.inf])
     e = np.asarray([0.0, 1.0])  # one bin; 1.0 lands in it (right-inclusive)
-    n, v, p = tri("histogram1d", values, e)
-    assert_tri_same_array([n, v, p])
+    n, v = both("histogram1d", values, e)
+    assert_same_array(n, v)
     assert n.tolist() == [4]
 
 
-def test_nan_inf_fields_agree_through_the_pool():
+def test_nan_inf_fields_agree():
     values = np.asarray(
         [np.nan, np.inf, -np.inf, 0.0, 1.0, -1.0, np.nan, 2.5, np.inf, -3.0]
     )
     e = np.asarray([-2.0, 0.0, 2.0])
-    assert_tri_same_array(tri("histogram1d", values, e))
-    assert_tri_same_array(tri("histogram2d", values, values[::-1].copy(), e, e))
-    assert_tri_same_array(tri("select_splitters", values, 4))
-    assert_tri_same_array(tri("partition_rows", values, np.asarray([-1.0, 1.0])))
+    assert_same_array(*both("histogram1d", values, e))
+    assert_same_array(*both("histogram2d", values, values[::-1].copy(), e, e))
+    assert_same_array(*both("select_splitters", values, 4))
+    assert_same_array(*both("partition_rows", values, np.asarray([-1.0, 1.0])))
 
 
 def test_nan_poisoned_splitter_pool_collapses():
     pool = np.asarray([np.nan, 1.0, 2.0, np.nan])
-    n, v, p = tri("select_splitters", pool, 4)
-    assert_tri_same_array([n, v, p])
+    n, v = both("select_splitters", pool, 4)
+    assert_same_array(n, v)
     assert n.size == 1 and np.isnan(n[0])
 
 
 def test_duplicate_keys_on_duplicate_splitters():
     keys = np.asarray([0.5, 0.5, 0.5, 1.0, 1.0])
     spl = np.asarray([0.5, 0.5, 1.0])
-    n, v, p = tri("partition_rows", keys, spl)
+    n, v = both("partition_rows", keys, spl)
     assert_same_array(np.asarray(n, dtype=np.intp), np.asarray(v, dtype=np.intp))
-    assert_same_array(np.asarray(v, dtype=np.intp), np.asarray(p, dtype=np.intp))
     assert list(v) == [2, 2, 2, 3, 3]  # side="right" of the last duplicate
 
 
@@ -241,81 +213,37 @@ def test_non_contiguous_inputs_agree():
     e = np.linspace(-3, 3, 11)
     for view in (base[::2], base[::-1], base[100:300][::3]):
         assert not view.flags["C_CONTIGUOUS"]
-        assert_tri_same_array(tri("histogram1d", view, e))
+        assert_same_array(*both("histogram1d", view, e))
     mask = (base > 0)[::-1][:-7]
     assert not mask.flags["C_CONTIGUOUS"]
-    naive, vec, par = tri("wah_encode", mask)
-    assert naive == vec == par
+    naive, vec = both("wah_encode", mask)
+    assert naive == vec
     assert_same_array(K.wah_decode(vec, mask.size), np.ascontiguousarray(mask))
     fdata = np.asfortranarray(rng.normal(size=(40, 3)))
     assert not fdata.flags["C_CONTIGUOUS"]
     buckets = K.partition_rows(fdata[:, 0], np.asarray([0.0]))
-    gn, gv, gp = tri("group_rows", fdata, buckets)
-    for (bn, rn), (bv, rv), (bp, rp) in zip(gn, gv, gp):
-        assert bn == bv == bp
-        assert_same_array(rn, rv)
-        assert_same_array(rv, rp)
+    assert_same_groups(*both("group_rows", fdata, buckets))
 
 
-# parallel-specific machinery -----------------------------------------
+# REPRO_KERNELS input check ---------------------------------------------
 
-def test_single_element_chunks_through_a_wide_pool():
-    # 4 workers on 3..5-element inputs: every chunk holds 0 or 1 elements
-    with parallel.pooled(4, cutoff=0):
-        vals = np.asarray([0.1, 1.7, -2.0])
-        e = np.linspace(-3, 3, 7)
-        assert_tri_same_array(tri("histogram1d", vals, e))
-        assert_tri_same_array(tri("select_splitters", vals, 3))
-        mask = np.asarray([True, False, True, True, False])
-        naive, vec, par = tri("wah_encode", mask)
-        assert naive == vec == par
-        assert_tri_same_array(tri("partition_rows", vals, np.asarray([0.0])))
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_pool_sizes_agree_with_vectorized(workers):
-    rng = np.random.default_rng(workers)
-    values = rng.normal(size=10_007)  # prime: uneven chunk boundaries
-    e = np.linspace(-3, 3, 41)
-    mask = rng.random(10_007) < 0.3
-    words = K.wah_encode(mask)
-    with parallel.pooled(workers, cutoff=0):
-        for name, args in [
-            ("histogram1d", (values, e)),
-            ("histogram2d", (values, values[::-1].copy(), e, e)),
-            ("wah_count", (words,)),
-            ("select_splitters", (values, 8)),
-            ("partition_rows", (values, np.asarray([-1.0, 0.0, 1.0]))),
-        ]:
-            vec = REGISTRY.get(name, "vectorized")(*args)
-            par = REGISTRY.get(name, "parallel")(*args)
-            assert_same_array(vec, par)
-        assert K.wah_encode(mask) == REGISTRY.get("wah_encode", "parallel")(mask)
-        if workers > 1:
-            assert parallel.pool_active()
+@pytest.mark.parametrize(
+    "value, expected",
+    [(None, "vectorized"), ("  ", "vectorized"), ("naive", "naive"),
+     ("vectorized", "vectorized")],
+)
+def test_repro_kernels_env_selects_the_default_variant(monkeypatch, value, expected):
+    if value is None:
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_KERNELS", value)
+    assert registry._default_variant() == expected
 
 
-def test_pool_teardown_is_deterministic_on_context_exit():
-    values = np.random.default_rng(3).normal(size=50_000)
-    e = np.linspace(-3, 3, 11)
-    # step outside the module-wide parallel selection so the outermost
-    # use() exit below is a real release, not a nested one
-    REGISTRY.set_variant("vectorized")
-    try:
-        with parallel.pooled(2):
-            with REGISTRY.use("parallel"):
-                REGISTRY.get("histogram1d")(values, e)
-                assert parallel.pool_active()
-                with REGISTRY.use("parallel"):
-                    REGISTRY.get("histogram1d")(values, e)
-                # nested exit: enclosing selection keeps the pool alive
-                assert parallel.pool_active()
-            assert not parallel.pool_active()  # outermost exit tears down
-        with parallel.pooled(2):
-            REGISTRY.set_variant("parallel")
-            REGISTRY.get("histogram1d")(values, e)
-            assert parallel.pool_active()
-            REGISTRY.set_variant("vectorized")
-            assert not parallel.pool_active()  # switching away tears down
-    finally:
-        REGISTRY.set_variant("parallel")  # restore the module selection
+@pytest.mark.parametrize("value", ["parallel", "bogus"])
+def test_repro_kernels_env_rejects_unknown_variants(monkeypatch, value):
+    monkeypatch.setenv("REPRO_KERNELS", value)
+    with pytest.raises(ValueError) as err:
+        registry._default_variant()
+    assert f"REPRO_KERNELS={value!r} is not a kernel variant" in str(err.value)
+    assert str(err.value).endswith("expected one of ('naive', 'vectorized')")

@@ -48,19 +48,6 @@ def test_bench_ffs_record_shape():
     assert record["scratch_grows_after_warmup"] == 0
 
 
-def test_bench_engine_record_shape():
-    record = bench.bench_engine(
-        nbacklog=200, nworkers=8, nhops=20, nwaiters=16, ncycles=3, repeat=1
-    )
-    assert record["bench"] == "engine"
-    assert record["burst_events"] == 200 + 8 * 20
-    assert set(record["guards"]) == {
-        "ratio:calendar_vs_heap",
-        "ratio:batched_vs_legacy",
-    }
-    assert all(v > 0 for v in record["guards"].values())
-
-
 def test_write_record_sidecar_round_trips(tmp_path):
     record = {"bench": "kernels", "guards": {"speedup:x": 2.0}}
     path = bench.write_record("kernels", record, tmp_path / "out")
@@ -108,7 +95,7 @@ def test_bench_query_record_shape():
     assert all(v >= 0 for v in record["guards"].values())
 
 
-@pytest.mark.parametrize("name", ["kernels", "ffs", "engine", "query"])
+@pytest.mark.parametrize("name", ["kernels", "ffs", "query"])
 def test_committed_baseline_is_well_formed(name):
     path = bench.default_baseline_dir() / f"BENCH_{name}.json"
     baseline = json.loads(path.read_text())
@@ -132,7 +119,7 @@ def test_committed_kernel_baseline_meets_acceptance_floor():
 # the timed full-size guard (opt-in: --perf-baseline)
 # ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["kernels", "ffs", "engine", "query"])
+@pytest.mark.parametrize("name", ["kernels", "ffs", "query"])
 def test_full_size_guards_match_baseline(perf_baseline_dir, name):
     base_path = perf_baseline_dir / f"BENCH_{name}.json"
     if not base_path.exists():
@@ -146,7 +133,6 @@ def test_full_size_guards_match_baseline(perf_baseline_dir, name):
     runner = {
         "kernels": bench.bench_kernels,
         "ffs": bench.bench_ffs,
-        "engine": bench.bench_engine,
         "query": run_query,
     }[name]
     record = runner()

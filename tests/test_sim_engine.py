@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, Interrupt, SimulationError
+from repro.sim import Engine, Interrupt, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -317,15 +317,16 @@ def test_peek_reports_next_event_time():
     assert eng.peek() == pytest.approx(9.0)
 
 
-# batched calendar drains ---------------------------------------------
+# same-instant cascades ------------------------------------------------
 
 def _cascade_program(eng, log):
     """Same-time bursts, urgent proxies, and interrupts on *eng*.
 
-    Exercises every path the batched calendar drain handles specially:
-    URGENT events scheduled mid-batch (``succeed(priority=URGENT)`` and
-    the urgent proxy created by waiting on an already-processed event),
-    plus an interrupt landing inside a same-timestamp burst.
+    Exercises every same-instant ordering rule of the run loop: URGENT
+    events scheduled while NORMAL ones are pending
+    (``succeed(priority=URGENT)`` and the urgent proxy created by
+    waiting on an already-processed event), plus an interrupt landing
+    inside a same-timestamp burst.
     """
     from repro.sim.engine import NORMAL, URGENT
 
@@ -345,7 +346,7 @@ def _cascade_program(eng, log):
 
     def late_waiter():
         yield eng.timeout(2.0)
-        value = yield early  # already processed -> URGENT proxy mid-batch
+        value = yield early  # already processed -> URGENT proxy mid-instant
         log.append(("late", value, eng.now))
 
     def sleeper():
@@ -367,49 +368,88 @@ def _cascade_program(eng, log):
     eng.run()
 
 
-def test_batched_calendar_schedule_identical_to_heap():
-    """The batch-drain run loop must pop byte-for-byte like the heap."""
+def test_cascade_schedule_matches_recorded_reference():
+    """The literals were captured at the last commit that had two event
+    queues, where the binary heap and the batch-drained calendar queue
+    both produced exactly this run of ``_cascade_program``."""
     from repro.check import ScheduleTrace
 
-    results = []
-    for backend in ("heap", "calendar"):
-        eng = Engine(queue=backend)
-        trace = ScheduleTrace()
-        eng.schedule_trace = trace
-        log = []
-        _cascade_program(eng, log)
-        results.append((log, trace.count, trace.schedule_hash, eng.now))
-    assert results[0] == results[1]
+    eng = Engine()
+    trace = ScheduleTrace()
+    eng.schedule_trace = trace
+    log = []
+    _cascade_program(eng, log)
+    assert log == [
+        ("hops-done", 0, 1.0),
+        ("hops-done", 2, 1.0),
+        ("hops-done", 4, 1.0),
+        ("late", "v", 2.0),
+        ("interrupted", "stop", 2.0),
+        ("hops-done", 3, 2.0),
+        ("hops-done", 1, 2.0),
+        ("hops-done", 5, 2.0),
+    ]
+    assert trace.count == 57
+    assert trace.schedule_hash == (
+        "6eefb40ece7c5da2e1ebd8fb414168b5ba6febabf04bd4bd2bd4c472d9e72edb"
+    )
+    assert eng.now == 50.0
 
 
 def test_urgent_push_mid_batch_preempts_remaining_normals():
-    """An URGENT event scheduled by a drained callback runs before the
-    batch's remaining NORMAL entries — same order as the heap."""
+    """An URGENT event scheduled while a same-instant batch of NORMAL
+    events is pending runs before the batch's remaining entries."""
     from repro.sim.engine import URGENT
 
-    def build(backend):
-        eng = Engine(queue=backend)
-        order = []
+    eng = Engine()
+    order = []
 
-        def normal(i):
-            yield eng.timeout(1.0)
-            if i == 0:  # first of the batch schedules an urgent event
-                ev = eng.event()
-                ev.succeed("u", priority=URGENT)
-            order.append(("n", i))
+    def normal(i):
+        yield eng.timeout(1.0)
+        if i == 0:  # first of the batch schedules an urgent event
+            ev = eng.event()
+            ev.callbacks.append(lambda _ev: order.append(("u", _ev.value)))
+            ev.succeed("u", priority=URGENT)
+        order.append(("n", i))
 
-        for i in range(5):
-            eng.process(normal(i))
-        eng.run()
-        return order
-
-    assert build("calendar") == build("heap")
+    for i in range(5):
+        eng.process(normal(i))
+    eng.run()
+    assert order == [("n", 0), ("u", "u"), ("n", 1), ("n", 2), ("n", 3), ("n", 4)]
 
 
-def test_exception_mid_batch_requeues_remaining_events():
-    """An exception escaping a callback mid-batch must leave the queue
-    exactly as the per-pop loop would: the rest of the batch intact."""
-    eng = Engine(queue="calendar", catch_errors=False)
+def test_event_fail_honours_priority():
+    """``fail(priority=URGENT)`` overtakes an earlier NORMAL ``succeed``."""
+    from repro.sim.engine import URGENT
+
+    eng = Engine()
+    order = []
+    ok, bad = eng.event(), eng.event()
+
+    def wait_ok():
+        yield ok
+        order.append("ok")
+
+    def wait_bad():
+        try:
+            yield bad
+        except RuntimeError:
+            order.append("bad")
+
+    eng.process(wait_ok())
+    eng.process(wait_bad())
+    eng.run()  # park both waiters
+    ok.succeed()
+    bad.fail(RuntimeError("x"), priority=URGENT)
+    eng.run()
+    assert order == ["bad", "ok"]
+
+
+def test_exception_mid_instant_leaves_remaining_events_queued():
+    """After an exception escapes ``run()`` (``catch_errors=False``) the
+    rest of that instant's events are still queued and a second
+    ``run()`` resumes them."""
+    eng = Engine(catch_errors=False)
     ran = []
 
     def ok(i):
@@ -426,27 +466,59 @@ def test_exception_mid_batch_requeues_remaining_events():
     eng.process(ok(2))
     with pytest.raises(RuntimeError, match="boom"):
         eng.run()
-    assert ran == [0]  # the batch stopped at the failing event...
-    eng.run()  # ...and the requeued remainder resumes cleanly
+    assert ran == [0]
+    eng.run()
     assert ran == [0, 1, 2]
 
 
-def test_custom_tie_breaker_disables_batching_but_not_correctness():
-    """A tie-breaker routes the calendar queue through the per-pop
-    loop; both backends must still agree under the same seed."""
-    from repro.sim.engine import SeededTieBreaker
+def _staggered_program(eng):
+    """Three workers with interleaved and coinciding wake-up times."""
+    log = []
 
-    def build(backend):
-        eng = Engine(queue=backend, tie_breaker=SeededTieBreaker(99))
-        order = []
+    def worker(name, delay):
+        for i in range(3):
+            yield eng.timeout(delay)
+            log.append((eng.now, name, i))
+        return name
 
-        def worker(i):
-            yield eng.timeout(1.0)
-            order.append(i)
+    procs = [eng.process(worker(n, d)) for n, d in [("a", 1.0), ("b", 0.5), ("c", 1.5)]]
+    return procs, log
 
-        for i in range(8):
-            eng.process(worker(i))
-        eng.run()
-        return order
 
-    assert build("calendar") == build("heap")
+def test_run_until_process_pops_like_run():
+    """Both loops share one pop-and-fire step: driving the last process
+    to finish through ``run_until_process`` records the same schedule
+    as ``run()`` on the same program.  (``run_until_process`` returns as
+    soon as the process has its value, so its own completion event is
+    still queued; one ``run()`` pops it.)"""
+    from repro.check import ScheduleTrace
+
+    results = []
+    for drive in ("run", "run_until_process"):
+        eng = Engine()
+        trace = ScheduleTrace()
+        eng.schedule_trace = trace
+        procs, log = _staggered_program(eng)
+        if drive == "run":
+            eng.run()
+        else:
+            assert eng.run_until_process(procs[-1]) == "c"
+            eng.run()
+        results.append((log, trace.count, trace.schedule_hash, eng.now))
+    assert results[0] == results[1]
+
+
+def test_run_until_process_rejects_time_going_backwards():
+    """The shared step keeps the monotonic-clock check ``run`` makes."""
+    import heapq
+
+    eng = Engine()
+
+    def proc():
+        yield eng.timeout(5.0)
+
+    p = eng.process(proc())
+    eng.run(until=1.0)
+    heapq.heappush(eng._heap, (0.25, 1, 0, 10**9, eng.event()))
+    with pytest.raises(SimulationError, match="went backwards"):
+        eng.run_until_process(p)
