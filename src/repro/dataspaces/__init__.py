@@ -14,8 +14,9 @@ staging area, providing:
    (min/max/avg over a sub-region), and *continuous* queries whose
    registrants are notified on every intersecting insert.
 
-The storage service keeps versioned in-memory copies with a coherency
-protocol (writers exclude overlapping readers), and load balancing
+The storage service keeps, per index block, the latest in-memory copy
+of every writer region with a coherency protocol (writers exclude
+overlapping readers and bump the object version), and load balancing
 operates at two levels: data is spread evenly across servers by SFC
 blocks, and index metadata redistributes by observed load
 (:mod:`repro.dataspaces.space`).

@@ -16,12 +16,20 @@ a rectangular query touching few servers.  Load balancing is two-level
 (§IV.D): data is spread evenly by block at declare time, and
 :meth:`DataSpaces.rebalance` redistributes index metadata by observed
 per-block load.
+
+Storage is keyed by that index: ``name -> block -> writer region ->``
+the latest piece written there plus the summed item sizes of every
+version.  A query visits only the blocks its region hashes to and, in
+a block, only the distinct writer regions, so its cost does not grow
+with the version history.  Superseded versions keep their byte count
+(the timing model charges it) but not their array: nothing can read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from collections.abc import Callable, Generator
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -44,7 +52,7 @@ class Region:
             raise ValueError("lb/ub rank mismatch")
         object.__setattr__(self, "lb", tuple(int(v) for v in self.lb))
         object.__setattr__(self, "ub", tuple(int(v) for v in self.ub))
-        for lo, hi in zip(self.lb, self.ub):
+        for lo, hi in zip(self.lb, self.ub, strict=True):
             if hi <= lo:
                 raise ValueError(f"empty region {self.lb}..{self.ub}")
 
@@ -54,7 +62,7 @@ class Region:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.lb, self.ub))
+        return tuple(hi - lo for lo, hi in zip(self.lb, self.ub, strict=True))
 
     @property
     def cells(self) -> int:
@@ -63,20 +71,24 @@ class Region:
             n *= s
         return n
 
-    def intersect(self, other: "Region") -> Optional["Region"]:
+    def intersect(self, other: Region) -> Region | None:
         """The overlapping box with *other*, or None when disjoint."""
-        lb = tuple(max(a, b) for a, b in zip(self.lb, other.lb))
-        ub = tuple(min(a, b) for a, b in zip(self.ub, other.ub))
-        if any(hi <= lo for lo, hi in zip(lb, ub)):
-            return None
-        return Region(lb, ub)
+        lb, ub = [], []
+        for lo, hi, olo, ohi in zip(self.lb, self.ub, other.lb, other.ub, strict=True):
+            if olo > lo:
+                lo = olo
+            if ohi < hi:
+                hi = ohi
+            if hi <= lo:
+                return None
+            lb.append(lo)
+            ub.append(hi)
+        return Region(tuple(lb), tuple(ub))
 
-    def slice_within(self, outer: "Region") -> tuple[slice, ...]:
+    def slice_within(self, outer: Region) -> tuple[slice, ...]:
         """Numpy selection of *self* inside an array covering *outer*."""
-        return tuple(
-            slice(lo - olo, hi - olo)
-            for lo, hi, olo in zip(self.lb, self.ub, outer.lb)
-        )
+        bounds = zip(self.lb, self.ub, outer.lb, strict=True)
+        return tuple(slice(lo - olo, hi - olo) for lo, hi, olo in bounds)
 
 
 @dataclass
@@ -88,18 +100,22 @@ class DSQueryStats:
     query_seconds: float = 0.0  # data retrieval
     servers_contacted: int = 0
     bytes_moved: float = 0.0
+    pieces_examined: int = 0  # stored pieces tested against get regions
 
 
 @dataclass
-class _StoredPiece:
-    version: int
+class _Written:
+    """What one index block holds for one writer region."""
+
     region: Region
+    version: int  # of the latest write ...
+    arrival: int  # ... and its commit order (breaks version ties)
     data: np.ndarray
+    itemsizes: int  # summed over every version written, superseded or not
 
 
 @dataclass
 class _ContinuousQuery:
-    name: str
     region: Region
     client_node: int
     callback: Callable[[Region, int], None]
@@ -119,15 +135,14 @@ class _DomainIndex:
         self.order = order
         self.grid = tuple(min(1 << order, d) for d in self.dims)
         self.block_shape = tuple(
-            int(np.ceil(d / g)) for d, g in zip(self.dims, self.grid)
+            int(np.ceil(d / g)) for d, g in zip(self.dims, self.grid, strict=True)
         )
         blocks = list(np.ndindex(*self.grid))
         # order blocks along the SFC for locality
         if ndim == 2:
-            key = lambda b: hilbert_xy2d(self.order, b[0], b[1])  # noqa: E731
+            blocks.sort(key=lambda b: hilbert_xy2d(self.order, b[0], b[1]))
         else:
-            key = lambda b: morton_encode(b, nbits=self.order)  # noqa: E731
-        blocks.sort(key=key)
+            blocks.sort(key=lambda b: morton_encode(b, nbits=self.order))
         self.blocks = blocks
         # contiguous runs of the SFC order to servers (even split)
         self.owner: dict[tuple[int, ...], int] = {}
@@ -135,25 +150,23 @@ class _DomainIndex:
         for i, b in enumerate(blocks):
             self.owner[b] = min(i // per, nservers - 1)
         self.load_bytes: dict[tuple[int, ...], float] = {b: 0.0 for b in blocks}
+        # trailing blocks are empty when block_shape does not divide dims
+        self._block_regions: dict[tuple[int, ...], Region] = {}
+        for b in blocks:
+            lb = tuple(bi * s for bi, s in zip(b, self.block_shape, strict=True))
+            if all(lo < d for lo, d in zip(lb, self.dims, strict=True)):
+                extent = zip(lb, self.block_shape, self.dims, strict=True)
+                self._block_regions[b] = Region(lb, tuple(min(lo + s, d) for lo, s, d in extent))
 
     def block_region(self, b: tuple[int, ...]) -> Region:
-        lb = tuple(bi * s for bi, s in zip(b, self.block_shape))
-        ub = tuple(
-            min((bi + 1) * s, d)
-            for bi, s, d in zip(b, self.block_shape, self.dims)
-        )
-        return Region(lb, ub)
+        """The cells of block *b* (KeyError for an empty trailing block)."""
+        return self._block_regions[b]
 
     def blocks_for(self, region: Region) -> list[tuple[int, ...]]:
-        lo = tuple(l // s for l, s in zip(region.lb, self.block_shape))
-        hi = tuple(
-            min((u - 1) // s, g - 1)
-            for u, s, g in zip(region.ub, self.block_shape, self.grid)
-        )
-        out = []
-        for b in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
-            out.append(tuple(l + o for l, o in zip(lo, b)))
-        return out
+        """Blocks overlapping *region*, in row-major block order."""
+        axes = zip(region.lb, region.ub, self.block_shape, self.grid, strict=True)
+        spans = (range(lo // s, min((hi - 1) // s, g - 1) + 1) for lo, hi, s, g in axes)
+        return list(product(*spans))
 
     def servers_for(self, region: Region) -> dict[int, list[tuple[int, ...]]]:
         by_server: dict[int, list[tuple[int, ...]]] = {}
@@ -209,7 +222,7 @@ class DataSpaces:
         hash_seconds_per_block: float = 2e-5,
         setup_rounds: int = 3,
         wire_scale: float = 1.0,
-        serve_bandwidth: Optional[float] = None,
+        serve_bandwidth: float | None = None,
         setup_server_seconds: float = 0.0,
         reply_overhead_seconds: float = 0.0,
     ):
@@ -252,29 +265,27 @@ class DataSpaces:
         #: domain maps each query onto more staging cores)
         self.reply_overhead_seconds = reply_overhead_seconds
         self._indexes: dict[str, _DomainIndex] = {}
-        #: per server: name -> list of stored pieces
-        self._storage: dict[int, dict[str, list[_StoredPiece]]] = {
-            s: {} for s in range(len(self.server_nodes))
-        }
+        #: name -> block -> writer region -> what is stored there; the
+        #: block's server is ``index(name).owner[block]`` at query time
+        self._store: dict[str, dict[tuple[int, ...], dict[Region, _Written]]] = {}
+        self._commits = 0
         self._versions: dict[str, int] = {}
         self._writers: dict[str, int] = {}
         self._write_clear: dict[str, Event] = {}
-        self._continuous: dict[int, _ContinuousQuery] = {}
+        #: name -> subscription id -> continuous query
+        self._continuous: dict[str, dict[int, _ContinuousQuery]] = {}
         self._next_subscription_id = 0
         self._client_setup_done: set[int] = set()
         self.bytes_stored = 0.0
-        #: incrementally maintained stored bytes per server (kept in
-        #: lockstep with ``_storage`` by ``put``)
-        self._server_bytes: list[float] = [0.0] * len(self.server_nodes)
 
     # -- declaration -----------------------------------------------------
     def declare(self, name: str, dims: tuple[int, ...]) -> None:
         """Declare a named domain before any put/get."""
         if name in self._indexes:
             raise ValueError(f"domain {name!r} already declared")
-        self._indexes[name] = _DomainIndex(
-            dims, len(self.server_nodes), self.blocks_per_server
-        )
+        idx = _DomainIndex(dims, len(self.server_nodes), self.blocks_per_server)
+        self._indexes[name] = idx
+        self._store[name] = {b: {} for b in idx.blocks}
         self._versions[name] = 0
         self._writers[name] = 0
 
@@ -317,7 +328,7 @@ class DataSpaces:
         region: Region,
         data: np.ndarray,
         *,
-        stats: Optional[DSQueryStats] = None,
+        stats: DSQueryStats | None = None,
     ) -> Generator:
         """Process body: insert *data* covering *region*.
 
@@ -328,69 +339,63 @@ class DataSpaces:
         idx = self.index(name)
         data = np.asarray(data)
         if tuple(data.shape) != region.shape:
-            raise ValueError(
-                f"data shape {data.shape} != region shape {region.shape}"
-            )
+            raise ValueError(f"data shape {data.shape} != region shape {region.shape}")
         self._begin_write(name)
         try:
             by_server = idx.servers_for(region)
             yield self.env.timeout(
-                self.hash_seconds_per_block
-                * sum(len(bs) for bs in by_server.values())
+                self.hash_seconds_per_block * sum(len(bs) for bs in by_server.values())
             )
             version = self._versions[name] + 1
             events = []
-            staged: list[tuple[int, list[_StoredPiece], float]] = []
+            staged: list[tuple[tuple[int, ...], Region, np.ndarray]] = []
             for server, blocks in by_server.items():
                 nbytes = 0.0
-                pieces = []
                 for b in blocks:
                     cut = idx.block_region(b).intersect(region)
                     if cut is None:
                         continue
                     piece = data[cut.slice_within(region)]
-                    pieces.append(_StoredPiece(version, cut, piece.copy()))
+                    staged.append((b, cut, piece.copy()))
                     nbytes += piece.nbytes
-                    idx.load_bytes[b] += piece.nbytes
-                staged.append((server, pieces, nbytes))
                 if stats is not None:
                     stats.bytes_moved += nbytes
                 events.append(
                     self.machine.network.transfer_event(
-                        client_node,
-                        self.server_nodes[server],
-                        nbytes * self.wire_scale,
-                        rdma=True,
+                        client_node, self.server_nodes[server], nbytes * self.wire_scale, rdma=True
                     )
                 )
             if events:
                 yield self.env.all_of(events)
             # commit: pieces become visible only once every server has
-            # the data — readers never observe a half-landed put
-            for server, pieces, nbytes in staged:
-                self._storage[server].setdefault(name, []).extend(pieces)
-                self.bytes_stored += nbytes
-                self._server_bytes[server] += nbytes
+            # the data — readers never observe a half-landed put.  A
+            # re-put of a writer region replaces its array unless a
+            # newer version already landed; its bytes count either way
+            self._commits += 1
+            for b, cut, piece in staged:
+                writers = self._store[name][b]
+                held = writers.get(cut)
+                if held is None:
+                    writers[cut] = _Written(cut, version, self._commits, piece, piece.itemsize)
+                else:
+                    held.itemsizes += piece.itemsize
+                    if version >= held.version:
+                        held.version, held.arrival, held.data = version, self._commits, piece
+                idx.load_bytes[b] += piece.nbytes
+                self.bytes_stored += piece.nbytes
             self._versions[name] = version
         finally:
             self._end_write(name)
         # notifications for continuous queries (snapshot: a callback may
         # register or unregister without disturbing this round)
-        for cq in list(self._continuous.values()):
-            if cq.name == name and cq.region.intersect(region) is not None:
-                yield from self.machine.network.transfer(
-                    self.server_nodes[0], cq.client_node, 64.0
-                )
+        for cq in list(self._continuous.get(name, {}).values()):
+            if cq.region.intersect(region) is not None:
+                yield from self.machine.network.transfer(self.server_nodes[0], cq.client_node, 64.0)
                 cq.callback(region, self._versions[name])
 
     # -- get -----------------------------------------------------------------------
     def get(
-        self,
-        client_node: int,
-        name: str,
-        region: Region,
-        *,
-        stats: Optional[DSQueryStats] = None,
+        self, client_node: int, name: str, region: Region, *, stats: DSQueryStats | None = None
     ) -> Generator:
         """Process body: retrieve the sub-array covering *region*.
 
@@ -406,63 +411,72 @@ class DataSpaces:
             # registration work on the bootstrap server; concurrent
             # first-time clients serialise on its cores.
             for _ in range(self.setup_rounds):
-                yield from self.machine.network.transfer(
-                    client_node, self.server_nodes[0], 512.0
-                )
-                yield from self.machine.network.transfer(
-                    self.server_nodes[0], client_node, 4096.0
-                )
+                yield from self.machine.network.transfer(client_node, self.server_nodes[0], 512.0)
+                yield from self.machine.network.transfer(self.server_nodes[0], client_node, 4096.0)
             if self.setup_server_seconds > 0:
                 boot = self.machine.node(self.server_nodes[0])
-                yield from boot.compute(
-                    self.setup_server_seconds * boot.config.core_flops
-                )
+                yield from boot.compute(self.setup_server_seconds * boot.config.core_flops)
             self._client_setup_done.add(client_node)
             stats.setup_seconds += self.env.now - t0
         t0 = self.env.now
         by_server = idx.servers_for(region)
-        hash_t = self.hash_seconds_per_block * sum(
-            len(bs) for bs in by_server.values()
+        yield self.env.timeout(
+            self.hash_seconds_per_block * sum(len(bs) for bs in by_server.values())
         )
-        yield self.env.timeout(hash_t)
         stats.hashing_seconds += self.env.now - t0
 
         t0 = self.env.now
-        out = np.zeros(region.shape)
-        filled = np.zeros(region.shape, dtype=bool)
+        out, filled, charged, examined = self._overlay(name, region, by_server)
+        stats.pieces_examined += examined
         events = []
-        for server in by_server:
-            pieces = self._storage[server].get(name, [])
-            nbytes = 0.0
-            for piece in sorted(pieces, key=lambda p: p.version):
-                cut = piece.region.intersect(region)
-                if cut is None:
-                    continue
-                out[cut.slice_within(region)] = piece.data[
-                    cut.slice_within(piece.region)
-                ]
-                filled[cut.slice_within(region)] = True
-                nbytes += piece.data[cut.slice_within(piece.region)].nbytes
+        for server, nbytes in charged.items():
             stats.bytes_moved += nbytes
             events.append(
-                self.env.process(
-                    self._serve_and_ship(server, client_node, nbytes),
-                    name="ds-serve",
-                )
+                self.env.process(self._serve_and_ship(server, client_node, nbytes), name="ds-serve")
             )
         stats.servers_contacted += len(by_server)
         if events:
             yield self.env.all_of(events)
         if self.reply_overhead_seconds > 0:
-            yield self.env.timeout(
-                self.reply_overhead_seconds * len(by_server)
-            )
+            yield self.env.timeout(self.reply_overhead_seconds * len(by_server))
         stats.query_seconds += self.env.now - t0
         if not filled.all():
-            raise KeyError(
-                f"{name!r}: {int((~filled).sum())} cells of {region} unwritten"
-            )
+            raise KeyError(f"{name!r}: {int((~filled).sum())} cells of {region} unwritten")
         return out
+
+    def _overlay(
+        self, name: str, region: Region, by_server: dict[int, list[tuple[int, ...]]]
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, float], int]:
+        """Assemble *region* from the blocks of *by_server*.
+
+        In each block the latest piece of every overlapping writer
+        region is laid down in (version, arrival) order, so the newest
+        write wins per cell.  Returns the array (in the stored dtype),
+        the mask of written cells, the bytes charged per server (every
+        version ever written there counts) and the pieces examined.
+        """
+        hits: list[tuple[int, _Written, Region]] = []
+        examined = 0
+        for server, blocks in by_server.items():
+            for b in blocks:
+                writers = self._store[name][b].values()
+                examined += len(writers)
+                found = [
+                    (server, w, cut)
+                    for w in writers
+                    if (cut := w.region.intersect(region)) is not None
+                ]
+                hits += sorted(found, key=lambda h: (h[1].version, h[1].arrival))
+        dtype = np.result_type(*{w.data.dtype for _, w, _ in hits}) if hits else np.float64
+        out = np.zeros(region.shape, dtype=dtype)
+        filled = np.zeros(region.shape, dtype=bool)
+        charged = dict.fromkeys(by_server, 0.0)
+        for server, w, cut in hits:
+            sel = cut.slice_within(region)
+            out[sel] = w.data[cut.slice_within(w.region)]
+            filled[sel] = True
+            charged[server] += cut.cells * w.itemsizes
+        return out, filled, charged, examined
 
     def _serve_and_ship(self, server: int, client_node: int, nbytes: float):
         """Process body: server-side gather (core-occupied, rate-capped)
@@ -478,12 +492,7 @@ class DataSpaces:
 
     # -- aggregation queries -------------------------------------------------------
     def query_reduce(
-        self,
-        client_node: int,
-        name: str,
-        region: Region,
-        *,
-        stats: Optional[DSQueryStats] = None,
+        self, client_node: int, name: str, region: Region, *, stats: DSQueryStats | None = None
     ) -> Generator:
         """Process body: server-side min/max/avg over *region*.
 
@@ -495,39 +504,23 @@ class DataSpaces:
         yield self.env.timeout(
             self.hash_seconds_per_block * sum(len(b) for b in by_server.values())
         )
-        mins, maxs, total, count = [], [], 0.0, 0
+        mins, maxs, total, count = [], [], 0, 0
         events = []
-        for server in by_server:
-            # overlay ascending versions so the scan sees one coherent
-            # snapshot (latest write wins per cell), exactly like get()
-            overlay = np.zeros(region.shape)
-            filled = np.zeros(region.shape, dtype=bool)
-            scanned = 0.0
-            for piece in sorted(
-                self._storage[server].get(name, []), key=lambda p: p.version
-            ):
-                cut = piece.region.intersect(region)
-                if cut is None:
-                    continue
-                vals = piece.data[cut.slice_within(piece.region)]
-                overlay[cut.slice_within(region)] = vals
-                filled[cut.slice_within(region)] = True
-                scanned += vals.nbytes
+        for server, blocks in by_server.items():
+            # each server scans one coherent snapshot of its own blocks
+            # (latest write wins per cell), exactly like get()
+            overlay, filled, scanned, _ = self._overlay(name, region, {server: blocks})
             vals = overlay[filled]
             if vals.size:
-                mins.append(float(vals.min()))
-                maxs.append(float(vals.max()))
-                total += float(vals.sum())
+                mins.append(vals.min().item())
+                maxs.append(vals.max().item())
+                total += vals.sum().item()
                 count += vals.size
             # server-side scan cost
             node = self.machine.node(self.server_nodes[server])
+            events.append(self.env.process(node.compute(2.0 * scanned[server]), name="ds-scan"))
             events.append(
-                self.env.process(node.compute(2.0 * scanned), name="ds-scan")
-            )
-            events.append(
-                self.machine.network.transfer_event(
-                    self.server_nodes[server], client_node, 24.0
-                )
+                self.machine.network.transfer_event(self.server_nodes[server], client_node, 24.0)
             )
         if events:
             yield self.env.all_of(events)
@@ -535,12 +528,7 @@ class DataSpaces:
             stats.servers_contacted += len(by_server)
         if count == 0:
             raise KeyError(f"no data in {region} of {name!r}")
-        return {
-            "min": min(mins),
-            "max": max(maxs),
-            "avg": total / count,
-            "count": count,
-        }
+        return {"min": min(mins), "max": max(maxs), "avg": total / count, "count": count}
 
     # -- continuous queries ------------------------------------------------------------
     def register_continuous(
@@ -558,23 +546,28 @@ class DataSpaces:
         self.index(name)  # validates declaration
         sid = self._next_subscription_id
         self._next_subscription_id += 1
-        self._continuous[sid] = _ContinuousQuery(name, region, client_node, callback)
+        self._continuous.setdefault(name, {})[sid] = _ContinuousQuery(region, client_node, callback)
         return sid
 
     def unregister_continuous(self, subscription_id: int) -> None:
         """Drop the continuous query *subscription_id*; its callback
         never fires again (a departed reader stops costing puts)."""
-        if self._continuous.pop(subscription_id, None) is None:
-            raise KeyError(f"unknown subscription id {subscription_id}")
+        for name, subs in self._continuous.items():
+            if subs.pop(subscription_id, None) is not None:
+                if not subs:
+                    del self._continuous[name]
+                return
+        raise KeyError(f"unknown subscription id {subscription_id}")
 
     # -- load balancing ------------------------------------------------------------------
     def server_load(self) -> list[float]:
-        """Stored bytes per server (level-1 balance view).
-
-        O(nservers): the totals are maintained incrementally by
-        :meth:`put` instead of re-walking every stored piece.
-        """
-        return list(self._server_bytes)
+        """Stored bytes per server (level-1 balance view): every
+        committed version counts, under its block's current owner."""
+        loads = [0.0] * len(self.server_nodes)
+        for idx in self._indexes.values():
+            for b, nbytes in idx.load_bytes.items():
+                loads[idx.owner[b]] += nbytes
+        return loads
 
     def rebalance(self, name: str) -> int:
         """Redistribute index metadata of *name* by observed load."""

@@ -329,24 +329,117 @@ def test_unregister_continuous_unknown_id():
 
 
 def test_server_load_matches_brute_force_recount():
-    # the incremental per-server totals must equal a full walk of the
-    # stored pieces after a mix of disjoint and overlapping puts
+    # per-server totals must equal the bytes the test itself put, split
+    # by block owner, after a mix of disjoint, overlapping and repeated
+    # puts (a re-put version still counts: its bytes were stored)
     eng, _, ds = build_ds(nservers=4)
+    puts = [
+        (Region((0, 0), (64, 64)), np.ones((64, 64))),
+        (Region((8, 8), (24, 40)), np.full((16, 32), 2.0)),
+        (Region((50, 2), (64, 10)), np.zeros((14, 8), dtype=np.float32)),
+        (Region((8, 8), (24, 40)), np.full((16, 32), 3.0)),
+    ]
 
     def main():
-        yield from ds.put(0, "field", Region((0, 0), (64, 64)),
-                          np.ones((64, 64)))
-        yield from ds.put(1, "field", Region((8, 8), (24, 40)),
-                          np.full((16, 32), 2.0))
-        yield from ds.put(2, "field", Region((50, 2), (64, 10)),
-                          np.zeros((14, 8)))
+        for client, (region, data) in enumerate(puts):
+            yield from ds.put(client, "field", region, data)
 
     run(eng, main())
-    loads = ds.server_load()
+    idx = ds.index("field")
     brute = [0.0] * len(ds.server_nodes)
-    for server, by_name in ds._storage.items():
-        for pieces in by_name.values():
-            for piece in pieces:
-                brute[server] += piece.data.nbytes
-    assert loads == pytest.approx(brute)
-    assert sum(loads) > 0
+    for region, data in puts:
+        for server, blocks in idx.servers_for(region).items():
+            for b in blocks:
+                brute[server] += idx.block_region(b).intersect(region).cells * data.itemsize
+    assert ds.server_load() == brute
+    assert sum(brute) == sum(data.nbytes for _, data in puts) == ds.bytes_stored
+
+
+def test_every_block_readable_after_rebalance():
+    # regression: data used to be filed under the server that owned the
+    # block at put time and looked up under the owner at query time, so
+    # every block rebalance() moved raised "cells unwritten"
+    eng, _, ds = build_ds(nservers=4)
+    rng = np.random.default_rng(3)
+    full = rng.random((64, 64))
+    domain = Region((0, 0), (64, 64))
+    corner = Region((0, 0), (16, 16))
+
+    def fill():
+        yield from ds.put(0, "field", domain, full)
+        for k in range(5):  # skew: one corner takes five more versions
+            full[:16, :16] = k
+            yield from ds.put(1, "field", corner, full[:16, :16])
+
+    run(eng, fill())
+    idx = ds.index("field")
+    before = dict(idx.owner)
+    put_bytes = full.nbytes + 5 * 16 * 16 * 8
+    assert sum(ds.server_load()) == put_bytes
+    assert ds.rebalance("field") == sum(idx.owner[b] != before[b] for b in before) > 0
+
+    def read_all():
+        out = {}
+        for b in idx.blocks:
+            r = idx.block_region(b)
+            out[b] = yield from ds.get(2, "field", r)
+            agg = yield from ds.query_reduce(2, "field", r)
+            assert agg["count"] == r.cells
+        return out
+
+    for b, got in run(eng, read_all()).items():
+        np.testing.assert_array_equal(got, full[idx.block_region(b).slice_within(domain)])
+    loads = ds.server_load()
+    assert sum(loads) == put_bytes  # bytes follow their block's new owner
+    assert loads == [
+        sum(n for b, n in idx.load_bytes.items() if idx.owner[b] == s) for s in range(4)
+    ]
+
+
+def test_int64_labels_keep_dtype_and_value():
+    # regression: get() assembled into a float64 array, so labels above
+    # 2**53 came back as the neighbouring even float
+    eng, _, ds = build_ds()
+    big = 2**53 + 1
+    labels = np.full((8, 8), big, dtype=np.int64)
+    labels[0, 0] = -7
+
+    def main():
+        r = Region((0, 0), (8, 8))
+        yield from ds.put(0, "field", r, labels)
+        out = yield from ds.get(1, "field", Region((0, 0), (4, 8)))
+        agg = yield from ds.query_reduce(1, "field", r)
+        return out, agg
+
+    out, agg = run(eng, main())
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, labels[:4])
+    assert agg["max"] == big and agg["min"] == -7
+    assert agg["avg"] == (63 * big - 7) / 64
+
+
+def test_get_examines_as_many_pieces_after_50_reputs_as_after_one():
+    # history independence as a count: a reader's work per step must not
+    # depend on how long the stream has been running
+    eng, _, ds = build_ds()
+    strips = [Region((r * 16, 0), ((r + 1) * 16, 64)) for r in range(4)]
+    query = Region((8, 8), (40, 56))
+
+    def step(value):
+        for rank, strip in enumerate(strips):
+            yield from ds.put(rank, "field", strip, np.full(strip.shape, value))
+
+    def read():
+        stats = DSQueryStats()
+        out = yield from ds.get(5, "field", query, stats=stats)
+        return out, stats
+
+    run(eng, step(0.0))
+    _, first = run(eng, read())
+    for k in range(1, 50):
+        run(eng, step(float(k)))
+    out, last = run(eng, read())
+    np.testing.assert_array_equal(out, np.full(query.shape, 49.0))
+    assert last.pieces_examined == first.pieces_examined > 0
+    # ... while every version's bytes are still charged
+    assert last.bytes_moved == 50 * first.bytes_moved
