@@ -13,7 +13,6 @@ absolute seconds in the sidecars are for humans only.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -28,13 +27,8 @@ def bench_guard():
 
     def guard(name: str, record: dict) -> dict:
         out_dir = Path(os.environ.get("BENCH_DIR", "."))
-        path = bench.write_record(name, record, out_dir)
-        for key, val in sorted(record["guards"].items()):
-            print(f"[perf] {key} = {val:.3g}")
-        base_path = bench.default_baseline_dir() / f"BENCH_{name}.json"
-        baseline = json.loads(base_path.read_text())
-        problems = bench.compare(record, baseline)
-        assert problems == [], f"{path}:\n" + "\n".join(problems)
+        problems = bench.guard_record(name, record, out_dir, bench.default_baseline_dir())
+        assert problems == [], f"BENCH_{name}.json:\n" + "\n".join(problems)
         return record
 
     return guard

@@ -13,8 +13,6 @@ run and their guard ratios are diffed against the committed
 ``benchmarks/perf/baselines/``, or any directory holding baselines).
 """
 
-from pathlib import Path
-
 import pytest
 
 pytest_plugins = ["repro.check.pytest_plugin"]
@@ -38,8 +36,6 @@ def perf_baseline_dir(request):
     opt = request.config.getoption("--perf-baseline")
     if opt is None:
         pytest.skip("pass --perf-baseline [DIR|default] to run the timed guard")
-    if opt == "default":
-        from repro.perf.bench import default_baseline_dir
+    from repro.perf.bench import baseline_dir
 
-        return default_baseline_dir()
-    return Path(opt)
+    return baseline_dir(opt)

@@ -32,18 +32,9 @@ from repro.check.workloads import run_workload
 
 __all__ = ["main"]
 
-_FIG7_KW = dict(
-    rep_ranks=8,
-    ndumps=1,
-    iterations_per_dump=2,
-    compute_seconds_per_iteration=10.0,
-    functional_rows=64,
-)
-
-
 def _fig7_runner(operation: str):
     """Runner closure for the fuzzer: one fig-7-style GTC staging run."""
-    from repro.experiments.runner import run_gtc
+    from repro.experiments.runner import FAST_FIG7, run_gtc
 
     def runner(tie_breaker, schedule_trace) -> str:
         res = run_gtc(
@@ -52,7 +43,7 @@ def _fig7_runner(operation: str):
             operation,
             tie_breaker=tie_breaker,
             schedule_trace=schedule_trace,
-            **_FIG7_KW,
+            **{**FAST_FIG7, "rep_ranks": 8, "functional_rows": 64},
         )
         return result_fingerprint(res.predata)
 

@@ -15,6 +15,7 @@ are kept at full scale; collective cost models price the logical
 representative's share is faithful.
 """
 
+from repro.experiments.report import format_table
 from repro.experiments.runner import (
     GTCRunResult,
     Pixie3DRunResult,
@@ -22,7 +23,6 @@ from repro.experiments.runner import (
     run_gtc,
     run_pixie3d,
 )
-from repro.experiments.report import format_table
 
 __all__ = [
     "GTCRunResult",

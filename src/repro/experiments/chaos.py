@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -34,15 +33,16 @@ from repro.adios.bp import BPFile, BPWriter
 from repro.adios.group import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.io import SyncMPIIO
 from repro.core import PreDatA
+from repro.experiments.cli import add_flow_argument, add_trace_argument, command_parser
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
 from repro.faults import FaultInjector, ResilienceConfig
 from repro.flow import FlowConfig
-from repro.machine import Machine, TESTING_TINY
+from repro.machine import TESTING_TINY, Machine
 from repro.mpi import World
 from repro.operators.array_merge import ArrayMergeOperator
 from repro.sim import Engine
 
-__all__ = ["ChaosResult", "ChaosRun", "fingerprint", "main", "run_chaos", "run_once"]
+__all__ = ["ChaosResult", "ChaosRun", "cli", "fingerprint", "main", "run_chaos", "run_once"]
 
 #: Pixie3D-like output group: one 3-D global array (stand-in for the
 #: eight fields; the merge path is identical per variable).
@@ -89,16 +89,16 @@ class ChaosRun:
     wall_seconds: float
     complete: bool
     missing_steps: list[int]
-    detection_seconds: Optional[float]
-    recovery_seconds: Optional[float]
+    detection_seconds: float | None
+    recovery_seconds: float | None
     restarts: int
     fetch_retries: int
     degraded_steps: int
     merged: BPFile
-    fallback_file: Optional[BPFile]
+    fallback_file: BPFile | None
     engine: Engine = field(repr=False, default=None)
     predata: PreDatA = field(repr=False, default=None)
-    injector: Optional[FaultInjector] = field(repr=False, default=None)
+    injector: FaultInjector | None = field(repr=False, default=None)
     # -- flow-control counters (all zero when flow is disabled) -----------
     flow_spill_bytes: float = 0.0
     flow_unspill_bytes: float = 0.0
@@ -116,8 +116,8 @@ class ChaosResult:
     rep_ranks: int
     nstaging_procs: int
     killed_node: int
-    detection_seconds: Optional[float]
-    recovery_seconds: Optional[float]
+    detection_seconds: float | None
+    recovery_seconds: float | None
     restarts: int
     fetch_retries: int
     degraded_steps: int
@@ -141,11 +141,11 @@ def run_once(
     kill_step: int = 1,
     kill_offset: float = 0.2,
     seed: int = 7,
-    resilience: Optional[ResilienceConfig] = None,
+    resilience: ResilienceConfig | None = None,
     make_injector: bool = True,
     obs=None,
-    flow: Optional[FlowConfig] = None,
-    flow_fraction: Optional[float] = None,
+    flow: FlowConfig | None = None,
+    flow_fraction: float | None = None,
     fetch_pipeline_depth: int = 2,
     tie_breaker=None,
     schedule_trace=None,
@@ -269,7 +269,7 @@ def run_once(
     fallback.finalize()
     merged = writer.close()
     try:
-        fallback_file: Optional[BPFile] = fallback.file(FIELD_GROUP.name)
+        fallback_file: BPFile | None = fallback.file(FIELD_GROUP.name)
     except KeyError:
         fallback_file = None
 
@@ -331,7 +331,7 @@ def run_once(
 
 def _step_recovered(
     merged: BPFile,
-    fallback_file: Optional[BPFile],
+    fallback_file: BPFile | None,
     step: int,
     expected: np.ndarray,
 ) -> bool:
@@ -393,7 +393,7 @@ def fingerprint(run: ChaosRun) -> str:
 
 
 def run_chaos(
-    logical_ranks_list: Optional[list[int]] = None,
+    logical_ranks_list: list[int] | None = None,
     *,
     seed: int = 7,
     **kwargs,
@@ -429,7 +429,7 @@ def run_chaos(
 
 
 def main(
-    trace: Optional[str] = None, flow_fraction: Optional[float] = None
+    trace: str | None = None, flow_fraction: float | None = None
 ) -> None:
     """Print the chaos-recovery series (one staging node killed mid-step).
 
@@ -486,34 +486,18 @@ def main(
         )
     )
     if obs is not None:
-        written = obs.dump(trace)
         print()
-        print(obs.metrics.summary_table(title="Chaos metrics"))
-        print(
-            "trace written: " + ", ".join(written)
-            + "  (open the .json in https://ui.perfetto.dev)"
-        )
+        print(obs.report(trace, "Chaos metrics"))
 
 
-def _cli(argv=None) -> None:
-    import argparse
-
-    p = argparse.ArgumentParser(description="Chaos: staging-node crash recovery")
-    p.add_argument(
-        "--trace", nargs="?", const="chaos_trace.json", default=None,
-        metavar="PATH",
-        help="write a Chrome trace (default PATH: chaos_trace.json) "
-             "plus a .jsonl sidecar and a metrics summary",
-    )
-    p.add_argument(
-        "--flow", nargs="?", const=0.25, default=None, type=float,
-        metavar="FRACTION",
-        help="enable flow control; cap each staging node's buffer pool "
-             "at FRACTION of its per-step working set (default 0.25)",
-    )
+def cli(argv: list[str] | None = None) -> None:
+    """``python -m repro chaos``: parse the flags, run :func:`main`."""
+    p = command_parser("chaos", "Chaos: staging-node crash recovery")
+    add_trace_argument(p, "chaos")
+    add_flow_argument(p)
     a = p.parse_args(argv)
     main(trace=a.trace, flow_fraction=a.flow)
 
 
 if __name__ == "__main__":
-    _cli()
+    cli()

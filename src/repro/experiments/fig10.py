@@ -18,12 +18,12 @@ Paper shape claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
 from repro.experiments.runner import pixie3d_scales, run_pixie3d
 
-__all__ = ["Fig10Row", "run_fig10", "main"]
+__all__ = ["Fig10Row", "run_fig10", "main", "cli"]
 
 
 @dataclass
@@ -42,7 +42,7 @@ class Fig10Row:
 
 
 def run_fig10(
-    scales: Optional[list[int]] = None, **run_kwargs
+    scales: list[int] | None = None, **run_kwargs
 ) -> list[Fig10Row]:
     """Run Pixie3D at each scale in both configurations."""
     rows = []
@@ -69,7 +69,7 @@ def run_fig10(
     return rows
 
 
-def main(scales: Optional[list[int]] = None, **run_kwargs) -> str:
+def main(scales: list[int] | None = None, **run_kwargs) -> str:
     """Print the Fig. 10 tables; returns the formatted text."""
     rows = run_fig10(scales, **run_kwargs)
     t1 = format_table(
@@ -109,5 +109,7 @@ def main(scales: Optional[list[int]] = None, **run_kwargs) -> str:
     return text
 
 
+cli = flagless_cli("fig10", "Fig. 10 — Pixie3D simulation performance", main)
+
 if __name__ == "__main__":
-    main()
+    cli()

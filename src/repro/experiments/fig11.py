@@ -20,18 +20,18 @@ This experiment has two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.apps.pixie3d import PIXIE3D_VARS, Pixie3DConfig
+from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_seconds, format_table
 from repro.experiments.runner import run_pixie3d
 from repro.machine.filesystem import ParallelFileSystem
 from repro.machine.presets import JAGUAR_XT4
 from repro.sim.engine import Engine
 
-__all__ = ["Fig11Row", "run_fig11", "main"]
+__all__ = ["Fig11Row", "run_fig11", "main", "cli"]
 
 
 @dataclass
@@ -173,5 +173,7 @@ def main(**kw) -> str:
     return text
 
 
+cli = flagless_cli("fig11", "Fig. 11 — merged vs unmerged reads", main)
+
 if __name__ == "__main__":
-    main()
+    cli()

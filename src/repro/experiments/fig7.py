@@ -19,12 +19,12 @@ Paper shape claims this experiment reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.experiments.cli import add_flow_argument, add_trace_argument, command_parser
 from repro.experiments.report import fmt_seconds, format_table
-from repro.experiments.runner import gtc_scales, run_gtc
+from repro.experiments.runner import FAST_FIG7, gtc_scales, run_gtc
 
-__all__ = ["Fig7Row", "run_fig7", "main", "OPERATIONS"]
+__all__ = ["Fig7Row", "run_fig7", "main", "cli", "OPERATIONS"]
 
 OPERATIONS = ("sort", "histogram", "histogram2d")
 
@@ -46,7 +46,7 @@ class Fig7Row:
 
 def run_fig7(
     operation: str,
-    scales: Optional[list[int]] = None,
+    scales: list[int] | None = None,
     **run_kwargs,
 ) -> list[Fig7Row]:
     """Run one operation across scales in both placements."""
@@ -85,8 +85,8 @@ def run_fig7(
 
 
 def main(
-    scales: Optional[list[int]] = None,
-    trace: Optional[str] = None,
+    scales: list[int] | None = None,
+    trace: str | None = None,
     **run_kwargs,
 ) -> str:
     """Print the Fig. 7 series; returns the formatted text.
@@ -125,44 +125,24 @@ def main(
         )
         blocks.append(table)
     if obs is not None:
-        written = obs.dump(trace)
-        blocks.append(obs.metrics.summary_table(title="Fig. 7 metrics"))
-        blocks.append(
-            "trace written: " + ", ".join(written)
-            + "  (open the .json in https://ui.perfetto.dev)"
-        )
+        blocks.append(obs.report(trace, "Fig. 7 metrics"))
     text = "\n\n".join(blocks)
     print(text)
     return text
 
 
-def _cli(argv=None) -> None:
-    import argparse
-
-    p = argparse.ArgumentParser(description="Fig. 7 — individual operations")
-    p.add_argument(
-        "--trace", nargs="?", const="fig7_trace.json", default=None,
-        metavar="PATH",
-        help="write a Chrome trace (default PATH: fig7_trace.json) "
-             "plus a .jsonl sidecar and a metrics summary",
-    )
+def cli(argv: list[str] | None = None) -> None:
+    """``python -m repro fig7``: parse the flags, run :func:`main`."""
+    p = command_parser("fig7", "Fig. 7 — individual operations")
+    add_trace_argument(p, "fig7")
     p.add_argument("--fast", action="store_true", help="trimmed runs")
-    p.add_argument(
-        "--flow", nargs="?", const=0.25, default=None, type=float,
-        metavar="FRACTION",
-        help="enable flow control; cap each staging node's buffer pool "
-             "at FRACTION of its per-step working set (default 0.25)",
-    )
+    add_flow_argument(p)
     a = p.parse_args(argv)
-    kw = (
-        dict(ndumps=1, iterations_per_dump=2,
-             compute_seconds_per_iteration=10.0)
-        if a.fast else {}
-    )
+    kw = dict(FAST_FIG7) if a.fast else {}
     if a.flow is not None:
         kw["flow_fraction"] = a.flow
     main(trace=a.trace, **kw)
 
 
 if __name__ == "__main__":
-    _cli()
+    cli()

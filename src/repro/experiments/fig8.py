@@ -15,13 +15,13 @@ the paper evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.operator import PreDatAOperator
+from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
-from repro.experiments.runner import gtc_operators, gtc_scales, run_gtc
+from repro.experiments.runner import FAST_FIG8, gtc_operators, gtc_scales, run_gtc
 
-__all__ = ["Fig8Row", "run_fig8", "main"]
+__all__ = ["Fig8Row", "run_fig8", "main", "cli"]
 
 
 def _all_operations(which: str, filesystem=None) -> list[PreDatAOperator]:
@@ -52,7 +52,7 @@ class Fig8Row:
 
 
 def run_fig8(
-    scales: Optional[list[int]] = None,
+    scales: list[int] | None = None,
     *,
     ndumps: int = 2,
     iterations_per_dump: int = 4,
@@ -102,7 +102,7 @@ def run_fig8(
     return rows
 
 
-def main(scales: Optional[list[int]] = None, **run_kwargs) -> str:
+def main(scales: list[int] | None = None, **run_kwargs) -> str:
     """Print the Fig. 8 tables; returns the formatted text."""
     rows = run_fig8(scales, **run_kwargs)
     t1 = format_table(
@@ -141,5 +141,12 @@ def main(scales: Optional[list[int]] = None, **run_kwargs) -> str:
     return text
 
 
+def cli(argv: list[str] | None = None) -> None:
+    """``python -m repro fig8``: parse the flags, run :func:`main`."""
+    p = command_parser("fig8", "Fig. 8 — GTC simulation performance")
+    p.add_argument("--fast", action="store_true", help="trimmed runs")
+    main(**(FAST_FIG8 if p.parse_args(argv).fast else {}))
+
+
 if __name__ == "__main__":
-    main()
+    cli()

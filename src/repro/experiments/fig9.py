@@ -18,17 +18,17 @@ in <80 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.dataspaces import DataSpaces, DSQueryStats, Region
+from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_seconds, format_table
 from repro.machine.machine import Machine
 from repro.machine.presets import JAGUAR_XT5
 from repro.sim.engine import Engine
 
-__all__ = ["Fig9Row", "run_fig9", "main"]
+__all__ = ["Fig9Row", "run_fig9", "main", "cli"]
 
 #: logical rows per querying core (~200 MB = 100k x 256 x 8 B)
 ROWS_PER_CORE_LOGICAL = 100_000
@@ -50,7 +50,7 @@ class Fig9Row:
 
 
 def run_fig9(
-    n_query_cores_list: Optional[list[int]] = None,
+    n_query_cores_list: list[int] | None = None,
     *,
     index_seconds_per_cell: float = 1.2e-8,
     seed: int = 3,
@@ -160,7 +160,7 @@ def _one_scale(q: int, index_seconds_per_cell: float, seed: int) -> Fig9Row:
     )
 
 
-def main(n_query_cores_list: Optional[list[int]] = None, **kw) -> str:
+def main(n_query_cores_list: list[int] | None = None, **kw) -> str:
     """Print the Fig. 9 table; returns the formatted text."""
     rows = run_fig9(n_query_cores_list, **kw)
     text = format_table(
@@ -184,5 +184,7 @@ def main(n_query_cores_list: Optional[list[int]] = None, **kw) -> str:
     return text
 
 
+cli = flagless_cli("fig9", "Fig. 9 — DataSpaces query service", main)
+
 if __name__ == "__main__":
-    main()
+    cli()

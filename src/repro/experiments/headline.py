@@ -20,16 +20,16 @@ Pixie3D at 4,096 cores:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.experiments.cli import add_trace_argument, command_parser
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.fig11 import run_fig11
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_gtc
+from repro.experiments.runner import FAST_FIG7, FAST_FIG8, run_gtc
 
-__all__ = ["HeadlineRow", "run_headline", "main"]
+__all__ = ["HeadlineRow", "run_headline", "main", "cli"]
 
 
 @dataclass
@@ -48,8 +48,7 @@ def run_headline(*, fast: bool = False, obs=None) -> list[HeadlineRow]:
     and stay untraced).
     """
     rows: list[HeadlineRow] = []
-    kw = dict(ndumps=1, iterations_per_dump=2,
-              compute_seconds_per_iteration=10.0) if fast else {}
+    kw = dict(FAST_FIG7) if fast else {}
     if obs is not None:
         kw["obs"] = obs
 
@@ -119,12 +118,7 @@ def run_headline(*, fast: bool = False, obs=None) -> list[HeadlineRow]:
     )
 
     # --- Fig. 8 improvement and CPU saving
-    # keep the real dump interval even in fast mode: the improvement
-    # metric is a fraction of the interval, not of an arbitrary run
-    f8 = run_fig8(scales=[16384], **(
-        dict(ndumps=1, iterations_per_dump=4,
-             compute_seconds_per_iteration=27.0) if fast else {}
-    ))[0]
+    f8 = run_fig8(scales=[16384], **(FAST_FIG8 if fast else {}))[0]
     rows.append(
         HeadlineRow(
             "GTC@16k total-time improvement",
@@ -203,7 +197,7 @@ def run_headline(*, fast: bool = False, obs=None) -> list[HeadlineRow]:
     return rows
 
 
-def main(trace: Optional[str] = None, **kw) -> str:
+def main(trace: str | None = None, **kw) -> str:
     """Print the headline paper-vs-measured table; returns the text.
 
     ``trace``: path of a Chrome ``trace_event`` JSON to write for the
@@ -222,30 +216,19 @@ def main(trace: Optional[str] = None, **kw) -> str:
         title="Headline §V numbers — paper vs measured",
     )
     if obs is not None:
-        written = obs.dump(trace)
-        text += "\n\n" + obs.metrics.summary_table(title="Headline metrics")
-        text += (
-            "\ntrace written: " + ", ".join(written)
-            + "  (open the .json in https://ui.perfetto.dev)"
-        )
+        text += "\n\n" + obs.report(trace, "Headline metrics")
     print(text)
     return text
 
 
-def _cli(argv=None) -> None:
-    import argparse
-
-    p = argparse.ArgumentParser(description="Headline §V numbers")
-    p.add_argument(
-        "--trace", nargs="?", const="headline_trace.json", default=None,
-        metavar="PATH",
-        help="write a Chrome trace (default PATH: headline_trace.json) "
-             "plus a .jsonl sidecar and a metrics summary",
-    )
+def cli(argv: list[str] | None = None) -> None:
+    """``python -m repro headline``: parse the flags, run :func:`main`."""
+    p = command_parser("headline", "Headline §V numbers")
+    add_trace_argument(p, "headline")
     p.add_argument("--fast", action="store_true", help="trimmed runs")
     a = p.parse_args(argv)
     main(trace=a.trace, fast=a.fast)
 
 
 if __name__ == "__main__":
-    _cli()
+    cli()

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from collections.abc import Sequence
+from typing import Any
 
 __all__ = ["format_table", "fmt_seconds", "fmt_bytes", "fmt_pct"]
 
@@ -43,8 +44,8 @@ def format_table(
     if title:
         lines.append(title)
     sep = "-+-".join("-" * w for w in widths)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths, strict=True)))
     lines.append(sep)
     for row in cells[1:]:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths, strict=True)))
     return "\n".join(lines)

@@ -11,13 +11,14 @@ table; this output is the source of EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
 from repro.experiments import fig7, fig8, fig9, fig10, fig11, headline
+from repro.experiments.cli import command_parser
+from repro.experiments.runner import FAST_FIG7, FAST_FIG8
 
-__all__ = ["run_all"]
+__all__ = ["run_all", "cli"]
 
 
 def run_all(fast: bool = False, out=sys.stdout) -> None:
@@ -27,19 +28,13 @@ def run_all(fast: bool = False, out=sys.stdout) -> None:
     def banner(name: str) -> None:
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}", file=out)
 
-    gtc_scales = [512, 1024, 2048, 4096, 8192, 16384]
-    fig7_kw = dict(ndumps=1, iterations_per_dump=2,
-                   compute_seconds_per_iteration=10.0) if fast else {}
-    fig8_kw = dict(ndumps=1, iterations_per_dump=4,
-                   compute_seconds_per_iteration=27.0) if fast else {}
-    if fast:
-        gtc_scales = [512, 2048, 16384]
+    gtc_scales = [512, 2048, 16384] if fast else [512, 1024, 2048, 4096, 8192, 16384]
 
     banner("Fig. 7 — individual operations, In-Compute-Node vs Staging")
-    fig7.main(scales=gtc_scales, **fig7_kw)
+    fig7.main(scales=gtc_scales, **(FAST_FIG7 if fast else {}))
 
     banner("Fig. 8 — GTC simulation performance")
-    fig8.main(scales=gtc_scales, **fig8_kw)
+    fig8.main(scales=gtc_scales, **(FAST_FIG8 if fast else {}))
 
     banner("Fig. 9 — DataSpaces setup / hashing / query time")
     fig9.main([32, 64, 128, 256])
@@ -58,14 +53,13 @@ def run_all(fast: bool = False, out=sys.stdout) -> None:
           file=out)
 
 
-def main() -> None:
-    """CLI entry: parse --fast and run the full sweep."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true",
-                        help="trimmed runs (shorter simulated intervals)")
-    args = parser.parse_args()
-    run_all(fast=args.fast)
+def cli(argv: list[str] | None = None) -> None:
+    """``python -m repro run-all``: parse ``--fast`` and run the full sweep."""
+    p = command_parser("run-all", "every figure of the evaluation + the headline numbers")
+    p.add_argument("--fast", action="store_true",
+                   help="trimmed runs (shorter simulated intervals)")
+    run_all(fast=p.parse_args(argv).fast)
 
 
 if __name__ == "__main__":
-    main()
+    cli()

@@ -14,12 +14,12 @@ exploits (and the slack available for even richer operators).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
-from repro.experiments.runner import run_gtc
+from repro.experiments.runner import FAST_FIG8, run_gtc
 
-__all__ = ["UtilizationRow", "run_utilization", "main"]
+__all__ = ["UtilizationRow", "run_utilization", "main", "cli"]
 
 
 @dataclass
@@ -32,7 +32,7 @@ class UtilizationRow:
 
 
 def run_utilization(
-    scales: Optional[list[int]] = None,
+    scales: list[int] | None = None,
     *,
     operation: str = "sort",
     **run_kwargs,
@@ -63,12 +63,9 @@ def run_utilization(
     return rows
 
 
-def main(scales: Optional[list[int]] = None, **kw) -> str:
+def main(scales: list[int] | None = None, **kw) -> str:
     """Print the utilization table; returns the formatted text."""
-    kw.setdefault("ndumps", 1)
-    kw.setdefault("iterations_per_dump", 4)
-    kw.setdefault("compute_seconds_per_iteration", 27.0)
-    rows = run_utilization(scales, **kw)
+    rows = run_utilization(scales, **{**FAST_FIG8, **kw})
     text = format_table(
         ["cores", "I/O interval", "pipeline busy", "interval occupancy",
          "staging-core busy"],
@@ -89,5 +86,7 @@ def main(scales: Optional[list[int]] = None, **kw) -> str:
     return text
 
 
+cli = flagless_cli("utilization", "staging-node headroom between dumps", main)
+
 if __name__ == "__main__":
-    main()
+    cli()

@@ -141,6 +141,16 @@ class Observability:
         self.tracer.write_jsonl(sidecar)
         return [path, sidecar]
 
+    def report(self, path: str, title: str) -> str:
+        """:meth:`dump` to *path*; returns the ``--trace`` epilogue: the
+        metrics table titled *title*, then the files written."""
+        written = self.dump(path)
+        return (
+            self.metrics.summary_table(title=title)
+            + "\ntrace written: " + ", ".join(written)
+            + "  (open the .json in https://ui.perfetto.dev)"
+        )
+
 
 class TenantObservability:
     """One tenant's view of a shared :class:`Observability`.

@@ -1,13 +1,19 @@
-"""Micro-benchmarks for the hot-path layer + regression guard.
+"""Benchmark groups, their one driver, and the regression guard.
 
-Benchmark groups, one ``BENCH_*.json`` sidecar each:
+A group is a :class:`Bench` in :data:`BENCHES`, one ``BENCH_<name>.json``
+sidecar each:
 
-- :func:`bench_kernels` — every registered kernel, ``naive`` vs
-  ``vectorized``, on adversarially dense inputs (default 1M elements);
-- :func:`bench_ffs` — FFS packing, allocate-per-step ``encode`` vs
-  zero-copy ``encode_into`` with a warm :class:`~repro.ffs.PackBuffer`;
-- :func:`repro.perf.scale.bench_scale` — 10k/50k/100k-rank weak
-  scaling of the whole engine + scheduler stack.
+- ``kernels`` (:func:`bench_kernels`) — every registered kernel,
+  ``naive`` vs ``vectorized``, on adversarially dense inputs (default
+  1M elements);
+- ``ffs`` (:func:`bench_ffs`) — FFS packing, allocate-per-step
+  ``encode`` vs zero-copy ``encode_into`` with a warm
+  :class:`~repro.ffs.PackBuffer`;
+- ``scale`` (:func:`repro.perf.scale.bench_scale`) — 10k/50k/100k-rank
+  weak scaling of the whole engine + scheduler stack;
+- ``query``, ``stream``, ``chaos_matrix`` — the seeded simulated-time
+  runs of :mod:`repro.serve.bench`, :mod:`repro.stream.bench` and
+  :func:`repro.scenarios.runner.sweep`.
 
 Each record carries a ``guards`` dict of *machine-portable* ratio
 metrics (fast path relative to the reference path, measured in the same
@@ -17,16 +23,23 @@ baseline in ``benchmarks/perf/baselines/`` — absolute wall seconds are
 recorded for humans but never compared, so the guard is stable across
 host speeds.
 
-``python -m repro perf`` drives everything from the command line.
+:func:`run_benches` is the only launcher: ``python -m repro perf``,
+``serve``, ``stream`` and ``scenarios sweep`` all run it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pkgutil
+import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
+from itertools import takewhile
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any
 
 import numpy as np
 
@@ -34,12 +47,19 @@ from repro.perf import kernels as K
 from repro.perf.registry import REGISTRY
 
 __all__ = [
+    "BENCHES",
+    "Bench",
+    "baseline_dir",
     "bench_kernels",
     "bench_ffs",
     "compare",
-    "write_record",
     "default_baseline_dir",
+    "guard_record",
     "main",
+    "run_benches",
+    "serve_main",
+    "stream_main",
+    "write_record",
 ]
 
 #: kernels whose vectorized speedup is an acceptance criterion
@@ -196,60 +216,111 @@ def compare(record: dict, baseline: dict, tolerance: float = 0.2) -> list[str]:
     return problems
 
 
-def _bench_query() -> dict:
-    # lazy: repro.serve pulls in repro.query/operators, which must not
-    # load just because the perf module was imported
-    from repro.serve.bench import bench_query
-
-    return bench_query()
+def baseline_dir(arg: str) -> Path:
+    """A ``--baseline`` value as a directory; ``default`` is the committed one."""
+    return default_baseline_dir() if arg == "default" else Path(arg)
 
 
-def _bench_stream() -> dict:
-    # lazy for the same reason: repro.stream pulls in the machine and
-    # dataspaces layers
-    from repro.stream.bench import bench_stream
+def guard_record(
+    name: str, record: dict, out_dir: Path, baseline: Path | None = None, tolerance: float = 0.2
+) -> list[str]:
+    """Write the sidecar, print its guards, compare against *baseline*.
 
-    return bench_stream()
+    Returns the regressions: none when *baseline* is ``None`` or holds
+    no ``BENCH_<name>.json``.
+    """
+    path = write_record(name, record, out_dir)
+    print(f"[perf] {name}: wrote {path}")
+    for key, val in sorted(record["guards"].items()):
+        print(f"[perf]   {key} = {val:.3g}")
+    if baseline is None:
+        return []
+    base_path = baseline / path.name
+    if not base_path.exists():
+        print(f"[perf]   no baseline at {base_path}; skipping guard")
+        return []
+    problems = compare(record, json.loads(base_path.read_text()), tolerance)
+    for p in problems:
+        print(f"[perf]   REGRESSION {p}")
+    return problems
 
 
-def _bench_scale(ranks: Optional[list[int]] = None) -> dict:
-    # lazy: repro.perf.scale pulls in the engine and scheduler layers
-    from repro.perf.scale import bench_scale
+@dataclass
+class Bench:
+    """One benchmark group.
 
-    return bench_scale(ranks=ranks)
+    ``add_arguments(parser)`` declares the group's flags and
+    ``run(**flags)`` turns them into the record; ``render(record)``
+    formats it for a terminal; ``failed(record)`` is true for a record
+    that is wrong whatever the baseline says.
+    """
+
+    name: str
+    run: Callable[..., dict]
+    add_arguments: Callable[[argparse.ArgumentParser], None] | None = None
+    render: Callable[[dict], str] | None = None
+    failed: Callable[[dict], bool] | None = None
 
 
-_BENCHES: dict[str, Callable[..., dict]] = {
-    "kernels": bench_kernels,
-    "ffs": bench_ffs,
-    "query": _bench_query,
-    "stream": _bench_stream,
-    "scale": _bench_scale,
+def _lazy(target: str) -> Callable:
+    """``"module:attr"`` imported when first called: listing a bench
+    here must not load the subsystem it measures."""
+    return lambda *args, **kw: pkgutil.resolve_name(target)(*args, **kw)
+
+
+def _kernels_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--n", type=int, default=1_000_000, help="kernel benchmark element count (default 1M)"
+    )
+
+
+def _scale_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scale-ranks", dest="ranks", type=int, nargs="+", default=None, metavar="N",
+        help="weak-scaling rank counts (default 10000 50000 100000)",
+    )
+
+
+BENCHES: dict[str, Bench] = {
+    b.name: b
+    for b in (
+        Bench("kernels", bench_kernels, _kernels_arguments),
+        Bench("ffs", bench_ffs),
+        Bench(
+            "query",
+            _lazy("repro.serve.bench:run"),
+            _lazy("repro.serve.bench:add_arguments"),
+            _lazy("repro.serve.bench:render"),
+        ),
+        Bench(
+            "stream",
+            _lazy("repro.stream.bench:bench_stream"),
+            _lazy("repro.stream.bench:add_arguments"),
+            _lazy("repro.stream.bench:render"),
+            _lazy("repro.stream.bench:failed"),
+        ),
+        Bench("scale", _lazy("repro.perf.scale:bench_scale"), _scale_arguments),
+        Bench(
+            "chaos_matrix",
+            _lazy("repro.scenarios.runner:sweep"),
+            _lazy("repro.scenarios.runner:sweep_arguments"),
+            _lazy("repro.scenarios.runner:sweep_render"),
+            _lazy("repro.scenarios.runner:sweep_failed"),
+        ),
+    )
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    """CLI: run benchmarks, write sidecars, optionally guard vs baseline."""
+def _parser(prog: str, bench: Bench | None = None) -> argparse.ArgumentParser:
+    """The flags every bench takes, plus *bench*'s own."""
     ap = argparse.ArgumentParser(
-        prog="repro perf", description="hot-path micro-benchmarks"
+        prog=prog,
+        description=f"benchmark groups: {', '.join(BENCHES)}; each writes a "
+        "BENCH_<name>.json sidecar and can be guarded against a baseline",
     )
+    ap.add_argument("--out", type=Path, default=Path("."), help="sidecar output directory")
     ap.add_argument(
-        "benches", nargs="*", choices=[*_BENCHES, "all"], default=["all"],
-        help="benchmark groups to run (default: all)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=Path("."), help="sidecar output directory"
-    )
-    ap.add_argument(
-        "--n", type=int, default=1_000_000,
-        help="kernel benchmark element count (default 1M)",
-    )
-    ap.add_argument(
-        "--scale-ranks", type=int, nargs="+", default=None, metavar="N",
-        help="weak-scaling rank counts (default 10000 50000 100000)",
-    )
-    ap.add_argument(
-        "--baseline", type=Path, default=None,
+        "--baseline", type=baseline_dir, default=None,
         help="baseline dir to guard against (use 'default' for the "
         "committed benchmarks/perf/baselines)",
     )
@@ -257,38 +328,51 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--tolerance", type=float, default=0.2,
         help="allowed fractional guard regression (default 0.2)",
     )
-    args = ap.parse_args(argv)
-    names = list(_BENCHES) if "all" in args.benches else list(dict.fromkeys(args.benches))
-    failures = []
-    for name in names:
-        if name == "kernels":
-            record = _BENCHES[name](args.n)
-        elif name == "scale":
-            record = _BENCHES[name](args.scale_ranks)
-        else:
-            record = _BENCHES[name]()
-        path = write_record(name, record, args.out)
-        print(f"[perf] {name}: wrote {path}")
-        for key, val in sorted(record["guards"].items()):
-            print(f"[perf]   {key} = {val:.3g}")
-        if args.baseline is not None:
-            base_dir = (
-                default_baseline_dir()
-                if str(args.baseline) == "default"
-                else args.baseline
-            )
-            base_path = base_dir / f"BENCH_{name}.json"
-            if not base_path.exists():
-                print(f"[perf]   no baseline at {base_path}; skipping guard")
-                continue
-            problems = compare(
-                record, json.loads(base_path.read_text()), args.tolerance
-            )
-            for p in problems:
-                print(f"[perf]   REGRESSION {p}")
-            failures.extend(problems)
-    if failures:
-        print(f"[perf] FAILED: {len(failures)} regression(s)")
+    if bench is not None and bench.add_arguments is not None:
+        bench.add_arguments(ap)
+    return ap
+
+
+def run_benches(names: list[str], argv: list[str] | None, prog: str | None = None) -> int:
+    """Run the named benches; returns the process exit code.
+
+    Per bench: run → render → :func:`guard_record` → ``failed``, which
+    is consulted on every path.  Every bench parses the whole of *argv*
+    with its own parser before anything runs, so a flag must be known
+    to each bench it is given to.
+    """
+    benches = [BENCHES[n] for n in names]
+    parsed = [vars(_parser(prog or f"repro perf {b.name}", b).parse_args(argv)) for b in benches]
+    nbad = 0
+    for bench, flags in zip(benches, parsed, strict=True):
+        out, baseline, tolerance = (flags.pop(k) for k in ("out", "baseline", "tolerance"))
+        record = bench.run(**flags)
+        if bench.render is not None:
+            print(bench.render(record))
+        nbad += len(guard_record(bench.name, record, out, baseline, tolerance))
+        if bench.failed is not None and bench.failed(record):
+            print(f"[perf]   FAILED {bench.name}: the record is wrong on its own terms")
+            nbad += 1
+    if nbad:
+        print(f"[perf] FAILED: {nbad} problem(s)")
         return 1
     print("[perf] all guards clean")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``repro perf [name ...] [flags]``: no name (or ``all``) runs every bench."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    names = list(takewhile(lambda a: a in (*BENCHES, "all"), argv))
+    flags = argv[len(names):]
+    if not names or "all" in names:
+        names = list(BENCHES)
+    if len(names) > 1:
+        # --help and shared-flag errors are reported once, not per bench
+        _parser("repro perf [name ...]").parse_known_args(flags)
+    return run_benches(list(dict.fromkeys(names)), flags)
+
+
+#: ``repro serve`` / ``repro stream``: one bench under its own command name
+serve_main = partial(run_benches, ["query"], prog="repro serve")
+stream_main = partial(run_benches, ["stream"], prog="repro stream")

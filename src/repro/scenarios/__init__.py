@@ -20,6 +20,7 @@ Layers:
 - :mod:`repro.scenarios.runner`  — chaos-workload glue, the sweep
   (``BENCH_chaos_matrix.json``), and :class:`ScenarioRunResult`
 - :mod:`repro.scenarios.cli`     — ``python -m repro scenarios``
+  ``list``/``run`` (``sweep`` is the runner's ``chaos_matrix`` bench)
 
 Importing this package registers the shipped library.
 """

@@ -6,15 +6,15 @@ Three verbs:
 - ``run <name>``      — one scenario against the chaos workload
 - ``sweep``           — every scenario twice (the chaos matrix),
   writing ``BENCH_chaos_matrix.json`` and optionally guarding against
-  the committed baseline
+  the committed baseline: the ``chaos_matrix`` bench of
+  :mod:`repro.perf.bench`, whose flags live beside
+  :func:`repro.scenarios.runner.sweep`
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-from pathlib import Path
-from typing import Optional
+import sys
 
 from repro.experiments.report import format_table
 
@@ -72,77 +72,13 @@ def _cmd_run(args) -> int:
     return 0 if result.surviving else 1
 
 
-def _cmd_sweep(args) -> int:
-    from repro.perf.bench import compare, default_baseline_dir, write_record
-
-    from .runner import sweep
-
-    record = sweep(
-        args.names or None,
-        seed=args.seed,
-        intensity=args.intensity,
-        fast=args.fast,
-        repeats=args.repeats,
-    )
-    rows = [
-        [
-            r["scenario"],
-            "yes" if r["complete"] else "NO",
-            r["faults_fired"],
-            r["fetch_retries"],
-            r["restarts"],
-            "yes" if r["deterministic"] else "NO",
-            "none" if not r["violations"] else f"{len(r['violations'])}!",
-            f"{r['wall_seconds']:.3f}",
-        ]
-        for r in record["rows"]
-    ]
-    print(
-        format_table(
-            ["scenario", "complete", "faults", "retries", "restarts",
-             "deterministic", "violations", "wall s"],
-            rows,
-            title=f"chaos matrix (seed {args.seed}, "
-            f"intensity {args.intensity}, x{args.repeats})",
-        )
-    )
-    g = record["guards"]
-    print(
-        f"[scenarios] registered={g['scenarios_registered']} "
-        f"complete={g['complete_fraction']:.2f} "
-        f"clean={g['invariant_clean_fraction']:.2f} "
-        f"deterministic={g['determinism_fraction']:.2f}"
-    )
-    path = write_record("chaos_matrix", record, args.out)
-    print(f"[scenarios] wrote {path}")
-    bad = (
-        g["complete_fraction"] < 1.0
-        or g["invariant_clean_fraction"] < 1.0
-        or g["determinism_fraction"] < 1.0
-    )
-    if args.baseline is not None:
-        base_dir = (
-            default_baseline_dir()
-            if str(args.baseline) == "default"
-            else args.baseline
-        )
-        base_path = base_dir / "BENCH_chaos_matrix.json"
-        if not base_path.exists():
-            print(f"[scenarios] no baseline at {base_path}; skipping guard")
-            return 1 if bad else 0
-        problems = compare(
-            record, json.loads(base_path.read_text()), args.tolerance
-        )
-        for p in problems:
-            print(f"[scenarios] REGRESSION {p}")
-        if problems:
-            return 1
-        print("[scenarios] all guards clean")
-    return 1 if bad else 0
-
-
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     """Run the scenarios CLI; returns a process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["sweep"]:
+        from repro.perf.bench import run_benches
+
+        return run_benches(["chaos_matrix"], argv[1:], "repro scenarios sweep")
     ap = argparse.ArgumentParser(
         prog="repro scenarios",
         description="adversarial scenario library (threat model: THREATS.md)",
@@ -159,34 +95,7 @@ def main(argv: Optional[list] = None) -> int:
         help="trimmed workload (128 logical ranks, 2 steps)",
     )
 
-    sweep_p = sub.add_parser("sweep", help="run the full chaos matrix")
-    sweep_p.add_argument(
-        "names", nargs="*", help="scenario subset (default: all registered)"
-    )
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--intensity", type=float, default=1.0)
-    sweep_p.add_argument("--fast", action="store_true")
-    sweep_p.add_argument(
-        "--repeats", type=int, default=2,
-        help="runs per scenario for the determinism guard (default 2)",
-    )
-    sweep_p.add_argument(
-        "--out", type=Path, default=Path("."),
-        help="directory for the BENCH_chaos_matrix.json sidecar",
-    )
-    sweep_p.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline dir to guard against ('default' for the "
-        "committed benchmarks/perf/baselines)",
-    )
-    sweep_p.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional guard regression (default 0.2)",
-    )
+    # dispatched above; listed here so `scenarios --help` shows it
+    sub.add_parser("sweep", help="the chaos matrix: `repro perf chaos_matrix` under this name")
     args = ap.parse_args(argv)
-
-    if args.verb == "list":
-        return _cmd_list()
-    if args.verb == "run":
-        return _cmd_run(args)
-    return _cmd_sweep(args)
+    return _cmd_list() if args.verb == "list" else _cmd_run(args)

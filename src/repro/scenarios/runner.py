@@ -16,8 +16,8 @@ schedule.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 from .base import INVARIANTS, Scenario, make
 from .harness import ScenarioHarness
@@ -28,6 +28,9 @@ __all__ = [
     "run_named",
     "run_scenarios",
     "sweep",
+    "sweep_arguments",
+    "sweep_failed",
+    "sweep_render",
 ]
 
 #: region names used when a scenario needs a RegionalTopology
@@ -163,7 +166,7 @@ def run_named(
 
 
 def sweep(
-    names: Optional[Sequence[str]] = None,
+    names: Sequence[str] | None = None,
     *,
     seed: int = 0,
     intensity: float = 1.0,
@@ -233,3 +236,55 @@ def sweep(
             "determinism_fraction": deterministic / n if n else 0.0,
         },
     }
+
+
+# -- with :func:`sweep`, the ``chaos_matrix`` entry of repro.perf.bench.BENCHES
+def sweep_arguments(parser) -> None:
+    """The flags of ``repro scenarios sweep``: :func:`sweep`'s arguments."""
+    parser.add_argument(
+        "names", nargs="*", help="scenario subset (default: all registered)"
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--intensity", type=float, default=1.0)
+    parser.add_argument("--fast", action="store_true")
+    parser.add_argument(
+        "--repeats", type=int, default=2,
+        help="runs per scenario for the determinism guard (default 2)",
+    )
+
+
+def sweep_failed(record: dict) -> bool:
+    """True unless every scenario completed, stayed clean and reproduced."""
+    g = record["guards"]
+    return (
+        g["complete_fraction"] < 1.0
+        or g["invariant_clean_fraction"] < 1.0
+        or g["determinism_fraction"] < 1.0
+    )
+
+
+def sweep_render(record: dict) -> str:
+    """The per-scenario table of a chaos-matrix record."""
+    from repro.experiments.report import format_table
+
+    rows = [
+        [
+            r["scenario"],
+            "yes" if r["complete"] else "NO",
+            r["faults_fired"],
+            r["fetch_retries"],
+            r["restarts"],
+            "yes" if r["deterministic"] else "NO",
+            "none" if not r["violations"] else f"{len(r['violations'])}!",
+            f"{r['wall_seconds']:.3f}",
+        ]
+        for r in record["rows"]
+    ]
+    cfg = record["config"]
+    return format_table(
+        ["scenario", "complete", "faults", "retries", "restarts",
+         "deterministic", "violations", "wall s"],
+        rows,
+        title=f"chaos matrix (seed {cfg['seed']}, "
+        f"intensity {cfg['intensity']}, x{cfg['repeats']})",
+    )

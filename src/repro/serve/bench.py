@@ -13,16 +13,19 @@ Guards per load point (all "bigger is better" ratios in [0, 1]):
 - ``served:loadN`` — completed / issued (shedding erodes it);
 - ``hit_rate:loadN`` — cache hit rate of the sweep's repeated queries;
 - ``slo:loadN`` — fraction of served queries inside the latency SLO.
+
+:func:`add_arguments`, :func:`run` and :func:`render` are the ``query``
+entry of :data:`repro.perf.bench.BENCHES` (``python -m repro serve``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from repro.serve.config import ServeConfig
 from repro.serve.workload import WorkloadDriver
 
-__all__ = ["BENCH_CONFIG", "DEFAULT_LOADS", "bench_query"]
+__all__ = ["BENCH_CONFIG", "DEFAULT_LOADS", "add_arguments", "bench_query", "render", "run"]
 
 DEFAULT_LOADS = (50.0, 400.0, 3200.0)
 
@@ -50,7 +53,7 @@ def bench_query(
     loads: Sequence[float] = DEFAULT_LOADS,
     duration: float = 2.0,
     seed: int = 20260808,
-    config: Optional[ServeConfig] = None,
+    config: ServeConfig | None = None,
 ) -> dict:
     """Sweep offered load; returns the ``BENCH_query`` record."""
     driver = WorkloadDriver(seed=seed, config=config or BENCH_CONFIG)
@@ -69,3 +72,54 @@ def bench_query(
         "points": [p.to_dict() for p in points],
         "guards": guards,
     }
+
+
+def add_arguments(parser) -> None:
+    """The sweep's command-line flags."""
+    parser.add_argument(
+        "--loads", type=float, nargs="+", default=list(DEFAULT_LOADS),
+        metavar="QPS", help="offered-load levels to sweep (queries/s)",
+    )
+    parser.add_argument(
+        "--duration", type=float, default=2.0,
+        help="sim seconds of arrivals per load point (default 2.0)",
+    )
+    parser.add_argument("--seed", type=int, default=20260808)
+    parser.add_argument(
+        "--nshards", type=int, default=ServeConfig.nshards,
+        help="index shards (staging-node owners)",
+    )
+
+
+def run(*, nshards: int, **flags) -> dict:
+    """:func:`bench_query` from the :func:`add_arguments` flags."""
+    import dataclasses
+
+    # same pressure config the committed baseline was recorded with,
+    # so `--baseline default` compares like with like
+    return bench_query(config=dataclasses.replace(BENCH_CONFIG, nshards=nshards), **flags)
+
+
+def render(record: dict) -> str:
+    """The per-load-point table of a ``BENCH_query`` record."""
+    from repro.experiments.report import fmt_pct, format_table
+
+    rows = [
+        [
+            f"{p['offered_qps']:g}",
+            p["issued"],
+            p["completed"],
+            p["degraded"],
+            p["shed"],
+            f"{p['p50'] * 1e3:.3f}",
+            f"{p['p99'] * 1e3:.3f}",
+            fmt_pct(p["hit_rate"]),
+        ]
+        for p in record["points"]
+    ]
+    return format_table(
+        ["offered q/s", "issued", "done", "degraded", "shed",
+         "p50 ms", "p99 ms", "hit rate"],
+        rows,
+        title=f"query serving sweep (seed {record['seed']})",
+    )

@@ -18,10 +18,9 @@ Components:
   coupling a live staging pipeline to the stream;
 - :mod:`repro.stream.consumer` — :class:`ConsumerGroup`: N reader
   ranks sharing one subscription, partitioned by SFC block owner;
-- :mod:`repro.stream.scenario` / :mod:`repro.stream.bench` /
-  :mod:`repro.stream.cli` — the seeded coupled-workflow scenario
-  behind ``python -m repro stream`` and its ``BENCH_stream.json``
-  guard.
+- :mod:`repro.stream.scenario` / :mod:`repro.stream.bench` — the
+  seeded coupled-workflow scenario behind ``python -m repro stream``
+  and its ``BENCH_stream.json`` guard.
 """
 
 from repro.stream.config import StreamConfig

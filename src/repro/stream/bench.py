@@ -19,13 +19,24 @@ Guards (all "bigger is better" ratios in [0, 1]):
 - ``lag_bound:slow`` — 1.0 iff the slow consumer's worst lag stayed
   within its credit budget (+1 idle-bank step), degrading as the
   ratio of bound to observed lag otherwise.
+
+:func:`bench_stream` with :func:`add_arguments`, :func:`render` and
+:func:`failed` is the ``stream`` entry of
+:data:`repro.perf.bench.BENCHES` (``python -m repro stream``).
 """
 
 from __future__ import annotations
 
 from repro.stream.scenario import run_stream
 
-__all__ = ["BENCH_PARAMS", "NOTIFY_SLO_SECONDS", "bench_stream"]
+__all__ = [
+    "BENCH_PARAMS",
+    "NOTIFY_SLO_SECONDS",
+    "add_arguments",
+    "bench_stream",
+    "failed",
+    "render",
+]
 
 #: generous against the tiny-machine wire model (a watermark is one
 #: 64-byte message), tight against scheduling pathologies
@@ -79,3 +90,55 @@ def bench_stream(seed: int = 20260808, **overrides) -> dict:
         "run": run.to_dict(),
         "guards": guards,
     }
+
+
+def add_arguments(parser) -> None:
+    """The scenario's flags: each overrides the :data:`BENCH_PARAMS` entry it names."""
+    for flag, param, help_text in (
+        ("--steps", "nsteps", "producer steps to publish"),
+        ("--consumers", "analysis_members", "members of the in-transit analysis group"),
+        ("--period", "step_period", "producer step period (sim seconds)"),
+        ("--credit-steps", "credit_steps", "slow consumer's credit budget in steps"),
+        ("--redeliver", "redeliver_rate", "seeded lost-ack redelivery probability"),
+    ):
+        default = BENCH_PARAMS[param]
+        parser.add_argument(flag, dest=param, type=type(default), default=default, help=help_text)
+    parser.add_argument("--seed", type=int, default=20260808)
+
+
+def failed(record: dict) -> bool:
+    """True when the run broke stream conservation."""
+    return bool(record["run"]["violations"])
+
+
+def render(record: dict) -> str:
+    """The per-group delivery table and conservation verdict of a record."""
+    from repro.experiments.report import format_table
+
+    run = record["run"]
+    rows = [
+        [
+            g["name"],
+            g["members"],
+            g["first_step"] if g["first_step"] is not None else "-",
+            g["entitled"],
+            g["delivered"],
+            g["deduped"],
+            g["consumed"],
+            g["max_lag"],
+            f"{g['throughput']:.2f}",
+            f"{g['notify_p99'] * 1e3:.3f}",
+        ]
+        for g in run["groups"].values()
+    ]
+    table = format_table(
+        ["group", "members", "first step", "entitled", "delivered",
+         "deduped", "consumed", "max lag", "steps/s", "p99 ms"],
+        rows,
+        title=f"step streaming ({run['published']} steps published, "
+        f"seed {record['seed']})",
+    )
+    verdict = [f"[stream] CONSERVATION VIOLATION {v}" for v in run["violations"]] or [
+        "[stream] conservation check clean (sent == delivered + deduped, exactly-once)"
+    ]
+    return "\n".join([table, *verdict])

@@ -2,10 +2,11 @@
 
 Two layers:
 
-- always-on structural tests drive :mod:`repro.perf.bench` at smoke
-  size — record shape, guard keys, sidecar round-trip, and the
-  ``compare`` guard logic itself (it must both catch regressions and
-  ignore host-speed noise);
+- always-on structural tests drive every bench in
+  :data:`repro.perf.bench.BENCHES` at smoke size through the one driver
+  — record shape, guard keys, sidecar round-trip — and the ``compare``
+  guard logic itself (it must both catch regressions and ignore
+  host-speed noise);
 - the committed baselines are validated as data: well-formed JSON, the
   acceptance-floor kernels pinned at >= 3x;
 - ``--perf-baseline [DIR|default]`` unlocks the timed full-size run
@@ -16,6 +17,7 @@ Two layers:
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -30,9 +32,19 @@ SMOKE_N = 20_000
 # record shape (smoke-sized, fast, deterministic structure)
 # ---------------------------------------------------------------------
 
-def test_bench_kernels_record_shape():
-    record = bench.bench_kernels(n=SMOKE_N, repeat=1)
-    assert record["bench"] == "kernels"
+#: smoke-size command line per bench (``ffs`` has no size flag: it
+#: runs its 8 MB default, well under a second)
+SMOKE_ARGV = {
+    "kernels": ["--n", str(SMOKE_N)],
+    "ffs": [],
+    "query": ["--loads", "50", "--duration", "0.25"],
+    "stream": ["--steps", "3"],
+    "scale": ["--scale-ranks", "256", "512"],
+    "chaos_matrix": ["corrupt-chunk", "--fast", "--repeats", "1"],
+}
+
+
+def _check_kernels(record):
     assert record["n"] == SMOKE_N
     assert set(record["kernels"]) == set(REGISTRY.names())
     for name, row in record["kernels"].items():
@@ -40,12 +52,40 @@ def test_bench_kernels_record_shape():
         assert record["guards"][f"speedup:{name}"] == row["speedup"]
 
 
-def test_bench_ffs_record_shape():
-    record = bench.bench_ffs(nelems=SMOKE_N, repeat=1)
-    assert record["bench"] == "ffs"
+def _check_ffs(record):
     assert record["payload_bytes"] > 0
     assert record["guards"]["no_growth_after_warmup"] == 1.0
     assert record["scratch_grows_after_warmup"] == 0
+
+
+def _check_query(record):
+    assert len(record["points"]) == 1
+    assert record["guards"]["served:load50"] > 0.0
+
+
+BENCH_SPECIFIC = {"kernels": _check_kernels, "ffs": _check_ffs, "query": _check_query}
+
+
+def test_smoke_covers_every_registered_bench():
+    assert set(SMOKE_ARGV) == set(bench.BENCHES)
+
+
+@pytest.mark.parametrize("name", list(SMOKE_ARGV))
+def test_bench_record_shape(name, tmp_path, capsys):
+    """Each registered bench, driven the way the CLI drives it."""
+    assert bench.run_benches([name], [*SMOKE_ARGV[name], "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
+    # the chaos-matrix record predates the "bench" key and its
+    # committed baseline pins the shape
+    assert record.get("bench", name) == name
+    assert record["guards"], "no guards to enforce"
+    for key, val in record["guards"].items():
+        assert isinstance(val, (int, float)) and math.isfinite(val) and val >= 0, key
+    assert bench.write_record(name, record, tmp_path / "again").read_bytes() == (
+        tmp_path / f"BENCH_{name}.json"
+    ).read_bytes()
+    BENCH_SPECIFIC.get(name, lambda record: None)(record)
+    assert f"[perf] {name}: wrote" in capsys.readouterr().out
 
 
 def test_write_record_sidecar_round_trips(tmp_path):
@@ -85,21 +125,11 @@ def test_compare_only_enforces_baseline_guards():
 # committed baselines as data
 # ---------------------------------------------------------------------
 
-def test_bench_query_record_shape():
-    from repro.serve.bench import bench_query
-
-    record = bench_query(loads=(50.0,), duration=0.25)
-    assert record["bench"] == "query"
-    assert len(record["points"]) == 1
-    assert record["guards"]["served:load50"] > 0.0
-    assert all(v >= 0 for v in record["guards"].values())
-
-
-@pytest.mark.parametrize("name", ["kernels", "ffs", "query"])
+@pytest.mark.parametrize("name", list(bench.BENCHES))
 def test_committed_baseline_is_well_formed(name):
     path = bench.default_baseline_dir() / f"BENCH_{name}.json"
     baseline = json.loads(path.read_text())
-    assert baseline["bench"] == name
+    assert baseline.get("bench", name) == name
     assert baseline["guards"], f"{path} has no guards to enforce"
     assert all(v > 0 for v in baseline["guards"].values())
 
@@ -120,21 +150,8 @@ def test_committed_kernel_baseline_meets_acceptance_floor():
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["kernels", "ffs", "query"])
-def test_full_size_guards_match_baseline(perf_baseline_dir, name):
-    base_path = perf_baseline_dir / f"BENCH_{name}.json"
-    if not base_path.exists():
-        pytest.skip(f"no baseline at {base_path}")
-
-    def run_query():
-        from repro.serve.bench import bench_query
-
-        return bench_query()
-
-    runner = {
-        "kernels": bench.bench_kernels,
-        "ffs": bench.bench_ffs,
-        "query": run_query,
-    }[name]
-    record = runner()
-    problems = bench.compare(record, json.loads(base_path.read_text()))
-    assert problems == [], "\n".join(problems)
+def test_full_size_guards_match_baseline(perf_baseline_dir, name, tmp_path):
+    if not (perf_baseline_dir / f"BENCH_{name}.json").exists():
+        pytest.skip(f"no baseline for {name} in {perf_baseline_dir}")
+    argv = ["--out", str(tmp_path), "--baseline", str(perf_baseline_dir)]
+    assert bench.run_benches([name], argv) == 0

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main as repro_main
 from repro.check import Checker, ScheduleTrace
 from repro.experiments.chaos import fingerprint, run_once
 from repro.scenarios import (
@@ -37,7 +38,6 @@ from repro.scenarios import (
     names,
     run_scenarios,
 )
-from repro.scenarios.cli import main as scenarios_cli
 
 SEED = 11
 INTENSITY = 0.8
@@ -216,7 +216,11 @@ def test_any_scenario_any_seed_survives_and_reproduces(name, seed, intensity):
     assert first.schedule_hash == again.schedule_hash
 
 
-# -- the CLI ----------------------------------------------------------------
+# -- the CLI (through the `python -m repro` dispatcher) ---------------------
+def scenarios_cli(argv: list[str]) -> int:
+    return repro_main(["scenarios", *argv])
+
+
 def test_cli_list_runs_clean(capsys):
     assert scenarios_cli(["list"]) == 0
     out = capsys.readouterr().out
