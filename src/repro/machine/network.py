@@ -26,7 +26,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from math import ceil, log2
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import SharedBandwidth
@@ -38,7 +38,8 @@ __all__ = ["NetworkConfig", "Network", "NIC", "registry_mark", "live_networks"]
 #: benchmark harness brackets an experiment with :func:`registry_mark` /
 #: :func:`live_networks` to attribute simulated time and bytes moved to
 #: the engines that experiment built internally.  Weak references keep
-#: this from pinning finished simulations in memory.
+#: this from pinning finished simulations in memory; a finished network
+#: stays listed until the next gc pass (see ``Network._keepalive``).
 _LIVE: list = []
 
 
@@ -124,6 +125,12 @@ class Network:
         self._region_windows: dict[frozenset, list[tuple[float, float, float]]] = {}
         #: bytes moved between each region pair (sorted-name key)
         self.region_bytes: dict[tuple[str, str], float] = {}
+        #: deliberate reference cycle.  Harnesses read a run's clock and
+        #: byte counters through live_networks() right after the call that
+        #: built the simulation returns, when nothing else references the
+        #: network any more; the cycle defers its collection to the next gc
+        #: pass instead of the moment the last caller frame unwinds.
+        self._keepalive = self
         _LIVE.append(weakref.ref(self))
 
     # -- fault hooks -------------------------------------------------------
@@ -140,15 +147,27 @@ class Network:
         if end <= start:
             raise ValueError("degradation window must have end > start")
         self._degrade_windows.setdefault(node, []).append((start, end, factor))
+        nic = self._nics.get(node)
+        if nic is not None and nic.tx.degradation is None:
+            nic.tx.degradation = nic.rx.degradation = self._link_mult(node)
 
-    def _link_mult(self, node: int, now: float) -> float:
+    def _link_mult(self, node: int) -> Optional[Callable[[float], float]]:
+        """Degradation hook of *node*'s pipes, or None while it has no window.
+
+        A pipe without a hook skips two Python calls per membership
+        change, so NICs only get one once ``degrade_link`` names them.
+        """
         windows = self._degrade_windows.get(node)
-        if not windows:
-            return 1.0
-        mult = 1.0
-        for start, end, factor in windows:
-            if start <= now < end:
-                mult *= factor
+        if windows is None:
+            return None
+
+        def mult(now: float) -> float:
+            m = 1.0
+            for start, end, factor in windows:
+                if start <= now < end:
+                    m *= factor
+            return m
+
         return mult
 
     # -- regional latency --------------------------------------------------
@@ -201,9 +220,7 @@ class Network:
         """Lazily-created NIC of *node*."""
         entry = self._nics.get(node)
         if entry is None:
-            def mult(now: float, _n: int = node) -> float:
-                return self._link_mult(_n, now)
-
+            mult = self._link_mult(node)
             entry = NIC(
                 tx=SharedBandwidth(
                     self.env, self.config.link_bandwidth, degradation=mult

@@ -18,14 +18,16 @@ model:
 ``SharedBandwidth``
     A processor-sharing bandwidth pipe: *n* concurrent transfers each
     progress at ``rate / n``.  Used for network links and the parallel
-    file system's aggregate bandwidth.  Transfer completion times are
-    recomputed exactly on every membership change, so the model is a
-    precise fluid-flow approximation rather than a per-packet one.
+    file system's aggregate bandwidth.  A per-pipe virtual clock makes
+    every membership change O(log n) while keeping the model a precise
+    fluid-flow approximation rather than a per-packet one.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.sim.engine import Engine, Event, SimulationError
@@ -237,15 +239,8 @@ class Mailbox:
         return len(self._messages)
 
 
-class _Transfer:
-    __slots__ = ("size", "remaining", "event", "last_update", "weight")
-
-    def __init__(self, size: float, event: Event, now: float, weight: float):
-        self.size = float(size)
-        self.remaining = float(size)
-        self.event = event
-        self.last_update = now
-        self.weight = weight
+_NEVER = float("inf")
+_ARRIVAL = itemgetter(1)
 
 
 class SharedBandwidth:
@@ -256,8 +251,23 @@ class SharedBandwidth:
     their weights.  An optional ``degradation`` callable lets callers
     inject time-varying capacity (e.g. file-system interference):
     it receives the current simulated time and returns a multiplier in
-    ``(0, 1]``, sampled at every membership change.
+    ``(0, 1]``, sampled at every membership change and charged to the
+    interval that ends there.
+
+    The pipe keeps one virtual clock instead of per-transfer state:
+    ``V`` is the bytes served so far to a transfer of weight 1 and
+    advances at ``rate * mult / sum(weights)``; a transfer arriving at
+    virtual time ``V`` finishes when the clock reaches its tag
+    ``V + nbytes / weight``.  Tags sit in a heap, so an arrival or a
+    departure touches no other transfer.  One wakeup is live per pipe:
+    a change that only delays the head keeps the armed timeout, which
+    re-arms itself when it fires before the head is due.
     """
+
+    # Residual work below this many seconds (at current rate) counts as
+    # done; prevents float-precision spins where the next wakeup cannot
+    # advance the clock.
+    _EPS_SECONDS = 1e-12
 
     def __init__(
         self,
@@ -271,15 +281,22 @@ class SharedBandwidth:
         self.env = env
         self.rate = float(rate)
         self.degradation = degradation
-        self._active: list[_Transfer] = []
-        self._wakeup: Optional[Event] = None
-        self._busy_until = 0.0
+        #: finish tags: (tag, arrival seq, weight, size, completion event)
+        self._heap: list[tuple[float, int, float, float, Event]] = []
+        self._seq = 0
+        self._vtime = 0.0  # V; reset with _weight whenever the pipe drains
+        self._weight = 0.0  # sum of active weights
+        self._last = 0.0  # simulated time V was last advanced to
+        self._due = 0.0  # projected completion time of the heap's head
+        self._wake_at = _NEVER  # fire time of the live wakeup, if one is armed
+        self._gen = 0  # generation of the live wakeup; older ones are no-ops
         self._bytes_moved = 0.0
 
     # -- public ----------------------------------------------------------
     @property
     def active_transfers(self) -> int:
-        return len(self._active)
+        """Number of transfers currently in flight."""
+        return len(self._heap)
 
     @property
     def bytes_moved(self) -> float:
@@ -303,63 +320,66 @@ class SharedBandwidth:
         if nbytes == 0:
             done.succeed(0.0)
             return done
-        self._advance()
-        self._active.append(_Transfer(nbytes, done, self.env.now, weight))
-        self._reschedule()
+        now = self.env.now
+        rate = self.rate if self.degradation is None else self.effective_rate()
+        if self._heap:
+            self._advance(now, rate)
+        else:
+            self._last = now
+        self._seq += 1
+        self._weight += weight
+        tag = self._vtime + nbytes / weight
+        heappush(self._heap, (tag, self._seq, weight, float(nbytes), done))
+        self._arm(now, rate)
         return done
 
     # -- internals ---------------------------------------------------------
-    def _per_transfer_rates(self) -> list[float]:
-        total_w = sum(t.weight for t in self._active)
-        rate = self.effective_rate()
-        return [rate * t.weight / total_w for t in self._active]
-
-    # Residual work below this many seconds (at current rate) counts as
-    # done; prevents float-precision spins where the next wakeup cannot
-    # advance the clock.
-    _EPS_SECONDS = 1e-12
-
-    def _advance(self) -> None:
-        """Account progress of all active transfers up to `now`."""
-        now = self.env.now
-        if not self._active:
+    def _advance(self, now: float, rate: float) -> None:
+        """Run the virtual clock up to *now* at *rate*; finish what is due."""
+        heap = self._heap
+        speed = rate / self._weight
+        if now > self._last:
+            self._vtime += speed * (now - self._last)
+        self._last = now
+        limit = self._vtime + speed * self._EPS_SECONDS
+        if heap[0][0] > limit:
             return
-        rates = self._per_transfer_rates()
-        done_idx = []
-        for i, (t, r) in enumerate(zip(self._active, rates)):
-            dt = now - t.last_update
-            if dt > 0:
-                t.remaining = max(0.0, t.remaining - r * dt)
-            t.last_update = now
-            if t.remaining <= r * self._EPS_SECONDS:
-                done_idx.append(i)
-        if done_idx:
-            finished = [self._active[i] for i in done_idx]
-            self._active = [
-                t for i, t in enumerate(self._active) if i not in set(done_idx)
-            ]
-            for t in finished:
-                self._bytes_moved += t.size
-                t.event.succeed(now)
+        finished = []
+        while heap and heap[0][0] <= limit:
+            finished.append(heappop(heap))
+        finished.sort(key=_ARRIVAL)  # popped in tag order; succeed in arrival order
+        for _tag, _seq, weight, size, event in finished:
+            self._weight -= weight
+            self._bytes_moved += size
+            event.succeed(now)
+        if not heap:
+            self._vtime = self._weight = 0.0  # drained: no drift carries over
 
-    def _reschedule(self) -> None:
-        """Schedule a wakeup at the earliest projected completion."""
-        if self._wakeup is not None and not self._wakeup.triggered:
-            # Cancel stale wakeup by letting it no-op: mark generation.
-            self._wakeup._stale = True  # type: ignore[attr-defined]
-        if not self._active:
-            self._wakeup = None
-            return
-        rates = self._per_transfer_rates()
-        eta = min(t.remaining / r for t, r in zip(self._active, rates))
+    def _arm(self, now: float, rate: float) -> None:
+        """Point the live wakeup at the head's projected completion."""
+        eta = (self._heap[0][0] - self._vtime) * self._weight / rate
         # Guarantee the clock actually advances past `now` in floats.
-        floor = max(self.env.now * 1e-12, self._EPS_SECONDS)
-        ev = self.env.timeout(max(eta, floor))
-        self._wakeup = ev
-        ev._add_callback(self._on_wakeup)
+        eta = max(eta, now * 1e-12, self._EPS_SECONDS)
+        self._due = now + eta
+        if self._wake_at > self._due:  # none armed, or armed too late
+            self._gen += 1
+            self._wake_at = self._due
+            self.env.timeout(eta, self._gen)._add_callback(self._on_wakeup)
 
     def _on_wakeup(self, ev: Event) -> None:
-        if getattr(ev, "_stale", False):
+        if ev.value != self._gen:
+            return  # superseded by an earlier wakeup
+        now = self.env.now
+        if now < self._due:
+            # Arrivals since arming pushed the head later.  Nothing is due,
+            # so state and degradation stay untouched; `now < due` makes
+            # the delay positive, and `_due` tracks where it really lands.
+            delay = self._due - now
+            self._due = self._wake_at = now + delay
+            self.env.timeout(delay, self._gen)._add_callback(self._on_wakeup)
             return
-        self._advance()
-        self._reschedule()
+        self._wake_at = _NEVER
+        rate = self.rate if self.degradation is None else self.effective_rate()
+        self._advance(now, rate)
+        if self._heap:
+            self._arm(now, rate)

@@ -58,6 +58,22 @@ def test_degraded_link_slows_transfer():
     assert degraded > 2.0 * clean  # quarter-speed NIC on one endpoint
 
 
+def test_degrade_link_reaches_nics_created_before_and_after_the_window():
+    eng, machine = _machine()
+    net = machine.network
+    early = net.nic(0)
+    assert early.tx.degradation is None and early.rx.degradation is None
+    net.degrade_link(0, 0.0, 5.0, 0.5)  # NIC 0 already exists
+    net.degrade_link(0, 0.0, 5.0, 0.5)  # overlapping windows multiply
+    net.degrade_link(1, 0.0, 5.0, 0.25)  # NIC 1 does not exist yet
+    assert net.nic(0) is early
+    assert early.tx.effective_rate() == early.rx.effective_rate() == 0.25 * early.tx.rate
+    assert net.nic(1).rx.effective_rate() == 0.25 * net.nic(1).rx.rate
+    assert net.nic(2).tx.degradation is None  # never named: no hook to call
+    eng.run(until=5.0)  # windows are half-open: closed at t=5
+    assert early.tx.effective_rate() == early.tx.rate
+
+
 def test_degrade_link_validates_window_and_factor():
     eng, machine = _machine()
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Tests for the interconnect model."""
 
+import gc
+
 import pytest
 
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
+from repro.machine.network import live_networks, registry_mark
 from repro.sim import Engine
 
 
@@ -322,3 +325,30 @@ def test_plain_torus_network_has_no_regional_state():
     _eng, net = make_net()
     assert not net.regional
     assert net.region_bytes == {}
+
+
+def test_finished_network_stays_listed_until_the_next_gc_pass():
+    """The benchmark harnesses bracket a public call with registry_mark()
+    / live_networks() and read the clock and byte counters of the
+    simulations it built *after* it returned, when no caller references
+    them any more (NICs without a degradation hook hold no path back to
+    their network)."""
+
+    def run():
+        eng, net = make_net(link_bandwidth=1e9)
+        eng.process(net.transfer(0, 1, 1e6))
+        eng.run()
+        return eng.now
+
+    gc.collect()
+    gc.disable()  # an allocation-triggered pass must not race the read
+    try:
+        mark = registry_mark()
+        now = run()
+        (net,) = live_networks(mark)
+        assert net.env.now == now and net.total_bytes() == 1e6
+        del net
+        gc.collect()
+        assert live_networks(mark) == []
+    finally:
+        gc.enable()
