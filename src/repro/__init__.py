@@ -5,8 +5,8 @@ PreDatA in-transit data-preparation middleware and every substrate it
 stands on — a discrete-event machine model (Cray XT-class nodes,
 torus interconnect, Lustre-like parallel file system), a simulated MPI
 layer with a real numpy data plane, ADIOS-style groups and BP files,
-FFS-style self-describing encoding, an EVPath-style event substrate,
-the DataSpaces shared-space service, GTC and Pixie3D application
+FFS-style self-describing encoding, the DataSpaces shared-space
+service, GTC and Pixie3D application
 skeletons, and the experiment harness that regenerates every figure of
 the paper's evaluation.
 
@@ -21,18 +21,22 @@ __version__ = "1.0.0"
 __all__ = [
     "adios",
     "apps",
+    "check",
     "core",
     "dataspaces",
-    "evpath",
     "experiments",
     "faults",
     "ffs",
     "flow",
+    "jobs",
     "machine",
     "mpi",
     "obs",
     "operators",
     "perf",
     "query",
+    "scenarios",
+    "serve",
     "sim",
+    "stream",
 ]

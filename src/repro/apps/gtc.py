@@ -84,7 +84,6 @@ class GTCConfig:
     """
 
     nprocs_logical: int = 64
-    threads_per_proc: int = 8
     particles_per_proc: int = 2_000_000
     functional_rows: int = 200
     iterations_per_dump: int = 10
@@ -239,9 +238,3 @@ class GTCApplication:
                 out, name, max(getattr(v, name) for v in self.metrics.values())
             )
         return out
-
-    def cpu_seconds(self, cores_per_proc: Optional[int] = None) -> float:
-        """Total CPU cost: wall time x logical cores (Fig. 8(a)/10(a))."""
-        cores = cores_per_proc or self.config.threads_per_proc
-        wall = self.max_metrics().total
-        return wall * self.config.nprocs_logical * cores

@@ -85,14 +85,6 @@ class Pixie3DConfig:
         """Eight local blocks per dump (~2 MB at 32^3)."""
         return 8 * self.local_size**3 * 8
 
-    @property
-    def io_interval_seconds(self) -> float:
-        return (
-            self.iterations_per_dump
-            * self.collective_rounds_per_iteration
-            * self.compute_seconds_between_collectives
-        )
-
 
 @dataclass
 class Pixie3DMetrics:
@@ -241,7 +233,3 @@ class Pixie3DApplication:
                 out, name, max(getattr(v, name) for v in self.metrics.values())
             )
         return out
-
-    def cpu_seconds(self) -> float:
-        """Total CPU cost at logical scale (1 core/process, §V.C)."""
-        return self.max_metrics().total * self.config.nprocs_logical

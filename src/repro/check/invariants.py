@@ -32,7 +32,6 @@ Call :meth:`Checker.verify` after the run drains; it raises
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 __all__ = ["Checker", "InvariantViolation"]
 
@@ -272,8 +271,3 @@ class Checker:
 
     def __repr__(self) -> str:
         return f"Checker({self.summary()})"
-
-
-def attach(env) -> Optional[Checker]:
-    """Convenience: bind a fresh Checker to *env* and return it."""
-    return Checker().bind(env)

@@ -41,7 +41,6 @@ class MultiTenantChecker:
         self.checkers: dict = {t: Checker() for t in self.tenants}
         #: global movement admissions (§IV.A is tenant-agnostic)
         self.admissions: list[tuple[int, bool, bool]] = []
-        self.forced_admissions = 0
 
     # -- binding ----------------------------------------------------------
     def bind(self, env) -> "MultiTenantChecker":
@@ -106,8 +105,6 @@ class MultiTenantChecker:
     ) -> None:
         """Record one movement admission globally (the rule is tenant-agnostic)."""
         self.admissions.append((node_id, in_phase, forced))
-        if forced:
-            self.forced_admissions += 1
 
     def on_restart(self, rank: int, step: int) -> None:
         """Broadcast a step restart to every tenant ledger."""
@@ -150,17 +147,6 @@ class MultiTenantChecker:
                 f"{len(broken)} pipeline invariant(s) violated across "
                 f"{len(self.tenants)} tenant(s):\n  - " + "\n  - ".join(broken)
             )
-
-    def summary(self) -> str:
-        """One line per tenant plus the global admission count."""
-        lines = [
-            f"{t}: {self.checkers[t].summary()}" for t in self.tenants
-        ]
-        lines.append(
-            f"global: {len(self.admissions)} movement admission(s) "
-            f"({self.forced_admissions} forced)"
-        )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"MultiTenantChecker({len(self.tenants)} tenant(s))"

@@ -5,20 +5,19 @@ The hot loops of the simulation used to keep per-rank bookkeeping in
 update, and tens of megabytes of dict overhead at the paper's
 100k-rank weak-scaling regime (§V.B).  :class:`RankLedger` replaces
 them with a flat numpy array indexed directly by rank: updates are
-O(1) array stores, whole-ledger reductions (totals, fingerprints) are
-single vectorized ops, and 100k ranks of float64 cost 800 KB instead
-of a multi-megabyte dict.
+O(1) array stores, the whole-ledger read behind the scale fingerprint
+is one vectorized op, and 100k ranks of float64 cost 800 KB instead of
+a multi-megabyte dict.
 
-The ledger keeps the dict surface the call sites were written against
-(``get``/``items``/``values``/``keys``/``in``/``len``/indexing), so
-``dict(ledger)`` and existing reporting code keep working unchanged.
-Ranks are non-negative integers (MPI ranks / node ids); the backing
-array grows geometrically to the largest rank touched.
+The surface is what its callers use: ``add`` to accumulate, ``get`` to
+read one rank, ``dense`` for the whole array.  Ranks are non-negative
+integers (MPI ranks / node ids); the backing array grows geometrically
+to the largest rank touched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -37,13 +36,12 @@ class RankLedger:
         Initial number of rank slots; the array doubles on demand.
     """
 
-    __slots__ = ("_vals", "_seen", "_count")
+    __slots__ = ("_vals", "_seen")
 
     def __init__(self, dtype: Any = np.float64, capacity: int = 1024):
         n = max(1, int(capacity))
         self._vals = np.zeros(n, dtype=dtype)
         self._seen = np.zeros(n, dtype=bool)
-        self._count = 0
 
     # -- growth ----------------------------------------------------------
     def _ensure(self, rank: int) -> None:
@@ -62,67 +60,19 @@ class RankLedger:
     def add(self, rank: int, amount: Any) -> None:
         """Accumulate *amount* into *rank*, marking the rank present."""
         self._ensure(rank)
-        if not self._seen[rank]:
-            self._seen[rank] = True
-            self._count += 1
+        self._seen[rank] = True
         self._vals[rank] += amount
 
-    def __setitem__(self, rank: int, value: Any) -> None:
-        self._ensure(rank)
-        if not self._seen[rank]:
-            self._seen[rank] = True
-            self._count += 1
-        self._vals[rank] = value
-
-    # -- dict surface ----------------------------------------------------
+    # -- reads -----------------------------------------------------------
     def get(self, rank: int, default: Any = 0) -> Any:
         """Value recorded for *rank*, or *default* if never touched."""
         if 0 <= rank < self._vals.shape[0] and self._seen[rank]:
             return self._vals[rank].item()
         return default
 
-    def __getitem__(self, rank: int) -> Any:
-        if 0 <= rank < self._vals.shape[0] and self._seen[rank]:
-            return self._vals[rank].item()
-        raise KeyError(rank)
-
-    def __contains__(self, rank: Any) -> bool:
-        return (
-            isinstance(rank, (int, np.integer))
-            and 0 <= rank < self._vals.shape[0]
-            and bool(self._seen[rank])
-        )
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.keys())
-
-    def keys(self) -> list[int]:
-        """Ranks touched so far, ascending."""
-        return [int(r) for r in np.flatnonzero(self._seen)]
-
-    def values(self) -> list:
-        """Values of the touched ranks, in rank order."""
-        return [v.item() for v in self._vals[self._seen]]
-
-    def items(self) -> list[tuple[int, Any]]:
-        """``(rank, value)`` pairs for the touched ranks, in rank order."""
-        return [
-            (int(r), self._vals[r].item()) for r in np.flatnonzero(self._seen)
-        ]
-
     def __repr__(self) -> str:
-        return f"RankLedger({dict(self.items())!r})"
-
-    # -- vectorized reductions -------------------------------------------
-    def total(self) -> Any:
-        """Sum over every touched rank (one vectorized reduction)."""
-        return self._vals[self._seen].sum().item()
+        touched = np.flatnonzero(self._seen)
+        return f"RankLedger({dict(zip(touched.tolist(), self._vals[touched].tolist()))!r})"
 
     def dense(self, size: Optional[int] = None) -> np.ndarray:
         """Dense value array indexed by rank (zeros where untouched).

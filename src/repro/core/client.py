@@ -27,7 +27,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.adios.group import OutputStep
 from repro.adios.io import IOMethod
-from repro.core.accounting import RankLedger
 from repro.core.operator import PreDatAOperator
 from repro.core.scheduler import MovementScheduler
 from repro.faults.errors import FetchDropped, NoLiveStagers
@@ -148,10 +147,6 @@ class StagingClient:
         self._scratches: dict[tuple[int, int], Any] = {}
         #: completion order per compute rank for back-pressure
         self._pending: dict[int, list[Event]] = {}
-        #: per-rank accumulated seconds, numpy-backed (dict-compatible;
-        #: see :class:`repro.core.accounting.RankLedger`)
-        self.visible_seconds = RankLedger(dtype="float64")
-        self.partial_calc_seconds = RankLedger(dtype="float64")
         # -- resilience state ------------------------------------------
         self.resilient = resilient
         #: fault-injection hook: (compute_rank, step, attempt) ->
@@ -321,7 +316,6 @@ class StagingClient:
             result = op.partial_calculate(step)
             if result is not None:
                 partials[op.name] = result
-        self.partial_calc_seconds.add(comm.rank, env.now - t0)
         if obs is not None:
             obs.span("partial_calculate", "compute", t0, tid=tid, step=step.step)
 
@@ -395,9 +389,7 @@ class StagingClient:
             # the controller's fallback replay so the dump still lands.
             env.process(self._orphan_sink(comm.rank, step.step))
 
-        visible = env.now - start
-        self.visible_seconds.add(comm.rank, visible)
-        return visible
+        return env.now - start
 
     def skip_step(self, comm: Communicator, step: int) -> Generator:
         """Process body: tell the staging area this rank dumps *step*

@@ -182,7 +182,3 @@ class PreDatA:
     @property
     def nstaging_procs(self) -> int:
         return self.staging_world.size
-
-    def staging_core_ratio(self) -> float:
-        """Compute cores per staging core actually configured."""
-        return self.machine.staging_ratio()

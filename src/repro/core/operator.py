@@ -25,7 +25,9 @@ override them.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Generator, Hashable, Iterable, Optional
 
 from repro.adios.group import OutputStep
@@ -179,8 +181,17 @@ class PreDatAOperator:
         return 0.0
 
     def partition(self, ctx: OperatorContext, tag: Hashable) -> int:
-        """Staging rank that reduces *tag* (default: stable hash)."""
-        return hash(tag) % ctx.nworkers
+        """Staging rank that reduces *tag*.
+
+        Integer tags map to ``tag % nworkers``; anything else goes
+        through CRC-32 of its ``repr`` — not ``hash()``, whose value for
+        strings changes with ``PYTHONHASHSEED`` and would move reducer
+        placement (and every per-reducer metric label) between
+        processes.
+        """
+        if isinstance(tag, Integral):
+            return int(tag) % ctx.nworkers
+        return zlib.crc32(repr(tag).encode()) % ctx.nworkers
 
     def reduce(
         self, ctx: OperatorContext, tag: Hashable, values: list[Any]

@@ -275,6 +275,9 @@ class StagingService:
                     step = cause.restart_step
                     continue
                 raise
+            except FetchTimeout:
+                self._abort_cleanup(comm)
+                raise
             else:
                 step = self._rank_step[comm.rank]
 
@@ -454,7 +457,13 @@ class StagingService:
                         req.compute_rank, step, comm.node_id
                     )
                 else:
-                    payload = yield from self._fetch_with_retry(req, step, comm)
+                    try:
+                        payload = yield from self._fetch_with_retry(req, step, comm)
+                    except FetchTimeout as exc:
+                        # out of attempts: fail the step that is waiting
+                        # on this chunk, not just this child process
+                        yield chunk_store.put(exc)
+                        return
                 fetch_clock["busy"] += env.now - t_f
                 if obs is not None:
                     obs.span(
@@ -486,7 +495,10 @@ class StagingService:
         t_stream0 = env.now
         map_busy = 0.0
         for _ in requests:
-            req, payload, ticket = yield chunk_store.get()
+            chunk = yield chunk_store.get()
+            if isinstance(chunk, FetchTimeout):
+                raise chunk
+            req, payload, ticket = chunk
             if ticket is not None:
                 # re-pin for Map; unspills from the file system if the
                 # chunk went cold under memory pressure

@@ -57,10 +57,6 @@ class Region:
                 raise ValueError(f"empty region {self.lb}..{self.ub}")
 
     @property
-    def ndim(self) -> int:
-        return len(self.lb)
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lb, self.ub, strict=True))
 

@@ -118,7 +118,6 @@ class GTCRunResult:
     interference_pct: float = 0.0  # main-loop slowdown vs baseline
     flow_spill_bytes: float = 0.0  # flow control: bytes spilled to FS
     flow_mean_sojourn: float = 0.0  # flow control: mean credit wait (s)
-    flow_rejections: int = 0  # flow control: CoDel-degraded writes
     #: live facade of a staging run (operator results, client state) —
     #: the verification subsystem fingerprints/inspects it post-run
     predata: Any = field(default=None, repr=False)
@@ -302,7 +301,6 @@ def run_gtc(
         if predata.flow is not None:
             result.flow_spill_bytes = predata.flow.spill_bytes()
             result.flow_mean_sojourn = predata.flow.mean_sojourn()
-            result.flow_rejections = predata.flow.rejections()
     else:
         result.visible_write_seconds = metrics.io_blocking / ndumps
         if runner is not None:

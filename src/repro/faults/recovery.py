@@ -242,7 +242,9 @@ class ResilienceController:
         yield from self.fallback.write_step(_EnvComm(self.env, crank), step_obj)
         if self.env.check is not None:
             # the packed chunk lands through the fallback, not via Map
-            self.env.check.on_degraded((crank, step), step_obj.nbytes_logical)
+            self.env.check.on_degraded(
+                self.client.key(crank, step), step_obj.nbytes_logical
+            )
         self.client.commit(crank, step)
         self._event("replayed", (crank, step))
         return None

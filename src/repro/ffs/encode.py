@@ -73,10 +73,6 @@ class PackBuffer:
         #: number of capacity doublings (observability for benchmarks)
         self.grows = 0
 
-    @property
-    def capacity(self) -> int:
-        return len(self._buf)
-
     def reserve(self, nbytes: int) -> memoryview:
         """A writable view of at least *nbytes* bytes."""
         cap = len(self._buf)

@@ -111,10 +111,6 @@ class FlowControl:
         """Buffer pool of staging node *node_id* (None for non-staging)."""
         return self.pools.get(node_id)
 
-    def bank_for(self, rank: int) -> CreditBank:
-        """Credit bank of staging rank *rank*."""
-        return self.banks[rank]
-
     # -- credit lifecycle ---------------------------------------------------
     def request_credits(
         self, rank: int, key, nbytes: float, *, can_degrade: bool = False

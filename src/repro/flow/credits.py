@@ -67,10 +67,6 @@ class CreditBank:
 
     # -- introspection ------------------------------------------------------
     @property
-    def available(self) -> float:
-        return self.capacity - self._granted
-
-    @property
     def outstanding(self) -> float:
         return self._granted
 

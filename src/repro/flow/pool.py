@@ -119,18 +119,6 @@ class BufferPool:
     def queued(self) -> int:
         return len(self._waiters)
 
-    @property
-    def queued_bytes(self) -> float:
-        return sum(entry[1] for entry in self._waiters)
-
-    def occupancy(self) -> float:
-        """Pool occupancy fraction (may exceed 1 for oversized grants)."""
-        return self._used / self.capacity if self.capacity > 0 else 0.0
-
-    def resident_bytes(self) -> float:
-        """Bytes of live tickets currently held in node memory."""
-        return sum(t.nbytes for t in self._tickets if t.state != "spilled")
-
     # -- change broadcast ----------------------------------------------------
     def wait_change(self) -> Event:
         """Event firing at the next occupancy/state transition."""

@@ -41,7 +41,6 @@ class PressureController:
         self.throttle_rate = throttle_rate
         # -- always-on stats ------------------------------------------
         self.throttled_fetches = 0
-        self.throttle_seconds = 0.0
         self.blocked_fetches = 0
 
     def severity(self, node_id: int) -> float:
@@ -85,7 +84,6 @@ class PressureController:
         held = self.env.now - start
         if held > 0:
             self.throttled_fetches += 1
-            self.throttle_seconds += held
             obs = self.env.obs
             if obs is not None:
                 obs.metrics.inc("flow_throttled_fetches", node=node_id)

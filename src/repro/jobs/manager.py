@@ -142,10 +142,6 @@ class JobResult:
     visible: dict[int, float] = field(default_factory=dict)
 
     @property
-    def tenant(self) -> str:
-        return self.spec.tenant
-
-    @property
     def throughput(self) -> float:
         """Logical bytes landed per simulated second of this job's run."""
         return self.bytes_written / self.finished_at if self.finished_at else 0.0

@@ -80,7 +80,6 @@ class ParallelFileSystem:
     ):
         self.env = env
         self.config = config or FileSystemConfig()
-        self._rng = np.random.default_rng(self.config.seed)
         self._interference = interference
         self._interval = interference_interval
         self._cached_mult = 1.0

@@ -19,10 +19,6 @@ class Request:
     def __init__(self, event: Event):
         self._event = event
 
-    @property
-    def event(self) -> Event:
-        return self._event
-
     def test(self) -> bool:
         """True once the operation has completed."""
         return self._event.triggered

@@ -101,10 +101,6 @@ class World:
         """Ranks not deactivated by failure, in rank order."""
         return sorted(self._active)
 
-    def is_active(self, rank: int) -> bool:
-        """Whether *rank* still participates in collectives."""
-        return rank in self._active
-
     # -- failure support ----------------------------------------------------
     def deactivate_rank(self, rank: int) -> None:
         """Remove *rank* from collective matching (its node died).

@@ -170,14 +170,6 @@ class TenantObservability:
         self.tenant = tenant
         self.metrics = base.metrics.bound(tenant=tenant)
 
-    @property
-    def now(self) -> float:
-        return self.base.now
-
-    @property
-    def tracer(self) -> Tracer:
-        return self.base.tracer
-
     def span(
         self,
         name: str,

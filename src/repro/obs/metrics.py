@@ -190,14 +190,6 @@ class MetricsRegistry:
             )
         return BoundMetrics(self, labels)
 
-    def names(self) -> set[str]:
-        """Every metric name seen so far."""
-        return (
-            {n for n, _ in self._counters}
-            | {n for n, _ in self._gauges}
-            | {n for n, _ in self._histograms}
-        )
-
     # -- export -------------------------------------------------------------
     @staticmethod
     def _fmt_labels(labels: tuple[tuple[str, object], ...]) -> str:
@@ -255,8 +247,8 @@ class BoundMetrics:
     counter/gauge/histogram the pipeline records lands in a per-tenant
     series without the instrumentation sites knowing about tenancy.
     A call site passing a bound label explicitly is a bug (the series
-    would fork) and raises.  Reads pass straight through to the shared
-    registry, so cross-tenant aggregation stays available.
+    would fork) and raises.  Cross-tenant aggregation reads the shared
+    registry itself.
     """
 
     __slots__ = ("_registry", "_labels")
@@ -264,10 +256,6 @@ class BoundMetrics:
     def __init__(self, registry: MetricsRegistry, labels: dict[str, object]):
         self._registry = registry
         self._labels = dict(labels)
-
-    @property
-    def bound_labels(self) -> dict[str, object]:
-        return dict(self._labels)
 
     def _merge(self, labels: dict[str, object]) -> dict[str, object]:
         hit = self._labels.keys() & labels.keys()
@@ -285,10 +273,6 @@ class BoundMetrics:
         """Add *value* to the counter, with the bound labels merged in."""
         self._registry.inc(name, value, **self._merge(labels))
 
-    def gauge_set(self, name: str, value: float, **labels: object) -> None:
-        """Set the gauge, with the bound labels merged in."""
-        self._registry.gauge_set(name, value, **self._merge(labels))
-
     def gauge_max(self, name: str, value: float, **labels: object) -> None:
         """Raise the gauge if higher, with the bound labels merged in."""
         self._registry.gauge_max(name, value, **self._merge(labels))
@@ -301,38 +285,3 @@ class BoundMetrics:
     def counter(self, name: str, **labels: object) -> float:
         """Read one counter scoped to the bound labels."""
         return self._registry.counter(name, **self._merge(labels))
-
-    def gauge(self, name: str, **labels: object) -> float | None:
-        """Read one gauge scoped to the bound labels."""
-        return self._registry.gauge(name, **self._merge(labels))
-
-    def histogram(self, name: str, **labels: object) -> HistogramStat | None:
-        """Read one histogram summary scoped to the bound labels."""
-        return self._registry.histogram(name, **self._merge(labels))
-
-    # -- registry-wide reads (deliberately unscoped) ---------------------------
-    def series(self, name: str):
-        """All label combinations of *name*, registry-wide (unscoped)."""
-        return self._registry.series(name)
-
-    def labelled(self, name: str) -> list[tuple[dict, float]]:
-        """Registry-wide ``(labels, value)`` rows of *name* (unscoped)."""
-        return self._registry.labelled(name)
-
-    def names(self) -> set[str]:
-        """Every metric name in the shared registry."""
-        return self._registry.names()
-
-    def summary_rows(self) -> list[tuple[str, str, str]]:
-        """The shared registry's full summary rows."""
-        return self._registry.summary_rows()
-
-    def summary_table(self, title: str = "metrics") -> str:
-        """The shared registry's aligned plain-text dump."""
-        return self._registry.summary_table(title)
-
-    def bound(self, **labels: object) -> "MetricsRegistry | BoundMetrics":
-        """A further-bound view; no labels returns this view unchanged."""
-        if not labels:
-            return self
-        return self._registry.bound(**{**self._labels, **labels})

@@ -80,10 +80,6 @@ class Tracer:
         self._pid_labels[pid] = label
         return pid
 
-    @property
-    def pid_labels(self) -> dict[int, str]:
-        return dict(self._pid_labels)
-
     # -- recording ----------------------------------------------------------
     def span(
         self,

@@ -3,9 +3,9 @@
 A group is a :class:`Bench` in :data:`BENCHES`, one ``BENCH_<name>.json``
 sidecar each:
 
-- ``kernels`` (:func:`bench_kernels`) — every registered kernel,
-  ``naive`` vs ``vectorized``, on adversarially dense inputs (default
-  1M elements);
+- ``kernels`` (:func:`bench_kernels`) — every kernel, its
+  :data:`~repro.perf.kernels.NAIVE` reference body vs the production
+  one, on adversarially dense inputs (default 1M elements);
 - ``ffs`` (:func:`bench_ffs`) — FFS packing, allocate-per-step
   ``encode`` vs zero-copy ``encode_into`` with a warm
   :class:`~repro.ffs.PackBuffer`;
@@ -44,7 +44,6 @@ from typing import Any
 import numpy as np
 
 from repro.perf import kernels as K
-from repro.perf.registry import REGISTRY
 
 __all__ = [
     "BENCHES",
@@ -66,13 +65,30 @@ __all__ = [
 HOT_KERNELS = ("histogram1d", "histogram2d", "wah_encode")
 
 
+#: a timed sample shorter than this is mostly timer and scheduler noise
+_MIN_SAMPLE_SECONDS = 0.01
+
+
 def _best_of(fn: Callable[[], Any], repeat: int = 3) -> float:
-    """Best wall time of *repeat* calls (min filters scheduler noise)."""
+    """Best per-call wall time of *repeat* samples (min filters
+    scheduler noise).
+
+    A sample repeats the call until it has lasted
+    :data:`_MIN_SAMPLE_SECONDS` (``timeit``-style autorange), so a
+    sub-millisecond call is averaged over dozens of runs instead of
+    being timed once; a call longer than that is still one per sample.
+    """
     best = float("inf")
     for _ in range(repeat):
+        calls = 0
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        while True:
+            fn()
+            calls += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= _MIN_SAMPLE_SECONDS:
+                break
+        best = min(best, elapsed / calls)
     return best
 
 
@@ -111,18 +127,18 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
 
 
 def bench_kernels(n: int = 1_000_000, repeat: int = 3, seed: int = 11) -> dict:
-    """Time every kernel in both variants; guards are the speedups.
+    """Time every kernel against its reference; guards are the speedups.
 
-    The ``speedup:*`` guards (naive vs vectorized) are ratio metrics
-    compared against the committed baseline.
+    The ``speedup:*`` guards (``NAIVE`` body vs production body) are
+    ratio metrics compared against the committed baseline.
     """
     cases = _kernel_cases(n, np.random.default_rng(seed))
     results: dict[str, dict] = {}
     guards: dict[str, float] = {}
-    for name in REGISTRY.names():
-        args = cases[name]
-        t_naive = _best_of(lambda: REGISTRY.get(name, "naive")(*args), repeat)
-        t_vec = _best_of(lambda: REGISTRY.get(name, "vectorized")(*args), repeat)
+    for name, naive in sorted(K.NAIVE.items()):
+        args, fast = cases[name], getattr(K, name)
+        t_naive = _best_of(lambda: naive(*args), repeat)
+        t_vec = _best_of(lambda: fast(*args), repeat)
         speedup = t_naive / max(t_vec, 1e-9)
         results[name] = {
             "naive_seconds": t_naive,

@@ -1,13 +1,15 @@
-"""Hot-path operator kernels, each in ``naive`` and ``vectorized`` form.
+"""Hot-path operator kernels: one numpy body each, beside its reference.
 
-The public functions at the bottom (:func:`histogram1d`,
-:func:`histogram2d`, :func:`wah_encode`, :func:`wah_decode`,
-:func:`wah_count`, :func:`select_splitters`, :func:`partition_rows`,
-:func:`group_rows`, :func:`paste_pieces`) dispatch through
-:data:`~repro.perf.registry.REGISTRY`; the operators in
-:mod:`repro.operators` call only these.
+The public functions (:func:`histogram1d`, :func:`histogram2d`,
+:func:`wah_encode`, :func:`wah_decode`, :func:`wah_count`,
+:func:`select_splitters`, :func:`partition_rows`, :func:`group_rows`,
+:func:`paste_pieces`) are what the operators in :mod:`repro.operators`
+call.  Each sits below a straightforward per-element reference body —
+slow, obviously correct, never run by the pipeline — collected in
+:data:`NAIVE` for the property tests, the flag matrix and
+``perf kernels`` to compare against.
 
-Contracts (shared by both variants — property-tested bit-for-bit):
+Contracts (shared by both bodies — property-tested bit-for-bit):
 
 - histogram kernels take *strictly increasing* edge arrays; values
   outside ``[edges[0], edges[-1]]`` and NaNs are dropped, the last bin
@@ -29,11 +31,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
-
-from repro.perf.registry import REGISTRY
 
 __all__ = [
     "histogram1d",
@@ -45,6 +45,7 @@ __all__ = [
     "partition_rows",
     "group_rows",
     "paste_pieces",
+    "NAIVE",
     "WAH_WORD_BITS",
 ]
 
@@ -57,7 +58,6 @@ _FULL = (1 << WAH_WORD_BITS) - 1
 # 1-D histogram
 # =====================================================================
 
-@REGISTRY.register("histogram1d", "naive")
 def _histogram1d_naive(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     edges_l = np.asarray(edges, dtype=float).tolist()
@@ -74,8 +74,8 @@ def _histogram1d_naive(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.asarray(counts, dtype=np.int64)
 
 
-@REGISTRY.register("histogram1d", "vectorized")
-def _histogram1d_vectorized(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def histogram1d(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """int64 counts of *values* over strictly increasing *edges*."""
     counts, _ = np.histogram(np.asarray(values, dtype=float), bins=edges)
     return counts.astype(np.int64)
 
@@ -93,7 +93,6 @@ def _bin_of(v: float, edges_l: list) -> Optional[int]:
     return bisect_right(edges_l, v) - 1
 
 
-@REGISTRY.register("histogram2d", "naive")
 def _histogram2d_naive(
     x: np.ndarray, y: np.ndarray, ex: np.ndarray, ey: np.ndarray
 ) -> np.ndarray:
@@ -113,10 +112,10 @@ def _histogram2d_naive(
     return counts
 
 
-@REGISTRY.register("histogram2d", "vectorized")
-def _histogram2d_vectorized(
+def histogram2d(
     x: np.ndarray, y: np.ndarray, ex: np.ndarray, ey: np.ndarray
 ) -> np.ndarray:
+    """int64 joint counts of ``(x, y)`` over edge grids ``(ex, ey)``."""
     counts, _, _ = np.histogram2d(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float), bins=(ex, ey)
     )
@@ -137,7 +136,6 @@ def _payloads(mask: np.ndarray) -> np.ndarray:
     return groups @ weights
 
 
-@REGISTRY.register("wah_encode", "naive")
 def _wah_encode_naive(mask: np.ndarray) -> list:
     words: list[tuple[str, int, int]] = []
     for p in _payloads(mask):
@@ -170,8 +168,8 @@ def _payloads_packed(mask: np.ndarray) -> np.ndarray:
     return (packed >> 1).astype(np.int64)
 
 
-@REGISTRY.register("wah_encode", "vectorized")
-def _wah_encode_vectorized(mask: np.ndarray) -> list:
+def wah_encode(mask: np.ndarray) -> list:
+    """WAH word list of a boolean mask."""
     payloads = _payloads_packed(mask)
     n = payloads.size
     if n == 0:
@@ -192,7 +190,6 @@ def _wah_encode_vectorized(mask: np.ndarray) -> list:
     return list(zip(kinds, vals.tolist(), counts.tolist()))
 
 
-@REGISTRY.register("wah_decode", "naive")
 def _wah_decode_naive(words: Sequence, nbits: int) -> np.ndarray:
     ngroups = (nbits + WAH_WORD_BITS - 1) // WAH_WORD_BITS
     out = np.zeros(ngroups * WAH_WORD_BITS, dtype=bool)
@@ -209,8 +206,8 @@ def _wah_decode_naive(words: Sequence, nbits: int) -> np.ndarray:
     return out[:nbits]
 
 
-@REGISTRY.register("wah_decode", "vectorized")
-def _wah_decode_vectorized(words: Sequence, nbits: int) -> np.ndarray:
+def wah_decode(words: Sequence, nbits: int) -> np.ndarray:
+    """Boolean mask of length *nbits* from a WAH word list."""
     ngroups = (nbits + WAH_WORD_BITS - 1) // WAH_WORD_BITS
     if not words or ngroups == 0:
         return np.zeros(nbits, dtype=bool)
@@ -235,7 +232,6 @@ def _wah_decode_vectorized(words: Sequence, nbits: int) -> np.ndarray:
     return bits.reshape(-1).astype(bool)[:nbits]
 
 
-@REGISTRY.register("wah_count", "naive")
 def _wah_count_naive(words: Sequence) -> int:
     total = 0
     for kind, value, count in words:
@@ -246,8 +242,8 @@ def _wah_count_naive(words: Sequence) -> int:
     return total
 
 
-@REGISTRY.register("wah_count", "vectorized")
-def _wah_count_vectorized(words: Sequence) -> int:
+def wah_count(words: Sequence) -> int:
+    """Popcount over a WAH word list (padding bits are zero)."""
     if not words:
         return 0
     kinds, vals, counts = zip(*words)
@@ -274,7 +270,6 @@ def _lerp(a: float, b: float, t: float) -> float:
     return a + diff * t
 
 
-@REGISTRY.register("select_splitters", "naive")
 def _select_splitters_naive(pool: np.ndarray, nworkers: int) -> np.ndarray:
     if nworkers <= 1:
         return np.array([])
@@ -304,8 +299,9 @@ def _select_splitters_naive(pool: np.ndarray, nworkers: int) -> np.ndarray:
     return np.asarray(uniq, dtype=float)
 
 
-@REGISTRY.register("select_splitters", "vectorized")
-def _select_splitters_vectorized(pool: np.ndarray, nworkers: int) -> np.ndarray:
+def select_splitters(pool: np.ndarray, nworkers: int) -> np.ndarray:
+    """Strictly increasing sample-sort splitters (``nworkers - 1`` cuts,
+    deduplicated) from a sample pool."""
     if nworkers <= 1:
         return np.array([])
     qs = np.linspace(0, 1, nworkers + 1)[1:-1]
@@ -316,7 +312,6 @@ def _select_splitters_vectorized(pool: np.ndarray, nworkers: int) -> np.ndarray:
 # Sample-sort row partitioning / bucket grouping
 # =====================================================================
 
-@REGISTRY.register("partition_rows", "naive")
 def _partition_rows_naive(keys: np.ndarray, splitters: np.ndarray) -> np.ndarray:
     spl = np.asarray(splitters).tolist()
     return np.asarray(
@@ -325,12 +320,11 @@ def _partition_rows_naive(keys: np.ndarray, splitters: np.ndarray) -> np.ndarray
     )
 
 
-@REGISTRY.register("partition_rows", "vectorized")
-def _partition_rows_vectorized(keys: np.ndarray, splitters: np.ndarray) -> np.ndarray:
+def partition_rows(keys: np.ndarray, splitters: np.ndarray) -> np.ndarray:
+    """Bucket index per key: ``searchsorted(splitters, keys, "right")``."""
     return np.searchsorted(splitters, keys, side="right")
 
 
-@REGISTRY.register("group_rows", "naive")
 def _group_rows_naive(data: np.ndarray, buckets: np.ndarray) -> list:
     out = []
     for b in np.unique(buckets):
@@ -338,8 +332,8 @@ def _group_rows_naive(data: np.ndarray, buckets: np.ndarray) -> list:
     return out
 
 
-@REGISTRY.register("group_rows", "vectorized")
-def _group_rows_vectorized(data: np.ndarray, buckets: np.ndarray) -> list:
+def group_rows(data: np.ndarray, buckets: np.ndarray) -> list:
+    """``(bucket, rows)`` pairs, ascending bucket, original row order."""
     buckets = np.asarray(buckets)
     if buckets.size == 0:
         return []
@@ -358,7 +352,6 @@ def _group_rows_vectorized(data: np.ndarray, buckets: np.ndarray) -> list:
 # Array-merge chunk stitching
 # =====================================================================
 
-@REGISTRY.register("paste_pieces", "naive")
 def _paste_pieces_naive(
     slab_shape: tuple, dtype: Any, pieces: Sequence, s_lo: int
 ) -> tuple:
@@ -376,10 +369,14 @@ def _paste_pieces_naive(
     return slab, int((~filled).sum())
 
 
-@REGISTRY.register("paste_pieces", "vectorized")
-def _paste_pieces_vectorized(
+def paste_pieces(
     slab_shape: tuple, dtype: Any, pieces: Sequence, s_lo: int
 ) -> tuple:
+    """Paste ``(offsets, piece)`` blocks into a zeroed slab.
+
+    Returns ``(slab, n_uncovered)`` where ``n_uncovered`` counts cells
+    no piece ever wrote.
+    """
     slab = np.zeros(slab_shape, dtype=dtype)
     filled = np.zeros(slab_shape, dtype=bool)
     for offsets, piece in pieces:
@@ -393,57 +390,17 @@ def _paste_pieces_vectorized(
     return slab, int((~filled).sum())
 
 
-# =====================================================================
-# Dispatchers — the only functions operators call
-# =====================================================================
-
-def histogram1d(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """int64 counts of *values* over strictly increasing *edges*."""
-    return REGISTRY.get("histogram1d")(values, edges)
-
-
-def histogram2d(
-    x: np.ndarray, y: np.ndarray, ex: np.ndarray, ey: np.ndarray
-) -> np.ndarray:
-    """int64 joint counts of ``(x, y)`` over edge grids ``(ex, ey)``."""
-    return REGISTRY.get("histogram2d")(x, y, ex, ey)
-
-
-def wah_encode(mask: np.ndarray) -> list:
-    """WAH word list of a boolean mask."""
-    return REGISTRY.get("wah_encode")(mask)
-
-
-def wah_decode(words: Sequence, nbits: int) -> np.ndarray:
-    """Boolean mask of length *nbits* from a WAH word list."""
-    return REGISTRY.get("wah_decode")(words, nbits)
-
-
-def wah_count(words: Sequence) -> int:
-    """Popcount over a WAH word list (padding bits are zero)."""
-    return REGISTRY.get("wah_count")(words)
-
-
-def select_splitters(pool: np.ndarray, nworkers: int) -> np.ndarray:
-    """Strictly increasing sample-sort splitters (``nworkers - 1`` cuts,
-    deduplicated) from a sample pool."""
-    return REGISTRY.get("select_splitters")(pool, nworkers)
-
-
-def partition_rows(keys: np.ndarray, splitters: np.ndarray) -> np.ndarray:
-    """Bucket index per key: ``searchsorted(splitters, keys, "right")``."""
-    return REGISTRY.get("partition_rows")(keys, splitters)
-
-
-def group_rows(data: np.ndarray, buckets: np.ndarray) -> list:
-    """``(bucket, rows)`` pairs, ascending bucket, original row order."""
-    return REGISTRY.get("group_rows")(data, buckets)
-
-
-def paste_pieces(slab_shape: tuple, dtype: Any, pieces: Sequence, s_lo: int) -> tuple:
-    """Paste ``(offsets, piece)`` blocks into a zeroed slab.
-
-    Returns ``(slab, n_uncovered)`` where ``n_uncovered`` counts cells
-    no piece ever wrote.
-    """
-    return REGISTRY.get("paste_pieces")(slab_shape, dtype, pieces, s_lo)
+#: reference body per kernel — what the production bodies above are
+#: tested (and ``perf kernels`` timed) against; nothing in the pipeline
+#: calls these
+NAIVE: dict[str, Callable] = {
+    "histogram1d": _histogram1d_naive,
+    "histogram2d": _histogram2d_naive,
+    "wah_encode": _wah_encode_naive,
+    "wah_decode": _wah_decode_naive,
+    "wah_count": _wah_count_naive,
+    "select_splitters": _select_splitters_naive,
+    "partition_rows": _partition_rows_naive,
+    "group_rows": _group_rows_naive,
+    "paste_pieces": _paste_pieces_naive,
+}

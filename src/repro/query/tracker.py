@@ -68,10 +68,6 @@ class SortedStepStore:
             if keys.size:
                 prev_max = keys[-1]
 
-    @property
-    def total_rows(self) -> int:
-        return sum(b.shape[0] for b in self.buckets)
-
     def find(self, label) -> Optional[np.ndarray]:
         """Return the row with *label*, or None.
 

@@ -119,7 +119,3 @@ class QueryCache:
             del self._entries[k]
         self.stats.invalidations += len(doomed)
         return len(doomed)
-
-    def clear(self) -> None:
-        """Drop every cached entry (stats are kept)."""
-        self._entries.clear()

@@ -220,14 +220,6 @@ class QueryService:
         if obs is not None:
             obs.metrics.inc("serve_steps_committed")
 
-    def latest_step(self, var: str) -> Optional[int]:
-        """Newest step announced for *var*, or ``None`` if unknown."""
-        return self._latest.get(var)
-
-    def known_steps(self, var: str) -> list[int]:
-        """All steps (committed or in-flight) known for *var*, sorted."""
-        return sorted(s for v, s in self._steps if v == var)
-
     # -- serve path ---------------------------------------------------------
     def serve(self, client, qid, query: Query):
         """Process body answering *query* for *client*; returns an Answer."""
@@ -426,7 +418,3 @@ class QueryService:
     @property
     def hit_rate(self) -> float:
         return self.cache.stats.hit_rate
-
-    def shard_queue_depths(self) -> list[int]:
-        """Current request-queue depth of each index shard."""
-        return [r.queued for r in self._shards]

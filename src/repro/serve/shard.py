@@ -167,7 +167,3 @@ class ShardedStepIndex:
     @property
     def populated_shards(self) -> int:
         return sum(1 for b in self.bounds if b is not None)
-
-    @property
-    def index_nbytes(self) -> int:
-        return sum(e.index_nbytes for e in self.engines if e is not None)

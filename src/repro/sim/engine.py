@@ -85,11 +85,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run (event left the queue)."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded (only meaningful once triggered)."""
         return self._ok
@@ -202,7 +197,6 @@ class Process(Event):
             raise SimulationError("a process cannot interrupt itself")
         env = self.env
         kick = Event(env)
-        kick._interrupt_for = self  # type: ignore[attr-defined]
 
         def deliver(_ev: Event, proc: "Process" = self, cause: Any = cause) -> None:
             if proc._triggered:
@@ -231,14 +225,12 @@ class Process(Event):
 
     def _step(self, value: Any, *, throw: bool) -> None:
         env = self.env
-        env._active_process = self
         try:
             if throw:
                 target = self._gen.throw(value)
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
-            env._active_process = None
             self._triggered = True
             self._ok = True
             self._value = stop.value
@@ -246,14 +238,12 @@ class Process(Event):
             return
         except Interrupt as exc:
             # Uncaught interrupt terminates the process with failure.
-            env._active_process = None
             self._triggered = True
             self._ok = False
             self._value = exc
             env._enqueue(0.0, NORMAL, self)
             return
         except BaseException as exc:
-            env._active_process = None
             self._triggered = True
             self._ok = False
             self._value = exc
@@ -261,7 +251,6 @@ class Process(Event):
             if not env._catch_errors:
                 raise
             return
-        env._active_process = None
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"
@@ -410,7 +399,6 @@ class Engine:
         #: so comparisons never reach the event
         self._heap: list[tuple[float, int, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._catch_errors = catch_errors
         self._tie_breaker = tie_breaker
         #: observability sink (see class docstring); set via bind()
@@ -425,10 +413,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event firing *delay* seconds from now."""

@@ -62,10 +62,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
-
     def request(self, n: int = 1) -> Event:
         """Return an event that fires when *n* units are granted atomically.
 

@@ -83,11 +83,6 @@ class StepStream:
         self.manager.dispatch(wm)
         return wm
 
-    def latest(self, var: str) -> Optional[Watermark]:
-        """The most recently published watermark of *var* (or None)."""
-        wms = self.log.get(var)
-        return wms[-1] if wms else None
-
     @property
     def published(self) -> int:
         """Total watermarks published across all vars."""

@@ -91,7 +91,6 @@ class Subscription:
         self.region = region
         self.member_nodes = tuple(member_nodes)
         self.banks = banks
-        self.created_at = env.now
         #: True while new publishes are entitled to this subscription
         self.active = True
         #: entitled watermarks, in entitlement order (shared by members)
@@ -151,11 +150,6 @@ class SubscriptionManager:
         #: chronological event log: (t, kind, sub, member, step) with
         #: kind in {"dlv", "dup", "ack"} — the scenario's fingerprint
         self.events: list[tuple] = []
-
-    @property
-    def subscriptions(self) -> dict[int, Subscription]:
-        """Live view of the registry (copy; ids stay durable)."""
-        return dict(self._subs)
 
     # -- lifecycle ----------------------------------------------------------
     def subscribe(

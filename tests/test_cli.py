@@ -9,11 +9,13 @@
 - ``serve``/``perf query`` and ``stream``/``perf stream`` are one
   driver: byte-identical sidecars, and a bench's own ``failed`` verdict
   and the baseline guard both reach the exit code on every path;
-- the README command table matches the registry.
+- the README command table matches the registry, and every package
+  under ``src/repro`` has a user and a row in each inventory.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
 import os
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import COMMANDS, USAGE, main
 from repro.perf import bench
 
@@ -192,3 +195,42 @@ def test_readme_command_table_matches_the_registry():
     assert [(name, summary.strip()) for name, summary in rows] == [
         (name, summary) for name, (_, summary) in COMMANDS.items()
     ]
+
+
+def test_every_package_has_a_user_and_a_row_in_each_inventory():
+    """A directory under ``src/repro`` must be imported by another one
+    (or launched by a command), and be listed in ``repro.__all__``, the
+    README architecture table and DESIGN.md §3."""
+    src = ROOT / "src" / "repro"
+    packages = sorted(m.name for m in pkgutil.iter_modules([str(src)]) if m.ispkg)
+    users: dict[str, set[str]] = {name: set() for name in packages}
+    for path in src.rglob("*.py"):
+        owner = path.relative_to(src).parts[0]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "repro":
+                modules = [f"repro.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                top, _, rest = module.partition(".")
+                used = rest.split(".")[0]
+                if top == "repro" and used in users and used != owner:
+                    users[used].add(owner)
+    # a command's own name counts: `serve`/`stream` reach their packages
+    # through the bench table's lazy "module:callable" strings
+    launched = set(COMMANDS) | {
+        target.split(":")[0].split(".")[1] for target, _ in COMMANDS.values()
+    }
+    assert [p for p in packages if not users[p] and p not in launched] == []
+
+    assert sorted(repro.__all__) == packages
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Architecture\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^repro\.(\w+) ", table, re.M)) == packages
+    design = (ROOT / "DESIGN.md").read_text()
+    inventory = design.split("## 3. Package inventory\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^  (\w+)/ ", inventory, re.M)) == packages

@@ -1,7 +1,8 @@
-"""Feature-flag matrix: flow x trace x faults x kernels on one workload.
+"""Feature-flag matrix: flow x trace x faults x kernel bodies on one workload.
 
-Every combination of the three optional subsystems *and* the kernel
-variant runs the same seeded chaos workload; the run
+Every combination of the three optional subsystems runs the same seeded
+chaos workload twice — on the production kernels and with every
+``repro.perf.kernels.NAIVE`` reference body patched over them; the run
 :func:`~repro.experiments.chaos.fingerprint` must match the all-off
 baseline wherever byte-identity is promised:
 
@@ -9,12 +10,13 @@ baseline wherever byte-identity is promised:
   checker) promises byte-identity even when ENABLED — the sinks are
   pure recorders — so within each (flow, faults, kernels) group the
   fingerprint must not move when tracing is switched on;
-- the *kernels* dimension (``naive``/``vectorized`` hot-path
-  implementations) promises byte-identity both ways — the variants
-  are bit-for-bit interchangeable — so within each
-  (flow, trace, faults) group neither the fingerprint nor the
-  executed-schedule hash may move when only the kernel selection
-  differs;
+- the *kernels* dimension is the pipeline-level differential for the
+  hot-path kernels: there is no selector in the product, so ``naive``
+  means this module patched the reference bodies onto the names the
+  operators call.  Reference and production bodies are bit-for-bit
+  interchangeable, so within each (flow, trace, faults) group neither
+  the fingerprint nor the executed-schedule hash may move when only
+  the kernel bodies differ;
 - flow control and fault injection legitimately change the run, so
   across groups only determinism (same combo twice -> same digest) is
   required.
@@ -29,13 +31,15 @@ import pytest
 from repro.check import Checker, ScheduleTrace
 from repro.experiments.chaos import fingerprint, run_once
 from repro.obs import Observability
-from repro.perf import REGISTRY, VARIANTS
+from repro.perf import kernels
 
+#: "naive" = every ``kernels.NAIVE`` body patched over its production name
+VARIANTS = ("naive", "vectorized")
 FLAGS = list(itertools.product([False, True], repeat=3))  # (flow, trace, faults)
 COMBOS = [(*flags, kern) for flags in FLAGS for kern in VARIANTS]  # 16
 
 
-def _run(flow: bool, trace: bool, faults: bool, kernels: str = "vectorized"):
+def _run(flow: bool, trace: bool, faults: bool, kern: str = "vectorized"):
     kw = dict(inject=faults)
     if flow:
         kw["flow_fraction"] = 0.5
@@ -45,7 +49,10 @@ def _run(flow: bool, trace: bool, faults: bool, kernels: str = "vectorized"):
         sinks["schedule_trace"] = ScheduleTrace()
         sinks["check"] = Checker()
         kw.update(sinks)
-    with REGISTRY.use(kernels):
+    with pytest.MonkeyPatch.context() as patch:
+        if kern == "naive":
+            for name, reference in kernels.NAIVE.items():
+                patch.setattr(kernels, name, reference)
         run = run_once(**kw)
     return fingerprint(run), run, sinks
 
@@ -79,11 +86,11 @@ def test_trace_dimension_is_byte_identical(matrix, flow, faults, kern):
 @pytest.mark.parametrize("faults", [False, True], ids=["faults-off", "faults-on"])
 @pytest.mark.parametrize("kern", [v for v in VARIANTS if v != "vectorized"])
 def test_kernel_dimension_is_byte_identical(matrix, flow, trace, faults, kern):
-    """naive kernels must produce runs identical to vectorized."""
+    """The reference kernel bodies must produce runs identical to production."""
     fp_other = matrix[(flow, trace, faults, kern)][0]
     fp_vec = matrix[(flow, trace, faults, "vectorized")][0]
     assert fp_other == fp_vec, (
-        f"kernel variant {kern} changed the run under "
+        f"{kern} kernel bodies changed the run under "
         f"flow={flow} trace={trace} faults={faults}"
     )
 
@@ -93,12 +100,12 @@ def test_kernel_dimension_is_byte_identical(matrix, flow, trace, faults, kern):
 @pytest.mark.parametrize("kern", [v for v in VARIANTS if v != "vectorized"])
 def test_kernel_dimension_preserves_schedule_hash(matrix, flow, faults, kern):
     """The executed-schedule hash (every pop the engine made, in order)
-    must be identical when only the kernel selection differs."""
+    must be identical when only the kernel bodies differ."""
     h_other = matrix[(flow, True, faults, kern)][2]["schedule_trace"]
     h_vec = matrix[(flow, True, faults, "vectorized")][2]["schedule_trace"]
     assert h_other.count == h_vec.count
     assert h_other.schedule_hash == h_vec.schedule_hash, (
-        f"kernel variant {kern} perturbed the executed schedule under "
+        f"{kern} kernel bodies perturbed the executed schedule under "
         f"flow={flow} faults={faults}"
     )
 
@@ -221,8 +228,7 @@ def _run_with_stream_bridge():
         schedule_trace=ScheduleTrace(),
         check=Checker(),
     )
-    with REGISTRY.use("vectorized"):
-        run = run_once(inject=False, stream_bridge=bridge, **sinks)
+    run = run_once(inject=False, stream_bridge=bridge, **sinks)
     return fingerprint(run), run, sinks, bridge
 
 
@@ -343,8 +349,7 @@ def _run_with_zero_scenarios():
         schedule_trace=ScheduleTrace(),
         check=Checker(),
     )
-    with REGISTRY.use("vectorized"):
-        run = run_once(inject=False, scenario_harness=harness, **sinks)
+    run = run_once(inject=False, scenario_harness=harness, **sinks)
     return fingerprint(run), run, sinks, harness
 
 

@@ -11,11 +11,15 @@ tenant's result fingerprint is byte-identical to its solo run.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.check import MultiTenantChecker, digest_value
+from repro.check import InvariantViolation, MultiTenantChecker, digest_value
+from repro.core import PreDatA
+from repro.faults import FaultInjector, ResilienceConfig
 from repro.flow import FlowConfig
 from repro.flow.credits import CreditBank
 from repro.jobs import (
@@ -28,6 +32,7 @@ from repro.jobs import (
     jains_index,
     solo_fingerprint,
 )
+from repro.jobs import manager as manager_module
 from repro.jobs.manager import AdmissionGate
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
@@ -241,6 +246,27 @@ def test_preemption_ladder_targets_lowest_priority_tier():
     assert isolation_violations(report, cfg) == []
 
 
+def test_governor_walks_the_ladder_on_real_fleet_pressure():
+    """Unscripted: a pool far smaller than one dump saturates, the
+    fleet's own severity signal crosses both rungs, and the governor
+    victimises the low tier first — with every ledger still conserved."""
+    cfg = TenancyConfig(
+        flow=FlowConfig(pool_bytes=5e4),
+        preemption=PreemptionConfig(poll_interval=0.01),
+    )
+    m = JobManager(cfg)
+    m.submit(JobSpec(tenant="low", priority=0, seed=1, nsteps=3))
+    m.submit(JobSpec(tenant="high", priority=1, seed=2, nsteps=3))
+    m.start()
+    assert m.fleet.severity() == 0.0  # idle fleet
+    report = m.run()
+    low, high = m.jobs["low"], m.jobs["high"]
+    assert low.degrade_actions >= 1 and low.pause_actions >= 1
+    assert low.degrade_actions >= high.degrade_actions
+    assert low.gate.is_open and high.gate.is_open  # nobody left wedged
+    assert report.conserved
+
+
 def test_cancel_skips_remaining_steps_and_conserves():
     m = JobManager()
     m.submit(JobSpec(tenant="a", seed=1, nsteps=4))
@@ -276,6 +302,68 @@ def test_multitenant_checker_routes_and_prefixes():
     # faults broadcast: both ledgers conservatively perturbed
     chk.on_fault("node_crash", 3)
     assert chk.checker("a").perturbed and chk.checker("b").perturbed
+
+
+@pytest.mark.parametrize(
+    "nstaging_nodes, recovers_by",
+    [(2, "restart"), (1, "degrade")],
+    ids=["survivors-restart", "all-stagers-dead-degrade"],
+)
+def test_tenant_keyed_recovery_reaches_the_per_tenant_ledgers(
+    monkeypatch, nstaging_nodes, recovers_by
+):
+    """Two tenants with the resilience protocol on, one dropped fetch
+    (tenant a only) and one staging-node kill: retries, restarts,
+    commits and degraded dumps must land in the right tenant's ledger
+    and every ledger must still conserve.  The jobs layer has no
+    resilience switch, so the test turns it on where the manager
+    builds each deployment."""
+    monkeypatch.setattr(
+        manager_module, "PreDatA",
+        functools.partial(
+            PreDatA,
+            resilience=ResilienceConfig(fetch_timeout=1.0, fetch_retry_backoff=0.01),
+        ),
+    )
+    obs = Observability()
+    m = JobManager(
+        TenancyConfig(flow=FlowConfig(pool_bytes=1e6), nstaging_nodes=nstaging_nodes),
+        obs=obs,
+    )
+    m.submit(JobSpec(tenant="a", seed=1, nsteps=4))
+    m.submit(JobSpec(tenant="b", seed=2, nsteps=4))
+    m.start()
+    inj = FaultInjector(m.env, m.machine, seed=3)
+    inj.arm(m.jobs["a"].predata.client)
+    inj.drop_fetch(0, 0, delay=0.01)
+    inj.crash_staging_node(at=2.3)  # mid step 1
+    report = m.run()
+
+    assert report.conserved and not report.violations
+    a, b = m.checker.checker("a"), m.checker.checker("b")
+    assert (a.retries, b.retries) == (1, 0)  # on_retry routed by tenant
+    for ledger in (a, b):
+        assert ledger.perturbed  # the kill was broadcast to both
+        assert sum(ledger.committed.values()) == len(ledger.packed)
+    if recovers_by == "restart":
+        assert sum(a.restarts.values()) and sum(b.restarts.values())
+        assert not a.degraded and not b.degraded
+    else:
+        # salvaged by the fallback replay, then written degraded
+        assert sum(a.degraded.values()) and sum(b.degraded.values())
+        degraded_tracks = {
+            s.tid for s in obs.tracer.spans if s.name == "degraded_write"
+        }
+        assert {t.split("/")[0] for t in degraded_tracks} == {"a", "b"}
+    deployments = {t: h.predata for t, h in m.jobs.items()}
+    m.checker.verify(deployments)  # must not raise
+    # a doctored ledger fails verification under its tenant's name only
+    key = next(iter(a.packed))
+    a.mapped.pop(key, None)
+    a.degraded.pop(key, None)  # now a lost dump
+    with pytest.raises(InvariantViolation) as err:
+        m.checker.verify(deployments)
+    assert "tenant a:" in str(err.value) and "tenant b:" not in str(err.value)
 
 
 # -- tenant-labelled observability ----------------------------------------------

@@ -1,10 +1,10 @@
-"""Property tests: naive and vectorized kernels agree bit for bit.
+"""Property tests: every kernel agrees with its reference bit for bit.
 
-Hypothesis drives every registered kernel through the adversarial
-inputs a hand-written table misses — empty chunks, single-bin
-histograms, NaN/inf fields, duplicate sort keys, duplicate splitters —
-and asserts *exact* agreement between the two variants: same dtype,
-same shape, same bits.  The deterministic tests at the bottom pin the
+Hypothesis drives every kernel through the adversarial inputs a
+hand-written table misses — empty chunks, single-bin histograms,
+NaN/inf fields, duplicate sort keys, duplicate splitters — and asserts
+*exact* agreement between its ``kernels.NAIVE`` reference body and the
+production body: same dtype, same shape, same bits.  The deterministic tests at the bottom pin the
 named edge cases and non-contiguous (sliced, reversed, Fortran-order)
 inputs.
 """
@@ -12,19 +12,17 @@ inputs.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf import REGISTRY, registry
 from repro.perf import kernels as K
 
 FAST = settings(max_examples=60, deadline=None)
 
 
 def both(name, *args):
-    """Run kernel *name* in naive + vectorized on the same arguments."""
-    return REGISTRY.get(name, "naive")(*args), REGISTRY.get(name, "vectorized")(*args)
+    """Run kernel *name*'s reference and production bodies on the same arguments."""
+    return K.NAIVE[name](*args), getattr(K, name)(*args)
 
 
 def assert_same_array(a, b):
@@ -224,26 +222,3 @@ def test_non_contiguous_inputs_agree():
     buckets = K.partition_rows(fdata[:, 0], np.asarray([0.0]))
     assert_same_groups(*both("group_rows", fdata, buckets))
 
-
-# REPRO_KERNELS input check ---------------------------------------------
-
-@pytest.mark.parametrize(
-    "value, expected",
-    [(None, "vectorized"), ("  ", "vectorized"), ("naive", "naive"),
-     ("vectorized", "vectorized")],
-)
-def test_repro_kernels_env_selects_the_default_variant(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_KERNELS", value)
-    assert registry._default_variant() == expected
-
-
-@pytest.mark.parametrize("value", ["parallel", "bogus"])
-def test_repro_kernels_env_rejects_unknown_variants(monkeypatch, value):
-    monkeypatch.setenv("REPRO_KERNELS", value)
-    with pytest.raises(ValueError) as err:
-        registry._default_variant()
-    assert f"REPRO_KERNELS={value!r} is not a kernel variant" in str(err.value)
-    assert str(err.value).endswith("expected one of ('naive', 'vectorized')")

@@ -62,8 +62,10 @@ def test_isend_overlaps_compute():
     def main(comm):
         if comm.rank == 0:
             req = comm.isend(np.zeros(125_000), dest=1)  # 1 MB -> 1 s wire
+            log["polled_in_flight"] = req.test()
             yield from comm.sleep(1.0)  # overlapping work
             yield from req.wait()
+            log["polled_done"] = req.test()
             log["sender_done"] = comm.env.now
         else:
             yield from comm.recv()
@@ -72,6 +74,8 @@ def test_isend_overlaps_compute():
     eng.run()
     # isend overlapped with sleep: total ~1 s, not 2 s.
     assert log["sender_done"] == pytest.approx(1.0, rel=0.1)
+    # mpi4py-style polling: False while on the wire, True once complete
+    assert (log["polled_in_flight"], log["polled_done"]) == (False, True)
 
 
 def test_recv_with_status():

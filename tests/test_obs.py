@@ -11,6 +11,10 @@ Three groups:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,47 @@ def test_instrumented_pipeline_produces_phase_spans():
     rows = obs.metrics.labelled("bucket_rows")
     assert len(rows) == 2  # two staging procs in the tiny pipeline
     assert sum(v for _lbl, v in rows) == 8 * 40  # all rows accounted for
+
+
+_PLACEMENT_PROBE = """
+from tests.helpers import run_staging_pipeline
+from repro.obs import Observability
+from repro.operators import Histogram2DOperator, HistogramOperator
+
+obs = Observability()
+ops = [
+    HistogramOperator("electrons", column=7, bins=16),
+    Histogram2DOperator("electrons", columns=(0, 3), bins=(8, 8)),
+]
+_, _, predata, _ = run_staging_pipeline(ops, obs=obs)
+for op in ops:
+    per_rank = predata.service.results[op.name][0]
+    print(op.name, [rank for rank, res in sorted(per_rank.items()) if res is not None])
+print(obs.metrics.summary_table())
+"""
+
+
+def test_reducer_placement_is_independent_of_the_hash_seed():
+    """Regression: string tags ("hist", "hist2d") went through
+    ``hash()``, so the reducing rank — and the ``bucket_rows{reducer=N}``
+    / ``shuffle_bytes{dst=N}`` labels ``--trace`` prints — flipped with
+    ``PYTHONHASHSEED`` (1 and 2 disagree on ``hash("hist") % 2``)."""
+    root = Path(__file__).resolve().parents[1]
+    outs = []
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([str(root), str(root / "src")]),
+        }
+        outs.append(
+            subprocess.run(
+                [sys.executable, "-c", _PLACEMENT_PROBE],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+        )
+    assert "bucket_rows{" in outs[0] and "shuffle_bytes{dst=" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_observability_dump_roundtrip(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adios import GroupDef, OutputStep, VarDef, VarKind
-from repro.core.operator import OperatorContext
+from repro.core.operator import OperatorContext, PreDatAOperator
+from repro.machine.filesystem import ParallelFileSystem
 from repro.operators import (
     HistogramOperator,
     Histogram2DOperator,
@@ -14,6 +15,7 @@ from repro.operators import (
     SampleSortOperator,
 )
 from repro.operators.bitmap import BitmapIndex, WAHBitmap
+from repro.sim import Engine
 
 GROUP = GroupDef(
     "p", (VarDef("electrons", "float64", VarKind.LOCAL_ARRAY, ndim=2),)
@@ -398,3 +400,26 @@ def test_cost_hooks_scale_sanely():
     m1 = sort.reduce_membytes(ctx_of(scale=1.0), 0, rows)
     m2 = sort.reduce_membytes(ctx_of(scale=50.0), 0, rows)
     assert m2 == pytest.approx(m1 * 50)
+
+
+def test_base_operator_reduce_and_partition_defaults():
+    """An operator overriding only map() still reduces: the default
+    hands the routed values through, on a reducer that is the same in
+    every process for any tag type."""
+    op = PreDatAOperator()
+    ctx = ctx_of(nworkers=4)
+    assert op.reduce(ctx, "k", [1, 2]) == [1, 2]
+    assert [op.partition(ctx, t) for t in (0, 5, np.int64(6), True)] == [0, 1, 2, 1]
+    assert op.partition(ctx, "hist") == 0 and op.partition(ctx, "mm") == 1
+    assert op.partition(ctx, ("rho", 3)) == op.partition(ctx, ("rho", 3))
+
+
+def test_sort_finalize_writes_its_bucket_through_the_filesystem():
+    eng = Engine()
+    fs = ParallelFileSystem(eng, interference=False)
+    op = SampleSortOperator("electrons", key_column=0, filesystem=fs)
+    bucket = np.random.default_rng(2).random((6, 8))
+    ctx = ctx_of(rank=1, scale=10.0)
+    proc = eng.process(op.finalize(ctx, {1: bucket}))
+    assert eng.run_until_process(proc) is bucket
+    assert fs.bytes_written == bucket.nbytes * 10.0 and eng.now > 0.0

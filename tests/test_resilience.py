@@ -7,7 +7,8 @@ from tests.helpers import FIELD_GROUP, field_step
 from repro.adios import BPWriter
 from repro.core import DrainTimeout, PreDatA
 from repro.experiments.chaos import run_once
-from repro.faults import FaultInjector, NoLiveStagers, ResilienceConfig
+from repro.faults import FaultInjector, FetchTimeout, NoLiveStagers, ResilienceConfig
+from repro.flow import FlowConfig
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World
 from repro.operators import ArrayMergeOperator
@@ -24,6 +25,7 @@ def _resilient_pipeline(
     io_interval=1.0,
     resilience=None,
     start_app=True,
+    flow=None,
 ):
     eng = Engine()
     machine = Machine(eng, nprocs, nstaging_nodes, spec=TESTING_TINY)
@@ -38,6 +40,7 @@ def _resilient_pipeline(
         nsteps=nsteps,
         volume_scale=scale,
         resilience=resilience or ResilienceConfig(),
+        flow=flow,
     )
     predata.start()
     app = World(
@@ -143,6 +146,36 @@ def test_dropped_fetches_are_retried_until_success():
         assert arr.shape == (16, 4, 4)
     kinds = [k for k, _, _ in inj.injected]
     assert kinds.count("fetch_drop") == 2 and "fetch_slow" in kinds
+
+
+def test_exhausted_fetch_retries_end_the_run_in_fetch_timeout():
+    """Every attempt for one chunk dropped: the retry budget's final
+    ``raise FetchTimeout`` must reach whoever drains the pipeline (it
+    used to die inside the fetcher child, wedging the rank until a
+    drain timeout), leaving no fetch process or pool ticket behind."""
+    eng, machine, predata, _w = _resilient_pipeline(
+        resilience=ResilienceConfig(
+            fetch_timeout=1.0, fetch_retry_backoff=0.01, fetch_max_attempts=3
+        ),
+        flow=FlowConfig(pool_bytes=1e9),
+    )
+    inj = FaultInjector(eng, machine, seed=0)
+    inj.arm(predata.client)
+    inj.drop_fetch(1, 0, attempts=3, delay=0.01)
+    with pytest.raises(FetchTimeout) as err:
+        eng.run_until_process(eng.process(predata.drain()))
+    exc = err.value
+    assert (exc.compute_rank, exc.step, exc.attempts) == (1, 0, 3)
+    assert str(exc) == "fetch of (compute 1, step 0) failed after 3 attempts"
+    # the starved rank failed with the timeout and dropped its step scratch
+    failed = [p for p in predata.service._procs if p.triggered and not p.ok]
+    assert [p.value for p in failed] == [exc]
+    assert predata.client.route(1) not in predata.service._inflight
+    # no fetch attempt outlives it, and no chunk is parked in a pool
+    eng.run(until=eng.now + 10.0)
+    assert [k for k, _, _ in inj.injected] == ["fetch_drop"] * 3
+    assert predata.service.fetch_retries == 3
+    assert all(p.used == 0.0 and not p._tickets for p in predata.flow.pools.values())
 
 
 # ------------------------------------------- end-to-end crash recovery
