@@ -47,11 +47,11 @@ def run_scenario(scheduled: bool) -> dict:
         )
         yield from client.write_step(comm, step)
         total_comm = 0.0
-        payload = np.zeros(1_000_000)  # 8 MB collectives
+        payload = np.zeros(1)  # stands in for 8 MB: wire_scale=1_000_000
         for _ in range(10):
             scheduler.enter_comm_phase(comm.node_id)
             t0 = comm.env.now
-            yield from comm.allreduce(payload)
+            yield from comm.allreduce(payload, wire_scale=1_000_000)
             total_comm += comm.env.now - t0
             scheduler.exit_comm_phase(comm.node_id)
             yield from comm.sleep(0.2)  # compute window

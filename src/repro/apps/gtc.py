@@ -185,9 +185,11 @@ class GTCApplication:
         env = comm.env
         m = GTCMetrics()
         start = env.now
-        payload = np.zeros(
-            max(int(cfg.comm_payload_logical_bytes / self.world.wire_scale / 8), 1)
-        )
+        # Nothing reads the field-solve data, only its phase and wire
+        # volume: send one element, name the logical count per call.
+        ws = self.world.wire_scale
+        payload = np.zeros(1)
+        scale = max(int(cfg.comm_payload_logical_bytes / ws / 8), 1) * ws
         dump = 0
         total_iterations = cfg.ndumps * cfg.iterations_per_dump
         for it in range(total_iterations):
@@ -205,7 +207,7 @@ class GTCApplication:
                 self.scheduler.enter_comm_phase(comm.node_id)
             try:
                 for _ in range(cfg.comm_rounds_per_iteration):
-                    yield from comm.allreduce(payload)
+                    yield from comm.allreduce(payload, wire_scale=scale)
             finally:
                 if self.scheduler is not None:
                     self.scheduler.exit_comm_phase(comm.node_id)

@@ -181,9 +181,11 @@ class Pixie3DApplication:
         env = comm.env
         m = Pixie3DMetrics()
         start = env.now
-        payload = np.zeros(
-            max(int(cfg.reduce_payload_logical_bytes / self.world.wire_scale / 8), 1)
-        )
+        # Nothing reads the solver's reductions, only their phase and
+        # wire volume: send one element, name the logical count per call.
+        ws = self.world.wire_scale
+        payload = np.zeros(1)
+        scale = max(int(cfg.reduce_payload_logical_bytes / ws / 8), 1) * ws
         dump = 0
         for it in range(cfg.ndumps * cfg.iterations_per_dump):
             # Newton-Krylov inner loop: short computations laced with
@@ -199,8 +201,8 @@ class Pixie3DApplication:
                 if self.scheduler is not None:
                     self.scheduler.enter_comm_phase(comm.node_id)
                 try:
-                    yield from comm.reduce(payload, op=SUM, root=0)
-                    yield from comm.bcast(payload, root=0)
+                    yield from comm.reduce(payload, op=SUM, root=0, wire_scale=scale)
+                    yield from comm.bcast(payload, root=0, wire_scale=scale)
                 finally:
                     if self.scheduler is not None:
                         self.scheduler.exit_comm_phase(comm.node_id)

@@ -112,7 +112,6 @@ class GTCRunResult:
     staging_reports: list[StepReport] = field(default_factory=list)
     in_compute_timings: dict[str, InComputeTiming] = field(default_factory=dict)
     nprocs_logical: int = 0
-    nstaging_procs_logical: int = 0
     rep_ranks: int = 0
     visible_write_seconds: float = 0.0
     interference_pct: float = 0.0  # main-loop slowdown vs baseline
@@ -284,7 +283,6 @@ def run_gtc(
         metrics=metrics,
         cpu_seconds=metrics.total * cores,
         nprocs_logical=procs,
-        nstaging_procs_logical=staging_logical,
         rep_ranks=r,
     )
     if placement == "staging":

@@ -66,7 +66,6 @@ class NetworkConfig:
     latency: float = 5e-6  # seconds, zero-byte end-to-end
     hop_latency: float = 5e-8  # seconds per hop
     bisection_bandwidth_per_link: float = 4.8e9  # bytes/s per bisection link
-    eager_threshold: int = 8192  # bytes; below this, latency-only path
     rdma_setup: float = 1e-5  # seconds to post/complete an RDMA descriptor
 
     def __post_init__(self) -> None:

@@ -2,8 +2,9 @@
 
 Because the evaluation machine (Cray XT) and a real MPI stack are not
 available, this package provides an MPI-like layer whose *data plane is
-real* — numpy arrays and Python objects actually move between rank
-address spaces — while the *time plane* comes from the
+real* — the numpy arrays and Python objects a rank sends are what its
+peers receive, by reference and read-only (see
+:mod:`repro.mpi.communicator`) — while the *time plane* comes from the
 :mod:`repro.machine` interconnect model.
 
 A :class:`~repro.mpi.world.World` is one MPI job: a list of ranks, each

@@ -9,11 +9,26 @@ world is matched with the *n*-th call of every other rank (SPMD
 discipline).  A rank calling a different collective kind at the same
 sequence index is reported as a :class:`~repro.sim.engine.SimulationError`
 — the simulated analogue of an MPI mismatch hang.
+
+``wire_scale``: ``bcast``, ``reduce``, ``allreduce``, ``allgather`` and
+``alltoall`` take a keyword-only ``wire_scale`` that replaces the world's
+for that call, so a rank sends a payload as small as what it reads and
+names the logical volume apart: the call is timed exactly like the
+unscaled one on a payload ``wire_scale`` times larger.  All ranks of a
+call pass the same value.
+
+Aliasing: payloads travel by reference.  An ``ndarray`` that reaches a
+rank — a collective's result, one held directly in a list or tuple
+result, a received message — is a read-only view, since other ranks may
+hold the same buffer; ``.copy()`` it to mutate.  No call writes into, or
+changes the flags of, an object its caller passed in.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional, Sequence
+
+import numpy as np
 
 from repro.mpi.datasize import nbytes_of
 from repro.mpi.ops import Op, SUM
@@ -25,6 +40,18 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
 ANY_SOURCE = Mailbox.ANY
 ANY_TAG = Mailbox.ANY
+
+
+def _readonly(obj: Any) -> Any:
+    """*obj* as a receiving rank sees it (module docstring, "Aliasing")."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.view()
+        obj.flags.writeable = False
+    elif type(obj) in (list, tuple):
+        obj = type(obj)(
+            _readonly(v) if isinstance(v, np.ndarray) else v for v in obj
+        )
+    return obj
 
 
 class Communicator:
@@ -76,7 +103,7 @@ class Communicator:
         yield from self.world.network.transfer(
             self.node_id, self.world.rank_nodes[dest], size
         )
-        self.world.mailbox(dest).deliver(self.rank, tag, obj)
+        self.world.mailbox(dest).deliver(self.rank, tag, _readonly(obj))
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; returns a :class:`Request`."""
@@ -115,34 +142,36 @@ class Communicator:
     # -- collectives --------------------------------------------------------
     def barrier(self) -> Generator:
         """Process body: block until every rank has arrived."""
-        yield from self._collective("barrier", None)
+        return self._collective("barrier", None)
 
-    def bcast(self, obj: Any, root: int = 0) -> Generator:
+    def bcast(
+        self, obj: Any, root: int = 0, *, wire_scale: Optional[float] = None
+    ) -> Generator:
         """Process body: returns root's object on every rank."""
-        result = yield from self._collective("bcast", obj, root=root)
-        return result
+        return self._collective("bcast", obj, wire_scale, root=root)
 
-    def reduce(self, value: Any, op: Op = SUM, root: int = 0) -> Generator:
+    def reduce(
+        self, value: Any, op: Op = SUM, root: int = 0,
+        *, wire_scale: Optional[float] = None,
+    ) -> Generator:
         """Process body: returns reduction on *root*, None elsewhere."""
-        result = yield from self._collective("reduce", value, op=op, root=root)
-        return result
+        return self._collective("reduce", value, wire_scale, op=op, root=root)
 
-    def allreduce(self, value: Any, op: Op = SUM) -> Generator:
+    def allreduce(
+        self, value: Any, op: Op = SUM, *, wire_scale: Optional[float] = None
+    ) -> Generator:
         """Process body: reduction whose result lands on every rank."""
-        result = yield from self._collective("allreduce", value, op=op)
-        return result
+        return self._collective("allreduce", value, wire_scale, op=op)
 
     def scan(self, value: Any, op: Op = SUM) -> Generator:
         """Process body: inclusive prefix reduction — rank *r* receives
         ``op(v_0, ..., v_r)`` (the 'prefix sums' of §IV.B's aggregated
         results, e.g. global array offsets from local sizes)."""
-        result = yield from self._collective("scan", value, op=op)
-        return result
+        return self._collective("scan", value, op=op)
 
     def exscan(self, value: Any, op: Op = SUM) -> Generator:
         """Exclusive prefix reduction; rank 0 receives None."""
-        result = yield from self._collective("exscan", value, op=op)
-        return result
+        return self._collective("exscan", value, op=op)
 
     def sendrecv(
         self, obj: Any, dest: int, source: Any = ANY_SOURCE,
@@ -157,22 +186,17 @@ class Communicator:
 
     def gather(self, value: Any, root: int = 0) -> Generator:
         """Process body: root receives ``[v_0 .. v_{p-1}]``, others None."""
-        result = yield from self._collective("gather", value, root=root)
-        return result
+        return self._collective("gather", value, root=root)
 
     def allgather(
         self, value: Any, *, wire_scale: Optional[float] = None
     ) -> Generator:
         """Process body: every rank receives [v_0 .. v_{p-1}]."""
-        result = yield from self._collective(
-            "allgather", value, wire_scale=wire_scale
-        )
-        return result
+        return self._collective("allgather", value, wire_scale)
 
     def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Generator:
         """Process body: rank *i* receives ``values[i]`` supplied by root."""
-        result = yield from self._collective("scatter", values, root=root)
-        return result
+        return self._collective("scatter", values, root=root)
 
     def alltoall(
         self, values: Sequence[Any], *, wire_scale: Optional[float] = None
@@ -180,30 +204,29 @@ class Communicator:
         """Process body: personalised exchange.
 
         Each rank passes a length-``size`` sequence; rank *i* receives
-        ``[values_0[i], values_1[i], ...]``.  ``wire_scale`` overrides
-        the world's wire inflation for this call (used when a payload's
-        logical-to-functional ratio differs from the world default).
+        ``[values_0[i], values_1[i], ...]``.
         """
         if len(values) != self.size:
             raise ValueError(
                 f"alltoall needs {self.size} payloads, got {len(values)}"
             )
-        result = yield from self._collective(
-            "alltoall", list(values), wire_scale=wire_scale
-        )
-        return result
+        return self._collective("alltoall", list(values), wire_scale)
 
     # alltoallv is semantically identical here (payloads may be ragged
     # numpy arrays); provided for API familiarity.
     alltoallv = alltoall
 
-    def _collective(self, kind: str, payload: Any, **kwargs) -> Generator:
+    def _collective(
+        self, kind: str, payload: Any, wire_scale: Optional[float] = None, **kwargs
+    ) -> Generator:
+        if "root" in kwargs:
+            self._check_peer(kwargs["root"])
         seq = self._coll_seq
         self._coll_seq += 1
         result = yield from self.world.collective(
-            seq, kind, self.rank, payload, **kwargs
+            seq, kind, self.rank, payload, wire_scale=wire_scale, **kwargs
         )
-        return result
+        return _readonly(result)
 
     # -- misc -----------------------------------------------------------------
     def _check_peer(self, rank: int) -> None:

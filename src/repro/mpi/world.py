@@ -51,7 +51,8 @@ class World:
         (pass ``machine.node`` when running on a :class:`Machine`).
     wire_scale: multiplier applied to payload sizes for *timing* —
         used when functional payloads are scaled-down stand-ins for
-        larger logical data (see ``OutputStep.volume_scale``).
+        larger logical data (see ``OutputStep.volume_scale``); a
+        collective's own ``wire_scale=`` replaces it for that call.
     model_size: effective process count used by the collective *cost
         models* when the world's ranks are representatives of a larger
         job (e.g. 64 simulated ranks standing in for 16,384).  Latency
@@ -325,15 +326,5 @@ class World:
 
 def _model_kind(kind: str) -> str:
     """Map functional kinds onto network cost-model kinds."""
-    return {
-        "barrier": "barrier",
-        "bcast": "bcast",
-        "reduce": "reduce",
-        "allreduce": "allreduce",
-        "gather": "gather",
-        "allgather": "allgather",
-        "scatter": "scatter",
-        "alltoall": "alltoall",
-        "scan": "allreduce",  # same tree-structured cost shape
-        "exscan": "allreduce",
-    }[kind]
+    # scans have the same tree-structured cost shape as an allreduce
+    return "allreduce" if kind in ("scan", "exscan") else kind

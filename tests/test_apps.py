@@ -1,5 +1,8 @@
 """Tests for the GTC and Pixie3D application skeletons + diagnostics."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from repro.apps import (
 from repro.apps.gtc import COL_LABEL
 from repro.core import MovementScheduler, PreDatA
 from repro.machine import Machine, TESTING_TINY
-from repro.mpi import World
+from repro.mpi import World, nbytes_of
 from repro.operators import SampleSortOperator
 from repro.sim import Engine
 
@@ -298,3 +301,81 @@ def test_gtc_config_validation():
         GTCConfig(functional_rows=0)
     with pytest.raises(ValueError):
         Pixie3DConfig(functional_size=1)
+
+
+# ------------------------------------- main-loop collectives: host cost
+def _run_app(app_cls, cfg, *, wire_scale=1.0, model_size=None):
+    """Run *app_cls* on 4 ranks; returns (worst-rank metrics, largest
+    payload in bytes that any rank handed to ``World.collective``)."""
+    eng = Engine()
+    machine = Machine(eng, 4, 0, spec=TESTING_TINY, fs_interference=False)
+    world = World(eng, machine.network, list(range(4)),
+                  node_lookup=machine.node, wire_scale=wire_scale,
+                  model_size=model_size)
+    seen = [0.0]
+    matched = world.collective
+
+    def spy(seq, kind, rank, payload, **kwargs):
+        seen[0] = max(seen[0], nbytes_of(payload))
+        return matched(seq, kind, rank, payload, **kwargs)
+
+    world.collective = spy
+    transport = SyncMPIIO(machine.filesystem, collect_data=False)
+    app = app_cls(machine, world, transport, cfg)
+    app.spawn()
+    eng.run()
+    return app.max_metrics(), seen[0]
+
+
+# name -> (application, default config, small config, payload-size field)
+_APPS = {
+    "gtc": (GTCApplication, GTCConfig, small_gtc_cfg,
+            "comm_payload_logical_bytes"),
+    "pixie3d": (Pixie3DApplication, Pixie3DConfig, small_pixie_cfg,
+                "reduce_payload_logical_bytes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_APPS))
+def test_collective_host_cost_independent_of_logical_bytes(name):
+    app_cls, _, make_cfg, field = _APPS[name]
+
+    def measured(logical_bytes):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            metrics, payload_bytes = _run_app(
+                app_cls, make_cfg(**{field: logical_bytes})
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return metrics.comm, payload_bytes, peak
+
+    measured(4e6)  # warm caches and lazy imports outside the comparison
+    comm_small, payload_small, peak_small = measured(4e6)
+    comm_large, payload_large, peak_large = measured(4e8)
+    # simulated time follows the logical volume ...
+    assert comm_large > 10 * comm_small > 0
+    # ... what the host touches does not: nothing reads these payloads
+    assert 0 < payload_small == payload_large <= 64
+    # (one full-size payload of the large case would be 400 MB)
+    assert peak_large < peak_small + 1e6
+
+
+@pytest.mark.parametrize("name, wire_scale, comm", [
+    ("gtc", 1.0, 0.3197999999999972),
+    ("gtc", 3.0, 0.3197987399997544),
+    ("pixie3d", 1.0, 0.29678399999827165),
+    ("pixie3d", 3.0, 0.2967681239980501),
+], ids=["gtc-ws1", "gtc-ws3", "pixie3d-ws1", "pixie3d-ws3"])
+def test_default_config_comm_seconds_pinned(name, wire_scale, comm):
+    # Captured at the commit before the stand-in payloads (full-size
+    # np.zeros arrays, world-level wire_scale only).  The apps' wire-byte
+    # arithmetic, 8 * nelems * wire_scale, must reproduce it to the last
+    # digits; expected.json's 1e-6 tolerance would let a change hide.
+    app_cls, default_cfg = _APPS[name][:2]
+    metrics, _ = _run_app(
+        app_cls, default_cfg(), wire_scale=wire_scale, model_size=64
+    )
+    assert metrics.comm == pytest.approx(comm, rel=1e-13, abs=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
-from repro.mpi import MAX, MIN, SUM, World, nbytes_of
+from repro.mpi import MAX, MIN, PROD, SUM, Op, World, nbytes_of
 from repro.sim import Engine, SimulationError
 
 
@@ -14,6 +14,17 @@ def make_world(nranks=4, contended=False, **netcfg):
     net = Network(eng, topo, NetworkConfig(**netcfg))
     world = World(eng, net, list(range(nranks)), contended=contended)
     return eng, world
+
+
+def run_ranks(nranks, body, **world_kw):
+    """Run ``body(comm)`` on every rank; returns ``{rank: return value}``."""
+    eng, world = make_world(nranks, **world_kw)
+    procs = world.spawn(body)
+    eng.run()
+    for p in procs:
+        if not p.ok:
+            raise p.value
+    return {r: p.value for r, p in enumerate(procs)}
 
 
 # ------------------------------------------------------------- p2p
@@ -337,6 +348,173 @@ def test_world_on_machine_compute_uses_node():
     eng.run()
     assert all(v == pytest.approx(1.0) for v in t.values())
     assert m.node(0).busy_seconds == pytest.approx(1.0)
+
+
+# ------------------------------------------------------ bad arguments
+@pytest.mark.parametrize("kind", ["bcast", "reduce", "gather", "scatter"])
+def test_rooted_collective_rejects_root_outside_world(kind):
+    # bcast used to die with a bare KeyError inside World._apply, and
+    # reduce/gather "succeeded" with None everywhere: the result was lost.
+    eng, world = make_world(3)
+
+    def main(comm):
+        payload = [1, 2, 3] if kind == "scatter" else comm.rank
+        yield from getattr(comm, kind)(payload, root=7)
+
+    procs = world.spawn(main)
+    eng.run()
+    for p in procs:
+        assert not p.ok and isinstance(p.value, SimulationError)
+        assert "rank 7" in str(p.value) and "size 3" in str(p.value)
+
+
+# --------------------------------------------------------- wire_scale
+_SCALE, _N = 16, 1000  # a power of two: scaled byte counts are exact
+
+
+def _collective_call(comm, kind, n, **kw):
+    """One *kind* collective in which every rank contributes 8*n bytes."""
+    payload = np.zeros(n)
+    if kind == "alltoall":
+        payload = [np.zeros(n // comm.size)] * comm.size
+    return getattr(comm, kind)(payload, **kw)
+
+
+@pytest.mark.parametrize("contended", [False, True])
+@pytest.mark.parametrize(
+    "kind", ["bcast", "reduce", "allreduce", "allgather", "alltoall"]
+)
+def test_wire_scale_times_like_a_scale_times_larger_payload(kind, contended):
+    def duration(n, **kw):
+        def main(comm):
+            yield from _collective_call(comm, kind, n, **kw)
+            return comm.env.now
+
+        return run_ranks(4, main, contended=contended, link_bandwidth=1e6)
+
+    scaled = duration(_N, wire_scale=_SCALE)
+    assert scaled == duration(_N * _SCALE)
+    assert scaled[0] > 4 * duration(_N)[0] > 0
+
+
+def test_call_wire_scale_replaces_the_world_scale():
+    def duration(world_scale, **kw):
+        eng = Engine()
+        net = Network(eng, TorusTopology(4), NetworkConfig(link_bandwidth=1e6))
+        world = World(eng, net, [0, 1, 2, 3], wire_scale=world_scale)
+
+        def main(comm):
+            yield from comm.allreduce(np.zeros(_N), **kw)
+
+        world.spawn(main)
+        eng.run()
+        return eng.now
+
+    assert duration(1.0) < duration(5.0)
+    assert duration(5.0, wire_scale=2.0) == duration(2.0)
+
+
+# ------------------------------------------------- the fold and aliasing
+def _first(a, b):
+    return a
+
+
+@pytest.mark.parametrize("values, op", [
+    ([np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])], SUM),
+    ([2.0, np.array([1.0, 2.0, 3.0]), 3], PROD),
+    ([np.array([5.0]), np.array([1.0, 7.0, 3.0])], MIN),  # (1,) + (3,)
+    ([np.array(1.5), np.array(2.5), np.array(4.0)], SUM),  # 0-d arrays
+    ([np.array([1.0, 2.0]), np.array([3.0, 4.0])], Op("first", _first)),
+], ids=["int32+float64", "scalar+array", "broadcast", "0-d", "custom-op"])
+def test_reduce_value_type_and_dtype_are_those_of_a_pairwise_fold(values, op):
+    expected = values[0]
+    for v in values[1:]:
+        expected = op(expected, v)
+    before = [np.array(v, copy=True) for v in values]
+
+    def main(comm):
+        everywhere = yield from comm.allreduce(values[comm.rank], op=op)
+        at_root = yield from comm.reduce(values[comm.rank], op=op, root=1)
+        return everywhere, at_root
+
+    out = run_ranks(len(values), main)
+    for got in [pair[0] for pair in out.values()] + [out[1][1]]:
+        assert isinstance(got, type(expected))
+        assert getattr(got, "dtype", None) == getattr(expected, "dtype", None)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)
+    assert out[0][1] is None
+    for v, b in zip(values, before):
+        assert np.array_equal(v, b)
+        assert not isinstance(v, np.ndarray) or v.flags.writeable
+
+
+def _every_collective(comm, x):
+    """Every data-carrying call once; returns the arrays that came back."""
+    got = []
+    got.append((yield from comm.bcast(x, root=comm.size - 1)))
+    got.append((yield from comm.reduce(x, root=0)))
+    got.append((yield from comm.allreduce(x, op=MAX)))
+    got.append((yield from comm.scan(x)))
+    got.append((yield from comm.exscan(x)))
+    got.extend((yield from comm.gather(x, root=0)) or [])
+    got.extend((yield from comm.allgather(x)))
+    got.append((yield from comm.scatter([x] * comm.size, root=0)))
+    got.extend((yield from comm.alltoall([x] * comm.size)))
+    got.extend((yield from comm.bcast((x, x))))  # a tuple's own elements
+    dest = (comm.rank + 1) % comm.size
+    got.append((yield from comm.sendrecv(x, dest)))
+    return [g for g in got if g is not None]
+
+
+@pytest.mark.parametrize("nranks", [1, 3])
+def test_arrays_arrive_read_only_and_inputs_stay_untouched(nranks):
+    inputs = {r: np.arange(4.0) + r for r in range(nranks)}
+
+    def main(comm):
+        got = yield from _every_collective(comm, inputs[comm.rank])
+        return got
+
+    out = run_ranks(nranks, main)
+    for r, got in out.items():
+        # rank 0 holds the reduce and gather results, the others an exscan
+        assert len(got) == 8 + 2 * nranks + (nranks if r == 0 else 0)
+        for arr in got:
+            assert isinstance(arr, np.ndarray)
+            assert not any(arr is x for x in inputs.values())
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1.0
+    for r, x in inputs.items():
+        assert x.flags.writeable
+        np.testing.assert_array_equal(x, np.arange(4.0) + r)
+
+
+def test_writing_into_a_bcast_result_cannot_reach_the_root_buffer():
+    def main(comm):
+        mine = np.arange(3.0)
+        out = yield from comm.bcast(mine, root=0)
+        if comm.rank == 1:
+            with pytest.raises(ValueError):
+                out += 1.0
+            out = out.copy()  # the documented way to mutate
+            out += 1.0
+        yield from comm.barrier()
+        return mine
+
+    out = run_ranks(2, main)
+    np.testing.assert_array_equal(out[0], np.arange(3.0))
+
+
+def test_single_rank_allreduce_does_not_return_its_input():
+    def main(comm):
+        x = np.arange(3.0)
+        out = yield from comm.allreduce(x)
+        assert out is not x and x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 99.0
+        return out
+
+    np.testing.assert_array_equal(run_ranks(1, main)[0], np.arange(3.0))
 
 
 # ------------------------------------------------------------- sizes

@@ -1,5 +1,7 @@
 """Cross-cutting property-based tests (hypothesis)."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,41 @@ def test_allreduce_equals_local_reduction(nranks, opname, seed):
     expected = _NP[opname](values, axis=0)
     for r in range(nranks):
         np.testing.assert_allclose(out[r], expected, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nranks=st.integers(min_value=1, max_value=8),
+    opname=st.sampled_from(["sum", "prod"]),
+    seed=st.integers(min_value=0, max_value=999),
+)
+def test_reduction_folds_in_rank_order_bit_for_bit(nranks, opname, seed):
+    # Over ~30 decades float addition and multiplication are far from
+    # associative: any other fold order (pairwise, tree, reversed)
+    # changes low bits, so equality here pins the order itself.
+    eng = Engine()
+    topo = TorusTopology(max(nranks, 2))
+    world = World(eng, Network(eng, topo, NetworkConfig()),
+                  list(range(nranks)), contended=False)
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], size=(nranks, 6)) * 10.0 ** rng.uniform(
+        -15, 15, size=(nranks, 6)
+    )
+    out = {}
+
+    def main(comm):
+        everywhere = yield from comm.allreduce(values[comm.rank], op=_OPS[opname])
+        at_root = yield from comm.reduce(
+            values[comm.rank], op=_OPS[opname], root=nranks - 1
+        )
+        out[comm.rank] = (everywhere, at_root)
+
+    world.spawn(main)
+    eng.run()
+    expected = functools.reduce(_OPS[opname], list(values))
+    for r in range(nranks):
+        assert np.array_equal(out[r][0], expected)
+    assert np.array_equal(out[nranks - 1][1], expected)
 
 
 @settings(max_examples=20, deadline=None)
