@@ -62,7 +62,7 @@ def test_chaos_all_stagers_dead_degrades_without_loss(once):
     """Kill every staging node: dumps fall back synchronously, none lost."""
 
     def run():
-        r = run_once(nstaging_nodes=1, procs_per_staging_node=2, seed=5)
+        r = run_once(nstaging_nodes=1, seed=5)
         return r
 
     r = once(run)

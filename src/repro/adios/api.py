@@ -38,14 +38,11 @@ class AdiosFile:
         group_name: str,
         comm: Communicator,
         step: int,
-        *,
-        volume_scale: float = 1.0,
     ):
         self._adios = adios
         self.group = adios.config.group(group_name)
         self.comm = comm
         self.step = step
-        self.volume_scale = volume_scale
         self._values: dict[str, Any] = {}
         self._chunks: dict[str, ChunkMeta] = {}
         self._closed = False
@@ -98,7 +95,6 @@ class AdiosFile:
             rank=self.comm.rank,
             values=self._values,
             chunks=self._chunks,
-            volume_scale=self.volume_scale,
         )
         transport = self._adios.transport_for(self.group.name)
         t = yield from transport.write_step(self.comm, step)
@@ -124,18 +120,9 @@ class Adios:
             self._transports[group_name] = t
         return t
 
-    def open(
-        self,
-        group_name: str,
-        comm: Communicator,
-        step: int,
-        *,
-        volume_scale: float = 1.0,
-    ) -> AdiosFile:
+    def open(self, group_name: str, comm: Communicator, step: int) -> AdiosFile:
         """Open a write handle for one group/step on this rank."""
-        return AdiosFile(
-            self, group_name, comm, step, volume_scale=volume_scale
-        )
+        return AdiosFile(self, group_name, comm, step)
 
     def finalize(self) -> None:
         """Flush every transport's accumulated files."""

@@ -98,9 +98,7 @@ class BPFile:
         """
         return len(self.entries(var, step))
 
-    def read_global_array(
-        self, var: str, step: int, *, copy: bool = True
-    ) -> np.ndarray:
+    def read_global_array(self, var: str, step: int) -> np.ndarray:
         """Functionally assemble a global array from its chunks."""
         vdef = self.group.var(var)
         if vdef.kind is not VarKind.GLOBAL_ARRAY:
@@ -125,7 +123,7 @@ class BPFile:
                 f"global array {var!r} step {step}: "
                 f"{int((~filled).sum())} cells not covered by any chunk"
             )
-        return out.copy() if copy else out
+        return out
 
     def read_region(
         self,

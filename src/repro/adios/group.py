@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class OutputStep:
                 )
         return FFSSchema(self.group.name, tuple(fields))
 
-    def pack(self, extra_attrs: Optional[dict] = None, *, scratch=None):
+    def pack(self, *, scratch=None):
         """Encode into a packed partial data chunk.
 
         Without *scratch*, returns immutable ``bytes``.  With a
@@ -192,8 +192,6 @@ class OutputStep:
                 for name, c in self.chunks.items()
             },
         }
-        if extra_attrs:
-            attrs.update(extra_attrs)
         schema = self._runtime_schema()
         if scratch is not None:
             from repro.ffs import encode_into

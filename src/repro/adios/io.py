@@ -92,9 +92,7 @@ class SyncMPIIO(IOMethod):
             self.writer_for(step.group).append_step(step)
         # Each rank streams its PG record; the shared aggregate pipe plus
         # per-client cap reproduce both contention regimes.
-        yield from self.filesystem.write(
-            step.nbytes_logical, nclients=1, metadata_ops=1
-        )
+        yield from self.filesystem.write(step.nbytes_logical)
         elapsed = comm.env.now - start
         self.visible_write_seconds += elapsed
         return elapsed

@@ -36,19 +36,20 @@ def kinetic_energy(rho: np.ndarray, px, py, pz) -> float:
     return float((p2[safe] / (2.0 * rho[safe])).sum())
 
 
-def magnetic_flux(ax, ay, az, spacing: float = 1.0) -> float:
-    """Surface-integrated flux proxy: mean |A| x domain cross-section."""
+def magnetic_flux(ax, ay, az) -> float:
+    """Surface-integrated flux proxy: mean |A| x domain cross-section
+    (unit cell spacing)."""
     amag = np.sqrt(
         np.asarray(ax) ** 2 + np.asarray(ay) ** 2 + np.asarray(az) ** 2
     )
-    return float(amag.mean() * amag.shape[1] * amag.shape[2] * spacing**2)
+    return float(amag.mean() * amag.shape[1] * amag.shape[2])
 
 
-def divergence(fx, fy, fz, spacing: float = 1.0) -> np.ndarray:
-    """Central-difference divergence of a vector field."""
-    gx = np.gradient(np.asarray(fx, dtype=float), spacing, axis=0)
-    gy = np.gradient(np.asarray(fy, dtype=float), spacing, axis=1)
-    gz = np.gradient(np.asarray(fz, dtype=float), spacing, axis=2)
+def divergence(fx, fy, fz) -> np.ndarray:
+    """Central-difference divergence of a vector field (unit cell spacing)."""
+    gx = np.gradient(np.asarray(fx, dtype=float), axis=0)
+    gy = np.gradient(np.asarray(fy, dtype=float), axis=1)
+    gz = np.gradient(np.asarray(fz, dtype=float), axis=2)
     return gx + gy + gz
 
 
@@ -73,9 +74,7 @@ class DiagnosticsOperator(PreDatAOperator):
     """
 
     _TAG = "diag"
-
-    def __init__(self, name: str = "pixie3d_diag"):
-        self.name = name
+    name = "pixie3d_diag"
 
     def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
         v = step.values

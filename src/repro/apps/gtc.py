@@ -73,6 +73,10 @@ def gtc_particles(
     return data
 
 
+#: seed of the electron array; the ion array uses the next one
+_PARTICLE_SEED = 42
+
+
 @dataclass(frozen=True)
 class GTCConfig:
     """GTC skeleton parameters.
@@ -91,7 +95,6 @@ class GTCConfig:
     compute_seconds_per_iteration: float = 10.8
     comm_rounds_per_iteration: int = 2
     comm_payload_logical_bytes: float = 4e6
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.functional_rows < 1 or self.particles_per_proc < 1:
@@ -165,10 +168,10 @@ class GTCApplication:
         """Build one rank's output step (fresh migrated particles)."""
         cfg = self.config
         electrons = gtc_particles(
-            rank, self.world.size, self._rows, step=step, seed=cfg.seed
+            rank, self.world.size, self._rows, step=step, seed=_PARTICLE_SEED
         )
         ions = gtc_particles(
-            rank, self.world.size, self._rows, step=step, seed=cfg.seed + 1
+            rank, self.world.size, self._rows, step=step, seed=_PARTICLE_SEED + 1
         )
         return OutputStep(
             group=GTC_GROUP,

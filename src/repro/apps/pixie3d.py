@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.adios.group import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.io import IOMethod
-from repro.core.placement import InComputeNodeRunner
 from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
@@ -66,9 +65,7 @@ class Pixie3DConfig:
     iterations_per_dump: int = 18
     ndumps: int = 2
     collective_rounds_per_iteration: int = 8
-    compute_seconds_between_collectives: float = 0.7
     reduce_payload_logical_bytes: float = 6.4e4
-    seed: int = 11
 
     def __post_init__(self) -> None:
         if self.functional_size < 2 or self.local_size < self.functional_size:
@@ -101,7 +98,13 @@ class Pixie3DMetrics:
         return self.compute + self.comm
 
 
-def _smooth_field(rank, nprocs, n, var_index, step, seed):
+#: seconds of computation between two reduce/bcast rounds (§V.C)
+COMPUTE_SECONDS_BETWEEN_COLLECTIVES = 0.7
+#: phase offset of the synthetic fields
+_FIELD_SEED = 11
+
+
+def _smooth_field(rank, nprocs, n, var_index, step):
     """Deterministic smooth 3-D chunk (slab of a global field)."""
     gx = nprocs * n
     lo = rank * n
@@ -109,7 +112,7 @@ def _smooth_field(rank, nprocs, n, var_index, step, seed):
     y = (np.arange(n) + 0.5) / n
     z = (np.arange(n) + 0.5) / n
     xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-    phase = 0.37 * var_index + 0.11 * step + seed * 1e-3
+    phase = 0.37 * var_index + 0.11 * step + _FIELD_SEED * 1e-3
     field = (
         np.sin(2 * np.pi * (xx + phase))
         * np.cos(2 * np.pi * yy)
@@ -132,7 +135,6 @@ class Pixie3DApplication:
         config: Optional[Pixie3DConfig] = None,
         *,
         scheduler: Optional[MovementScheduler] = None,
-        runner: Optional[InComputeNodeRunner] = None,
         staging_steal: float = 0.0,
     ):
         """``staging_steal`` models the PreDatA compute-node runtime
@@ -147,7 +149,6 @@ class Pixie3DApplication:
         self.transport = transport
         self.config = config or Pixie3DConfig()
         self.scheduler = scheduler
-        self.runner = runner
         self.staging_steal = staging_steal
         self.metrics: dict[int, Pixie3DMetrics] = {}
         self.group = pixie3d_group()
@@ -163,7 +164,7 @@ class Pixie3DApplication:
         values = {}
         chunks = {}
         for vi, var in enumerate(PIXIE3D_VARS):
-            values[var] = _smooth_field(rank, nprocs, n, vi, step, cfg.seed)
+            values[var] = _smooth_field(rank, nprocs, n, vi, step)
             chunks[var] = ChunkMeta((gx, n, n), (lo, 0, 0))
         return OutputStep(
             group=self.group,
@@ -193,7 +194,7 @@ class Pixie3DApplication:
             for _ in range(cfg.collective_rounds_per_iteration):
                 t0 = env.now
                 yield env.timeout(
-                    cfg.compute_seconds_between_collectives
+                    COMPUTE_SECONDS_BETWEEN_COLLECTIVES
                     * (1.0 + self.staging_steal)
                 )
                 m.compute += env.now - t0
@@ -210,10 +211,6 @@ class Pixie3DApplication:
 
             if (it + 1) % cfg.iterations_per_dump == 0:
                 step = self.make_step(comm.rank, dump)
-                if self.runner is not None:
-                    t0 = env.now
-                    yield from self.runner.run_step(comm, step)
-                    m.operations += env.now - t0
                 t0 = env.now
                 yield from self.transport.write_step(comm, step)
                 m.io_blocking += env.now - t0

@@ -18,12 +18,7 @@ Three independent pillars, usable as a library, a pytest plugin
 """
 
 from repro.check.fingerprint import digest_value, result_fingerprint
-from repro.check.fuzzer import (
-    FuzzReport,
-    FuzzRun,
-    ScheduleFuzzer,
-    fuzz_schedule,
-)
+from repro.check.fuzzer import FuzzReport, FuzzRun, ScheduleFuzzer
 from repro.check.invariants import Checker, InvariantViolation
 from repro.check.oracle import OracleResult, check_workload, run_differential
 from repro.check.stream import StreamChecker
@@ -50,7 +45,6 @@ __all__ = [
     "WorkloadRun",
     "check_workload",
     "digest_value",
-    "fuzz_schedule",
     "make_operators",
     "minimized_trace_diff",
     "result_fingerprint",

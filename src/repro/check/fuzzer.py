@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from repro.check.trace import ScheduleTrace, minimized_trace_diff
 from repro.sim import SeededTieBreaker, TieBreaker
 
-__all__ = ["FuzzRun", "FuzzReport", "ScheduleFuzzer", "fuzz_schedule"]
+__all__ = ["FuzzRun", "FuzzReport", "ScheduleFuzzer"]
 
 #: ``runner(tie_breaker, schedule_trace) -> result fingerprint`` —
 #: builds a fresh engine + workload per call, threading both hooks in.
@@ -89,14 +89,10 @@ class ScheduleFuzzer:
         Callable building and running a *fresh* workload; receives the
         tie-breaker (None for the baseline) and a ScheduleTrace to
         attach, returns the run's result fingerprint.
-    keep_traces:
-        Retain full event traces on each FuzzRun (needed for diffs;
-        turn off to bound memory on very long runs).
     """
 
-    def __init__(self, runner: Runner, *, keep_traces: bool = True):
+    def __init__(self, runner: Runner):
         self.runner = runner
-        self.keep_traces = keep_traces
 
     def _one(self, seed: Optional[int]) -> FuzzRun:
         trace = ScheduleTrace()
@@ -107,7 +103,7 @@ class ScheduleFuzzer:
             result_hash=result_hash,
             schedule_hash=trace.schedule_hash,
             nevents=trace.count,
-            trace=trace.events if self.keep_traces else [],
+            trace=trace.events,
         )
 
     def run(self, n: int, *, base_seed: int = 0) -> FuzzReport:
@@ -132,8 +128,3 @@ class ScheduleFuzzer:
                     f"{baseline.result_hash[:16]}...\n{diff}"
                 )
         return FuzzReport(baseline=baseline, runs=runs, divergences=divergences)
-
-
-def fuzz_schedule(runner: Runner, n: int, *, base_seed: int = 0) -> FuzzReport:
-    """One-shot convenience wrapper around :class:`ScheduleFuzzer`."""
-    return ScheduleFuzzer(runner).run(n, base_seed=base_seed)

@@ -17,7 +17,7 @@ seeded workloads and returns one :class:`OracleResult` per
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -279,15 +279,10 @@ def check_workload(run: WorkloadRun) -> OracleResult:
     return OracleResult(run.kind, run.seed, True)
 
 
-def run_differential(
-    seeds: tuple = (1, 2, 3),
-    kinds: Optional[Iterable[str]] = None,
-    **workload_kwargs,
-) -> list[OracleResult]:
+def run_differential(seeds: tuple = (1, 2, 3)) -> list[OracleResult]:
     """Run every oracle on every seed; returns all results (no raise)."""
-    out = []
-    for kind in kinds or OPERATOR_KINDS:
-        for seed in seeds:
-            run = run_workload(kind, seed=seed, **workload_kwargs)
-            out.append(check_workload(run))
-    return out
+    return [
+        check_workload(run_workload(kind, seed=seed))
+        for kind in OPERATOR_KINDS
+        for seed in seeds
+    ]

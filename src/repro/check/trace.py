@@ -21,9 +21,13 @@ reordered event instead of two full event logs.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 __all__ = ["ScheduleTrace", "minimized_trace_diff"]
+
+#: cap on the event tuples a :class:`ScheduleTrace` retains
+MAX_EVENTS = 200_000
+#: events :func:`minimized_trace_diff` renders per side
+_MAX_DIFF_LINES = 40
 
 
 def _label(event) -> str:
@@ -41,16 +45,11 @@ def _label(event) -> str:
 class ScheduleTrace:
     """Records event pops; exposes the executed-schedule hash.
 
-    Parameters
-    ----------
-    max_events:
-        Cap on retained ``(time, priority, label)`` tuples (the hash
-        and the pop counter always cover the full run).  ``None``
-        keeps everything — fine for the small fuzz workloads.
+    At most :data:`MAX_EVENTS` ``(time, priority, label)`` tuples are
+    retained; the hash and the pop counter always cover the full run.
     """
 
-    def __init__(self, max_events: Optional[int] = 200_000):
-        self.max_events = max_events
+    def __init__(self):
         self.events: list[tuple[float, int, str]] = []
         self.count = 0
         self._hash = hashlib.sha256()
@@ -60,7 +59,7 @@ class ScheduleTrace:
         label = _label(event)
         self._hash.update(f"{t:.9f}|{priority}|{label};".encode())
         self.count += 1
-        if self.max_events is None or len(self.events) < self.max_events:
+        if len(self.events) < MAX_EVENTS:
             self.events.append((t, priority, label))
 
     @property
@@ -85,7 +84,6 @@ def minimized_trace_diff(
     b: list[tuple[float, int, str]],
     *,
     context: int = 3,
-    max_lines: int = 40,
     names: tuple[str, str] = ("baseline", "perturbed"),
 ) -> str:
     """Minimal window where two event traces diverge, with context.
@@ -116,12 +114,12 @@ def minimized_trace_diff(
     shared = a[max(0, lo - context) : lo]
     for e in shared:
         lines.append(f"  {_fmt(e)}")
-    for e in a_win[len(shared) : len(shared) + max_lines]:
+    for e in a_win[len(shared) : len(shared) + _MAX_DIFF_LINES]:
         lines.append(f"- [{names[0]}] {_fmt(e)}")
-    if len(a_win) - len(shared) > max_lines:
-        lines.append(f"- [{names[0]}] ... {len(a_win) - len(shared) - max_lines} more")
-    for e in b_win[len(shared) : len(shared) + max_lines]:
+    if len(a_win) - len(shared) > _MAX_DIFF_LINES:
+        lines.append(f"- [{names[0]}] ... {len(a_win) - len(shared) - _MAX_DIFF_LINES} more")
+    for e in b_win[len(shared) : len(shared) + _MAX_DIFF_LINES]:
         lines.append(f"+ [{names[1]}] {_fmt(e)}")
-    if len(b_win) - len(shared) > max_lines:
-        lines.append(f"+ [{names[1]}] ... {len(b_win) - len(shared) - max_lines} more")
+    if len(b_win) - len(shared) > _MAX_DIFF_LINES:
+        lines.append(f"+ [{names[1]}] ... {len(b_win) - len(shared) - _MAX_DIFF_LINES} more")
     return "\n".join(lines)

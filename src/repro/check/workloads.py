@@ -60,6 +60,13 @@ OPERATOR_KINDS = (
 #: operator kinds that consume the field (global-array) workload
 FIELD_KINDS = frozenset({"array_merge"})
 
+#: the synthetic inputs of :func:`run_workload`: particle rows per rank,
+#: field-slab edge per rank, logical volume scale, seconds between dumps
+ROWS = 40
+LOCAL_N = 4
+SCALE = 10.0
+IO_INTERVAL = 2.0
+
 
 def particle_step(rank, nprocs, rows, step=0, scale=1.0, seed=0):
     """Synthetic out-of-order GTC particles for one rank."""
@@ -94,7 +101,7 @@ def field_step(rank, nprocs, local_n, step=0, scale=1.0, seed=0):
     )
 
 
-def make_operators(kind: str, *, bins: int = 16) -> list:
+def make_operators(kind: str) -> list:
     """One built-in operator instance for *kind* (a fresh object)."""
     from repro.operators import (
         ArrayMergeOperator,
@@ -111,13 +118,13 @@ def make_operators(kind: str, *, bins: int = 16) -> list:
     if kind == "minmax":
         return [MinMaxOperator("electrons")]
     if kind == "histogram":
-        return [HistogramOperator("electrons", column=1, bins=bins)]
+        return [HistogramOperator("electrons", column=1, bins=16)]
     if kind == "histogram2d":
         return [Histogram2DOperator("electrons", columns=(1, 2), bins=(8, 8))]
     if kind == "sort":
         return [SampleSortOperator("electrons", key_column=0, samples_per_rank=8)]
     if kind == "bitmap":
-        return [BitmapIndexOperator("electrons", column=2, bins=bins)]
+        return [BitmapIndexOperator("electrons", column=2, bins=16)]
     if kind == "array_merge":
         return [ArrayMergeOperator(["rho"])]
     if kind == "filter":
@@ -147,9 +154,9 @@ class WorkloadRun:
     visible: dict = field(default_factory=dict)
     nprocs: int = 0
 
-    def results(self, op_index: int = 0) -> dict:
-        """``{step: {rank: finalize output}}`` for one operator."""
-        return self.predata.service.results[self.operators[op_index].name]
+    def results(self) -> dict:
+        """``{step: {rank: finalize output}}`` of the workload's operator."""
+        return self.predata.service.results[self.operators[0].name]
 
 
 def run_workload(
@@ -157,30 +164,24 @@ def run_workload(
     *,
     seed: int = 0,
     nprocs: int = 8,
-    rows: int = 40,
-    local_n: int = 4,
     nsteps: int = 1,
-    scale: float = 10.0,
     nstaging_nodes: int = 1,
-    procs_per_staging_node: int = 2,
-    io_interval: float = 2.0,
-    operators: Optional[list] = None,
     make_step: Optional[Callable] = None,
     tie_breaker=None,
     schedule_trace=None,
     check=None,
     flow=None,
-    resilience=None,
-    fetch_pipeline_depth: int = 2,
 ) -> WorkloadRun:
     """Run one seeded end-to-end Staging pipeline to completion.
 
+    ``make_step(rank, step)`` replaces the seeded synthetic inputs
+    (:data:`ROWS` particle rows or a :data:`LOCAL_N`-cube field slab
+    per rank, at logical volume :data:`SCALE`).
     ``tie_breaker``/``schedule_trace``/``check`` thread straight to the
     engine (all default off, keeping the run byte-identical with the
-    plain pipeline); ``flow``/``resilience`` are the usual facade
-    configs.
+    plain pipeline); ``flow`` is the usual facade config.
     """
-    ops = operators if operators is not None else make_operators(kind)
+    ops = make_operators(kind)
     eng = Engine(tie_breaker=tie_breaker)
     if schedule_trace is not None:
         eng.schedule_trace = schedule_trace
@@ -193,7 +194,7 @@ def run_workload(
         list(range(nprocs)),
         name="app",
         node_lookup=machine.node,
-        wire_scale=scale,
+        wire_scale=SCALE,
     )
     group = FIELD_GROUP if kind in FIELD_KINDS else PARTICLE_GROUP
     predata = PreDatA(
@@ -203,22 +204,19 @@ def run_workload(
         ops,
         ncompute_procs=nprocs,
         nsteps=nsteps,
-        procs_per_staging_node=procs_per_staging_node,
-        volume_scale=scale,
+        volume_scale=SCALE,
         flow=flow,
-        resilience=resilience,
-        fetch_pipeline_depth=fetch_pipeline_depth,
     )
     predata.start()
 
     if make_step is None:
         if kind in FIELD_KINDS:
             make_step = lambda rank, s: field_step(  # noqa: E731
-                rank, nprocs, local_n, step=s, scale=scale, seed=seed
+                rank, nprocs, LOCAL_N, step=s, scale=SCALE, seed=seed
             )
         else:
             make_step = lambda rank, s: particle_step(  # noqa: E731
-                rank, nprocs, rows, step=s, scale=scale, seed=seed
+                rank, nprocs, ROWS, step=s, scale=SCALE, seed=seed
             )
 
     run = WorkloadRun(
@@ -243,7 +241,7 @@ def run_workload(
                 run.chunks[(comm.rank, s)] = dict(step.chunks)
             t = yield from predata.transport.write_step(comm, step)
             total += t
-            yield from comm.sleep(io_interval)
+            yield from comm.sleep(IO_INTERVAL)
         run.visible[comm.rank] = total
 
     app_world.spawn(app_main)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.placement import OfflineCostModel
+from repro.core.staging import StagingConfig
 from repro.machine.machine import Machine
 
 __all__ = ["OperatorProfile", "PlacementEstimate", "PlacementAdvisor"]
@@ -80,7 +81,6 @@ class PlacementAdvisor:
         bytes_per_proc: float,
         io_interval: float,
         staging_procs: int = 0,
-        staging_threads: int = 4,
         fetch_rate_cap: Optional[float] = None,
     ):
         if nprocs < 1 or bytes_per_proc <= 0 or io_interval <= 0:
@@ -90,7 +90,6 @@ class PlacementAdvisor:
         self.bytes_per_proc = bytes_per_proc
         self.io_interval = io_interval
         self.staging_procs = staging_procs
-        self.staging_threads = staging_threads
         self.fetch_rate_cap = fetch_rate_cap
         self.total_bytes = nprocs * bytes_per_proc
 
@@ -152,7 +151,7 @@ class PlacementAdvisor:
         rate = min(self.fetch_rate_cap or nic, nic)
         fetch = per_staging / rate
         t_map = self._compute_seconds(
-            per_staging, profile.flops_per_byte, self.staging_threads
+            per_staging, profile.flops_per_byte, StagingConfig.threads_per_process
         )
         t_mem = self._mem_seconds(per_staging, profile.membytes_factor)
         t_shuffle = self._shuffle_seconds(

@@ -4,8 +4,8 @@ Assembles the full Staging configuration on a
 :class:`~repro.machine.Machine`:
 
 - a staging :class:`~repro.mpi.World` (``procs_per_staging_node`` MPI
-  processes per staging node, each with ``threads_per_process`` worker
-  threads — the paper's 2x4 layout);
+  processes per staging node, each with four worker threads — the
+  paper's 2x4 layout);
 - the compute-node :class:`~repro.core.client.StagingClient` and its
   :class:`~repro.core.client.StagingTransport` (the ADIOS method the
   application writes through);
@@ -56,10 +56,8 @@ class PreDatA:
         ncompute_procs: int,
         nsteps: int = 1,
         procs_per_staging_node: int = 2,
-        threads_per_process: int = 4,
         volume_scale: float = 1.0,
         scheduled_movement: bool = True,
-        max_buffered_steps: int = 2,
         fetch_pipeline_depth: int = 2,
         fetch_rate_cap: Optional[float] = None,
         route: Optional[Callable[[int, int, int], int]] = None,
@@ -119,7 +117,6 @@ class PreDatA:
             staging_nodes=staging_rank_nodes,
             scheduler=self.scheduler,
             route=route,
-            max_buffered_steps=max_buffered_steps,
             fetch_rate_cap=fetch_rate_cap,
             resilient=resilience is not None,
             tenant=tenant,
@@ -129,11 +126,7 @@ class PreDatA:
             self.flow = flow
         elif flow is not None:
             self.flow = FlowControl(
-                env,
-                machine,
-                flow,
-                staging_rank_nodes=staging_rank_nodes,
-                fetch_rate_cap=fetch_rate_cap,
+                env, machine, flow, staging_rank_nodes=staging_rank_nodes
             )
         if self.flow is not None:
             self.client.flow = self.flow
@@ -154,7 +147,6 @@ class PreDatA:
             group,
             self.operators,
             StagingConfig(
-                threads_per_process=threads_per_process,
                 fetch_pipeline_depth=fetch_pipeline_depth,
                 nsteps=nsteps,
                 chunk_order=chunk_order,

@@ -183,6 +183,10 @@ class OfflineEstimate:
         return self.read_seconds + self.process_seconds + self.write_seconds
 
 
+#: share of the file system an offline analysis job sustains
+AVAILABLE_FRACTION = 0.25
+
+
 class OfflineCostModel:
     """Analytic model of the §V.B.3 offline alternative.
 
@@ -191,25 +195,17 @@ class OfflineCostModel:
     not reduce the data (sorting, layout reorganisation) — writes an
     equivalent volume back, tripling disk-controller traffic.
 
-    ``available_fraction`` is the share of the shared file system an
-    offline analysis job actually sustains: it competes with the
+    :data:`AVAILABLE_FRACTION` is the share of the shared file system
+    an offline analysis job actually sustains: it competes with the
     simulation's own dumps and every other job on the machine (the
     reason the paper estimates "hundreds of seconds" for a 1 TB step).
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        n_analysis_cores: int = 512,
-        available_fraction: float = 0.25,
-    ):
+    def __init__(self, machine: Machine, n_analysis_cores: int = 512):
         if n_analysis_cores < 1:
             raise ValueError("need at least one analysis core")
-        if not 0 < available_fraction <= 1:
-            raise ValueError("available_fraction must be in (0, 1]")
         self.machine = machine
         self.n_analysis_cores = n_analysis_cores
-        self.available_fraction = available_fraction
 
     def estimate(
         self,
@@ -226,7 +222,7 @@ class OfflineCostModel:
         )
         stream = (
             min(fs.aggregate_bandwidth, fs.client_bandwidth * nclients)
-            * self.available_fraction
+            * AVAILABLE_FRACTION
         )
         read_s = data_bytes / stream
         flops = data_bytes * flops_per_byte

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 from typing import Generator, Optional
 
-from repro.core.accounting import RankLedger
 from repro.sim.engine import Engine, Event, Process
 
 __all__ = ["MovementScheduler"]
@@ -59,9 +58,8 @@ class MovementScheduler:
         self.env = env
         self.enabled = enabled
         self.max_defer = max_defer
-        #: per-node comm-phase nesting depth, numpy-backed (100k-node
-        #: weak-scaling runs hammer this on every fetch admission)
-        self._depth = RankLedger(dtype="int64")
+        #: per-node comm-phase nesting depth
+        self._depth: dict[int, int] = {}
         #: per-node waiter heaps [(deadline, seq, event)]
         self._waiters: dict[int, list[tuple[float, int, Event]]] = {}
         self._timers: dict[int, Process] = {}
@@ -78,7 +76,7 @@ class MovementScheduler:
     # -- application side ---------------------------------------------------
     def enter_comm_phase(self, node_id: int) -> None:
         """Mark *node_id* as inside a communication phase."""
-        self._depth.add(node_id, 1)
+        self._depth[node_id] = self._depth.get(node_id, 0) + 1
 
     def exit_comm_phase(self, node_id: int) -> None:
         """Mark the end of a communication phase on *node_id*."""
@@ -86,7 +84,7 @@ class MovementScheduler:
         if depth <= 0:
             raise RuntimeError(f"exit_comm_phase without enter on node {node_id}")
         depth -= 1
-        self._depth.add(node_id, -1)
+        self._depth[node_id] = depth
         if depth == 0:
             waiters = self._waiters.get(node_id)
             if waiters:

@@ -39,6 +39,9 @@ from repro.sim.engine import Engine, Event
 
 __all__ = ["Region", "DSQueryStats", "DataSpaces"]
 
+#: discovery round-trips on a client's first query
+_SETUP_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class Region:
@@ -205,7 +208,6 @@ class DataSpaces:
     server_nodes: machine node id per DataSpaces server process.
     blocks_per_server: index granularity.
     hash_seconds_per_block: index-hash cost charged per block touched.
-    setup_rounds: discovery round-trips on a client's first query.
     """
 
     def __init__(
@@ -216,7 +218,6 @@ class DataSpaces:
         *,
         blocks_per_server: int = 8,
         hash_seconds_per_block: float = 2e-5,
-        setup_rounds: int = 3,
         wire_scale: float = 1.0,
         serve_bandwidth: float | None = None,
         setup_server_seconds: float = 0.0,
@@ -251,7 +252,6 @@ class DataSpaces:
         self.server_nodes = list(server_nodes)
         self.blocks_per_server = blocks_per_server
         self.hash_seconds_per_block = hash_seconds_per_block
-        self.setup_rounds = setup_rounds
         self.wire_scale = wire_scale
         self.serve_bandwidth = serve_bandwidth
         self.setup_server_seconds = setup_server_seconds
@@ -406,7 +406,7 @@ class DataSpaces:
             # one-time discovery: metadata exchange round-trips plus
             # registration work on the bootstrap server; concurrent
             # first-time clients serialise on its cores.
-            for _ in range(self.setup_rounds):
+            for _ in range(_SETUP_ROUNDS):
                 yield from self.machine.network.transfer(client_node, self.server_nodes[0], 512.0)
                 yield from self.machine.network.transfer(self.server_nodes[0], client_node, 4096.0)
             if self.setup_server_seconds > 0:

@@ -33,7 +33,7 @@ from repro.adios.bp import BPFile, BPWriter
 from repro.adios.group import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.io import SyncMPIIO
 from repro.core import PreDatA
-from repro.experiments.cli import add_flow_argument, add_trace_argument, command_parser
+from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
 from repro.faults import FaultInjector, ResilienceConfig
 from repro.flow import FlowConfig
@@ -50,6 +50,11 @@ FIELD_GROUP = GroupDef(
     "fields",
     (VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=3),),
 )
+
+#: simulated seconds between dumps, and when the staging node is killed:
+#: 0.2 s into step 1
+IO_INTERVAL = 2.0
+CRASH_T = 1 * IO_INTERVAL + 0.2
 
 
 def _expected_field(nprocs: int, local_n: int, step: int) -> np.ndarray:
@@ -85,7 +90,6 @@ class ChaosRun:
     nsteps: int
     injected: bool
     killed_node: int
-    crash_seconds: float
     wall_seconds: float
     complete: bool
     missing_steps: list[int]
@@ -103,9 +107,7 @@ class ChaosRun:
     flow_spill_bytes: float = 0.0
     flow_unspill_bytes: float = 0.0
     flow_mean_sojourn: float = 0.0
-    flow_rejections: int = 0
     flow_overflow_steps: int = 0
-    flow_pool_waits: int = 0
 
 
 @dataclass
@@ -122,7 +124,6 @@ class ChaosResult:
     fetch_retries: int
     degraded_steps: int
     complete: bool
-    baseline_seconds: float
     wall_seconds: float
     overhead_fraction: float
 
@@ -134,20 +135,14 @@ def run_once(
     nsteps: int = 4,
     local_n: int = 8,
     per_logical_rank_mb: float = 0.5,
-    io_interval: float = 2.0,
     nstaging_nodes: int = 2,
-    procs_per_staging_node: int = 2,
     inject: bool = True,
-    kill_step: int = 1,
-    kill_offset: float = 0.2,
     seed: int = 7,
     resilience: ResilienceConfig | None = None,
     make_injector: bool = True,
     obs=None,
-    flow: FlowConfig | None = None,
     flow_fraction: float | None = None,
     fetch_pipeline_depth: int = 2,
-    tie_breaker=None,
     schedule_trace=None,
     check=None,
     stream_bridge=None,
@@ -160,7 +155,8 @@ def run_once(
     logical ones: each carries its share of the logical dump volume
     (``per_logical_rank_mb`` MB per logical rank) as wire/memory
     inflation, so fetch and shuffle take realistic simulated time and
-    the kill genuinely lands inside an in-flight step.
+    the kill genuinely lands inside an in-flight step (:data:`CRASH_T`,
+    0.2 s into step 1 of dumps :data:`IO_INTERVAL` apart).
 
     ``inject=False`` runs the *identical* configuration (same seed,
     same injector object constructed) with every injection disabled —
@@ -171,15 +167,15 @@ def run_once(
     :class:`repro.obs.Observability` sink to the run's engine so the
     crash/detection/recovery protocol shows up as trace instants.
 
-    ``flow`` / ``flow_fraction`` enable the flow-control subsystem:
-    ``flow_fraction=f`` caps each staging node's buffer pool at ``f``
-    times its per-step working set.  ``fetch_pipeline_depth`` is
+    ``flow_fraction=f`` enables the flow-control subsystem with each
+    staging node's buffer pool capped at ``f`` times its per-step
+    working set.  ``fetch_pipeline_depth`` is
     forwarded to the staging service (deeper pipelines buffer more
     chunks concurrently, exercising spill under a capped pool).
 
-    ``tie_breaker``/``schedule_trace``/``check`` are the verification
-    subsystem's engine hooks (see :mod:`repro.check`); all default off
-    and leave the run byte-identical.
+    ``schedule_trace``/``check`` are the verification subsystem's
+    engine hooks (see :mod:`repro.check`); both default off and leave
+    the run byte-identical.
 
     ``stream_bridge`` attaches a :class:`repro.stream.StreamBridge` to
     the staging service's commit hook — a pure synchronous recorder,
@@ -194,7 +190,7 @@ def run_once(
     ``topology`` is forwarded to :class:`~repro.machine.Machine`
     (regional scenarios pass a ``RegionalTopology`` factory).
     """
-    eng = Engine(tie_breaker=tie_breaker)
+    eng = Engine()
     if schedule_trace is not None:
         eng.schedule_trace = schedule_trace
     if check is not None:
@@ -214,8 +210,8 @@ def run_once(
     writer = BPWriter("merged.bp", FIELD_GROUP)
     op = ArrayMergeOperator(["rho"], out_group=FIELD_GROUP, writer=writer)
     fallback = SyncMPIIO(machine.filesystem)
-    flow_cfg = flow
-    if flow_cfg is None and flow_fraction is not None:
+    flow_cfg = None
+    if flow_fraction is not None:
         # one step's logical bytes landing on each staging node
         working_set = rep_ranks * real_bytes * scale / nstaging_nodes
         flow_cfg = FlowConfig(pool_bytes=flow_fraction * working_set)
@@ -226,7 +222,6 @@ def run_once(
         [op],
         ncompute_procs=rep_ranks,
         nsteps=nsteps,
-        procs_per_staging_node=procs_per_staging_node,
         volume_scale=scale,
         fetch_pipeline_depth=fetch_pipeline_depth,
         resilience=resilience or ResilienceConfig(),
@@ -235,13 +230,12 @@ def run_once(
     )
     if stream_bridge is not None:
         stream_bridge.attach(predata.service)
-    crash_t = kill_step * io_interval + kill_offset
     injector = None
     killed = -1
     if make_injector:
         injector = FaultInjector(eng, machine, seed=seed, enabled=inject)
         injector.arm(predata.client)
-        killed = injector.crash_staging_node(at=crash_t)
+        killed = injector.crash_staging_node(at=CRASH_T)
     if scenario_harness is not None:
         scenario_harness.attach(eng, machine, predata, nsteps=nsteps)
 
@@ -260,7 +254,7 @@ def run_once(
         for s in range(nsteps):
             step = _field_step(comm.rank, rep_ranks, local_n, s, scale)
             yield from predata.transport.write_step(comm, step)
-            yield from comm.sleep(io_interval)
+            yield from comm.sleep(IO_INTERVAL)
 
     app.spawn(app_main)
     eng.run()
@@ -295,8 +289,8 @@ def run_once(
             if restart_step is not None
             else None
         )
-        if commit is not None and commit > crash_t:
-            recovery = commit - crash_t
+        if commit is not None and commit > CRASH_T:
+            recovery = commit - CRASH_T
     fc = predata.flow
     return ChaosRun(
         logical_ranks=logical_ranks,
@@ -304,7 +298,6 @@ def run_once(
         nsteps=nsteps,
         injected=inject,
         killed_node=killed,
-        crash_seconds=crash_t,
         wall_seconds=wall,
         complete=not missing,
         missing_steps=missing,
@@ -321,11 +314,7 @@ def run_once(
         flow_spill_bytes=fc.spill_bytes() if fc else 0.0,
         flow_unspill_bytes=fc.unspill_bytes() if fc else 0.0,
         flow_mean_sojourn=fc.mean_sojourn() if fc else 0.0,
-        flow_rejections=fc.rejections() if fc else 0,
         flow_overflow_steps=predata.transport.overflow_steps,
-        flow_pool_waits=(
-            sum(p.waits for p in fc.pools.values()) if fc else 0
-        ),
     )
 
 
@@ -392,17 +381,12 @@ def fingerprint(run: ChaosRun) -> str:
     return h.hexdigest()
 
 
-def run_chaos(
-    logical_ranks_list: list[int] | None = None,
-    *,
-    seed: int = 7,
-    **kwargs,
-) -> list[ChaosResult]:
-    """Fault run + no-fault baseline at each logical scale."""
+def run_chaos(**kwargs) -> list[ChaosResult]:
+    """Fault run + no-fault baseline at 512, 1024 and 2048 logical ranks."""
     rows = []
-    for logical in logical_ranks_list or [512, 1024, 2048]:
-        fault = run_once(logical_ranks=logical, inject=True, seed=seed, **kwargs)
-        base = run_once(logical_ranks=logical, inject=False, seed=seed, **kwargs)
+    for logical in (512, 1024, 2048):
+        fault = run_once(logical_ranks=logical, inject=True, **kwargs)
+        base = run_once(logical_ranks=logical, inject=False, **kwargs)
         overhead = (
             (fault.wall_seconds - base.wall_seconds) / base.wall_seconds
             if base.wall_seconds > 0
@@ -420,7 +404,6 @@ def run_chaos(
                 fetch_retries=fault.fetch_retries,
                 degraded_steps=fault.degraded_steps,
                 complete=fault.complete,
-                baseline_seconds=base.wall_seconds,
                 wall_seconds=fault.wall_seconds,
                 overhead_fraction=overhead,
             )
@@ -493,8 +476,16 @@ def main(
 def cli(argv: list[str] | None = None) -> None:
     """``python -m repro chaos``: parse the flags, run :func:`main`."""
     p = command_parser("chaos", "Chaos: staging-node crash recovery")
-    add_trace_argument(p, "chaos")
-    add_flow_argument(p)
+    p.add_argument(
+        "--trace", nargs="?", const="chaos_trace.json", default=None, metavar="PATH",
+        help="write a Chrome trace (default PATH: chaos_trace.json) "
+             "plus a .jsonl sidecar and a metrics summary",
+    )
+    p.add_argument(
+        "--flow", nargs="?", const=0.25, default=None, type=float, metavar="FRACTION",
+        help="enable flow control; cap each staging node's buffer pool "
+             "at FRACTION of its per-step working set (default 0.25)",
+    )
     a = p.parse_args(argv)
     main(trace=a.trace, flow_fraction=a.flow)
 

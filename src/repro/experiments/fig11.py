@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.pixie3d import PIXIE3D_VARS, Pixie3DConfig
+from repro.apps.pixie3d import PIXIE3D_VARS
 from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_seconds, format_table
 from repro.experiments.runner import run_pixie3d
@@ -56,10 +56,16 @@ class Fig11Result:
     rep_extents_merged: int
 
 
-def _model_read(
-    extents: int, nbytes: float, nclients: int = 1, stripes: int = None
-) -> float:
-    """Price one array read against a fresh XT4 file-system model.
+#: file geometry of the paper's 4096-core runs: one writer per core
+#: unmerged; 128:1 staging ratio, 2 procs/staging node -> 32 writers merged
+WRITERS_LOGICAL = 4096
+STAGING_PROCS_LOGICAL = 32
+#: production local block edge (32^3 cells per process and variable)
+LOCAL_SIZE = 32
+
+
+def _model_read(extents: int, nbytes: float, stripes: int = None) -> float:
+    """Price one client's array read against a fresh XT4 file-system model.
 
     A merged file's few large contiguous chunks stream from many OSTs
     concurrently (wide effective striping); an unmerged file's
@@ -70,10 +76,7 @@ def _model_read(
     fs = ParallelFileSystem(eng, JAGUAR_XT4.filesystem, interference=False)
 
     def reader():
-        t = yield from fs.read(
-            nbytes, nclients=nclients, extents=extents,
-            stripes=stripes, metadata_ops=1,
-        )
+        t = yield from fs.read(nbytes, extents=extents, stripes=stripes)
         return t
 
     p = eng.process(reader())
@@ -81,20 +84,11 @@ def _model_read(
     return p.value
 
 
-def run_fig11(
-    *,
-    writers_logical: int = 4096,
-    staging_procs_logical: int = 32,
-    local_size: int = 32,
-    rep_cores: int = 512,
-    nclients: int = 1,
-    functional: bool = True,
-) -> Fig11Result:
+def run_fig11(*, rep_cores: int = 512, functional: bool = True) -> Fig11Result:
     """Build the Fig. 11 comparison.
 
-    ``writers_logical`` and ``staging_procs_logical`` define the file
-    geometry of the paper's 4096-core runs (128:1 staging ratio,
-    2 procs/staging node -> 32 staging writers).
+    ``functional`` runs the representative-scale half on ``rep_cores``
+    cores; the timing half is always priced at the paper's geometry.
     """
     # ---- functional half: representative run through both transports
     identical = True
@@ -102,12 +96,12 @@ def run_fig11(
     if functional:
         ic = run_pixie3d(
             rep_cores, "incompute", collect_files=True,
-            ndumps=1, iterations_per_dump=2, collective_rounds=2,
+            iterations_per_dump=2, collective_rounds=2,
             fs_interference=False,
         )
         st = run_pixie3d(
             rep_cores, "staging", collect_files=True,
-            ndumps=1, iterations_per_dump=2, collective_rounds=2,
+            iterations_per_dump=2, collective_rounds=2,
             fs_interference=False,
         )
         unmerged, merged = ic.unmerged_file, st.merged_file
@@ -120,25 +114,23 @@ def run_fig11(
                 identical = False
 
     # ---- timing half at the paper's logical geometry
-    cfg = Pixie3DConfig(local_size=local_size)
-    array_bytes = writers_logical * local_size**3 * 8
+    array_bytes = WRITERS_LOGICAL * LOCAL_SIZE**3 * 8
     rows = []
     fs_cfg = JAGUAR_XT4.filesystem
     for var in PIXIE3D_VARS:
         t_un = _model_read(
-            writers_logical, array_bytes, nclients,
-            stripes=fs_cfg.stripe_count,
+            WRITERS_LOGICAL, array_bytes, stripes=fs_cfg.stripe_count
         )
         t_me = _model_read(
-            staging_procs_logical, array_bytes, nclients,
-            stripes=min(fs_cfg.n_osts, staging_procs_logical * 4),
+            STAGING_PROCS_LOGICAL, array_bytes,
+            stripes=min(fs_cfg.n_osts, STAGING_PROCS_LOGICAL * 4),
         )
         rows.append(
             Fig11Row(
                 var=var,
                 array_bytes=array_bytes,
-                extents_unmerged=writers_logical,
-                extents_merged=staging_procs_logical,
+                extents_unmerged=WRITERS_LOGICAL,
+                extents_merged=STAGING_PROCS_LOGICAL,
                 read_unmerged=t_un,
                 read_merged=t_me,
             )

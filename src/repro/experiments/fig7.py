@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.cli import add_flow_argument, add_trace_argument, command_parser
+from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_seconds, format_table
 from repro.experiments.runner import FAST_FIG7, gtc_scales, run_gtc
 
@@ -84,24 +84,8 @@ def run_fig7(
     return rows
 
 
-def main(
-    scales: list[int] | None = None,
-    trace: str | None = None,
-    **run_kwargs,
-) -> str:
-    """Print the Fig. 7 series; returns the formatted text.
-
-    ``trace``: path of a Chrome ``trace_event`` JSON file to write
-    (viewable at https://ui.perfetto.dev); every run's pipeline phases
-    become one track group, a ``.jsonl`` sidecar carries the raw spans,
-    and the metrics summary table is appended to the output.
-    """
-    obs = None
-    if trace is not None:
-        from repro.obs import Observability
-
-        obs = Observability(label="fig7")
-        run_kwargs = dict(run_kwargs, obs=obs)
+def main(scales: list[int] | None = None, **run_kwargs) -> str:
+    """Print the Fig. 7 series; returns the formatted text."""
     blocks = []
     for op in OPERATIONS:
         rows = run_fig7(op, scales, **run_kwargs)
@@ -124,24 +108,16 @@ def main(
             title=f"Fig. 7 — {op} operation (In-Compute-Node vs Staging)",
         )
         blocks.append(table)
-    if obs is not None:
-        blocks.append(obs.report(trace, "Fig. 7 metrics"))
     text = "\n\n".join(blocks)
     print(text)
     return text
 
 
 def cli(argv: list[str] | None = None) -> None:
-    """``python -m repro fig7``: parse the flags, run :func:`main`."""
+    """``python -m repro fig7``: parse ``--fast``, run :func:`main`."""
     p = command_parser("fig7", "Fig. 7 — individual operations")
-    add_trace_argument(p, "fig7")
     p.add_argument("--fast", action="store_true", help="trimmed runs")
-    add_flow_argument(p)
-    a = p.parse_args(argv)
-    kw = dict(FAST_FIG7) if a.fast else {}
-    if a.flow is not None:
-        kw["flow_fraction"] = a.flow
-    main(trace=a.trace, **kw)
+    main(**(FAST_FIG7 if p.parse_args(argv).fast else {}))
 
 
 if __name__ == "__main__":

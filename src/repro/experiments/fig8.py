@@ -55,8 +55,6 @@ def run_fig8(
     scales: list[int] | None = None,
     *,
     ndumps: int = 2,
-    iterations_per_dump: int = 4,
-    compute_seconds_per_iteration: float = 27.0,
     **run_kwargs,
 ) -> list[Fig8Row]:
     """Run GTC at each scale in both configurations (all operations)."""
@@ -66,16 +64,12 @@ def run_fig8(
             cores, "incompute", "all",
             operators_factory=_all_operations,
             ndumps=ndumps,
-            iterations_per_dump=iterations_per_dump,
-            compute_seconds_per_iteration=compute_seconds_per_iteration,
             **run_kwargs,
         )
         st = run_gtc(
             cores, "staging", "all",
             operators_factory=_all_operations,
             ndumps=ndumps,
-            iterations_per_dump=iterations_per_dump,
-            compute_seconds_per_iteration=compute_seconds_per_iteration,
             **run_kwargs,
         )
         im, sm = ic.metrics, st.metrics

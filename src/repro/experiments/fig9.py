@@ -34,6 +34,8 @@ __all__ = ["Fig9Row", "run_fig9", "main", "cli"]
 ROWS_PER_CORE_LOGICAL = 100_000
 FUNCTIONAL_ROWS_PER_CORE = 64
 N_QUERIES = 11
+#: per-cell cost of inserting the sorted domain into the index
+INDEX_SECONDS_PER_CELL = 1.2e-8
 
 
 @dataclass
@@ -49,20 +51,12 @@ class Fig9Row:
     all_queries_seconds: float  # wall time until every core finished
 
 
-def run_fig9(
-    n_query_cores_list: list[int] | None = None,
-    *,
-    index_seconds_per_cell: float = 1.2e-8,
-    seed: int = 3,
-) -> list[Fig9Row]:
+def run_fig9(n_query_cores_list: list[int] | None = None) -> list[Fig9Row]:
     """Run the DataSpaces experiment for each querying-core count."""
-    rows = []
-    for q in n_query_cores_list or [32, 64, 128, 256]:
-        rows.append(_one_scale(q, index_seconds_per_cell, seed))
-    return rows
+    return [_one_scale(q) for q in n_query_cores_list or [32, 64, 128, 256]]
 
 
-def _one_scale(q: int, index_seconds_per_cell: float, seed: int) -> Fig9Row:
+def _one_scale(q: int) -> Fig9Row:
     nservers = max(4, q // 8)
     eng = Engine()
     machine = Machine(
@@ -90,7 +84,7 @@ def _one_scale(q: int, index_seconds_per_cell: float, seed: int) -> Fig9Row:
     )
     rows_func = q * FUNCTIONAL_ROWS_PER_CORE
     ds.declare("particles", (rows_func, 256))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     domain = rng.random((rows_func, 256))
 
     # ---- indexing: each server inserts its slice of the sorted data
@@ -108,7 +102,7 @@ def _one_scale(q: int, index_seconds_per_cell: float, seed: int) -> Fig9Row:
         )
         # per-entry index insertion cost at logical scale
         cells_logical = (hi - lo) * 256 * wire_scale
-        yield eng.timeout(cells_logical * index_seconds_per_cell / nservers)
+        yield eng.timeout(cells_logical * INDEX_SECONDS_PER_CELL / nservers)
         index_done[server] = eng.now
 
     t_index_start = eng.now
@@ -160,9 +154,9 @@ def _one_scale(q: int, index_seconds_per_cell: float, seed: int) -> Fig9Row:
     )
 
 
-def main(n_query_cores_list: list[int] | None = None, **kw) -> str:
+def main(n_query_cores_list: list[int] | None = None) -> str:
     """Print the Fig. 9 table; returns the formatted text."""
-    rows = run_fig9(n_query_cores_list, **kw)
+    rows = run_fig9(n_query_cores_list)
     text = format_table(
         ["query cores", "servers", "setup", "hashing", "query",
          "indexing", "all queries done"],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.cli import add_trace_argument, command_parser
+from repro.experiments.cli import command_parser
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
@@ -40,17 +40,10 @@ class HeadlineRow:
     holds: bool
 
 
-def run_headline(*, fast: bool = False, obs=None) -> list[HeadlineRow]:
-    """Measure every §V prose claim; ``fast`` trims run lengths.
-
-    ``obs``: optional :class:`repro.obs.Observability` sink bound to
-    the direct GTC runs (the figure sub-experiments own their engines
-    and stay untraced).
-    """
+def run_headline(*, fast: bool = False) -> list[HeadlineRow]:
+    """Measure every §V prose claim; ``fast`` trims run lengths."""
     rows: list[HeadlineRow] = []
-    kw = dict(FAST_FIG7) if fast else {}
-    if obs is not None:
-        kw["obs"] = obs
+    kw = FAST_FIG7 if fast else {}
 
     # --- GTC write latency hiding at 16,384 cores
     ic = run_gtc(16384, "incompute", "sort", **kw)
@@ -197,37 +190,23 @@ def run_headline(*, fast: bool = False, obs=None) -> list[HeadlineRow]:
     return rows
 
 
-def main(trace: str | None = None, **kw) -> str:
-    """Print the headline paper-vs-measured table; returns the text.
-
-    ``trace``: path of a Chrome ``trace_event`` JSON to write for the
-    directly-run GTC experiments, plus a metrics summary table.
-    """
-    obs = None
-    if trace is not None:
-        from repro.obs import Observability
-
-        obs = Observability(label="headline")
-        kw = dict(kw, obs=obs)
+def main(**kw) -> str:
+    """Print the headline paper-vs-measured table; returns the text."""
     rows = run_headline(**kw)
     text = format_table(
         ["metric", "paper", "measured", "holds"],
         [[r.metric, r.paper, r.measured, "yes" if r.holds else "NO"] for r in rows],
         title="Headline §V numbers — paper vs measured",
     )
-    if obs is not None:
-        text += "\n\n" + obs.report(trace, "Headline metrics")
     print(text)
     return text
 
 
 def cli(argv: list[str] | None = None) -> None:
-    """``python -m repro headline``: parse the flags, run :func:`main`."""
+    """``python -m repro headline``: parse ``--fast``, run :func:`main`."""
     p = command_parser("headline", "Headline §V numbers")
-    add_trace_argument(p, "headline")
     p.add_argument("--fast", action="store_true", help="trimmed runs")
-    a = p.parse_args(argv)
-    main(trace=a.trace, fast=a.fast)
+    main(fast=p.parse_args(argv).fast)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ table; this output is the source of EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import sys
 import time
 
 from repro.experiments import fig7, fig8, fig9, fig10, fig11, headline
@@ -21,12 +20,12 @@ from repro.experiments.runner import FAST_FIG7, FAST_FIG8
 __all__ = ["run_all", "cli"]
 
 
-def run_all(fast: bool = False, out=sys.stdout) -> None:
+def run_all(fast: bool = False) -> None:
     """Run every figure experiment and the headline table in sequence."""
     t_start = time.time()
 
     def banner(name: str) -> None:
-        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}", file=out)
+        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
 
     gtc_scales = [512, 2048, 16384] if fast else [512, 1024, 2048, 4096, 8192, 16384]
 
@@ -49,8 +48,7 @@ def run_all(fast: bool = False, out=sys.stdout) -> None:
     banner("Headline §V numbers — paper vs measured")
     headline.main(fast=fast)
 
-    print(f"\n[run_all completed in {time.time() - t_start:.1f} s wall]",
-          file=out)
+    print(f"\n[run_all completed in {time.time() - t_start:.1f} s wall]")
 
 
 def cli(argv: list[str] | None = None) -> None:

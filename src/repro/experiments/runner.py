@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.adios.io import SyncMPIIO
-from repro.apps.gtc import GTC_GROUP, GTCApplication, GTCConfig, GTCMetrics
+from repro.apps.gtc import COL_LABEL, GTC_GROUP, GTCApplication, GTCConfig, GTCMetrics
 from repro.apps.pixie3d import (
     Pixie3DApplication,
     Pixie3DConfig,
@@ -25,7 +25,6 @@ from repro.apps.pixie3d import (
 from repro.core.middleware import PreDatA
 from repro.core.operator import PreDatAOperator, StepReport
 from repro.core.placement import InComputeNodeRunner, InComputeTiming
-from repro.flow import FlowConfig
 from repro.machine.machine import Machine
 from repro.machine.presets import JAGUAR_XT4, JAGUAR_XT5, MachineSpec
 from repro.mpi.world import World
@@ -55,6 +54,10 @@ __all__ = [
 FAST_FIG7 = dict(ndumps=1, iterations_per_dump=2, compute_seconds_per_iteration=10.0)
 FAST_FIG8 = dict(ndumps=1, iterations_per_dump=4, compute_seconds_per_iteration=27.0)
 
+#: pacing of the scheduled RDMA gets, bytes/s per staging process
+GTC_FETCH_RATE_CAP = 0.2e9
+PIXIE3D_FETCH_RATE_CAP = 0.1e9
+
 #: Paper scales for the GTC experiments (compute cores).
 def gtc_scales() -> list[int]:
     """The paper's GTC scales in compute cores (512..16,384)."""
@@ -67,9 +70,7 @@ def pixie3d_scales() -> list[int]:
     return [256, 512, 1024, 2048, 4096]
 
 
-def gtc_operators(
-    which: str, filesystem=None, key_column: int = 7
-) -> list[PreDatAOperator]:
+def gtc_operators(which: str, filesystem=None) -> list[PreDatAOperator]:
     """The three evaluated GTC operations (§V.B), by name.
 
     Each operation is applied to *both* particle arrays, as in the
@@ -79,7 +80,7 @@ def gtc_operators(
     species = ("electrons", "ions")
     if which == "sort":
         return [
-            SampleSortOperator(var, key_column, name=f"sort:{var}")
+            SampleSortOperator(var, COL_LABEL, name=f"sort:{var}")
             for var in species
         ]
     if which == "histogram":
@@ -115,8 +116,6 @@ class GTCRunResult:
     rep_ranks: int = 0
     visible_write_seconds: float = 0.0
     interference_pct: float = 0.0  # main-loop slowdown vs baseline
-    flow_spill_bytes: float = 0.0  # flow control: bytes spilled to FS
-    flow_mean_sojourn: float = 0.0  # flow control: mean credit wait (s)
     #: live facade of a staging run (operator results, client state) —
     #: the verification subsystem fingerprints/inspects it post-run
     predata: Any = field(default=None, repr=False)
@@ -152,50 +151,33 @@ def run_gtc(
     placement: str,
     operation: str = "sort",
     *,
-    spec: MachineSpec | None = None,
     rep_ranks: int = 64,
     ndumps: int = 2,
     iterations_per_dump: int = 4,
     compute_seconds_per_iteration: float = 27.0,
     functional_rows: int = 128,
-    fetch_rate_cap: float | None = 0.2e9,
-    scheduled: bool = True,
-    fs_interference: bool = True,
     operators_factory: Callable | None = None,
-    obs: Any | None = None,
-    flow: FlowConfig | None = None,
-    flow_fraction: float | None = None,
     tie_breaker: Any | None = None,
     schedule_trace: Any | None = None,
-    check: Any | None = None,
 ) -> GTCRunResult:
-    """One GTC run at *cores* under the chosen operator *placement*.
+    """One GTC run at *cores* on the XT5 under the chosen operator *placement*.
 
     ``placement``: ``"staging"`` runs operators in the Staging Area via
-    PreDatA; ``"incompute"`` runs them synchronously on the compute
-    ranks with synchronous MPI-IO; ``"none"`` is the operator-free
-    baseline (used to isolate interference).
+    PreDatA (scheduled movement, fetches paced at
+    :data:`GTC_FETCH_RATE_CAP`); ``"incompute"`` runs them
+    synchronously on the compute ranks with synchronous MPI-IO;
+    ``"none"`` is the operator-free baseline (used to isolate
+    interference).
 
-    ``obs``: an :class:`repro.obs.Observability` sink; when given it is
-    bound to the run's engine so every pipeline phase is traced (one
-    Perfetto track group per run).  None (default) disables tracing.
-
-    ``flow`` enables flow control with an explicit
-    :class:`~repro.flow.FlowConfig`; ``flow_fraction`` is the
-    convenience form — the staging buffer pool is capped at that
-    fraction of the per-staging-node working set (one dump step's
-    bytes landing on the node).
-
-    ``tie_breaker``/``schedule_trace``/``check`` belong to the
-    verification subsystem (:mod:`repro.check`): a seeded
+    ``tie_breaker``/``schedule_trace`` belong to the verification
+    subsystem (:mod:`repro.check`): a seeded
     :class:`~repro.sim.SeededTieBreaker` perturbs same-time event
-    order, a :class:`~repro.check.ScheduleTrace` records the executed
-    schedule, and a :class:`~repro.check.Checker` audits the pipeline's
-    conservation invariants.  All default off (byte-identical run).
+    order and a :class:`~repro.check.ScheduleTrace` records the
+    executed schedule.  Both default off (byte-identical run).
     """
     if placement not in ("staging", "incompute", "none"):
         raise ValueError(f"bad placement {placement!r}")
-    spec = spec or JAGUAR_XT5
+    spec = JAGUAR_XT5
     procs, staging_logical, r, r_s = _gtc_sizing(cores, rep_ranks)
     rep_factor = procs / r
     spec_scaled = replace(spec, filesystem=_scaled_fs(spec, rep_factor))
@@ -203,15 +185,8 @@ def run_gtc(
     eng = Engine(tie_breaker=tie_breaker)
     if schedule_trace is not None:
         eng.schedule_trace = schedule_trace
-    if check is not None:
-        check.bind(eng)
-    if obs is not None:
-        obs.bind(eng, label=f"gtc:{operation}:{cores}:{placement}")
     n_staging_nodes = max(1, (r_s + 1) // 2) if placement == "staging" else 0
-    machine = Machine(
-        eng, r, n_staging_nodes, spec=spec_scaled,
-        fs_interference=fs_interference,
-    )
+    machine = Machine(eng, r, n_staging_nodes, spec=spec_scaled)
     cfg = GTCConfig(
         nprocs_logical=procs,
         functional_rows=functional_rows,
@@ -236,14 +211,6 @@ def run_gtc(
         ops = (operators_factory or gtc_operators)(
             operation, machine.filesystem
         )
-        flow_cfg = flow
-        if flow_cfg is None and flow_fraction is not None:
-            # Working set = one dump step's logical bytes landing on
-            # each staging node (both particle arrays).
-            working_set = (
-                r * cfg.logical_bytes_per_proc / machine.n_staging_nodes
-            )
-            flow_cfg = FlowConfig(pool_bytes=flow_fraction * working_set)
         predata = PreDatA(
             eng,
             machine,
@@ -252,10 +219,8 @@ def run_gtc(
             ncompute_procs=r,
             nsteps=ndumps,
             volume_scale=cfg.volume_scale,
-            scheduled_movement=scheduled,
-            fetch_rate_cap=fetch_rate_cap,
+            fetch_rate_cap=GTC_FETCH_RATE_CAP,
             model_size=staging_logical,
-            flow=flow_cfg,
         )
         predata.start()
         transport = predata.transport
@@ -296,9 +261,6 @@ def run_gtc(
         )
         # staging adds its own cores to the CPU bill (1.5% extra)
         result.cpu_seconds = metrics.total * (cores + cores // 64)
-        if predata.flow is not None:
-            result.flow_spill_bytes = predata.flow.spill_bytes()
-            result.flow_mean_sojourn = predata.flow.mean_sojourn()
     else:
         result.visible_write_seconds = metrics.io_blocking / ndumps
         if runner is not None:
@@ -335,25 +297,20 @@ def run_pixie3d(
     cores: int,
     placement: str,
     *,
-    spec: MachineSpec | None = None,
     rep_ranks: int = 64,
-    ndumps: int = 1,
     iterations_per_dump: int = 18,
     collective_rounds: int = 8,
-    functional_size: int = 6,
     collect_files: bool = False,
-    fetch_rate_cap: float | None = 0.1e9,
-    scheduled: bool = True,
     fs_interference: bool = True,
     staging_steal: float = 0.008,
-    obs: Any | None = None,
 ) -> Pixie3DRunResult:
-    """One Pixie3D run at *cores* with layout reorg in *placement*.
+    """One single-dump Pixie3D run at *cores* on the XT4 with layout
+    reorg in *placement*.
 
     ``placement``: ``"staging"`` sends output through PreDatA where the
-    array-merge operator reorganises it; ``"incompute"`` writes
-    unmerged BP directly with synchronous MPI-IO.  ``obs`` binds an
-    :class:`repro.obs.Observability` sink to the run's engine.
+    array-merge operator reorganises it (scheduled movement, fetches
+    paced at :data:`PIXIE3D_FETCH_RATE_CAP`); ``"incompute"`` writes
+    unmerged BP directly with synchronous MPI-IO.
     """
     from repro.adios.bp import BPWriter
     from repro.operators import ArrayMergeOperator
@@ -361,14 +318,12 @@ def run_pixie3d(
 
     if placement not in ("staging", "incompute"):
         raise ValueError(f"bad placement {placement!r}")
-    spec = spec or JAGUAR_XT4
+    spec = JAGUAR_XT4
     procs, staging_logical, r, r_s = _pixie_sizing(cores, rep_ranks)
     rep_factor = procs / r
     spec_scaled = replace(spec, filesystem=_scaled_fs(spec, rep_factor))
 
     eng = Engine()
-    if obs is not None:
-        obs.bind(eng, label=f"pixie3d:{cores}:{placement}")
     nodes_needed_for_ranks = max(1, r // spec.node.cores)
     n_staging_nodes = max(1, (r_s + 1) // 2) if placement == "staging" else 0
     machine = Machine(
@@ -380,9 +335,9 @@ def run_pixie3d(
     )
     cfg = Pixie3DConfig(
         nprocs_logical=procs,
-        functional_size=functional_size,
+        functional_size=6,
         iterations_per_dump=iterations_per_dump,
-        ndumps=ndumps,
+        ndumps=1,
         collective_rounds_per_iteration=collective_rounds,
     )
     # several ranks share a node (1 proc/core)
@@ -415,10 +370,8 @@ def run_pixie3d(
             group,
             [op],
             ncompute_procs=r,
-            nsteps=ndumps,
             volume_scale=cfg.volume_scale,
-            scheduled_movement=scheduled,
-            fetch_rate_cap=fetch_rate_cap,
+            fetch_rate_cap=PIXIE3D_FETCH_RATE_CAP,
             model_size=staging_logical,
             procs_per_staging_node=max(1, min(2, r_s)),
         )
@@ -445,9 +398,7 @@ def run_pixie3d(
         rep_ranks=r,
     )
     if placement == "staging":
-        result.staging_reports = [
-            predata.service.step_report(s) for s in range(ndumps)
-        ]
+        result.staging_reports = [predata.service.step_report(0)]
         result.cpu_seconds = metrics.total * (cores + max(1, cores // 128))
         if collect_files and writer is not None:
             result.merged_file = writer.close()

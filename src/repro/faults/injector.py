@@ -31,6 +31,8 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro.machine.filesystem import STALL_FLOOR
+
 __all__ = ["FaultInjector"]
 
 
@@ -91,8 +93,8 @@ class FaultInjector:
 
         self._at(at, fire)
 
-    def crash_staging_node(self, *, at: float, index: Optional[int] = None) -> int:
-        """Kill one staging node at *at*; seeded-random when no index.
+    def crash_staging_node(self, *, at: float) -> int:
+        """Kill one seeded-random staging node at *at*.
 
         Returns the chosen node id (even when disabled, so experiment
         code can report the plan).
@@ -100,9 +102,7 @@ class FaultInjector:
         ids = list(self.machine.staging_node_ids)
         if not ids:
             raise ValueError("machine has no staging nodes")
-        if index is None:
-            index = int(self.rng.integers(0, len(ids)))
-        node_id = ids[index % len(ids)]
+        node_id = ids[int(self.rng.integers(0, len(ids)))]
         self.crash_node(node_id, at=at)
         return node_id
 
@@ -116,14 +116,12 @@ class FaultInjector:
         self.machine.network.degrade_link(node_id, at, at + duration, factor)
         self._record("degrade_link", at, (node_id, duration, factor))
 
-    def stall_filesystem(
-        self, *, at: float, duration: float, floor: float = 0.05
-    ) -> None:
-        """File system bandwidth clamped to *floor* of peak in the window."""
+    def stall_filesystem(self, *, at: float, duration: float) -> None:
+        """File system bandwidth clamped to ``STALL_FLOOR`` of peak in the window."""
         if not self.enabled:
             return
-        self.machine.filesystem.stall_window(at, at + duration, floor)
-        self._record("fs_stall", at, (duration, floor))
+        self.machine.filesystem.stall_window(at, at + duration)
+        self._record("fs_stall", at, (duration, STALL_FLOOR))
 
     # -- fetch faults ------------------------------------------------------
     def drop_fetch(
@@ -164,11 +162,8 @@ class FaultInjector:
         plan = self._fetch_plans.setdefault((compute_rank, step), [])
         plan.extend([("corrupt", 0.0)] * attempts)
 
-    def withhold_fetch(
-        self, compute_rank: int, step: int, *, attempts: int = 1
-    ) -> None:
-        """Silently withhold the first *attempts* fetch responses of
-        (rank, step).
+    def withhold_fetch(self, compute_rank: int, step: int) -> None:
+        """Silently withhold the first fetch response of (rank, step).
 
         Unlike :meth:`drop_fetch` (the transport *reports* the failed
         descriptor), a withheld fetch simply never answers: the attempt
@@ -178,7 +173,7 @@ class FaultInjector:
         if not self.enabled:
             return
         plan = self._fetch_plans.setdefault((compute_rank, step), [])
-        plan.extend([("withhold", 0.0)] * attempts)
+        plan.append(("withhold", 0.0))
 
     # -- regional faults ---------------------------------------------------
     def partition_regions(
@@ -221,7 +216,6 @@ class FaultInjector:
         drop_prob: float = 0.0,
         slow_prob: float = 0.0,
         slow_seconds: float = 0.5,
-        drop_delay: float = 0.0,
     ) -> None:
         """Seeded per-attempt random fetch faults (first attempt only).
 
@@ -237,7 +231,6 @@ class FaultInjector:
             "drop_prob": drop_prob,
             "slow_prob": slow_prob,
             "slow_seconds": slow_seconds,
-            "drop_delay": drop_delay,
         }
 
     def fetch_fault(
@@ -264,7 +257,7 @@ class FaultInjector:
                 self._record(
                     "fetch_drop", self.env.now, (compute_rank, step, attempt)
                 )
-                return ("drop", rf["drop_delay"])
+                return ("drop", 0.0)
             if u < rf["drop_prob"] + rf["slow_prob"]:
                 self._record(
                     "fetch_slow", self.env.now, (compute_rank, step, attempt)

@@ -68,8 +68,8 @@ class PackBuffer:
 
     __slots__ = ("_buf", "grows")
 
-    def __init__(self, capacity: int = 1 << 12):
-        self._buf = bytearray(max(int(capacity), 64))
+    def __init__(self):
+        self._buf = bytearray(1 << 12)
         #: number of capacity doublings (observability for benchmarks)
         self.grows = 0
 

@@ -55,8 +55,9 @@ class FlowControl:
     staging_rank_nodes: node id hosting each staging rank (index =
         staging rank), exactly as built by
         :class:`~repro.core.middleware.PreDatA`.
-    fetch_rate_cap: the client's RDMA pacing rate, used as the default
-        reference rate for pressure throttling.
+
+    Pressure throttling paces fetches against the node memory
+    bandwidth.
     """
 
     def __init__(
@@ -66,7 +67,6 @@ class FlowControl:
         config: FlowConfig,
         *,
         staging_rank_nodes: list[int],
-        fetch_rate_cap: Optional[float] = None,
     ):
         self.env = env
         self.machine = machine
@@ -87,12 +87,9 @@ class FlowControl:
                 else pool.capacity / ranks_per_node[node_id]
             )
             self.banks[rank] = self._make_bank(rank, capacity)
-        throttle_rate = (
-            config.throttle_rate
-            or fetch_rate_cap
-            or machine.spec.node.memory_bandwidth
+        self.pressure = PressureController(
+            env, self.pools, config, machine.spec.node.memory_bandwidth
         )
-        self.pressure = PressureController(env, self.pools, config, throttle_rate)
         #: chunk key -> rank of the bank holding its grant
         self._grant_owner: dict = {}
 

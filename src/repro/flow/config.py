@@ -47,14 +47,6 @@ class FlowConfig:
     codel_interval:
         Sliding window over which the degrade allowance recovers after
         a grant whose sojourn met the target.
-    throttle_floor:
-        Minimum fetch-rate multiplier applied at ``high_watermark``
-        (pressure never slows fetches below this fraction of full
-        speed; the hard stop is the pool acquire itself).
-    throttle_rate:
-        Reference bytes/s used to convert the pressure multiplier into
-        a pacing delay.  ``None`` falls back to the client's
-        ``fetch_rate_cap``, then to the node memory bandwidth.
     max_block:
         Anti-starvation bound on how long one admission may hold a
         fetch at/above the high watermark before it proceeds anyway
@@ -68,8 +60,6 @@ class FlowConfig:
     credit_bytes: Optional[float] = None
     codel_target: Optional[float] = None
     codel_interval: float = 0.1
-    throttle_floor: float = 0.1
-    throttle_rate: Optional[float] = None
     max_block: float = 5.0
 
     def __post_init__(self) -> None:
@@ -83,9 +73,5 @@ class FlowConfig:
             raise ValueError("codel_target must be positive")
         if self.codel_interval <= 0:
             raise ValueError("codel_interval must be positive")
-        if not 0.0 < self.throttle_floor <= 1.0:
-            raise ValueError("throttle_floor must be in (0, 1]")
-        if self.throttle_rate is not None and self.throttle_rate <= 0:
-            raise ValueError("throttle_rate must be positive")
         if self.max_block <= 0:
             raise ValueError("max_block must be positive")

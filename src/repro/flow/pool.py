@@ -270,7 +270,7 @@ class BufferPool:
         if self.filesystem is not None:
             try:
                 yield from self.filesystem.read(
-                    ticket.nbytes, metadata_ops=1, label="flow-spill"
+                    ticket.nbytes, label="flow-spill"
                 )
             except BaseException:
                 # interrupted mid-unspill: the chunk is still on disk,
@@ -345,7 +345,7 @@ class BufferPool:
                 ticket.state = "spilling"
                 t0 = self.env.now
                 yield from self.filesystem.write(
-                    ticket.nbytes, metadata_ops=1, label="flow-spill"
+                    ticket.nbytes, label="flow-spill"
                 )
                 self.node.free(ticket.nbytes)
                 self.spills += 1

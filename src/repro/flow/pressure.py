@@ -22,6 +22,11 @@ from repro.sim.engine import Engine
 
 __all__ = ["PressureController"]
 
+#: fetch-rate multiplier at the high watermark: pressure never slows a
+#: fetch below this fraction of full speed (the hard stop is the pool
+#: acquire itself)
+THROTTLE_FLOOR = 0.1
+
 
 class PressureController:
     """Memory-pressure-aware fetch admission."""
@@ -77,7 +82,7 @@ class PressureController:
             self.blocked_fetches += 1
         sev = self.severity(node_id)
         if sev > 0.0:
-            mult = 1.0 - sev * (1.0 - self.config.throttle_floor)
+            mult = 1.0 - sev * (1.0 - THROTTLE_FLOOR)
             delay = (nbytes / self.throttle_rate) * (1.0 / mult - 1.0)
             if delay > 0:
                 yield self.env.timeout(delay)

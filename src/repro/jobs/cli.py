@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.check import OPERATOR_KINDS, digest_value, fuzz_schedule
+from repro.check import OPERATOR_KINDS, ScheduleFuzzer, digest_value
 from repro.jobs.config import JobSpec, PreemptionConfig, TenancyConfig
 from repro.jobs.isolation import isolation_violations, jains_index
 from repro.jobs.manager import JobManager
@@ -42,8 +42,6 @@ def _build_specs(args) -> list[JobSpec]:
             nprocs=args.procs,
             nsteps=args.steps,
             seed=args.seed + i,
-            scale=args.scale,
-            io_interval=args.io_interval,
             priority=(0 if i < args.low_priority else 1),
         )
         for i in range(args.tenants)
@@ -130,7 +128,7 @@ def _fuzz(args) -> int:
         f"{args.tenants} tenant(s) =="
     )
     t0 = time.time()
-    report = fuzz_schedule(runner, args.runs, base_seed=args.seed)
+    report = ScheduleFuzzer(runner).run(args.runs, base_seed=args.seed)
     dt = time.time() - t0
     print(f"   {report.summary()}  [{dt:.1f}s wall]")
     if not report.result_invariant:
@@ -155,10 +153,6 @@ def _add_workload_args(sub) -> None:
                      help="output steps per tenant (default 2)")
     sub.add_argument("--seed", type=int, default=0,
                      help="base workload/tie-breaker seed (default 0)")
-    sub.add_argument("--scale", type=float, default=10.0,
-                     help="logical volume scale (default 10)")
-    sub.add_argument("--io-interval", type=float, default=2.0,
-                     help="simulated seconds between dumps (default 2)")
     sub.add_argument("--pool-bytes", type=float, default=None,
                      help="shared per-node buffer-pool budget the tenant "
                           "carves split (default: full node memory)")

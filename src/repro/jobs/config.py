@@ -30,8 +30,8 @@ class JobSpec:
         trace tracks everywhere downstream.
     kind:
         Operator workload (any of ``repro.check.OPERATOR_KINDS``).
-    nprocs / nsteps / rows / local_n / seed / scale / io_interval:
-        The seeded-workload shape, exactly as in
+    nprocs / nsteps / seed:
+        The seeded-workload shape, as in
         :func:`repro.check.workloads.run_workload` — identical values
         produce byte-identical inputs, which is what makes the
         solo-vs-contended fingerprint cross-check meaningful.
@@ -48,14 +48,9 @@ class JobSpec:
     kind: str = "sort"
     nprocs: int = 4
     nsteps: int = 2
-    rows: int = 24
-    local_n: int = 4
     seed: int = 0
-    scale: float = 10.0
-    io_interval: float = 2.0
     priority: int = 1
     weight: float = 1.0
-    fetch_pipeline_depth: int = 2
 
     def __post_init__(self) -> None:
         if not self.tenant:
@@ -117,10 +112,7 @@ class TenancyConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     preemption: Optional[PreemptionConfig] = None
     nstaging_nodes: int = 1
-    procs_per_staging_node: int = 2
 
     def __post_init__(self) -> None:
         if self.nstaging_nodes < 1:
             raise ValueError("need at least one staging node")
-        if self.procs_per_staging_node < 1:
-            raise ValueError("need at least one staging process per node")

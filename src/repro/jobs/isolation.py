@@ -39,12 +39,7 @@ def jains_index(values) -> float:
     return (total * total) / (len(vals) * square_sum)
 
 
-def solo_fingerprint(
-    spec: JobSpec,
-    config: Optional[TenancyConfig] = None,
-    *,
-    tie_breaker=None,
-) -> str:
+def solo_fingerprint(spec: JobSpec, config: Optional[TenancyConfig] = None) -> str:
     """*spec*'s result fingerprint on an otherwise-empty fleet.
 
     Runs the job alone through a fresh :class:`~repro.jobs.JobManager`
@@ -55,19 +50,14 @@ def solo_fingerprint(
     from repro.jobs.manager import JobManager
 
     config = dataclasses.replace(config or TenancyConfig(), preemption=None)
-    manager = JobManager(config, tie_breaker=tie_breaker)
+    manager = JobManager(config)
     manager.submit(spec)
     report = manager.run()
     report_result = report.results[spec.tenant]
     return report_result.fingerprint
 
 
-def isolation_violations(
-    report,
-    config: Optional[TenancyConfig] = None,
-    *,
-    tie_breaker=None,
-) -> list[str]:
+def isolation_violations(report, config: Optional[TenancyConfig] = None) -> list[str]:
     """Cross-check every tenant of a contended run against its solo run.
 
     For each tenant in *report* (a :class:`~repro.jobs.JobsReport`)
@@ -82,9 +72,9 @@ def isolation_violations(
             continue
         if result.perturbed or result.degraded_steps > 0:
             continue
-        if report.checker is not None and report.checker.checker(tenant).perturbed:
+        if report.checker.checker(tenant).perturbed:
             continue
-        solo = solo_fingerprint(result.spec, config, tie_breaker=tie_breaker)
+        solo = solo_fingerprint(result.spec, config)
         if solo != result.fingerprint:
             out.append(
                 f"tenant {tenant}: contended fingerprint "

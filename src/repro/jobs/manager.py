@@ -32,7 +32,10 @@ from repro.check.tenancy import MultiTenantChecker
 from repro.check.workloads import (
     FIELD_GROUP,
     FIELD_KINDS,
+    IO_INTERVAL,
+    LOCAL_N,
     PARTICLE_GROUP,
+    SCALE,
     field_step,
     make_operators,
     particle_step,
@@ -45,6 +48,12 @@ from repro.mpi import World
 from repro.sim import Engine
 
 __all__ = ["AdmissionGate", "JobHandle", "JobManager", "JobResult", "JobsReport"]
+
+#: particle rows per rank of a tenant's workload (the field slab edge,
+#: volume scale and dump interval are :mod:`repro.check.workloads`')
+ROWS = 24
+#: staging processes per fleet node (the paper's layout)
+PROCS_PER_STAGING_NODE = 2
 
 
 class AdmissionGate:
@@ -154,7 +163,7 @@ class JobsReport:
     results: dict[str, JobResult]
     violations: list[str]
     sim_seconds: float
-    checker: Optional[MultiTenantChecker] = field(default=None, repr=False)
+    checker: MultiTenantChecker = field(repr=False)
 
     @property
     def conserved(self) -> bool:
@@ -185,7 +194,6 @@ class JobManager:
         tie_breaker=None,
         schedule_trace=None,
         obs=None,
-        enable_check: bool = True,
     ):
         self.config = config or TenancyConfig()
         self.env = Engine(tie_breaker=tie_breaker)
@@ -194,7 +202,6 @@ class JobManager:
         self.obs = obs
         if obs is not None:
             obs.bind(self.env, label="jobs")
-        self.enable_check = enable_check
         self.checker: Optional[MultiTenantChecker] = None
         self.machine: Optional[Machine] = None
         self.fleet: Optional[StagingFleet] = None
@@ -241,12 +248,11 @@ class JobManager:
         self.machine = Machine(
             env, total_procs, cfg.nstaging_nodes, spec=TESTING_TINY
         )
-        if self.enable_check:
-            self.checker = MultiTenantChecker(self._order).bind(env)
+        self.checker = MultiTenantChecker(self._order).bind(env)
         staging_rank_nodes = [
             node_id
             for node_id in self.machine.staging_node_ids
-            for _ in range(cfg.procs_per_staging_node)
+            for _ in range(PROCS_PER_STAGING_NODE)
         ]
         self.fleet = StagingFleet(
             env,
@@ -290,11 +296,10 @@ class JobManager:
             operators,
             ncompute_procs=spec.nprocs,
             nsteps=spec.nsteps,
-            procs_per_staging_node=cfg.procs_per_staging_node,
-            volume_scale=spec.scale,
+            procs_per_staging_node=PROCS_PER_STAGING_NODE,
+            volume_scale=SCALE,
             flow=flow,
             fallback_io=fallback,
-            fetch_pipeline_depth=spec.fetch_pipeline_depth,
             tenant=spec.tenant,
         )
         handle.predata.scheduler.labels = {"tenant": spec.tenant}
@@ -307,7 +312,7 @@ class JobManager:
             list(range(offset, offset + spec.nprocs)),
             name=f"app:{spec.tenant}",
             node_lookup=self.machine.node,
-            wire_scale=spec.scale,
+            wire_scale=SCALE,
         )
         handle.predata.start()
         app_world.spawn(functools.partial(self._app_main, handle))
@@ -320,12 +325,10 @@ class JobManager:
     def _make_step(spec: JobSpec, rank: int, s: int):
         if spec.kind in FIELD_KINDS:
             return field_step(
-                rank, spec.nprocs, spec.local_n, step=s,
-                scale=spec.scale, seed=spec.seed,
+                rank, spec.nprocs, LOCAL_N, step=s, scale=SCALE, seed=spec.seed
             )
         return particle_step(
-            rank, spec.nprocs, spec.rows, step=s,
-            scale=spec.scale, seed=spec.seed,
+            rank, spec.nprocs, ROWS, step=s, scale=SCALE, seed=spec.seed
         )
 
     def _app_main(self, handle: JobHandle, comm) -> Generator:
@@ -344,7 +347,7 @@ class JobManager:
             total += t
             handle.bytes_written += nbytes
             handle.steps_written += 1
-            yield from comm.sleep(spec.io_interval)
+            yield from comm.sleep(IO_INTERVAL)
         handle.visible[comm.rank] = total
 
     def _watch(self, handle: JobHandle) -> Generator:
@@ -374,9 +377,8 @@ class JobManager:
         degraded.append(handle)
         handle.degrade_actions += 1
         handle.perturbed_by_governor = True
-        if self.checker is not None:
-            # a governed degrade legally changes this tenant's results
-            self.checker.checker(handle.tenant).external_perturbation = True
+        # a governed degrade legally changes this tenant's results
+        self.checker.checker(handle.tenant).external_perturbation = True
         obs = self.env.obs
         if obs is not None:
             obs.metrics.inc("jobs_degrades", tenant=handle.tenant)
@@ -437,11 +439,9 @@ class JobManager:
                 perturbed=h.perturbed_by_governor,
                 visible=dict(h.visible),
             )
-        violations: list[str] = []
-        if self.checker is not None:
-            violations = self.checker.violations(
-                {t: self.jobs[t].predata for t in self._order}
-            )
+        violations = self.checker.violations(
+            {t: self.jobs[t].predata for t in self._order}
+        )
         return JobsReport(
             results=results,
             violations=violations,

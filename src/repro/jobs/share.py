@@ -244,7 +244,6 @@ class TenantFlowControl(FlowControl):
         config: FlowConfig,
         *,
         staging_rank_nodes: list[int],
-        fetch_rate_cap: Optional[float] = None,
         tenant: str,
         fleet: StagingFleet,
     ):
@@ -252,13 +251,7 @@ class TenantFlowControl(FlowControl):
         # _make_pool/_make_bank hooks below
         self.tenant = tenant
         self.fleet = fleet
-        super().__init__(
-            env,
-            machine,
-            config,
-            staging_rank_nodes=staging_rank_nodes,
-            fetch_rate_cap=fetch_rate_cap,
-        )
+        super().__init__(env, machine, config, staging_rank_nodes=staging_rank_nodes)
 
     def _make_pool(self, node_id: int) -> BufferPool:
         group = self.fleet.node_groups[node_id]

@@ -4,7 +4,7 @@ This package substitutes for the ORNL Jaguar Cray XT4/XT5 hardware the
 paper ran on.  It provides:
 
 - :mod:`repro.machine.topology` — a 3-D torus topology (SeaStar mesh)
-  with hop-count routing, built on ``networkx``, plus
+  with hop-count routing, plus
   :class:`RegionalTopology` layering named regions with
   per-region-pair latency classes over the torus;
 - :mod:`repro.machine.network` — a fluid-flow interconnect model with

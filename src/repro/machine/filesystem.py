@@ -28,6 +28,11 @@ from repro.sim.resources import SharedBandwidth
 
 __all__ = ["FileSystemConfig", "ParallelFileSystem"]
 
+#: simulated seconds between re-samplings of the interference multiplier
+INTERFERENCE_INTERVAL = 5.0
+#: fraction of peak bandwidth left during an injected stall window
+STALL_FLOOR = 0.05
+
 
 @dataclass(frozen=True)
 class FileSystemConfig:
@@ -66,8 +71,9 @@ class ParallelFileSystem:
     config: file system parameters.
     interference:
         When True (default) available bandwidth fluctuates over time via
-        a seeded lognormal multiplier, re-sampled every ``interval``
-        simulated seconds, reproducing shared-machine variability.
+        a seeded lognormal multiplier, re-sampled every
+        :data:`INTERFERENCE_INTERVAL` simulated seconds, reproducing
+        shared-machine variability.
     """
 
     def __init__(
@@ -76,16 +82,14 @@ class ParallelFileSystem:
         config: Optional[FileSystemConfig] = None,
         *,
         interference: bool = True,
-        interference_interval: float = 5.0,
     ):
         self.env = env
         self.config = config or FileSystemConfig()
         self._interference = interference
-        self._interval = interference_interval
         self._cached_mult = 1.0
         self._cached_slot = -1
-        #: fault-injection hook: [(start, end, floor), ...] stall windows
-        self._stall_windows: list[tuple[float, float, float]] = []
+        #: fault-injection hook: [(start, end), ...] stall windows
+        self._stall_windows: list[tuple[float, float]] = []
         self.pipe = SharedBandwidth(
             env, self.config.aggregate_bandwidth, degradation=self._degradation
         )
@@ -94,30 +98,24 @@ class ParallelFileSystem:
         self.metadata_ops = 0
 
     # -- fault hooks ---------------------------------------------------------
-    def stall_window(self, start: float, end: float, floor: float = 0.05) -> None:
-        """Clamp bandwidth to ``floor`` of peak during [start, end).
+    def stall_window(self, start: float, end: float) -> None:
+        """Clamp bandwidth to :data:`STALL_FLOOR` of peak during [start, end).
 
         Deterministic fault-injection hook modelling an OST hiccup /
         metadata-server stall; composes with (and dominates) the normal
         interference model while active.
         """
-        if not 0.0 < floor <= 1.0:
-            raise ValueError("stall floor must be in (0, 1]")
         if end <= start:
             raise ValueError("stall window must have end > start")
-        self._stall_windows.append((start, end, floor))
+        self._stall_windows.append((start, end))
 
-    def _stall_mult(self, now: float) -> float:
-        mult = 1.0
-        for start, end, floor in self._stall_windows:
-            if start <= now < end:
-                mult = min(mult, floor)
-        return mult
+    def _stalled(self, now: float) -> bool:
+        return any(start <= now < end for start, end in self._stall_windows)
 
     # -- interference --------------------------------------------------------
     def _interference_mult(self, now: float) -> float:
         """Piecewise-constant seeded bandwidth multiplier in (0, 1]."""
-        slot = int(now / self._interval)
+        slot = int(now / INTERFERENCE_INTERVAL)
         if slot != self._cached_slot:
             self._cached_slot = slot
             # A lognormal 'load' from other jobs eats a fraction of capacity.
@@ -132,8 +130,8 @@ class ParallelFileSystem:
     def _degradation(self, now: float) -> float:
         """Combined multiplier: background interference x stall windows."""
         mult = self._interference_mult(now) if self._interference else 1.0
-        if self._stall_windows:
-            mult = min(mult, self._stall_mult(now))
+        if self._stall_windows and self._stalled(now):
+            mult = min(mult, STALL_FLOOR)
         return mult
 
     # -- helpers ---------------------------------------------------------------
@@ -197,7 +195,6 @@ class ParallelFileSystem:
         nclients: int = 1,
         extents: int = 1,
         stripes: Optional[int] = None,
-        metadata_ops: int = 1,
         label: Optional[str] = None,
     ) -> Generator:
         """Process body: read *nbytes* in *extents* discontiguous pieces.
@@ -213,8 +210,8 @@ class ParallelFileSystem:
             raise ValueError("extents must be >= 1")
         start = self.env.now
         stripes = stripes or self.config.stripe_count
-        yield self.env.timeout(self.config.metadata_latency * metadata_ops)
-        self.metadata_ops += metadata_ops
+        yield self.env.timeout(self.config.metadata_latency)
+        self.metadata_ops += 1
         # Seek/dispatch cost for gathering scattered extents, shared
         # across reading clients.
         seek_time = self.config.extent_overhead * extents / max(nclients, 1)

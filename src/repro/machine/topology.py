@@ -3,8 +3,7 @@
 Nodes are identified by integer ids ``0 .. n-1`` laid out in row-major
 order over a ``(X, Y, Z)`` torus.  The class provides coordinate
 mapping, minimal hop counts (dimension-ordered routing), neighbour
-queries and a bisection-width estimate; a ``networkx`` graph view is
-available for analysis and visualisation.
+queries and a bisection-width estimate.
 
 :class:`RegionalTopology` layers named *regions* over the torus —
 contiguous id blocks standing for machine rows, cabinets or sites —
@@ -19,10 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
-
-import networkx as nx
 
 __all__ = ["LatencyClass", "RegionalTopology", "TorusTopology"]
 
@@ -139,16 +135,6 @@ class TorusTopology:
         if x == 1:
             return 1
         return 2 * y * z
-
-    @lru_cache(maxsize=1)
-    def graph(self) -> nx.Graph:
-        """``networkx`` view of the active part of the torus."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        for node in range(self.n):
-            for other in self.neighbors(node):
-                g.add_edge(node, other)
-        return g
 
     def __repr__(self) -> str:
         return f"TorusTopology(n={self.n}, dims={self.dims})"

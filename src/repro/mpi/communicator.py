@@ -81,14 +81,14 @@ class Communicator:
         return self.world.node_of(self.rank)
 
     # -- local work -------------------------------------------------------
-    def compute(self, flops: float, *, cores: int = 1) -> Generator:
-        """Process body: burn *flops* on this rank's node cores."""
+    def compute(self, flops: float) -> Generator:
+        """Process body: burn *flops* on one core of this rank's node."""
         node = self.node
         if node is None:
             # No node model attached: charge time at a nominal 1 Gflop/s.
             yield self.env.timeout(flops / 1e9)
             return flops / 1e9
-        t = yield from node.compute(flops, cores=cores)
+        t = yield from node.compute(flops)
         return t
 
     def sleep(self, seconds: float) -> Generator:

@@ -44,6 +44,8 @@ class ArrayMergeOperator(PreDatAOperator):
         only returned.
     """
 
+    name = "array_merge"
+
     def __init__(
         self,
         variables: list[str],
@@ -51,7 +53,6 @@ class ArrayMergeOperator(PreDatAOperator):
         out_group: Optional[GroupDef] = None,
         filesystem: Optional[ParallelFileSystem] = None,
         writer: Optional[BPWriter] = None,
-        name: str = "array_merge",
     ):
         if not variables:
             raise ValueError("need at least one variable to merge")
@@ -59,7 +60,6 @@ class ArrayMergeOperator(PreDatAOperator):
         self.out_group = out_group
         self.filesystem = filesystem
         self.writer = writer
-        self.name = name
 
     # -- pass 1: publish chunk geometry so slabs can be planned ----------
     def partial_calculate(self, step: OutputStep) -> Any:

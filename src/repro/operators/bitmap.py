@@ -18,7 +18,7 @@ rows that rank receives, as part of the streaming pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -160,15 +160,13 @@ class BitmapIndexOperator(PreDatAOperator):
         var: str,
         column: int,
         bins: int = 64,
-        *,
-        name: Optional[str] = None,
     ):
         if bins < 1:
             raise ValueError("bins must be >= 1")
         self.var = var
         self.column = column
         self.bins = bins
-        self.name = name or f"bitmap:{var}[{column}]"
+        self.name = f"bitmap:{var}[{column}]"
 
     # global edges via pass 1, so every rank's index is aligned
     def partial_calculate(self, step: OutputStep) -> Any:

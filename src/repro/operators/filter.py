@@ -10,7 +10,7 @@ Map/Reduce untouched, tagged by producing rank.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class FilterOperator(PreDatAOperator):
         column: int,
         lo: float,
         hi: float,
-        *,
-        name: Optional[str] = None,
     ):
         if hi < lo:
             raise ValueError("filter range inverted")
@@ -45,7 +43,7 @@ class FilterOperator(PreDatAOperator):
         self.column = column
         self.lo = lo
         self.hi = hi
-        self.name = name or f"filter:{var}[{column}]"
+        self.name = f"filter:{var}[{column}]"
         self.rows_in = 0
         self.rows_out = 0
 

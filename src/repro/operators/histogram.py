@@ -23,6 +23,9 @@ from repro.perf import kernels
 
 __all__ = ["HistogramOperator"]
 
+#: size of a histogram result file (paper: 8 MB)
+OUTPUT_BYTES = 8e6
+
 
 class HistogramOperator(PreDatAOperator):
     """Histogram of one column of a 2-D array variable.
@@ -33,9 +36,8 @@ class HistogramOperator(PreDatAOperator):
     column: attribute index to histogram.
     bins: number of bins.
     filesystem: when given, Finalize writes the histogram file
-        (``output_bytes``) through it — the visible-I/O effect the
+        (:data:`OUTPUT_BYTES`) through it — the visible-I/O effect the
         paper measures in the In-Compute-Node configuration.
-    output_bytes: size of the result file (paper: 8 MB).
     """
 
     _TAG = "hist"
@@ -48,7 +50,6 @@ class HistogramOperator(PreDatAOperator):
         *,
         name: Optional[str] = None,
         filesystem: Optional[ParallelFileSystem] = None,
-        output_bytes: float = 8e6,
     ):
         if bins < 1:
             raise ValueError("bins must be >= 1")
@@ -57,7 +58,6 @@ class HistogramOperator(PreDatAOperator):
         self.bins = bins
         self.name = name or f"hist:{var}[{column}]"
         self.filesystem = filesystem
-        self.output_bytes = output_bytes
 
     # -- pass 1: local min/max for global edges -------------------------
     def partial_calculate(self, step: OutputStep) -> Any:
@@ -124,7 +124,7 @@ class HistogramOperator(PreDatAOperator):
         if self.filesystem is not None:
             # generator finalize: visible simulated I/O
             def body():
-                yield from self.filesystem.write(self.output_bytes, nclients=1)
+                yield from self.filesystem.write(OUTPUT_BYTES)
                 return {"counts": counts, "edges": edges}
 
             return body()

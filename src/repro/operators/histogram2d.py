@@ -15,6 +15,7 @@ import numpy as np
 from repro.adios.group import OutputStep
 from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 from repro.machine.filesystem import ParallelFileSystem
+from repro.operators.histogram import OUTPUT_BYTES
 from repro.perf import kernels
 
 __all__ = ["Histogram2DOperator"]
@@ -33,7 +34,6 @@ class Histogram2DOperator(PreDatAOperator):
         *,
         name: Optional[str] = None,
         filesystem: Optional[ParallelFileSystem] = None,
-        output_bytes: float = 8e6,
     ):
         if len(columns) != 2:
             raise ValueError("columns must be a pair")
@@ -44,7 +44,6 @@ class Histogram2DOperator(PreDatAOperator):
         self.bins = tuple(bins)
         self.name = name or f"hist2d:{var}[{columns[0]},{columns[1]}]"
         self.filesystem = filesystem
-        self.output_bytes = output_bytes
 
     # -- pass 1 ------------------------------------------------------------
     def partial_calculate(self, step: OutputStep) -> Any:
@@ -124,7 +123,7 @@ class Histogram2DOperator(PreDatAOperator):
         if self.filesystem is not None:
 
             def body():
-                yield from self.filesystem.write(self.output_bytes, nclients=1)
+                yield from self.filesystem.write(OUTPUT_BYTES)
                 return {"counts": counts, "edges": edges}
 
             return body()

@@ -40,12 +40,11 @@ class MinMaxOperator(PreDatAOperator):
     Parameters
     ----------
     var: group variable holding an ``(n, k)`` array per process.
-    name: operator name (default derived from var).
     """
 
-    def __init__(self, var: str, name: Optional[str] = None):
+    def __init__(self, var: str):
         self.var = var
-        self.name = name or f"minmax:{var}"
+        self.name = f"minmax:{var}"
 
     # -- pass 1 ---------------------------------------------------------
     def partial_calculate(self, step: OutputStep) -> Any:

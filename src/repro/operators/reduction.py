@@ -18,7 +18,7 @@ report achieved reduction ratios.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.adios.group import OutputStep
 from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 
 __all__ = ["SubsampleOperator", "PrecisionReduceOperator"]
+
+#: base seed of ``mode="random"`` sampling (rank *r* draws from seed + r)
+_SAMPLE_SEED = 13
 
 
 class SubsampleOperator(PreDatAOperator):
@@ -46,8 +49,6 @@ class SubsampleOperator(PreDatAOperator):
         fraction: float,
         *,
         mode: str = "stride",
-        seed: int = 13,
-        name: Optional[str] = None,
     ):
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
@@ -56,8 +57,7 @@ class SubsampleOperator(PreDatAOperator):
         self.var = var
         self.fraction = fraction
         self.mode = mode
-        self.seed = seed
-        self.name = name or f"subsample:{var}"
+        self.name = f"subsample:{var}"
         self.rows_in = 0
         self.rows_out = 0
 
@@ -68,7 +68,7 @@ class SubsampleOperator(PreDatAOperator):
             stride = max(round(1.0 / self.fraction), 1)
             kept = data[::stride]
         else:
-            rng = np.random.default_rng(self.seed + step.rank)
+            rng = np.random.default_rng(_SAMPLE_SEED + step.rank)
             kept = data[rng.random(n) < self.fraction]
         self.rows_in += n
         self.rows_out += kept.shape[0]
@@ -117,16 +117,12 @@ class PrecisionReduceOperator(PreDatAOperator):
     acceptable for visualisation-bound fields.
     """
 
-    def __init__(
-        self,
-        variables: list[str],
-        *,
-        name: str = "precision_reduce",
-    ):
+    name = "precision_reduce"
+
+    def __init__(self, variables: list[str]):
         if not variables:
             raise ValueError("need at least one variable")
         self.variables = list(variables)
-        self.name = name
         self.bytes_in = 0
         self.bytes_out = 0
 

@@ -34,6 +34,9 @@ from repro.perf import kernels
 
 __all__ = ["SampleSortOperator"]
 
+#: base seed of the per-rank key samples (rank *r* draws from seed + r)
+_SAMPLE_SEED = 7
+
 
 class SampleSortOperator(PreDatAOperator):
     """Sample sort of a 2-D variable's rows by one key column.
@@ -55,7 +58,6 @@ class SampleSortOperator(PreDatAOperator):
         samples_per_rank: int = 64,
         name: Optional[str] = None,
         filesystem: Optional[ParallelFileSystem] = None,
-        seed: int = 7,
     ):
         if samples_per_rank < 1:
             raise ValueError("samples_per_rank must be >= 1")
@@ -64,7 +66,6 @@ class SampleSortOperator(PreDatAOperator):
         self.samples_per_rank = samples_per_rank
         self.name = name or f"sort:{var}[{key_column}]"
         self.filesystem = filesystem
-        self.seed = seed
 
     # -- pass 1: sampling ---------------------------------------------------
     def partial_calculate(self, step: OutputStep) -> Any:
@@ -80,7 +81,7 @@ class SampleSortOperator(PreDatAOperator):
         keys = data[:, self.key_column] if width else np.empty(0)
         if keys.size == 0:
             return (None, width)
-        rng = np.random.default_rng(self.seed + step.rank)
+        rng = np.random.default_rng(_SAMPLE_SEED + step.rank)
         k = min(self.samples_per_rank, keys.size)
         idx = rng.choice(keys.size, size=k, replace=False)
         return (np.sort(keys[idx]), width)

@@ -11,8 +11,7 @@ implementations:
 - zero-copy FFS packing (:class:`repro.ffs.PackBuffer`,
   :func:`repro.ffs.encode_into`) used by the compute-side client;
 - per-node batched :meth:`~repro.core.scheduler.MovementScheduler.wait_clear`
-  wakeups and numpy :class:`~repro.core.accounting.RankLedger`
-  bookkeeping, swept to 100k ranks by :mod:`repro.perf.scale`.
+  wakeups, swept to 100k ranks by :mod:`repro.perf.scale`.
 
 Each has exactly one production implementation.
 :mod:`repro.perf.bench` drives micro-benchmarks over them and emits

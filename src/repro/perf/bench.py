@@ -18,7 +18,7 @@ sidecar each:
 Each record carries a ``guards`` dict of *machine-portable* ratio
 metrics (fast path relative to the reference path, measured in the same
 process on the same host).  :func:`compare` fails a run when any guard
-falls more than ``tolerance`` (default 20 %) below the committed
+falls more than :data:`TOLERANCE` (20 %) below the committed
 baseline in ``benchmarks/perf/baselines/`` — absolute wall seconds are
 recorded for humans but never compared, so the guard is stable across
 host speeds.
@@ -64,6 +64,9 @@ __all__ = [
 #: kernels whose vectorized speedup is an acceptance criterion
 HOT_KERNELS = ("histogram1d", "histogram2d", "wah_encode")
 
+
+#: allowed fractional regression of a guard below its baseline
+TOLERANCE = 0.2
 
 #: a timed sample shorter than this is mostly timer and scheduler noise
 _MIN_SAMPLE_SECONDS = 0.01
@@ -126,19 +129,19 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
     }
 
 
-def bench_kernels(n: int = 1_000_000, repeat: int = 3, seed: int = 11) -> dict:
+def bench_kernels(n: int = 1_000_000) -> dict:
     """Time every kernel against its reference; guards are the speedups.
 
     The ``speedup:*`` guards (``NAIVE`` body vs production body) are
     ratio metrics compared against the committed baseline.
     """
-    cases = _kernel_cases(n, np.random.default_rng(seed))
+    cases = _kernel_cases(n, np.random.default_rng(11))
     results: dict[str, dict] = {}
     guards: dict[str, float] = {}
     for name, naive in sorted(K.NAIVE.items()):
         args, fast = cases[name], getattr(K, name)
-        t_naive = _best_of(lambda: naive(*args), repeat)
-        t_vec = _best_of(lambda: fast(*args), repeat)
+        t_naive = _best_of(lambda: naive(*args))
+        t_vec = _best_of(lambda: fast(*args))
         speedup = t_naive / max(t_vec, 1e-9)
         results[name] = {
             "naive_seconds": t_naive,
@@ -149,29 +152,25 @@ def bench_kernels(n: int = 1_000_000, repeat: int = 3, seed: int = 11) -> dict:
     return {"bench": "kernels", "n": n, "kernels": results, "guards": guards}
 
 
-def bench_ffs(
-    nelems: int = 1_000_000, nfields: int = 4, repeat: int = 5, seed: int = 12
-) -> dict:
-    """Allocate-per-step ``encode`` vs zero-copy ``encode_into``."""
+def bench_ffs() -> dict:
+    """Allocate-per-step ``encode`` vs zero-copy ``encode_into`` on four
+    fields of 250k float64 each."""
     from repro.ffs import Field, PackBuffer, Schema, encode, encode_into
 
-    rng = np.random.default_rng(seed)
-    per = nelems // nfields
-    schema = Schema(
-        "bench", tuple(Field(f"f{i}", "<f8", (-1,)) for i in range(nfields))
-    )
-    values = {f"f{i}": rng.normal(size=per) for i in range(nfields)}
+    rng = np.random.default_rng(12)
+    schema = Schema("bench", tuple(Field(f"f{i}", "<f8", (-1,)) for i in range(4)))
+    values = {f.name: rng.normal(size=250_000) for f in schema.fields}
     nbytes = sum(v.nbytes for v in values.values())
     # warm the allocator until large-block reuse kicks in (glibc adapts
     # its mmap threshold over several alloc/free cycles): the guard
     # should compare steady-state packing, not first-touch page faults
     for _ in range(8):
         encode(schema, values)
-    t_bytes = _best_of(lambda: encode(schema, values), repeat)
+    t_bytes = _best_of(lambda: encode(schema, values), repeat=5)
     scratch = PackBuffer()
     encode_into(schema, values, scratch)  # warm the scratch to capacity
     grows_warm = scratch.grows
-    t_zero = _best_of(lambda: encode_into(schema, values, scratch), repeat)
+    t_zero = _best_of(lambda: encode_into(schema, values, scratch), repeat=5)
     ratio = t_bytes / max(t_zero, 1e-9)
     return {
         "bench": "ffs",
@@ -207,11 +206,11 @@ def default_baseline_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "benchmarks" / "perf" / "baselines"
 
 
-def compare(record: dict, baseline: dict, tolerance: float = 0.2) -> list[str]:
+def compare(record: dict, baseline: dict) -> list[str]:
     """Regressions of *record* against *baseline* (empty when clean).
 
     Only ``guards`` entries present in the *baseline* are enforced: a
-    guard regresses when it falls more than ``tolerance`` below the
+    guard regresses when it falls more than :data:`TOLERANCE` below the
     baseline value.  Guards are ratios measured within one process, so
     the comparison is host-speed independent.
     """
@@ -223,11 +222,11 @@ def compare(record: dict, baseline: dict, tolerance: float = 0.2) -> list[str]:
         if cur is None:
             problems.append(f"guard {key!r} missing from current run")
             continue
-        floor = base_val * (1.0 - tolerance)
+        floor = base_val * (1.0 - TOLERANCE)
         if cur < floor:
             problems.append(
                 f"guard {key!r} regressed: {cur:.3g} < floor {floor:.3g} "
-                f"(baseline {base_val:.3g}, tolerance {tolerance:.0%})"
+                f"(baseline {base_val:.3g}, tolerance {TOLERANCE:.0%})"
             )
     return problems
 
@@ -238,7 +237,7 @@ def baseline_dir(arg: str) -> Path:
 
 
 def guard_record(
-    name: str, record: dict, out_dir: Path, baseline: Path | None = None, tolerance: float = 0.2
+    name: str, record: dict, out_dir: Path, baseline: Path | None = None
 ) -> list[str]:
     """Write the sidecar, print its guards, compare against *baseline*.
 
@@ -255,7 +254,7 @@ def guard_record(
     if not base_path.exists():
         print(f"[perf]   no baseline at {base_path}; skipping guard")
         return []
-    problems = compare(record, json.loads(base_path.read_text()), tolerance)
+    problems = compare(record, json.loads(base_path.read_text()))
     for p in problems:
         print(f"[perf]   REGRESSION {p}")
     return problems
@@ -340,10 +339,6 @@ def _parser(prog: str, bench: Bench | None = None) -> argparse.ArgumentParser:
         help="baseline dir to guard against (use 'default' for the "
         "committed benchmarks/perf/baselines)",
     )
-    ap.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional guard regression (default 0.2)",
-    )
     if bench is not None and bench.add_arguments is not None:
         bench.add_arguments(ap)
     return ap
@@ -361,11 +356,11 @@ def run_benches(names: list[str], argv: list[str] | None, prog: str | None = Non
     parsed = [vars(_parser(prog or f"repro perf {b.name}", b).parse_args(argv)) for b in benches]
     nbad = 0
     for bench, flags in zip(benches, parsed, strict=True):
-        out, baseline, tolerance = (flags.pop(k) for k in ("out", "baseline", "tolerance"))
+        out, baseline = flags.pop("out"), flags.pop("baseline")
         record = bench.run(**flags)
         if bench.render is not None:
             print(bench.render(record))
-        nbad += len(guard_record(bench.name, record, out, baseline, tolerance))
+        nbad += len(guard_record(bench.name, record, out, baseline))
         if bench.failed is not None and bench.failed(record):
             print(f"[perf]   FAILED {bench.name}: the record is wrong on its own terms")
             nbad += 1

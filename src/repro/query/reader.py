@@ -74,14 +74,9 @@ class AnalysisReader:
         self.stats.charge(extents, out.nbytes)
         return np.squeeze(out, axis=axis)
 
-    def time_series(
-        self,
-        var: str,
-        point: Sequence[int],
-        steps: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """One cell's value across steps (probe / pick pattern)."""
-        steps = list(steps) if steps is not None else self.file.steps()
+    def time_series(self, var: str, point: Sequence[int]) -> np.ndarray:
+        """One cell's value across every step (probe / pick pattern)."""
+        steps = self.file.steps()
         lb = tuple(int(p) for p in point)
         ub = tuple(p + 1 for p in lb)
         out = np.empty(len(steps))

@@ -2,8 +2,8 @@
 
 A :class:`Scenario` is a frozen description of one adversarial
 condition — *which* attack (``kind``), *how hard* (``intensity``),
-*against whom* (``targets``), *when* (``start``/``duration``) and under
-*what randomness* (``seed``).  Scenarios never touch the simulation
+*against whom* (``targets``) and under *what randomness* (``seed``);
+every scenario acts in the same ``window``.  Scenarios never touch the simulation
 themselves: a registered :class:`ScenarioSpec` carries the applier that
 translates the description into seeded :class:`~repro.faults.FaultInjector`
 primitives at attach time, plus the scenario's row of the written
@@ -14,7 +14,7 @@ threat model (THREATS.md): the threat it models and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, ClassVar, Mapping
 from zlib import crc32
 
 import numpy as np
@@ -49,16 +49,10 @@ INVARIANTS = (
 
 @dataclass(frozen=True)
 class TargetSelector:
-    """Who a scenario hits.
-
-    ``ranks`` pins explicit compute ranks; otherwise a seeded draw of
-    ``fraction`` of the population is used.  ``region`` pins a named
-    region for regional scenarios (default: seeded choice).
-    """
+    """Who a scenario hits: a seeded draw of ``fraction`` of the
+    population (regional scenarios draw their region the same way)."""
 
     fraction: float = 0.25
-    ranks: Optional[tuple[int, ...]] = None
-    region: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction <= 1.0:
@@ -66,8 +60,6 @@ class TargetSelector:
 
     def pick_ranks(self, rng: np.random.Generator, ncompute: int) -> list[int]:
         """The selected compute ranks (sorted, at least one)."""
-        if self.ranks is not None:
-            return sorted({r % ncompute for r in self.ranks})
         k = min(ncompute, max(1, round(self.fraction * ncompute)))
         return sorted(int(r) for r in rng.choice(ncompute, size=k, replace=False))
 
@@ -81,18 +73,12 @@ class Scenario:
     seed: int = 0
     intensity: float = 1.0
     targets: TargetSelector = TargetSelector()
-    start: float = 0.5
-    duration: float = 6.0
     #: free-form per-kind knobs as a frozen (key, value) tuple
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError("intensity must be in [0, 1]")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.start < 0:
-            raise ValueError("start must be non-negative")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
@@ -103,10 +89,8 @@ class Scenario:
                 return v
         return default
 
-    @property
-    def window(self) -> tuple[float, float]:
-        """The (start, end) time window the scenario acts in."""
-        return (self.start, self.start + self.duration)
+    #: the (start, end) time window every scenario acts in
+    window: ClassVar[tuple[float, float]] = (0.5, 6.5)
 
 
 @dataclass
@@ -217,7 +201,7 @@ def make(kind: str, **overrides) -> Scenario:
     field, plus free-form numeric knobs collected into ``params``) win.
     """
     spec = get(kind)
-    fields = {"name", "seed", "intensity", "targets", "start", "duration", "params"}
+    fields = {"name", "seed", "intensity", "targets", "params"}
     kwargs: dict = {"kind": spec.name}
     extra: dict[str, float] = {}
     for source in (spec.defaults, overrides):

@@ -102,7 +102,7 @@ def _apply_corrupt_chunk(ctx: ScenarioContext) -> None:
 def _apply_withheld_fetch(ctx: ScenarioContext) -> None:
     """First fetch of each chosen chunk silently never answers."""
     for rank, step in _pick_pairs(ctx):
-        ctx.injector.withhold_fetch(rank, step, attempts=1)
+        ctx.injector.withhold_fetch(rank, step)
         ctx.plan("withhold_fetch", 0.0, (rank, step))
 
 
@@ -110,18 +110,14 @@ def _pick_region_pair(ctx: ScenarioContext) -> tuple[str, str]:
     """A seeded (compute-side, staging-side) region pair to cut.
 
     The second region is the one hosting a seeded staging node, so the
-    partition actually crosses fetch traffic; an explicit
-    ``targets.region`` pins the first.
+    partition actually crosses fetch traffic.
     """
     topo = ctx.machine.network.topology
     staging_ids = list(ctx.machine.staging_node_ids)
     node = staging_ids[int(ctx.rng.integers(0, len(staging_ids)))]
     region_b = topo.region_of(node)
-    region_a = ctx.scenario.targets.region
-    if region_a is None or region_a == region_b:
-        others = [r for r in topo.regions if r != region_b]
-        region_a = others[int(ctx.rng.integers(0, len(others)))]
-    return region_a, region_b
+    others = [r for r in topo.regions if r != region_b]
+    return others[int(ctx.rng.integers(0, len(others)))], region_b
 
 
 def _apply_regional_partition(ctx: ScenarioContext) -> None:
@@ -153,9 +149,7 @@ def _apply_slow_region(ctx: ScenarioContext) -> None:
     s = ctx.scenario
     start, end = s.window
     topo = ctx.machine.network.topology
-    region = s.targets.region
-    if region is None:
-        region = topo.regions[int(ctx.rng.integers(0, len(topo.regions)))]
+    region = topo.regions[int(ctx.rng.integers(0, len(topo.regions)))]
     extra = 0.02 + 0.18 * s.intensity
     ctx.injector.slow_region(region, at=start, duration=end - start, extra=extra)
     ctx.plan("slow_region", start, (region, end - start, extra))
@@ -185,8 +179,6 @@ def _apply_kitchen_sink(ctx: ScenarioContext) -> None:
             name=f"sink:{kind}",
             seed=s.seed,
             intensity=child_intensity,
-            start=s.start,
-            duration=s.duration,
         )
         get(kind).apply(ctx.child(child))
     crash_at = start + 0.45 * (end - start)

@@ -85,26 +85,21 @@ def run_scenarios(
     *,
     seed: int = 0,
     fast: bool = False,
-    check: bool = True,
     **workload,
 ) -> ScenarioRunResult:
     """Run the chaos workload under *scenarios* and distil the result.
 
     ``fast`` shrinks the workload (fewer ranks and steps) for test and
     smoke use; extra ``workload`` kwargs are forwarded verbatim to
-    :func:`repro.experiments.chaos.run_once`.  ``check=False`` skips
-    binding the invariant checker (pure perf runs).
+    :func:`repro.experiments.chaos.run_once`.
     """
+    from repro.check import Checker
     from repro.experiments.chaos import fingerprint as run_fingerprint
     from repro.experiments.chaos import run_once
     from repro.faults import ResilienceConfig
 
     harness = ScenarioHarness(list(scenarios), seed=seed)
-    checker = None
-    if check:
-        from repro.check import Checker
-
-        checker = Checker()
+    checker = Checker()
     config = dict(
         inject=False,
         make_injector=False,
@@ -128,9 +123,7 @@ def run_scenarios(
     combined = hashlib.sha256(
         (run_fingerprint(run) + "|" + schedule_hash).encode()
     ).hexdigest()
-    violations = (
-        checker.violations(run.predata) if checker is not None else []
-    )
+    violations = checker.violations(run.predata)
     fired = harness.fired
     return ScenarioRunResult(
         scenarios=tuple(s.name for s in scenarios),
@@ -168,12 +161,11 @@ def run_named(
 def sweep(
     names: Sequence[str] | None = None,
     *,
-    seed: int = 0,
-    intensity: float = 1.0,
     fast: bool = False,
     repeats: int = 2,
 ) -> dict:
-    """The chaos matrix: every scenario run ``repeats`` times.
+    """The chaos matrix: every scenario run ``repeats`` times at seed 0
+    and full intensity.
 
     Returns a benchmark record (see :mod:`repro.perf.bench`) whose
     guards are host-independent *fractions*: scenarios registered,
@@ -190,7 +182,7 @@ def sweep(
     complete = clean = deterministic = 0
     for name in chosen:
         results = [
-            run_named(name, seed=seed, intensity=intensity, fast=fast)
+            run_named(name, fast=fast)
             for _ in range(max(1, repeats))
         ]
         first = results[0]
@@ -221,8 +213,8 @@ def sweep(
     n = len(chosen)
     return {
         "config": {
-            "seed": seed,
-            "intensity": intensity,
+            "seed": 0,
+            "intensity": 1.0,
             "fast": fast,
             "repeats": repeats,
             "scenarios": chosen,
@@ -244,8 +236,6 @@ def sweep_arguments(parser) -> None:
     parser.add_argument(
         "names", nargs="*", help="scenario subset (default: all registered)"
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--intensity", type=float, default=1.0)
     parser.add_argument("--fast", action="store_true")
     parser.add_argument(
         "--repeats", type=int, default=2,

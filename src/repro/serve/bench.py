@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.serve.config import ServeConfig
+from repro.serve.config import QUERY_COST_BYTES, ServeConfig
 from repro.serve.workload import WorkloadDriver
 
 __all__ = ["BENCH_CONFIG", "DEFAULT_LOADS", "add_arguments", "bench_query", "render", "run"]
@@ -40,8 +40,7 @@ SLO_SECONDS = 0.02
 #: admitted → degraded-to-stale → shed — instead of the cache absorbing
 #: everything
 BENCH_CONFIG = ServeConfig(
-    credit_bytes=6 * 64e3,
-    query_cost_bytes=64e3,
+    credit_bytes=6 * QUERY_COST_BYTES,
     shard_overhead_seconds=1e-3,
     row_check_seconds=2e-6,
     row_emit_seconds=5e-7,

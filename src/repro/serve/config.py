@@ -16,6 +16,14 @@ from repro.flow.config import FlowConfig
 
 __all__ = ["ServeConfig"]
 
+#: capacity (entries) of the front result/index cache, LRU-evicted
+CACHE_ENTRIES = 512
+#: admission charge per query: the modelled buffer/result footprint a
+#: query pins while being served
+QUERY_COST_BYTES = 64e3
+#: time to answer straight from the front cache
+CACHE_HIT_SECONDS = 5e-5
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -27,21 +35,13 @@ class ServeConfig:
         Index shards (one per owning staging node).  Partitions are
         assigned to shards by Hilbert-SFC hashing of their key
         interval; queries scatter to owning shards and gather.
-    sfc_order:
-        Hilbert curve order: the key space is hashed on a
-        ``2^sfc_order`` x ``2^sfc_order`` grid.
-    cache_entries:
-        Capacity (entries) of the front result/index cache, LRU-evicted.
     stale_bound:
         How many versions stale a *degraded* cache read may be.  Fresh
         reads always require the current version; a commit removes the
         step's entries outright, so no post-commit stale read exists.
     credit_bytes:
         Admission budget: byte credits outstanding across in-flight
-        queries (each query charges ``query_cost_bytes``).
-    query_cost_bytes:
-        Admission charge per query — the modelled buffer/result
-        footprint a query pins while being served.
+        queries (each query charges :data:`QUERY_COST_BYTES`).
     codel_target:
         CoDel sojourn target for the admission queue: a query waiting
         longer than the (shrinking) allowance degrades to a
@@ -52,8 +52,6 @@ class ServeConfig:
         :class:`repro.flow.config.FlowConfig`).
     route_seconds:
         One scatter or gather network hop to/from a shard owner.
-    cache_hit_seconds:
-        Time to answer straight from the front cache.
     shard_overhead_seconds:
         Fixed dispatch cost of one shard executing one sub-query.
     row_check_seconds:
@@ -63,15 +61,11 @@ class ServeConfig:
     """
 
     nshards: int = 4
-    sfc_order: int = 5
-    cache_entries: int = 512
     stale_bound: int = 1
     credit_bytes: float = 2 * 2**20
-    query_cost_bytes: float = 64e3
     codel_target: Optional[float] = 0.02
     codel_interval: float = 0.1
     route_seconds: float = 2e-4
-    cache_hit_seconds: float = 5e-5
     shard_overhead_seconds: float = 2e-4
     row_check_seconds: float = 5e-7
     row_emit_seconds: float = 1e-7
@@ -79,21 +73,16 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.nshards < 1:
             raise ValueError("nshards must be >= 1")
-        if not 1 <= self.sfc_order <= 15:
-            raise ValueError("sfc_order must be in [1, 15]")
-        if self.cache_entries < 1:
-            raise ValueError("cache_entries must be >= 1")
         if self.stale_bound < 0:
             raise ValueError("stale_bound must be >= 0")
-        if self.credit_bytes <= 0 or self.query_cost_bytes <= 0:
-            raise ValueError("credit and query-cost bytes must be positive")
+        if self.credit_bytes <= 0:
+            raise ValueError("credit bytes must be positive")
         if self.codel_target is not None and self.codel_target <= 0:
             raise ValueError("codel_target must be positive")
         if self.codel_interval <= 0:
             raise ValueError("codel_interval must be positive")
         for name in (
             "route_seconds",
-            "cache_hit_seconds",
             "shard_overhead_seconds",
             "row_check_seconds",
             "row_emit_seconds",

@@ -8,14 +8,14 @@ partitions, answers marked partial).
 
 The serve path:
 
-1. **admission** — every query charges ``query_cost_bytes`` against a
+1. **admission** — every query charges ``QUERY_COST_BYTES`` against a
    :class:`~repro.flow.credits.CreditBank`.  With a CoDel target set,
    a query whose admission wait exceeds the shrinking allowance is not
    dropped but *degraded*: it falls back to a stale-but-bounded read
    of the result cache, and is shed only when no bounded entry exists.
 2. **cache** — admitted queries probe the versioned LRU cache
    (:class:`~repro.serve.cache.QueryCache`); a fresh hit answers in
-   ``cache_hit_seconds``.
+   ``CACHE_HIT_SECONDS``.
 3. **scatter/gather** — on a miss against a committed step the query
    routes to the owning shards (:meth:`ShardedStepIndex.owners_for`),
    each shard serialising its work on a FIFO
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.flow.credits import CreditBank
 from repro.serve.cache import QueryCache
-from repro.serve.config import ServeConfig
+from repro.serve.config import CACHE_ENTRIES, CACHE_HIT_SECONDS, QUERY_COST_BYTES, ServeConfig
 from repro.serve.shard import ShardedStepIndex, merge_aggregates, partial_aggregate
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -74,9 +74,9 @@ class Query:
         return cls(var=var, kind="range", conditions=conds, step=step)
 
     @classmethod
-    def point(cls, var, col: int, value: float, step: Optional[int] = None) -> "Query":
+    def point(cls, var, col: int, value: float) -> "Query":
         v = float(value)
-        return cls(var=var, kind="point", conditions=((col, v, v),), step=step)
+        return cls(var=var, kind="point", conditions=((col, v, v),))
 
     @classmethod
     def aggregate(
@@ -143,14 +143,12 @@ class QueryService:
         env: Engine,
         config: Optional[ServeConfig] = None,
         *,
-        indexed_columns=(0,),
         bins: int = 64,
     ):
         self.env = env
         self.config = config or ServeConfig()
-        self.indexed_columns = tuple(indexed_columns)
         self.bins = bins
-        self.cache = QueryCache(self.config.cache_entries)
+        self.cache = QueryCache(CACHE_ENTRIES)
         self.bank = CreditBank(
             env, rank=0,
             capacity=self.config.credit_bytes,
@@ -206,10 +204,9 @@ class QueryService:
             raise ValueError(f"committing empty step {step} of {var!r}")
         state.index = ShardedStepIndex(
             state.partitions,
-            self.indexed_columns,
+            (0,),  # column 0 is the routing column and the only index
             nshards=self.config.nshards,
             bins=self.bins,
-            order=self.config.sfc_order,
         )
         state.committed = True
         state.version += 1
@@ -229,10 +226,9 @@ class QueryService:
             return self._finish(Answer(query=query, source="no_data", latency=0.0), t0)
         version = state.version
         key = self.cache.key(query.var, state.step, query.shape())
-        cost = self.config.query_cost_bytes
         can_degrade = self.config.codel_target is not None
         granted = yield from self.bank.request(
-            (client, qid), cost, can_degrade=can_degrade
+            (client, qid), QUERY_COST_BYTES, can_degrade=can_degrade
         )
         if not granted:
             # degraded: a bounded-staleness cache read or nothing
@@ -249,7 +245,7 @@ class QueryService:
                     Answer(query=query, source="shed", latency=0.0, step=state.step),
                     t0,
                 )
-            yield self.env.timeout(self.config.cache_hit_seconds)
+            yield self.env.timeout(CACHE_HIT_SECONDS)
             self.stale_served += 1
             return self._finish(
                 self._answer(query, state.step, cached, "stale"), t0
@@ -258,7 +254,7 @@ class QueryService:
             cached = self.cache.get(key, version)
             if cached is not None:
                 self._obs_inc("serve_cache_hits")
-                yield self.env.timeout(self.config.cache_hit_seconds)
+                yield self.env.timeout(CACHE_HIT_SECONDS)
                 return self._finish(
                     self._answer(query, state.step, cached, "cache"), t0
                 )

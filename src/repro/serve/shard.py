@@ -32,6 +32,9 @@ __all__ = [
     "partial_aggregate",
 ]
 
+#: Hilbert curve order of the ownership grid (2^5 x 2^5 cells)
+_SFC_ORDER = 5
+
 
 def partial_aggregate(rows: np.ndarray, col: int) -> dict:
     """One shard's aggregation partial over its matching *rows*."""
@@ -72,7 +75,6 @@ class ShardedStepIndex:
         assignment.
     nshards: owner count.
     bins: bins per bitmap index.
-    order: Hilbert curve order of the ownership grid.
     """
 
     def __init__(
@@ -82,13 +84,11 @@ class ShardedStepIndex:
         *,
         nshards: int,
         bins: int = 64,
-        order: int = 5,
     ):
         self.indexed_columns = tuple(indexed_columns)
         if not self.indexed_columns:
             raise ValueError("need at least one indexed column")
         self.nshards = int(nshards)
-        self.order = int(order)
         parts = [np.atleast_2d(np.asarray(p)) for p in partitions if len(p)]
         if not parts:
             raise ValueError("need at least one non-empty partition")
@@ -110,7 +110,7 @@ class ShardedStepIndex:
         for p in parts:
             vals = p[:, route_col]
             owner = hilbert_owner(
-                self.order,
+                _SFC_ORDER,
                 self._cell(float(vals.min())),
                 self._cell(float(vals.max())),
                 self.nshards,
@@ -138,7 +138,7 @@ class ShardedStepIndex:
 
     def _cell(self, value: float) -> int:
         """Grid cell of a routing-column value on the 2^order axis."""
-        n = 1 << self.order
+        n = 1 << _SFC_ORDER
         span = self._route_hi - self._route_lo
         if span <= 0:
             return 0

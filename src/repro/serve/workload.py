@@ -88,6 +88,21 @@ class LoadPoint:
         }
 
 
+#: the served variable and its dataset: partitions per step, rows and
+#: columns per partition, bins per bitmap index
+VAR = "rho"
+NPARTS = 8
+ROWS_PER_PART = 512
+NCOLS = 4
+BINS = 32
+#: the traffic: client ids, query-pool size, the share of the pool that
+#: is "popular" and the chance a query draws from that hot set
+NCLIENTS = 8
+POOL_SIZE = 48
+HOT_FRACTION = 0.25
+HOT_PROBABILITY = 0.8
+
+
 @dataclass
 class WorkloadDriver:
     """Open-loop query traffic generator.
@@ -98,57 +113,46 @@ class WorkloadDriver:
 
     seed: int = 20260808
     config: ServeConfig = field(default_factory=ServeConfig)
-    var: str = "rho"
-    nclients: int = 8
-    pool_size: int = 48
-    hot_fraction: float = 0.25  # share of the pool that is "popular"
-    hot_probability: float = 0.8  # chance a query draws from the hot set
-    nparts: int = 8
-    rows_per_part: int = 512
-    ncols: int = 4
-    bins: int = 32
-    produce_inflight: bool = True  # land + commit a second step mid-run
 
     # -- dataset ------------------------------------------------------------
     def make_partitions(self, step: int) -> list[np.ndarray]:
         """Deterministic per-step particle partitions."""
         rng = np.random.default_rng(self.seed + 7919 * step)
         parts = []
-        for i in range(self.nparts):
+        for i in range(NPARTS):
             # give each partition a distinct key neighbourhood on the
             # routing column so Hilbert sharding actually spreads them
-            centre = (i + 0.5) / self.nparts * 100.0
-            block = rng.normal(loc=centre, scale=4.0,
-                               size=(self.rows_per_part, self.ncols))
+            centre = (i + 0.5) / NPARTS * 100.0
+            block = rng.normal(loc=centre, scale=4.0, size=(ROWS_PER_PART, NCOLS))
             parts.append(block)
         return parts
 
     def make_pool(self, rng: random.Random) -> list[Query]:
         """The query pool clients draw from (range/point/agg mix)."""
         pool: list[Query] = []
-        for i in range(self.pool_size):
+        for i in range(POOL_SIZE):
             lo = rng.uniform(0.0, 90.0)
             hi = lo + rng.uniform(2.0, 25.0)
             kind = i % 3
             if kind == 0:
-                pool.append(Query.range(self.var, {0: (lo, hi)}))
+                pool.append(Query.range(VAR, {0: (lo, hi)}))
             elif kind == 1:
                 # point probe plus a secondary range condition
                 pool.append(
                     Query.range(
-                        self.var,
+                        VAR,
                         {0: (lo, hi), 1: (rng.uniform(0, 50), 100.0)},
                     )
                 )
             else:
                 pool.append(
-                    Query.aggregate(self.var, {0: (lo, hi)}, agg_col=self.ncols - 1)
+                    Query.aggregate(VAR, {0: (lo, hi)}, agg_col=NCOLS - 1)
                 )
         return pool
 
     def _draw(self, rng: random.Random, pool: list[Query]) -> Query:
-        hot = max(1, int(len(pool) * self.hot_fraction))
-        if rng.random() < self.hot_probability:
+        hot = max(1, int(len(pool) * HOT_FRACTION))
+        if rng.random() < HOT_PROBABILITY:
             return pool[rng.randrange(hot)]
         return pool[rng.randrange(len(pool))]
 
@@ -159,10 +163,8 @@ class WorkloadDriver:
             raise ValueError("offered_qps and duration must be positive")
         rng = random.Random(self.seed * 1_000_003 + int(round(offered_qps * 1000)))
         env = Engine()
-        service = QueryService(
-            env, self.config, indexed_columns=(0,), bins=self.bins
-        )
-        service.commit_step(self.var, 0, partitions=self.make_partitions(0))
+        service = QueryService(env, self.config, bins=BINS)
+        service.commit_step(VAR, 0, partitions=self.make_partitions(0))
         pool = self.make_pool(rng)
         issued = [0]
 
@@ -172,7 +174,7 @@ class WorkloadDriver:
                 if env.now >= duration:
                     break
                 query = self._draw(rng, pool)
-                client = issued[0] % self.nclients
+                client = issued[0] % NCLIENTS
                 env.process(service.serve(client, issued[0], query))
                 issued[0] += 1
 
@@ -181,16 +183,15 @@ class WorkloadDriver:
             # commit — queries in between exercise the in-flight path
             # and the commit exercises hard invalidation under traffic
             step1 = self.make_partitions(1)
-            service.begin_step(self.var, 1)
+            service.begin_step(VAR, 1)
             gap = duration * 0.6 / max(1, len(step1))
             for part in step1:
                 yield env.timeout(gap)
-                service.land_chunk(self.var, 1, part)
-            service.commit_step(self.var, 1)
+                service.land_chunk(VAR, 1, part)
+            service.commit_step(VAR, 1)
 
         env.process(arrivals())
-        if self.produce_inflight:
-            env.process(producer())
+        env.process(producer())
         env.run()  # drain: arrivals stop at `duration`, queries finish
 
         stats = service.cache.stats

@@ -107,14 +107,13 @@ class Resource:
         if ev.triggered:
             self.release(n)
 
-    def use(self, duration: float, n: int = 1) -> Generator:
-        """Convenience process body: acquire, hold *duration*, release."""
-        req = self.request(n)
-        yield req
+    def use(self, duration: float) -> Generator:
+        """Convenience process body: acquire a unit, hold *duration*, release."""
+        yield self.request()
         try:
             yield self.env.timeout(duration)
         finally:
-            self.release(n)
+            self.release()
 
 
 class Store:

@@ -27,7 +27,7 @@ Guards (all "bigger is better" ratios in [0, 1]):
 
 from __future__ import annotations
 
-from repro.stream.scenario import run_stream
+from repro.stream import scenario
 
 __all__ = [
     "BENCH_PARAMS",
@@ -43,25 +43,17 @@ __all__ = [
 NOTIFY_SLO_SECONDS = 0.05
 
 #: the committed baseline's scenario shape: a 2x-rate producer over
-#: the slow group, a mid-run follower join, and lossy-ack redelivery
-BENCH_PARAMS = dict(
-    nsteps=10,
-    grid=48,
-    producers=4,
-    analysis_members=3,
-    slow_members=1,
-    follower_join_frac=0.45,
-    step_period=0.4,
-    slow_process_factor=2.0,
-    credit_steps=2,
-    redeliver_rate=0.15,
-)
+#: the slow group (the scenario's fixed consumer side adds a mid-run
+#: follower join and lossy-ack redelivery)
+BENCH_PARAMS = dict(nsteps=10, grid=48, producers=4, step_period=0.4, credit_steps=2)
+#: seed of the committed baseline's run
+SEED = 20260808
 
 
-def bench_stream(seed: int = 20260808, **overrides) -> dict:
+def bench_stream(**overrides) -> dict:
     """Run the scenario once; returns the ``BENCH_stream`` record."""
     params = {**BENCH_PARAMS, **overrides}
-    run = run_stream(seed=seed, **params)
+    run = scenario.run_stream(seed=SEED, **params)
     guards: dict[str, float] = {
         "conservation": 1.0 if not run.violations else 0.0,
     }
@@ -84,8 +76,15 @@ def bench_stream(seed: int = 20260808, **overrides) -> dict:
     )
     return {
         "bench": "stream",
-        "seed": seed,
-        "params": params,
+        "seed": SEED,
+        "params": {
+            **params,
+            "analysis_members": scenario.ANALYSIS_MEMBERS,
+            "slow_members": scenario.SLOW_MEMBERS,
+            "follower_join_frac": scenario.FOLLOWER_JOIN_FRAC,
+            "slow_process_factor": scenario.SLOW_PROCESS_FACTOR,
+            "redeliver_rate": scenario.REDELIVER_RATE,
+        },
         "notify_slo_seconds": NOTIFY_SLO_SECONDS,
         "run": run.to_dict(),
         "guards": guards,
@@ -96,14 +95,11 @@ def add_arguments(parser) -> None:
     """The scenario's flags: each overrides the :data:`BENCH_PARAMS` entry it names."""
     for flag, param, help_text in (
         ("--steps", "nsteps", "producer steps to publish"),
-        ("--consumers", "analysis_members", "members of the in-transit analysis group"),
         ("--period", "step_period", "producer step period (sim seconds)"),
         ("--credit-steps", "credit_steps", "slow consumer's credit budget in steps"),
-        ("--redeliver", "redeliver_rate", "seeded lost-ack redelivery probability"),
     ):
         default = BENCH_PARAMS[param]
         parser.add_argument(flag, dest=param, type=type(default), default=default, help=help_text)
-    parser.add_argument("--seed", type=int, default=20260808)
 
 
 def failed(record: dict) -> bool:

@@ -45,11 +45,8 @@ def member_pieces(
     return out
 
 
-def member_charge_bytes(
-    index, region: Region, nmembers: int, member: int, itemsize: float = 8.0
-) -> float:
-    """Credit charge of one step for *member*: its partition's bytes."""
+def member_charge_bytes(index, region: Region, nmembers: int, member: int) -> float:
+    """Credit charge of one step for *member*: its partition's float64 bytes."""
     return float(
-        sum(p.cells for p in member_pieces(index, region, nmembers, member))
-        * itemsize
+        sum(p.cells for p in member_pieces(index, region, nmembers, member)) * 8.0
     )

@@ -39,7 +39,6 @@ class StepStream:
         ds,
         config: Optional[StreamConfig] = None,
         *,
-        server_node: Optional[int] = None,
         checker=None,
     ):
         self.env = env
@@ -47,33 +46,17 @@ class StepStream:
         self.ds = ds
         self.config = config or StreamConfig()
         self.checker = checker
-        self.manager = SubscriptionManager(
-            env, machine, ds, self.config,
-            server_node=server_node, checker=checker,
-        )
+        self.manager = SubscriptionManager(env, machine, ds, self.config, checker=checker)
         #: committed watermarks per var, in publish order
         self.log: dict[str, list[Watermark]] = {}
 
     # -- publishing ---------------------------------------------------------
-    def publish(
-        self,
-        var: str,
-        step: int,
-        region: Optional[Region] = None,
-        *,
-        version: Optional[int] = None,
-    ) -> Watermark:
-        """Record completion of *step* and notify subscribers.
-
-        *region* defaults to the whole declared domain, *version* to
-        the domain's current committed version.
-        """
+    def publish(self, var: str, step: int) -> Watermark:
+        """Record completion of *step* over the whole declared domain,
+        at the domain's current committed version, and notify subscribers."""
         idx = self.ds.index(var)
-        if region is None:
-            region = Region((0,) * len(idx.dims), idx.dims)
-        if version is None:
-            version = self.ds.version(var)
-        wm = Watermark(var, step, region, version, self.env.now)
+        region = Region((0,) * len(idx.dims), idx.dims)
+        wm = Watermark(var, step, region, self.ds.version(var), self.env.now)
         self.log.setdefault(var, []).append(wm)
         if self.checker is not None:
             self.checker.on_published(var, step)

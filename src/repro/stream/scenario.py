@@ -10,7 +10,7 @@ over a :class:`~repro.stream.publisher.StepStream`:
 - ``follower`` — a particle-tracking follower that *joins mid-run*
   and catches up from the latest committed step;
 - ``slow`` — a deliberately slow consumer (per-step processing takes
-  ``slow_process_factor`` producer periods) on a small credit budget,
+  :data:`SLOW_PROCESS_FACTOR` producer periods) on a small credit budget,
   demonstrating bounded lag under a faster producer.
 
 Everything is seeded — field data, redelivery draws, timing — so a
@@ -40,6 +40,13 @@ __all__ = ["GroupReport", "StreamRun", "make_field", "run_stream"]
 #: histogram edges the analysis readers share (field values land in
 #: roughly [-0.5, 1.5] under :func:`make_field`)
 ANALYSIS_EDGES = np.linspace(-0.5, 1.5, 17)
+
+#: the consumer side of the scenario (echoed in ``BENCH_stream.json``)
+ANALYSIS_MEMBERS = 3
+SLOW_MEMBERS = 1
+FOLLOWER_JOIN_FRAC = 0.45
+SLOW_PROCESS_FACTOR = 2.0
+REDELIVER_RATE = 0.15
 
 
 def make_field(step: int, grid: int, seed: int) -> np.ndarray:
@@ -174,47 +181,46 @@ def run_stream(
     nsteps: int = 8,
     grid: int = 48,
     producers: int = 4,
-    analysis_members: int = 3,
-    slow_members: int = 1,
-    follower_join_frac: float = 0.45,
     step_period: float = 0.5,
-    slow_process_factor: float = 2.0,
     credit_steps: int = 2,
-    redeliver_rate: float = 0.15,
-    nservers: int = 2,
     obs=None,
-    config: Optional[StreamConfig] = None,
 ) -> StreamRun:
-    """Run the coupled-workflow scenario; returns a :class:`StreamRun`."""
+    """Run the coupled-workflow scenario; returns a :class:`StreamRun`.
+
+    The consumer side is fixed: :data:`ANALYSIS_MEMBERS` in-transit
+    analysis members, :data:`SLOW_MEMBERS` slow member taking
+    :data:`SLOW_PROCESS_FACTOR` step periods per step, a follower that
+    joins :data:`FOLLOWER_JOIN_FRAC` of the way through, and lost acks
+    redelivered with probability :data:`REDELIVER_RATE`.
+    """
     if nsteps < 2 or producers < 1 or grid % producers != 0:
         raise ValueError("need nsteps >= 2 and grid divisible by producers")
     eng = Engine()
     if obs is not None:
         eng.obs = obs
-    nconsumers = analysis_members + slow_members + 1
+    nconsumers = ANALYSIS_MEMBERS + SLOW_MEMBERS + 1
     machine = Machine(
-        eng, producers + nconsumers, nservers,
-        spec=TESTING_TINY, fs_interference=False,
+        eng, producers + nconsumers, 2, spec=TESTING_TINY, fs_interference=False
     )
     ds = DataSpaces(eng, machine, list(machine.staging_node_ids))
     ds.declare("field", (grid, grid))
     checker = StreamChecker()
-    cfg = config or StreamConfig(redeliver_rate=redeliver_rate, seed=seed)
+    cfg = StreamConfig(redeliver_rate=REDELIVER_RATE, seed=seed)
     stream = StepStream(eng, machine, ds, cfg, checker=checker)
     domain = Region((0, 0), (grid, grid))
     fields = [make_field(s, grid, seed) for s in range(nsteps)]
 
     # node layout: producers first, then consumer apps
-    analysis_nodes = [producers + i for i in range(analysis_members)]
-    slow_nodes = [producers + analysis_members + i for i in range(slow_members)]
-    follower_node = producers + analysis_members + slow_members
+    analysis_nodes = [producers + i for i in range(ANALYSIS_MEMBERS)]
+    slow_nodes = [producers + ANALYSIS_MEMBERS + i for i in range(SLOW_MEMBERS)]
+    follower_node = producers + ANALYSIS_MEMBERS + SLOW_MEMBERS
 
     # the slow group's budget: credit_steps steps' worth of its largest
     # member partition — the knob the lag bound is measured against
     idx = ds.index("field")
     slow_charge = max(
-        member_charge_bytes(idx, domain, slow_members, m)
-        for m in range(slow_members)
+        member_charge_bytes(idx, domain, SLOW_MEMBERS, m)
+        for m in range(SLOW_MEMBERS)
     )
     slow_budget = credit_steps * slow_charge
 
@@ -225,7 +231,7 @@ def run_stream(
     )
     slow = ConsumerGroup(
         eng, stream, "field", domain, slow_nodes,
-        process_seconds=slow_process_factor * step_period,
+        process_seconds=SLOW_PROCESS_FACTOR * step_period,
         credit_bytes=slow_budget, catchup="none", name="slow",
     )
     follower = ConsumerGroup(
@@ -252,7 +258,7 @@ def run_stream(
                     stream.close()
 
     def late_joiner():
-        yield eng.timeout(follower_join_frac * nsteps * step_period)
+        yield eng.timeout(FOLLOWER_JOIN_FRAC * nsteps * step_period)
         follower.start()
 
     for r in range(producers):

@@ -133,16 +133,13 @@ class SubscriptionManager:
         ds,
         config: StreamConfig,
         *,
-        server_node: Optional[int] = None,
         checker=None,
     ):
         self.env = env
         self.machine = machine
         self.ds = ds
         self.config = config
-        self.server_node = (
-            ds.server_nodes[0] if server_node is None else server_node
-        )
+        self.server_node = ds.server_nodes[0]
         self.checker = checker
         self._subs: dict[int, Subscription] = {}
         self._next_id = 0

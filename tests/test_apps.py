@@ -21,6 +21,7 @@ from repro.apps import (
     pixie3d_group,
 )
 from repro.apps.gtc import COL_LABEL
+from repro.apps.pixie3d import COMPUTE_SECONDS_BETWEEN_COLLECTIVES
 from repro.core import MovementScheduler, PreDatA
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World, nbytes_of
@@ -158,7 +159,6 @@ def small_pixie_cfg(**kw):
         iterations_per_dump=2,
         ndumps=1,
         collective_rounds_per_iteration=3,
-        compute_seconds_between_collectives=0.7,
     )
     defaults.update(kw)
     return Pixie3DConfig(**defaults)
@@ -204,7 +204,7 @@ def test_pixie3d_runs_and_reports():
     expected_compute = (
         cfg.ndumps * cfg.iterations_per_dump
         * cfg.collective_rounds_per_iteration
-        * cfg.compute_seconds_between_collectives
+        * COMPUTE_SECONDS_BETWEEN_COLLECTIVES
     )
     assert m.compute == pytest.approx(expected_compute)
     assert m.comm > 0

@@ -70,8 +70,7 @@ def test_module_guard_is_the_registry_callable():
         for module in (["repro", "fig7"], ["repro.experiments.fig7"])
     ]
     assert helps[0] == helps[1]
-    for flag in ("--trace", "--fast", "--flow"):
-        assert flag in helps[0]
+    assert "--fast" in helps[0]
 
 
 @pytest.mark.parametrize(
@@ -83,6 +82,8 @@ def test_module_guard_is_the_registry_callable():
         ["utilization", "--fast"],
         ["chaos", "--fast"],
         ["headline", "--flow"],
+        ["headline", "--trace"],
+        ["fig7", "--flow"],
         ["fig8", "--trace"],
         ["run-all", "--flow"],
     ],

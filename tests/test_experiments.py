@@ -129,9 +129,9 @@ def test_run_pixie3d_rejects_bad_placement():
 
 
 def test_run_pixie3d_collect_files():
-    ic = run_pixie3d(256, "incompute", collect_files=True, ndumps=1,
+    ic = run_pixie3d(256, "incompute", collect_files=True,
                      iterations_per_dump=2, collective_rounds=2)
-    st = run_pixie3d(256, "staging", collect_files=True, ndumps=1,
+    st = run_pixie3d(256, "staging", collect_files=True,
                      iterations_per_dump=2, collective_rounds=2)
     assert ic.unmerged_file is not None
     assert st.merged_file is not None
@@ -142,8 +142,8 @@ def test_run_pixie3d_collect_files():
 
 
 def test_run_pixie3d_staging_steal_applies_only_to_staging():
-    ic = run_pixie3d(256, "incompute", ndumps=1, iterations_per_dump=2,
+    ic = run_pixie3d(256, "incompute", iterations_per_dump=2,
                      collective_rounds=2, staging_steal=0.5)
-    st = run_pixie3d(256, "staging", ndumps=1, iterations_per_dump=2,
+    st = run_pixie3d(256, "staging", iterations_per_dump=2,
                      collective_rounds=2, staging_steal=0.5)
     assert st.metrics.compute > ic.metrics.compute * 1.3

@@ -88,7 +88,7 @@ def test_filesystem_stall_window_slows_write():
     def one(stall):
         eng, machine = _machine()
         if stall:
-            machine.filesystem.stall_window(0.0, 1000.0, floor=0.05)
+            machine.filesystem.stall_window(0.0, 1000.0)
 
         def body():
             yield from machine.filesystem.write(200e6, nclients=1)

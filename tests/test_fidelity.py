@@ -40,9 +40,9 @@ def test_rep_rank_scaling_consistent_gtc_staging():
 
 
 def test_rep_rank_scaling_consistent_pixie():
-    exact = run_pixie3d(256, "incompute", rep_ranks=256, ndumps=1,
+    exact = run_pixie3d(256, "incompute", rep_ranks=256,
                         iterations_per_dump=2, collective_rounds=2)
-    rep = run_pixie3d(256, "incompute", rep_ranks=64, ndumps=1,
+    rep = run_pixie3d(256, "incompute", rep_ranks=64,
                       iterations_per_dump=2, collective_rounds=2)
     assert rep.metrics.total == pytest.approx(exact.metrics.total, rel=0.15)
 

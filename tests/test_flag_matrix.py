@@ -143,7 +143,7 @@ def _serve_pass(run) -> str:
     from repro.sim.engine import Engine
 
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     lo = hi = None
     for step in range(4):  # the matrix workload's nsteps
         arr = None

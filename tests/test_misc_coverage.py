@@ -79,18 +79,12 @@ def test_fs_read_parallel_clients_faster():
 
 def test_fs_degradation_piecewise_constant():
     eng = Engine()
-    fs = ParallelFileSystem(eng, FileSystemConfig(), interference=True,
-                            interference_interval=5.0)
+    fs = ParallelFileSystem(eng, FileSystemConfig(), interference=True)
     a = fs._degradation(1.0)
     b = fs._degradation(4.9)
     c = fs._degradation(5.1)
     assert a == b  # same slot
     assert 0.05 <= c <= 1.0
-
-
-def test_topology_graph_cached():
-    topo = TorusTopology(16)
-    assert topo.graph() is topo.graph()
 
 
 # -------------------------------------------------------------- groups

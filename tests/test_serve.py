@@ -170,7 +170,7 @@ def test_aggregate_merge_matches_numpy():
 # ---------------------------------------------------------------- service
 def test_range_query_through_service_matches_brute_force():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     parts = make_partitions()
     service.commit_step("rho", 0, partitions=parts)
     query = Query.range("rho", {0: (12.0, 41.0), 1: (5.0, 60.0)})
@@ -187,7 +187,7 @@ def test_range_query_through_service_matches_brute_force():
 
 def test_point_and_aggregation_queries():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     parts = make_partitions()
     target = float(parts[2][7, 0])
     service.commit_step("rho", 0, partitions=parts)
@@ -207,7 +207,7 @@ def test_point_and_aggregation_queries():
 
 def test_repeat_query_hits_cache_and_is_faster():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     service.commit_step("rho", 0, partitions=make_partitions())
     query = Query.range("rho", {0: (12.0, 41.0)})
     first = serve_one(env, service, query, qid=1)
@@ -228,7 +228,7 @@ def test_unknown_variable_returns_no_data():
 
 def test_empty_result_keeps_partition_dtype():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     parts = [(p * 100).astype(np.int64) for p in make_partitions()]
     service.commit_step("rho", 0, partitions=parts)
     answer = serve_one(env, service, Query.range("rho", {0: (1e8, 2e8)}))
@@ -239,7 +239,7 @@ def test_empty_result_keeps_partition_dtype():
 # ------------------------------------------------- in-flight + invalidation
 def test_inflight_step_serves_partial_then_commit_serves_full():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     parts = make_partitions(nparts=4)
     service.begin_step("rho", 0)
     for p in parts[:2]:
@@ -258,7 +258,7 @@ def test_inflight_step_serves_partial_then_commit_serves_full():
 
 def test_chunk_landing_invalidates_fresh_reads():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     parts = make_partitions(nparts=3)
     service.begin_step("rho", 0)
     service.land_chunk("rho", 0, parts[0])
@@ -272,7 +272,7 @@ def test_chunk_landing_invalidates_fresh_reads():
 
 def test_result_not_cached_when_version_moves_during_execution():
     env = Engine()
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     parts = make_partitions(nparts=3)
     service.begin_step("rho", 0)
     service.land_chunk("rho", 0, parts[0])
@@ -297,7 +297,6 @@ def test_result_not_cached_when_version_moves_during_execution():
 # ------------------------------------------------------ admission pressure
 PRESSURE = ServeConfig(
     credit_bytes=64e3,  # exactly one query's worth of credits
-    query_cost_bytes=64e3,
     codel_target=1e-4,
     codel_interval=10.0,
     stale_bound=1,
@@ -325,7 +324,7 @@ def _pressure_probe(env, service, long_query, probe_query, qid0):
 
 def test_degraded_query_serves_bounded_stale_read():
     env = Engine()
-    service = QueryService(env, PRESSURE, indexed_columns=(0,))
+    service = QueryService(env, PRESSURE)
     parts = make_partitions(nparts=3)
     service.begin_step("rho", 0)
     service.land_chunk("rho", 0, parts[0])
@@ -349,7 +348,7 @@ def test_stale_read_never_served_after_step_commit():
     cache entries, so even a degraded query cannot observe pre-commit
     (partial) data — it sheds instead."""
     env = Engine()
-    service = QueryService(env, PRESSURE, indexed_columns=(0,))
+    service = QueryService(env, PRESSURE)
     parts = make_partitions(nparts=3)
     service.begin_step("rho", 0)
     service.land_chunk("rho", 0, parts[0])
@@ -378,7 +377,7 @@ def test_obs_metrics_recorded_behind_guard():
     env = Engine()
     obs = Observability()
     obs.bind(env)
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     service.commit_step("rho", 0, partitions=make_partitions())
     query = Query.range("rho", {0: (12.0, 41.0)})
     serve_one(env, service, query, qid=1)
@@ -400,7 +399,7 @@ def test_obs_metrics_recorded_behind_guard():
 def test_service_works_with_obs_disabled():
     env = Engine()
     assert env.obs is None
-    service = QueryService(env, indexed_columns=(0,))
+    service = QueryService(env)
     service.commit_step("rho", 0, partitions=make_partitions())
     answer = serve_one(env, service, Query.range("rho", {0: (12.0, 41.0)}))
     assert answer.source == "fresh"
