@@ -20,7 +20,7 @@ from repro.faults import ResilienceConfig
 
 
 def test_chaos_recovery(once):
-    rows = once(run_chaos, [512, 1024, 2048])
+    rows = once(run_chaos)
     print()
     for r in rows:
         print(

@@ -35,7 +35,6 @@ class ProcessGroup:
     rank: int
     step: int
     payload: bytes  # FFS packed partial data chunk
-    file_offset: int = 0
     logical_nbytes: float = 0.0
 
     @property
@@ -292,7 +291,6 @@ class BPWriter:
     def __init__(self, name: str, group: GroupDef):
         self._file = BPFile(name=name, group=group)
         self._closed = False
-        self._offset = 0
 
     def append_step(self, step: OutputStep) -> None:
         """Append one process's output as a PG record + index entries."""
@@ -303,10 +301,8 @@ class BPWriter:
             rank=step.rank,
             step=step.step,
             payload=payload,
-            file_offset=self._offset,
             logical_nbytes=step.nbytes_logical,
         )
-        self._offset += pg.nbytes
         pg_index = len(self._file.pgs)
         self._file.pgs.append(pg)
         for vdef in step.group.vars:

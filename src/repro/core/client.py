@@ -398,10 +398,10 @@ class StagingClient:
         The staging service still matches the step's request round but
         fetches nothing from this process.
         """
+        if not self.has_live_stagers:
+            return  # nobody left to notify, or ever to commit a logged notice
         if self.resilient:
             self._requests_log[(comm.rank, step)] = None
-        if not self.has_live_stagers:
-            return
         target = self.route(comm.rank)
         yield from self.machine.network.transfer(
             comm.node_id, self.staging_nodes[target % len(self.staging_nodes)], 64.0

@@ -103,8 +103,6 @@ class OperatorContext:
         Scratch dict private to (operator, rank); survives across
         phases within one step.
     step: current I/O step number.
-    threads: worker threads available to this process (§V.B: staging
-        runs 4 worker threads per MPI process).
     placement: ``"staging"`` or ``"compute"``.
     obs:
         The run's :class:`repro.obs.Observability` sink, or ``None``
@@ -120,7 +118,6 @@ class OperatorContext:
     step: int
     aggregated: Any = None
     storage: dict = field(default_factory=dict)
-    threads: int = 4
     placement: str = "staging"
     #: logical-to-functional volume ratio of the chunks seen this step;
     #: set by the runtime once the first chunk is unpacked.

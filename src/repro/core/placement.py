@@ -99,7 +99,6 @@ class InComputeNodeRunner:
                 nworkers=comm.size,
                 step=step.step,
                 aggregated=aggregated,
-                threads=1,
                 placement="compute",
                 volume_scale=scale,
             )

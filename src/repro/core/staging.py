@@ -426,7 +426,6 @@ class StagingService:
                 nworkers=len(active),
                 step=step,
                 aggregated=aggregated[op.name],
-                threads=threads,
                 placement="staging",
                 obs=obs,
             )

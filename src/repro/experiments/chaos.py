@@ -54,7 +54,7 @@ FIELD_GROUP = GroupDef(
 #: simulated seconds between dumps, and when the staging node is killed:
 #: 0.2 s into step 1
 IO_INTERVAL = 2.0
-CRASH_T = 1 * IO_INTERVAL + 0.2
+CRASH_T = IO_INTERVAL + 0.2
 
 
 def _expected_field(nprocs: int, local_n: int, step: int) -> np.ndarray:

@@ -31,9 +31,8 @@ OPERATIONS = ("sort", "histogram", "histogram2d")
 
 @dataclass
 class Fig7Row:
-    """One (operation, scale, placement) measurement."""
+    """One (scale, placement) measurement of an operation."""
 
-    operation: str
     cores: int
     placement: str
     compute: float
@@ -59,7 +58,7 @@ def run_fig7(
         total = compute + communicate + io
         rows.append(
             Fig7Row(
-                operation, cores, "incompute",
+                cores, "incompute",
                 compute, communicate, io, 0.0, total, latency=total,
             )
         )
@@ -70,7 +69,6 @@ def run_fig7(
         )
         rows.append(
             Fig7Row(
-                operation,
                 cores,
                 "staging",
                 compute=rep.map + rep.reduce + rep.finalize,

@@ -31,16 +31,11 @@ class UtilizationRow:
     core_busy_fraction: float  # staging core-seconds used / available
 
 
-def run_utilization(
-    scales: list[int] | None = None,
-    *,
-    operation: str = "sort",
-    **run_kwargs,
-) -> list[UtilizationRow]:
-    """Measure staging occupancy for each scale."""
+def run_utilization(scales: list[int] | None = None, **run_kwargs) -> list[UtilizationRow]:
+    """Measure staging occupancy of the sort pipeline for each scale."""
     rows = []
     for cores in scales or [512, 4096, 16384]:
-        r = run_gtc(cores, "staging", operation, **run_kwargs)
+        r = run_gtc(cores, "staging", "sort", **run_kwargs)
         rep = r.staging_reports[0]
         interval = (
             run_kwargs.get("iterations_per_dump", 4)

@@ -25,7 +25,6 @@ among tenants by weight:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 from repro.flow import FlowConfig, FlowControl
 from repro.flow.credits import CreditBank

@@ -175,8 +175,6 @@ class RegionalTopology(TorusTopology):
         region ``floor(i * len(regions) / n)``), mirroring row/cabinet
         allocation on a real machine.  Pass ``assign`` for an explicit
         layout instead.
-    dims:
-        Optional explicit torus dimensions.
     classes:
         Extra :class:`LatencyClass` instances by name (``local`` is
         always available).
@@ -193,13 +191,12 @@ class RegionalTopology(TorusTopology):
         self,
         n: int,
         regions: Sequence[str],
-        dims: Optional[tuple[int, int, int]] = None,
         *,
         classes: Optional[Mapping[str, LatencyClass]] = None,
         pair_classes: Optional[Mapping[object, str]] = None,
         assign: Optional[Sequence[str]] = None,
     ):
-        super().__init__(n, dims)
+        super().__init__(n)
         names = tuple(regions)
         if not names:
             raise ValueError("need at least one region")

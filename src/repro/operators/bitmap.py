@@ -80,7 +80,6 @@ class RangeQueryResult:
     """Result of a :meth:`BitmapIndex.query`."""
 
     mask: np.ndarray  # boolean row mask
-    bins_scanned: int  # candidate-check bins touched
     rows_checked: int  # raw rows re-examined
 
     @property
@@ -125,7 +124,7 @@ class BitmapIndex:
             raise ValueError("query range inverted")
         n = self.values.size
         if n == 0:
-            return RangeQueryResult(np.zeros(0, dtype=bool), 0, 0)
+            return RangeQueryResult(np.zeros(0, dtype=bool), 0)
         first = int(
             np.clip(np.searchsorted(self.edges, lo, side="right") - 1, 0, self.bins - 1)
         )
@@ -143,8 +142,7 @@ class BitmapIndex:
             rows_checked += int(cand.sum())
             vals = self.values
             mask |= cand & (vals >= lo) & (vals <= hi)
-        bins_scanned = 2 if first != last else 1
-        return RangeQueryResult(mask, bins_scanned, rows_checked)
+        return RangeQueryResult(mask, rows_checked)
 
 
 class BitmapIndexOperator(PreDatAOperator):

@@ -11,7 +11,7 @@ so the merged-vs-unmerged layout cost of every pattern is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -75,6 +75,8 @@ class Scenario:
     targets: TargetSelector = TargetSelector()
     #: free-form per-kind knobs as a frozen (key, value) tuple
     params: tuple[tuple[str, float], ...] = ()
+    #: the (start, end) time window every scenario acts in
+    window: ClassVar[tuple[float, float]] = (0.5, 6.5)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.intensity <= 1.0:
@@ -88,9 +90,6 @@ class Scenario:
             if k == key:
                 return v
         return default
-
-    #: the (start, end) time window every scenario acts in
-    window: ClassVar[tuple[float, float]] = (0.5, 6.5)
 
 
 @dataclass

@@ -210,23 +210,15 @@ class Mailbox:
                 del self._receivers[i]
                 return
 
-    def purge(self, source: Any = ANY, tag: Any = ANY) -> list[tuple[Any, Any, Any]]:
-        """Remove and return all queued messages matching source/tag.
+    def purge(self) -> list[tuple[Any, Any, Any]]:
+        """Remove and return all queued messages.
 
         Used by the recovery protocol to flush requests addressed to a
         staging rank that died before serving them; the controller then
         re-delivers them to the failover target.
         """
-        kept: Deque[tuple[Any, Any, Any]] = deque()
-        removed = []
-        for msrc, mtag, payload in self._messages:
-            if (source is Mailbox.ANY or msrc == source) and (
-                tag is Mailbox.ANY or mtag == tag
-            ):
-                removed.append((msrc, mtag, payload))
-            else:
-                kept.append((msrc, mtag, payload))
-        self._messages = kept
+        removed = list(self._messages)
+        self._messages.clear()
         return removed
 
     @property

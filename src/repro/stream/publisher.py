@@ -120,7 +120,6 @@ class StepRecord:
 
     var: str
     step: int
-    t_committed: float
 
 
 class StreamBridge:
@@ -152,6 +151,5 @@ class StreamBridge:
         if not seen >= set(self._service.world.active_ranks):
             return
         self._done.add(step)
-        now = self._service.env.now
         for var in self._service.group.var_names:
-            self.records.append(StepRecord(var, step, now))
+            self.records.append(StepRecord(var, step))

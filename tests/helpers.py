@@ -74,6 +74,7 @@ def run_staging_pipeline(
     scheduled=True,
     fs_interference=False,
     obs=None,
+    check=None,
     flow=None,
     fetch_pipeline_depth=2,
     node_memory_bytes=None,
@@ -81,11 +82,14 @@ def run_staging_pipeline(
     """Run a small end-to-end Staging-configuration pipeline.
 
     Returns (engine, machine, predata, app_visible_seconds).
-    ``obs``: optional Observability sink bound to the engine.
+    ``obs``: optional Observability sink bound to the engine;
+    ``check``: optional invariant Checker bound likewise.
     """
     eng = Engine()
     if obs is not None:
         obs.bind(eng, label="test-pipeline")
+    if check is not None:
+        check.bind(eng)
     spec = TESTING_TINY
     if node_memory_bytes is not None:
         from dataclasses import replace

@@ -56,6 +56,41 @@ def test_open_write_close_roundtrip():
     assert (full[:4] == 0.0).all() and (full[4:] == 1.0).all()
 
 
+def test_predata_method_stages_the_same_application_code():
+    """§IV.A: switching the XML method to PREDATA routes the unchanged
+    open/write/close code through the staging area."""
+    from repro.core import PreDatA
+    from repro.operators import ArrayMergeOperator
+
+    eng, machine, world, _ = build()
+    cfg = parse_config(XML.replace("MPI", "PREDATA"))
+    op = ArrayMergeOperator(["rho"])
+    predata = PreDatA(eng, machine, cfg.group("fields"), [op], ncompute_procs=2)
+    predata.start()
+    adios = Adios(cfg, machine, predata=predata)
+    assert adios.transport_for("fields") is predata.transport
+
+    def app(comm):
+        fh = adios.open("fields", comm, step=0)
+        fh.write("step_no", 0)
+        fh.write(
+            "rho", np.full((4, 4, 4), float(comm.rank)),
+            global_dims=(8, 4, 4), offsets=(comm.rank * 4, 0, 0),
+        )
+        yield from fh.close()
+
+    world.spawn(app)
+    eng.run()
+    merged = {}
+    for by_var in predata.service.results[op.name][0].values():
+        if "rho" in by_var:
+            lo, slab = by_var["rho"]
+            merged[lo] = slab
+    full = np.concatenate([merged[lo] for lo in sorted(merged)])
+    assert full.shape == (8, 4, 4)
+    assert (full[:4] == 0.0).all() and (full[4:] == 1.0).all()
+
+
 def test_write_validation():
     eng, machine, world, adios = build()
     errors = []

@@ -119,6 +119,52 @@ def test_flow_run_credit_ledger_drains():
     chk.verify(run.predata)
 
 
+def test_end_state_names_what_the_ledgers_still_hold():
+    """The live end-state checks: bytes a drained run left in a credit
+    bank, a buffer pool or a staging node's memory ledger are each
+    reported against the ledger that holds them."""
+    from repro.flow import FlowConfig
+
+    chk = Checker()
+    run = run_workload("sort", seed=3, check=chk, flow=FlowConfig(pool_bytes=1e9))
+    flow, machine = run.predata.flow, run.machine
+    assert chk.violations(run.predata) == []
+    node_id = machine.staging_node_ids[0]
+    flow.banks[0].force_grant((7, 0), 4096.0)  # a grant nobody releases
+    # a chunk nobody released: its bytes stay in the pool and on the node
+    run.engine.process(flow.pools[node_id].acquire((0, 7, 0), 2048.0))
+    run.engine.run()
+    assert chk.violations(run.predata) == [
+        "credit ledger: flow banks still hold 4096 B at drain",
+        f"memory ledger: buffer pool of node {node_id} still holds 2048 B at drain",
+        f"memory ledger: staging node {node_id} ledger reads 2048 B at drain (expected 0)",
+    ]
+    with pytest.raises(InvariantViolation, match="3 pipeline invariant"):
+        chk.verify(run.predata)
+
+
+def test_end_state_names_a_compute_side_buffer_nobody_fetched():
+    """A dump written after the staging area served its last step stays
+    in its compute-side buffer; the end-state check counts it."""
+    from repro.check.workloads import particle_step
+    from repro.mpi import World
+
+    chk = Checker()
+    run = run_workload("minmax", seed=2, check=chk)
+    assert chk.violations(run.predata) == []
+    late = World(run.engine, run.machine.network, [0], node_lookup=run.machine.node)
+
+    def writer(comm):
+        yield from run.predata.transport.write_step(comm, particle_step(0, 8, 40, step=1))
+
+    late.spawn(writer)
+    run.engine.run()
+    assert (
+        "memory ledger: 1 compute-side buffer(s) never released at drain"
+        in chk.violations(run.predata)
+    )
+
+
 def test_chaos_run_passes_invariants_under_faults():
     from repro.experiments.chaos import run_once
 

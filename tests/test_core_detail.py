@@ -45,6 +45,38 @@ def test_custom_route_validated():
         client.route(0)
 
 
+def test_route_hook_through_the_facade():
+    """§IV.B's ``Route()``: a user mapping handed to :class:`PreDatA`
+    decides which staging process pulls each compute process's chunk."""
+    eng = Engine()
+    machine = Machine(eng, 8, 1, spec=TESTING_TINY, fs_interference=False)
+    op = MinMaxOperator("electrons")
+    predata = PreDatA(
+        eng, machine, PARTICLE_GROUP, [op], ncompute_procs=8,
+        route=lambda rank, ncompute, nstaging: 1,  # everything to staging rank 1
+    )
+    predata.start()
+    app = World(eng, machine.network, list(range(8)), node_lookup=machine.node)
+    steps = [particle_step(r, 8, 40) for r in range(8)]
+
+    def app_main(comm):
+        yield from predata.transport.write_step(comm, steps[comm.rank])
+
+    app.spawn(app_main)
+    eng.run()
+    assert predata.client.compute_ranks_of(0) == []
+    assert predata.client.compute_ranks_of(1) == list(range(8))
+    per_rank = predata.service.rank_reports[0]
+    chunk = steps[0].nbytes_logical
+    assert (per_rank[0].bytes_fetched, per_rank[1].bytes_fetched) == (0.0, 8 * chunk)
+    # the global result does not depend on who fetched what
+    data = np.concatenate([s.values["electrons"] for s in steps])
+    for res in predata.service.results[op.name][0].values():
+        assert res.count == 320
+        assert np.array_equal(res.mins, data.min(axis=0))
+        assert np.array_equal(res.maxs, data.max(axis=0))
+
+
 def test_client_validation():
     eng = Engine()
     machine = Machine(eng, 2, 1, spec=TESTING_TINY)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tests.helpers import run_staging_pipeline
+from repro.check import Checker
 from repro.flow import (
     BufferPool,
     CreditBank,
@@ -15,8 +16,9 @@ from repro.flow import (
 )
 from repro.machine import Machine, TESTING_TINY
 from repro.machine.node import MemoryError_, Node, NodeConfig
+from repro.obs import Observability
 from repro.operators import SampleSortOperator
-from repro.sim import Engine
+from repro.sim import Engine, Interrupt
 
 
 def _engine_machine(nstaging=1):
@@ -278,6 +280,35 @@ def test_credit_bank_codel_degrades_overwaiting_writes():
     assert outcomes[(9, 2)][1] - 0.2 <= 0.5 + 1e-9
 
 
+def test_credit_bank_waiter_interrupted_as_it_is_granted_returns_the_credits():
+    """A waiter abandoned in the instant its grant came through must
+    hand the credits back, or the budget leaks."""
+    eng = Engine()
+    bank = CreditBank(eng, 0, 100.0, FlowConfig())
+    outcome = []
+
+    def waiter():
+        yield from bank.request((0, 0), 60.0)  # fresh source: granted at once
+        try:
+            yield from bank.request((0, 1), 60.0)  # same source, no room: queues
+            outcome.append("granted")
+        except Interrupt:
+            outcome.append("interrupted")
+
+    proc = eng.process(waiter())
+
+    def abandon():
+        yield eng.timeout(1.0)
+        bank.release((0, 0))  # the pump grants (0, 1) to the waiter...
+        proc.interrupt("abandoned")  # ...which gives up in the same instant
+
+    eng.process(abandon())
+    eng.run()
+    assert outcome == ["interrupted"]
+    assert bank.grants == 2  # the second grant did go through
+    assert bank.outstanding == 0.0  # and came back
+
+
 def test_credit_bank_failover_transfer():
     eng, machine = _engine_machine(nstaging=2)
     fc = FlowControl(
@@ -431,7 +462,7 @@ def test_node_free_relative_tolerance_accepts_float_drift():
 CHUNK = 200 * 8 * 8 * 20.0  # rows x attrs x 8 B x volume_scale
 
 
-def _run(flow=None, mem=None, nsteps=2):
+def _run(flow=None, mem=None, nsteps=2, **kwargs):
     return run_staging_pipeline(
         [SampleSortOperator("electrons", key_column=0)],
         nprocs=16,
@@ -442,6 +473,7 @@ def _run(flow=None, mem=None, nsteps=2):
         fetch_pipeline_depth=8,
         flow=flow,
         node_memory_bytes=mem,
+        **kwargs,
     )
 
 
@@ -500,15 +532,40 @@ def test_capped_flow_run_is_deterministic():
 
 
 def test_transport_degrades_write_on_codel_overflow():
-    """CoDel target + tight credits: over-waiting writes take the sync path."""
-    from repro.flow import FlowConfig as FC
+    """CoDel target + tight credits: over-waiting writes take the sync path.
 
-    flow = FC(credit_bytes=CHUNK, codel_target=0.05)
-    eng, machine, predata, visible = _run(flow=flow, nsteps=3)
-    # pipeline still completed every step (degraded writes land via sync I/O)
+    Dumps are back to back, so every rank asks for step 1's credits
+    while step 0's are still out (a source with nothing outstanding is
+    always admitted); one chunk's worth of credits per staging rank
+    cannot cover that, the wait outlives the 1 ms target, and all 16
+    step-1 dumps overflow to the synchronous fallback.
+    """
+    obs = Observability()
+    chk = Checker()
+    flow = FlowConfig(credit_bytes=CHUNK, codel_target=1e-3)
+    eng, machine, predata, visible = _run(
+        flow=flow, nsteps=3, io_interval=0.0, obs=obs, check=chk
+    )
+    transport = predata.transport
+    assert transport.overflow_steps == transport.degraded_steps == 16
+    assert predata.flow.rejections() == 16
+    # the stagers were alive: each overflow sent them a skip notice, so
+    # their step rounds stayed matched and step 1 ran no operator phase
     for by_step in predata.service.results.values():
-        assert sorted(by_step) == [0, 1, 2]
-    assert predata.fallback_io is not None
+        assert sorted(by_step) == [0, 2]
+    # the 16 overflowed dumps landed in the fallback file instead
+    predata.fallback_io.finalize()
+    fallback = predata.fallback_io.file("particles")
+    assert sorted((pg.step, pg.rank) for pg in fallback.pgs) == [
+        (1, r) for r in range(16)
+    ]
+    # every dump is accounted for: 32 staged, 16 degraded, no credit leak
+    assert (len(chk.packed), sum(chk.degraded.values())) == (32, 16)
+    chk.verify(predata)
+    # and the trace shows both sides of the decision
+    assert sum(v for _l, v in obs.metrics.labelled("flow_overflow_steps")) == 16
+    assert sum(v for _l, v in obs.metrics.labelled("flow_credit_rejections")) == 16
+    assert {"credit_reject", "overflow_write"} <= set(obs.tracer.names())
 
 
 def test_undrained_message_includes_queue_and_inflight_bytes():

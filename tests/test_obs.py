@@ -19,9 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tests.helpers import run_staging_pipeline
+from tests.helpers import PARTICLE_GROUP, particle_step, run_staging_pipeline
+from repro.core import PreDatA
+from repro.machine import TESTING_TINY, Machine
+from repro.mpi import World
 from repro.obs import HistogramStat, MetricsRegistry, Observability, Tracer
-from repro.operators import SampleSortOperator
+from repro.operators import MinMaxOperator, SampleSortOperator
 from repro.sim import Engine
 
 
@@ -230,3 +233,37 @@ def test_instrumented_run_matches_uninstrumented_timings():
             np.atleast_2d(predata_a.service.result(op_a.name, 0, r)),
             np.atleast_2d(predata_b.service.result(op_b.name, 0, r)),
         )
+
+
+def test_deferred_fetch_is_traced_per_node():
+    """A fetch held back by the application's comm phase shows up as a
+    ``scheduler_defer`` span and in the per-node deferral counters."""
+    obs = Observability()
+    eng = Engine()
+    obs.bind(eng, label="defer")
+    machine = Machine(eng, 2, 1, spec=TESTING_TINY, fs_interference=False)
+    predata = PreDatA(
+        eng, machine, PARTICLE_GROUP, [MinMaxOperator("electrons")], ncompute_procs=2
+    )
+    predata.start()
+    app = World(eng, machine.network, [0, 1], name="app", node_lookup=machine.node)
+
+    def app_main(comm):
+        step = particle_step(comm.rank, 2, 40)
+        if comm.rank == 0:
+            # the dump is requested from inside a collective burst
+            predata.scheduler.enter_comm_phase(comm.node_id)
+        yield from predata.transport.write_step(comm, step)
+        yield from comm.sleep(0.5)
+        if comm.rank == 0:
+            predata.scheduler.exit_comm_phase(comm.node_id)
+
+    app.spawn(app_main)
+    eng.run()
+    assert predata.scheduler.deferred_fetches == 1
+    spans = [s for s in obs.tracer.spans if s.name == "scheduler_defer"]
+    assert [(s.args["node"], s.tid) for s in spans] == [(0, "node0")]
+    assert spans[0].duration == pytest.approx(predata.scheduler.total_defer_seconds)
+    assert obs.metrics.labelled("scheduler_defers") == [({"node": 0}, 1.0)]
+    (labels, seconds), = obs.metrics.labelled("scheduler_defer_seconds")
+    assert labels == {"node": 0} and 0.4 < seconds <= 0.5

@@ -35,6 +35,7 @@ import gc
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,8 @@ from pathlib import Path
 
 MODES = ("funcs", "lines", "args")
 _GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+#: a dataclass that holds options, not a zero-initialised record of results
+CONFIG_CLASS = re.compile(r"(Config|Spec|Driver|Scenario|Selector)$")
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
@@ -129,6 +132,7 @@ class Recorder:
         self.mode, self.out = mode, out
         self.src = os.path.abspath(src) + os.sep
         self.root = os.path.dirname(self.src.rstrip(os.sep)) + os.sep
+        self.package = os.path.basename(self.src.rstrip(os.sep))
         self._rel: dict[str, str | None] = {}  # co_filename -> path under root
         self.entered: dict = {}  # code -> "rel:firstline" (funcs, args)
         self.lines: dict = {}  # code -> set of line numbers (lines)
@@ -198,10 +202,9 @@ class Recorder:
 
     def _dataclass_init(self, frame) -> None:
         code = frame.f_code
-        entry = self.dc_todo.get(code)
-        if entry is None:
-            entry = self.dc_todo[code] = self._first_init(frame)
-        todo = entry
+        todo = self.dc_todo.get(code)
+        if todo is None:
+            todo = self.dc_todo[code] = self._first_init(frame)
         if not todo:
             return
         values = frame.f_locals
@@ -216,8 +219,8 @@ class Recorder:
         owner = next((k for k in type(frame.f_locals.get("self")).__mro__
                       if getattr(k.__dict__.get("__init__"), "__code__", None)
                       is frame.f_code), None)
-        if owner is None or not owner.__module__.startswith("repro") \
-                or not dataclasses.is_dataclass(owner):
+        if owner is None or not dataclasses.is_dataclass(owner) \
+                or owner.__module__.partition(".")[0] != self.package:
             return []
         todo = []
         for f in dataclasses.fields(owner):
@@ -270,15 +273,22 @@ class Recorder:
             popen_init(popen, *args, env=env, **kwargs)
 
         subprocess.Popen.__init__ = init
+        # Whoever switches the hook off gets the recorder back instead:
+        # pytest-benchmark pauses tracer and profiler around every
+        # benchmarked call, which would leave `pytest benchmarks` dark.
         if self.mode == "lines":
-            sys.settrace(self.trace_global)
-            threading.settrace(self.trace_global)
+            hook, name = self.trace_global, "settrace"
+        else:
+            hook = self.profile_funcs if self.mode == "funcs" else self.profile_args
+            name = "setprofile"
+        self._set = getattr(sys, name)
+        setattr(sys, name, lambda fn: self._set(hook if fn is None else fn))
+        self._set(hook)
+        getattr(threading, name)(hook)
+        if self.mode == "lines":
             return
-        hook = self.profile_funcs if self.mode == "funcs" else self.profile_args
-        sys.setprofile(hook)
-        threading.setprofile(hook)
-        # cProfile.Profile.disable() leaves the profile hook unset; a suite
-        # that profiles (benchmarks/pipeline/layers.py) would go dark after it.
+        # cProfile installs itself below sys.setprofile and leaves the hook
+        # unset on disable(); benchmarks/pipeline/layers.py profiles.
         import cProfile
 
         class Profile(cProfile.Profile):
@@ -289,8 +299,7 @@ class Recorder:
         cProfile.Profile = Profile
 
     def dump(self) -> None:
-        sys.setprofile(None)
-        sys.settrace(None)
+        self._set(None)
         doc: dict = {"argv": sys.argv}
         if self.mode == "lines":
             per_file: dict[str, set] = {}
@@ -448,6 +457,10 @@ def report_args(src: Path, runs, out) -> None:
         pkgs = Counter(r[0].split(os.sep)[1].partition(".py")[0] for r in never)
         print("  never set, by package: "
               + ", ".join(f"{p} {n}" for p, n in pkgs.most_common()), file=out)
+        if rows is fields:
+            config = sum(bool(CONFIG_CLASS.search(r[1])) for r in never)
+            print(f"  never set, on config/spec classes ({CONFIG_CLASS.pattern}): {config}; "
+                  f"on records: {len(never) - config}", file=out)
         for s in sorted({r[-1] for r in rows if len(r[-1]) <= 1}):
             print(f"\n  -- second value from {', '.join(s) or 'NOTHING'}:", file=out)
             for key, qual, name, expr, got in rows:
