@@ -9,15 +9,14 @@ ISSUE 13, so the baseline file is the reference now.
 
 Events/second at 100k ranks and the weak-scaling ratio are absolute
 host-speed numbers (the same code read 56-88 k events/s on one
-sandbox): they are written to the sidecar for humans and never
-compared.
+sandbox): they are written to the sidecar for humans and
+``bench.compare`` skips them (``HOST_SPEED_GUARDS``), here and under
+``python -m repro perf scale --baseline default`` alike.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -27,13 +26,10 @@ pytestmark = pytest.mark.perf
 
 
 @pytest.fixture(scope="module")
-def scale_record():
+def scale_record(bench_guard):
     from repro.perf.scale import bench_scale
 
-    record = bench_scale()
-    # sidecar only: no baseline, so the host-speed numbers are not compared
-    bench.guard_record("scale", record, Path(os.environ.get("BENCH_DIR", ".")))
-    return record
+    return bench_guard("scale", bench_scale())
 
 
 def test_events_per_sec_guard_present_at_largest_point(scale_record):

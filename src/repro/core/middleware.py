@@ -126,7 +126,11 @@ class PreDatA:
             self.flow = flow
         elif flow is not None:
             self.flow = FlowControl(
-                env, machine, flow, staging_rank_nodes=staging_rank_nodes
+                env,
+                machine,
+                flow,
+                staging_rank_nodes=staging_rank_nodes,
+                fetch_rate_cap=fetch_rate_cap,
             )
         if self.flow is not None:
             self.client.flow = self.flow

@@ -51,10 +51,11 @@ FIELD_GROUP = GroupDef(
     (VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=3),),
 )
 
-#: simulated seconds between dumps, and when the staging node is killed:
+#: simulated seconds between this experiment's dumps (its own workload, not
+#: :mod:`repro.check.workloads`'), and when the staging node is killed:
 #: 0.2 s into step 1
-IO_INTERVAL = 2.0
-CRASH_T = IO_INTERVAL + 0.2
+DUMP_INTERVAL = 2.0
+CRASH_T = DUMP_INTERVAL + 0.2
 
 
 def _expected_field(nprocs: int, local_n: int, step: int) -> np.ndarray:
@@ -156,7 +157,7 @@ def run_once(
     (``per_logical_rank_mb`` MB per logical rank) as wire/memory
     inflation, so fetch and shuffle take realistic simulated time and
     the kill genuinely lands inside an in-flight step (:data:`CRASH_T`,
-    0.2 s into step 1 of dumps :data:`IO_INTERVAL` apart).
+    0.2 s into step 1 of dumps :data:`DUMP_INTERVAL` apart).
 
     ``inject=False`` runs the *identical* configuration (same seed,
     same injector object constructed) with every injection disabled —
@@ -254,7 +255,7 @@ def run_once(
         for s in range(nsteps):
             step = _field_step(comm.rank, rep_ranks, local_n, s, scale)
             yield from predata.transport.write_step(comm, step)
-            yield from comm.sleep(IO_INTERVAL)
+            yield from comm.sleep(DUMP_INTERVAL)
 
     app.spawn(app_main)
     eng.run()

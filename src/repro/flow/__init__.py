@@ -55,9 +55,9 @@ class FlowControl:
     staging_rank_nodes: node id hosting each staging rank (index =
         staging rank), exactly as built by
         :class:`~repro.core.middleware.PreDatA`.
-
-    Pressure throttling paces fetches against the node memory
-    bandwidth.
+    fetch_rate_cap: the client's RDMA pacing rate, the reference rate
+        for pressure throttling (node memory bandwidth when the client
+        is unpaced).
     """
 
     def __init__(
@@ -67,6 +67,7 @@ class FlowControl:
         config: FlowConfig,
         *,
         staging_rank_nodes: list[int],
+        fetch_rate_cap: Optional[float] = None,
     ):
         self.env = env
         self.machine = machine
@@ -88,7 +89,10 @@ class FlowControl:
             )
             self.banks[rank] = self._make_bank(rank, capacity)
         self.pressure = PressureController(
-            env, self.pools, config, machine.spec.node.memory_bandwidth
+            env,
+            self.pools,
+            config,
+            fetch_rate_cap or machine.spec.node.memory_bandwidth,
         )
         #: chunk key -> rank of the bank holding its grant
         self._grant_owner: dict = {}

@@ -49,9 +49,10 @@ from repro.sim import Engine
 
 __all__ = ["AdmissionGate", "JobHandle", "JobManager", "JobResult", "JobsReport"]
 
-#: particle rows per rank of a tenant's workload (the field slab edge,
-#: volume scale and dump interval are :mod:`repro.check.workloads`')
-ROWS = 24
+#: particle rows per rank of a tenant's workload: smaller than
+#: :data:`repro.check.workloads.ROWS` (the field slab edge, volume scale
+#: and dump interval are that module's)
+TENANT_ROWS = 24
 #: staging processes per fleet node (the paper's layout)
 PROCS_PER_STAGING_NODE = 2
 
@@ -328,7 +329,7 @@ class JobManager:
                 rank, spec.nprocs, LOCAL_N, step=s, scale=SCALE, seed=spec.seed
             )
         return particle_step(
-            rank, spec.nprocs, ROWS, step=s, scale=SCALE, seed=spec.seed
+            rank, spec.nprocs, TENANT_ROWS, step=s, scale=SCALE, seed=spec.seed
         )
 
     def _app_main(self, handle: JobHandle, comm) -> Generator:

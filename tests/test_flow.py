@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from tests.helpers import run_staging_pipeline
+from tests.helpers import PARTICLE_GROUP, run_staging_pipeline
 from repro.check import Checker
+from repro.core import PreDatA
 from repro.flow import (
     BufferPool,
     CreditBank,
@@ -385,6 +386,25 @@ def test_pressure_blocks_at_high_watermark_with_max_block_bound():
     # blocked, but released by the anti-starvation bound (not the 10 s hold)
     assert held["t"] == pytest.approx(0.1 + 2.0)
     assert ctl.blocked_fetches == 1
+
+
+def test_pressure_reference_rate_is_the_clients_pacing_rate():
+    """``PreDatA(flow=, fetch_rate_cap=)``: throttling stretches a fetch
+    relative to the rate it is paced at, memory bandwidth only if unpaced."""
+
+    def throttle_rate(**kwargs):
+        eng, machine = _engine_machine()
+        predata = PreDatA(
+            eng, machine, PARTICLE_GROUP, [], ncompute_procs=4,
+            flow=FlowConfig(), **kwargs,
+        )
+        assert predata.scheduler.pressure is predata.flow.pressure
+        return predata.flow.pressure.throttle_rate, machine
+
+    rate, _ = throttle_rate(fetch_rate_cap=0.2e9)
+    assert rate == 0.2e9
+    rate, machine = throttle_rate()
+    assert rate == machine.spec.node.memory_bandwidth
 
 
 # ------------------------------------------------------------- Node waitable

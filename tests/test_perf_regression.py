@@ -121,6 +121,15 @@ def test_compare_only_enforces_baseline_guards():
     assert bench.compare(cur, base) == []
 
 
+def test_compare_never_fails_on_host_speed():
+    """``scale``'s guards are events/second on the recording host: a
+    slower host is not a regression (its exact pins are
+    ``benchmarks/perf/test_perf_scale.py``)."""
+    base = json.loads((bench.default_baseline_dir() / "BENCH_scale.json").read_text())
+    slow = {"guards": {k: v / 10 for k, v in base["guards"].items()}}
+    assert bench.compare(slow, base) == []
+
+
 # ---------------------------------------------------------------------
 # committed baselines as data
 # ---------------------------------------------------------------------

@@ -30,7 +30,6 @@ import argparse
 import ast
 import atexit
 import dataclasses
-import dis
 import gc
 import inspect
 import json
@@ -137,7 +136,7 @@ class Recorder:
         self.entered: dict = {}  # code -> "rel:firstline" (funcs, args)
         self.lines: dict = {}  # code -> set of line numbers (lines)
         self.todo: dict = {}  # code -> [(param, default)] still only default
-        self.gen_start: dict = {}  # generator code -> f_lasti of its first entry
+        self.gen_start: dict = {}  # generator code -> f_lasti on its first call event
         self.nondefault: dict[str, set[str]] = {}  # "rel:firstline" -> params
         self.dc_todo: dict = {}  # __init__ code -> [(field, default, class key)]
         self.dc_seen: set[str] = set()
@@ -196,8 +195,9 @@ class Recorder:
         names = code.co_varnames[code.co_argcount - len(given):code.co_argcount]
         todo = [*zip(names, given), *(fn.__kwdefaults__ or {}).items()]
         if todo and code.co_flags & _GENERATOR_FLAGS:
-            self.gen_start[code] = next(
-                i.offset for i in dis.get_instructions(code) if i.opname == "RESUME")
+            # where a fresh generator frame stands differs by version (-1 on
+            # 3.10, the first RESUME from 3.11): take it from this first event
+            self.gen_start[code] = frame.f_lasti
         return todo
 
     def _dataclass_init(self, frame) -> None:
@@ -374,7 +374,7 @@ def _sources(src: Path):
         yield path, rel, walk_source(path, rel)
 
 
-def report_funcs(src: Path, runs, out) -> None:
+def report_funcs(src: Path, runs) -> None:
     entered = {label: {k for d in dumps for k in d["entered"]} for label, dumps in runs}
     total, never = 0, []
     for _, rel, (functions, _) in _sources(src):
@@ -383,9 +383,9 @@ def report_funcs(src: Path, runs, out) -> None:
             if not any(f"{rel}:{first}" in e for e in entered.values()):
                 never.append((rel, first, qual, end - first + 1))
     print(f"functions: {total}; entered by nothing: {len(never)} "
-          f"({sum(n for *_, n in never)} lines)", file=out)
+          f"({sum(n for *_, n in never)} lines)")
     for rel, first, qual, n in never:
-        print(f"  {rel}:{first} {qual} ({n} lines)", file=out)
+        print(f"  {rel}:{first} {qual} ({n} lines)")
 
 
 def _executable_lines(path: Path, rel: str) -> set[int]:
@@ -397,7 +397,7 @@ def _executable_lines(path: Path, rel: str) -> set[int]:
     return lines
 
 
-def report_lines(src: Path, runs, out) -> None:
+def report_lines(src: Path, runs) -> None:
     ran: dict[str, set] = {}
     for _, dumps in runs:
         for d in dumps:
@@ -419,12 +419,12 @@ def report_lines(src: Path, runs, out) -> None:
             missed.append((kind, rel, ln, stripped))
     kinds = Counter(k for k, *_ in missed)
     print(f"executable lines: {total}; never executed: {len(missed)} "
-          f"({', '.join(f'{n} {k}' for k, n in sorted(kinds.items()))})", file=out)
+          f"({', '.join(f'{n} {k}' for k, n in sorted(kinds.items()))})")
     for kind, rel, ln, stripped in missed:
-        print(f"  {kind:6s} {rel}:{ln}: {stripped}", file=out)
+        print(f"  {kind:6s} {rel}:{ln}: {stripped}")
 
 
-def report_args(src: Path, runs, out) -> None:
+def report_args(src: Path, runs) -> None:
     entered = {k for _, dumps in runs for d in dumps for k in d["entered"]}
     dc_seen = {k for _, dumps in runs for d in dumps for k in d["dc_seen"]}
 
@@ -446,38 +446,34 @@ def report_args(src: Path, runs, out) -> None:
             if key in dc_seen:
                 fields += [(f"{rel}:{line}", qual, f, expr, setters("dc_nondefault", key, f))
                            for f, expr in defaulted]
-    print(f".add_argument( calls under {src.name}: {flags}", file=out)
+    print(f".add_argument( calls under {src.name}: {flags}")
     for title, rows in (("parameters with a default, on functions that ran", params),
                         ("dataclass fields with a default, on classes constructed", fields)):
         by_setters = Counter(s for *_, s in rows)
-        print(f"\n{title}: {len(rows)}", file=out)
+        print(f"\n{title}: {len(rows)}")
         for s, n in sorted(by_setters.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            print(f"  {n:4d}  second value from: {', '.join(s) or 'NOTHING'}", file=out)
+            print(f"  {n:4d}  second value from: {', '.join(s) or 'NOTHING'}")
         never = [r for r in rows if not r[-1]]
         pkgs = Counter(r[0].split(os.sep)[1].partition(".py")[0] for r in never)
         print("  never set, by package: "
-              + ", ".join(f"{p} {n}" for p, n in pkgs.most_common()), file=out)
+              + ", ".join(f"{p} {n}" for p, n in pkgs.most_common()))
         if rows is fields:
             config = sum(bool(CONFIG_CLASS.search(r[1])) for r in never)
             print(f"  never set, on config/spec classes ({CONFIG_CLASS.pattern}): {config}; "
-                  f"on records: {len(never) - config}", file=out)
+                  f"on records: {len(never) - config}")
         for s in sorted({r[-1] for r in rows if len(r[-1]) <= 1}):
-            print(f"\n  -- second value from {', '.join(s) or 'NOTHING'}:", file=out)
+            print(f"\n  -- second value from {', '.join(s) or 'NOTHING'}:")
             for key, qual, name, expr, got in rows:
                 if got == s:
                     mark = "=" if _is_literal(expr) else "~"
-                    print(f"  {key} {qual}({name}{mark}{ast.unparse(expr)})", file=out)
+                    print(f"  {key} {qual}({name}{mark}{ast.unparse(expr)})")
 
 
 def report(args) -> int:
     runs = _load(args.mode, args.dirs)
-    out = open(args.output, "w") if args.output else sys.stdout
-    print(f"census [{args.mode}] over {', '.join(f'{l} ({len(d)} processes)' for l, d in runs)}",
-          file=out)
+    print(f"census [{args.mode}] over {', '.join(f'{l} ({len(d)} processes)' for l, d in runs)}")
     {"funcs": report_funcs, "lines": report_lines, "args": report_args}[args.mode](
-        Path(args.src).resolve(), runs, out)
-    if args.output:
-        out.close()
+        Path(args.src).resolve(), runs)
     return 0
 
 
@@ -493,7 +489,6 @@ def main(argv=None) -> int:
     s = sub.add_parser("report", help="join dumps against an AST walk of the source")
     s.add_argument("--mode", choices=MODES, required=True)
     s.add_argument("--src", default=str(DEFAULT_SRC))
-    s.add_argument("--output", help="write the report here instead of stdout")
     s.add_argument("dirs", nargs="+", metavar="[LABEL=]DIR")
     s.set_defaults(fn=report)
     args = p.parse_args(argv)
