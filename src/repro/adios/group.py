@@ -178,9 +178,10 @@ class OutputStep:
         """Encode into a packed partial data chunk.
 
         Without *scratch*, returns immutable ``bytes``.  With a
-        :class:`repro.ffs.PackBuffer`, packs zero-copy into the scratch
-        and returns a read-only ``memoryview`` borrowing it — the
-        donation fast path; the caller owns the scratch lifecycle (see
+        :class:`repro.ffs.PackBuffer`, packs into the scratch (one copy
+        of each array) and returns a read-only ``memoryview`` of its
+        buffer.  Pass a fresh ``PackBuffer()`` for a payload that owns
+        its bytes; a caller that reuses one owns the aliasing (see
         :func:`repro.ffs.encode_into`).
         """
         attrs = {

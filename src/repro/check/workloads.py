@@ -3,9 +3,12 @@
 The fuzzer, the differential oracles and the ``repro check`` CLI all
 need small end-to-end Staging-configuration pipelines that (a) live in
 the library rather than the test tree, (b) are fully seeded, and
-(c) capture a pristine copy of every rank's input *before* the write
-path mutates it (filter/subsample/precision-reduce operators edit
-their :class:`~repro.adios.OutputStep` in place on the compute node).
+(c) keep every rank's input as the oracles' reference: compute-side
+operators (filter/subsample/precision-reduce) *rebind* their
+:class:`~repro.adios.OutputStep`'s variables, they never write into the
+arrays, so the reference is the input array itself and the write path
+gets a read-only view of it — an operator that did write in place
+raises instead of silently corrupting the reference.
 
 :func:`run_workload` runs one such pipeline and returns a
 :class:`WorkloadRun` carrying the engine, the facade, the captured
@@ -14,7 +17,7 @@ inputs and the per-rank application-visible output times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,6 +139,15 @@ def make_operators(kind: str) -> list:
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+def _read_only(value):
+    """A view of an array *value* that refuses writes (scalars pass through)."""
+    if not isinstance(value, np.ndarray):
+        return value
+    view = value.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class WorkloadRun:
     """One finished verification workload."""
@@ -146,7 +158,8 @@ class WorkloadRun:
     machine: Machine
     predata: PreDatA
     operators: list
-    #: pristine per-(rank, step) inputs captured before the write path
+    #: per-(rank, step) input values, by reference (the write path saw
+    #: read-only views of the arrays)
     inputs: dict = field(repr=False, default_factory=dict)
     #: chunk metadata per (rank, step) for global-array workloads
     chunks: dict = field(repr=False, default_factory=dict)
@@ -179,7 +192,8 @@ def run_workload(
     per rank, at logical volume :data:`SCALE`).
     ``tie_breaker``/``schedule_trace``/``check`` thread straight to the
     engine (all default off, keeping the run byte-identical with the
-    plain pipeline); ``flow`` is the usual facade config.
+    plain pipeline); ``flow`` is the usual facade config.  The error of
+    an application rank that failed is re-raised once the run drains.
     """
     ops = make_operators(kind)
     eng = Engine(tie_breaker=tie_breaker)
@@ -233,10 +247,10 @@ def run_workload(
         total = 0.0
         for s in range(nsteps):
             step = make_step(comm.rank, s)
-            # pristine copy before compute-side operators mutate it
-            run.inputs[(comm.rank, s)] = {
-                var: np.array(v, copy=True) for var, v in step.values.items()
-            }
+            run.inputs[(comm.rank, s)] = step.values
+            step = replace(
+                step, values={var: _read_only(v) for var, v in step.values.items()}
+            )
             if step.chunks:
                 run.chunks[(comm.rank, s)] = dict(step.chunks)
             t = yield from predata.transport.write_step(comm, step)
@@ -244,6 +258,10 @@ def run_workload(
             yield from comm.sleep(IO_INTERVAL)
         run.visible[comm.rank] = total
 
-    app_world.spawn(app_main)
+    ranks = app_world.spawn(app_main)
     eng.run()
+    if len(run.visible) < nprocs:  # a rank never finished: surface its error
+        for proc in ranks:
+            if proc.triggered and not proc.ok:
+                raise proc.value  # e.g. an operator wrote into its read-only input
     return run

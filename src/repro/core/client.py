@@ -30,6 +30,7 @@ from repro.adios.io import IOMethod
 from repro.core.operator import PreDatAOperator
 from repro.core.scheduler import MovementScheduler
 from repro.faults.errors import FetchDropped, NoLiveStagers
+from repro.ffs import PackBuffer
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
 from repro.sim.engine import Engine, Event
@@ -66,7 +67,10 @@ class FetchRequest:
 
 @dataclass
 class _BufferRecord:
-    payload: bytes
+    #: read-only view of the packed chunk; it owns the bytes, so they
+    #: live exactly as long as this record, the stager that fetched the
+    #: view or an array decoded from it does
+    payload: memoryview
     logical_nbytes: float
     freed: Event
     node_id: int
@@ -107,12 +111,14 @@ class StagingClient:
         staging world has finished the step — so a crashed stager's
         step can be re-fetched by survivors with zero data loss.
 
-        Each dump is packed into a pooled :class:`repro.ffs.PackBuffer`
-        donated downstream as a read-only memoryview: after warm-up,
-        Stage 1b allocates nothing and copies each array exactly once.
-        Scratches are recycled at :meth:`commit`, when the staging
-        world is provably done with the chunk and every array decoded
-        from it.
+        Stage 1b is one exact-size allocation and one copy of each
+        array: every dump is packed into a fresh
+        :class:`repro.ffs.PackBuffer` and handed downstream as a
+        read-only memoryview that owns its bytes.  The client keeps no
+        scratch state — the chunk is freed when its last reader lets go
+        (the :class:`_BufferRecord`, the stager that fetched it, any
+        array decoded from it), so an operator may keep a decoded view
+        for as long as it likes.
 
         ``tenant`` names the job this client belongs to under the
         multi-tenant jobs layer.  It qualifies every key this pipeline
@@ -140,11 +146,6 @@ class StagingClient:
         self._request_boxes: dict[int, Mailbox] = {}
         #: pending packed chunks keyed by (compute_rank, step)
         self._buffers: dict[tuple[int, int], _BufferRecord] = {}
-        # -- zero-copy packing ------------------------------------------
-        #: free PackBuffers, reused across (rank, step) packs
-        self._scratch_pool: list = []
-        #: in-flight scratch per (compute_rank, step), recycled at commit
-        self._scratches: dict[tuple[int, int], Any] = {}
         #: completion order per compute rank for back-pressure
         self._pending: dict[int, list[Event]] = {}
         # -- resilience state ------------------------------------------
@@ -174,7 +175,7 @@ class StagingClient:
         ``(tenant, compute_rank, step)`` under the jobs layer, so keys
         from concurrent pipelines never collide in the shared flow
         banks/pools or the checker's ledgers.  Internal client state
-        (buffers, scratches, request log) stays on the bare key — it is
+        (buffers, request log) stays on the bare key — it is
         already private to this client instance.
         """
         if self.tenant is None:
@@ -254,19 +255,13 @@ class StagingClient:
             self.machine.node(rec.node_id).free(rec.logical_nbytes)
             if not rec.freed.triggered:
                 rec.freed.succeed()
-        scratch = self._scratches.pop((compute_rank, step), None)
-        if scratch is not None:
-            # the staging world is done with this chunk — every decoded
-            # view is dead (reduce/finalize copy), so the scratch may be
-            # repacked without aliasing
-            self._scratch_pool.append(scratch)
         if self.flow is not None:
             # safety net: whatever path completed the step (including
             # zero-survivor replay), its credits must not leak
             self.flow.release_credits(self.key(compute_rank, step))
 
-    def buffer_payload(self, compute_rank: int, step: int) -> Optional[bytes]:
-        """Packed bytes of an uncommitted dump (controller replay path)."""
+    def buffer_payload(self, compute_rank: int, step: int) -> Optional[memoryview]:
+        """Packed chunk of an uncommitted dump (controller replay path)."""
         rec = self._buffers.get((compute_rank, step))
         return None if rec is None else rec.payload
 
@@ -321,14 +316,7 @@ class StagingClient:
 
         # Stage 1b: pack into a contiguous FFS buffer (memcpy-bound).
         t_pack = env.now
-        if self._scratch_pool:
-            scratch = self._scratch_pool.pop()
-        else:
-            from repro.ffs import PackBuffer
-
-            scratch = PackBuffer()
-        payload = step.pack(scratch=scratch)
-        self._scratches[(comm.rank, step.step)] = scratch
+        payload = step.pack(scratch=PackBuffer())
         pack_time = 2.0 * node.memory_scan_time(step.nbytes_logical)
         if pack_time > 0:
             yield env.timeout(pack_time)

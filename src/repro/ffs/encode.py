@@ -23,12 +23,14 @@ Two entry points share the assembly code:
 - :func:`encode` packs into a fresh buffer and returns immutable
   ``bytes`` — the safe default.
 - :func:`encode_into` packs into a caller-owned :class:`PackBuffer`
-  (a capacity-doubling scratch that amortises allocation across steps)
-  and returns a read-only ``memoryview`` *borrowing* the scratch.  The
-  caller must not reuse the scratch while the view (or arrays decoded
-  from it) is live — this is the buffer-donation fast path the
-  compute-side client uses, recycling each scratch only after the
-  staging area commits the step.
+  and returns a read-only ``memoryview`` *borrowing* the scratch's
+  current buffer: one allocation (none, on a warm scratch) and one
+  copy of each array.  The view keeps that buffer alive, so a caller
+  that packs into a fresh ``PackBuffer()`` and drops it — what the
+  compute-side client does — gets a payload that owns its bytes and
+  is freed with its last reader.  A caller that *reuses* a scratch
+  must be done with the previous view (and arrays decoded from it)
+  first: a same-size repack overwrites the bytes they alias.
 
 Decoding is zero-copy for arrays (``np.frombuffer`` views over the
 original buffer, ``bytes``/``bytearray``/``memoryview`` alike);
@@ -57,29 +59,28 @@ def _align(n: int) -> int:
 
 
 class PackBuffer:
-    """Capacity-doubling scratch buffer for zero-copy FFS packing.
+    """Reusable scratch buffer for one-copy FFS packing.
 
-    One ``PackBuffer`` amortises packing allocations across I/O steps:
-    it grows geometrically to the largest chunk it has ever packed and
-    is then reused allocation-free.  Growth swaps in a fresh bytearray
-    (old contents are scratch), so previously exported memoryviews stay
-    valid against the buffer they were packed into.
+    Grows to exactly the largest chunk it has packed so far and is then
+    reused allocation-free; same-size repacks never regrow.  Growth
+    swaps in a fresh *uninitialised* buffer — :func:`_assemble` writes
+    every byte of a packed record, so nothing stale can leak — and
+    leaves the old one to whoever still views it, so previously
+    exported memoryviews stay valid against the buffer they were packed
+    into.
     """
 
     __slots__ = ("_buf", "grows")
 
     def __init__(self):
-        self._buf = bytearray(1 << 12)
-        #: number of capacity doublings (observability for benchmarks)
+        self._buf = np.empty(0, dtype=np.uint8)
+        #: number of reallocations (observability for benchmarks)
         self.grows = 0
 
     def reserve(self, nbytes: int) -> memoryview:
-        """A writable view of at least *nbytes* bytes."""
-        cap = len(self._buf)
-        if cap < nbytes:
-            while cap < nbytes:
-                cap *= 2
-            self._buf = bytearray(cap)
+        """A writable view of at least *nbytes* bytes (contents arbitrary)."""
+        if self._buf.size < nbytes:
+            self._buf = np.empty(nbytes, dtype=np.uint8)
             self.grows += 1
         return memoryview(self._buf)
 
@@ -143,8 +144,8 @@ def _assemble(
     """Write one packed record into *out* (first *total* bytes).
 
     Every byte in ``[0, total)`` is written — alignment gaps and the
-    trailing pad are zeroed — so a reused scratch produces output
-    byte-identical to a fresh buffer.
+    trailing pad are zeroed — so an uninitialised or reused scratch
+    produces output byte-identical to a fresh zeroed buffer.
     """
     out[0:4] = MAGIC
     out[4:8] = len(hbytes).to_bytes(4, "little")
@@ -183,10 +184,10 @@ def encode_into(
 ) -> memoryview:
     """Pack into *scratch*; return a read-only view of the packed bytes.
 
-    The view (and anything decoded from it) borrows the scratch: the
-    caller must not pack into the same :class:`PackBuffer` again until
-    it is done with the previous chunk.  Output bytes are identical to
-    :func:`encode` on the same inputs.
+    The view (and anything decoded from it) borrows the scratch's
+    buffer and keeps it alive: the caller must not pack into the same
+    :class:`PackBuffer` again until it is done with the previous chunk.
+    Output bytes are identical to :func:`encode` on the same inputs.
     """
     hbytes, placements, total = _prepare(schema, values, attrs)
     out = scratch.reserve(total)

@@ -34,13 +34,14 @@ _WORD = kernels.WAH_WORD_BITS  # payload bits per WAH word
 class WAHBitmap:
     """Word-aligned-hybrid compressed bitmap.
 
-    Stored as a list of words: literal words carry 31 raw bits; fill
+    Stored as an array of words: literal words carry 31 raw bits; fill
     words carry a run of identical 31-bit groups.  This mirrors the
     structure (not the exact bit layout) of WAH compression.
     """
 
-    def __init__(self, words: list[tuple[str, int, int]], nbits: int):
-        # words: ("lit", payload, 1) or ("fill", bitvalue, ngroups)
+    def __init__(self, words: np.ndarray, nbits: int):
+        # words: (nwords, 3) int64 rows (is_fill, value, ngroups) — see
+        # the WAH contract in repro.perf.kernels
         self._words = words
         self.nbits = nbits
 

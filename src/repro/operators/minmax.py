@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.adios.group import OutputStep
 from repro.core.operator import OperatorContext, PreDatAOperator
+from repro.perf import kernels
 
 __all__ = ["MinMaxOperator", "MinMaxResult"]
 
@@ -51,11 +52,8 @@ class MinMaxOperator(PreDatAOperator):
         data = np.atleast_2d(np.asarray(step.values[self.var]))
         if data.size == 0:
             return None
-        return (
-            data.min(axis=0).tolist(),
-            data.max(axis=0).tolist(),
-            int(data.shape[0]),
-        )
+        mins, maxs = kernels.column_minmax(data)
+        return (mins.tolist(), maxs.tolist(), int(data.shape[0]))
 
     def partial_flops(self, step: OutputStep) -> float:
         # one compare per element, twice (min and max), at logical scale

@@ -143,8 +143,8 @@ class SampleSortOperator(PreDatAOperator):
             width = ctx.storage.get("width", 0)
             return np.empty((0, width))
         merged = np.concatenate([np.atleast_2d(v) for v in values], axis=0)
-        order = np.argsort(merged[:, self.key_column], kind="stable")
-        return merged[order]
+        order = kernels.stable_order(merged[:, self.key_column])
+        return np.take(merged, order, axis=0)
 
     def reduce_flops(self, ctx: OperatorContext, tag: Any, values: list[Any]) -> float:
         n = sum(np.atleast_2d(v).shape[0] for v in values) * ctx.volume_scale

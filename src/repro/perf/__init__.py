@@ -4,12 +4,14 @@ Three hot paths of the reproduction have dedicated fast
 implementations:
 
 - :mod:`repro.perf.kernels` — numpy kernels for histogram binning, WAH
-  bitmap coding, sample-sort splitter selection / partitioning, and
-  array-merge chunk stitching, each beside the per-element reference
-  body (:data:`repro.perf.kernels.NAIVE`) it is tested against bit for
-  bit;
-- zero-copy FFS packing (:class:`repro.ffs.PackBuffer`,
-  :func:`repro.ffs.encode_into`) used by the compute-side client;
+  bitmap coding (words are one ``(nwords, 3)`` array), sample-sort
+  splitter selection / partitioning / grouping, stable ordering from
+  unstable SIMD sorts, blocked per-column min/max, and array-merge
+  chunk stitching, each beside the reference body
+  (:data:`repro.perf.kernels.NAIVE`) it is tested against bit for bit;
+- one-copy FFS packing (:class:`repro.ffs.PackBuffer`,
+  :func:`repro.ffs.encode_into`): the compute-side client packs each
+  dump into a fresh exact-size buffer that the payload view owns;
 - per-node batched :meth:`~repro.core.scheduler.MovementScheduler.wait_clear`
   wakeups, swept to 100k ranks by :mod:`repro.perf.scale`.
 

@@ -122,6 +122,10 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
     side = max(int(round((n // 16) ** (1 / 3))), 4)
     piece = rng.normal(size=(side, side, side))
     pieces = [((i * side, 0, 0), piece) for i in range(4)]
+    # particle labels as the sample sort meets them: ~10 % carried by two rows
+    labels = rng.permutation(n).astype(float)
+    labels[: n // 10] = labels[-(n // 10) :]
+    table = rng.normal(size=(n // 8, 8))
     return {
         "histogram1d": (values, edges),
         "histogram2d": (x, y, ex, ey),
@@ -131,6 +135,8 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
         "select_splitters": (pool, 64),
         "partition_rows": (keys, splitters),
         "group_rows": (rows, row_buckets),
+        "stable_order": (labels,),
+        "column_minmax": (table,),
         "paste_pieces": ((4 * side, side, side), np.float64, pieces, 0),
     }
 

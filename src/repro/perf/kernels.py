@@ -3,10 +3,11 @@
 The public functions (:func:`histogram1d`, :func:`histogram2d`,
 :func:`wah_encode`, :func:`wah_decode`, :func:`wah_count`,
 :func:`select_splitters`, :func:`partition_rows`, :func:`group_rows`,
-:func:`paste_pieces`) are what the operators in :mod:`repro.operators`
-call.  Each sits below a straightforward per-element reference body —
-slow, obviously correct, never run by the pipeline — collected in
-:data:`NAIVE` for the property tests, the flag matrix and
+:func:`stable_order`, :func:`column_minmax`, :func:`paste_pieces`) are
+what the operators in :mod:`repro.operators` call.  Each sits below a
+straightforward reference body (per element, or the plain numpy call
+it must equal) — slow, obviously correct, never run by the pipeline —
+collected in :data:`NAIVE` for the property tests, the flag matrix and
 ``perf kernels`` to compare against.
 
 Contracts (shared by both bodies — property-tested bit-for-bit):
@@ -15,14 +16,26 @@ Contracts (shared by both bodies — property-tested bit-for-bit):
   outside ``[edges[0], edges[-1]]`` and NaNs are dropped, the last bin
   is right-inclusive.  This matches ``np.histogram``/``np.histogram2d``
   exactly.
-- WAH words are ``("lit", payload, 1)`` or ``("fill", bit, ngroups)``
-  tuples over 31-bit groups, adjacent equal fills merged maximally.
+- WAH words are the rows of one ``(nwords, 3)`` int64 array,
+  ``(is_fill, value, ngroups)``: ``(0, payload, 1)`` for a literal
+  31-bit group, ``(1, bit, ngroups)`` for a run of all-*bit* groups,
+  adjacent equal fills merged maximally.  The empty mask encodes to
+  shape ``(0, 3)``.
 - ``select_splitters`` reproduces
   ``np.unique(np.quantile(pool, linspace-cuts))`` including numpy's
   linear-interpolation rounding and NaN collapsing.
 - ``partition_rows`` is ``searchsorted(splitters, keys, side="right")``.
 - ``group_rows`` yields ``(bucket, rows)`` pairs in ascending bucket
   order with rows in their original order.
+- ``stable_order`` is ``np.argsort(keys, kind="stable")`` of a 1-D key
+  array: equal keys keep their original order, where NaN equals NaN
+  (all sorted last) and ``0.0`` equals ``-0.0``, as numpy compares
+  them.  Needs ``len(keys) ** 2`` to fit an ``intp``.
+- ``column_minmax`` is ``(data.min(axis=0), data.max(axis=0))`` of an
+  ``(n, k)`` array, same dtype, same error on ``n == 0``.  Values are
+  identical; only what a different fold order can show differs — which
+  of ``0.0``/``-0.0`` represents a zero extremum, and the payload bits
+  of a NaN (a NaN anywhere in a column still makes both results NaN).
 - ``paste_pieces`` pastes ``(offsets, piece)`` blocks into a zeroed
   slab and reports the count of never-written cells.
 """
@@ -44,6 +57,8 @@ __all__ = [
     "select_splitters",
     "partition_rows",
     "group_rows",
+    "stable_order",
+    "column_minmax",
     "paste_pieces",
     "NAIVE",
     "WAH_WORD_BITS",
@@ -136,19 +151,19 @@ def _payloads(mask: np.ndarray) -> np.ndarray:
     return groups @ weights
 
 
-def _wah_encode_naive(mask: np.ndarray) -> list:
-    words: list[tuple[str, int, int]] = []
+def _wah_encode_naive(mask: np.ndarray) -> np.ndarray:
+    words: list[list[int]] = []
     for p in _payloads(mask):
         p = int(p)
         if p == 0 or p == _FULL:
             bit = 1 if p == _FULL else 0
-            if words and words[-1][0] == "fill" and words[-1][1] == bit:
-                words[-1] = ("fill", bit, words[-1][2] + 1)
+            if words and words[-1][0] and words[-1][1] == bit:
+                words[-1][2] += 1
             else:
-                words.append(("fill", bit, 1))
+                words.append([1, bit, 1])
         else:
-            words.append(("lit", p, 1))
-    return words
+            words.append([0, p, 1])
+    return np.asarray(words, dtype=np.int64).reshape(-1, 3)
 
 
 def _payloads_packed(mask: np.ndarray) -> np.ndarray:
@@ -168,12 +183,12 @@ def _payloads_packed(mask: np.ndarray) -> np.ndarray:
     return (packed >> 1).astype(np.int64)
 
 
-def wah_encode(mask: np.ndarray) -> list:
-    """WAH word list of a boolean mask."""
+def wah_encode(mask: np.ndarray) -> np.ndarray:
+    """``(nwords, 3)`` WAH word array of a boolean mask."""
     payloads = _payloads_packed(mask)
     n = payloads.size
     if n == 0:
-        return []
+        return np.empty((0, 3), dtype=np.int64)
     is_fill = (payloads == 0) | (payloads == _FULL)
     fill_bit = payloads == _FULL
     # run boundaries: a group starts a new word run unless it continues
@@ -184,18 +199,19 @@ def wah_encode(mask: np.ndarray) -> list:
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
     run_fill = is_fill[starts]
-    kinds = np.where(run_fill, "fill", "lit").tolist()
-    vals = np.where(run_fill, fill_bit[starts].astype(np.int64), payloads[starts])
-    counts = np.where(run_fill, ends - starts, 1)
-    return list(zip(kinds, vals.tolist(), counts.tolist()))
+    words = np.empty((starts.size, 3), dtype=np.int64)
+    words[:, 0] = run_fill
+    words[:, 1] = np.where(run_fill, fill_bit[starts], payloads[starts])
+    words[:, 2] = np.where(run_fill, ends - starts, 1)
+    return words
 
 
-def _wah_decode_naive(words: Sequence, nbits: int) -> np.ndarray:
+def _wah_decode_naive(words: np.ndarray, nbits: int) -> np.ndarray:
     ngroups = (nbits + WAH_WORD_BITS - 1) // WAH_WORD_BITS
     out = np.zeros(ngroups * WAH_WORD_BITS, dtype=bool)
     pos = 0
-    for kind, value, count in words:
-        if kind == "fill":
+    for is_fill, value, count in np.asarray(words).tolist():
+        if is_fill:
             if value:
                 out[pos : pos + count * WAH_WORD_BITS] = True
             pos += count * WAH_WORD_BITS
@@ -206,15 +222,13 @@ def _wah_decode_naive(words: Sequence, nbits: int) -> np.ndarray:
     return out[:nbits]
 
 
-def wah_decode(words: Sequence, nbits: int) -> np.ndarray:
-    """Boolean mask of length *nbits* from a WAH word list."""
+def wah_decode(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Boolean mask of length *nbits* from a WAH word array."""
     ngroups = (nbits + WAH_WORD_BITS - 1) // WAH_WORD_BITS
-    if not words or ngroups == 0:
+    if len(words) == 0 or ngroups == 0:
         return np.zeros(nbits, dtype=bool)
-    kinds, vals, counts = zip(*words)
-    is_fill = np.asarray(kinds) == "fill"
-    vals_arr = np.asarray(vals, dtype=np.int64)
-    counts_arr = np.asarray(counts, dtype=np.int64)
+    is_fill = words[:, 0] != 0
+    vals_arr, counts_arr = words[:, 1], words[:, 2]
     starts = np.concatenate([[0], np.cumsum(counts_arr)[:-1]])
     # per-group payloads: literals scatter, one-fill runs flood via a
     # +1/-1 delta array (run-length to membership without any loop)
@@ -232,24 +246,22 @@ def wah_decode(words: Sequence, nbits: int) -> np.ndarray:
     return bits.reshape(-1).astype(bool)[:nbits]
 
 
-def _wah_count_naive(words: Sequence) -> int:
+def _wah_count_naive(words: np.ndarray) -> int:
     total = 0
-    for kind, value, count in words:
-        if kind == "fill":
+    for is_fill, value, count in np.asarray(words).tolist():
+        if is_fill:
             total += value * count * WAH_WORD_BITS
         else:
             total += bin(value).count("1")
     return total
 
 
-def wah_count(words: Sequence) -> int:
-    """Popcount over a WAH word list (padding bits are zero)."""
-    if not words:
+def wah_count(words: np.ndarray) -> int:
+    """Popcount over a WAH word array (padding bits are zero)."""
+    if len(words) == 0:
         return 0
-    kinds, vals, counts = zip(*words)
-    is_fill = np.asarray(kinds) == "fill"
-    vals_arr = np.asarray(vals, dtype=np.int64)
-    counts_arr = np.asarray(counts, dtype=np.int64)
+    is_fill = words[:, 0] != 0
+    vals_arr, counts_arr = words[:, 1], words[:, 2]
     fill_total = int((vals_arr * counts_arr)[is_fill].sum()) * WAH_WORD_BITS
     lits = vals_arr[~is_fill]
     if lits.size == 0:
@@ -337,15 +349,76 @@ def group_rows(data: np.ndarray, buckets: np.ndarray) -> list:
     buckets = np.asarray(buckets)
     if buckets.size == 0:
         return []
+    if buckets.dtype.kind in "iu" and 0 <= buckets.min() and buckets.max() <= 0xFFFF:
+        # numpy's stable sort of 16-bit integers is a radix sort
+        buckets = buckets.astype(np.uint16)
     order = np.argsort(buckets, kind="stable")
     sorted_buckets = buckets[order]
-    rows = data[order]
+    rows = np.take(data, order, axis=0)
     uniq, starts = np.unique(sorted_buckets, return_index=True)
     bounds = np.append(starts[1:], sorted_buckets.size)
     return [
         (int(b), rows[s:e])
         for b, s, e in zip(uniq.tolist(), starts.tolist(), bounds.tolist())
     ]
+
+
+# =====================================================================
+# Stable ordering / per-column extrema
+# =====================================================================
+
+def _stable_order_naive(keys: np.ndarray) -> np.ndarray:
+    return np.argsort(keys, kind="stable")
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of a 1-D array, from two
+    unstable (SIMD) sorts."""
+    keys = np.asarray(keys)
+    n = keys.size
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    # number the runs of equal sorted keys; NaNs (all sorted last) are
+    # one run, as the stable sort treats them
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = False
+    np.not_equal(ranked[1:], ranked[:-1], out=new_run[1:])
+    if ranked.dtype.kind in "fc":
+        nan = np.isnan(ranked)
+        new_run[1:] &= ~(nan[1:] & nan[:-1])
+    # sorting (run, original index) pairs packed into one integer
+    # leaves the runs in place and orders each by original index
+    packed = np.cumsum(new_run, dtype=np.intp)
+    packed *= n
+    packed += order
+    packed.sort()
+    packed %= n
+    return packed
+
+
+def _column_minmax_naive(data: np.ndarray) -> tuple:
+    data = np.asarray(data)
+    return data.min(axis=0), data.max(axis=0)
+
+
+#: rows folded per block by :func:`column_minmax`
+_MINMAX_BLOCK = 64
+
+
+def column_minmax(data: np.ndarray) -> tuple:
+    """``(data.min(axis=0), data.max(axis=0))`` of an ``(n, k)`` array."""
+    lo = hi = data = np.asarray(data)
+    head = len(data) - len(data) % _MINMAX_BLOCK  # rows in whole blocks
+    if data.ndim == 2 and data.flags.c_contiguous and data[:head].size:
+        # fold (n/64, 64*k) blocks first: the inner loop then runs over
+        # 64*k contiguous elements instead of k
+        k = data.shape[1]
+        blocks = data[:head].reshape(-1, _MINMAX_BLOCK * k)
+        lo = np.concatenate([blocks.min(axis=0).reshape(-1, k), data[head:]])
+        hi = np.concatenate([blocks.max(axis=0).reshape(-1, k), data[head:]])
+    return lo.min(axis=0), hi.max(axis=0)
 
 
 # =====================================================================
@@ -402,5 +475,7 @@ NAIVE: dict[str, Callable] = {
     "select_splitters": _select_splitters_naive,
     "partition_rows": _partition_rows_naive,
     "group_rows": _group_rows_naive,
+    "stable_order": _stable_order_naive,
+    "column_minmax": _column_minmax_naive,
     "paste_pieces": _paste_pieces_naive,
 }

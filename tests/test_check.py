@@ -176,6 +176,41 @@ def test_chaos_run_passes_invariants_under_faults():
     chk.verify(run.predata)
 
 
+# -- oracle inputs ----------------------------------------------------------
+
+
+def test_workload_inputs_are_the_arrays_themselves_and_stay_intact():
+    """Compute-side operators rebind a step's variables; the captured
+    reference is the caller's array, untouched and still writable."""
+    from repro.check.workloads import particle_step
+
+    steps = {r: particle_step(r, 4, 40, scale=10.0) for r in range(4)}
+    before = {r: steps[r].values["electrons"].copy() for r in steps}
+    run = run_workload("filter", nprocs=4, make_step=lambda rank, s: steps[rank])
+    for r in steps:
+        data = steps[r].values["electrons"]
+        assert run.inputs[(r, 0)]["electrons"] is data
+        assert data.flags.writeable and data.shape == (40, 8)
+        np.testing.assert_array_equal(data, before[r])
+
+
+def test_operator_writing_its_input_in_place_fails_loudly(monkeypatch):
+    """The write path sees read-only views, so an in-place operator
+    cannot silently corrupt the oracles' reference."""
+    import repro.check.workloads as workloads
+    from repro.core import PreDatAOperator
+
+    class ClampInPlace(PreDatAOperator):
+        name = "clamp"
+
+        def partial_calculate(self, step):
+            np.clip(step.values["electrons"], -0.5, 0.5, out=step.values["electrons"])
+
+    monkeypatch.setattr(workloads, "make_operators", lambda kind: [ClampInPlace()])
+    with pytest.raises(ValueError, match="read-only"):
+        run_workload("minmax", nprocs=2)
+
+
 # -- fingerprints -----------------------------------------------------------
 
 

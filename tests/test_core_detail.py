@@ -1,11 +1,17 @@
 """Detail tests for the core middleware: client back-pressure, failure
 injection, memory ceilings, transports, config validation."""
 
+import dataclasses
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from tests.helpers import PARTICLE_GROUP, particle_step, run_staging_pipeline
 from repro.adios import GroupDef, OutputStep, VarDef, VarKind
+from repro.check.workloads import run_workload
 from repro.core import (
     MovementScheduler,
     PreDatA,
@@ -149,6 +155,95 @@ def test_write_resumes_after_fetch_frees_buffer():
     assert len(progress) == 2
     # the second write completed only after the drain at t=5
     assert progress[1][1] >= 5.0
+
+
+# ------------------------------------------- packed-chunk lifetime
+def _shared_input_steps(nprocs, rows):
+    """``make_step`` over one array per rank, so inputs do not grow with
+    the step count and only the pipeline's own memory does."""
+    base = {r: particle_step(r, nprocs, rows) for r in range(nprocs)}
+
+    def make_step(rank, s):
+        return dataclasses.replace(base[rank], step=s)
+
+    return make_step
+
+
+def test_drained_client_references_no_packed_buffer():
+    """Regression: every default-mode dump left its pack scratch in the
+    client for good (only the resilient ``commit`` ever recycled one)."""
+    from repro.core.client import _BufferRecord
+    from repro.ffs import PackBuffer
+
+    run = run_workload("minmax", nprocs=8, nsteps=5)
+    assert sorted(run.results()) == list(range(5))
+    client = run.predata.client
+    held = [
+        item
+        for attr in vars(client).values()
+        if isinstance(attr, (dict, list))
+        for item in (attr.values() if isinstance(attr, dict) else attr)
+        if isinstance(item, (PackBuffer, memoryview, _BufferRecord))
+    ]
+    assert held == []
+
+
+def test_payload_buffer_dies_with_its_last_reader(monkeypatch):
+    """The payload view owns its bytes: once a step's results exist and
+    the stagers have let go of its chunks, the buffers are gone — while
+    the pipeline that produced them is still running."""
+    import repro.check.workloads as workloads
+
+    backing, pipelines, seen = {}, [], {}
+    pack = OutputStep.pack
+
+    def recording_pack(self, **kw):
+        payload = pack(self, **kw)
+        backing[(self.rank, self.step)] = weakref.ref(payload.obj)
+        return payload
+
+    class Recorded(PreDatA):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            pipelines.append(self)
+
+    monkeypatch.setattr(OutputStep, "pack", recording_pack)
+    monkeypatch.setattr(workloads, "PreDatA", Recorded)
+    nsteps = 4
+    make_step = _shared_input_steps(8, 40)
+
+    def observing_make_step(rank, s):
+        if rank == 0 and s == nsteps - 1:  # mid-run: the last dump begins
+            gc.collect()
+            seen["step0_done"] = 0 in pipelines[0].service.results["minmax:electrons"]
+            seen["step0_alive"] = [
+                k for k, ref in backing.items() if k[1] == 0 and ref() is not None
+            ]
+        return make_step(rank, s)
+
+    run = run_workload("minmax", nprocs=8, nsteps=nsteps, make_step=observing_make_step)
+    assert seen == {"step0_done": True, "step0_alive": []}
+    gc.collect()
+    assert len(backing) == 8 * nsteps
+    assert [k for k, ref in backing.items() if ref() is not None] == []
+    assert run.predata.client.outstanding_buffers == 0
+
+
+def test_pipeline_memory_does_not_grow_with_the_step_count():
+    rows = 16_000
+    chunk_bytes = rows * 8 * 8
+
+    def peak(nsteps):
+        make_step = _shared_input_steps(8, rows)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_workload("minmax", nprocs=8, nsteps=nsteps, make_step=make_step)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(12) - peak(3)) < chunk_bytes
 
 
 # -------------------------------------------------- failure injection

@@ -234,3 +234,72 @@ def test_non_contiguous_zero_copy_pack_through_output_step():
     packed = step.pack(scratch=PackBuffer())
     _, out, _ = decode(packed)
     np.testing.assert_array_equal(out["x"], big[::5])
+
+
+# ---------------------------------------------------------------------
+# PackBuffer: exact-fit, unzeroed growth; the packed view owns its bytes
+# ---------------------------------------------------------------------
+
+def _pack_case(n):
+    s = Schema.of("pb", a=("<f8", (-1,)), b=("<i2", (-1,)), c=("<f4", (-1,)))
+    values = {
+        "a": np.arange(n, dtype="<f8"),
+        "b": np.arange(3, dtype="<i2"),  # 6 bytes: forces an alignment gap
+        "c": np.arange(5, dtype="<f4"),  # 20 bytes: forces a trailing pad
+    }
+    return s, values
+
+
+def test_pack_buffer_grows_to_the_exact_size_and_only_when_it_must():
+    from repro.ffs import PackBuffer, encode_into
+
+    scratch = PackBuffer()
+    assert len(scratch.reserve(0)) == 0 and scratch.grows == 0  # starts empty
+    s, values = _pack_case(1000)
+    first = encode_into(s, values, scratch)
+    assert len(scratch.reserve(0)) == len(first)  # no power-of-two rounding
+    assert scratch.grows == 1
+    for _ in range(3):  # same-size and smaller repacks never regrow
+        encode_into(s, values, scratch)
+        encode_into(*_pack_case(10), scratch)
+    assert scratch.grows == 1
+    encode_into(*_pack_case(1001), scratch)
+    assert scratch.grows == 2
+
+
+def test_dirty_scratch_packs_byte_identically_to_a_fresh_buffer():
+    """Growth does not zero-fill, so every gap and pad byte must be
+    written by the packer itself."""
+    from repro.ffs import PackBuffer, encode_into
+
+    scratch = PackBuffer()
+    scratch.reserve(1 << 14)[:] = b"\xff" * (1 << 14)
+    for n in (0, 1, 7, 1000):
+        s, values = _pack_case(n)
+        assert bytes(encode_into(s, values, scratch)) == encode(s, values)
+    assert scratch.grows == 1
+
+
+def test_packed_view_outlives_its_scratch_and_a_regrow():
+    import gc
+    import weakref
+
+    from repro.ffs import PackBuffer, encode_into
+
+    scratch = PackBuffer()
+    s, values = _pack_case(100)
+    view = encode_into(s, values, scratch)
+    want = bytes(view)
+    backing = weakref.ref(view.obj)
+    encode_into(*_pack_case(5000), scratch)  # regrow swaps the buffer
+    del scratch
+    gc.collect()
+    assert bytes(view) == want  # still the first record, untouched
+    _, out, _ = decode(view)
+    del view
+    gc.collect()
+    assert backing() is not None  # a decoded array keeps the bytes alive
+    np.testing.assert_array_equal(out["a"], values["a"])
+    del out
+    gc.collect()
+    assert backing() is None  # the last reader frees them

@@ -12,6 +12,7 @@ inputs.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,14 @@ def assert_same_array(a, b):
     assert a.dtype == b.dtype, (a.dtype, b.dtype)
     assert a.shape == b.shape, (a.shape, b.shape)
     np.testing.assert_array_equal(a, b)
+
+
+def assert_same_words(wn, wv):
+    """Two WAH word arrays: ``(nwords, 3)`` int64, identical row for row."""
+    for words in (wn, wv):
+        assert isinstance(words, np.ndarray)
+        assert words.dtype == np.int64 and words.shape == (len(words), 3)
+    np.testing.assert_array_equal(wn, wv)
 
 
 def assert_same_groups(gn, gv):
@@ -104,8 +113,7 @@ def test_histogram2d_variants_agree(pts, ex, ey):
 @FAST
 @given(mask=masks)
 def test_wah_encode_variants_agree(mask):
-    naive, vec = both("wah_encode", mask)
-    assert naive == vec  # identical word lists, tuple for tuple
+    assert_same_words(*both("wah_encode", mask))
 
 
 @FAST
@@ -143,6 +151,48 @@ def test_group_rows_variants_agree(keys, spl):
     assert_same_groups(*both("group_rows", data, buckets))
 
 
+# stable order / column extrema ----------------------------------------
+
+# keys where a stable sort has work to do: few distinct values, NaN runs,
+# both zeros, both infinities
+tied_keys = st.lists(
+    st.sampled_from([np.nan, -np.inf, -1.5, -0.0, 0.0, 0.5, 0.5, np.inf]),
+    max_size=200,
+).map(lambda xs: np.asarray(xs, dtype=float))
+
+
+@FAST
+@given(keys=st.one_of(tied_keys, fields))
+def test_stable_order_variants_agree(keys):
+    assert_same_array(*both("stable_order", keys))
+
+
+@FAST
+@given(
+    keys=st.lists(st.integers(-3, 3), max_size=200),
+    dtype=st.sampled_from([np.int64, np.float32, np.uint8]),
+)
+def test_stable_order_other_key_dtypes_agree(keys, dtype):
+    assert_same_array(*both("stable_order", np.asarray(keys).astype(dtype)))
+
+
+@FAST
+@given(
+    n=st.integers(1, 200),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    nan_col=st.booleans(),
+)
+def test_column_minmax_variants_agree(n, k, seed, nan_col):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-4, 5, size=(n, k)).astype(float)  # ties, no signed zeros
+    if nan_col:
+        data[rng.integers(n), rng.integers(k)] = np.nan
+    (lo_n, hi_n), (lo_v, hi_v) = both("column_minmax", data)
+    assert_same_array(lo_n, lo_v)
+    assert_same_array(hi_n, hi_v)
+
+
 # array-merge kernel --------------------------------------------------
 
 @FAST
@@ -161,14 +211,80 @@ def test_empty_chunks_agree_everywhere():
     e = np.asarray([0.0, 1.0])
     assert_same_array(*both("histogram1d", empty, e))
     assert_same_array(*both("histogram2d", empty, empty, e, e))
-    assert both("wah_encode", np.asarray([], dtype=bool)) == ([], [])
-    dn, dv = both("wah_decode", [], 0)
+    no_words, also_none = both("wah_encode", np.asarray([], dtype=bool))
+    assert_same_words(no_words, also_none)
+    assert no_words.shape == (0, 3)
+    dn, dv = both("wah_decode", no_words, 0)
     assert dn.size == dv.size == 0
-    assert both("wah_count", []) == (0, 0)
+    assert both("wah_count", no_words) == (0, 0)
     assert_same_array(*both("partition_rows", empty, np.asarray([1.0])))
     assert both(
         "group_rows", empty.reshape(0, 2), np.asarray([], dtype=np.intp)
     ) == ([], [])
+
+
+def test_stable_order_named_cases():
+    for keys in (
+        np.asarray([], dtype=float),
+        np.asarray([3.0]),
+        np.asarray([np.nan, 1.0, np.nan, np.nan, 1.0, np.nan]),  # runs of NaN
+        np.asarray([0.0, -0.0, 0.0, -0.0, -1.0, 0.0]),  # 0.0 == -0.0: one run
+        np.asarray([np.inf, -np.inf, np.inf, 0.0, -np.inf, np.nan, np.inf]),
+        np.zeros(1000),  # one run end to end
+        np.asarray([2, 1, 2, 1, 1], dtype=np.int64),
+        np.asarray([2, 1, 2, 1, 1], dtype=np.float32),
+    ):
+        naive, fast = both("stable_order", keys)
+        assert_same_array(naive, fast)
+        assert fast.dtype == np.intp
+    # a strided column of a row-major table, cross-rank duplicate labels
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(5000, 8))
+    table[:, 0] = rng.integers(0, 600, size=5000)
+    column = table[:, 0]
+    assert not column.flags["C_CONTIGUOUS"]
+    assert_same_array(*both("stable_order", column))
+    assert_same_array(*both("stable_order", column[::-1]))
+
+
+def test_column_minmax_named_cases():
+    rng = np.random.default_rng(5)
+    for shape in ((1, 3), (63, 8), (64, 8), (65, 8), (1000, 1), (1000, 8), (129, 5)):
+        data = rng.normal(size=shape)
+        (lo_n, hi_n), (lo_v, hi_v) = both("column_minmax", data)
+        assert_same_array(lo_n, lo_v)
+        assert_same_array(hi_n, hi_v)
+    data = rng.normal(size=(500, 4))
+    data[137, 2] = np.nan  # one NaN poisons its column, in both bodies
+    (lo_n, hi_n), (lo_v, hi_v) = both("column_minmax", data)
+    assert_same_array(lo_n, lo_v)
+    assert_same_array(hi_n, hi_v)
+    assert np.isnan(lo_v[2]) and np.isnan(hi_v[2]) and not np.isnan(lo_v[[0, 1, 3]]).any()
+    for view in (data[::2], np.asfortranarray(data), data.astype(np.float32), data[:, 1:3]):
+        (lo_n, hi_n), (lo_v, hi_v) = both("column_minmax", view)
+        assert_same_array(lo_n, lo_v)
+        assert_same_array(hi_n, hi_v)
+    for body in (K.NAIVE["column_minmax"], K.column_minmax):  # same error on empty
+        with pytest.raises(ValueError, match="zero-size array"):
+            body(np.empty((0, 8)))
+
+
+def test_group_rows_wide_bucket_ids_take_the_same_answer():
+    rng = np.random.default_rng(9)
+    data = rng.normal(size=(70_000, 2))
+    many = rng.permutation(70_000)  # >= 65 536 distinct buckets, one row each
+    groups = K.group_rows(data, many)  # (the reference body is quadratic here)
+    assert [b for b, _rows in groups] == list(range(70_000))
+    assert all(rows.shape == (1, 2) for _b, rows in groups)
+    assert_same_array(
+        np.concatenate([rows for _b, rows in groups]),
+        data[np.argsort(many, kind="stable")],
+    )
+    signed = rng.integers(-3, 4, size=500)  # negative ids
+    assert_same_groups(*both("group_rows", data[:500], signed))
+    edge = np.asarray([0xFFFF, 0, 0x10000, 0xFF, 0x100, 0xFFFF])  # either side of 16 bits
+    assert_same_groups(*both("group_rows", data[:6], edge))
+    assert_same_groups(*both("group_rows", data[:5], edge[[0, 1, 3, 4, 5]]))
 
 
 def test_single_bin_histogram_right_inclusive_edge():
@@ -215,7 +331,7 @@ def test_non_contiguous_inputs_agree():
     mask = (base > 0)[::-1][:-7]
     assert not mask.flags["C_CONTIGUOUS"]
     naive, vec = both("wah_encode", mask)
-    assert naive == vec
+    assert_same_words(naive, vec)
     assert_same_array(K.wah_decode(vec, mask.size), np.ascontiguousarray(mask))
     fdata = np.asfortranarray(rng.normal(size=(40, 3)))
     assert not fdata.flags["C_CONTIGUOUS"]
