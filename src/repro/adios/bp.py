@@ -65,6 +65,12 @@ class BPFile:
     group: GroupDef
     pgs: list[ProcessGroup] = field(default_factory=list)
     index: dict[str, list[BPIndexEntry]] = field(default_factory=dict)
+    #: decoded values per PG, keyed by its position in ``pgs`` and kept
+    #: with the payload they were decoded from.  The arrays are read-only
+    #: views into that payload, so the memo holds no second copy.
+    _decoded: dict[int, tuple[Any, dict[str, Any]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- size ------------------------------------------------------------
     @property
@@ -97,6 +103,22 @@ class BPFile:
         """
         return len(self.entries(var, step))
 
+    def _values(self, pg_index: int) -> dict[str, Any]:
+        """Decoded variables of one PG; each PG is unpacked once.
+
+        Reading *n* variables visits every PG *n* times, and an unpack
+        parses the PG's header and rebuilds its schema.  A hit must be
+        for the very payload object now at ``pgs[pg_index]``, so a PG
+        appended later (a new position) or a replaced record or payload
+        is decoded afresh.
+        """
+        payload = self.pgs[pg_index].payload
+        hit = self._decoded.get(pg_index)
+        if hit is None or hit[0] is not payload:
+            hit = (payload, OutputStep.unpack(self.group, payload).values)
+            self._decoded[pg_index] = hit
+        return hit[1]
+
     def read_global_array(self, var: str, step: int) -> np.ndarray:
         """Functionally assemble a global array from its chunks."""
         vdef = self.group.var(var)
@@ -109,9 +131,7 @@ class BPFile:
         out = np.zeros(gdims, dtype=np.dtype(vdef.dtype))
         filled = np.zeros(gdims, dtype=bool)
         for e in entries:
-            pg = self.pgs[e.pg_index]
-            step_obj = OutputStep.unpack(self.group, pg.payload)
-            data = step_obj.values[var]
+            data = self._values(e.pg_index)[var]
             sel = tuple(
                 slice(o, o + d) for o, d in zip(e.chunk.offsets, data.shape)
             )
@@ -168,8 +188,7 @@ class BPFile:
             if any(hi <= lo for lo, hi in zip(cut_lo, cut_hi)):
                 continue
             extents += 1
-            pg = self.pgs[e.pg_index]
-            data = OutputStep.unpack(self.group, pg.payload).values[var]
+            data = self._values(e.pg_index)[var]
             src = tuple(
                 slice(lo - o, hi - o)
                 for lo, hi, o in zip(cut_lo, cut_hi, offs)
@@ -189,12 +208,7 @@ class BPFile:
 
     def read_var_chunks(self, var: str, step: int) -> list[tuple[BPIndexEntry, Any]]:
         """All (entry, value) pairs for *var* at *step*."""
-        out = []
-        for e in self.entries(var, step):
-            pg = self.pgs[e.pg_index]
-            step_obj = OutputStep.unpack(self.group, pg.payload)
-            out.append((e, step_obj.values[var]))
-        return out
+        return [(e, self._values(e.pg_index)[var]) for e in self.entries(var, step)]
 
     # -- on-disk serialisation ------------------------------------------------
     _MAGIC = b"BPF1"

@@ -19,12 +19,25 @@ models; to make them *contention-aware*, the byte volume each rank
 contributes is pushed through that rank's NIC pipes, so background
 staging traffic stretches collective time exactly as the paper
 describes (≤6 % main-loop slowdown when movement is well scheduled).
+
+A collective enters each pipe once: the ranks a node hosts arrive
+together with equal volumes, so they are one entry of that weight
+(``SharedBandwidth.occupy``).  Ownership of the wakeup: a pipe that was
+idle at entry is left unarmed and the *collective* wakes it, with one
+timer for all the pipes due at the same instant — one timer in all when
+nothing contends — at exactly the time the pipe would have woken
+itself; a pipe that was busy at entry, or that a fetch enters while the
+collective occupies it, arms and drives itself as for any transfer and
+the collective's timer passes it by.  Every collective goes through the
+pipes; none is priced in closed form.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil, log2
 from typing import Callable, Generator, Optional
 
@@ -41,6 +54,12 @@ __all__ = ["NetworkConfig", "Network", "NIC", "registry_mark", "live_networks"]
 #: this from pinning finished simulations in memory; a finished network
 #: stays listed until the next gc pass (see ``Network._keepalive``).
 _LIVE: list = []
+
+
+def _settle_all(pipes: list, _ev: Event) -> None:
+    """Timer callback of a collective: wake the pipes it left unarmed."""
+    for pipe in pipes:
+        pipe.settle()
 
 
 def registry_mark() -> int:
@@ -343,23 +362,75 @@ class Network:
         larger effective job when the listed nodes are representatives.
         Returns elapsed time.
         """
-        p = model_nprocs or len(ranks_nodes)
         start = self.env.now
-        if p <= 1 or len(ranks_nodes) <= 1:
+        if (model_nprocs or len(ranks_nodes)) <= 1 or len(ranks_nodes) <= 1:
             return 0.0
-        cfg = self.config
-        base = self.collective_time(kind, p, nbytes)
-        wire_time = max(base - cfg.latency * ceil(log2(p)), 0.0)
-        wire_bytes = wire_time * cfg.link_bandwidth
-        yield self.env.timeout(cfg.latency * ceil(log2(p)))
-        if wire_bytes > 0:
-            events = []
-            for node in ranks_nodes:
-                nic = self.nic(node)
-                events.append(nic.tx.transfer(wire_bytes))
-                events.append(nic.rx.transfer(wire_bytes))
-            yield self.env.all_of(events)
+        done = self.env.event()
+        self.start_collective(
+            kind, ranks_nodes, nbytes, done.succeed, model_nprocs=model_nprocs
+        )
+        yield done
         return self.env.now - start
+
+    def start_collective(
+        self,
+        kind: str,
+        ranks_nodes: list[int],
+        nbytes: float,
+        on_done: Callable[[], object],
+        *,
+        model_nprocs: Optional[int] = None,
+    ) -> None:
+        """Callback form of :meth:`contended_collective`.
+
+        Calls ``on_done()`` once, from an engine callback, when the
+        collective's latency and wire phases are over.
+        """
+        p = model_nprocs or len(ranks_nodes)
+        cfg = self.config
+        latency = cfg.latency * ceil(log2(p))
+        wire_time = max(self.collective_time(kind, p, nbytes) - latency, 0.0)
+        wire_bytes = wire_time * cfg.link_bandwidth
+        if wire_bytes > 0:
+            self.env.timeout(latency)._add_callback(
+                lambda _ev: self._enter_wire(ranks_nodes, wire_bytes, on_done)
+            )
+        else:
+            self.env.timeout(latency)._add_callback(lambda _ev: on_done())
+
+    def _enter_wire(
+        self,
+        ranks_nodes: list[int],
+        wire_bytes: float,
+        on_done: Callable[[], object],
+    ) -> None:
+        """Occupy every rank's NIC pipes with *wire_bytes*; then ``on_done()``.
+
+        The ranks a node hosts are one weighted entry per pipe.  A pipe
+        that was idle is left unarmed (see ``SharedBandwidth``): this
+        collective owns its wakeup, one timer per distinct delay — one
+        in all when every node hosts as many ranks at the same link
+        rate — and settles the pipe at exactly the instant the pipe
+        would have woken itself.
+        """
+        per_node = Counter(ranks_nodes)
+        pending = 2 * len(per_node)
+
+        def entry_done(_now: float) -> None:
+            nonlocal pending
+            pending -= 1
+            if pending == 0:
+                on_done()
+
+        owned: dict[float, list[SharedBandwidth]] = {}
+        for node, count in per_node.items():
+            nic = self.nic(node)
+            for pipe in (nic.tx, nic.rx):
+                delay = pipe.occupy(wire_bytes, count, entry_done)
+                if delay is not None:
+                    owned.setdefault(delay, []).append(pipe)
+        for delay, pipes in owned.items():
+            self.env.timeout(delay)._add_callback(partial(_settle_all, pipes))
 
     # -- accounting --------------------------------------------------------
     def total_bytes(self) -> float:

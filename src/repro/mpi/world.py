@@ -9,6 +9,7 @@ fetches) slows collectives down — the §V.B.2 interference effect.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -194,35 +195,39 @@ class World:
         return results[rank]
 
     def _maybe_complete(self, seq: int, state: _CollectiveState) -> None:
-        """Spawn the exchange once every *active* rank has arrived."""
+        """Start the exchange once every *active* rank has arrived."""
         if state.started or not state.payloads or not self._active:
             return
-        if self._active <= state.payloads.keys():
-            state.started = True
-            self.env.process(
-                self._complete_collective(seq, state),
-                name=f"{self.name}.{state.kind}#{seq}",
-            )
-
-    def _complete_collective(self, seq: int, state: _CollectiveState) -> Generator:
-        kind, payloads, kwargs = state.kind, state.payloads, state.kwargs
+        if not self._active <= state.payloads.keys():
+            return
+        state.started = True
+        kind, payloads = state.kind, state.payloads
         per_rank_bytes = self._wire_bytes(
-            kind, payloads, kwargs.get("wire_scale")
+            kind, payloads, state.kwargs.get("wire_scale")
         )
         contributors = sorted(r for r in payloads if r in self._active)
+        finish = partial(self._complete_collective, seq, state)
         if self.contended and len(contributors) > 1 and kind != "barrier":
-            yield from self.network.contended_collective(
+            self.network.start_collective(
                 _model_kind(kind),
                 [self.rank_nodes[r] for r in contributors],
                 per_rank_bytes,
+                finish,
                 model_nprocs=self.model_size,
             )
         else:
-            yield self.env.timeout(
+            self.env.timeout(
                 self.network.collective_time(
                     _model_kind(kind), self.model_size, per_rank_bytes
                 )
-            )
+            )._add_callback(lambda _ev: finish())
+
+    def _complete_collective(self, seq: int, state: _CollectiveState) -> None:
+        """The exchange is over: apply the semantics, resume the ranks.
+
+        Runs inside an engine callback (possibly a pipe's), so it only
+        triggers ``state.done``.
+        """
         # Identity-guarded: reset_collectives() may have replaced this
         # seq slot with a fresh epoch while the exchange was in flight.
         if self._collectives.get(seq) is state:
@@ -230,7 +235,7 @@ class World:
         if state.done.triggered:
             return
         try:
-            results = self._apply(kind, payloads, kwargs)
+            results = self._apply(state.kind, state.payloads, state.kwargs)
         except Exception as exc:
             # Propagate semantic errors (bad scatter length, unknown op)
             # into every waiting rank instead of deadlocking the world.

@@ -249,6 +249,19 @@ class SharedBandwidth:
     departure touches no other transfer.  One wakeup is live per pipe:
     a change that only delays the head keeps the armed timeout, which
     re-arms itself when it fires before the head is due.
+
+    Who arms the wakeup.  ``transfer()`` always arms the pipe.
+    ``occupy()`` — one entry standing for ``count`` equal transfers that
+    arrive together, finishing into a callable — leaves a pipe it found
+    idle *unarmed* and returns the seconds until the entry is due: the
+    caller owns that wakeup and must call ``settle()`` then (one timer
+    can settle every pipe that shares the delay).  Any later arrival
+    finds a non-empty heap and arms the pipe as usual, after which the
+    pipe drives itself and the owner's ``settle()`` is a no-op; a pipe
+    that is busy (or still armed) at entry is armed normally and
+    ``occupy()`` returns ``None``.  Either way the entries finish at the
+    instants, and degradation is sampled at the instants, that ``count``
+    separate ``transfer()`` calls would produce.
     """
 
     # Residual work below this many seconds (at current rate) counts as
@@ -268,8 +281,10 @@ class SharedBandwidth:
         self.env = env
         self.rate = float(rate)
         self.degradation = degradation
-        #: finish tags: (tag, arrival seq, weight, size, completion event)
-        self._heap: list[tuple[float, int, float, float, Event]] = []
+        #: finish tags: (tag, arrival seq, weight, size, completion callable)
+        self._heap: list[
+            tuple[float, int, float, float, Callable[[float], Any]]
+        ] = []
         self._seq = 0
         self._vtime = 0.0  # V; reset with _weight whenever the pipe drains
         self._weight = 0.0  # sum of active weights
@@ -308,6 +323,57 @@ class SharedBandwidth:
             done.succeed(0.0)
             return done
         now = self.env.now
+        rate = self._enter(now, nbytes / weight, weight, float(nbytes), done.succeed)
+        self._arm(now, rate)
+        return done
+
+    def occupy(
+        self, nbytes: float, count: int, on_done: Callable[[float], Any]
+    ) -> Optional[float]:
+        """Enter *count* same-instant transfers of *nbytes* each as one entry.
+
+        On a processor-sharing pipe they are indistinguishable from one
+        transfer of weight ``count``, so that is what is queued;
+        ``on_done(now)`` runs once when it finishes and may only trigger
+        events, never re-enter a pipe.  Returns the seconds until the
+        entry is due when the pipe was idle — it is then left unarmed and
+        the caller must ``settle()`` it at that time — else ``None``
+        (the pipe arms itself).  See the class docstring.
+        """
+        if nbytes <= 0 or count < 1:
+            raise ValueError("occupy needs a positive size and count")
+        now = self.env.now
+        idle = not self._heap and self._wake_at == _NEVER
+        # the tag is bytes per unit weight: nbytes itself, never
+        # (count * nbytes) / count, which is inexact off powers of two
+        rate = self._enter(now, nbytes, float(count), count * float(nbytes), on_done)
+        if idle:
+            return self._project(now, rate)
+        self._arm(now, rate)
+        return None
+
+    def settle(self) -> None:
+        """Owner's wakeup of a pipe ``occupy()`` left unarmed.
+
+        A no-op when the pipe has armed itself since (something arrived),
+        has drained, or holds a later owner's entry that is not due yet;
+        otherwise it is the pipe's own wakeup: finish what is due, re-arm
+        for what is left.
+        """
+        now = self.env.now
+        if self._wake_at == _NEVER and self._heap and now >= self._due:
+            self._wake(now)
+
+    # -- internals ---------------------------------------------------------
+    def _enter(
+        self,
+        now: float,
+        per_weight: float,
+        weight: float,
+        size: float,
+        on_done: Callable[[float], Any],
+    ) -> float:
+        """Queue one entry at the current virtual time; returns the rate sampled."""
         rate = self.rate if self.degradation is None else self.effective_rate()
         if self._heap:
             self._advance(now, rate)
@@ -315,12 +381,11 @@ class SharedBandwidth:
             self._last = now
         self._seq += 1
         self._weight += weight
-        tag = self._vtime + nbytes / weight
-        heappush(self._heap, (tag, self._seq, weight, float(nbytes), done))
-        self._arm(now, rate)
-        return done
+        heappush(
+            self._heap, (self._vtime + per_weight, self._seq, weight, size, on_done)
+        )
+        return rate
 
-    # -- internals ---------------------------------------------------------
     def _advance(self, now: float, rate: float) -> None:
         """Run the virtual clock up to *now* at *rate*; finish what is due."""
         heap = self._heap
@@ -335,19 +400,24 @@ class SharedBandwidth:
         while heap and heap[0][0] <= limit:
             finished.append(heappop(heap))
         finished.sort(key=_ARRIVAL)  # popped in tag order; succeed in arrival order
-        for _tag, _seq, weight, size, event in finished:
+        for _tag, _seq, weight, size, on_done in finished:
             self._weight -= weight
             self._bytes_moved += size
-            event.succeed(now)
+            on_done(now)
         if not heap:
             self._vtime = self._weight = 0.0  # drained: no drift carries over
 
-    def _arm(self, now: float, rate: float) -> None:
-        """Point the live wakeup at the head's projected completion."""
+    def _project(self, now: float, rate: float) -> float:
+        """Set ``_due`` for the heap's head at *rate*; returns the delay."""
         eta = (self._heap[0][0] - self._vtime) * self._weight / rate
         # Guarantee the clock actually advances past `now` in floats.
         eta = max(eta, now * 1e-12, self._EPS_SECONDS)
         self._due = now + eta
+        return eta
+
+    def _arm(self, now: float, rate: float) -> None:
+        """Point the live wakeup at the head's projected completion."""
+        eta = self._project(now, rate)
         if self._wake_at > self._due:  # none armed, or armed too late
             self._gen += 1
             self._wake_at = self._due
@@ -366,6 +436,10 @@ class SharedBandwidth:
             self.env.timeout(delay, self._gen)._add_callback(self._on_wakeup)
             return
         self._wake_at = _NEVER
+        self._wake(now)
+
+    def _wake(self, now: float) -> None:
+        """The head is due: finish it, point the wakeup at what is left."""
         rate = self.rate if self.degradation is None else self.effective_rate()
         self._advance(now, rate)
         if self._heap:

@@ -174,6 +174,69 @@ def test_bp_read_var_chunks():
     assert all(v.shape == (4, 8) for _, v in chunks)
 
 
+def two_var_file(nranks, *, nrows=None, sign=1.0):
+    """File of ``rho`` and ``phi = -rho``, one PG of two rows per rank."""
+    g = GroupDef(
+        "fields",
+        (
+            VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=2),
+            VarDef("phi", "float64", VarKind.GLOBAL_ARRAY, ndim=2),
+        ),
+    )
+    w = BPWriter("two.bp", g)
+    for rank in range(nranks):
+        chunk = ChunkMeta((nrows or 2 * nranks, 3), (rank * 2, 0))
+        base = sign * (np.arange(6.0).reshape(2, 3) + 10 * rank)
+        w.append_step(
+            OutputStep(
+                group=g,
+                step=0,
+                rank=rank,
+                values={"rho": base, "phi": -base},
+                chunks={"rho": chunk, "phi": chunk},
+            )
+        )
+    return w.close()
+
+
+def test_bp_read_back_unpacks_each_process_group_once(monkeypatch):
+    f = two_var_file(4)
+    unpacked = []
+    real = OutputStep.unpack.__func__
+    monkeypatch.setattr(
+        OutputStep,
+        "unpack",
+        classmethod(lambda cls, group, buf: unpacked.append(buf) or real(cls, group, buf)),
+    )
+    rho = f.read_global_array("rho", 0)
+    phi = f.read_global_array("phi", 0)
+    np.testing.assert_array_equal(phi, -rho)
+    np.testing.assert_array_equal(rho[2:4], np.arange(6.0).reshape(2, 3) + 10)
+    box, extents = f.read_region("rho", 0, (1, 1), (5, 3))
+    np.testing.assert_array_equal(box, rho[1:5, 1:3])
+    assert extents == 3
+    chunks = f.read_var_chunks("phi", 0)
+    assert [e.pg_index for e, _ in chunks] == [0, 1, 2, 3]
+    np.testing.assert_array_equal(chunks[2][1], phi[4:6])
+    assert [id(b) for b in unpacked] == [id(pg.payload) for pg in f.pgs]
+    assert not chunks[0][1].flags.writeable  # one decode, shared by every reader
+
+
+def test_bp_process_group_appended_or_replaced_after_a_read_is_seen():
+    f = two_var_file(2, nrows=6)
+    with pytest.raises(BPError, match="6 cells not covered"):
+        f.read_global_array("rho", 0)  # PGs 0 and 1 are decoded by now
+    whole = two_var_file(3)
+    f.pgs.append(whole.pgs[2])
+    for var in ("rho", "phi"):
+        f.index[var].append(whole.index[var][2])
+    rho = f.read_global_array("rho", 0)
+    np.testing.assert_array_equal(rho, whole.read_global_array("rho", 0))
+    f.pgs[1] = two_var_file(2, nrows=6, sign=-1.0).pgs[1]
+    np.testing.assert_array_equal(f.read_global_array("rho", 0)[2:4], -rho[2:4])
+    np.testing.assert_array_equal(f.read_global_array("rho", 0)[:2], rho[:2])
+
+
 def test_bp_save_load_roundtrip(tmp_path):
     g = field_group()
     w = BPWriter("fields.bp", g)

@@ -1,11 +1,15 @@
 """Tests for the interconnect model."""
 
 import gc
+from math import ceil, log2
 
+import numpy as np
 import pytest
 
+from repro.check import ScheduleTrace
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
 from repro.machine.network import live_networks, registry_mark
+from repro.mpi import SUM, World
 from repro.sim import Engine
 
 
@@ -174,28 +178,128 @@ def test_contended_collective_base_matches_model():
     assert p.value == pytest.approx(base, rel=0.1)
 
 
+def per_rank_collective(net, kind, ranks_nodes, nbytes, model_nprocs=None):
+    """Reference: the collective with one transfer per rank per NIC pipe
+    and an ``AllOf`` over all of them — what ``contended_collective`` did
+    before it grouped a node's ranks into one weighted entry."""
+    p = model_nprocs or len(ranks_nodes)
+    start = net.env.now
+    cfg = net.config
+    latency = cfg.latency * ceil(log2(p))
+    wire_time = max(net.collective_time(kind, p, nbytes) - latency, 0.0)
+    yield net.env.timeout(latency)
+    events = []
+    for node in ranks_nodes:
+        nic = net.nic(node)
+        events.append(nic.tx.transfer(wire_time * cfg.link_bandwidth))
+        events.append(nic.rx.transfer(wire_time * cfg.link_bandwidth))
+    yield net.env.all_of(events)
+    return net.env.now - start
+
+
+def collective_elapsed(body, nodes, *, background=(), windows=(), starts=(0.0,)):
+    """Elapsed seconds of one 1e8-byte allreduce per entry of *starts*,
+    run through *body*, beside ``(start, src, dst, nbytes)`` background
+    transfers and ``degrade_link`` windows."""
+    eng, net = make_net(n=8, latency=1e-6, hop_latency=0.0,
+                        bisection_bandwidth_per_link=1e12)
+    for window in windows:
+        net.degrade_link(*window)
+    elapsed = []
+
+    def coll(start):
+        yield eng.timeout(start)
+        t = yield from body(net, "allreduce", nodes, 1e8)
+        elapsed.append(t)
+
+    def bulk(start, src, dst, nbytes):
+        yield eng.timeout(start)
+        yield from net.transfer(src, dst, nbytes)
+
+    for start in starts:
+        eng.process(coll(start))
+    for row in background:
+        eng.process(bulk(*row))
+    eng.run()
+    return elapsed
+
+
 def test_contended_collective_slowed_by_background_traffic():
-    def run(with_background):
-        eng, net = make_net(n=8, latency=1e-6, hop_latency=0.0,
-                            bisection_bandwidth_per_link=1e12)
-        nodes = [0, 1, 2, 3]
-        result = {}
+    nodes = [0, 1, 2, 3]
+    # Long bulk transfer out of node 0 overlapping the collective.
+    background = [(0.0, 0, 5, 5e9)]
+    (slow,) = collective_elapsed(Network.contended_collective, nodes, background=background)
+    (fast,) = collective_elapsed(Network.contended_collective, nodes)
+    assert slow > fast * 1.2
+    (ref_slow,) = collective_elapsed(per_rank_collective, nodes, background=background)
+    (ref_fast,) = collective_elapsed(per_rank_collective, nodes)
+    assert slow / fast == pytest.approx(ref_slow / ref_fast, rel=1e-12)
 
-        def coll():
-            t = yield from net.contended_collective("allreduce", nodes, 1e8)
-            result["t"] = t
 
-        def background():
-            # Long bulk transfer out of node 0 overlapping the collective.
-            yield from net.transfer(0, 5, 5e9)
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2],  # four ranks a node
+        [0, 0, 0, 1, 1, 1, 2, 2, 2],  # three: weight off the powers of two
+        [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2],  # a rank missing: delays differ per node
+    ],
+)
+@pytest.mark.parametrize(
+    "background, windows, starts",
+    [
+        ((), (), (0.0,)),
+        # fetches entering before, at the collective's wire-phase instant, and during it
+        ([(0.0, 0, 5, 5e8), (2e-6, 6, 1, 2e8), (0.03, 2, 7, 1e8)], (), (0.0,)),
+        # a degradation window opening, and one closing, mid-collective
+        ((), [(1, 0.02, 0.5, 0.5), (2, 0.0, 0.04, 0.25)], (0.0,)),
+        ([(0.01, 0, 5, 3e8)], [(0, 0.03, 0.2, 0.3)], (0.0,)),
+        # a second collective entering pipes the first still occupies
+        ((), (), (0.0, 0.02)),
+        ([(0.05, 1, 4, 2e8)], [(2, 0.01, 0.1, 0.6)], (0.0, 0.02, 0.3)),
+    ],
+)
+def test_grouped_collective_prices_as_one_transfer_per_rank(
+    nodes, background, windows, starts
+):
+    kwargs = dict(background=background, windows=windows, starts=starts)
+    got = collective_elapsed(Network.contended_collective, nodes, **kwargs)
+    want = collective_elapsed(per_rank_collective, nodes, **kwargs)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-        eng.process(coll())
-        if with_background:
-            eng.process(background())
-        eng.run()
-        return result["t"]
 
-    assert run(True) > run(False) * 1.2
+def test_uncontended_collective_is_a_handful_of_engine_events():
+    """64 ranks on 16 four-core nodes: between the last rank's arrival
+    and the ranks' resumption the engine pops the latency timeout, the
+    collective's one pipe timer and the completion event — not a transfer
+    and a completion per rank per pipe (~230 pops before grouping)."""
+    eng, net = make_net(n=16, latency=1e-6, hop_latency=0.0)
+    eng.schedule_trace = ScheduleTrace()
+    rank_nodes = [r // 4 for r in range(64)]
+    world = World(eng, net, rank_nodes)
+    pops, elapsed = {}, {}
+
+    def main(comm):
+        pops["arrived"] = eng.schedule_trace.count  # the last rank's write stays
+        start = eng.now
+        total = yield from comm.allreduce(np.ones(1 << 16), op=SUM)
+        pops.setdefault("resumed", eng.schedule_trace.count)
+        elapsed[comm.rank] = eng.now - start
+        return total[0]
+
+    procs = world.spawn(main)
+    eng.run()
+    assert [p.value for p in procs] == [64.0] * 64
+    assert pops["resumed"] - pops["arrived"] <= 4
+    # the wire phase is the alpha-beta model's, four ranks sharing each NIC
+    nbytes = 8 * (1 << 16)
+    latency = net.config.latency * ceil(log2(64))
+    wire = net.collective_time("allreduce", 64, nbytes) - latency
+    (took,) = set(elapsed.values())
+    assert took == pytest.approx(latency + 4 * wire, rel=1e-12)
+    ref_eng, ref_net = make_net(n=16, latency=1e-6, hop_latency=0.0)
+    ref = ref_eng.process(per_rank_collective(ref_net, "allreduce", rank_nodes, nbytes))
+    ref_eng.run()
+    assert took == pytest.approx(ref.value, rel=1e-12)
 
 
 def test_machine_partitions():

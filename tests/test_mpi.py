@@ -5,7 +5,7 @@ import pytest
 
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
 from repro.mpi import MAX, MIN, PROD, SUM, Op, World, nbytes_of
-from repro.sim import Engine, SimulationError
+from repro.sim import Engine, Interrupt, SimulationError
 
 
 def make_world(nranks=4, contended=False, **netcfg):
@@ -314,6 +314,80 @@ def test_contended_collectives_functional_identical():
         world.spawn(main)
         eng.run()
         assert all(v == pytest.approx(6.0) for v in out.values())
+
+
+def slow_allreduce_world(nranks=4):
+    """Contended world whose 8 kB allreduce spends ~16 ms on the wire."""
+    return make_world(nranks, contended=True, link_bandwidth=1e6, latency=1e-6,
+                      hop_latency=0.0)
+
+
+def test_rank_deactivated_during_the_wire_phase_completes_among_survivors():
+    def run(kill_at):
+        eng, world = slow_allreduce_world()
+        out = {}
+
+        def main(comm):
+            total = yield from comm.allreduce(np.full(1000, float(comm.rank)))
+            out[comm.rank] = (eng.now, total[0])
+
+        procs = world.spawn(main)
+
+        def crash():
+            yield eng.timeout(kill_at)
+            assert world._collectives[0].started  # the pipes are occupied
+            procs[3].interrupt("node died")
+            world.deactivate_rank(3)
+
+        if kill_at is not None:
+            eng.process(crash())
+        eng.run()  # a second trigger of the collective would raise out of here
+        assert world._collectives == {}
+        return out
+
+    whole = run(None)
+    assert whole == {r: (whole[0][0], 6.0) for r in range(4)}
+    # the exchange already under way is not repriced; the dead rank's
+    # contribution is dropped from what the survivors receive
+    assert run(0.004) == {r: (whole[0][0], 3.0) for r in range(3)}
+
+
+def test_reset_collectives_during_the_wire_phase_starts_a_clean_epoch():
+    eng, world = slow_allreduce_world()
+    out = {}
+
+    def main(comm):
+        try:
+            yield from comm.allreduce(np.full(1000, 1.0))
+            raise AssertionError("the abandoned epoch must not resume a rank")
+        except Interrupt:
+            pass
+        total = yield from comm.allreduce(np.full(1000, float(comm.rank)))
+        out[comm.rank] = (eng.now, total[0])
+
+    procs = world.spawn(main)
+    stale = {}
+
+    def recover():
+        yield eng.timeout(0.004)
+        stale["state"] = world._collectives[0]
+        assert stale["state"].started
+        world.reset_collectives()
+        for p in procs:
+            p.interrupt("step restarted")
+
+    eng.process(recover())
+    eng.run()
+    # the in-flight exchange of the old epoch finished into its own state
+    # and left the new epoch's seq-0 slot, and its pipes' ranks, alone
+    assert stale["state"].done.triggered and world._collectives == {}
+    assert {v[1] for v in out.values()} == {6.0} and len(out) == 4
+    (end,) = {v[0] for v in out.values()}
+    fresh_eng, fresh = slow_allreduce_world()
+    fresh.spawn(lambda comm: comm.allreduce(np.full(1000, 1.0)))
+    fresh_eng.run()
+    # the new exchange shared the NIC pipes with what was left of the old one
+    assert 0.004 + fresh_eng.now < end < 0.004 + 2 * fresh_eng.now
 
 
 def test_world_join_returns_rank_values():

@@ -6,6 +6,9 @@ rebuilds every active transfer's rate, rewrites every remaining-bytes
 field and abandons the armed timeout for a new one.  The same seeded
 script run through both must agree on every completion time (1e-9
 relative), on the order transfers complete in, and on ``bytes_moved``.
+A grouped row — ``SharedBandwidth.occupy``: one weighted entry, the
+caller owning the wakeup of a pipe it found idle — goes through the
+oracle as the ``count`` separate same-instant transfers it stands for.
 
 The churn tests count timers, never seconds: the point of the rewrite
 is that one link event costs O(1) host work, and a count is the only
@@ -133,21 +136,40 @@ def windows_mult(windows):
 
 
 def simulate(cls, rate, script, windows=()):
-    """Run ``script`` (rows of ``(start, nbytes, weight)``) through one pipe.
+    """Run ``script`` through one pipe.
 
+    Rows are ``(start, nbytes, weight)`` — one ``transfer()`` — or
+    ``(start, nbytes, 1.0, count)``: *count* same-instant unit-weight
+    transfers of *nbytes* each, entered into a ``SharedBandwidth`` as one
+    ``occupy()`` whose wakeup this driver owns, as a collective does.
     Returns the completion time of every row, the row indices in the
-    order their completion events were succeeded, and the drained pipe.
+    order their completions were delivered, and the drained pipe.
     """
     eng = Engine()
     pipe = cls(eng, rate, degradation=windows_mult(windows) if windows else None)
     finished_at: list = [None] * len(script)
     order: list[int] = []
 
-    def body(i, start, nbytes, weight):
+    def grouped(i, nbytes, count):
+        if cls is not SharedBandwidth:
+            events = [pipe.transfer(nbytes) for _ in range(count)]
+            events[0].callbacks.insert(0, lambda _ev: order.append(i))
+            return eng.all_of(events)
+        done = eng.event()
+        done.callbacks.append(lambda _ev: order.append(i))
+        delay = pipe.occupy(nbytes, count, done.succeed)
+        if delay is not None:
+            eng.timeout(delay)._add_callback(lambda _ev: pipe.settle())
+        return done
+
+    def body(i, start, nbytes, weight, count=None):
         yield eng.timeout(start)
-        ev = pipe.transfer(nbytes, weight=weight)
-        if nbytes > 0:  # a zero-byte transfer never enters the pipe
-            ev.callbacks.insert(0, lambda _ev: order.append(i))
+        if count is not None:
+            ev = grouped(i, nbytes, count)
+        else:
+            ev = pipe.transfer(nbytes, weight=weight)
+            if nbytes > 0:  # a zero-byte transfer never enters the pipe
+                ev.callbacks.insert(0, lambda _ev: order.append(i))
         yield ev
         finished_at[i] = eng.now
 
@@ -162,19 +184,34 @@ def assert_models_agree(rate, script, windows=()):
     old_t, old_order, old = simulate(RescanBandwidth, rate, script, windows)
     assert new_t == pytest.approx(old_t, rel=1e-9, abs=0.0)
     assert new_order == old_order
-    assert new.bytes_moved == old.bytes_moved
+    if any(len(row) > 3 for row in script):
+        # count * nbytes added once against nbytes added count times
+        assert new.bytes_moved == pytest.approx(old.bytes_moved, rel=1e-9)
+    else:
+        assert new.bytes_moved == old.bytes_moved
     assert new.active_transfers == old.active_transfers == 0
     # a drained pipe carries nothing over: no drift, no armed wakeup
     assert new._vtime == new._weight == 0.0
     assert new._wake_at == float("inf")
 
 
-def seeded_script(rng: random.Random, n: int):
-    """Bursts and stragglers, weights in [0.1, 5], equal/tiny/zero sizes."""
+def seeded_script(rng: random.Random, n: int, grouped: bool = False):
+    """Bursts and stragglers, weights in [0.1, 5], equal/tiny/zero sizes.
+
+    With *grouped*, a third of the arrivals are grouped rows instead.
+    Their sizes stay above ``rate * _EPS_SECONDS`` bytes: below it a
+    transfer counts as done on arrival, so the next of *count* separate
+    arrivals would retire the one before it — the one regime in which a
+    weighted entry is not its *count* transfers (by ~1e-13 s).
+    """
     script, t = [], 0.0
     while len(script) < n:
         if rng.random() < 0.6:
             t += rng.choice([0.0, 0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 1e-6)])
+        if grouped and rng.random() < 1 / 3:
+            size = rng.choice([rng.uniform(1.0, 500.0), rng.uniform(1e3, 1e5)])
+            script.append((t, size, 1.0, rng.choice([1, 2, 3, 4, 7])))
+            continue
         burst = rng.choice([1, 1, 2, 5, 17])
         equal = rng.choice([None, None, rng.uniform(1.0, 500.0)])
         for _ in range(burst):
@@ -202,6 +239,95 @@ def test_seeded_scripts_match_rescan_oracle(block):
         script = seeded_script(rng, rng.randrange(1, 60))
         windows = seeded_windows(rng, horizon=max(t for t, _, _ in script) + 50.0)
         assert_models_agree(rng.choice([100.0, 3e3, 6.4e9]), script, windows)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_seeded_scripts_with_grouped_entries_match_rescan_oracle(block):
+    for seed in range(50 * block, 50 * block + 50):
+        rng = random.Random(1000 + seed)
+        script = seeded_script(rng, rng.randrange(1, 40), grouped=True)
+        windows = seeded_windows(rng, horizon=max(row[0] for row in script) + 50.0)
+        assert_models_agree(rng.choice([100.0, 3e3, 6.4e9]), script, windows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("nbytes", [50.0, 0.1, 1e5 / 3])
+def test_grouped_entry_is_k_same_instant_transfers(k, nbytes):
+    assert_models_agree(100.0, [(1.0, nbytes, 1.0, k)])
+    times, _, pipe = simulate(SharedBandwidth, 100.0, [(1.0, nbytes, 1.0, k)])
+    assert times == [pytest.approx(1.0 + k * nbytes / 100.0, rel=1e-12)]
+    assert pipe.bytes_moved == k * nbytes
+
+
+#: a grouped entry of 4 x 50 B entering at t=1 on a 100 B/s pipe: alone it
+#: is due at t=3, which is when its owner's timer fires whatever happens
+_GROUP = (1.0, 50.0, 1.0, 4)
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        [(0.5, 100.0, 1.0)],  # already in the pipe: the entry arms normally
+        [(0.5, 20.0, 2.0)],  # in the pipe, gone before the entry is due
+        [(1.0, 100.0, 1.0)],  # same instant (both script orders below)
+        [(2.0, 100.0, 1.0)],  # mid-entry: the arrival arms the pipe itself
+        [(2.0, 1e-7, 1.0)],  # mid-entry, gone again long before t=3
+        [(3.0, 100.0, 1.0)],  # exactly when the entry ends
+        [(3.0 + 1e-9, 100.0, 1.0)],
+        [(1.5, 30.0, 0.7), (2.5, 60.0, 3.0), (2.5, 5.0, 1.0)],
+    ],
+)
+def test_foreign_transfers_around_a_grouped_entry(foreign):
+    assert_models_agree(100.0, [_GROUP] + foreign)
+    assert_models_agree(100.0, foreign + [_GROUP])
+
+
+def test_owner_timer_on_a_since_contended_pipe_is_a_no_op():
+    eng = Engine()
+    pipe = SharedBandwidth(eng, 100.0)
+    done = []
+    delay = pipe.occupy(50.0, 4, done.append)
+    assert delay == 2.0 and eng.peek() == float("inf")  # idle: left unarmed
+    eng.timeout(delay)._add_callback(lambda _ev: pipe.settle())
+    eng.run(until=1.0)
+    foreign = pipe.transfer(100.0)  # arms the pipe; the entry is now due at t=2.25
+    eng.run(until=1.9)
+    before = dict(vars(pipe))
+    eng.run(until=2.1)  # the owner's timer fired at t=2
+    assert vars(pipe) == before and done == []
+    eng.run()
+    assert done == [2.25] and foreign.value == 3.0
+    assert pipe.occupy(50.0, 1, done.append) == 0.5  # drained: idle again
+    pipe.settle()  # nothing is due yet: a stray settle leaves it alone
+    assert pipe.active_transfers == 1 and done == [2.25]
+
+
+def test_busy_or_armed_pipe_arms_itself_on_a_grouped_entry():
+    eng = Engine()
+    pipe = SharedBandwidth(eng, 100.0)
+    pipe.transfer(100.0)
+    done = []
+    assert pipe.occupy(50.0, 3, done.append) is None
+    eng.run()  # nobody settles: the pipe drives itself
+    assert done == [2.0] and eng.now == 2.5 and pipe.bytes_moved == 250.0
+    with pytest.raises(ValueError):
+        pipe.occupy(0.0, 3, done.append)
+    with pytest.raises(ValueError):
+        pipe.occupy(10.0, 0, done.append)
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [
+        [(2.0, 10.0, 0.5)],  # opens mid-entry: charged at the entry's wakeup
+        [(0.0, 2.0, 0.25)],  # closes mid-entry
+        [(2.999, 3.001, 0.1)],  # covers only the instant the entry is due
+        [(1.5, 2.5, 0.5), (2.0, 6.0, 0.3)],
+    ],
+)
+def test_degradation_window_across_a_grouped_entry(windows):
+    assert_models_agree(100.0, [_GROUP], windows)
+    assert_models_agree(100.0, [_GROUP, (2.0, 100.0, 1.0)], windows)
 
 
 @given(
