@@ -54,7 +54,7 @@ class CreditBank:
         self._grants: dict = {}
         #: outstanding grant count per source (compute rank)
         self._source_out: dict = {}
-        #: FIFO credit waiters: [event, key, nbytes, t_enqueue]
+        #: FIFO credit waiters: [event, key, nbytes, t_enqueue, source]
         self._waiters: Deque[list] = deque()
         self._reject_streak = 0
         # -- always-on stats ------------------------------------------
@@ -113,10 +113,9 @@ class CreditBank:
             return True
         return self.group is not None and self.group.can_borrow(self, nbytes)
 
-    def _grant(self, key, nbytes: float) -> None:
+    def _grant(self, key, nbytes: float, src) -> None:
         self._grants[key] = nbytes
         self._granted += nbytes
-        src = self._source_of(key)
         self._source_out[src] = self._source_out.get(src, 0) + 1
         self.grants += 1
         obs = self.env.obs
@@ -153,21 +152,21 @@ class CreditBank:
             progressed = False
             # byte-budget grants are strictly FIFO (head-of-line)
             while self._waiters:
-                ev, key, nbytes, _t = self._waiters[0]
+                ev, key, nbytes, _t, src = self._waiters[0]
                 if not self._fits(nbytes):
                     break
                 self._waiters.popleft()
-                self._grant(key, nbytes)
+                self._grant(key, nbytes, src)
                 ev.succeed()
                 progressed = True
             # progress rule: a source with nothing outstanding may not
             # be held back by other sources' budget debt (see module
             # docstring — the gather barrier makes that a deadlock)
             for entry in list(self._waiters):
-                ev, key, nbytes, _t = entry
-                if self._source_out.get(self._source_of(key), 0) == 0:
+                ev, key, nbytes, _t, src = entry
+                if self._source_out.get(src, 0) == 0:
                     self._waiters.remove(entry)
-                    self._grant(key, nbytes)
+                    self._grant(key, nbytes, src)
                     ev.succeed()
                     progressed = True
 
@@ -179,16 +178,37 @@ class CreditBank:
         ``codel_target`` is set, *can_degrade* is True, and the queue
         sojourn exceeded the (shrinking) allowance — the caller must
         then take the synchronous fallback path.
+
+        The two halves are public so that a caller for which the wait
+        is rare can skip the generator:
+        ``admit(...) or (yield from wait(...))``.
+        """
+        return self.admit(key, nbytes) or (
+            yield from self.wait(key, nbytes, can_degrade=can_degrade)
+        )
+
+    def admit(self, key, nbytes: float) -> bool:
+        """Zero-time half of :meth:`request`: grant on the spot if allowed.
+
+        True for a redelivered key, a request that fits with nobody
+        queued, and a source with nothing outstanding; False means the
+        caller must :meth:`wait`.
         """
         if key in self._grants:
             return True  # redelivery/idempotent re-request
-        fresh_source = self._source_out.get(self._source_of(key), 0) == 0
-        if (not self._waiters and self._fits(nbytes)) or fresh_source:
-            self._grant(key, nbytes)
+        src = self._source_of(key)
+        if (not self._waiters and self._fits(nbytes)) or (
+            self._source_out.get(src, 0) == 0
+        ):
+            self._grant(key, nbytes, src)
             self._note_sojourn(0.0)
             return True
+        return False
+
+    def wait(self, key, nbytes: float, *, can_degrade: bool = False) -> Generator:
+        """Queueing half of :meth:`request`, for a key :meth:`admit` refused."""
         ev = self.env.event()
-        entry = [ev, key, nbytes, self.env.now]
+        entry = [ev, key, nbytes, self.env.now, self._source_of(key)]
         self._waiters.append(entry)
         target = self.config.codel_target
         if target is None or not can_degrade:

@@ -156,7 +156,8 @@ class QueryService:
         )
         self._shards = [Resource(env, 1) for _ in range(self.config.nshards)]
         self._steps: dict[tuple[str, int], _StepState] = {}
-        self._latest: dict[str, int] = {}
+        #: per variable, the newest step with at least one landed chunk
+        self._newest: dict[str, _StepState] = {}
         # -- always-on stats --------------------------------------------
         self.served = 0
         self.degraded = 0
@@ -172,8 +173,15 @@ class QueryService:
         key = (var, step)
         if key not in self._steps:
             self._steps[key] = _StepState(var=var, step=step)
-            if step >= self._latest.get(var, step):
-                self._latest[var] = step
+
+    def _landed(self, state: _StepState, partition) -> None:
+        """Add one chunk to *state*; keep "latest" pointing at the newest
+        step with data — an announced step whose first chunk has not
+        landed must not hide older steps."""
+        state.partitions.append(np.atleast_2d(np.asarray(partition)))
+        newest = self._newest.get(state.var)
+        if newest is None or state.step > newest.step:
+            self._newest[state.var] = state
 
     def land_chunk(self, var: str, step: int, partition: np.ndarray) -> None:
         """A chunk of an in-flight step arrived on the staging area."""
@@ -181,7 +189,7 @@ class QueryService:
         state = self._steps[(var, step)]
         if state.committed:
             raise ValueError(f"step {step} of {var!r} is already committed")
-        state.partitions.append(np.atleast_2d(np.asarray(partition)))
+        self._landed(state, partition)
         state.version += 1
         obs = self.env.obs
         if obs is not None:
@@ -199,7 +207,7 @@ class QueryService:
             return
         if partitions is not None:
             for p in partitions:
-                state.partitions.append(np.atleast_2d(np.asarray(p)))
+                self._landed(state, p)
         if not any(len(p) for p in state.partitions):
             raise ValueError(f"committing empty step {step} of {var!r}")
         state.index = ShardedStepIndex(
@@ -226,9 +234,13 @@ class QueryService:
             return self._finish(Answer(query=query, source="no_data", latency=0.0), t0)
         version = state.version
         key = self.cache.key(query.var, state.step, query.shape())
-        can_degrade = self.config.codel_target is not None
-        granted = yield from self.bank.request(
-            (client, qid), QUERY_COST_BYTES, can_degrade=can_degrade
+        # almost every query is admitted on the spot: only a refused one
+        # pays for the waiting generator
+        granted = self.bank.admit((client, qid), QUERY_COST_BYTES) or (
+            yield from self.bank.wait(
+                (client, qid), QUERY_COST_BYTES,
+                can_degrade=self.config.codel_target is not None,
+            )
         )
         if not granted:
             # degraded: a bounded-staleness cache read or nothing
@@ -275,15 +287,7 @@ class QueryService:
     def _resolve(self, query: Query) -> Optional[_StepState]:
         if query.step is not None:
             return self._steps.get((query.var, query.step))
-        # "latest" means the newest step with data: an announced step
-        # whose first chunk has not landed must not hide older steps
-        for step in sorted(
-            (s for v, s in self._steps if v == query.var), reverse=True
-        ):
-            state = self._steps[(query.var, step)]
-            if state.partitions:
-                return state
-        return None
+        return self._newest.get(query.var)
 
     def _execute(self, state: _StepState, query: Query):
         ranges = query.ranges()

@@ -18,6 +18,15 @@ order of same-``(time, priority)`` events deterministically per seed,
 which is how the schedule-perturbation fuzzer in :mod:`repro.check`
 hunts for hidden ordering races.  Nothing in the engine consults
 wall-clock time.
+
+A process nobody awaits ends without an event: when a generator
+finishes (or fails) and no callback is registered on its
+:class:`Process`, the process is marked processed on the spot instead
+of being queued.  Whoever waits on it later is woken the way every
+late waiter is, by an URGENT proxy at the current time.  The one
+observable consequence: a waiter registered in the same instant *after*
+the process ended is woken by that URGENT proxy, not in the NORMAL slot
+the end-event would have popped in.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ class Event:
     invoked, in order, when the engine pops the event off the queue.
     """
 
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_scheduled")
 
     def __init__(self, env: "Engine"):
         self.env = env
@@ -103,7 +113,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._enqueue(0.0, priority, self)
+        self.env._enqueue(priority, self)
         return self
 
     def fail(self, exc: BaseException, *, priority: int = NORMAL) -> "Event":
@@ -118,7 +128,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.env._enqueue(0.0, priority, self)
+        self.env._enqueue(priority, self)
         return self
 
     # -- internals -----------------------------------------------------
@@ -129,42 +139,52 @@ class Event:
             proxy = Event(self.env)
             proxy._value, proxy._ok, proxy._triggered = self._value, self._ok, True
             proxy.callbacks.append(cb)
-            self.env._enqueue(0.0, URGENT, proxy)
+            self.env._enqueue(URGENT, proxy)
         else:
             self.callbacks.append(cb)
 
-    def _run_callbacks(self) -> None:
-        self._triggered = True  # timeouts trigger at pop, not at schedule
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:
-            cb(self)
-
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
 
+    Born scheduled: its one queue entry is pushed at construction, and it
+    reads ``triggered == False`` until that entry pops.
+    """
+
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Engine", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = float(delay)
+        self.env = env
+        self.callbacks = []
         self._value = value
         self._ok = True
-        env._enqueue(self.delay, NORMAL, self)
+        self._triggered = False
+        self._scheduled = True
+        self.delay = delay = float(delay)
+        env._push(env.now + delay, NORMAL, self)
+
+    def succeed(self, *_args: Any, **_kwargs: Any) -> "Event":
+        """A timeout fires by itself: triggering it by hand is an error."""
+        raise SimulationError("a timeout fires by itself and cannot be triggered")
+
+    fail = succeed
 
 
 class Initialize(Event):
     """Internal event used to start a process at creation time."""
 
+    __slots__ = ()
 
     def __init__(self, env: "Engine", process: "Process"):
-        super().__init__(env)
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
         self._ok = True
         self._triggered = True
-        self.callbacks.append(process._resume)
-        env._enqueue(0.0, URGENT, self)
+        self._scheduled = True
+        env._push(env.now, URGENT, self)
 
 
 class Process(Event):
@@ -175,12 +195,20 @@ class Process(Event):
     each other simply by yielding the other :class:`Process`.
     """
 
+    __slots__ = ("_gen", "_target", "name")
 
     def __init__(self, env: "Engine", gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
             raise SimulationError(f"process requires a generator, got {gen!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._scheduled = False
         self._gen = gen
+        #: the event last yielded; stale (already processed) while the
+        #: generator runs
         self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         Initialize(env, self)
@@ -195,59 +223,43 @@ class Process(Event):
             return  # interrupting a dead process is a no-op
         if self._target is self:
             raise SimulationError("a process cannot interrupt itself")
-        env = self.env
-        kick = Event(env)
+        # the kick is a failed event carrying the Interrupt, so delivery
+        # is an ordinary resume
+        kick = Event(self.env)
+        kick._value, kick._ok, kick._triggered = Interrupt(cause), False, True
+        kick.callbacks.append(self._deliver)
+        self.env._enqueue(URGENT, kick)
 
-        def deliver(_ev: Event, proc: "Process" = self, cause: Any = cause) -> None:
-            if proc._triggered:
-                return
-            # Detach from whatever the process was waiting on.
-            target = proc._target
-            if target is not None and target.callbacks is not None:
-                try:
-                    target.callbacks.remove(proc._resume)
-                except ValueError:
-                    pass
-            proc._target = None
-            proc._step(Interrupt(cause), throw=True)
-
-        kick.callbacks.append(deliver)
-        kick._value, kick._ok, kick._triggered = None, True, True
-        env._enqueue(0.0, URGENT, kick)
+    def _deliver(self, kick: Event) -> None:
+        if self._triggered:
+            return
+        # Detach from whatever the process was waiting on.
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        self._resume(kick)
 
     # -- stepping ------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._target = None
-        if event._ok:
-            self._step(event._value, throw=False)
-        else:
-            self._step(event._value, throw=True)
-
-    def _step(self, value: Any, *, throw: bool) -> None:
+        """Hand *event*'s outcome to the generator; wait on what it yields."""
         env = self.env
         try:
-            if throw:
-                target = self._gen.throw(value)
+            if event._ok:
+                target = self._gen.send(event._value)
             else:
-                target = self._gen.send(value)
+                target = self._gen.throw(event._value)
         except StopIteration as stop:
-            self._triggered = True
-            self._ok = True
-            self._value = stop.value
-            env._enqueue(0.0, NORMAL, self)
+            self._end(True, stop.value)
             return
         except Interrupt as exc:
             # Uncaught interrupt terminates the process with failure.
-            self._triggered = True
-            self._ok = False
-            self._value = exc
-            env._enqueue(0.0, NORMAL, self)
+            self._end(False, exc)
             return
         except BaseException as exc:
-            self._triggered = True
-            self._ok = False
-            self._value = exc
-            env._enqueue(0.0, NORMAL, self)
+            self._end(False, exc)
             if not env._catch_errors:
                 raise
             return
@@ -258,12 +270,29 @@ class Process(Event):
         if target.env is not env:
             raise SimulationError("yielded event belongs to a different engine")
         self._target = target
-        target._add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
+        else:
+            target._add_callback(self._resume)
+
+    def _end(self, ok: bool, value: Any) -> None:
+        self._triggered = True
+        self._ok = ok
+        self._value = value
+        self._target = None
+        if self.callbacks:
+            self.env._enqueue(NORMAL, self)
+        else:
+            # nobody waits: processed on the spot, no end-event (a later
+            # waiter takes the late-waiter path of _add_callback)
+            self.callbacks = None
 
 
 class _Condition(Event):
     """Base for AnyOf/AllOf composite events."""
 
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Engine", events: Iterable[Event]):
         super().__init__(env)
@@ -288,6 +317,7 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Fires when any constituent event fires; value maps fired events."""
 
+    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -301,6 +331,7 @@ class AnyOf(_Condition):
 class AllOf(_Condition):
     """Fires when all constituent events have fired."""
 
+    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -370,6 +401,9 @@ class Engine:
 
     Attributes
     ----------
+    now:
+        Current simulated time in seconds.  A plain attribute, read on
+        every hot path; only the engine's own pop step writes it.
     obs:
         Optional :class:`repro.obs.Observability` sink.  ``None`` by
         default — every instrumentation site across the codebase guards
@@ -394,7 +428,7 @@ class Engine:
         catch_errors: bool = True,
         tie_breaker: Optional[TieBreaker] = None,
     ):
-        self._now = 0.0
+        self.now = 0.0
         #: heap of ``(time, priority, sub, seq, event)``; ``seq`` is unique,
         #: so comparisons never reach the event
         self._heap: list[tuple[float, int, int, int, Event]] = []
@@ -409,11 +443,6 @@ class Engine:
         self.schedule_trace = None
 
     # -- public API ------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event firing *delay* seconds from now."""
         return Timeout(self, delay, value)
@@ -436,17 +465,18 @@ class Engine:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches *until*."""
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} is in the past (now={self.now})")
         heap = self._heap
         fire_next = self._fire_next
+        stop = float("inf") if until is None else until
         while heap:
-            if until is not None and heap[0][0] > until:
-                self._now = until
+            if heap[0][0] > stop:
+                self.now = until
                 return
             fire_next()
         if until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
 
     def run_until_process(self, proc: Process) -> Any:
         """Run until *proc* completes; return its value or raise its error."""
@@ -465,26 +495,29 @@ class Engine:
         return self._heap[0][0] if self._heap else float("inf")
 
     # -- internals -------------------------------------------------------
-    def _enqueue(self, delay: float, priority: int, event: Event) -> None:
-        if event._scheduled and not isinstance(event, Timeout):
+    def _enqueue(self, priority: int, event: Event) -> None:
+        """Schedule a just-triggered *event* at the current time, once."""
+        if event._scheduled:
             return
         event._scheduled = True
-        self._seq += 1
-        t = self._now + delay
-        sub = (
-            self._tie_breaker.sub_key(t, priority, self._seq, event)
-            if self._tie_breaker is not None
-            else 0
-        )
-        heapq.heappush(self._heap, (t, priority, sub, self._seq, event))
+        self._push(self.now, priority, event)
+
+    def _push(self, t: float, priority: int, event: Event) -> None:
+        self._seq = seq = self._seq + 1
+        tie_breaker = self._tie_breaker
+        sub = 0 if tie_breaker is None else tie_breaker.sub_key(t, priority, seq, event)
+        heapq.heappush(self._heap, (t, priority, sub, seq, event))
 
     def _fire_next(self) -> None:
         """Pop the front entry, advance the clock, trace it, fire it."""
         t, prio, sub, seq, event = heapq.heappop(self._heap)
-        if t < self._now - 1e-12:
+        if t > self.now:
+            self.now = t
+        elif t < self.now - 1e-12:
             raise SimulationError("event queue time went backwards")
-        if t > self._now:
-            self._now = t
         if self.schedule_trace is not None:
             self.schedule_trace.record(t, prio, sub, seq, event)
-        event._run_callbacks()
+        event._triggered = True  # timeouts trigger at pop, not at schedule
+        callbacks, event.callbacks = event.callbacks, None
+        for cb in callbacks:
+            cb(event)

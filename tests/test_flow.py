@@ -606,3 +606,98 @@ def test_undrained_message_includes_queue_and_inflight_bytes():
     # flow enabled: the pressure snapshot is appended
     assert "flow: pools [" in msg
     assert "credits" in msg
+
+
+# ------------------------------------------- request() == admit() or wait()
+def _drive_bank(style, seed, can_degrade, grouped):
+    """Seeded request / release / revoke / force-grant traffic on a bank
+    (two banks sharing a group when *grouped*); returns everything a
+    caller or the stats could tell apart."""
+    import random
+
+    from repro.jobs.share import CreditShareGroup
+
+    rng = random.Random(seed)
+    eng = Engine()
+    cfg = FlowConfig(codel_target=0.3 if can_degrade else None)
+    banks = [CreditBank(eng, 0, 1000.0, cfg) for _ in range(2 if grouped else 1)]
+    if grouped:
+        group = CreditShareGroup(0, 1500.0)
+        for i, bank in enumerate(banks):
+            group.register(f"tenant{i}", bank)
+    log = []
+
+    def acquire(bank, key, nbytes):
+        if style == "request":
+            return (yield from bank.request(key, nbytes, can_degrade=can_degrade))
+        return bank.admit(key, nbytes) or (
+            yield from bank.wait(key, nbytes, can_degrade=can_degrade)
+        )
+
+    def release_later(bank, key, hold):
+        yield eng.timeout(hold)
+        bank.release(key)
+
+    def client(b, src, plan):
+        # grants are released by a side process, so one source runs ahead
+        # of its own releases and has to queue
+        bank = banks[b]
+        for step, (delay, nbytes, hold, redeliver) in enumerate(plan):
+            yield eng.timeout(delay)
+            key = (src, step)
+            ok = yield from acquire(bank, key, nbytes)
+            log.append((b, key, ok, eng.now))
+            if ok:
+                if redeliver:
+                    assert (yield from acquire(bank, key, nbytes)) is True
+                eng.process(release_later(bank, key, hold))
+
+    def failover(plan):
+        for delay, b, what in plan:
+            yield eng.timeout(delay)
+            if what == "revoke":
+                log.append(("revoked", b, sorted(banks[b].revoke_all()), eng.now))
+            else:
+                banks[b].force_grant(("adopted", what), 200.0)
+
+    delays = (0.0, 0.0, 0.05, 0.2)
+    for b in range(len(banks)):
+        for src in range(3):
+            plan = [
+                (rng.choice(delays), rng.choice((100.0, 300.0, 700.0, 1200.0)),
+                 rng.choice((0.1, 0.4, 1.0)), rng.random() < 0.2)
+                for _ in range(12)
+            ]
+            eng.process(client(b, src, plan))
+    eng.process(failover([
+        (rng.uniform(0.2, 1.5), rng.randrange(len(banks)),
+         "revoke" if rng.random() < 0.5 else i)
+        for i in range(4)
+    ]))
+    eng.run()
+    stats = [
+        (bank.grants, bank.rejections, bank.forced, bank.total_sojourn,
+         bank.max_sojourn, bank.outstanding, bank.queued)
+        for bank in banks
+    ]
+    return log, stats, eng.now, eng._seq
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("can_degrade", [False, True])
+def test_request_is_exactly_admit_or_wait(can_degrade, grouped):
+    seen = set()
+    for seed in range(20):
+        whole = _drive_bank("request", seed, can_degrade, grouped)
+        halves = _drive_bank("halves", seed, can_degrade, grouped)
+        assert whole == halves
+        log, stats, _now, _seq = whole
+        assert all(queued == 0 for *_rest, queued in stats)
+        seen |= {granted for tag, _key, granted, _t in log if tag != "revoked"}
+        if any(total_sojourn > 0 for _g, _r, _f, total_sojourn, *_rest in stats):
+            seen.add("waited")
+        if any(forced for _g, _r, forced, *_rest in stats):
+            seen.add("forced")
+    # the traffic reaches the branches it is meant to compare
+    assert {"waited", "forced", True} <= seen
+    assert (False in seen) is can_degrade

@@ -475,3 +475,52 @@ def test_serve_config_validation():
     with pytest.raises(ValueError):
         ServeConfig(route_seconds=-1.0)
     assert ServeConfig().flow_config().codel_target is not None
+
+
+# ------------------------------------------------------- "latest" resolution
+def _newest_with_data_by_scan(service, var):
+    """Oracle: the rule ``_resolve`` states, by sorting every known step."""
+    for step in sorted((s for v, s in service._steps if v == var), reverse=True):
+        state = service._steps[(var, step)]
+        if state.partitions:
+            return state
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_latest_step_pointer_agrees_with_a_sorted_scan(seed):
+    """Steps announced, filled and sealed out of order, with empty chunks
+    and refused calls: after every call ``step=None`` resolves to the
+    newest step with a landed chunk, never to an announced-only one."""
+    import random
+
+    rng = random.Random(seed)
+    service = QueryService(Engine(), ServeConfig(nshards=2), bins=8)
+    variables = ("rho", "T", "p")
+    chunk = np.arange(12.0).reshape(4, 3)
+    empty = np.empty((0, 3))
+    resolved = set()
+    for _ in range(120):
+        var, step = rng.choice(variables), rng.randrange(6)
+        op = rng.choice(("begin", "land", "land", "land_empty", "commit", "commit_with"))
+        try:
+            if op == "begin":
+                service.begin_step(var, step)
+            elif op == "land":
+                service.land_chunk(var, step, chunk + step)
+            elif op == "land_empty":
+                service.land_chunk(var, step, empty)
+            elif op == "commit":
+                service.commit_step(var, step)
+            else:
+                parts = rng.choice(([chunk], [empty, chunk], [empty]))
+                service.commit_step(var, step, partitions=parts)
+        except ValueError:
+            pass  # landing on a sealed step, sealing an empty one
+        for v in variables:
+            got = service._resolve(Query.range(v, {0: (0.0, 1.0)}))
+            assert got is _newest_with_data_by_scan(service, v)
+            resolved.add(None if got is None else got.committed)
+        explicit = service._resolve(Query.range(var, {0: (0.0, 1.0)}, step=step))
+        assert explicit is service._steps.get((var, step))
+    assert resolved == {None, False, True}

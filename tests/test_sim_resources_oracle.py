@@ -53,6 +53,8 @@ class RescanBandwidth:
         self.degradation = degradation
         self._active: list[_Transfer] = []
         self._wakeup: Optional[Event] = None
+        #: abandoned wakeups still in the engine's queue
+        self._stale: set[Event] = set()
         self._bytes_moved = 0.0
 
     @property
@@ -103,7 +105,7 @@ class RescanBandwidth:
 
     def _reschedule(self) -> None:
         if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup._stale = True
+            self._stale.add(self._wakeup)
         if not self._active:
             self._wakeup = None
             return
@@ -115,7 +117,8 @@ class RescanBandwidth:
         ev._add_callback(self._on_wakeup)
 
     def _on_wakeup(self, ev: Event) -> None:
-        if getattr(ev, "_stale", False):
+        if ev in self._stale:
+            self._stale.remove(ev)
             return
         self._advance()
         self._reschedule()
@@ -145,7 +148,7 @@ def simulate(cls, rate, script, windows=()):
     Returns the completion time of every row, the row indices in the
     order their completions were delivered, and the drained pipe.
     """
-    eng = Engine()
+    eng = Engine(catch_errors=False)  # an exception in either model is a test error
     pipe = cls(eng, rate, degradation=windows_mult(windows) if windows else None)
     finished_at: list = [None] * len(script)
     order: list[int] = []
