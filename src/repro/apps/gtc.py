@@ -19,6 +19,7 @@ Reproduced properties:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Generator, Optional
 
 import numpy as np
@@ -48,6 +49,15 @@ GTC_GROUP = GroupDef(
 )
 
 
+@lru_cache(maxsize=4)
+def _global_labels(seed: int, step: int, n: int) -> np.ndarray:
+    """The read-only permutation of ``range(n)`` every rank slices its
+    labels from, drawn once per dump and species rather than per rank."""
+    perm = np.random.default_rng(seed + 7919 * step).permutation(n)
+    perm.flags.writeable = False
+    return perm
+
+
 def gtc_particles(
     rank: int, nprocs: int, rows: int, *, step: int = 0, seed: int = 42
 ) -> np.ndarray:
@@ -57,9 +67,7 @@ def gtc_particles(
     all ranks every particle appears exactly once, in migrated
     (shuffled) order — statistically faithful to GTC's arrays.
     """
-    rng_global = np.random.default_rng(seed + 7919 * step)
-    perm = rng_global.permutation(nprocs * rows)
-    labels = perm[rank * rows : (rank + 1) * rows]
+    labels = _global_labels(seed, step, nprocs * rows)[rank * rows : (rank + 1) * rows]
     rng = np.random.default_rng(seed + 104729 * step + rank)
     data = np.empty((rows, 8))
     theta = rng.uniform(0, 2 * np.pi, rows)

@@ -104,26 +104,6 @@ COMPUTE_SECONDS_BETWEEN_COLLECTIVES = 0.7
 _FIELD_SEED = 11
 
 
-def _smooth_field(rank, nprocs, n, var_index, step):
-    """Deterministic smooth 3-D chunk (slab of a global field)."""
-    gx = nprocs * n
-    lo = rank * n
-    x = (np.arange(lo, lo + n) + 0.5) / gx
-    y = (np.arange(n) + 0.5) / n
-    z = (np.arange(n) + 0.5) / n
-    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-    phase = 0.37 * var_index + 0.11 * step + _FIELD_SEED * 1e-3
-    field = (
-        np.sin(2 * np.pi * (xx + phase))
-        * np.cos(2 * np.pi * yy)
-        * np.cos(np.pi * zz)
-        + 0.1 * var_index
-    )
-    if var_index == 0:
-        field += 2.0  # mass density stays strictly positive
-    return field
-
-
 class Pixie3DApplication:
     """The Pixie3D skeleton, runnable under any ADIOS transport."""
 
@@ -155,23 +135,37 @@ class Pixie3DApplication:
 
     # -- data ------------------------------------------------------------
     def make_step(self, rank: int, step: int) -> OutputStep:
-        """Build one rank's output step (eight 3-D field chunks)."""
+        """Build one rank's output step (eight 3-D field chunks).
+
+        Each field is a smooth slab of a global field, separable into
+        three 1-D factors: ``sin(2π(x + phase)) · cos(2πy) · cos(πz)``
+        plus a per-variable offset.  All eight are one ``(8, n, n, n)``
+        block built by broadcasting the factors; each variable is one
+        C-contiguous slice of it, and all share one :class:`ChunkMeta`.
+        """
         cfg = self.config
         n = cfg.functional_size
-        nprocs = self.world.size
-        gx = nprocs * n
+        gx = self.world.size * n
         lo = rank * n
-        values = {}
-        chunks = {}
-        for vi, var in enumerate(PIXIE3D_VARS):
-            values[var] = _smooth_field(rank, nprocs, n, vi, step)
-            chunks[var] = ChunkMeta((gx, n, n), (lo, 0, 0))
+        vi = np.arange(len(PIXIE3D_VARS))
+        x = (np.arange(lo, lo + n) + 0.5) / gx
+        y = (np.arange(n) + 0.5) / n
+        z = (np.arange(n) + 0.5) / n
+        phase = 0.37 * vi + 0.11 * step + _FIELD_SEED * 1e-3
+        block = (
+            np.sin(2 * np.pi * (x[None, :] + phase[:, None]))[:, :, None, None]
+            * np.cos(2 * np.pi * y)[None, None, :, None]
+            * np.cos(np.pi * z)[None, None, None, :]
+            + (0.1 * vi)[:, None, None, None]
+        )
+        block[0] += 2.0  # mass density stays strictly positive
+        chunk = ChunkMeta((gx, n, n), (lo, 0, 0))
         return OutputStep(
             group=self.group,
             step=step,
             rank=rank,
-            values=values,
-            chunks=chunks,
+            values=dict(zip(PIXIE3D_VARS, block)),
+            chunks=dict.fromkeys(PIXIE3D_VARS, chunk),
             volume_scale=cfg.volume_scale,
         )
 

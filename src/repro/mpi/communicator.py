@@ -20,8 +20,11 @@ call pass the same value.
 Aliasing: payloads travel by reference.  An ``ndarray`` that reaches a
 rank — a collective's result, one held directly in a list or tuple
 result, a received message — is a read-only view, since other ranks may
-hold the same buffer; ``.copy()`` it to mutate.  No call writes into, or
-changes the flags of, an object its caller passed in.
+hold the same buffer; ``.copy()`` it to mutate.  The ranks of one
+collective share one read-only view of each array in its result (every
+rank of a ``bcast`` or ``allreduce`` receives the same object), while a
+list or tuple result is each rank's own container.  No call writes into,
+or changes the flags of, an object its caller passed in.
 """
 
 from __future__ import annotations
@@ -42,14 +45,21 @@ ANY_SOURCE = Mailbox.ANY
 ANY_TAG = Mailbox.ANY
 
 
-def _readonly(obj: Any) -> Any:
-    """*obj* as a receiving rank sees it (module docstring, "Aliasing")."""
+def _readonly(obj: Any, views: dict[int, np.ndarray]) -> Any:
+    """*obj* as a receiving rank sees it (module docstring, "Aliasing").
+
+    *views* maps ``id(array)`` to the read-only view already made of it,
+    so that every rank of one collective receives the same view.
+    """
     if isinstance(obj, np.ndarray):
-        obj = obj.view()
-        obj.flags.writeable = False
-    elif type(obj) in (list, tuple):
-        obj = type(obj)(
-            _readonly(v) if isinstance(v, np.ndarray) else v for v in obj
+        view = views.get(id(obj))
+        if view is None:
+            view = views[id(obj)] = obj.view()
+            view.flags.writeable = False
+        return view
+    if type(obj) in (list, tuple):
+        return type(obj)(
+            _readonly(v, views) if isinstance(v, np.ndarray) else v for v in obj
         )
     return obj
 
@@ -103,7 +113,7 @@ class Communicator:
         yield from self.world.network.transfer(
             self.node_id, self.world.rank_nodes[dest], size
         )
-        self.world.mailbox(dest).deliver(self.rank, tag, _readonly(obj))
+        self.world.mailbox(dest).deliver(self.rank, tag, _readonly(obj, {}))
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; returns a :class:`Request`."""
@@ -223,10 +233,9 @@ class Communicator:
             self._check_peer(kwargs["root"])
         seq = self._coll_seq
         self._coll_seq += 1
-        result = yield from self.world.collective(
+        return (yield from self.world.collective(
             seq, kind, self.rank, payload, wire_scale=wire_scale, **kwargs
-        )
-        return _readonly(result)
+        ))
 
     # -- misc -----------------------------------------------------------------
     def _check_peer(self, rank: int) -> None:

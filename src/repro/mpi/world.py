@@ -15,7 +15,7 @@ from typing import Any, Callable, Generator, Optional, Sequence
 import numpy as np
 
 from repro.machine.network import Network
-from repro.mpi.communicator import Communicator
+from repro.mpi.communicator import Communicator, _readonly
 from repro.mpi.datasize import nbytes_of
 from repro.mpi.ops import Op
 from repro.sim.engine import Engine, Event, SimulationError
@@ -92,6 +92,7 @@ class World:
         self._comms = [Communicator(self, r) for r in range(len(rank_nodes))]
         self._procs: list = []
         self._active: set[int] = set(range(len(rank_nodes)))
+        self._set_members()
 
     # -- structure ---------------------------------------------------------
     @property
@@ -101,7 +102,16 @@ class World:
     @property
     def active_ranks(self) -> list[int]:
         """Ranks not deactivated by failure, in rank order."""
-        return sorted(self._active)
+        return list(self._members)
+
+    def _set_members(self) -> None:
+        """Rebuild the sorted active ranks and their nodes.
+
+        Both lists are replaced, never mutated in place: a collective
+        already on the wire keeps the node list it started with.
+        """
+        self._members = sorted(self._active)
+        self._member_nodes = [self.rank_nodes[r] for r in self._members]
 
     # -- failure support ----------------------------------------------------
     def deactivate_rank(self, rank: int) -> None:
@@ -115,6 +125,7 @@ class World:
         if rank not in self._active:
             return
         self._active.discard(rank)
+        self._set_members()
         for seq, state in list(self._collectives.items()):
             self._maybe_complete(seq, state)
 
@@ -205,12 +216,13 @@ class World:
         per_rank_bytes = self._wire_bytes(
             kind, payloads, state.kwargs.get("wire_scale")
         )
-        contributors = sorted(r for r in payloads if r in self._active)
         finish = partial(self._complete_collective, seq, state)
-        if self.contended and len(contributors) > 1 and kind != "barrier":
+        # Every active rank has contributed, so the contributors are
+        # exactly the members.
+        if self.contended and len(self._members) > 1 and kind != "barrier":
             self.network.start_collective(
                 _model_kind(kind),
-                [self.rank_nodes[r] for r in contributors],
+                self._member_nodes,
                 per_rank_bytes,
                 finish,
                 model_nprocs=self.model_size,
@@ -226,7 +238,8 @@ class World:
         """The exchange is over: apply the semantics, resume the ranks.
 
         Runs inside an engine callback (possibly a pipe's), so it only
-        triggers ``state.done``.
+        triggers ``state.done``.  Each array in the result is made
+        read-only once, and every rank receives that one view.
         """
         # Identity-guarded: reset_collectives() may have replaced this
         # seq slot with a fresh epoch while the exchange was in flight.
@@ -241,14 +254,20 @@ class World:
             # into every waiting rank instead of deadlocking the world.
             state.done.fail(exc)
             return
+        views: dict[int, np.ndarray] = {}
+        for r, value in results.items():
+            if value is not None:
+                results[r] = _readonly(value, views)
         state.done.succeed(results)
 
     # -- functional semantics ------------------------------------------------------
     def _apply(self, kind: str, payloads: dict[int, Any], kwargs: dict) -> dict:
         # Results are computed over the *active* contributors only, so a
         # collective completed after a failure yields survivor-only data.
-        # With no failures this is exactly range(size).
-        ranks = sorted(r for r in payloads if r in self._active)
+        # With no failures this is exactly range(size).  Active ranks only
+        # shrink and all had contributed when the exchange started, so
+        # they are still a subset of the payloads: the members.
+        ranks = self._members
         p = len(ranks)
         if kind == "barrier":
             return {r: None for r in ranks}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.adios import SyncMPIIO
+from repro.adios.group import ChunkMeta
 from repro.apps import (
     DiagnosticsOperator,
     GTCApplication,
@@ -20,8 +21,8 @@ from repro.apps import (
     max_velocity,
     pixie3d_group,
 )
-from repro.apps.gtc import COL_LABEL
-from repro.apps.pixie3d import COMPUTE_SECONDS_BETWEEN_COLLECTIVES
+from repro.apps.gtc import COL_LABEL, _global_labels
+from repro.apps.pixie3d import COMPUTE_SECONDS_BETWEEN_COLLECTIVES, PIXIE3D_VARS
 from repro.core import MovementScheduler, PreDatA
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World, nbytes_of
@@ -36,6 +37,28 @@ def test_gtc_labels_form_global_permutation():
         [gtc_particles(r, nprocs, rows)[:, COL_LABEL] for r in range(nprocs)]
     )
     assert sorted(labels.astype(int)) == list(range(nprocs * rows))
+
+
+def test_gtc_labels_are_one_shared_draw_sliced_per_rank():
+    nprocs, rows = 8, 25
+    for step, seed in [(0, 42), (1, 42), (3, 43)]:
+        # the per-rank formula: each rank draws the whole permutation
+        expected = [
+            np.random.default_rng(seed + 7919 * step).permutation(nprocs * rows)[
+                r * rows : (r + 1) * rows
+            ]
+            for r in range(nprocs)
+        ]
+        got = [
+            gtc_particles(r, nprocs, rows, step=step, seed=seed)[:, COL_LABEL]
+            for r in range(nprocs)
+        ]
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+        assert sorted(np.concatenate(got).astype(int)) == list(range(nprocs * rows))
+    # the cached draw cannot be written through by a caller
+    with pytest.raises(ValueError, match="read-only"):
+        _global_labels(42, 0, nprocs * rows)[0] = -1
 
 
 def test_gtc_particles_out_of_order():
@@ -188,6 +211,45 @@ def test_pixie3d_chunks_tile_global_array():
     jumps = np.abs(np.diff(assembled, axis=0)).max()
     interior = np.abs(np.diff(assembled[:n], axis=0)).max()
     assert jumps < 4 * interior + 1e-9
+
+
+def _meshgrid_field(rank, nprocs, n, var_index, step):
+    """The field formula evaluated on a full meshgrid, one variable at a
+    time: the oracle the separable synthesis must match bit for bit."""
+    x = (np.arange(rank * n, rank * n + n) + 0.5) / (nprocs * n)
+    y = (np.arange(n) + 0.5) / n
+    z = (np.arange(n) + 0.5) / n
+    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
+    phase = 0.37 * var_index + 0.11 * step + 11 * 1e-3
+    field = (
+        np.sin(2 * np.pi * (xx + phase))
+        * np.cos(2 * np.pi * yy)
+        * np.cos(np.pi * zz)
+        + 0.1 * var_index
+    )
+    if var_index == 0:
+        field += 2.0
+    return field
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_pixie3d_synthesis_matches_the_meshgrid_formula(n):
+    eng = Engine()
+    machine = Machine(eng, 4, 0, spec=TESTING_TINY, fs_interference=False)
+    world = World(eng, machine.network, [r % 4 for r in range(64)])
+    cfg = Pixie3DConfig(local_size=32, functional_size=n)
+    app = Pixie3DApplication(machine, world, SyncMPIIO(machine.filesystem), cfg)
+    for rank in (0, 5, 63):
+        for step in (0, 1, 3):
+            s = app.make_step(rank, step)
+            assert list(s.values) == list(PIXIE3D_VARS)
+            for vi, var in enumerate(PIXIE3D_VARS):
+                got = s.values[var]
+                assert got.dtype == np.float64 and got.shape == (n, n, n)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == _meshgrid_field(rank, 64, n, vi, step).tobytes()
+                assert s.chunks[var] == ChunkMeta((64 * n, n, n), (rank * n, 0, 0))
+            assert (s.values["rho"] > 0).all()
 
 
 def test_pixie3d_runs_and_reports():

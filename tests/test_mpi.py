@@ -390,6 +390,72 @@ def test_reset_collectives_during_the_wire_phase_starts_a_clean_epoch():
     assert 0.004 + fresh_eng.now < end < 0.004 + 2 * fresh_eng.now
 
 
+def _allreduce_among_survivors(kill_at):
+    """Rank 3 dies at *kill_at* (None: never); the others run two allreduce
+    epochs with a ``reset_collectives()`` between them.  Returns what the
+    survivors received, the world, and each node's NIC RX pipe bytes."""
+    eng, world = slow_allreduce_world()
+    out = {}
+
+    def main(comm):
+        for _epoch in range(2):
+            if comm.rank not in world.active_ranks:
+                return  # its node is dead
+            total = yield from comm.allreduce(np.full(1000, float(comm.rank)))
+            out.setdefault(comm.rank, []).append((eng.now, total[0]))
+            yield from comm.sleep(1.0)
+
+    def kill():
+        yield eng.timeout(kill_at)
+        procs[3].interrupt("node died")
+        world.deactivate_rank(3)
+
+    def new_epoch():
+        yield eng.timeout(0.5)  # between the two epochs: nothing in flight
+        assert world._collectives == {}
+        world.reset_collectives()
+
+    if kill_at == 0:
+        world.deactivate_rank(3)
+    procs = world.spawn(main)
+    if kill_at:
+        eng.process(kill())
+    eng.process(new_epoch())
+    eng.run()
+    return out, world, [world.network.nic(n).rx.bytes_moved for n in range(4)]
+
+
+def test_a_rank_deactivated_before_a_collective_is_left_out_of_its_pipes():
+    whole, _, whole_rx = _allreduce_among_survivors(None)
+    assert {r: [v for _t, v in got] for r, got in whole.items()} == {
+        r: [6.0, 6.0] for r in range(4)
+    }
+    out, world, rx = _allreduce_among_survivors(0)
+    assert world.active_ranks == [0, 1, 2]
+    # both epochs complete among the survivors, on survivor data only
+    assert {r: [v for _t, v in got] for r, got in out.items()} == {
+        r: [3.0, 3.0] for r in range(3)
+    }
+    # the dead rank's node hosts no survivor: its pipes never saw a byte
+    assert rx[3] == 0.0
+    assert rx[0] == rx[1] == rx[2] == whole_rx[0] > 0
+
+
+def test_a_collective_in_its_latency_phase_keeps_the_member_list_it_started_with():
+    whole, _, whole_rx = _allreduce_among_survivors(None)
+    # the four-rank exchange is priced (its latency is 2 us) before rank 3
+    # dies at 1 us: node 3's pipes still carry it, survivors get their sum
+    out, world, rx = _allreduce_among_survivors(1e-6)
+    assert world.active_ranks == [0, 1, 2]
+    assert sorted(out) == [0, 1, 2]
+    for got in out.values():
+        assert got[0] == (whole[0][0][0], 3.0)  # not repriced
+        assert got[1][1] == 3.0
+    # the second epoch starts after rank 3 died, so only the first counts
+    assert rx[3] == whole_rx[3] / 2 > 0
+    assert rx[0] == whole_rx[0]
+
+
 def test_world_join_returns_rank_values():
     eng, world = make_world(3)
 
@@ -577,6 +643,48 @@ def test_writing_into_a_bcast_result_cannot_reach_the_root_buffer():
 
     out = run_ranks(2, main)
     np.testing.assert_array_equal(out[0], np.arange(3.0))
+
+
+def test_ranks_of_one_collective_share_one_read_only_view():
+    inputs = {r: np.arange(4.0) + r for r in range(4)}
+
+    def main(comm):
+        x = inputs[comm.rank]
+        got = {
+            "bcast": (yield from comm.bcast(x, root=2)),
+            "allreduce": (yield from comm.allreduce(x)),
+            "reduce": (yield from comm.reduce(x, root=1)),
+            "allgather": (yield from comm.allgather(x)),
+            "gather": (yield from comm.gather(x, root=0)),
+        }
+        yield from comm.barrier()  # every rank holds its results
+        if comm.rank == 3:
+            mine = got["bcast"].copy()  # the documented way to mutate
+            mine += 100.0
+            got["allgather"].append("only in rank 3's list")
+        yield from comm.barrier()
+        return got
+
+    out = run_ranks(4, main)
+    for kind in ("bcast", "allreduce"):
+        shared = out[0][kind]
+        assert all(out[r][kind] is shared for r in range(4))
+        assert not shared.flags.writeable
+    np.testing.assert_array_equal(out[0]["bcast"], np.arange(4.0) + 2)
+    np.testing.assert_array_equal(out[0]["allreduce"], 4 * np.arange(4.0) + 6)
+    assert not out[1]["reduce"].flags.writeable
+    assert all(out[r]["reduce"] is None for r in (0, 2, 3))
+    # a list result is each rank's own; its arrays are read-only
+    lists = [out[r]["allgather"] for r in range(4)] + [out[0]["gather"]]
+    assert len({id(lst) for lst in lists}) == 5
+    assert [len(lst) for lst in lists] == [4, 4, 4, 5, 4]
+    for lst in lists:
+        for r, arr in enumerate(lst[:4]):
+            assert not arr.flags.writeable and arr is not inputs[r]
+            np.testing.assert_array_equal(arr, np.arange(4.0) + r)
+    for r, x in inputs.items():
+        assert x.flags.writeable
+        np.testing.assert_array_equal(x, np.arange(4.0) + r)
 
 
 def test_single_rank_allreduce_does_not_return_its_input():
