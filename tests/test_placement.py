@@ -15,7 +15,7 @@ NPROCS = 8
 ROWS = 40
 
 
-def run_in_compute(operators, nprocs=NPROCS, rows=ROWS, scale=10.0):
+def run_in_compute(operators, nprocs=NPROCS, rows=ROWS, scale=10.0, wire_scale=None):
     eng = Engine()
     machine = Machine(eng, nprocs, 0, spec=TESTING_TINY, fs_interference=False)
     world = World(
@@ -24,7 +24,7 @@ def run_in_compute(operators, nprocs=NPROCS, rows=ROWS, scale=10.0):
         list(range(nprocs)),
         name="app",
         node_lookup=machine.node,
-        wire_scale=scale,
+        wire_scale=scale if wire_scale is None else wire_scale,
     )
     runner = InComputeNodeRunner(machine, operators)
     visible = {}
@@ -73,6 +73,18 @@ def test_in_compute_cost_is_visible():
     assert timing.communicate > 0  # the all-to-all shuffle
     assert timing.compute > 0
     assert max(visible.values()) >= timing.total * 0.5
+
+
+def test_in_compute_partials_are_not_inflated_by_the_world_wire_scale():
+    """Stage-1a partials are fixed-size summaries: as in staging, their
+    allgather ignores the world's logical-volume inflation."""
+
+    def communicate(wire_scale):
+        op = HistogramOperator("electrons", column=7, bins=16)
+        _, _, runner, _ = run_in_compute([op], wire_scale=wire_scale)
+        return runner.step_timing(op.name, 0).communicate
+
+    assert communicate(1000.0) == communicate(1.0) > 0
 
 
 def test_in_compute_sort_communication_dominates_at_larger_scale():
