@@ -24,6 +24,7 @@ is a one-line change, exactly as §IV.A describes.
   follower) consumed through :mod:`repro.stream`.
 """
 
+from repro.apps.metrics import AppMetrics
 from repro.apps.gtc import GTCApplication, GTCConfig, GTC_GROUP, gtc_particles
 from repro.apps.pixie3d import (
     PIXIE3D_VARS,
@@ -41,6 +42,7 @@ from repro.apps.diagnostics import (
 from repro.apps.readers import InTransitAnalysisReader, ParticleTrackingFollower
 
 __all__ = [
+    "AppMetrics",
     "DiagnosticsOperator",
     "GTCApplication",
     "GTCConfig",

@@ -18,7 +18,7 @@ Reproduced properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Generator, Optional
 
@@ -26,13 +26,15 @@ import numpy as np
 
 from repro.adios.group import GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.io import IOMethod
+from repro.apps.metrics import AppMetrics
+from repro.core.operator import worst_rank
 from repro.core.placement import InComputeNodeRunner
 from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
 from repro.mpi.world import World
 
-__all__ = ["GTC_GROUP", "GTCConfig", "GTCMetrics", "GTCApplication", "gtc_particles"]
+__all__ = ["GTC_GROUP", "GTCConfig", "GTCApplication", "gtc_particles"]
 
 #: Column layout of a GTC particle row.
 COL_X, COL_Y, COL_Z = 0, 1, 2
@@ -125,21 +127,6 @@ class GTCConfig:
         return self.iterations_per_dump * self.compute_seconds_per_iteration
 
 
-@dataclass
-class GTCMetrics:
-    """Per-rank wall-time breakdown (Fig. 8(b)'s categories)."""
-
-    compute: float = 0.0  # main-loop computation
-    comm: float = 0.0  # main-loop collectives
-    io_blocking: float = 0.0  # visible I/O time
-    operations: float = 0.0  # in-compute-node operator time
-    total: float = 0.0
-
-    @property
-    def main_loop(self) -> float:
-        return self.compute + self.comm
-
-
 class GTCApplication:
     """The GTC skeleton, runnable under any ADIOS transport."""
 
@@ -167,7 +154,7 @@ class GTCApplication:
         self.scheduler = scheduler
         self.runner = runner
         self.staging_steal = staging_steal
-        self.metrics: dict[int, GTCMetrics] = {}
+        self.metrics: dict[int, AppMetrics] = {}
         # Half the functional rows per species (two arrays per dump).
         self._rows = max(self.config.functional_rows // 2, 1)
 
@@ -194,7 +181,7 @@ class GTCApplication:
         """The per-rank GTC program: compute, collectives, periodic dumps."""
         cfg = self.config
         env = comm.env
-        m = GTCMetrics()
+        m = AppMetrics()
         start = env.now
         # Nothing reads the field-solve data, only its phase and wire
         # volume: send one element, name the logical count per call.
@@ -243,11 +230,6 @@ class GTCApplication:
         return self.world.spawn(self.main)
 
     # -- aggregated views ----------------------------------------------------
-    def max_metrics(self) -> GTCMetrics:
+    def max_metrics(self) -> AppMetrics:
         """Worst-rank view (what total-execution-time plots report)."""
-        out = GTCMetrics()
-        for name in ("compute", "comm", "io_blocking", "operations", "total"):
-            setattr(
-                out, name, max(getattr(v, name) for v in self.metrics.values())
-            )
-        return out
+        return worst_rank(self.metrics.values())

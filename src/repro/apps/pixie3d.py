@@ -26,6 +26,8 @@ import numpy as np
 
 from repro.adios.group import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.io import IOMethod
+from repro.apps.metrics import AppMetrics
+from repro.core.operator import worst_rank
 from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
@@ -35,7 +37,6 @@ from repro.mpi.world import World
 __all__ = [
     "PIXIE3D_VARS",
     "Pixie3DConfig",
-    "Pixie3DMetrics",
     "Pixie3DApplication",
     "pixie3d_group",
 ]
@@ -83,21 +84,6 @@ class Pixie3DConfig:
         return 8 * self.local_size**3 * 8
 
 
-@dataclass
-class Pixie3DMetrics:
-    """Per-rank wall-time breakdown (Fig. 10(b)'s categories)."""
-
-    compute: float = 0.0
-    comm: float = 0.0
-    io_blocking: float = 0.0
-    operations: float = 0.0
-    total: float = 0.0
-
-    @property
-    def main_loop(self) -> float:
-        return self.compute + self.comm
-
-
 #: seconds of computation between two reduce/bcast rounds (§V.C)
 COMPUTE_SECONDS_BETWEEN_COLLECTIVES = 0.7
 #: phase offset of the synthetic fields
@@ -130,7 +116,7 @@ class Pixie3DApplication:
         self.config = config or Pixie3DConfig()
         self.scheduler = scheduler
         self.staging_steal = staging_steal
-        self.metrics: dict[int, Pixie3DMetrics] = {}
+        self.metrics: dict[int, AppMetrics] = {}
         self.group = pixie3d_group()
 
     # -- data ------------------------------------------------------------
@@ -174,7 +160,7 @@ class Pixie3DApplication:
         """The per-rank Pixie3D program: reduce/bcast-dense inner loop."""
         cfg = self.config
         env = comm.env
-        m = Pixie3DMetrics()
+        m = AppMetrics()
         start = env.now
         # Nothing reads the solver's reductions, only their phase and
         # wire volume: send one element, name the logical count per call.
@@ -218,11 +204,6 @@ class Pixie3DApplication:
         return self.world.spawn(self.main)
 
     # -- aggregated views --------------------------------------------------------
-    def max_metrics(self) -> Pixie3DMetrics:
+    def max_metrics(self) -> AppMetrics:
         """Worst-rank wall-time view (what total-time plots report)."""
-        out = Pixie3DMetrics()
-        for name in ("compute", "comm", "io_blocking", "operations", "total"):
-            setattr(
-                out, name, max(getattr(v, name) for v in self.metrics.values())
-            )
-        return out
+        return worst_rank(self.metrics.values())

@@ -27,7 +27,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.adios.group import OutputStep
 from repro.adios.io import IOMethod
-from repro.core.operator import PreDatAOperator
+from repro.core.operator import PreDatAOperator, charge
 from repro.core.scheduler import MovementScheduler
 from repro.faults.errors import FetchDropped, NoLiveStagers
 from repro.ffs import PackBuffer
@@ -305,9 +305,7 @@ class StagingClient:
         partials: dict[str, Any] = {}
         t0 = env.now
         for op in self.operators:
-            flops = op.partial_flops(step)
-            if flops > 0:
-                yield from node.compute(flops)
+            yield from charge(node, op.partial_flops(step), 1)
             result = op.partial_calculate(step)
             if result is not None:
                 partials[op.name] = result

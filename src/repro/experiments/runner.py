@@ -15,13 +15,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.adios.io import SyncMPIIO
-from repro.apps.gtc import COL_LABEL, GTC_GROUP, GTCApplication, GTCConfig, GTCMetrics
-from repro.apps.pixie3d import (
-    Pixie3DApplication,
-    Pixie3DConfig,
-    Pixie3DMetrics,
-    pixie3d_group,
-)
+from repro.apps.gtc import COL_LABEL, GTC_GROUP, GTCApplication, GTCConfig
+from repro.apps.metrics import AppMetrics
+from repro.apps.pixie3d import Pixie3DApplication, Pixie3DConfig, pixie3d_group
 from repro.core.middleware import PreDatA
 from repro.core.operator import PreDatAOperator, StepReport
 from repro.core.placement import InComputeNodeRunner, InComputeTiming
@@ -108,7 +104,7 @@ class GTCRunResult:
 
     cores: int
     placement: str  # "staging" | "incompute" | "none"
-    metrics: GTCMetrics
+    metrics: AppMetrics
     cpu_seconds: float
     staging_reports: list[StepReport] = field(default_factory=list)
     in_compute_timings: dict[str, InComputeTiming] = field(default_factory=dict)
@@ -276,7 +272,7 @@ class Pixie3DRunResult:
 
     cores: int
     placement: str
-    metrics: Pixie3DMetrics
+    metrics: AppMetrics
     cpu_seconds: float
     staging_reports: list[StepReport] = field(default_factory=list)
     nprocs_logical: int = 0
