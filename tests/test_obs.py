@@ -24,7 +24,7 @@ from repro.core import PreDatA
 from repro.machine import TESTING_TINY, Machine
 from repro.mpi import World
 from repro.obs import HistogramStat, MetricsRegistry, Observability, Tracer
-from repro.operators import MinMaxOperator, SampleSortOperator
+from repro.operators import Histogram2DOperator, MinMaxOperator, SampleSortOperator
 from repro.sim import Engine
 
 
@@ -185,6 +185,46 @@ def test_reducer_placement_is_independent_of_the_hash_seed():
         )
     assert "bucket_rows{" in outs[0] and "shuffle_bytes{dst=" in outs[0]
     assert outs[0] == outs[1]
+
+
+#: StepReport field each staging ``pipeline`` span's duration adds to.
+#: ``fetch`` has no entry: the report derives it from the streaming
+#: window and the map time (fetches overlap Map), not from a span sum.
+_SPAN_PHASE = {
+    "gather_requests": "gather_requests",
+    "aggregate": "aggregate",
+    "map": "map",
+    "combine": "shuffle",
+    "shuffle": "shuffle",
+    "reduce": "reduce",
+    "finalize": "finalize",
+}
+
+
+def test_step_report_equals_the_sum_of_its_pipeline_spans():
+    """The two accounts of a staging step agree: per (staging rank,
+    step), the traced phase spans sum to the hand-kept StepReport."""
+    obs = Observability()
+    ops = [
+        SampleSortOperator("electrons", key_column=0),
+        Histogram2DOperator("electrons", columns=(1, 2), bins=(8, 8)),
+    ]
+    _, _, predata, _ = run_staging_pipeline(ops, nsteps=2, obs=obs)
+    sums = {}
+    for s in obs.tracer.spans:
+        if s.cat == "pipeline" and s.name in _SPAN_PHASE:
+            rank = int(s.tid.removeprefix("stage"))
+            key = (rank, s.args["step"], _SPAN_PHASE[s.name])
+            sums[key] = sums.get(key, 0.0) + s.duration
+    checked = 0
+    for step, per_rank in predata.service.rank_reports.items():
+        for rank, report in per_rank.items():
+            for phase in set(_SPAN_PHASE.values()):
+                spanned = sums.get((rank, step, phase), 0.0)
+                assert getattr(report, phase) == pytest.approx(spanned, rel=0, abs=1e-9)
+                checked += spanned > 0
+    assert len(predata.service.rank_reports) == 2
+    assert checked >= 2 * 2 * 5  # two steps, two ranks, the busy phases
 
 
 def test_observability_dump_roundtrip(tmp_path):
