@@ -40,6 +40,7 @@ callers that need writable arrays copy explicitly.
 from __future__ import annotations
 
 import json
+from math import prod
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -248,6 +249,12 @@ def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
 
     Returns ``(schema, values, attrs)``.  Array values are read-only
     views into *buf* (zero copy), whatever the buffer's own mutability.
+
+    *buf* must hold exactly one record, as :func:`encode` lays it out:
+    an extent that is not a non-negative integer or contradicts the
+    schema, a field running past the buffer, or bytes left over past
+    the trailing pad raise :class:`SchemaError` before any array is
+    made.
     """
     header, payload_base = _parse_header(buf)
     schema = Schema.from_dict(header["schema"])
@@ -259,14 +266,33 @@ def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
     for f in schema.fields:
         if f.is_scalar:
             continue
-        shape = tuple(shapes[f.name])
+        shape = _checked_shape(f, shapes.get(f.name))
         dt = np.dtype(f.dtype)
-        count = int(np.prod(shape)) if shape else 1
+        count = prod(shape)
         offset = _align(offset)
         start = payload_base + offset
+        if start + count * dt.itemsize > len(buf):
+            raise SchemaError(f"field {f.name!r} runs past the FFS buffer")
         arr = np.frombuffer(buf, dtype=dt, count=count, offset=start)
         if arr.flags.writeable:
             arr.flags.writeable = False
         values[f.name] = arr.reshape(shape)
         offset += count * dt.itemsize
+    if payload_base + _align(offset) != len(buf):
+        raise SchemaError(
+            f"FFS buffer holds {len(buf)} bytes, its header describes "
+            f"{payload_base + _align(offset)}"
+        )
     return schema, values, header.get("attrs", {})
+
+
+def _checked_shape(f, shape: Any) -> tuple[int, ...]:
+    """The header's extents of array field *f*, validated against it."""
+    if (
+        not isinstance(shape, list)
+        or len(shape) != len(f.shape)
+        or not all(type(n) is int and n >= 0 for n in shape)
+        or any(d not in (-1, n) for d, n in zip(f.shape, shape))
+    ):
+        raise SchemaError(f"field {f.name!r}: bad extents {shape!r} in header")
+    return tuple(shape)

@@ -303,3 +303,41 @@ def test_packed_view_outlives_its_scratch_and_a_regrow():
     del out
     gc.collect()
     assert backing() is None  # the last reader frees them
+
+
+# ------------------------------------------------------------ hostile headers
+def _record_with_shapes(**shapes):
+    """A valid ``a=float64[4], b=int32[3]`` record whose header is
+    re-encoded with *shapes* overriding the true extents."""
+    import json
+
+    s = Schema.of("r", a=("float64", (-1,)), b=("int32", (-1,)))
+    buf = encode(s, {"a": np.arange(4.0), "b": np.array([7, 8, 9], np.int32)})
+    hlen = int.from_bytes(buf[4:8], "little")
+    header = json.loads(buf[8 : 8 + hlen])
+    header["shapes"].update(shapes)
+    hbytes = json.dumps(header).encode()
+    return buf[:4] + len(hbytes).to_bytes(4, "little") + hbytes + buf[8 + hlen :]
+
+
+def test_decode_accepts_its_own_re_encoded_header():
+    _, values, _ = decode(_record_with_shapes())
+    np.testing.assert_array_equal(values["a"], np.arange(4.0))
+    np.testing.assert_array_equal(values["b"], [7, 8, 9])
+
+
+@pytest.mark.parametrize(
+    "shape", [[-1], [2], [5], [1.5], ["4"], [4, 1], [], [2**62]]
+)
+def test_decode_rejects_a_lying_extent(shape):
+    with pytest.raises(SchemaError):
+        decode(_record_with_shapes(a=shape))
+
+
+def test_decode_rejects_a_truncated_or_padded_payload():
+    s = Schema.of("r", a=("float64", (-1,)))
+    buf = encode(s, {"a": np.arange(40.0)})
+    with pytest.raises(SchemaError):
+        decode(buf[:-100])
+    with pytest.raises(SchemaError):
+        decode(buf + bytes(8))
