@@ -15,7 +15,7 @@ variable-performance) parallel file system.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.adios.bp import BPFile, BPWriter
 from repro.adios.group import GroupDef, OutputStep

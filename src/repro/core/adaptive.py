@@ -25,7 +25,7 @@ operator cost drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["PlacementBudget", "PlacementDecision", "AdaptivePlacement"]

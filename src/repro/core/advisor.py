@@ -22,7 +22,6 @@ model: the smallest staging area whose pipeline fits the I/O interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

@@ -17,7 +17,7 @@ its next iteration (abort, re-tune, checkpoint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.staging import StagingService

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator
 
 from repro.flow.config import FlowConfig
 from repro.sim.engine import Engine

@@ -10,7 +10,7 @@ Map/Reduce untouched, tagged by producing rank.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 

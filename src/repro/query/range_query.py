@@ -16,7 +16,7 @@ how many chunk loads were merged into bulk loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -1,7 +1,6 @@
 """Tests for the imperative ADIOS open/write/close API."""
 
 import numpy as np
-import pytest
 
 from repro.adios import Adios, ConfigError, parse_config
 from repro.machine import Machine, TESTING_TINY

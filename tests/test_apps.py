@@ -19,7 +19,6 @@ from repro.apps import (
     gtc_particles,
     kinetic_energy,
     max_velocity,
-    pixie3d_group,
 )
 from repro.apps.gtc import COL_LABEL, _global_labels
 from repro.apps.pixie3d import COMPUTE_SECONDS_BETWEEN_COLLECTIVES, PIXIE3D_VARS

@@ -90,3 +90,28 @@ def test_funcs_and_lines_modes_find_what_never_ran(project):
     lines = _census(project, "lines")
     assert "never executed: 2 (1 plain, 1 raise)" in lines
     assert "raise  pkg/mod.py:13: raise ValueError(value)" in lines
+
+
+def test_funcs_report_names_what_only_one_labelled_run_enters(project):
+    (project / "other.py").write_text("from pkg.mod import scaled, unused\nscaled(1)\nunused()\n")
+    common = ["--mode", "funcs", "--src", str(project / "pkg")]
+    dirs = []
+    for label, script in (("demo", "script.py"), ("other", "other.py")):
+        out = project / f"only-{label}"
+        subprocess.run(
+            [sys.executable, str(TOOL), "run", *common, "--out", str(out), "--",
+             sys.executable, str(project / script)],
+            check=True, cwd=project,
+        )
+        dirs.append(f"{label}={out}")
+    report = subprocess.run(
+        [sys.executable, str(TOOL), "report", *common, *dirs],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    nothing = report.partition("entered by nothing: ")[2].partition("\n\n")[0]
+    demo = report.partition("entered only by demo: ")[2].partition("\n\n")[0]
+    other = report.partition("entered only by other: ")[2]
+    assert nothing.startswith("0 (0 lines)")
+    assert "steps" in demo and "scaled" not in demo  # both runs enter scaled
+    assert other.startswith("1 (2 lines)\n  by package: mod 1\n")
+    assert "pkg/mod.py:21 unused (2 lines)" in other

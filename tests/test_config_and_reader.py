@@ -5,7 +5,6 @@ import pytest
 
 from repro.adios import BPWriter, ChunkMeta, GroupDef, OutputStep, SyncMPIIO, VarDef, VarKind
 from repro.adios.config import (
-    AdiosConfig,
     ConfigError,
     make_transport,
     parse_config,

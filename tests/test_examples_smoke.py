@@ -6,7 +6,6 @@ meaningful end-to-end integration test of the public API surface.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.helpers import PARTICLE_GROUP, particle_step
+from tests.helpers import particle_step
 from repro.core import InComputeNodeRunner, MovementScheduler, OfflineCostModel
 from repro.machine import Machine, TESTING_TINY, JAGUAR_XT5
 from repro.mpi import World

@@ -375,17 +375,29 @@ def _sources(src: Path):
 
 
 def report_funcs(src: Path, runs) -> None:
-    entered = {label: {k for d in dumps for k in d["entered"]} for label, dumps in runs}
-    total, never = 0, []
+    entered: dict[str, set] = {}
+    for label, dumps in runs:
+        entered.setdefault(label, set()).update(k for d in dumps for k in d["entered"])
+    total, by_label = 0, {}  # by_label[frozenset of labels] = [function rows]
     for _, rel, (functions, _) in _sources(src):
         for first, (qual, end, _) in sorted(functions.items()):
             total += 1
-            if not any(f"{rel}:{first}" in e for e in entered.values()):
-                never.append((rel, first, qual, end - first + 1))
-    print(f"functions: {total}; entered by nothing: {len(never)} "
-          f"({sum(n for *_, n in never)} lines)")
-    for rel, first, qual, n in never:
-        print(f"  {rel}:{first} {qual} ({n} lines)")
+            labels = frozenset(lb for lb, e in entered.items() if f"{rel}:{first}" in e)
+            by_label.setdefault(labels, []).append((rel, first, qual, end - first + 1))
+    print(f"functions: {total}")
+    sections = [("entered by nothing", frozenset())]
+    if len(entered) > 1:
+        sections += [(f"entered only by {lb}", frozenset([lb])) for lb in entered]
+    for title, labels in sections:
+        rows = by_label.get(labels, [])
+        pkgs = Counter()
+        for rel, *_, n in rows:
+            pkgs[rel.split(os.sep)[1].removesuffix(".py")] += 1
+        print(f"\n{title}: {len(rows)} ({sum(n for *_, n in rows)} lines)")
+        if rows:
+            print("  by package: " + ", ".join(f"{p} {k}" for p, k in pkgs.most_common()))
+        for rel, first, qual, n in rows:
+            print(f"  {rel}:{first} {qual} ({n} lines)")
 
 
 def _executable_lines(path: Path, rel: str) -> set[int]:
