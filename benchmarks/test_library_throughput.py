@@ -61,8 +61,7 @@ def test_mpi_collective_throughput(benchmark):
     def run():
         eng = Engine()
         topo = TorusTopology(16)
-        world = World(eng, Network(eng, topo, NetworkConfig()),
-                      list(range(16)), contended=False)
+        world = World(eng, Network(eng, topo, NetworkConfig()), list(range(16)))
         payload = np.ones(64)
 
         def main(comm):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from math import ceil, log2
 from typing import Callable, Generator, Optional
@@ -310,6 +310,10 @@ class Network:
         ``nbytes`` is the per-rank payload (for alltoall: per-pair).
         Models follow Thakur et al.'s MPICH algorithms.
         """
+        if kind not in (
+            "barrier", "bcast", "reduce", "allreduce", "allgather", "alltoall"
+        ):
+            raise ValueError(f"unknown collective kind {kind!r}")
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
         if nprocs == 1:
@@ -327,50 +331,18 @@ class Network:
             # Rabenseifner: reduce-scatter + (all)gather
             fac = 2.0 if kind == "allreduce" else 1.5
             return 2.0 * lg * a + fac * nbytes * b * (p - 1) / p
-        if kind in ("gather", "scatter"):
-            return lg * a + nbytes * b * (p - 1) / p * p  # root link bound
         if kind == "allgather":
             return (p - 1) * a + nbytes * b * (p - 1)
-        if kind in ("alltoall", "alltoallv"):
-            # pairwise exchange (p-1 rounds, nbytes per pair), bounded
-            # below by bisection congestion: half the p^2*n job volume
-            # crosses the machine bisection, which a torus sustains at
-            # ~25% of peak under all-to-all traffic patterns.
-            pairwise = (p - 1) * (a + nbytes * b)
-            bis_links = 2.0 * max(p, 2) ** (2.0 / 3.0)
-            # adaptive routing sustains ~40% of peak bisection under
-            # uniform all-to-all traffic on a 3-D torus
-            bis_bw = 0.40 * bis_links * cfg.bisection_bandwidth_per_link
-            congestion = (p * p * nbytes / 2.0) / bis_bw
-            return max(pairwise, congestion)
-        raise ValueError(f"unknown collective kind {kind!r}")
-
-    def contended_collective(
-        self,
-        kind: str,
-        ranks_nodes: list[int],
-        nbytes: float,
-        *,
-        model_nprocs: Optional[int] = None,
-    ) -> Generator:
-        """Process body: run a collective among *ranks_nodes*.
-
-        The analytic latency part is a plain timeout; the bandwidth part
-        is realised by streaming each rank's wire volume through its NIC
-        pipes so that concurrent staging traffic causes the slowdown the
-        paper measures.  ``model_nprocs`` prices the collective for a
-        larger effective job when the listed nodes are representatives.
-        Returns elapsed time.
-        """
-        start = self.env.now
-        if (model_nprocs or len(ranks_nodes)) <= 1 or len(ranks_nodes) <= 1:
-            return 0.0
-        done = self.env.event()
-        self.start_collective(
-            kind, ranks_nodes, nbytes, done.succeed, model_nprocs=model_nprocs
-        )
-        yield done
-        return self.env.now - start
+        # alltoall: pairwise exchange (p-1 rounds, nbytes per pair),
+        # bounded below by bisection congestion: half the p^2*n job
+        # volume crosses the machine bisection.
+        pairwise = (p - 1) * (a + nbytes * b)
+        bis_links = 2.0 * max(p, 2) ** (2.0 / 3.0)
+        # adaptive routing sustains ~40% of peak bisection under
+        # uniform all-to-all traffic on a 3-D torus
+        bis_bw = 0.40 * bis_links * cfg.bisection_bandwidth_per_link
+        congestion = (p * p * nbytes / 2.0) / bis_bw
+        return max(pairwise, congestion)
 
     def start_collective(
         self,
@@ -381,10 +353,15 @@ class Network:
         *,
         model_nprocs: Optional[int] = None,
     ) -> None:
-        """Callback form of :meth:`contended_collective`.
+        """Run a collective among *ranks_nodes*; then ``on_done()``.
 
+        The analytic latency part is one timer; the bandwidth part is
+        realised by streaming each rank's wire volume through its NIC
+        pipes, so concurrent staging traffic causes the slowdown the
+        paper measures.  ``model_nprocs`` prices the collective for a
+        larger effective job when the listed nodes are representatives.
         Calls ``on_done()`` once, from an engine callback, when the
-        collective's latency and wire phases are over.
+        latency and wire phases are over.
         """
         p = model_nprocs or len(ranks_nodes)
         cfg = self.config

@@ -1,11 +1,15 @@
 """Simulated MPI on the discrete-event machine model.
 
 Because the evaluation machine (Cray XT) and a real MPI stack are not
-available, this package provides an MPI-like layer whose *data plane is
-real* — the numpy arrays and Python objects a rank sends are what its
-peers receive, by reference and read-only (see
-:mod:`repro.mpi.communicator`) — while the *time plane* comes from the
-:mod:`repro.machine` interconnect model.
+available, this package provides the MPI collectives the paper's
+programs call — ``barrier``, ``bcast``, ``reduce``, ``allreduce``,
+``allgather`` and ``alltoall`` — with a *real data plane* (the numpy
+arrays and Python objects a rank contributes are what its peers
+receive, by reference and read-only; see
+:mod:`repro.mpi.communicator`) and a *time plane* from the
+:mod:`repro.machine` interconnect model.  There is no point-to-point:
+the staging area's only MPI traffic is collectives (§IV.C), and chunks
+move by RDMA get.
 
 A :class:`~repro.mpi.world.World` is one MPI job: a list of ranks, each
 mapped to a machine node (several ranks may share a node, like the
@@ -26,22 +30,9 @@ the simulation (§IV.C: "The staging area is running as a separate MPI
 program launched independently from the simulation").
 """
 
-from repro.mpi.ops import MAX, MIN, PROD, SUM, Op
-from repro.mpi.request import Request
-from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
+from repro.mpi.ops import SUM, Op
+from repro.mpi.communicator import Communicator
 from repro.mpi.world import World
 from repro.mpi.datasize import nbytes_of
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Communicator",
-    "MAX",
-    "MIN",
-    "Op",
-    "PROD",
-    "Request",
-    "SUM",
-    "World",
-    "nbytes_of",
-]
+__all__ = ["Communicator", "Op", "SUM", "World", "nbytes_of"]

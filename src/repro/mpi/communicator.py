@@ -1,8 +1,12 @@
 """Rank-side communicator API for the simulated MPI layer.
 
 One :class:`Communicator` instance exists per rank (an *endpoint* onto
-the shared :class:`~repro.mpi.world.World`).  All communication calls
-are generators intended for ``yield from`` inside rank processes.
+the shared :class:`~repro.mpi.world.World`).  Its communication calls
+are the six collectives the paper's programs make — ``barrier``,
+``bcast``, ``reduce``, ``allreduce``, ``allgather`` and ``alltoall`` —
+each a generator intended for ``yield from`` inside a rank process.
+There is no point-to-point: chunks move by RDMA get through
+:mod:`repro.core.client`, never by MPI send.
 
 Collective semantics: the *n*-th collective call made by each rank of a
 world is matched with the *n*-th call of every other rank (SPMD
@@ -18,8 +22,8 @@ unscaled one on a payload ``wire_scale`` times larger.  All ranks of a
 call pass the same value.
 
 Aliasing: payloads travel by reference.  An ``ndarray`` that reaches a
-rank — a collective's result, one held directly in a list or tuple
-result, a received message — is a read-only view, since other ranks may
+rank — a collective's result, or one held directly in a list or tuple
+result — is a read-only view, since other ranks may
 hold the same buffer; ``.copy()`` it to mutate.  The ranks of one
 collective share one read-only view of each array in its result (every
 rank of a ``bcast`` or ``allreduce`` receives the same object), while a
@@ -33,16 +37,10 @@ from typing import Any, Generator, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.datasize import nbytes_of
 from repro.mpi.ops import Op, SUM
-from repro.mpi.request import Request
 from repro.sim.engine import SimulationError
-from repro.sim.resources import Mailbox
 
-__all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
-
-ANY_SOURCE = Mailbox.ANY
-ANY_TAG = Mailbox.ANY
+__all__ = ["Communicator"]
 
 
 def _readonly(obj: Any, views: dict[int, np.ndarray]) -> Any:
@@ -91,63 +89,9 @@ class Communicator:
         return self.world.node_of(self.rank)
 
     # -- local work -------------------------------------------------------
-    def compute(self, flops: float) -> Generator:
-        """Process body: burn *flops* on one core of this rank's node."""
-        node = self.node
-        if node is None:
-            # No node model attached: charge time at a nominal 1 Gflop/s.
-            yield self.env.timeout(flops / 1e9)
-            return flops / 1e9
-        t = yield from node.compute(flops)
-        return t
-
     def sleep(self, seconds: float) -> Generator:
         """Process body: idle for *seconds* of simulated time."""
         yield self.env.timeout(seconds)
-
-    # -- point-to-point ----------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> Generator:
-        """Process body: blocking send (completes when data is delivered)."""
-        self._check_peer(dest)
-        size = nbytes_of(obj)
-        yield from self.world.network.transfer(
-            self.node_id, self.world.rank_nodes[dest], size
-        )
-        self.world.mailbox(dest).deliver(self.rank, tag, _readonly(obj, {}))
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; returns a :class:`Request`."""
-        proc = self.env.process(
-            self.send(obj, dest, tag), name=f"isend {self.rank}->{dest}"
-        )
-        return Request(proc)
-
-    def recv(
-        self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG
-    ) -> Generator:
-        """Process body: blocking receive; returns the payload."""
-        _src, _tag, payload = yield self.world.mailbox(self.rank).receive(
-            source=source, tag=tag
-        )
-        return payload
-
-    def recv_with_status(
-        self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG
-    ) -> Generator:
-        """Like :meth:`recv` but returns ``(payload, source, tag)``."""
-        src, tg, payload = yield self.world.mailbox(self.rank).receive(
-            source=source, tag=tag
-        )
-        return payload, src, tg
-
-    def irecv(self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG) -> Request:
-        """Nonblocking receive; ``wait()`` returns the payload."""
-
-        def body():
-            payload = yield from self.recv(source, tag)
-            return payload
-
-        return Request(self.env.process(body(), name=f"irecv @{self.rank}"))
 
     # -- collectives --------------------------------------------------------
     def barrier(self) -> Generator:
@@ -173,40 +117,11 @@ class Communicator:
         """Process body: reduction whose result lands on every rank."""
         return self._collective("allreduce", value, wire_scale, op=op)
 
-    def scan(self, value: Any, op: Op = SUM) -> Generator:
-        """Process body: inclusive prefix reduction — rank *r* receives
-        ``op(v_0, ..., v_r)`` (the 'prefix sums' of §IV.B's aggregated
-        results, e.g. global array offsets from local sizes)."""
-        return self._collective("scan", value, op=op)
-
-    def exscan(self, value: Any, op: Op = SUM) -> Generator:
-        """Exclusive prefix reduction; rank 0 receives None."""
-        return self._collective("exscan", value, op=op)
-
-    def sendrecv(
-        self, obj: Any, dest: int, source: Any = ANY_SOURCE,
-        sendtag: int = 0, recvtag: Any = ANY_TAG,
-    ) -> Generator:
-        """Process body: concurrent send + receive (deadlock-free pairwise
-        exchange)."""
-        req = self.isend(obj, dest, sendtag)
-        payload = yield from self.recv(source, recvtag)
-        yield from req.wait()
-        return payload
-
-    def gather(self, value: Any, root: int = 0) -> Generator:
-        """Process body: root receives ``[v_0 .. v_{p-1}]``, others None."""
-        return self._collective("gather", value, root=root)
-
     def allgather(
         self, value: Any, *, wire_scale: Optional[float] = None
     ) -> Generator:
         """Process body: every rank receives [v_0 .. v_{p-1}]."""
         return self._collective("allgather", value, wire_scale)
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Generator:
-        """Process body: rank *i* receives ``values[i]`` supplied by root."""
-        return self._collective("scatter", values, root=root)
 
     def alltoall(
         self, values: Sequence[Any], *, wire_scale: Optional[float] = None
@@ -222,15 +137,13 @@ class Communicator:
             )
         return self._collective("alltoall", list(values), wire_scale)
 
-    # alltoallv is semantically identical here (payloads may be ragged
-    # numpy arrays); provided for API familiarity.
-    alltoallv = alltoall
-
     def _collective(
         self, kind: str, payload: Any, wire_scale: Optional[float] = None, **kwargs
     ) -> Generator:
-        if "root" in kwargs:
-            self._check_peer(kwargs["root"])
+        if "root" in kwargs and not 0 <= kwargs["root"] < self.size:
+            raise SimulationError(
+                f"root rank {kwargs['root']} outside world of size {self.size}"
+            )
         seq = self._coll_seq
         self._coll_seq += 1
         return (yield from self.world.collective(
@@ -238,11 +151,5 @@ class Communicator:
         ))
 
     # -- misc -----------------------------------------------------------------
-    def _check_peer(self, rank: int) -> None:
-        if not 0 <= rank < self.size:
-            raise SimulationError(
-                f"peer rank {rank} outside world of size {self.size}"
-            )
-
     def __repr__(self) -> str:
         return f"Communicator(world={self.world.name!r}, rank={self.rank})"

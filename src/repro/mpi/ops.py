@@ -1,8 +1,8 @@
 """Reduction operators for simulated-MPI collectives.
 
 Each :class:`Op` combines two values elementwise; values may be Python
-scalars or numpy arrays (mirroring mpi4py's lowercase API, which
-reduces arbitrary Python objects).
+scalars or numpy arrays.  :data:`SUM` is the one operator the paper's
+programs reduce with.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Op", "SUM", "MIN", "MAX", "PROD"]
+__all__ = ["Op", "SUM"]
 
 
 class Op:
@@ -20,9 +20,6 @@ class Op:
     def __init__(self, name: str, fn: Callable[[Any, Any], Any]):
         self.name = name
         self._fn = fn
-
-    def __call__(self, a: Any, b: Any) -> Any:
-        return self._fn(a, b)
 
     def reduce_all(self, values: Sequence[Any]) -> Any:
         """Fold *values* left-to-right (order-stable for determinism)."""
@@ -38,9 +35,6 @@ class Op:
 
 
 SUM = Op("sum", lambda a, b: np.add(a, b) if _arrayish(a, b) else a + b)
-PROD = Op("prod", lambda a, b: np.multiply(a, b) if _arrayish(a, b) else a * b)
-MIN = Op("min", lambda a, b: np.minimum(a, b) if _arrayish(a, b) else min(a, b))
-MAX = Op("max", lambda a, b: np.maximum(a, b) if _arrayish(a, b) else max(a, b))
 
 
 def _arrayish(a: Any, b: Any) -> bool:

@@ -1,10 +1,13 @@
 """The :class:`World`: one simulated MPI job.
 
-A world owns the rank-to-node mapping, per-rank mailboxes, and the
-collective matching engine.  Collective timing comes from the network
-model; set ``contended=True`` (default) to realise collective wire
-volume through NIC pipes so concurrent traffic (asynchronous staging
-fetches) slows collectives down — the §V.B.2 interference effect.
+A world owns the rank-to-node mapping and the collective matching
+engine.  Collective timing has one path: every collective among two or
+more members is realised through the members' NIC pipes
+(:meth:`Network.start_collective`), so concurrent traffic (asynchronous
+staging fetches) slows it down — the §V.B.2 interference effect.  Only
+what has no wire phase is a timer of :meth:`Network.collective_time`:
+a barrier, and any collective of a one-member world, priced for
+``model_size`` processes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from repro.mpi.communicator import Communicator, _readonly
 from repro.mpi.datasize import nbytes_of
 from repro.mpi.ops import Op
 from repro.sim.engine import Engine, Event, SimulationError
-from repro.sim.resources import Mailbox
 
 __all__ = ["World"]
 
@@ -46,10 +48,9 @@ class World:
     network: interconnect model shared with other worlds on the machine.
     rank_nodes: machine node id for each rank (index = rank).
     name: label for diagnostics.
-    contended: realise collective bandwidth through NIC pipes.
-    node_lookup: optional ``node_id -> Node`` resolver enabling
-        :meth:`Communicator.compute` to use real node core resources
-        (pass ``machine.node`` when running on a :class:`Machine`).
+    node_lookup: optional ``node_id -> Node`` resolver behind
+        :attr:`Communicator.node` (pass ``machine.node`` when running
+        on a :class:`Machine`).
     wire_scale: multiplier applied to payload sizes for *timing* —
         used when functional payloads are scaled-down stand-ins for
         larger logical data (see ``OutputStep.volume_scale``); a
@@ -68,7 +69,6 @@ class World:
         rank_nodes: Sequence[int],
         *,
         name: str = "world",
-        contended: bool = True,
         node_lookup: Optional[Callable[[int], Any]] = None,
         wire_scale: float = 1.0,
         model_size: Optional[int] = None,
@@ -83,14 +83,11 @@ class World:
         self.network = network
         self.rank_nodes = list(rank_nodes)
         self.name = name
-        self.contended = contended
         self.wire_scale = wire_scale
         self.model_size = model_size or len(rank_nodes)
         self._node_lookup = node_lookup
-        self._mailboxes: dict[int, Mailbox] = {}
         self._collectives: dict[int, _CollectiveState] = {}
         self._comms = [Communicator(self, r) for r in range(len(rank_nodes))]
-        self._procs: list = []
         self._active: set[int] = set(range(len(rank_nodes)))
         self._set_members()
 
@@ -151,35 +148,19 @@ class World:
             return None
         return self._node_lookup(self.rank_nodes[rank])
 
-    def mailbox(self, rank: int) -> Mailbox:
-        """The (lazily created) point-to-point mailbox of *rank*."""
-        mb = self._mailboxes.get(rank)
-        if mb is None:
-            mb = Mailbox(self.env)
-            self._mailboxes[rank] = mb
-        return mb
-
     # -- program launch ------------------------------------------------------
     def spawn(self, main: Callable[[Communicator], Generator], *args, **kwargs):
         """Start ``main(comm, *args, **kwargs)`` on every rank.
 
         Returns the list of rank processes (each is awaitable).
         """
-        self._procs = [
+        return [
             self.env.process(
                 main(self._comms[r], *args, **kwargs),
                 name=f"{self.name}[{r}]",
             )
             for r in range(self.size)
         ]
-        return self._procs
-
-    def join(self) -> Generator:
-        """Process body: wait until every spawned rank finishes."""
-        if not self._procs:
-            raise SimulationError("join() before spawn()")
-        yield self.env.all_of(self._procs)
-        return [p.value for p in self._procs]
 
     # -- collective engine ------------------------------------------------------
     def collective(
@@ -219,9 +200,9 @@ class World:
         finish = partial(self._complete_collective, seq, state)
         # Every active rank has contributed, so the contributors are
         # exactly the members.
-        if self.contended and len(self._members) > 1 and kind != "barrier":
+        if len(self._members) > 1 and kind != "barrier":
             self.network.start_collective(
-                _model_kind(kind),
+                kind,
                 self._member_nodes,
                 per_rank_bytes,
                 finish,
@@ -230,7 +211,7 @@ class World:
         else:
             self.env.timeout(
                 self.network.collective_time(
-                    _model_kind(kind), self.model_size, per_rank_bytes
+                    kind, self.model_size, per_rank_bytes
                 )
             )._add_callback(lambda _ev: finish())
 
@@ -250,8 +231,9 @@ class World:
         try:
             results = self._apply(state.kind, state.payloads, state.kwargs)
         except Exception as exc:
-            # Propagate semantic errors (bad scatter length, unknown op)
-            # into every waiting rank instead of deadlocking the world.
+            # Propagate semantic errors (e.g. an op that cannot combine
+            # the payloads) into every waiting rank instead of
+            # deadlocking the world.
             state.done.fail(exc)
             return
         views: dict[int, np.ndarray] = {}
@@ -268,7 +250,6 @@ class World:
         # shrink and all had contributed when the exchange started, so
         # they are still a subset of the payloads: the members.
         ranks = self._members
-        p = len(ranks)
         if kind == "barrier":
             return {r: None for r in ranks}
         if kind == "bcast":
@@ -283,36 +264,13 @@ class World:
                 return {r: result for r in ranks}
             root = kwargs.get("root", 0)
             return {r: (result if r == root else None) for r in ranks}
-        if kind in ("gather", "allgather"):
+        if kind == "allgather":
             ordered = [payloads[r] for r in ranks]
-            if kind == "allgather":
-                return {r: list(ordered) for r in ranks}
-            root = kwargs.get("root", 0)
-            return {r: (list(ordered) if r == root else None) for r in ranks}
-        if kind == "scatter":
-            root = kwargs.get("root", 0)
-            values = payloads[root]
-            if values is None or len(values) != p:
-                raise SimulationError(
-                    f"scatter root must supply {p} values, got "
-                    f"{None if values is None else len(values)}"
-                )
-            return {r: values[i] for i, r in enumerate(ranks)}
+            return {r: list(ordered) for r in ranks}
         if kind == "alltoall":
             return {
                 r: [payloads[src][r] for src in ranks] for r in ranks
             }
-        if kind in ("scan", "exscan"):
-            op: Op = kwargs["op"]
-            out: dict[int, Any] = {}
-            acc = None
-            for r in ranks:
-                if kind == "exscan":
-                    out[r] = acc
-                acc = payloads[r] if acc is None else op(acc, payloads[r])
-                if kind == "scan":
-                    out[r] = acc
-            return out
         raise SimulationError(f"unknown collective kind {kind!r}")
 
     def _wire_bytes(
@@ -323,9 +281,6 @@ class World:
     ) -> float:
         """Per-rank wire volume used for timing."""
         scale = self.wire_scale if wire_scale is None else wire_scale
-        return self._raw_wire_bytes(kind, payloads) * scale
-
-    def _raw_wire_bytes(self, kind: str, payloads: dict[int, Any]) -> float:
         if kind == "barrier":
             return 0.0
         if kind == "alltoall":
@@ -334,21 +289,8 @@ class World:
             per_rank_totals = [
                 sum(nbytes_of(el) for el in row) for row in payloads.values()
             ]
-            return max(per_rank_totals) / max(self.model_size, 1)
-        if kind == "scatter":
-            root_payload = next(
-                (v for v in payloads.values() if v is not None), None
-            )
-            if root_payload is None:
-                return 0.0
-            return sum(nbytes_of(el) for el in root_payload) / max(self.size, 1)
-        return max(nbytes_of(v) for v in payloads.values())
+            return max(per_rank_totals) / max(self.model_size, 1) * scale
+        return max(nbytes_of(v) for v in payloads.values()) * scale
 
     def __repr__(self) -> str:
         return f"World(name={self.name!r}, size={self.size})"
-
-
-def _model_kind(kind: str) -> str:
-    """Map functional kinds onto network cost-model kinds."""
-    # scans have the same tree-structured cost shape as an allreduce
-    return "allreduce" if kind in ("scan", "exscan") else kind

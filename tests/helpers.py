@@ -143,3 +143,15 @@ def run_staging_pipeline(
     app_world.spawn(app_main)
     eng.run()
     return eng, machine, predata, visible
+
+
+def awaited_collective(net, kind, ranks_nodes, nbytes, model_nprocs=None):
+    """Process body: one ``Network.start_collective``, awaited; returns
+    its elapsed seconds."""
+    start = net.env.now
+    done = net.env.event()
+    net.start_collective(
+        kind, ranks_nodes, nbytes, done.succeed, model_nprocs=model_nprocs
+    )
+    yield done
+    return net.env.now - start

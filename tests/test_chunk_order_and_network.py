@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.helpers import PARTICLE_GROUP, particle_step
-from repro.adios import OutputStep
+from tests.helpers import PARTICLE_GROUP, awaited_collective, particle_step
 from repro.core import PreDatA, PreDatAOperator
 from repro.core.staging import StagingConfig
 from repro.machine import Machine, Network, NetworkConfig, TESTING_TINY, TorusTopology
@@ -84,20 +83,15 @@ def test_chunk_order_must_be_callable():
 
 
 # ------------------------------------------------------ network detail
-def test_contended_collective_model_nprocs_prices_larger_job():
+def test_start_collective_model_nprocs_prices_larger_job():
     eng = Engine()
     topo = TorusTopology(8)
     net = Network(eng, topo, NetworkConfig())
-    times = {}
 
     def run(model):
-        def body():
-            t = yield from net.contended_collective(
-                "allreduce", [0, 1, 2, 3], 1e6, model_nprocs=model
-            )
-            return t
-
-        p = eng.process(body())
+        p = eng.process(
+            awaited_collective(net, "allreduce", [0, 1, 2, 3], 1e6, model)
+        )
         eng.run()
         return p.value
 
@@ -136,17 +130,18 @@ def test_backbone_carries_cross_machine_traffic():
 
 
 def test_single_rank_collective_free():
+    # a one-rank world standing for itself (model_size 1) pays nothing
     eng = Engine()
     topo = TorusTopology(4)
-    net = Network(eng, topo, NetworkConfig())
+    world = World(eng, Network(eng, topo, NetworkConfig()), [2])
 
-    def body():
-        t = yield from net.contended_collective("allreduce", [2], 1e9)
-        return t
+    def main(comm):
+        total = yield from comm.allreduce(np.zeros(125_000))  # 1 MB
+        return eng.now, total.size
 
-    p = eng.process(body())
+    (p,) = world.spawn(main)
     eng.run()
-    assert p.value == 0.0
+    assert p.value == (0.0, 125_000)
 
 
 def test_network_config_validation():

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from tests.helpers import PARTICLE_GROUP, particle_step, run_staging_pipeline
-from repro.adios import GroupDef, OutputStep, VarDef, VarKind
+from repro.adios import OutputStep
 from repro.check.workloads import run_workload
 from repro.core import (
-    MovementScheduler,
     PreDatA,
     PreDatAOperator,
     StagingClient,
@@ -24,7 +23,7 @@ from repro.machine import Machine, TESTING_TINY
 from repro.machine.node import MemoryError_
 from repro.mpi import World
 from repro.operators import MinMaxOperator
-from repro.sim import Engine, SimulationError
+from repro.sim import Engine
 
 
 # ------------------------------------------------------------ routing
@@ -300,9 +299,9 @@ def test_staging_memory_ceiling_enforced():
         step = particle_step(comm.rank, 2, 40, scale=1000.0)
         yield from predata.transport.write_step(comm, step)
 
-    world.spawn(app)
+    app_procs = world.spawn(app)
     eng.run()
-    all_procs = predata.service._procs + list(world._procs)
+    all_procs = predata.service._procs + app_procs
     failures = [p.value for p in all_procs if p.triggered and not p.ok]
     assert any(isinstance(v, MemoryError_) for v in failures)
 

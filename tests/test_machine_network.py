@@ -6,6 +6,7 @@ from math import ceil, log2
 import numpy as np
 import pytest
 
+from tests.helpers import awaited_collective
 from repro.check import ScheduleTrace
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
 from repro.machine.network import live_networks, registry_mark
@@ -157,22 +158,19 @@ def test_alltoall_scales_worse_than_allreduce():
 
 def test_unknown_collective_rejected():
     _, net = make_net()
-    with pytest.raises(ValueError):
-        net.collective_time("gossip", 8, 1.0)
+    for kind in ("gossip", "gather", "scatter", "scan", "alltoallv"):
+        for nprocs in (1, 8):
+            with pytest.raises(ValueError):
+                net.collective_time(kind, nprocs, 1.0)
     with pytest.raises(ValueError):
         net.collective_time("bcast", 0, 1.0)
 
 
-def test_contended_collective_base_matches_model():
+def test_start_collective_base_matches_model():
     eng, net = make_net(n=8, latency=1e-5, hop_latency=0.0,
                         bisection_bandwidth_per_link=1e12)
     nodes = list(range(4))
-
-    def proc():
-        t = yield from net.contended_collective("allreduce", nodes, 1e7)
-        return t
-
-    p = eng.process(proc())
+    p = eng.process(awaited_collective(net, "allreduce", nodes, 1e7))
     eng.run()
     base = net.collective_time("allreduce", 4, 1e7)
     assert p.value == pytest.approx(base, rel=0.1)
@@ -180,7 +178,7 @@ def test_contended_collective_base_matches_model():
 
 def per_rank_collective(net, kind, ranks_nodes, nbytes, model_nprocs=None):
     """Reference: the collective with one transfer per rank per NIC pipe
-    and an ``AllOf`` over all of them — what ``contended_collective`` did
+    and an ``AllOf`` over all of them — what ``start_collective`` did
     before it grouped a node's ranks into one weighted entry."""
     p = model_nprocs or len(ranks_nodes)
     start = net.env.now
@@ -224,12 +222,12 @@ def collective_elapsed(body, nodes, *, background=(), windows=(), starts=(0.0,))
     return elapsed
 
 
-def test_contended_collective_slowed_by_background_traffic():
+def test_start_collective_slowed_by_background_traffic():
     nodes = [0, 1, 2, 3]
     # Long bulk transfer out of node 0 overlapping the collective.
     background = [(0.0, 0, 5, 5e9)]
-    (slow,) = collective_elapsed(Network.contended_collective, nodes, background=background)
-    (fast,) = collective_elapsed(Network.contended_collective, nodes)
+    (slow,) = collective_elapsed(awaited_collective, nodes, background=background)
+    (fast,) = collective_elapsed(awaited_collective, nodes)
     assert slow > fast * 1.2
     (ref_slow,) = collective_elapsed(per_rank_collective, nodes, background=background)
     (ref_fast,) = collective_elapsed(per_rank_collective, nodes)
@@ -262,12 +260,12 @@ def test_grouped_collective_prices_as_one_transfer_per_rank(
     nodes, background, windows, starts
 ):
     kwargs = dict(background=background, windows=windows, starts=starts)
-    got = collective_elapsed(Network.contended_collective, nodes, **kwargs)
+    got = collective_elapsed(awaited_collective, nodes, **kwargs)
     want = collective_elapsed(per_rank_collective, nodes, **kwargs)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_uncontended_collective_is_a_handful_of_engine_events():
+def test_collective_on_idle_pipes_is_a_handful_of_engine_events():
     """64 ranks on 16 four-core nodes: between the last rank's arrival
     and the ranks' resumption the engine pops the latency timeout, the
     collective's one pipe timer and the completion event — not a transfer

@@ -120,36 +120,3 @@ def test_comm_repr_and_env():
     assert repr(world).startswith("World(")
 
 
-def test_comm_without_node_lookup_charges_nominal_compute():
-    eng = Engine()
-    topo = TorusTopology(2)
-    world = World(eng, Network(eng, topo, NetworkConfig()), [0, 1])
-
-    def main(comm):
-        t = yield from comm.compute(2e9)  # nominal 1 Gflop/s
-        return t
-
-    procs = world.spawn(main)
-    eng.run()
-    assert procs[0].value == pytest.approx(2.0)
-
-
-def test_request_wait_all():
-    from repro.mpi import Request
-
-    eng = Engine()
-    topo = TorusTopology(3)
-    world = World(eng, Network(eng, topo, NetworkConfig()), [0, 1, 2])
-    got = {}
-
-    def main(comm):
-        if comm.rank == 0:
-            reqs = [comm.irecv(source=s) for s in (1, 2)]
-            values = yield from Request.wait_all(comm.env, reqs)
-            got["values"] = sorted(values)
-        else:
-            yield from comm.send(comm.rank * 11, dest=0)
-
-    world.spawn(main)
-    eng.run()
-    assert got["values"] == [11, 22]

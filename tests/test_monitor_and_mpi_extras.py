@@ -1,15 +1,15 @@
-"""Tests for online monitoring/steering, MPI scan/sendrecv, BP regions."""
+"""Tests for online monitoring/steering and BP regions."""
 
 import numpy as np
 import pytest
 
-from tests.helpers import PARTICLE_GROUP, particle_step, run_staging_pipeline
+from tests.helpers import PARTICLE_GROUP, particle_step
 from repro.adios import BPWriter, ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.bp import BPError
 from repro.core import OnlineMonitor, PreDatA, SteeringFlag
-from repro.machine import Machine, Network, NetworkConfig, TESTING_TINY, TorusTopology
-from repro.mpi import SUM, World
-from repro.operators import HistogramOperator, MinMaxOperator
+from repro.machine import Machine, TESTING_TINY
+from repro.mpi import World
+from repro.operators import MinMaxOperator
 from repro.sim import Engine
 
 
@@ -88,63 +88,6 @@ def test_steering_flag_keeps_first_reason():
     flag.set(a1)
     flag.set(a2)
     assert flag.reason is a1
-
-
-# --------------------------------------------------------- MPI extras
-def make_world(n=4):
-    eng = Engine()
-    topo = TorusTopology(max(n, 2))
-    net = Network(eng, topo, NetworkConfig())
-    return eng, World(eng, net, list(range(n)), contended=False)
-
-
-def test_scan_prefix_sums():
-    eng, world = make_world(4)
-    out = {}
-
-    def main(comm):
-        # the §IV.B use case: local array sizes -> global offsets
-        local_size = (comm.rank + 1) * 10
-        incl = yield from comm.scan(local_size, op=SUM)
-        excl = yield from comm.exscan(local_size, op=SUM)
-        out[comm.rank] = (incl, excl)
-
-    world.spawn(main)
-    eng.run()
-    assert out[0] == (10, None)
-    assert out[1] == (30, 10)
-    assert out[3] == (100, 60)
-
-
-def test_scan_with_arrays():
-    eng, world = make_world(3)
-    out = {}
-
-    def main(comm):
-        arr = np.full(2, float(comm.rank + 1))
-        res = yield from comm.scan(arr, op=SUM)
-        out[comm.rank] = res
-
-    world.spawn(main)
-    eng.run()
-    np.testing.assert_array_equal(out[2], [6.0, 6.0])
-
-
-def test_sendrecv_ring_exchange():
-    eng, world = make_world(4)
-    out = {}
-
-    def main(comm):
-        dest = (comm.rank + 1) % comm.size
-        src = (comm.rank - 1) % comm.size
-        got = yield from comm.sendrecv(f"from {comm.rank}", dest=dest,
-                                       source=src)
-        out[comm.rank] = got
-
-    world.spawn(main)
-    eng.run()
-    for r in range(4):
-        assert out[r] == f"from {(r - 1) % 4}"
 
 
 # ----------------------------------------------------- BP region read

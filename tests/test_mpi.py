@@ -1,18 +1,22 @@
-"""Tests for the simulated MPI layer: p2p, collectives, requests."""
+"""Tests for the simulated MPI layer: the six collectives and their timing."""
+
+import functools
+from math import ceil, log2
 
 import numpy as np
 import pytest
 
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
-from repro.mpi import MAX, MIN, PROD, SUM, Op, World, nbytes_of
+from repro.core.operator import charge
+from repro.mpi import SUM, Op, World, nbytes_of
 from repro.sim import Engine, Interrupt, SimulationError
 
 
-def make_world(nranks=4, contended=False, **netcfg):
+def make_world(nranks=4, rank_nodes=None, **netcfg):
     eng = Engine()
     topo = TorusTopology(max(nranks, 2))
     net = Network(eng, topo, NetworkConfig(**netcfg))
-    world = World(eng, net, list(range(nranks)), contended=contended)
+    world = World(eng, net, rank_nodes or list(range(nranks)))
     return eng, world
 
 
@@ -25,97 +29,6 @@ def run_ranks(nranks, body, **world_kw):
         if not p.ok:
             raise p.value
     return {r: p.value for r, p in enumerate(procs)}
-
-
-# ------------------------------------------------------------- p2p
-def test_send_recv_roundtrip():
-    eng, world = make_world(2)
-    received = {}
-
-    def main(comm):
-        if comm.rank == 0:
-            payload = np.arange(10.0)
-            yield from comm.send(payload, dest=1, tag=7)
-        else:
-            data = yield from comm.recv(source=0, tag=7)
-            received["data"] = data
-
-    world.spawn(main)
-    eng.run()
-    np.testing.assert_array_equal(received["data"], np.arange(10.0))
-
-
-def test_send_recv_time_scales_with_size():
-    def elapsed(nbytes):
-        eng, world = make_world(2, link_bandwidth=1e6, latency=0.0,
-                                hop_latency=0.0)
-        t = {}
-
-        def main(comm):
-            if comm.rank == 0:
-                yield from comm.send(np.zeros(int(nbytes // 8)), dest=1)
-            else:
-                yield from comm.recv()
-                t["end"] = comm.env.now
-
-        world.spawn(main)
-        eng.run()
-        return t["end"]
-
-    assert elapsed(1e6) == pytest.approx(1.0, rel=0.05)
-    assert elapsed(2e6) == pytest.approx(2.0, rel=0.05)
-
-
-def test_isend_overlaps_compute():
-    eng, world = make_world(2, link_bandwidth=1e6, latency=0.0, hop_latency=0.0)
-    log = {}
-
-    def main(comm):
-        if comm.rank == 0:
-            req = comm.isend(np.zeros(125_000), dest=1)  # 1 MB -> 1 s wire
-            log["polled_in_flight"] = req.test()
-            yield from comm.sleep(1.0)  # overlapping work
-            yield from req.wait()
-            log["polled_done"] = req.test()
-            log["sender_done"] = comm.env.now
-        else:
-            yield from comm.recv()
-
-    world.spawn(main)
-    eng.run()
-    # isend overlapped with sleep: total ~1 s, not 2 s.
-    assert log["sender_done"] == pytest.approx(1.0, rel=0.1)
-    # mpi4py-style polling: False while on the wire, True once complete
-    assert (log["polled_in_flight"], log["polled_done"]) == (False, True)
-
-
-def test_recv_with_status():
-    eng, world = make_world(3)
-    got = {}
-
-    def main(comm):
-        if comm.rank == 2:
-            payload, src, tag = yield from comm.recv_with_status()
-            got["status"] = (payload, src, tag)
-        elif comm.rank == 1:
-            yield from comm.send("hello", dest=2, tag=42)
-
-    world.spawn(main)
-    eng.run()
-    assert got["status"] == ("hello", 1, 42)
-
-
-def test_send_to_invalid_rank():
-    eng, world = make_world(2)
-
-    def main(comm):
-        if comm.rank == 0:
-            yield from comm.send("x", dest=5)
-
-    procs = world.spawn(main)
-    eng.run()
-    assert not procs[0].ok
-    assert isinstance(procs[0].value, SimulationError)
 
 
 # --------------------------------------------------------- collectives
@@ -170,8 +83,8 @@ def test_allreduce_array_min_max():
 
     def main(comm):
         arr = np.array([comm.rank, 10 - comm.rank], dtype=float)
-        lo = yield from comm.allreduce(arr, op=MIN)
-        hi = yield from comm.allreduce(arr, op=MAX)
+        lo = yield from comm.allreduce(arr, op=Op("min", np.minimum))
+        hi = yield from comm.allreduce(arr, op=Op("max", np.maximum))
         mins.append(lo)
         maxs.append(hi)
 
@@ -182,47 +95,17 @@ def test_allreduce_array_min_max():
         np.testing.assert_array_equal(hi, [2.0, 10.0])
 
 
-def test_gather_and_allgather():
+def test_allgather():
     eng, world = make_world(4)
     out = {}
 
     def main(comm):
-        g = yield from comm.gather(comm.rank * 2, root=3)
-        ag = yield from comm.allgather(comm.rank)
-        out[comm.rank] = (g, ag)
+        out[comm.rank] = yield from comm.allgather(comm.rank)
 
     world.spawn(main)
     eng.run()
-    assert out[3][0] == [0, 2, 4, 6]
-    assert out[0][0] is None
     for r in range(4):
-        assert out[r][1] == [0, 1, 2, 3]
-
-
-def test_scatter():
-    eng, world = make_world(4)
-    out = {}
-
-    def main(comm):
-        values = [f"item{i}" for i in range(4)] if comm.rank == 0 else None
-        item = yield from comm.scatter(values, root=0)
-        out[comm.rank] = item
-
-    world.spawn(main)
-    eng.run()
-    assert out == {r: f"item{r}" for r in range(4)}
-
-
-def test_scatter_wrong_length_fails():
-    eng, world = make_world(3)
-
-    def main(comm):
-        values = ["a"] if comm.rank == 0 else None
-        yield from comm.scatter(values, root=0)
-
-    procs = world.spawn(main)
-    eng.run()
-    assert any(not p.ok for p in procs)
+        assert out[r] == [0, 1, 2, 3]
 
 
 def test_alltoall_personalised_exchange():
@@ -285,6 +168,39 @@ def test_collective_mismatch_detected():
     )
 
 
+def test_one_member_world_is_charged_the_model_for_model_size():
+    # no wire phase to realise, so a timer of collective_time at model_size
+    eng = Engine()
+    net = Network(eng, TorusTopology(2), NetworkConfig(link_bandwidth=1e6))
+    world = World(eng, net, [0], model_size=64)
+    payload = np.zeros(1000)
+
+    def main(comm):
+        yield from comm.allreduce(payload)
+        return eng.now
+
+    (p,) = world.spawn(main)
+    eng.run()
+    want = net.collective_time("allreduce", 64, payload.nbytes)
+    assert want > 0 and p.value == want
+
+
+@pytest.mark.parametrize("model_size", [None, 64])
+def test_barrier_costs_two_latencies_per_tree_level(model_size):
+    eng = Engine()
+    net = Network(eng, TorusTopology(4), NetworkConfig(latency=3e-6))
+    world = World(eng, net, [0, 1, 2, 3], model_size=model_size)
+
+    def main(comm):
+        yield from comm.barrier()
+        return eng.now
+
+    procs = world.spawn(main)
+    eng.run()
+    levels = ceil(log2(model_size or 4))
+    assert {p.value for p in procs} == {2 * 3e-6 * levels}
+
+
 def test_collective_timing_grows_with_size():
     def run(nbytes):
         eng, world = make_world(4, link_bandwidth=1e6, latency=0.0,
@@ -302,24 +218,9 @@ def test_collective_timing_grows_with_size():
     assert run(8e6) > run(8e3) * 10
 
 
-def test_contended_collectives_functional_identical():
-    for contended in (False, True):
-        eng, world = make_world(4, contended=contended)
-        out = {}
-
-        def main(comm):
-            s = yield from comm.allreduce(float(comm.rank))
-            out[comm.rank] = s
-
-        world.spawn(main)
-        eng.run()
-        assert all(v == pytest.approx(6.0) for v in out.values())
-
-
 def slow_allreduce_world(nranks=4):
-    """Contended world whose 8 kB allreduce spends ~16 ms on the wire."""
-    return make_world(nranks, contended=True, link_bandwidth=1e6, latency=1e-6,
-                      hop_latency=0.0)
+    """World whose 8 kB allreduce spends ~16 ms on the wire."""
+    return make_world(nranks, link_bandwidth=1e6, latency=1e-6, hop_latency=0.0)
 
 
 def test_rank_deactivated_during_the_wire_phase_completes_among_survivors():
@@ -456,24 +357,6 @@ def test_a_collective_in_its_latency_phase_keeps_the_member_list_it_started_with
     assert rx[0] == whole_rx[0]
 
 
-def test_world_join_returns_rank_values():
-    eng, world = make_world(3)
-
-    def main(comm):
-        yield from comm.sleep(0.1)
-        return comm.rank * 7
-
-    world.spawn(main)
-
-    def waiter(env):
-        vals = yield from world.join()
-        return vals
-
-    p = eng.process(waiter(eng))
-    eng.run()
-    assert p.value == [0, 7, 14]
-
-
 def test_world_on_machine_compute_uses_node():
     eng = Engine()
     m = Machine(eng, 4, spec=TESTING_TINY)
@@ -481,7 +364,7 @@ def test_world_on_machine_compute_uses_node():
     t = {}
 
     def main(comm):
-        yield from comm.compute(1e9)  # 1 Gflop on a 1 Gflop/s core = 1 s
+        yield from charge(comm.node, 1e9, 1)  # 1 Gflop on a 1 Gflop/s core = 1 s
         t[comm.rank] = comm.env.now
 
     world.spawn(main)
@@ -491,15 +374,14 @@ def test_world_on_machine_compute_uses_node():
 
 
 # ------------------------------------------------------ bad arguments
-@pytest.mark.parametrize("kind", ["bcast", "reduce", "gather", "scatter"])
+@pytest.mark.parametrize("kind", ["bcast", "reduce"])
 def test_rooted_collective_rejects_root_outside_world(kind):
     # bcast used to die with a bare KeyError inside World._apply, and
-    # reduce/gather "succeeded" with None everywhere: the result was lost.
+    # reduce "succeeded" with None everywhere: the result was lost.
     eng, world = make_world(3)
 
     def main(comm):
-        payload = [1, 2, 3] if kind == "scatter" else comm.rank
-        yield from getattr(comm, kind)(payload, root=7)
+        yield from getattr(comm, kind)(comm.rank, root=7)
 
     procs = world.spawn(main)
     eng.run()
@@ -520,17 +402,20 @@ def _collective_call(comm, kind, n, **kw):
     return getattr(comm, kind)(payload, **kw)
 
 
-@pytest.mark.parametrize("contended", [False, True])
+@pytest.mark.parametrize("shared_nodes", [False, True])
 @pytest.mark.parametrize(
     "kind", ["bcast", "reduce", "allreduce", "allgather", "alltoall"]
 )
-def test_wire_scale_times_like_a_scale_times_larger_payload(kind, contended):
+def test_wire_scale_times_like_a_scale_times_larger_payload(kind, shared_nodes):
+    # shared_nodes: two ranks per node, so each NIC carries one entry of weight 2
+    rank_nodes = [0, 0, 1, 1] if shared_nodes else None
+
     def duration(n, **kw):
         def main(comm):
             yield from _collective_call(comm, kind, n, **kw)
             return comm.env.now
 
-        return run_ranks(4, main, contended=contended, link_bandwidth=1e6)
+        return run_ranks(4, main, rank_nodes=rank_nodes, link_bandwidth=1e6)
 
     scaled = duration(_N, wire_scale=_SCALE)
     assert scaled == duration(_N * _SCALE)
@@ -559,17 +444,16 @@ def _first(a, b):
     return a
 
 
-@pytest.mark.parametrize("values, op", [
-    ([np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])], SUM),
-    ([2.0, np.array([1.0, 2.0, 3.0]), 3], PROD),
-    ([np.array([5.0]), np.array([1.0, 7.0, 3.0])], MIN),  # (1,) + (3,)
-    ([np.array(1.5), np.array(2.5), np.array(4.0)], SUM),  # 0-d arrays
-    ([np.array([1.0, 2.0]), np.array([3.0, 4.0])], Op("first", _first)),
+@pytest.mark.parametrize("values, op, fn", [
+    ([np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])], SUM, np.add),
+    ([2.0, np.array([1.0, 2.0, 3.0]), 3], Op("prod", np.multiply), np.multiply),
+    ([np.array([5.0]), np.array([1.0, 7.0, 3.0])], Op("min", np.minimum),
+     np.minimum),  # (1,) + (3,)
+    ([np.array(1.5), np.array(2.5), np.array(4.0)], SUM, np.add),  # 0-d arrays
+    ([np.array([1.0, 2.0]), np.array([3.0, 4.0])], Op("first", _first), _first),
 ], ids=["int32+float64", "scalar+array", "broadcast", "0-d", "custom-op"])
-def test_reduce_value_type_and_dtype_are_those_of_a_pairwise_fold(values, op):
-    expected = values[0]
-    for v in values[1:]:
-        expected = op(expected, v)
+def test_reduce_value_type_and_dtype_are_those_of_a_pairwise_fold(values, op, fn):
+    expected = functools.reduce(fn, values)
     before = [np.array(v, copy=True) for v in values]
 
     def main(comm):
@@ -594,16 +478,10 @@ def _every_collective(comm, x):
     got = []
     got.append((yield from comm.bcast(x, root=comm.size - 1)))
     got.append((yield from comm.reduce(x, root=0)))
-    got.append((yield from comm.allreduce(x, op=MAX)))
-    got.append((yield from comm.scan(x)))
-    got.append((yield from comm.exscan(x)))
-    got.extend((yield from comm.gather(x, root=0)) or [])
+    got.append((yield from comm.allreduce(x)))
     got.extend((yield from comm.allgather(x)))
-    got.append((yield from comm.scatter([x] * comm.size, root=0)))
     got.extend((yield from comm.alltoall([x] * comm.size)))
     got.extend((yield from comm.bcast((x, x))))  # a tuple's own elements
-    dest = (comm.rank + 1) % comm.size
-    got.append((yield from comm.sendrecv(x, dest)))
     return [g for g in got if g is not None]
 
 
@@ -617,8 +495,8 @@ def test_arrays_arrive_read_only_and_inputs_stay_untouched(nranks):
 
     out = run_ranks(nranks, main)
     for r, got in out.items():
-        # rank 0 holds the reduce and gather results, the others an exscan
-        assert len(got) == 8 + 2 * nranks + (nranks if r == 0 else 0)
+        # rank 0 also holds the reduce result
+        assert len(got) == 4 + 2 * nranks + (1 if r == 0 else 0)
         for arr in got:
             assert isinstance(arr, np.ndarray)
             assert not any(arr is x for x in inputs.values())
@@ -655,7 +533,6 @@ def test_ranks_of_one_collective_share_one_read_only_view():
             "allreduce": (yield from comm.allreduce(x)),
             "reduce": (yield from comm.reduce(x, root=1)),
             "allgather": (yield from comm.allgather(x)),
-            "gather": (yield from comm.gather(x, root=0)),
         }
         yield from comm.barrier()  # every rank holds its results
         if comm.rank == 3:
@@ -675,9 +552,9 @@ def test_ranks_of_one_collective_share_one_read_only_view():
     assert not out[1]["reduce"].flags.writeable
     assert all(out[r]["reduce"] is None for r in (0, 2, 3))
     # a list result is each rank's own; its arrays are read-only
-    lists = [out[r]["allgather"] for r in range(4)] + [out[0]["gather"]]
-    assert len({id(lst) for lst in lists}) == 5
-    assert [len(lst) for lst in lists] == [4, 4, 4, 5, 4]
+    lists = [out[r]["allgather"] for r in range(4)]
+    assert len({id(lst) for lst in lists}) == 4
+    assert [len(lst) for lst in lists] == [4, 4, 4, 5]
     for lst in lists:
         for r, arr in enumerate(lst[:4]):
             assert not arr.flags.writeable and arr is not inputs[r]

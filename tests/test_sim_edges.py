@@ -142,19 +142,10 @@ def test_world_argument_validation():
         World(eng, net, [0, 1, 2], model_size=2)  # below actual size
 
 
-def test_world_join_requires_spawn():
-    eng = Engine()
-    topo = TorusTopology(2)
-    world = World(eng, Network(eng, topo, NetworkConfig()), [0, 1])
-    with pytest.raises(SimulationError):
-        next(world.join())
-
-
 def test_collective_double_call_same_seq_detected():
     eng = Engine()
     topo = TorusTopology(2)
-    world = World(eng, Network(eng, topo, NetworkConfig()), [0, 1],
-                  contended=False)
+    world = World(eng, Network(eng, topo, NetworkConfig()), [0, 1])
 
     def sneaky():
         yield from world.collective(0, "barrier", 0, None)
