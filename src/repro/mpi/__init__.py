@@ -25,6 +25,17 @@ written as generators that ``yield from`` communicator calls::
     world.spawn(main)
     env.run()
 
+Collectives are matched on one path, :meth:`World.collective
+<repro.mpi.world.World.collective>`, which takes one *arrival*: the
+co-located ranks one process drives on one clock, with one payload
+each.  A :class:`~repro.mpi.communicator.Communicator` call is the
+one-rank case.  A program whose ranks on a node share a clock from one
+collective to the next (Pixie3D, :mod:`repro.apps.pixie3d`) runs one
+process per node and makes one arrival per collective for all of them;
+it forks one process per rank wherever the ranks' timing is their own
+(a dump's writes) and joins them at the next collective.  Sequence
+numbers stay per rank, so either form of a rank may make its next call.
+
 Matching the paper, the staging area runs as a *separate* World from
 the simulation (§IV.C: "The staging area is running as a separate MPI
 program launched independently from the simulation").

@@ -12,7 +12,10 @@ Collective semantics: the *n*-th collective call made by each rank of a
 world is matched with the *n*-th call of every other rank (SPMD
 discipline).  A rank calling a different collective kind at the same
 sequence index is reported as a :class:`~repro.sim.engine.SimulationError`
-— the simulated analogue of an MPI mismatch hang.
+— the simulated analogue of an MPI mismatch hang.  Each call here is a
+one-rank arrival at :meth:`World.collective
+<repro.mpi.world.World.collective>`, the one matching path, where one
+process may also bring several co-located ranks at once.
 
 ``wire_scale``: ``bcast``, ``reduce``, ``allreduce``, ``allgather`` and
 ``alltoall`` take a keyword-only ``wire_scale`` that replaces the world's
@@ -27,8 +30,9 @@ result — is a read-only view, since other ranks may
 hold the same buffer; ``.copy()`` it to mutate.  The ranks of one
 collective share one read-only view of each array in its result (every
 rank of a ``bcast`` or ``allreduce`` receives the same object), while a
-list or tuple result is each rank's own container.  No call writes into,
-or changes the flags of, an object its caller passed in.
+list or tuple result is each arrival's own container (a one-rank
+arrival's: the rank's).  No call writes into, or changes the flags of,
+an object its caller passed in.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Any, Generator, Optional, Sequence
 import numpy as np
 
 from repro.mpi.ops import Op, SUM
-from repro.sim.engine import SimulationError
 
 __all__ = ["Communicator"]
 
@@ -140,15 +143,12 @@ class Communicator:
     def _collective(
         self, kind: str, payload: Any, wire_scale: Optional[float] = None, **kwargs
     ) -> Generator:
-        if "root" in kwargs and not 0 <= kwargs["root"] < self.size:
-            raise SimulationError(
-                f"root rank {kwargs['root']} outside world of size {self.size}"
-            )
-        seq = self._coll_seq
-        self._coll_seq += 1
-        return (yield from self.world.collective(
-            seq, kind, self.rank, payload, wire_scale=wire_scale, **kwargs
-        ))
+        """Process body: this rank's arrival, the one-rank case of
+        :meth:`World.collective <repro.mpi.world.World.collective>`."""
+        (result,) = yield from self.world.collective(
+            (self.rank,), kind, (payload,), wire_scale=wire_scale, **kwargs
+        )
+        return result
 
     # -- misc -----------------------------------------------------------------
     def __repr__(self) -> str:

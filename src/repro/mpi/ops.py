@@ -7,9 +7,9 @@ programs reduce with.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 __all__ = ["Op", "SUM"]
 
@@ -25,17 +25,11 @@ class Op:
         """Fold *values* left-to-right (order-stable for determinism)."""
         if not values:
             raise ValueError("cannot reduce an empty sequence")
-        acc = values[0]
-        for v in values[1:]:
-            acc = self._fn(acc, v)
-        return acc
+        return reduce(self._fn, values)
 
     def __repr__(self) -> str:
         return f"Op({self.name})"
 
 
-SUM = Op("sum", lambda a, b: np.add(a, b) if _arrayish(a, b) else a + b)
-
-
-def _arrayish(a: Any, b: Any) -> bool:
-    return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+#: ``+``: ``np.add`` as soon as either side is an array
+SUM = Op("sum", operator.add)

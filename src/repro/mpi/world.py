@@ -1,8 +1,10 @@
 """The :class:`World`: one simulated MPI job.
 
 A world owns the rank-to-node mapping and the collective matching
-engine.  Collective timing has one path: every collective among two or
-more members is realised through the members' NIC pipes
+engine, whose one entry point, :meth:`World.collective`, takes one
+arrival: one rank, or the co-located ranks one process drives, with a
+payload each.  Collective timing has one path: every collective among
+two or more members is realised through the members' NIC pipes
 (:meth:`Network.start_collective`), so concurrent traffic (asynchronous
 staging fetches) slows it down — the §V.B.2 interference effect.  Only
 what has no wire phase is a timer of :meth:`Network.collective_time`:
@@ -20,7 +22,6 @@ import numpy as np
 from repro.machine.network import Network
 from repro.mpi.communicator import Communicator, _readonly
 from repro.mpi.datasize import nbytes_of
-from repro.mpi.ops import Op
 from repro.sim.engine import Engine, Event, SimulationError
 
 __all__ = ["World"]
@@ -29,11 +30,14 @@ __all__ = ["World"]
 class _CollectiveState:
     """Matching state for one collective sequence index."""
 
-    __slots__ = ("kind", "payloads", "kwargs", "done", "started")
+    __slots__ = ("kind", "payloads", "arrivals", "kwargs", "done", "started")
 
     def __init__(self, kind: str, kwargs: dict, done: Event):
         self.kind = kind
+        #: rank -> the payload it contributed
         self.payloads: dict[int, Any] = {}
+        #: the ranks of each arrival, in arrival order
+        self.arrivals: list[Sequence[int]] = []
         self.kwargs = kwargs
         self.done = done
         self.started = False
@@ -164,27 +168,55 @@ class World:
 
     # -- collective engine ------------------------------------------------------
     def collective(
-        self, seq: int, kind: str, rank: int, payload: Any, **kwargs
+        self, ranks: Sequence[int], kind: str, payloads: Sequence[Any], **kwargs
     ) -> Generator:
-        """Process body used by :class:`Communicator`; matches calls."""
+        """Process body: one arrival of *ranks* at their next collective.
+
+        The one matching entry point.  *ranks* are co-located ranks that
+        one process drives on one clock (a :class:`Communicator` is the
+        one-rank case) and *payloads* holds each one's contribution, in
+        the same order.  The arrival takes each rank's next sequence
+        number, which all of them must share.  Returns what each rank of
+        the arrival receives, in the order of *ranks*: a value its ranks
+        receive alike is one object, a list result is the arrival's own.
+        """
+        if "root" in kwargs and not 0 <= kwargs["root"] < self.size:
+            raise SimulationError(
+                f"root rank {kwargs['root']} outside world of size {self.size}"
+            )
+        if len(payloads) != len(ranks):
+            raise ValueError(
+                f"{len(ranks)} ranks arrived with {len(payloads)} payloads"
+            )
+        comms = self._comms
+        seq = comms[ranks[0]]._coll_seq
+        for r in ranks:
+            if comms[r]._coll_seq != seq:
+                raise SimulationError(
+                    f"ranks {list(ranks)} of one arrival are at different "
+                    f"collectives"
+                )
         state = self._collectives.get(seq)
         if state is None:
             state = _CollectiveState(kind, kwargs, self.env.event())
             self._collectives[seq] = state
-        else:
-            if state.kind != kind:
-                raise SimulationError(
-                    f"collective mismatch at seq {seq}: rank {rank} called "
-                    f"{kind!r} but earlier ranks called {state.kind!r}"
-                )
-        if rank in state.payloads:
+        elif state.kind != kind:
             raise SimulationError(
-                f"rank {rank} called collective seq {seq} twice"
+                f"collective mismatch at seq {seq}: ranks {list(ranks)} called "
+                f"{kind!r} but earlier ranks called {state.kind!r}"
             )
-        state.payloads[rank] = payload
+        if not state.payloads.keys().isdisjoint(ranks):
+            raise SimulationError(
+                f"ranks {list(ranks)} called collective seq {seq} twice"
+            )
+        for r in ranks:
+            comms[r]._coll_seq = seq + 1
+        state.payloads.update(zip(ranks, payloads))
+        arrival = len(state.arrivals)
+        state.arrivals.append(ranks)
         self._maybe_complete(seq, state)
         results = yield state.done
-        return results[rank]
+        return results[arrival]
 
     def _maybe_complete(self, seq: int, state: _CollectiveState) -> None:
         """Start the exchange once every *active* rank has arrived."""
@@ -219,8 +251,7 @@ class World:
         """The exchange is over: apply the semantics, resume the ranks.
 
         Runs inside an engine callback (possibly a pipe's), so it only
-        triggers ``state.done``.  Each array in the result is made
-        read-only once, and every rank receives that one view.
+        triggers ``state.done``, with one result list per arrival.
         """
         # Identity-guarded: reset_collectives() may have replaced this
         # seq slot with a fresh epoch while the exchange was in flight.
@@ -229,49 +260,60 @@ class World:
         if state.done.triggered:
             return
         try:
-            results = self._apply(state.kind, state.payloads, state.kwargs)
+            results = self._apply(
+                state.kind, state.payloads, state.kwargs, state.arrivals
+            )
         except Exception as exc:
             # Propagate semantic errors (e.g. an op that cannot combine
             # the payloads) into every waiting rank instead of
             # deadlocking the world.
             state.done.fail(exc)
             return
-        views: dict[int, np.ndarray] = {}
-        for r, value in results.items():
-            if value is not None:
-                results[r] = _readonly(value, views)
         state.done.succeed(results)
 
     # -- functional semantics ------------------------------------------------------
-    def _apply(self, kind: str, payloads: dict[int, Any], kwargs: dict) -> dict:
+    def _apply(
+        self,
+        kind: str,
+        payloads: dict[int, Any],
+        kwargs: dict,
+        arrivals: list[Sequence[int]],
+    ) -> list[list]:
+        """What each arrival receives: one result per rank it carried.
+
+        A value is made read-only once (module docstring of
+        :mod:`repro.mpi.communicator`) and every rank receiving it gets
+        that one view.
+        """
         # Results are computed over the *active* contributors only, so a
         # collective completed after a failure yields survivor-only data.
         # With no failures this is exactly range(size).  Active ranks only
         # shrink and all had contributed when the exchange started, so
         # they are still a subset of the payloads: the members.
         ranks = self._members
-        if kind == "barrier":
-            return {r: None for r in ranks}
-        if kind == "bcast":
-            root = kwargs.get("root", 0)
-            value = payloads[root]
-            return {r: value for r in ranks}
-        if kind in ("reduce", "allreduce"):
-            op: Op = kwargs["op"]
-            ordered = [payloads[r] for r in ranks]
-            result = op.reduce_all(ordered)
-            if kind == "allreduce":
-                return {r: result for r in ranks}
-            root = kwargs.get("root", 0)
-            return {r: (result if r == root else None) for r in ranks}
-        if kind == "allgather":
-            ordered = [payloads[r] for r in ranks]
-            return {r: list(ordered) for r in ranks}
+        views: dict[int, np.ndarray] = {}
         if kind == "alltoall":
-            return {
-                r: [payloads[src][r] for src in ranks] for r in ranks
-            }
-        raise SimulationError(f"unknown collective kind {kind!r}")
+            return [
+                [_readonly([payloads[src][r] for src in ranks], views) for r in arrival]
+                for arrival in arrivals
+            ]
+        if kind == "barrier":
+            value = None
+        elif kind == "bcast":
+            value = payloads[kwargs.get("root", 0)]
+        elif kind in ("reduce", "allreduce"):
+            value = kwargs["op"].reduce_all([payloads[r] for r in ranks])
+        elif kind == "allgather":
+            value = [payloads[r] for r in ranks]
+        else:
+            raise SimulationError(f"unknown collective kind {kind!r}")
+        if kind == "reduce":
+            root = kwargs.get("root", 0)
+            return [
+                [_readonly(value, views) if r == root else None for r in arrival]
+                for arrival in arrivals
+            ]
+        return [[_readonly(value, views)] * len(arrival) for arrival in arrivals]
 
     def _wire_bytes(
         self,
@@ -279,18 +321,25 @@ class World:
         payloads: dict[int, Any],
         wire_scale: Optional[float] = None,
     ) -> float:
-        """Per-rank wire volume used for timing."""
+        """Per-rank wire volume used for timing, from the members' payloads.
+
+        A rank deactivated after it contributed is no member: its data
+        is dropped from the result, so it does not size the exchange
+        either.  A payload object several ranks contributed (the
+        co-located ranks of one arrival) is sized once.
+        """
         scale = self.wire_scale if wire_scale is None else wire_scale
         if kind == "barrier":
             return 0.0
+        members = {id(p): p for p in map(payloads.__getitem__, self._members)}
         if kind == "alltoall":
             # per-pair bytes at model scale: the largest per-rank total
             # divided by the effective process count.
             per_rank_totals = [
-                sum(nbytes_of(el) for el in row) for row in payloads.values()
+                sum(map(nbytes_of, row)) for row in members.values()
             ]
             return max(per_rank_totals) / max(self.model_size, 1) * scale
-        return max(nbytes_of(v) for v in payloads.values()) * scale
+        return max(map(nbytes_of, members.values())) * scale
 
     def __repr__(self) -> str:
         return f"World(name={self.name!r}, size={self.size})"

@@ -362,30 +362,34 @@ def test_gtc_config_validation():
         GTCConfig(functional_rows=0)
     with pytest.raises(ValueError):
         Pixie3DConfig(functional_size=1)
+    with pytest.raises(ValueError):  # a node's ranks rejoin at a collective
+        Pixie3DConfig(collective_rounds_per_iteration=0)
 
 
 # ------------------------------------- main-loop collectives: host cost
-def _run_app(app_cls, cfg, *, wire_scale=1.0, model_size=None):
-    """Run *app_cls* on 4 ranks; returns (worst-rank metrics, largest
-    payload in bytes that any rank handed to ``World.collective``)."""
+def _run_app(app_cls, cfg, *, wire_scale=1.0, model_size=None,
+             rank_nodes=(0, 1, 2, 3)):
+    """Run *app_cls* on a 4-node machine, rank *r* on ``rank_nodes[r]``;
+    returns (worst-rank metrics, every arrival at ``World.collective`` as
+    ``(kind, ranks, largest payload in bytes)``)."""
     eng = Engine()
     machine = Machine(eng, 4, 0, spec=TESTING_TINY, fs_interference=False)
-    world = World(eng, machine.network, list(range(4)),
+    world = World(eng, machine.network, list(rank_nodes),
                   node_lookup=machine.node, wire_scale=wire_scale,
                   model_size=model_size)
-    seen = [0.0]
-    matched = world.collective
+    arrivals = []
+    arrive = world.collective
 
-    def spy(seq, kind, rank, payload, **kwargs):
-        seen[0] = max(seen[0], nbytes_of(payload))
-        return matched(seq, kind, rank, payload, **kwargs)
+    def spy(ranks, kind, payloads, **kwargs):
+        arrivals.append((kind, tuple(ranks), max(map(nbytes_of, payloads))))
+        return arrive(ranks, kind, payloads, **kwargs)
 
     world.collective = spy
     transport = SyncMPIIO(machine.filesystem, collect_data=False)
     app = app_cls(machine, world, transport, cfg)
     app.spawn()
     eng.run()
-    return app.max_metrics(), seen[0]
+    return app.max_metrics(), arrivals
 
 
 # name -> (application, default config, small config, payload-size field)
@@ -405,20 +409,21 @@ def test_collective_host_cost_independent_of_logical_bytes(name):
         gc.collect()
         tracemalloc.start()
         try:
-            metrics, payload_bytes = _run_app(
+            metrics, arrivals = _run_app(
                 app_cls, make_cfg(**{field: logical_bytes})
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return metrics.comm, payload_bytes, peak
+        return metrics.comm, max(nbytes for *_, nbytes in arrivals), peak
 
     measured(4e6)  # warm caches and lazy imports outside the comparison
     comm_small, payload_small, peak_small = measured(4e6)
     comm_large, payload_large, peak_large = measured(4e8)
     # simulated time follows the logical volume ...
     assert comm_large > 10 * comm_small > 0
-    # ... what the host touches does not: nothing reads these payloads
+    # ... what the host touches does not: nothing reads these payloads,
+    # and no rank hands the world more than 64 bytes
     assert 0 < payload_small == payload_large <= 64
     # (one full-size payload of the large case would be 400 MB)
     assert peak_large < peak_small + 1e6
@@ -436,7 +441,25 @@ def test_default_config_comm_seconds_pinned(name, wire_scale, comm):
     # arithmetic, 8 * nelems * wire_scale, must reproduce it to the last
     # digits; expected.json's 1e-6 tolerance would let a change hide.
     app_cls, default_cfg = _APPS[name][:2]
-    metrics, _ = _run_app(
+    metrics, _arrivals = _run_app(
         app_cls, default_cfg(), wire_scale=wire_scale, model_size=64
     )
     assert metrics.comm == pytest.approx(comm, rel=1e-13, abs=0.0)
+
+
+def test_pixie3d_makes_one_arrival_per_node_per_collective():
+    # 16 ranks round-robin over 4 nodes: node n hosts ranks n, n+4, n+8,
+    # n+12, and one process per node carries all four to each collective
+    rank_nodes = [r % 4 for r in range(16)]
+    cfg = small_pixie_cfg(ndumps=2)
+    _, arrivals = _run_app(Pixie3DApplication, cfg, rank_nodes=rank_nodes)
+    rounds = cfg.ndumps * cfg.iterations_per_dump * cfg.collective_rounds_per_iteration
+    assert len(arrivals) == 4 * 2 * rounds
+    assert [kind for kind, *_ in arrivals[::4]] == ["reduce", "bcast"] * rounds
+    node_ranks = {tuple(range(n, 16, 4)) for n in range(4)}
+    for i in range(0, len(arrivals), 4):
+        assert {ranks for _, ranks, _ in arrivals[i:i + 4]} == node_ranks
+    assert max(nbytes for *_, nbytes in arrivals) <= 64
+    # GTC runs one process per rank: every arrival carries one rank
+    _, arrivals = _run_app(GTCApplication, small_gtc_cfg(), rank_nodes=rank_nodes[:8])
+    assert {len(ranks) for _, ranks, _ in arrivals} == {1}

@@ -47,6 +47,17 @@ def test_rep_rank_scaling_consistent_pixie():
     assert rep.metrics.total == pytest.approx(exact.metrics.total, rel=0.15)
 
 
+def test_rep_rank_scaling_consistent_pixie_staging_at_full_rank_count():
+    # R = P: every one of the 1024 processes is simulated, four per XT4
+    # node, each node's four in one process
+    exact = run_pixie3d(1024, "staging", rep_ranks=1024,
+                        iterations_per_dump=2, collective_rounds=2)
+    rep = run_pixie3d(1024, "staging", rep_ranks=64,
+                      iterations_per_dump=2, collective_rounds=2)
+    assert exact.rep_ranks == 1024 and rep.rep_ranks == 64
+    assert rep.metrics.total == pytest.approx(exact.metrics.total, rel=1e-3)
+
+
 # ----------------------------------------------------------- presets
 def test_jaguar_presets_match_paper_description():
     # §V.A: XT5 = 2x quad-core 2.3 GHz, 16 GB; XT4 = quad-core 2.1 GHz, 8 GB

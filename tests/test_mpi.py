@@ -357,6 +357,102 @@ def test_a_collective_in_its_latency_phase_keeps_the_member_list_it_started_with
     assert rx[0] == whole_rx[0]
 
 
+def test_a_rank_deactivated_after_it_contributed_does_not_size_the_exchange():
+    # rank 3 contributes 100x the others' bytes, then its node dies before
+    # they arrive: its data is dropped, and so is its say in the wire time
+    def run(rank3_arrives):
+        eng, world = slow_allreduce_world()
+
+        def main(comm):
+            if comm.rank == 3:
+                if rank3_arrives:
+                    yield from comm.allreduce(np.zeros(100_000))
+                return None
+            yield from comm.sleep(1.0)
+            total = yield from comm.allreduce(np.ones(1000))
+            return eng.now, total[0]
+
+        procs = world.spawn(main)
+
+        def kill():
+            yield eng.timeout(0.5)
+            procs[3].interrupt("node died")
+            world.deactivate_rank(3)
+
+        eng.process(kill())
+        eng.run()
+        return [p.value for p in procs[:3]]
+
+    survivors = run(rank3_arrives=False)
+    assert survivors[0][1] == 3.0
+    # priced on 8 kB, not 800 kB (~0.8 s more at 1 MB/s)
+    assert survivors[0][0] < 1.1
+    assert run(rank3_arrives=True) == survivors
+
+
+# ------------------------------------------------- co-located arrivals
+_NODE_VALUES = [1e16, 1.0, -1e16, 3.0, 2.5, -7.0]  # the fold order shows
+
+
+def _rank_calls(comm):
+    """Every collective once; what this rank receives and when it is done."""
+    x = np.array([_NODE_VALUES[comm.rank]])
+    got = [
+        (yield from comm.reduce(x, root=1)),
+        (yield from comm.allreduce(x)),
+        (yield from comm.bcast(x, root=4)),
+        (yield from comm.allgather(x)),
+        (yield from comm.alltoall([x * d for d in range(comm.size)])),
+        (yield from comm.barrier()),
+    ]
+    return got, comm.env.now
+
+
+def _node_calls(world, ranks):
+    """The same calls, one arrival per node carrying all its *ranks*."""
+    xs = [np.array([_NODE_VALUES[r]]) for r in ranks]
+    calls = [
+        ("reduce", xs, dict(op=SUM, root=1)),
+        ("allreduce", xs, dict(op=SUM)),
+        ("bcast", xs, dict(root=4)),
+        ("allgather", xs, {}),
+        ("alltoall", [[x * d for d in range(world.size)] for x in xs], {}),
+        ("barrier", [None] * len(ranks), {}),
+    ]
+    got = []
+    for kind, payloads, kw in calls:
+        got.append((yield from world.collective(ranks, kind, payloads, **kw)))
+    return {r: ([out[i] for out in got], world.env.now) for i, r in enumerate(ranks)}
+
+
+def test_a_node_arrival_receives_and_times_what_its_ranks_would_alone():
+    # six ranks round-robin on two nodes: node 0 hosts ranks 0, 2, 4, so a
+    # node's ranks are not contiguous and the fold must still run 0..5
+    rank_nodes = [r % 2 for r in range(6)]
+    alone = run_ranks(6, _rank_calls, rank_nodes=rank_nodes)
+    eng, world = make_world(6, rank_nodes=rank_nodes)
+    nodes = [eng.process(_node_calls(world, (n, n + 2, n + 4))) for n in (0, 1)]
+    eng.run()
+    together = {**nodes[0].value, **nodes[1].value}
+    assert alone[1][0][0] == -1.5  # ((((1e16 + 1) - 1e16) + 3) + 2.5) - 7
+    for r in range(6):
+        (want, t_want), (got, t_got) = alone[r], together[r]
+        assert t_got == t_want
+        for w, g in zip(want, got):
+            assert type(g) is type(w)
+            if isinstance(w, list):
+                assert len(g) == len(w) and all(map(np.array_equal, g, w))
+            else:
+                assert g is w is None or np.array_equal(g, w)
+    # one value per node: its ranks share the bcast view and the allgather
+    # list, and every array that arrives is read-only
+    reduced, allreduced, bcast, gathered, exchanged, _ = together[0][0]
+    assert together[2][0][2] is bcast and together[2][0][3] is gathered
+    assert not bcast.flags.writeable and not gathered[5].flags.writeable
+    assert together[1][0][0] is not None and together[3][0][0] is None
+
+
+# ------------------------------------------------------------- machine
 def test_world_on_machine_compute_uses_node():
     eng = Engine()
     m = Machine(eng, 4, spec=TESTING_TINY)
@@ -585,3 +681,9 @@ def test_nbytes_of_basics():
     assert nbytes_of(None) == 0
     assert nbytes_of([np.zeros(2), np.zeros(3)]) >= 40
     assert nbytes_of({"a": 1}) > 8
+
+
+def test_nbytes_of_memoryview_counts_bytes_not_elements():
+    assert nbytes_of(memoryview(np.zeros(4))) == 32  # four 8-byte items
+    assert nbytes_of(memoryview(np.zeros((3, 2), dtype=np.int16))) == 12
+    assert nbytes_of(memoryview(b"abcdef")) == 6  # 'B' format: one byte each

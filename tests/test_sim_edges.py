@@ -147,20 +147,39 @@ def test_collective_double_call_same_seq_detected():
     topo = TorusTopology(2)
     world = World(eng, Network(eng, topo, NetworkConfig()), [0, 1])
 
-    def sneaky():
-        yield from world.collective(0, "barrier", 0, None)
-
     def rank0():
-        # call seq 0 twice from the same rank
-        yield from world.collective(0, "barrier", 0, None)
+        yield from world.collective((0,), "barrier", (None,))
 
-    p1 = eng.process(rank0())
+    eng.process(rank0())
     eng.run()
 
     def rank0_again():
-        yield from world.collective(0, "barrier", 0, None)
+        # call seq 0 twice from the same rank
+        world.comm(0)._coll_seq = 0
+        yield from world.collective((0,), "barrier", (None,))
 
     p2 = eng.process(rank0_again())
     eng.run()
     assert not p2.ok
     assert isinstance(p2.value, SimulationError)
+    assert "twice" in str(p2.value)
+
+
+def test_one_arrival_needs_its_ranks_at_one_collective_and_a_payload_each():
+    eng = Engine()
+    world = World(eng, Network(eng, TorusTopology(2), NetworkConfig()), [0, 0, 1])
+
+    def arrive(ranks, payloads):
+        yield from world.collective(ranks, "barrier", payloads)
+
+    p1 = eng.process(arrive((0,), (None,)))
+    eng.run()
+    # rank 0 is at seq 1 now, rank 1 still at seq 0
+    p2 = eng.process(arrive((0, 1), (None, None)))
+    p3 = eng.process(arrive((1, 2), (None,)))
+    eng.run()
+    assert p1.is_alive  # waits for ranks 1 and 2
+    assert not p2.ok and "different collectives" in str(p2.value)
+    assert not p3.ok and isinstance(p3.value, ValueError)
+    # neither failed arrival took a sequence number
+    assert [world.comm(r)._coll_seq for r in range(3)] == [1, 0, 0]
