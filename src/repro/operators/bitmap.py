@@ -7,9 +7,12 @@ particle array.
 
 :class:`BitmapIndex` is the standalone index structure: values are
 binned; each bin gets one bitmap; bitmaps are compressed with
-word-aligned-hybrid (WAH)-style run-length encoding.  Range queries OR
-the bitmaps of fully-covered bins and re-check only the two edge bins
-("candidate check"), touching a small fraction of the raw data.
+word-aligned-hybrid (WAH)-style run-length encoding, the stored format
+and :attr:`BitmapIndex.nbytes`.  Range queries take fully-covered bins
+whole and re-check only the two edge bins ("candidate check"), touching
+a small fraction of the raw data.  They evaluate that on the rows' bin
+codes, kept from the first query on, which gives the same mask as
+OR-ing the decoded bitmaps without decoding a word.
 
 :class:`BitmapIndexOperator` builds one index per staging rank over the
 rows that rank receives, as part of the streaming pipeline.
@@ -106,44 +109,52 @@ class BitmapIndex:
             edges = np.linspace(lo, hi, bins + 1)
         self.edges = np.asarray(edges, dtype=float)
         self.bins = len(self.edges) - 1
-        codes = np.clip(
-            np.searchsorted(self.edges, values, side="right") - 1,
-            0,
-            self.bins - 1,
-        )
+        codes = self._bin_of(values)
         self.bitmaps = [
             WAHBitmap.from_mask(codes == b) for b in range(self.bins)
         ]
+        self._codes: np.ndarray | None = None
+
+    def _bin_of(self, values):
+        """Bin of each value; out-of-range values clip to the end bins."""
+        return np.clip(
+            np.searchsorted(self.edges, values, side="right") - 1, 0, self.bins - 1
+        )
 
     @property
     def nbytes(self) -> int:
         return sum(b.nbytes for b in self.bitmaps)
 
+    @property
+    def codes(self) -> np.ndarray:
+        """Read-only bin code per row, in the narrowest unsigned dtype.
+
+        Built at the first query, not in ``__init__``: an index nobody
+        queries holds only its WAH words.
+        """
+        if self._codes is None:
+            codes = self._bin_of(self.values).astype(np.min_scalar_type(self.bins - 1))
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes
+
     def query(self, lo: float, hi: float) -> RangeQueryResult:
-        """Rows with ``lo <= value <= hi``."""
+        """Rows with ``lo <= value <= hi``.
+
+        Reads bin codes, not bitmaps: a row of a fully-covered interior
+        bin matches outright, a row of an edge bin is a candidate checked
+        against its raw value.  The same mask and ``rows_checked`` as
+        OR-ing the decoded WAH bitmaps of those bins.
+        """
         if hi < lo:
             raise ValueError("query range inverted")
-        n = self.values.size
-        if n == 0:
+        if self.values.size == 0:
             return RangeQueryResult(np.zeros(0, dtype=bool), 0)
-        first = int(
-            np.clip(np.searchsorted(self.edges, lo, side="right") - 1, 0, self.bins - 1)
-        )
-        last = int(
-            np.clip(np.searchsorted(self.edges, hi, side="right") - 1, 0, self.bins - 1)
-        )
-        mask = np.zeros(n, dtype=bool)
-        # fully-covered interior bins: bitmap OR only
-        for b in range(first + 1, last):
-            mask |= self.bitmaps[b].to_mask()
-        # edge bins: candidate check against raw values
-        rows_checked = 0
-        for b in {first, last}:
-            cand = self.bitmaps[b].to_mask()
-            rows_checked += int(cand.sum())
-            vals = self.values
-            mask |= cand & (vals >= lo) & (vals <= hi)
-        return RangeQueryResult(mask, rows_checked)
+        first, last = (int(b) for b in self._bin_of(np.array((lo, hi))))
+        codes, vals = self.codes, self.values
+        cand = (codes == first) | (codes == last)
+        mask = ((codes > first) & (codes < last)) | (cand & (vals >= lo) & (vals <= hi))
+        return RangeQueryResult(mask, int(np.count_nonzero(cand)))
 
 
 class BitmapIndexOperator(PreDatAOperator):

@@ -175,7 +175,7 @@ class WorkloadDriver:
                     break
                 query = self._draw(rng, pool)
                 client = issued[0] % NCLIENTS
-                env.process(service.serve(client, issued[0], query))
+                service.submit(client, issued[0], query)
                 issued[0] += 1
 
         def producer():

@@ -326,6 +326,9 @@ class AnyOf(_Condition):
             self.fail(event._value)
         else:
             self.succeed(self._collect())
+        # a constituent that never fires keeps this condition in its
+        # callbacks: holding it back would make a cycle through the engine
+        self._events = ()
 
 
 class AllOf(_Condition):
@@ -338,6 +341,7 @@ class AllOf(_Condition):
             return
         if not event._ok:
             self.fail(event._value)
+            self._events = ()  # as in AnyOf: the others may never fire
             return
         self._pending -= 1
         if self._pending == 0:

@@ -172,7 +172,7 @@ def _serve_pass(run) -> str:
 
     def client():
         for qid, q in enumerate(queries):
-            answers[qid] = yield from service.serve("matrix", qid, q)
+            answers[qid] = yield service.submit("matrix", qid, q)
 
     env.process(client())
     env.run()

@@ -115,6 +115,90 @@ def test_bitmap_index_constant_values():
     assert idx.query(8.5, 9.0).nrows == 0
 
 
+def wah_reference_query(idx, lo, hi):
+    """The range query as decode-then-OR over the WAH bitmaps (the oracle
+    for ``BitmapIndex.query``, which reads bin codes instead)."""
+    vals = idx.values
+    if vals.size == 0:
+        return np.zeros(0, dtype=bool), 0
+    first, last = (
+        int(np.clip(np.searchsorted(idx.edges, v, side="right") - 1, 0, idx.bins - 1))
+        for v in (lo, hi)
+    )
+    mask = np.zeros(vals.size, dtype=bool)
+    for b in range(first + 1, last):  # fully-covered interior bins
+        mask |= idx.bitmaps[b].to_mask()
+    rows_checked = 0
+    for b in {first, last}:  # edge bins: candidate check
+        cand = idx.bitmaps[b].to_mask()
+        rows_checked += int(cand.sum())
+        mask |= cand & (vals >= lo) & (vals <= hi)
+    return mask, rows_checked
+
+
+def _assert_matches_wah_oracle(idx, lo, hi):
+    res = idx.query(lo, hi)
+    mask, rows_checked = wah_reference_query(idx, lo, hi)
+    np.testing.assert_array_equal(res.mask, mask)
+    assert res.rows_checked == rows_checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    bins=st.integers(min_value=1, max_value=40),
+    a=st.floats(min_value=-5, max_value=5),
+    b=st.floats(min_value=-5, max_value=5),
+    snap=st.booleans(),
+)
+def test_bitmap_query_matches_the_wah_decode_or_oracle(seed, bins, a, b, snap):
+    rng = np.random.default_rng(seed)
+    # given edges narrower than the data: rows below and above them clip
+    # into the end bins; the edges themselves are rows too
+    edges = np.linspace(-2.0, 2.0, bins + 1)
+    values = np.concatenate([rng.normal(size=150), edges])
+    idx = BitmapIndex(values, edges=edges)
+    lo, hi = sorted((a, b))
+    if snap:  # bounds exactly on edges
+        lo, hi = (float(edges[np.abs(edges - v).argmin()]) for v in (lo, hi))
+    _assert_matches_wah_oracle(idx, lo, hi)
+
+
+@pytest.mark.parametrize("bins", [1, 2, 7, 300])
+def test_bitmap_query_oracle_edge_cases(bins):
+    values = np.concatenate([np.linspace(0.0, 1.0, 97), np.linspace(0.0, 1.0, bins + 1)])
+    idx = BitmapIndex(values, bins=bins)
+    e = idx.edges
+    mid = e[bins // 2]
+    cases = [
+        (mid, mid),  # first == last, on an edge
+        (e[0], e[-1]),  # exactly the index's span
+        (e[-1], e[-1]),  # the top edge: clipped into the last bin
+        (-5.0, 5.0),  # both outside
+        (-5.0, -1.0),  # wholly below
+        (2.0, 5.0),  # wholly above
+        (0.3, 0.31),  # inside one bin (or two)
+        (e[0], mid),
+    ]
+    for lo, hi in cases:
+        _assert_matches_wah_oracle(idx, lo, hi)
+    assert idx.codes.dtype == (np.uint8 if bins <= 256 else np.uint16)
+    assert not idx.codes.flags.writeable
+
+
+def test_bitmap_codes_are_built_by_the_first_query_only():
+    idx = BitmapIndex(np.arange(40.0), bins=8)
+    assert idx._codes is None  # an index nobody queries holds only WAH words
+    idx.query(3.0, 9.0)
+    codes = idx._codes
+    assert codes is not None
+    idx.query(1.0, 2.0)
+    assert idx._codes is codes
+    empty = BitmapIndex(np.empty(0))
+    _assert_matches_wah_oracle(empty, 0.0, 1.0)
+    assert empty.query(0.0, 1.0).rows_checked == 0
+
+
 # ---------------------------------------------------------- sort op
 @settings(max_examples=25, deadline=None)
 @given(
