@@ -30,7 +30,6 @@ from repro.adios.io import IOMethod
 from repro.core.operator import PreDatAOperator, charge
 from repro.core.scheduler import MovementScheduler
 from repro.faults.errors import FetchDropped, NoLiveStagers
-from repro.ffs import PackBuffer
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
 from repro.sim.engine import Engine, Event
@@ -112,8 +111,7 @@ class StagingClient:
         step can be re-fetched by survivors with zero data loss.
 
         Stage 1b is one exact-size allocation and one copy of each
-        array: every dump is packed into a fresh
-        :class:`repro.ffs.PackBuffer` and handed downstream as a
+        array: :func:`repro.ffs.encode` hands every dump downstream as a
         read-only memoryview that owns its bytes.  The client keeps no
         scratch state — the chunk is freed when its last reader lets go
         (the :class:`_BufferRecord`, the stager that fetched it, any
@@ -314,7 +312,7 @@ class StagingClient:
 
         # Stage 1b: pack into a contiguous FFS buffer (memcpy-bound).
         t_pack = env.now
-        payload = step.pack(scratch=PackBuffer())
+        payload = step.pack()
         pack_time = 2.0 * node.memory_scan_time(step.nbytes_logical)
         if pack_time > 0:
             yield env.timeout(pack_time)

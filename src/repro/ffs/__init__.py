@@ -7,24 +7,22 @@ embedded metadata (§IV.B, Stage 1b).
 
 A :class:`~repro.ffs.schema.Schema` declares typed fields (scalars and
 n-D arrays); :func:`~repro.ffs.encode.encode` packs a value dict into a
-single ``bytes`` buffer whose header carries the schema, per-field
-shapes and user attributes; :func:`~repro.ffs.encode.decode` recovers
-everything without any out-of-band information, and
+single buffer whose header carries the schema, per-field shapes and
+user attributes; :func:`~repro.ffs.encode.decode` recovers everything
+without any out-of-band information, and
 :func:`~repro.ffs.encode.peek` reads the metadata without touching the
 payload — the property PreDatA staging operators rely on to route and
 schedule chunks cheaply before processing them.
 """
 
 from repro.ffs.schema import Field, Schema, SchemaError
-from repro.ffs.encode import PackBuffer, decode, encode, encode_into, peek
+from repro.ffs.encode import decode, encode, peek
 
 __all__ = [
     "Field",
-    "PackBuffer",
     "Schema",
     "SchemaError",
     "decode",
     "encode",
-    "encode_into",
     "peek",
 ]

@@ -117,9 +117,9 @@ def test_alias_and_perf_name_write_identical_sidecars(alias, name, flags, tmp_pa
 
 def test_perf_flags_must_be_known_to_every_named_bench(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["perf", "kernels", "ffs", "--n", "10", "--out", str(tmp_path)])
+        main(["perf", "kernels", "stream", "--n", "10", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "repro perf ffs: error: unrecognized arguments: --n 10" in capsys.readouterr().err
+    assert "repro perf stream: error: unrecognized arguments: --n 10" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # parsed before anything ran
 
 

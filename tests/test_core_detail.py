@@ -172,7 +172,6 @@ def test_drained_client_references_no_packed_buffer():
     """Regression: every default-mode dump left its pack scratch in the
     client for good (only the resilient ``commit`` ever recycled one)."""
     from repro.core.client import _BufferRecord
-    from repro.ffs import PackBuffer
 
     run = run_workload("minmax", nprocs=8, nsteps=5)
     assert sorted(run.results()) == list(range(5))
@@ -182,7 +181,7 @@ def test_drained_client_references_no_packed_buffer():
         for attr in vars(client).values()
         if isinstance(attr, (dict, list))
         for item in (attr.values() if isinstance(attr, dict) else attr)
-        if isinstance(item, (PackBuffer, memoryview, _BufferRecord))
+        if isinstance(item, (np.ndarray, memoryview, _BufferRecord))
     ]
     assert held == []
 

@@ -32,11 +32,9 @@ SMOKE_N = 20_000
 # record shape (smoke-sized, fast, deterministic structure)
 # ---------------------------------------------------------------------
 
-#: smoke-size command line per bench (``ffs`` has no size flag: it
-#: runs its 8 MB default, well under a second)
+#: smoke-size command line per bench
 SMOKE_ARGV = {
     "kernels": ["--n", str(SMOKE_N)],
-    "ffs": [],
     "query": ["--loads", "50", "--duration", "0.25"],
     "stream": ["--steps", "3"],
     "scale": ["--scale-ranks", "256", "512"],
@@ -52,18 +50,12 @@ def _check_kernels(record):
         assert record["guards"][f"speedup:{name}"] == row["speedup"]
 
 
-def _check_ffs(record):
-    assert record["payload_bytes"] > 0
-    assert record["guards"]["no_growth_after_warmup"] == 1.0
-    assert record["scratch_grows_after_warmup"] == 0
-
-
 def _check_query(record):
     assert len(record["points"]) == 1
     assert record["guards"]["served:load50"] > 0.0
 
 
-BENCH_SPECIFIC = {"kernels": _check_kernels, "ffs": _check_ffs, "query": _check_query}
+BENCH_SPECIFIC = {"kernels": _check_kernels, "query": _check_query}
 
 
 def test_smoke_covers_every_registered_bench():
@@ -134,6 +126,12 @@ def test_compare_never_fails_on_host_speed():
 # committed baselines as data
 # ---------------------------------------------------------------------
 
+def test_one_committed_baseline_per_registered_bench():
+    """An orphaned ``BENCH_*.json`` (its bench gone) fails here."""
+    committed = {p.name for p in bench.default_baseline_dir().glob("BENCH_*.json")}
+    assert committed == {f"BENCH_{name}.json" for name in bench.BENCHES}
+
+
 @pytest.mark.parametrize("name", list(bench.BENCHES))
 def test_committed_baseline_is_well_formed(name):
     path = bench.default_baseline_dir() / f"BENCH_{name}.json"
@@ -158,7 +156,7 @@ def test_committed_kernel_baseline_meets_acceptance_floor():
 # the timed full-size guard (opt-in: --perf-baseline)
 # ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["kernels", "ffs", "query"])
+@pytest.mark.parametrize("name", ["kernels", "query"])
 def test_full_size_guards_match_baseline(perf_baseline_dir, name, tmp_path):
     if not (perf_baseline_dir / f"BENCH_{name}.json").exists():
         pytest.skip(f"no baseline for {name} in {perf_baseline_dir}")
