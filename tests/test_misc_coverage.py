@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adios import GroupDef, VarDef, VarKind
+from repro.adios import GroupDef, VarDef
 from repro.machine import (
     FileSystemConfig,
     Machine,
@@ -93,19 +93,6 @@ def test_groupdef_lookup_errors():
     with pytest.raises(KeyError):
         g.var("b")
     assert g.var_names == ["a"]
-
-
-def test_ffs_schema_from_group_kinds():
-    g = GroupDef(
-        "g",
-        (
-            VarDef("s", "int64", VarKind.SCALAR),
-            VarDef("l", "float64", VarKind.LOCAL_ARRAY, ndim=2),
-        ),
-    )
-    schema = g.ffs_schema()
-    assert schema.field_by_name("s").is_scalar
-    assert schema.field_by_name("l").is_variable
 
 
 # ------------------------------------------------------------ world misc
