@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.dataspaces.sfc import hilbert_xy2d, morton_encode
 from repro.machine.machine import Machine
+from repro.perf import kernels
 from repro.sim.engine import Engine, Event
 
 __all__ = ["Region", "DSQueryStats", "DataSpaces"]
@@ -464,13 +465,10 @@ class DataSpaces:
                 ]
                 hits += sorted(found, key=lambda h: (h[1].version, h[1].arrival))
         dtype = np.result_type(*{w.data.dtype for _, w, _ in hits}) if hits else np.float64
-        out = np.zeros(region.shape, dtype=dtype)
-        filled = np.zeros(region.shape, dtype=bool)
+        pieces = [(cut.lb, w.data[cut.slice_within(w.region)]) for _, w, cut in hits]
+        out, filled = kernels.paste_pieces(region.shape, dtype, pieces, region.lb)
         charged = dict.fromkeys(by_server, 0.0)
         for server, w, cut in hits:
-            sel = cut.slice_within(region)
-            out[sel] = w.data[cut.slice_within(w.region)]
-            filled[sel] = True
             charged[server] += cut.cells * w.itemsizes
         return out, filled, charged, examined
 

@@ -141,11 +141,12 @@ class ArrayMergeOperator(PreDatAOperator):
         starts = ctx.storage["slab_starts"][var]
         s_lo, s_hi = int(starts[owner]), int(starts[owner + 1])
         slab_shape = (s_hi - s_lo, *dims[1:])
+        origin = (s_lo,) + (0,) * (len(dims) - 1)
         dtype = values[0][1].dtype if values else np.float64
-        slab, n_uncovered = kernels.paste_pieces(slab_shape, dtype, values, s_lo)
-        if n_uncovered:
+        slab, filled = kernels.paste_pieces(slab_shape, dtype, values, origin)
+        if not filled.all():
             raise RuntimeError(
-                f"{self.name}: slab {tag} has {n_uncovered} uncovered cells"
+                f"{self.name}: slab {tag} has {int((~filled).sum())} uncovered cells"
             )
         return (s_lo, slab)
 

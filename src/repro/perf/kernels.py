@@ -36,8 +36,9 @@ Contracts (shared by both bodies — property-tested bit-for-bit):
   identical; only what a different fold order can show differs — which
   of ``0.0``/``-0.0`` represents a zero extremum, and the payload bits
   of a NaN (a NaN anywhere in a column still makes both results NaN).
-- ``paste_pieces`` pastes ``(offsets, piece)`` blocks into a zeroed
-  slab and reports the count of never-written cells.
+- ``paste_pieces`` pastes ``(offsets, piece)`` blocks, in order, into
+  a zeroed box at a given origin and returns it with the mask of
+  written cells; a later piece wins a cell.
 """
 
 from __future__ import annotations
@@ -422,45 +423,38 @@ def column_minmax(data: np.ndarray) -> tuple:
 
 
 # =====================================================================
-# Array-merge chunk stitching
+# Box assembly from offset-tagged pieces
 # =====================================================================
 
-def _paste_pieces_naive(
-    slab_shape: tuple, dtype: Any, pieces: Sequence, s_lo: int
-) -> tuple:
-    slab = np.zeros(slab_shape, dtype=dtype)
-    filled = np.zeros(slab_shape, dtype=bool)
+def _paste_pieces_naive(shape: tuple, dtype: Any, pieces: Sequence, origin: tuple) -> tuple:
+    out = np.zeros(shape, dtype=dtype)
+    filled = np.zeros(shape, dtype=bool)
     for offsets, piece in pieces:
         piece = np.asarray(piece)
-        base = tuple(
-            (o - s_lo) if axis == 0 else o for axis, o in enumerate(offsets)
-        )
         for idx in np.ndindex(piece.shape):
-            dst = tuple(b + i for b, i in zip(base, idx))
-            slab[dst] = piece[idx]
+            dst = tuple(o - b + i for o, b, i in zip(offsets, origin, idx))
+            out[dst] = piece[idx]
             filled[dst] = True
-    return slab, int((~filled).sum())
+    return out, filled
 
 
-def paste_pieces(
-    slab_shape: tuple, dtype: Any, pieces: Sequence, s_lo: int
-) -> tuple:
-    """Paste ``(offsets, piece)`` blocks into a zeroed slab.
+def paste_pieces(shape: tuple, dtype: Any, pieces: Sequence, origin: tuple) -> tuple:
+    """Paste ``(offsets, piece)`` blocks, in order, into a zeroed box.
 
-    Returns ``(slab, n_uncovered)`` where ``n_uncovered`` counts cells
-    no piece ever wrote.
+    The box spans ``[origin, origin + shape)`` in the pieces' global
+    coordinates, and each piece must lie inside it; where pieces
+    overlap, the later one wins.  Returns ``(box, filled)``, the mask of
+    cells some piece wrote.
     """
-    slab = np.zeros(slab_shape, dtype=dtype)
-    filled = np.zeros(slab_shape, dtype=bool)
+    out = np.zeros(shape, dtype=dtype)
+    filled = np.zeros(shape, dtype=bool)
     for offsets, piece in pieces:
-        piece = np.asarray(piece)
         sel = tuple(
-            slice(o - (s_lo if axis == 0 else 0), o - (s_lo if axis == 0 else 0) + d)
-            for axis, (o, d) in enumerate(zip(offsets, piece.shape))
+            slice(o - b, o - b + d) for o, b, d in zip(offsets, origin, piece.shape)
         )
-        slab[sel] = piece
+        out[sel] = piece
         filled[sel] = True
-    return slab, int((~filled).sum())
+    return out, filled
 
 
 #: reference body per kernel — what the production bodies above are

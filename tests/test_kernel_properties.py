@@ -76,20 +76,21 @@ splitters = st.lists(finite, max_size=12).map(
 
 @st.composite
 def paste_cases(draw):
+    """A box at a non-zero origin on every axis and up to five pieces
+    inside it, overlapping freely, each with values no other piece has
+    (so the in-order rule shows wherever two overlap)."""
     ndim = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
-    s_lo = draw(st.integers(0, 4))
+    origin = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
     pieces = []
-    for _ in range(draw(st.integers(0, 4))):
+    for i in range(draw(st.integers(0, 5))):
         pshape = tuple(draw(st.integers(1, shape[a])) for a in range(ndim))
         offsets = tuple(
-            draw(st.integers(0, shape[a] - pshape[a])) + (s_lo if a == 0 else 0)
-            for a in range(ndim)
+            origin[a] + draw(st.integers(0, shape[a] - pshape[a])) for a in range(ndim)
         )
-        fill = draw(st.integers(0, 9))
-        piece = np.arange(int(np.prod(pshape)), dtype=float).reshape(pshape) + fill
+        piece = np.arange(int(np.prod(pshape)), dtype=float).reshape(pshape) + 1000 * i
         pieces.append((offsets, piece))
-    return shape, pieces, s_lo
+    return shape, pieces, origin
 
 
 # histogram kernels ---------------------------------------------------
@@ -198,10 +199,19 @@ def test_column_minmax_variants_agree(n, k, seed, nan_col):
 @FAST
 @given(case=paste_cases())
 def test_paste_pieces_variants_agree(case):
-    shape, pieces, s_lo = case
-    (sn, un), (sv, uv) = both("paste_pieces", shape, np.float64, pieces, s_lo)
-    assert un == uv
-    assert_same_array(sn, sv)
+    shape, pieces, origin = case
+    (bn, fn), (bv, fv) = both("paste_pieces", shape, np.float64, pieces, origin)
+    assert_same_array(bn, bv)
+    assert_same_array(fn, fv)
+
+
+def test_paste_pieces_later_piece_wins():
+    first = ((2, 3), np.ones((2, 2)))
+    second = ((3, 3), np.full((1, 2), 7.0))
+    for body in (K.NAIVE["paste_pieces"], K.paste_pieces):
+        box, filled = body((3, 3), np.float64, [first, second], (2, 2))
+        assert box.tolist() == [[0, 1, 1], [0, 7, 7], [0, 0, 0]]
+        assert filled.tolist() == [[False, True, True], [False, True, True], [False] * 3]
 
 
 # named edge cases ----------------------------------------------------
