@@ -41,7 +41,8 @@ PARTICLE_GROUP = GroupDef(
     (VarDef("electrons", "float64", VarKind.LOCAL_ARRAY, ndim=2),),
 )
 
-# Pixie3D-like field group: 3-D global array, 1-D slab decomposition.
+# Pixie3D-like field group: one 3-D global array (stand-in for the eight
+# fields; the merge path is identical per variable), 1-D slab decomposition.
 FIELD_GROUP = GroupDef(
     "fields",
     (VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=3),),

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adios.bp import BPFile, BPWriter
-from repro.adios.group import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
+from repro.adios.group import ChunkMeta, OutputStep
 from repro.adios.io import SyncMPIIO
+from repro.check.workloads import FIELD_GROUP
 from repro.core import PreDatA
 from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
@@ -43,13 +44,6 @@ from repro.operators.array_merge import ArrayMergeOperator
 from repro.sim import Engine
 
 __all__ = ["ChaosResult", "ChaosRun", "cli", "fingerprint", "main", "run_chaos", "run_once"]
-
-#: Pixie3D-like output group: one 3-D global array (stand-in for the
-#: eight fields; the merge path is identical per variable).
-FIELD_GROUP = GroupDef(
-    "fields",
-    (VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=3),),
-)
 
 #: simulated seconds between this experiment's dumps (its own workload, not
 #: :mod:`repro.check.workloads`'), and when the staging node is killed:

@@ -4,22 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adios import GroupDef, OutputStep, VarDef, VarKind, ChunkMeta
+from repro.adios import OutputStep, ChunkMeta
+from repro.check.workloads import FIELD_GROUP, PARTICLE_GROUP
 from repro.core import PreDatA
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World
 from repro.sim import Engine
-
-# GTC-like particle group: (n, 8) rows; column 0 is the global label.
-PARTICLE_GROUP = GroupDef(
-    "particles",
-    (VarDef("electrons", "float64", VarKind.LOCAL_ARRAY, ndim=2),),
-)
-
-FIELD_GROUP = GroupDef(
-    "fields",
-    (VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=3),),
-)
 
 
 def particle_step(rank, nprocs, rows, step=0, scale=1.0, seed=0):
