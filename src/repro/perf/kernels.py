@@ -15,7 +15,8 @@ Contracts (shared by both bodies — property-tested bit-for-bit):
 - histogram kernels take *strictly increasing* edge arrays; values
   outside ``[edges[0], edges[-1]]`` and NaNs are dropped, the last bin
   is right-inclusive.  This matches ``np.histogram``/``np.histogram2d``
-  exactly.
+  exactly.  ``histogram2d`` raises ``ValueError`` when ``x`` and ``y``
+  differ in length (a length-1 axis does not broadcast).
 - WAH words are the rows of one ``(nwords, 3)`` int64 array,
   ``(is_fill, value, ngroups)``: ``(0, payload, 1)`` for a literal
   31-bit group, ``(1, bit, ngroups)`` for a run of all-*bit* groups,
@@ -128,14 +129,35 @@ def _histogram2d_naive(
     return counts
 
 
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each value, outside ``[0, nbins)`` for one to drop (below
+    the first edge, above the last, or NaN, which sorts past the end)."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    idx[values == edges[-1]] = edges.size - 2  # the last bin is right-inclusive
+    return idx
+
+
 def histogram2d(
     x: np.ndarray, y: np.ndarray, ex: np.ndarray, ey: np.ndarray
 ) -> np.ndarray:
-    """int64 joint counts of ``(x, y)`` over edge grids ``(ex, ey)``."""
-    counts, _, _ = np.histogram2d(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), bins=(ex, ey)
-    )
-    return counts.astype(np.int64)
+    """int64 joint counts of ``(x, y)`` over edge grids ``(ex, ey)``.
+
+    One ``searchsorted`` per axis and one ``bincount`` over the joint
+    bin index: the only full-size allocation is the result itself, where
+    ``np.histogram2d`` builds a float matrix and casts it.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size:
+        raise ValueError(f"x and y must have the same length ({x.size} != {y.size})")
+    ex = np.asarray(ex, dtype=float)
+    ey = np.asarray(ey, dtype=float)
+    nx, ny = ex.size - 1, ey.size - 1
+    ix = _bin_index(x, ex)
+    iy = _bin_index(y, ey)
+    keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    flat = np.bincount(ix[keep] * ny + iy[keep], minlength=nx * ny)
+    return flat.astype(np.int64, copy=False).reshape(nx, ny)
 
 
 # =====================================================================

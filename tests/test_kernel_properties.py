@@ -11,6 +11,8 @@ inputs.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ edges = st.lists(finite, min_size=2, max_size=40, unique=True).map(
     lambda xs: np.sort(np.asarray(xs, dtype=float))
 )
 
+# up to ~300 edges per axis: the 2-D map regime bins a few dozen points
+# into far more cells than it has points
+wide_edges = st.lists(finite, min_size=2, max_size=300, unique=True).map(
+    lambda xs: np.sort(np.asarray(xs, dtype=float))
+)
+
 masks = st.lists(st.booleans(), max_size=200).map(
     lambda xs: np.asarray(xs, dtype=bool)
 )
@@ -102,7 +110,7 @@ def test_histogram1d_variants_agree(values, e):
 
 
 @FAST
-@given(pts=st.lists(st.tuples(anyfloat, anyfloat), max_size=120), ex=edges, ey=edges)
+@given(pts=st.lists(st.tuples(anyfloat, anyfloat), max_size=120), ex=wide_edges, ey=wide_edges)
 def test_histogram2d_variants_agree(pts, ex, ey):
     x = np.asarray([p[0] for p in pts], dtype=float)
     y = np.asarray([p[1] for p in pts], dtype=float)
@@ -303,6 +311,64 @@ def test_single_bin_histogram_right_inclusive_edge():
     n, v = both("histogram1d", values, e)
     assert_same_array(n, v)
     assert n.tolist() == [4]
+
+
+def _gtc_map_chunk(seed):
+    """One GTC map call: 64 particles binned on two attributes over the
+    257-edge global min-max axes of a 256 x 256 histogram."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=64), rng.uniform(-3.0, 5.0, size=64)
+    return x, y, np.linspace(x.min(), x.max(), 257), np.linspace(y.min(), y.max(), 257)
+
+
+def test_histogram2d_gtc_map_regime():
+    for seed in range(4):
+        x, y, ex, ey = _gtc_map_chunk(seed)
+        naive, fast = both("histogram2d", x, y, ex, ey)
+        assert_same_array(naive, fast)
+        assert fast.shape == (256, 256) and fast.sum() == 64  # min and max included
+    # every point on an edge: interior edges open a bin, the last closes one
+    x, _, ex, _ = _gtc_map_chunk(9)
+    on_edges = ex[np.arange(0, 257, 4)]
+    naive, fast = both("histogram2d", on_edges, on_edges[::-1].copy(), ex, ex)
+    assert_same_array(naive, fast)
+    assert fast[255, 0] == 1 and fast[0, 255] == 1 and fast.sum() == on_edges.size
+
+
+def test_histogram2d_edge_values():
+    e = np.asarray([-1.0, 0.0, 1.0])
+    cases = {
+        "last edge": ([1.0, 1.0, 0.5], [1.0, -1.0, 1.0]),
+        "-0.0 on a 0.0 edge": ([-0.0, 0.0, -0.0], [-0.0, -0.5, 0.0]),
+        "infinities": ([np.inf, -np.inf, 0.5, np.inf], [0.5, 0.5, -np.inf, np.inf]),
+        "nan": ([np.nan, 0.5, 0.5, np.nan], [0.5, np.nan, 0.5, np.nan]),
+    }
+    for x, y in cases.values():
+        assert_same_array(*both("histogram2d", np.asarray(x), np.asarray(y), e, e))
+    assert K.histogram2d(np.asarray([1.0]), np.asarray([1.0]), e, e).tolist() == [[0, 0], [0, 1]]
+    zero_top = np.asarray([-1.0, 0.0])  # -0.0 equals the last edge
+    assert K.histogram2d(np.asarray([-0.0]), np.asarray([-0.0]), zero_top, zero_top).tolist() == [[1]]
+    assert K.histogram2d(np.asarray([-0.0]), np.asarray([0.5]), e, e).tolist() == [[0, 0], [0, 1]]
+
+
+def test_histogram2d_rejects_unequal_lengths():
+    x, y, ex, ey = _gtc_map_chunk(1)
+    for a, b in ((x, y[:63]), (x[:1], y), (x, y[:1]), (x[:0], y[:1])):
+        with pytest.raises(ValueError, match="same length"):
+            K.histogram2d(a, b, ex, ey)
+
+
+def test_histogram2d_allocates_only_its_result():
+    x, y, ex, ey = _gtc_map_chunk(2)
+    K.histogram2d(x, y, ex, ey)  # first call outside the measurement
+    tracemalloc.start()
+    try:
+        counts = K.histogram2d(x, y, ex, ey)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.nbytes == 256 * 256 * 8
+    assert peak <= 1.1 * counts.nbytes
 
 
 def test_nan_inf_fields_agree():
