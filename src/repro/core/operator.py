@@ -49,16 +49,21 @@ _R = TypeVar("_R")
 
 
 #: A tagged intermediate result produced by Map/Combine.
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Emit:
-    """One intermediate item: routed by ``tag``, carrying ``value``."""
+    """One intermediate item: routed by ``tag``, carrying ``value``.
+
+    Frozen, so ``nbytes`` — the value's wire size plus a 16-byte tag —
+    is computed once, when the item is made, however many times the
+    shuffle sizes it.
+    """
 
     tag: Hashable
     value: Any
+    nbytes: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def nbytes(self) -> float:
-        return nbytes_of(self.value) + 16
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nbytes", nbytes_of(self.value) + 16)
 
 
 @dataclass

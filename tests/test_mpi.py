@@ -1,6 +1,7 @@
 """Tests for the simulated MPI layer: the six collectives and their timing."""
 
 import functools
+from collections import OrderedDict
 from math import ceil, log2
 
 import numpy as np
@@ -687,3 +688,75 @@ def test_nbytes_of_memoryview_counts_bytes_not_elements():
     assert nbytes_of(memoryview(np.zeros(4))) == 32  # four 8-byte items
     assert nbytes_of(memoryview(np.zeros((3, 2), dtype=np.int16))) == 12
     assert nbytes_of(memoryview(b"abcdef")) == 6  # 'B' format: one byte each
+
+
+class _Rows(list):
+    nbytes = 999.0  # a list first: the sequence branch wins
+
+
+class _Sized:
+    @property
+    def nbytes(self):
+        return 123
+
+
+class _SizedByCall:
+    def nbytes(self):
+        return 77
+
+
+class _Fields:
+    def __init__(self):
+        self.a = np.zeros(4)
+        self.b = "xyz"
+
+
+class _Slotted:
+    __slots__ = ("a",)
+
+    def __init__(self):
+        self.a = np.zeros(100)
+
+
+def test_nbytes_of_every_branch():
+    """One hand-computed size per branch; each row is sized twice, so
+    the per-type branch choice is taken once and then reused."""
+    table = [
+        (None, 0.0),
+        (np.zeros(10), 80.0),
+        (memoryview(b"abcdef"), 6.0),
+        (True, 8.0),
+        (np.float32(1.5), 8.0),
+        (1 + 2j, 8.0),
+        ([np.zeros(2), 1.0], 16 + 16 + 8),
+        ((1, 2), 16 + 8 + 8),
+        ({1.0, 2.0}, 16 + 8 + 8),
+        (frozenset({"ab"}), 16 + 2),
+        (_Rows([np.zeros(3)]), 16 + 24),
+        (b"abcd", 4.0),
+        (bytearray(3), 3.0),
+        ("h\u00e9llo", 6.0),  # the accented letter is two UTF-8 bytes
+        ({"a": 1}, 16 + 1 + 8),
+        (OrderedDict([("ab", np.zeros(2))]), 16 + 2 + 16),
+        (_Sized(), 123.0),
+        (_SizedByCall(), 77.0),
+        (_Fields(), 16 + 32 + 3),
+        (_Slotted(), 8.0),  # no nbytes, no __dict__: the flat estimate
+    ]
+    for _ in range(2):
+        for obj, want in table:
+            assert nbytes_of(obj) == want, (obj, want)
+
+
+def test_nbytes_of_sizes_plain_objects_per_instance():
+    class Maybe:
+        pass
+
+    with_attr, without = Maybe(), Maybe()
+    with_attr.nbytes = 500
+    without.x = np.zeros(1)
+    for _ in range(2):
+        assert nbytes_of(with_attr) == 500.0
+        assert nbytes_of(without) == 16 + 8
+    with_attr.nbytes = 7  # read each call, never remembered
+    assert nbytes_of(with_attr) == 7.0
