@@ -95,8 +95,8 @@ class Histogram2DOperator(PreDatAOperator):
         return 8.0 * self._n_logical(step)
 
     def combine(self, ctx: OperatorContext, items: list[Emit]) -> list[Emit]:
-        if not items:
-            return items
+        if len(items) < 2:
+            return items  # nothing to sum: the lone item goes as it is
         total = items[0].value.copy()
         for e in items[1:]:
             total += e.value

@@ -147,7 +147,8 @@ class SampleSortOperator(PreDatAOperator):
         return np.take(merged, order, axis=0)
 
     def reduce_flops(self, ctx: OperatorContext, tag: Any, values: list[Any]) -> float:
-        n = sum(np.atleast_2d(v).shape[0] for v in values) * ctx.volume_scale
+        # values are (rows, k) buckets from map: len() is the row count
+        n = sum(map(len, values)) * ctx.volume_scale
         return 12.0 * n * max(np.log2(max(n, 2)), 1.0)
 
     def reduce_membytes(
@@ -159,7 +160,7 @@ class SampleSortOperator(PreDatAOperator):
         # bandwidth per access).  ~100 effective sequential-bandwidth
         # traversals of the bucket reproduces measured qsort costs on
         # Opteron-class nodes (~1 s per 2M 64-byte rows).
-        real = sum(np.atleast_2d(v).nbytes for v in values)
+        real = sum(v.nbytes for v in values)
         return 100.0 * real * ctx.volume_scale
 
     def finalize(self, ctx: OperatorContext, reduced: dict):

@@ -1,13 +1,16 @@
 """Detailed unit + property tests for the built-in operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adios import GroupDef, OutputStep, VarDef, VarKind
-from repro.core.operator import OperatorContext, PreDatAOperator
+from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 from repro.machine.filesystem import ParallelFileSystem
+from repro.mpi import nbytes_of
 from repro.operators import (
     HistogramOperator,
     Histogram2DOperator,
@@ -338,13 +341,30 @@ def test_histogram_empty_chunk_partial():
 
 def test_histogram_combine_sums():
     op = HistogramOperator("electrons", column=0, bins=4)
-    from repro.core.operator import Emit
-
     items = [Emit("hist", np.array([1, 2, 3, 4])),
              Emit("hist", np.array([10, 0, 0, 0]))]
     out = op.combine(ctx_of(), items)
     assert len(out) == 1
     np.testing.assert_array_equal(out[0].value, [11, 2, 3, 4])
+
+
+def test_histogram_combine_passes_a_lone_item_through():
+    for op in (HistogramOperator("electrons", column=0, bins=4),
+               Histogram2DOperator("electrons", columns=(0, 1), bins=(2, 2))):
+        items = [Emit(op._TAG, np.ones(op.bins, dtype=np.int64))]
+        assert op.combine(ctx_of(), items) is items
+        assert op.combine(ctx_of(), []) == []
+
+
+def test_emit_is_sized_once_and_frozen():
+    arr = np.zeros((3, 8))
+    e = Emit(2, arr)
+    assert e.nbytes == nbytes_of(arr) + 16 == 3 * 8 * 8 + 16
+    assert Emit("t", (arr, None)).nbytes == nbytes_of((arr, None)) + 16
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.value = np.zeros(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.nbytes = 0.0
 
 
 def test_histogram_validation():
@@ -484,6 +504,11 @@ def test_cost_hooks_scale_sanely():
     m1 = sort.reduce_membytes(ctx_of(scale=1.0), 0, rows)
     m2 = sort.reduce_membytes(ctx_of(scale=50.0), 0, rows)
     assert m2 == pytest.approx(m1 * 50)
+    # the cost of a bucket is its row count and bytes, summed over values
+    buckets = [np.zeros((10, 8)), np.zeros((0, 8)), np.zeros((5, 8))]
+    n = 15 * 3.0
+    assert sort.reduce_flops(ctx_of(scale=3.0), 0, buckets) == 12.0 * n * np.log2(n)
+    assert sort.reduce_membytes(ctx_of(scale=3.0), 0, buckets) == 100.0 * 15 * 64 * 3.0
 
 
 def test_base_operator_reduce_and_partition_defaults():
