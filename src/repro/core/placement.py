@@ -63,6 +63,11 @@ class InComputeNodeRunner:
         self.timings: dict[str, dict[int, dict[int, InComputeTiming]]] = {
             op.name: {} for op in self.operators
         }
+        #: ``((operator, step), aggregate)`` of the latest allgather: every
+        #: rank receives the same partials, so the first rank to resume
+        #: aggregates and the others share its result, as the staging
+        #: ranks share the service's
+        self._aggregated: tuple = (None, None)
 
     def run_step(self, comm: Communicator, step: OutputStep):
         """Process body: execute every operator on *step* synchronously.
@@ -86,11 +91,11 @@ class InComputeNodeRunner:
             # fixed-size summaries, so no logical-volume inflation applies
             t0 = env.now
             allp = yield from comm.allgather(partial, wire_scale=1.0)
-            aggregated = (
-                op.aggregate([p for p in allp if p is not None])
-                if any(p is not None for p in allp)
-                else None
-            )
+            key = (op, step.step)
+            if self._aggregated[0] != key:
+                present = [p for p in allp if p is not None]
+                self._aggregated = (key, op.aggregate(present) if present else None)
+            aggregated = self._aggregated[1]
             t_aggregate = env.now - t0
 
             ctx = OperatorContext(
