@@ -28,7 +28,6 @@ __all__ = [
     "faults",
     "ffs",
     "flow",
-    "jobs",
     "machine",
     "mpi",
     "obs",

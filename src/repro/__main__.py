@@ -24,7 +24,6 @@ COMMANDS = {
         "repro.perf.bench:main",
         "benchmarks: write BENCH_*.json sidecars, guard them against the committed baselines",
     ),
-    "jobs": ("repro.jobs.cli:main", "multi-tenant pipelines on one shared staging fleet"),
     "serve": ("repro.perf.bench:serve_main", "query-serving offered-load sweep (perf query)"),
     "stream": ("repro.perf.bench:stream_main", "coupled-workflow step streaming (perf stream)"),
     "scenarios": (

@@ -22,7 +22,6 @@ from repro.check.fuzzer import FuzzReport, FuzzRun, ScheduleFuzzer
 from repro.check.invariants import Checker, InvariantViolation
 from repro.check.oracle import OracleResult, check_workload, run_differential
 from repro.check.stream import StreamChecker
-from repro.check.tenancy import MultiTenantChecker
 from repro.check.trace import ScheduleTrace, minimized_trace_diff
 from repro.check.workloads import (
     OPERATOR_KINDS,
@@ -36,7 +35,6 @@ __all__ = [
     "FuzzReport",
     "FuzzRun",
     "InvariantViolation",
-    "MultiTenantChecker",
     "OPERATOR_KINDS",
     "OracleResult",
     "ScheduleFuzzer",

@@ -71,9 +71,6 @@ class Checker:
         self.faults: list[tuple[str, object]] = []
         #: fetch retries recorded by the resilient fetch path
         self.retries = 0
-        #: set by an external actor (e.g. the jobs preemption governor)
-        #: whose intervention legally duplicates or re-routes work
-        self.external_perturbation = False
 
     # -- binding ----------------------------------------------------------
     def bind(self, env) -> "Checker":
@@ -137,12 +134,7 @@ class Checker:
     @property
     def perturbed(self) -> bool:
         """True when faults/restarts/retries may legally duplicate work."""
-        return (
-            bool(self.faults)
-            or bool(self.restarts)
-            or self.retries > 0
-            or self.external_perturbation
-        )
+        return bool(self.faults) or bool(self.restarts) or self.retries > 0
 
     def violations(self, predata=None) -> list[str]:
         """Every broken invariant, as human-readable one-liners.

@@ -96,7 +96,6 @@ class StagingClient:
         max_buffered_steps: int = 2,
         fetch_rate_cap: Optional[float] = None,
         resilient: bool = False,
-        tenant: Optional[str] = None,
     ):
         """``fetch_rate_cap`` (bytes/s per staging process) paces the
         asynchronous RDMA gets: scheduled movement deliberately draws
@@ -116,19 +115,10 @@ class StagingClient:
         scratch state — the chunk is freed when its last reader lets go
         (the :class:`_BufferRecord`, the stager that fetched it, any
         array decoded from it), so an operator may keep a decoded view
-        for as long as it likes.
-
-        ``tenant`` names the job this client belongs to under the
-        multi-tenant jobs layer.  It qualifies every key this pipeline
-        hands to the shared flow-control and verification subsystems
-        (so two tenants' ``(rank, step)`` chunks never collide) and
-        scopes observability through a per-tenant view.  ``None`` (the
-        default) keeps the bare two-tuple keys — single-tenant runs
-        are byte-identical to pre-jobs behaviour."""
+        for as long as it likes."""
         if nstaging < 1:
             raise ValueError("need at least one staging process")
         self.env = env
-        self.tenant = tenant
         self.machine = machine
         self.operators = list(operators)
         self.ncompute = ncompute
@@ -164,32 +154,6 @@ class StagingClient:
         #: optional :class:`repro.flow.FlowControl` — credit-based
         #: admission + staging buffer pools (None = no flow control)
         self.flow = None
-
-    # -- tenancy ------------------------------------------------------------
-    def key(self, compute_rank: int, step: int) -> tuple:
-        """The chunk key this pipeline presents to shared subsystems.
-
-        Bare ``(compute_rank, step)`` without a tenant; tenant-qualified
-        ``(tenant, compute_rank, step)`` under the jobs layer, so keys
-        from concurrent pipelines never collide in the shared flow
-        banks/pools or the checker's ledgers.  Internal client state
-        (buffers, request log) stays on the bare key — it is
-        already private to this client instance.
-        """
-        if self.tenant is None:
-            return (compute_rank, step)
-        return (self.tenant, compute_rank, step)
-
-    def obs_view(self):
-        """The observability facade this pipeline records through.
-
-        The engine's facade itself without a tenant (byte-identical to
-        pre-jobs behaviour); the tenant-scoped view otherwise.
-        """
-        obs = self.env.obs
-        if obs is None or self.tenant is None:
-            return obs
-        return obs.for_tenant(self.tenant)
 
     # -- routing ------------------------------------------------------------
     def route(self, compute_rank: int) -> int:
@@ -230,14 +194,6 @@ class StagingClient:
         """Switch transports to synchronous in-compute-node writes."""
         self.degraded = True
 
-    def exit_degraded_mode(self) -> None:
-        """Resume the staged write path (preemption governor recovery).
-
-        Only meaningful for pressure-driven degradation: after a stager
-        *failure* the routing/failover state decides, not this flag.
-        """
-        self.degraded = False
-
     def commit(self, compute_rank: int, step: int) -> None:
         """Release the compute-side buffer of a fully processed dump.
 
@@ -247,7 +203,7 @@ class StagingClient:
         """
         self._requests_log.pop((compute_rank, step), None)
         if self.env.check is not None:
-            self.env.check.on_committed(self.key(compute_rank, step))
+            self.env.check.on_committed((compute_rank, step))
         rec = self._buffers.pop((compute_rank, step), None)
         if rec is not None:
             self.machine.node(rec.node_id).free(rec.logical_nbytes)
@@ -256,7 +212,7 @@ class StagingClient:
         if self.flow is not None:
             # safety net: whatever path completed the step (including
             # zero-survivor replay), its credits must not leak
-            self.flow.release_credits(self.key(compute_rank, step))
+            self.flow.release_credits((compute_rank, step))
 
     def buffer_payload(self, compute_rank: int, step: int) -> Optional[memoryview]:
         """Packed chunk of an uncommitted dump (controller replay path)."""
@@ -284,7 +240,7 @@ class StagingClient:
         Returns the visible (blocking) seconds.
         """
         env = self.env
-        obs = self.obs_view()
+        obs = env.obs
         tid = f"compute{comm.rank}"
         start = env.now
         node = self.machine.node(comm.node_id)
@@ -337,7 +293,7 @@ class StagingClient:
         pending.append(freed)
         if env.check is not None:
             env.check.on_packed(
-                self.key(comm.rank, step.step), step.nbytes_logical, comm.node_id
+                (comm.rank, step.step), step.nbytes_logical, comm.node_id
             )
 
         # Stage 1c: data-fetch request to the routed staging process.
@@ -444,7 +400,7 @@ class StagingClient:
             self.machine.node(rec.node_id).free(rec.logical_nbytes)
             rec.freed.succeed()
         if self.env.check is not None:
-            self.env.check.on_fetched(self.key(compute_rank, step), rec.logical_nbytes)
+            self.env.check.on_fetched((compute_rank, step), rec.logical_nbytes)
         if fault is not None and fault[0] == "corrupt":
             return _garbled(rec.payload)
         return rec.payload
@@ -482,10 +438,6 @@ class StagingTransport(IOMethod):
         self.degraded_steps = 0
         #: steps degraded to the fallback by credit-admission overload
         self.overflow_steps = 0
-        #: optional admission gate (``repro.jobs`` preemption ladder):
-        #: while closed, every write of this transport holds here —
-        #: the "pause admission" tier above degrade-to-sync
-        self.admission_gate = None
 
     def _degraded_write(self, comm: Communicator, step: OutputStep) -> Generator:
         """Process body: synchronous fallback write + staging skip notice."""
@@ -494,17 +446,13 @@ class StagingTransport(IOMethod):
             yield from self.client.skip_step(comm, step.step)
         self.degraded_steps += 1
         if comm.env.check is not None:
-            comm.env.check.on_degraded(
-                self.client.key(comm.rank, step.step), step.nbytes_logical
-            )
+            comm.env.check.on_degraded((comm.rank, step.step), step.nbytes_logical)
 
     def write_step(self, comm: Communicator, step: OutputStep) -> Generator:
-        if self.admission_gate is not None:
-            yield from self.admission_gate.wait(comm.rank)
         if self.client.degraded and self.fallback is not None:
             start = comm.env.now
             yield from self._degraded_write(comm, step)
-            obs = self.client.obs_view()
+            obs = comm.env.obs
             if obs is not None:
                 obs.metrics.inc("degraded_steps", rank=comm.rank)
                 obs.instant(
@@ -524,15 +472,13 @@ class StagingTransport(IOMethod):
             start = comm.env.now
             target = self.client.route(comm.rank)
             granted = yield from flow.request_credits(
-                target,
-                self.client.key(comm.rank, step.step),
-                step.nbytes_logical,
+                target, (comm.rank, step.step), step.nbytes_logical,
                 can_degrade=self.fallback is not None,
             )
             if not granted:
                 yield from self._degraded_write(comm, step)
                 self.overflow_steps += 1
-                obs = self.client.obs_view()
+                obs = comm.env.obs
                 if obs is not None:
                     obs.metrics.inc("flow_overflow_steps", rank=comm.rank)
                     obs.instant(

@@ -65,8 +65,7 @@ class PreDatA:
         chunk_order: Optional[Callable] = None,
         resilience: Optional[ResilienceConfig] = None,
         fallback_io: Optional[IOMethod] = None,
-        flow: Optional[FlowConfig | FlowControl] = None,
-        tenant: Optional[str] = None,
+        flow: Optional[FlowConfig] = None,
     ):
         """``resilience`` enables the failure detection/recovery protocol
         (heartbeats, commit barrier, failover routing, degradation);
@@ -75,15 +74,7 @@ class PreDatA:
         ``flow`` enables the flow-control subsystem (credit-based
         admission, per-staging-node buffer pools with spill-to-FS,
         pressure-aware fetch throttling); None — the default — keeps
-        the pre-flow pipeline byte-identical.  A prebuilt
-        :class:`~repro.flow.FlowControl` (rather than a config) is
-        adopted as-is — the jobs layer shares one tenant-carved flow
-        object across several deployments this way.
-
-        ``tenant`` names this deployment's job under the multi-tenant
-        layer: chunk keys handed to shared flow/check state become
-        tenant-qualified and observability is scoped per tenant (see
-        :class:`~repro.core.client.StagingClient`)."""
+        the pre-flow pipeline byte-identical."""
         if machine.n_staging_nodes < 1:
             raise ValueError("machine has no staging nodes allocated")
         if ncompute_procs < 1:
@@ -119,12 +110,9 @@ class PreDatA:
             route=route,
             fetch_rate_cap=fetch_rate_cap,
             resilient=resilience is not None,
-            tenant=tenant,
         )
         self.flow: Optional[FlowControl] = None
-        if isinstance(flow, FlowControl):
-            self.flow = flow
-        elif flow is not None:
+        if flow is not None:
             self.flow = FlowControl(
                 env,
                 machine,

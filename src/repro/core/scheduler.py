@@ -66,8 +66,6 @@ class MovementScheduler:
         self._wseq = 0
         self.deferred_fetches = 0
         self.total_defer_seconds = 0.0
-        #: extra metric labels (e.g. ``tenant=...`` under the jobs layer)
-        self.labels: dict = {}
         #: optional :class:`repro.flow.pressure.PressureController`;
         #: when set, fetches are additionally admitted against the
         #: destination node's buffer-pool occupancy.
@@ -129,10 +127,8 @@ class MovementScheduler:
                     "scheduler_defer", "scheduler", start,
                     tid=f"node{node_id}", node=node_id,
                 )
-                obs.metrics.inc("scheduler_defers", node=node_id, **self.labels)
-                obs.metrics.inc(
-                    "scheduler_defer_seconds", deferred, node=node_id, **self.labels
-                )
+                obs.metrics.inc("scheduler_defers", node=node_id)
+                obs.metrics.inc("scheduler_defer_seconds", deferred, node=node_id)
         in_phase = self.enabled and self.in_comm_phase(node_id)
         if self.pressure is not None and dst_node is not None:
             deferred += yield from self.pressure.admit(dst_node, nbytes)

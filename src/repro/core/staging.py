@@ -292,7 +292,7 @@ class StagingService:
 
     def _run_step(self, comm: Communicator, step: int):
         env = self.env
-        obs = self.client.obs_view()
+        obs = env.obs
         tid = f"stage{comm.rank}"
         node = comm.node
         threads = self.config.threads_per_process
@@ -498,16 +498,14 @@ class StagingService:
                     compute_rank=req.compute_rank,
                 )
             if env.check is not None:
-                env.check.on_mapped(
-                    self.client.key(req.compute_rank, step), req.logical_nbytes
-                )
+                env.check.on_mapped((req.compute_rank, step), req.logical_nbytes)
             if ticket is not None:
                 pool.release(ticket)
                 try:
                     inflight["tickets"].remove(ticket)
                 except ValueError:
                     pass
-                flow.release_credits(self.client.key(req.compute_rank, step))
+                flow.release_credits((req.compute_rank, step))
             elif node is not None:
                 node.free(req.logical_nbytes)
                 inflight["alloc"] -= req.logical_nbytes
@@ -624,7 +622,7 @@ class StagingService:
                 proc.interrupt("fetch timed out")
             self.fetch_retries += 1
             if env.check is not None:
-                env.check.on_retry(self.client.key(req.compute_rank, step), attempt)
+                env.check.on_retry((req.compute_rank, step), attempt)
             if env.obs is not None:
                 env.obs.metrics.inc("fetch_retries", stage=comm.rank)
                 env.obs.instant(

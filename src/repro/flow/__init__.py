@@ -76,7 +76,9 @@ class FlowControl:
         #: node id -> BufferPool
         self.pools: dict[int, BufferPool] = {}
         for node_id in dict.fromkeys(self.staging_rank_nodes):
-            self.pools[node_id] = self._make_pool(node_id)
+            self.pools[node_id] = BufferPool(
+                env, machine.node(node_id), machine.filesystem, config
+            )
         ranks_per_node = Counter(self.staging_rank_nodes)
         #: staging rank -> CreditBank
         self.banks: dict[int, CreditBank] = {}
@@ -87,7 +89,7 @@ class FlowControl:
                 if config.credit_bytes is not None
                 else pool.capacity / ranks_per_node[node_id]
             )
-            self.banks[rank] = self._make_bank(rank, capacity)
+            self.banks[rank] = CreditBank(env, rank, capacity, config)
         self.pressure = PressureController(
             env,
             self.pools,
@@ -96,16 +98,6 @@ class FlowControl:
         )
         #: chunk key -> rank of the bank holding its grant
         self._grant_owner: dict = {}
-
-    # -- construction hooks (the jobs layer substitutes tenant-carved
-    # pools/banks by overriding these; see ``repro.jobs.share``) -------------
-    def _make_pool(self, node_id: int) -> BufferPool:
-        return BufferPool(
-            self.env, self.machine.node(node_id), self.machine.filesystem, self.config
-        )
-
-    def _make_bank(self, rank: int, capacity: float) -> CreditBank:
-        return CreditBank(self.env, rank, capacity, self.config)
 
     # -- lookup -------------------------------------------------------------
     def pool_for(self, node_id: int) -> Optional[BufferPool]:
@@ -148,8 +140,9 @@ class FlowControl:
         if bank is None:
             return
         for key, nbytes in sorted(bank.revoke_all().items()):
-            # keys are (compute_rank, step) or (tenant, compute_rank, step)
-            compute_rank = key[-2]
+            # staging keys are (compute_rank, step); stream's
+            # (sub_id, member, step) keys live in the stream's own banks
+            compute_rank, _step = key
             new_rank = reroute(compute_rank)
             if new_rank is None or new_rank == dead_rank:
                 self._grant_owner.pop(key, None)

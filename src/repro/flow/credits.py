@@ -44,11 +44,6 @@ class CreditBank:
         self.rank = rank
         self.capacity = float(capacity)
         self.config = config
-        #: extra metric labels (e.g. ``tenant=...`` under the jobs layer)
-        self.labels: dict = {}
-        #: optional share group for work-conserving borrow across sibling
-        #: banks carved from the same physical budget (see ``repro.jobs``)
-        self.group = None
         self._granted = 0.0
         #: outstanding grants keyed by (compute_rank, step)
         self._grants: dict = {}
@@ -87,14 +82,13 @@ class CreditBank:
     def _source_of(key):
         """Source identity behind a grant key: everything but the step.
 
-        Grant keys are ``(compute_rank, step)`` or, under the jobs
-        layer, ``(tenant, compute_rank, step)`` — either way the last
-        element is the step and the prefix identifies the source.
-        Taking ``key[0]`` of a tenant-qualified key would merge all of
-        one tenant's ranks into a single "source", so a rank with
-        nothing outstanding could be starved behind its siblings —
-        breaking the fresh-source progress rule the deadlock-freedom
-        argument rests on.
+        Staging grant keys are ``(compute_rank, step)``; stream keys are
+        ``(sub_id, member, step)`` — either way the last element is the
+        step and the prefix identifies the source.  Taking ``key[0]`` of
+        a stream key would merge all of one subscription's members into
+        a single "source", so a member with nothing outstanding could be
+        starved behind its siblings — breaking the fresh-source progress
+        rule the deadlock-freedom argument rests on.
         """
         if isinstance(key, tuple) and key:
             src = key[:-1]
@@ -105,13 +99,9 @@ class CreditBank:
         """May *nbytes* be granted right now under the byte budget?
 
         An idle bank always admits (a single chunk may exceed the whole
-        budget).  A bank in a share group may additionally borrow idle
-        budget from the group — the work-conserving redistribution of
-        the fair-share layer.
+        budget).
         """
-        if self._granted + nbytes <= self.capacity or self._granted == 0.0:
-            return True
-        return self.group is not None and self.group.can_borrow(self, nbytes)
+        return self._granted + nbytes <= self.capacity or self._granted == 0.0
 
     def _grant(self, key, nbytes: float, src) -> None:
         self._grants[key] = nbytes
@@ -120,18 +110,14 @@ class CreditBank:
         self.grants += 1
         obs = self.env.obs
         if obs is not None:
-            obs.metrics.gauge_max(
-                "flow_credit_peak_bytes", self._granted, stage=self.rank, **self.labels
-            )
+            obs.metrics.gauge_max("flow_credit_peak_bytes", self._granted, stage=self.rank)
 
     def _note_sojourn(self, sojourn: float) -> None:
         self.total_sojourn += sojourn
         self.max_sojourn = max(self.max_sojourn, sojourn)
         obs = self.env.obs
         if obs is not None:
-            obs.metrics.observe(
-                "flow_credit_sojourn_seconds", sojourn, stage=self.rank, **self.labels
-            )
+            obs.metrics.observe("flow_credit_sojourn_seconds", sojourn, stage=self.rank)
         target = self.config.codel_target
         if target is not None and sojourn < target:
             # congestion cleared: reset the CoDel control law once the
@@ -233,7 +219,7 @@ class CreditBank:
         self.rejections += 1
         obs = self.env.obs
         if obs is not None:
-            obs.metrics.inc("flow_credit_rejections", stage=self.rank, **self.labels)
+            obs.metrics.inc("flow_credit_rejections", stage=self.rank)
             obs.instant(
                 "credit_reject", "flow", tid=f"stage{self.rank}",
                 key=repr(key), sojourn=self.env.now - entry[3],
@@ -262,8 +248,6 @@ class CreditBank:
         else:
             self._source_out.pop(src, None)
         self._pump()
-        if self.group is not None:
-            self.group.pump(exclude=self)
 
     def force_grant(self, key, nbytes: float) -> None:
         """Failover adoption: record a grant even when it overcommits.
@@ -287,6 +271,4 @@ class CreditBank:
         self._source_out.clear()
         self._granted = 0.0
         self._pump()
-        if self.group is not None:
-            self.group.pump(exclude=self)
         return moved

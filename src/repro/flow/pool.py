@@ -69,28 +69,16 @@ class BufferPool:
         node: Node,
         filesystem: Optional[ParallelFileSystem],
         config: FlowConfig,
-        *,
-        capacity: Optional[float] = None,
     ):
         self.env = env
         self.node = node
         self.filesystem = filesystem
         self.config = config
-        if capacity is None:
-            capacity = min(
-                config.pool_bytes
-                if config.pool_bytes is not None
-                else node.config.memory_bytes,
-                node.config.memory_bytes,
-            )
-        self.capacity = float(capacity)
+        memory = node.config.memory_bytes
+        pool_bytes = config.pool_bytes if config.pool_bytes is not None else memory
+        self.capacity = float(min(pool_bytes, memory))
         self.high = config.high_watermark * self.capacity
         self.low = config.low_watermark * self.capacity
-        #: extra metric labels (e.g. ``tenant=...`` under the jobs layer)
-        self.labels: dict = {}
-        #: optional share group for work-conserving borrow across sibling
-        #: pools carved from the same node memory (see ``repro.jobs``)
-        self.group = None
         self._used = 0.0
         self._above_high = False
         #: FIFO byte waiters; urgent (unspill) entries enter at the front
@@ -139,30 +127,22 @@ class BufferPool:
             self._above_high = True
         obs = self.env.obs
         if obs is not None:
-            obs.metrics.gauge_max(
-                "flow_pool_peak_bytes", self._used, node=self.node.id, **self.labels
-            )
+            obs.metrics.gauge_max("flow_pool_peak_bytes", self._used, node=self.node.id)
 
     def _refund(self, nbytes: float) -> None:
         self._used = max(0.0, self._used - nbytes)
         if self._used <= self.low:
             self._above_high = False
         self._pump()
-        if self.group is not None:
-            self.group.pump(exclude=self)
         self._changed()
 
     def _fits(self, need: float) -> bool:
         """May *need* bytes be charged right now?
 
         An empty pool always grants (a single oversized chunk must not
-        deadlock).  A pool in a share group may additionally borrow the
-        group's idle bytes — the work-conserving path of the fair-share
-        layer.
+        deadlock).
         """
-        if self._used + need <= self.capacity or self._used == 0.0:
-            return True
-        return self.group is not None and self.group.can_borrow(self, need)
+        return self._used + need <= self.capacity or self._used == 0.0
 
     def _pump(self) -> None:
         """Grant queued byte waiters FIFO while they fit."""
@@ -185,8 +165,6 @@ class BufferPool:
         self._pump()
         if not ev.triggered:
             self._maybe_spill()
-            if self.group is not None:
-                self.group.shed(self)
         return ev, entry
 
     def _cancel_request(self, ev: Event, entry: list, nbytes: float) -> None:
@@ -213,9 +191,7 @@ class BufferPool:
             self.waits += 1
             obs = self.env.obs
             if obs is not None:
-                obs.metrics.observe(
-                    "flow_pool_wait_seconds", waited, node=self.node.id, **self.labels
-                )
+                obs.metrics.observe("flow_pool_wait_seconds", waited, node=self.node.id)
                 obs.span(
                     "pool_wait", "flow", t0, tid=f"node{self.node.id}",
                     nbytes=nbytes,
@@ -283,10 +259,8 @@ class BufferPool:
         self.unspill_bytes += ticket.nbytes
         obs = self.env.obs
         if obs is not None:
-            obs.metrics.inc("flow_unspills", node=self.node.id, **self.labels)
-            obs.metrics.inc(
-                "flow_unspill_bytes", ticket.nbytes, node=self.node.id, **self.labels
-            )
+            obs.metrics.inc("flow_unspills", node=self.node.id)
+            obs.metrics.inc("flow_unspill_bytes", ticket.nbytes, node=self.node.id)
             obs.span(
                 "unspill", "flow", t0, tid=f"node{self.node.id}",
                 nbytes=ticket.nbytes,
@@ -352,11 +326,8 @@ class BufferPool:
                 self.spill_bytes += ticket.nbytes
                 obs = self.env.obs
                 if obs is not None:
-                    obs.metrics.inc("flow_spills", node=self.node.id, **self.labels)
-                    obs.metrics.inc(
-                        "flow_spill_bytes", ticket.nbytes,
-                        node=self.node.id, **self.labels,
-                    )
+                    obs.metrics.inc("flow_spills", node=self.node.id)
+                    obs.metrics.inc("flow_spill_bytes", ticket.nbytes, node=self.node.id)
                     obs.span(
                         "spill", "flow", t0, tid=f"node{self.node.id}",
                         nbytes=ticket.nbytes,

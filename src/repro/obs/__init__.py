@@ -37,22 +37,14 @@ Typical use::
 
 from __future__ import annotations
 
-from repro.obs.metrics import (
-    RESERVED_LABELS,
-    BoundMetrics,
-    HistogramStat,
-    MetricsRegistry,
-)
+from repro.obs.metrics import HistogramStat, MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
-    "BoundMetrics",
     "HistogramStat",
     "MetricsRegistry",
     "Observability",
-    "RESERVED_LABELS",
     "Span",
-    "TenantObservability",
     "Tracer",
 ]
 
@@ -72,7 +64,6 @@ class Observability:
         self._env = None
         self._pid = -1
         self._nruns = 0
-        self._tenant_views: dict[str, TenantObservability] = {}
 
     # -- wiring -------------------------------------------------------------
     def bind(self, env, label: str | None = None) -> None:
@@ -113,22 +104,6 @@ class Observability:
         """Record a zero-duration event at the current simulated time."""
         return self.tracer.instant(name, cat, self.now, pid=self._pid, tid=tid, **args)
 
-    # -- tenancy --------------------------------------------------------------
-    def for_tenant(self, tenant: str | None) -> "Observability | TenantObservability":
-        """A per-tenant recording view sharing this tracer + registry.
-
-        ``None`` returns this facade itself, so single-tenant code paths
-        are byte-identical to the pre-jobs behaviour.  Views are cached:
-        every pipeline stage of one tenant records through the same
-        bound metrics object.
-        """
-        if tenant is None:
-            return self
-        view = self._tenant_views.get(tenant)
-        if view is None:
-            view = self._tenant_views[tenant] = TenantObservability(self, tenant)
-        return view
-
     # -- export -------------------------------------------------------------
     def dump(self, path: str) -> list[str]:
         """Write the Chrome trace to *path* plus a ``.jsonl`` sidecar.
@@ -150,48 +125,3 @@ class Observability:
             + "\ntrace written: " + ", ".join(written)
             + "  (open the .json in https://ui.perfetto.dev)"
         )
-
-
-class TenantObservability:
-    """One tenant's view of a shared :class:`Observability`.
-
-    Spans and instants keep their pipeline-level names but run on
-    tenant-prefixed tracks (``<tenant>/stage0``) and carry a ``tenant``
-    arg; metrics go through a :class:`~repro.obs.metrics.BoundMetrics`
-    view so every series gains the reserved ``tenant`` label.  The
-    underlying tracer/registry stay shared — fleet-wide aggregation
-    keeps working, now with a tenant dimension.
-    """
-
-    __slots__ = ("base", "tenant", "metrics")
-
-    def __init__(self, base: Observability, tenant: str):
-        self.base = base
-        self.tenant = tenant
-        self.metrics = base.metrics.bound(tenant=tenant)
-
-    def span(
-        self,
-        name: str,
-        cat: str,
-        start: float,
-        *,
-        tid: str = "main",
-        end: float | None = None,
-        **args: object,
-    ) -> Span:
-        """Open a span on this tenant's track, tagged ``tenant=``."""
-        return self.base.span(
-            name, cat, start,
-            tid=f"{self.tenant}/{tid}", end=end, tenant=self.tenant, **args,
-        )
-
-    def instant(self, name: str, cat: str, *, tid: str = "main", **args: object) -> Span:
-        """Emit an instant event on this tenant's track."""
-        return self.base.instant(
-            name, cat, tid=f"{self.tenant}/{tid}", tenant=self.tenant, **args
-        )
-
-    def for_tenant(self, tenant: str | None):
-        """This view for its own tenant/None; another tenant's otherwise."""
-        return self if tenant in (None, self.tenant) else self.base.for_tenant(tenant)

@@ -20,14 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["HistogramStat", "MetricsRegistry", "BoundMetrics", "RESERVED_LABELS"]
+__all__ = ["HistogramStat", "MetricsRegistry"]
 
 LabelKey = tuple[str, tuple[tuple[str, object], ...]]
-
-#: labels only the harness may inject (via :meth:`MetricsRegistry.bound`),
-#: never individual instrumentation sites — a site passing one explicitly
-#: would silently fork the series the jobs layer aggregates per tenant.
-RESERVED_LABELS = frozenset({"tenant"})
 
 
 def _key(name: str, labels: dict[str, object]) -> LabelKey:
@@ -38,10 +33,10 @@ def _label_sort_key(labels: tuple[tuple[str, object], ...]) -> tuple:
     """Type-stable sort key for one frozen label tuple.
 
     Plain ``sorted()`` over label tuples raises ``TypeError`` the moment
-    one series carries ``rank=0`` and another ``rank="governor"`` — which
-    is exactly what happens once a global ``tenant`` label (a string) is
-    injected next to numeric ranks.  Numbers still sort numerically among
-    themselves, strings lexically; mixed types order by kind.
+    one series of a metric carries ``rank=0`` and another ``rank="all"``:
+    label values are whatever the instrumentation site passed.  Numbers
+    still sort numerically among themselves, strings lexically; mixed
+    types order by kind.
     """
     out = []
     for k, v in labels:
@@ -170,26 +165,6 @@ class MetricsRegistry:
         )
         return [(dict(labels), v) for labels, v in rows]
 
-    # -- label binding --------------------------------------------------------
-    def bound(self, **labels: object) -> "MetricsRegistry | BoundMetrics":
-        """A write-through view with *labels* pre-merged into every update.
-
-        With no labels this returns the registry itself, so code holding
-        a bound view is byte-identical to code holding the registry when
-        nothing is bound (the jobs-mode-off guarantee).  Bound label
-        names must come from :data:`RESERVED_LABELS`: the harness owns
-        them, instrumentation sites may never set them directly.
-        """
-        if not labels:
-            return self
-        bad = set(labels) - RESERVED_LABELS
-        if bad:
-            raise ValueError(
-                f"only reserved labels {sorted(RESERVED_LABELS)} may be "
-                f"bound globally, got {sorted(bad)}"
-            )
-        return BoundMetrics(self, labels)
-
     # -- export -------------------------------------------------------------
     @staticmethod
     def _fmt_labels(labels: tuple[tuple[str, object], ...]) -> str:
@@ -237,51 +212,3 @@ class MetricsRegistry:
         for r in rows:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths, strict=True)))
         return "\n".join(lines)
-
-
-class BoundMetrics:
-    """Write-through registry view with reserved labels pre-bound.
-
-    Created by :meth:`MetricsRegistry.bound` — e.g. the jobs layer hands
-    each tenant's pipeline a view bound to ``tenant=<id>`` so every
-    counter/gauge/histogram the pipeline records lands in a per-tenant
-    series without the instrumentation sites knowing about tenancy.
-    A call site passing a bound label explicitly is a bug (the series
-    would fork) and raises.  Cross-tenant aggregation reads the shared
-    registry itself.
-    """
-
-    __slots__ = ("_registry", "_labels")
-
-    def __init__(self, registry: MetricsRegistry, labels: dict[str, object]):
-        self._registry = registry
-        self._labels = dict(labels)
-
-    def _merge(self, labels: dict[str, object]) -> dict[str, object]:
-        hit = self._labels.keys() & labels.keys()
-        if hit:
-            raise ValueError(
-                f"label(s) {sorted(hit)} are bound on this view and may "
-                "not be passed by the call site"
-            )
-        merged = dict(labels)
-        merged.update(self._labels)
-        return merged
-
-    # -- bound updates --------------------------------------------------------
-    def inc(self, name: str, value: float = 1.0, **labels: object) -> None:
-        """Add *value* to the counter, with the bound labels merged in."""
-        self._registry.inc(name, value, **self._merge(labels))
-
-    def gauge_max(self, name: str, value: float, **labels: object) -> None:
-        """Raise the gauge if higher, with the bound labels merged in."""
-        self._registry.gauge_max(name, value, **self._merge(labels))
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        """Feed the histogram, with the bound labels merged in."""
-        self._registry.observe(name, value, **self._merge(labels))
-
-    # -- bound reads ----------------------------------------------------------
-    def counter(self, name: str, **labels: object) -> float:
-        """Read one counter scoped to the bound labels."""
-        return self._registry.counter(name, **self._merge(labels))

@@ -310,6 +310,19 @@ def test_credit_bank_waiter_interrupted_as_it_is_granted_returns_the_credits():
     assert bank.outstanding == 0.0  # and came back
 
 
+def test_credit_source_is_key_minus_step():
+    """The fresh-source rule sees one source per producer: a staging
+    key's compute rank, a stream key's (subscription, member) pair."""
+    assert CreditBank._source_of((3, 7)) == 3
+    assert CreditBank._source_of((0, 3, 7)) == (0, 3)
+    assert CreditBank._source_of("opaque") == "opaque"
+    # two members of one subscription are distinct sources, and so are
+    # the same member of two subscriptions
+    assert CreditBank._source_of((0, 1, 5)) != CreditBank._source_of((0, 2, 5))
+    assert CreditBank._source_of((0, 1, 5)) != CreditBank._source_of((1, 1, 5))
+    assert CreditBank._source_of((1, 5)) == CreditBank._source_of((1, 6))
+
+
 def test_credit_bank_failover_transfer():
     eng, machine = _engine_machine(nstaging=2)
     fc = FlowControl(
@@ -609,22 +622,15 @@ def test_undrained_message_includes_queue_and_inflight_bytes():
 
 
 # ------------------------------------------- request() == admit() or wait()
-def _drive_bank(style, seed, can_degrade, grouped):
-    """Seeded request / release / revoke / force-grant traffic on a bank
-    (two banks sharing a group when *grouped*); returns everything a
-    caller or the stats could tell apart."""
+def _drive_bank(style, seed, can_degrade):
+    """Seeded request / release / revoke / force-grant traffic on a bank;
+    returns everything a caller or the stats could tell apart."""
     import random
-
-    from repro.jobs.share import CreditShareGroup
 
     rng = random.Random(seed)
     eng = Engine()
     cfg = FlowConfig(codel_target=0.3 if can_degrade else None)
-    banks = [CreditBank(eng, 0, 1000.0, cfg) for _ in range(2 if grouped else 1)]
-    if grouped:
-        group = CreditShareGroup(0, 1500.0)
-        for i, bank in enumerate(banks):
-            group.register(f"tenant{i}", bank)
+    banks = [CreditBank(eng, 0, 1000.0, cfg)]
     log = []
 
     def acquire(bank, key, nbytes):
@@ -683,13 +689,12 @@ def _drive_bank(style, seed, can_degrade, grouped):
     return log, stats, eng.now, eng._seq
 
 
-@pytest.mark.parametrize("grouped", [False, True])
 @pytest.mark.parametrize("can_degrade", [False, True])
-def test_request_is_exactly_admit_or_wait(can_degrade, grouped):
+def test_request_is_exactly_admit_or_wait(can_degrade):
     seen = set()
     for seed in range(20):
-        whole = _drive_bank("request", seed, can_degrade, grouped)
-        halves = _drive_bank("halves", seed, can_degrade, grouped)
+        whole = _drive_bank("request", seed, can_degrade)
+        halves = _drive_bank("halves", seed, can_degrade)
         assert whole == halves
         log, stats, _now, _seq = whole
         assert all(queued == 0 for *_rest, queued in stats)
