@@ -16,7 +16,7 @@ staging node while a step is in flight.  Asserted here:
 """
 
 from repro.experiments.chaos import fingerprint, run_chaos, run_once
-from repro.faults import ResilienceConfig
+from repro.faults.config import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
 
 
 def test_chaos_recovery(once):
@@ -37,11 +37,7 @@ def test_chaos_recovery(once):
         assert r.restarts >= 1
         assert r.recovery_seconds is not None and r.recovery_seconds > 0
         # detection is bounded by heartbeat timeout + sweep interval
-        cfg = ResilienceConfig()
-        assert (
-            r.detection_seconds
-            <= cfg.heartbeat_timeout + 2 * cfg.heartbeat_interval
-        )
+        assert r.detection_seconds <= HEARTBEAT_TIMEOUT + 2 * HEARTBEAT_INTERVAL
         # recovery costs something but the run is not derailed
         assert 0.0 <= r.overhead_fraction < 1.0
     # more logical volume -> at least as much re-fetch work to recover

@@ -79,15 +79,7 @@ class BPFile:
     def nbytes(self) -> int:
         return sum(pg.nbytes for pg in self.pgs)
 
-    @property
-    def logical_nbytes(self) -> float:
-        return sum(pg.logical_nbytes for pg in self.pgs)
-
     # -- queries -----------------------------------------------------------
-    def steps(self) -> list[int]:
-        """Sorted list of step numbers present in the file."""
-        return sorted({pg.step for pg in self.pgs})
-
     def entries(self, var: str, step: Optional[int] = None) -> list[BPIndexEntry]:
         """Index entries for *var*, optionally filtered by step."""
         if var not in self.index:
@@ -143,52 +135,6 @@ class BPFile:
                 f"{int((~filled).sum())} cells not covered by any chunk"
             )
         return out
-
-    def read_region(
-        self,
-        var: str,
-        step: int,
-        lb: tuple[int, ...],
-        ub: tuple[int, ...],
-    ) -> tuple[np.ndarray, int]:
-        """Read a sub-box ``[lb, ub)`` of a global array.
-
-        Returns ``(subarray, extents_touched)`` — the extent count is
-        the number of chunks intersecting the box, i.e. the seeks a
-        reader pays; a VisIt-style subvolume read on an unmerged file
-        touches many chunks even for a small box, which is the other
-        face of Fig. 11's layout argument.
-        """
-        dtype, entries = self._global_entries(var, step)
-        gdims = entries[0].chunk.global_dims
-        lb = tuple(int(v) for v in lb)
-        ub = tuple(int(v) for v in ub)
-        if len(lb) != len(gdims) or len(ub) != len(gdims):
-            raise BPError("selection rank mismatch")
-        for lo, hi, d in zip(lb, ub, gdims):
-            if not 0 <= lo < hi <= d:
-                raise BPError(f"selection {lb}..{ub} outside {gdims}")
-        pieces = []
-        for e in entries:
-            offs = e.chunk.offsets
-            # chunk box: [offs, offs+dims); intersect with [lb, ub)
-            cut_lo = tuple(max(o, l) for o, l in zip(offs, lb))
-            cut_hi = tuple(min(o + d, u) for o, d, u in zip(offs, e.local_dims, ub))
-            if all(lo < hi for lo, hi in zip(cut_lo, cut_hi)):
-                src = tuple(slice(lo - o, hi - o) for lo, hi, o in zip(cut_lo, cut_hi, offs))
-                pieces.append((cut_lo, self._values(e.pg_index)[var][src]))
-        shape = tuple(hi - lo for lo, hi in zip(lb, ub))
-        out, filled = kernels.paste_pieces(shape, dtype, pieces, lb)
-        if not filled.all():
-            raise BPError(
-                f"selection {lb}..{ub} of {var!r}: "
-                f"{int((~filled).sum())} cells not covered"
-            )
-        return out, len(pieces)
-
-    def read_var_chunks(self, var: str, step: int) -> list[tuple[BPIndexEntry, Any]]:
-        """All (entry, value) pairs for *var* at *step*."""
-        return [(e, self._values(e.pg_index)[var]) for e in self.entries(var, step)]
 
     # -- on-disk serialisation ------------------------------------------------
     _MAGIC = b"BPF1"

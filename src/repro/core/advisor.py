@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.placement import OfflineCostModel
-from repro.core.staging import StagingConfig
+from repro.core.staging import THREADS_PER_PROCESS
 from repro.machine.machine import Machine
 
 __all__ = ["OperatorProfile", "PlacementEstimate", "PlacementAdvisor"]
@@ -150,7 +150,7 @@ class PlacementAdvisor:
         rate = min(self.fetch_rate_cap or nic, nic)
         fetch = per_staging / rate
         t_map = self._compute_seconds(
-            per_staging, profile.flops_per_byte, StagingConfig.threads_per_process
+            per_staging, profile.flops_per_byte, THREADS_PER_PROCESS
         )
         t_mem = self._mem_seconds(per_staging, profile.membytes_factor)
         t_shuffle = self._shuffle_seconds(

@@ -148,7 +148,7 @@ class PreDatA:
         self.controller: Optional[ResilienceController] = None
         if resilience is not None:
             self.controller = ResilienceController(
-                env, machine, self.service, resilience, fallback=self.fallback_io
+                env, machine, self.service, fallback=self.fallback_io
             )
 
     # -- lifecycle ----------------------------------------------------------

@@ -49,7 +49,11 @@ from repro.mpi.world import World
 from repro.sim.engine import Engine, Interrupt
 from repro.sim.resources import Resource, Store
 
-__all__ = ["StagingConfig", "StagingService", "DrainTimeout"]
+__all__ = ["StagingConfig", "StagingService", "DrainTimeout", "THREADS_PER_PROCESS"]
+
+#: worker threads per staging process (§V.B: 2 processes x 4 threads
+#: per staging node); Map and Reduce compute is divided among them
+THREADS_PER_PROCESS = 4
 
 
 class DrainTimeout(RuntimeError):
@@ -58,7 +62,7 @@ class DrainTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class StagingConfig:
-    """Staging-area runtime knobs (§V.B: 2 procs/node, 4 threads).
+    """Staging-area runtime knobs (§V.B: 2 procs/node).
 
     ``chunk_order`` customises the stream order (§IV.C: "Users can
     also ... place the data chunks present within the data stream into
@@ -69,7 +73,6 @@ class StagingConfig:
     compute rank.
     """
 
-    threads_per_process: int = 4
     fetch_pipeline_depth: int = 2
     nsteps: int = 1
     chunk_order: Optional[Any] = None
@@ -78,8 +81,6 @@ class StagingConfig:
     resilience: Optional[ResilienceConfig] = None
 
     def __post_init__(self) -> None:
-        if self.threads_per_process < 1:
-            raise ValueError("need >= 1 worker thread")
         if self.fetch_pipeline_depth < 1:
             raise ValueError("pipeline depth must be >= 1")
         if self.nsteps < 1:
@@ -295,7 +296,7 @@ class StagingService:
         obs = env.obs
         tid = f"stage{comm.rank}"
         node = comm.node
-        threads = self.config.threads_per_process
+        threads = THREADS_PER_PROCESS
         resilience = self.config.resilience
         report = StepReport(step=step)
         my_computes = self.client.compute_ranks_of(comm.rank)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-__all__ = ["format_table", "fmt_seconds", "fmt_bytes", "fmt_pct"]
+__all__ = ["format_table", "fmt_seconds", "fmt_pct"]
 
 
 def fmt_seconds(v: float) -> str:
@@ -17,14 +17,6 @@ def fmt_seconds(v: float) -> str:
     if v >= 1e-3:
         return f"{v * 1e3:.2f} ms"
     return f"{v * 1e6:.1f} us"
-
-
-def fmt_bytes(v: float) -> str:
-    """Human-readable byte count (TB / GB / MB / KB / B)."""
-    for unit, scale in (("TB", 1e12), ("GB", 1e9), ("MB", 1e6), ("KB", 1e3)):
-        if v >= scale:
-            return f"{v / scale:.2f} {unit}"
-    return f"{v:.0f} B"
 
 
 def fmt_pct(v: float) -> str:

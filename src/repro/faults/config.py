@@ -10,21 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ResilienceConfig"]
+__all__ = ["HEARTBEAT_INTERVAL", "HEARTBEAT_TIMEOUT", "ResilienceConfig"]
+
+#: period of the staging-rank heartbeats (and of the monitor's liveness
+#: sweep)
+HEARTBEAT_INTERVAL = 0.5
+#: silence after which a staging rank is declared dead; detection
+#: latency is roughly this plus one sweep
+HEARTBEAT_TIMEOUT = 2.0
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Failure detection / recovery parameters.
+    """Fetch retry parameters of the failure-handling path.
 
     Attributes
     ----------
-    heartbeat_interval:
-        Period of the staging-rank heartbeats (and of the monitor's
-        liveness sweep).
-    heartbeat_timeout:
-        Silence threshold after which a staging rank is declared dead.
-        Detection latency is roughly this value plus one sweep.
     fetch_timeout:
         Per-attempt wall clock allowed for one RDMA fetch before it is
         abandoned and retried.
@@ -33,28 +34,14 @@ class ResilienceConfig:
         further attempt (exponential backoff).
     fetch_max_attempts:
         Total fetch attempts before :class:`~repro.faults.errors.FetchTimeout`.
-    min_survivors:
-        When fewer than this many staging ranks remain alive, the
-        staging transport degrades gracefully to synchronous
-        in-compute-node writes (no dump is ever lost, at the price of
-        synchronous I/O time in the main loop).
     """
 
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: float = 2.0
     fetch_timeout: float = 10.0
     fetch_retry_backoff: float = 0.05
     fetch_max_attempts: int = 4
-    min_survivors: int = 1
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise ValueError("heartbeat parameters must be positive")
-        if self.heartbeat_timeout < self.heartbeat_interval:
-            raise ValueError("heartbeat_timeout must cover >= one interval")
         if self.fetch_timeout <= 0 or self.fetch_retry_backoff < 0:
             raise ValueError("fetch timing parameters must be positive")
         if self.fetch_max_attempts < 1:
             raise ValueError("need at least one fetch attempt")
-        if self.min_survivors < 0:
-            raise ValueError("min_survivors must be >= 0")

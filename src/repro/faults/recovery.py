@@ -18,12 +18,11 @@ The :class:`ResilienceController` ties the pieces together:
    uncommitted dump is still fetchable; the controller purges the dead
    ranks' request mailboxes and re-delivers all uncommitted dump notices
    to their new owners.
-4. **Degradation**: when survivors drop below
-   ``ResilienceConfig.min_survivors`` the client enters degraded mode —
-   subsequent dumps go through the synchronous fallback transport
-   (In-Compute-Node writes).  If *no* stager survives, the controller
-   replays every uncommitted buffered dump through the fallback as
-   well, so no dump is ever lost.
+4. **Degradation**: when no stager survives the client enters degraded
+   mode — subsequent dumps go through the synchronous fallback
+   transport (In-Compute-Node writes) — and the controller replays
+   every uncommitted buffered dump through the fallback as well, so no
+   dump is ever lost.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.adios.group import OutputStep
-from repro.faults.config import ResilienceConfig
+from repro.faults.config import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
 from repro.faults.detector import FailureDetector
 from repro.faults.errors import RecoveryRestart
 from repro.machine.node import NodeFailure
@@ -55,23 +54,21 @@ class ResilienceController:
     env: simulation engine.
     machine: the :class:`~repro.machine.machine.Machine`.
     service: the :class:`~repro.core.staging.StagingService`.
-    config: :class:`ResilienceConfig` timing/threshold knobs.
     fallback: :class:`~repro.adios.io.IOMethod` used for degraded and
         replayed writes (typically ``SyncMPIIO``).
     """
 
-    def __init__(self, env, machine, service, config: ResilienceConfig, *, fallback=None):
+    def __init__(self, env, machine, service, *, fallback=None):
         self.env = env
         self.machine = machine
         self.service = service
         self.world = service.world
         self.client = service.client
-        self.config = config
         self.fallback = fallback
         self.detector = FailureDetector(
             env,
-            interval=config.heartbeat_interval,
-            timeout=config.heartbeat_timeout,
+            interval=HEARTBEAT_INTERVAL,
+            timeout=HEARTBEAT_TIMEOUT,
         )
         #: chronological protocol events: (kind, sim_time, detail)
         self.timeline: list[tuple[str, float, object]] = []
@@ -161,12 +158,11 @@ class ResilienceController:
         survivors = [
             r for r in self.world.active_ranks if r not in self.detector.failed
         ]
-        if len(survivors) < self.config.min_survivors:
-            self.client.enter_degraded_mode()
-            self._event("degraded", len(survivors))
         if survivors:
             self._restart_survivors(survivors)
         else:
+            self.client.enter_degraded_mode()
+            self._event("degraded", 0)
             self._purge_boxes()
             self.env.process(self._replay_all(), name="fallback-replay")
 

@@ -9,14 +9,11 @@ A :class:`~repro.ffs.schema.Schema` declares typed fields (scalars and
 n-D arrays); :func:`~repro.ffs.encode.encode` packs a value dict into a
 single buffer whose header carries the schema, per-field shapes and
 user attributes; :func:`~repro.ffs.encode.decode` recovers everything
-without any out-of-band information, and
-:func:`~repro.ffs.encode.peek` reads the metadata without touching the
-payload — the property PreDatA staging operators rely on to route and
-schedule chunks cheaply before processing them.
+without any out-of-band information — the one parser of the format.
 """
 
 from repro.ffs.schema import Field, Schema, SchemaError
-from repro.ffs.encode import decode, encode, peek
+from repro.ffs.encode import decode, encode
 
 __all__ = [
     "Field",
@@ -24,5 +21,4 @@ __all__ = [
     "SchemaError",
     "decode",
     "encode",
-    "peek",
 ]

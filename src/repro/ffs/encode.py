@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.ffs.schema import Schema, SchemaError
 
-__all__ = ["encode", "decode", "peek"]
+__all__ = ["encode", "decode"]
 
 MAGIC = b"FFS1"
 _ALIGN = 8
@@ -185,21 +185,6 @@ def _parse_header(buf: Buffer) -> tuple[dict, Schema, int]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad schema in FFS header: {exc!r}") from None
     return header, schema, 8 + hlen
-
-
-def peek(buf: Buffer) -> dict:
-    """Return metadata (schema dict, shapes, scalars, attrs) only.
-
-    Does not touch the array payload — O(header) work regardless of
-    chunk size, which is what lets staging nodes route and schedule
-    chunks before paying to process them.
-    """
-    header, _, _ = _parse_header(buf)
-    header = dict(header)
-    header["scalars"] = {
-        k: _unjsonify_scalar(v) for k, v in header.get("scalars", {}).items()
-    }
-    return header
 
 
 def decode(buf: Buffer) -> tuple[Schema, dict, dict]:

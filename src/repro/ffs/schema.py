@@ -60,10 +60,6 @@ class Field:
     def is_scalar(self) -> bool:
         return self.shape is None
 
-    @property
-    def is_variable(self) -> bool:
-        return self.shape is not None and any(s == -1 for s in self.shape)
-
     def resolve_shape(self, value: np.ndarray) -> tuple[int, ...]:
         """Concrete shape of *value*, validated against the declaration."""
         if self.shape is None:
@@ -112,13 +108,6 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in schema {self.name!r}")
         object.__setattr__(self, "fields", flds)
-
-    def field_by_name(self, name: str) -> Field:
-        """The field named *name* (SchemaError if absent)."""
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise SchemaError(f"schema {self.name!r} has no field {name!r}")
 
     @property
     def field_names(self) -> list[str]:

@@ -91,10 +91,7 @@ class FlowControl:
             )
             self.banks[rank] = CreditBank(env, rank, capacity, config)
         self.pressure = PressureController(
-            env,
-            self.pools,
-            config,
-            fetch_rate_cap or machine.spec.node.memory_bandwidth,
+            env, self.pools, fetch_rate_cap or machine.spec.node.memory_bandwidth
         )
         #: chunk key -> rank of the bank holding its grant
         self._grant_owner: dict = {}

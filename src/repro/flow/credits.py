@@ -28,7 +28,7 @@ import math
 from collections import deque
 from typing import Deque, Generator
 
-from repro.flow.config import FlowConfig
+from repro.flow.config import CODEL_INTERVAL, FlowConfig
 from repro.sim.engine import Engine
 
 __all__ = ["CreditBank"]
@@ -122,7 +122,7 @@ class CreditBank:
         if target is not None and sojourn < target:
             # congestion cleared: reset the CoDel control law once the
             # recovery interval has passed without another rejection
-            if self.env.now - self._last_good_grant >= self.config.codel_interval:
+            if self.env.now - self._last_good_grant >= CODEL_INTERVAL:
                 self._reject_streak = 0
             self._last_good_grant = self.env.now
 

@@ -4,7 +4,7 @@ The :class:`BufferPool` is the hard memory bound of the flow-control
 subsystem.  Every packed chunk a staging process fetches must first
 acquire pool bytes; acquires queue FIFO in simulated time when the
 pool is full, and releases (after Map) grant the queue head.  Crossing
-the ``high_watermark`` starts a spill worker that writes *cold* chunks
+the high watermark starts a spill worker that writes *cold* chunks
 (unpinned — not currently being fetched or mapped) to the parallel
 file system, newest-first: consumption is FIFO, so the chunk needed
 last is the youngest.  Spilled chunks are re-fetched on demand by
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Generator, Optional
 
-from repro.flow.config import FlowConfig
+from repro.flow.config import HIGH_WATERMARK, LOW_WATERMARK, FlowConfig
 from repro.machine.filesystem import ParallelFileSystem
 from repro.machine.node import MemoryError_, Node
 from repro.sim.engine import Engine, Event
@@ -73,12 +73,11 @@ class BufferPool:
         self.env = env
         self.node = node
         self.filesystem = filesystem
-        self.config = config
         memory = node.config.memory_bytes
         pool_bytes = config.pool_bytes if config.pool_bytes is not None else memory
         self.capacity = float(min(pool_bytes, memory))
-        self.high = config.high_watermark * self.capacity
-        self.low = config.low_watermark * self.capacity
+        self.high = HIGH_WATERMARK * self.capacity
+        self.low = LOW_WATERMARK * self.capacity
         self._used = 0.0
         self._above_high = False
         #: FIFO byte waiters; urgent (unspill) entries enter at the front
@@ -196,13 +195,12 @@ class BufferPool:
                     "pool_wait", "flow", t0, tid=f"node{self.node.id}",
                     nbytes=nbytes,
                 )
-        # Mirror the charge in the node's own ledger (waitable API keeps
-        # the hard memory_bytes invariant even with non-pool allocators).
-        mem = self.node.request_memory(nbytes)
+        # Mirror the charge in the node's own ledger: the pool is the
+        # node's only allocator under flow control, so this raises
+        # MemoryError_ only if the two ledgers ever diverge.
         try:
-            yield mem
-        except BaseException:
-            self.node.cancel_memory(mem, nbytes)
+            self.node.allocate(nbytes)
+        except MemoryError_:
             self._refund(nbytes)
             raise
 
@@ -301,7 +299,6 @@ class BufferPool:
     def _maybe_spill(self) -> None:
         if (
             self._spilling
-            or not self.config.spill_enabled
             or self.filesystem is None
             or not self._should_spill()
             or self._spill_victim() is None

@@ -5,7 +5,7 @@ The :class:`PressureController` sits between the
 :class:`~repro.flow.pool.BufferPool`s: before a fetch touches the
 wire, the scheduler asks the controller to *admit* it against the
 destination node's pool.  At or above the high watermark the fetch is
-held (bounded by ``max_block`` — the pool acquire itself is the hard
+held (bounded by ``MAX_BLOCK`` — the pool acquire itself is the hard
 stop, so admission never needs to starve a fetch to be safe); between
 the low and high watermarks it is slowed by a pacing delay that grows
 with occupancy, so pressure shows up as reduced fetch *rate* rather
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.flow.config import FlowConfig
+from repro.flow.config import MAX_BLOCK
 from repro.flow.pool import BufferPool
 from repro.sim.engine import Engine
 
@@ -35,14 +35,12 @@ class PressureController:
         self,
         env: Engine,
         pools: dict[int, BufferPool],
-        config: FlowConfig,
         throttle_rate: float,
     ):
         if throttle_rate <= 0:
             raise ValueError("throttle_rate must be positive")
         self.env = env
         self.pools = pools
-        self.config = config
         self.throttle_rate = throttle_rate
         # -- always-on stats ------------------------------------------
         self.throttled_fetches = 0
@@ -73,7 +71,7 @@ class PressureController:
         deadline = None
         while pool.capacity > 0 and pool.used >= pool.high:
             if deadline is None:
-                deadline = self.env.timeout(self.config.max_block)
+                deadline = self.env.timeout(MAX_BLOCK)
             blocked = True
             fired = yield self.env.any_of([pool.wait_change(), deadline])
             if deadline in fired:

@@ -13,11 +13,10 @@ Barcelona cores).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Generator, Optional
+from typing import Generator, Optional
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.resources import Resource
 
 __all__ = ["NodeConfig", "Node", "MemoryError_", "NodeFailure"]
@@ -88,8 +87,6 @@ class Node:
         self.cores = Resource(env, self.config.cores)
         self._mem_used = 0.0
         self._mem_high_water = 0.0
-        #: FIFO waitable-allocation queue: (event, nbytes)
-        self._mem_waiters: Deque[tuple[Event, float]] = deque()
         self.busy_seconds = 0.0  # accumulated core-seconds of work
         self.alive = True
         self.failed_at: Optional[float] = None
@@ -137,56 +134,11 @@ class Node:
                 f"node {self.id}: requested {nbytes:.3e} B with only "
                 f"{self.memory_free:.3e} B free of {self.config.memory_bytes:.3e} B"
             )
-        self._reserve(nbytes)
-
-    def _reserve(self, nbytes: float) -> None:
         self._mem_used += nbytes
         self._mem_high_water = max(self._mem_high_water, self._mem_used)
 
-    def request_memory(self, nbytes: float) -> Event:
-        """Waitable allocation: event fires when *nbytes* is reserved.
-
-        Requests are granted FIFO as :meth:`free` returns capacity, so
-        a flow-controlled caller blocks (in simulated time) instead of
-        crashing with :class:`MemoryError_`.  A request that can never
-        fit still raises immediately.  Waiters that give up must call
-        :meth:`cancel_memory` or the abandoned entry blocks the queue.
-        """
-        if nbytes < 0:
-            raise ValueError("allocation must be non-negative")
-        if nbytes > self.config.memory_bytes:
-            raise MemoryError_(
-                f"node {self.id}: requested {nbytes:.3e} B exceeds node "
-                f"memory of {self.config.memory_bytes:.3e} B"
-            )
-        ev = self.env.event()
-        if not self._mem_waiters and self._mem_used + nbytes <= self.config.memory_bytes:
-            self._reserve(nbytes)
-            ev.succeed()
-        else:
-            self._mem_waiters.append((ev, nbytes))
-        return ev
-
-    def cancel_memory(self, ev: Event, nbytes: float) -> None:
-        """Withdraw a pending or just-granted :meth:`request_memory`."""
-        for i, (wev, _need) in enumerate(self._mem_waiters):
-            if wev is ev:
-                del self._mem_waiters[i]
-                return
-        if ev.triggered:
-            self.free(nbytes)
-
-    def _pump_memory(self) -> None:
-        while self._mem_waiters:
-            ev, need = self._mem_waiters[0]
-            if self._mem_used + need > self.config.memory_bytes:
-                break  # FIFO head-of-line: preserves grant order
-            self._mem_waiters.popleft()
-            self._reserve(need)
-            ev.succeed()
-
     def free(self, nbytes: float) -> None:
-        """Return *nbytes* to the pool and grant queued waiters FIFO."""
+        """Return *nbytes* to the ledger."""
         if nbytes < 0:
             raise ValueError("free must be non-negative")
         # Relative tolerance: the ledger is floating point, so
@@ -201,8 +153,6 @@ class Node:
                 f"{self._mem_used:.3e} B allocated"
             )
         self._mem_used = max(0.0, self._mem_used - nbytes)
-        if self._mem_waiters:
-            self._pump_memory()
 
     # -- compute ------------------------------------------------------------
     def compute_time(self, flops: float, *, cores: int = 1) -> float:

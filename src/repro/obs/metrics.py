@@ -114,10 +114,6 @@ class MetricsRegistry:
         k = _key(name, labels)
         self._counters[k] = self._counters.get(k, 0.0) + value
 
-    def gauge_set(self, name: str, value: float, **labels: object) -> None:
-        """Set the gauge ``name{labels}`` to *value*."""
-        self._gauges[_key(name, labels)] = value
-
     def gauge_max(self, name: str, value: float, **labels: object) -> None:
         """Raise the gauge ``name{labels}`` to *value* if higher."""
         k = _key(name, labels)

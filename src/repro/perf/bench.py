@@ -276,7 +276,7 @@ BENCHES: dict[str, Bench] = {
         Bench("kernels", bench_kernels, _kernels_arguments),
         Bench(
             "query",
-            _lazy("repro.serve.bench:run"),
+            _lazy("repro.serve.bench:bench_query"),
             _lazy("repro.serve.bench:add_arguments"),
             _lazy("repro.serve.bench:render"),
         ),

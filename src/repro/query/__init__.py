@@ -17,14 +17,11 @@ queries fast afterwards:
 
 from repro.query.tracker import ParticleTracker, SortedStepStore, TrackResult
 from repro.query.range_query import RangeQueryEngine, RangeQueryReport
-from repro.query.reader import AnalysisReader, ReadStats
 
 __all__ = [
-    "AnalysisReader",
     "ParticleTracker",
     "RangeQueryEngine",
     "RangeQueryReport",
-    "ReadStats",
     "SortedStepStore",
     "TrackResult",
 ]

@@ -14,7 +14,7 @@ Guards per load point (all "bigger is better" ratios in [0, 1]):
 - ``hit_rate:loadN`` — cache hit rate of the sweep's repeated queries;
 - ``slo:loadN`` — fraction of served queries inside the latency SLO.
 
-:func:`add_arguments`, :func:`run` and :func:`render` are the ``query``
+:func:`bench_query`, :func:`add_arguments` and :func:`render` are the ``query``
 entry of :data:`repro.perf.bench.BENCHES` (``python -m repro serve``).
 """
 
@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from repro.serve.config import QUERY_COST_BYTES, ServeConfig
 from repro.serve.workload import WorkloadDriver
 
-__all__ = ["BENCH_CONFIG", "DEFAULT_LOADS", "add_arguments", "bench_query", "render", "run"]
+__all__ = ["BENCH_CONFIG", "DEFAULT_LOADS", "add_arguments", "bench_query", "render"]
 
 DEFAULT_LOADS = (50.0, 400.0, 3200.0)
 
@@ -52,10 +52,9 @@ def bench_query(
     loads: Sequence[float] = DEFAULT_LOADS,
     duration: float = 2.0,
     seed: int = 20260808,
-    config: ServeConfig | None = None,
 ) -> dict:
-    """Sweep offered load; returns the ``BENCH_query`` record."""
-    driver = WorkloadDriver(seed=seed, config=config or BENCH_CONFIG)
+    """Sweep offered load under :data:`BENCH_CONFIG`; returns the ``BENCH_query`` record."""
+    driver = WorkloadDriver(seed=seed, config=BENCH_CONFIG)
     points = driver.sweep(loads, duration)
     guards: dict[str, float] = {}
     for p in points:
@@ -84,19 +83,6 @@ def add_arguments(parser) -> None:
         help="sim seconds of arrivals per load point (default 2.0)",
     )
     parser.add_argument("--seed", type=int, default=20260808)
-    parser.add_argument(
-        "--nshards", type=int, default=ServeConfig.nshards,
-        help="index shards (staging-node owners)",
-    )
-
-
-def run(*, nshards: int, **flags) -> dict:
-    """:func:`bench_query` from the :func:`add_arguments` flags."""
-    import dataclasses
-
-    # same pressure config the committed baseline was recorded with,
-    # so `--baseline default` compares like with like
-    return bench_query(config=dataclasses.replace(BENCH_CONFIG, nshards=nshards), **flags)
 
 
 def render(record: dict) -> str:

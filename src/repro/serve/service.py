@@ -1,6 +1,6 @@
 """The query-serving service: cache, admission, scatter/gather.
 
-:class:`QueryService` answers point/range/aggregation queries against
+:class:`QueryService` answers range and aggregation queries against
 the steps the staging pipeline has produced — both *committed* steps
 (served from the Hilbert-sharded bitmap indexes) and *in-flight* steps
 whose chunks are still landing (served by scanning the landed
@@ -38,7 +38,15 @@ import numpy as np
 
 from repro.flow.credits import CreditBank
 from repro.serve.cache import QueryCache
-from repro.serve.config import CACHE_ENTRIES, CACHE_HIT_SECONDS, QUERY_COST_BYTES, ServeConfig
+from repro.serve.config import (
+    CACHE_ENTRIES,
+    CACHE_HIT_SECONDS,
+    NSHARDS,
+    QUERY_COST_BYTES,
+    ROUTE_SECONDS,
+    STALE_BOUND,
+    ServeConfig,
+)
 from repro.serve.shard import ShardedStepIndex, merge_aggregates, partial_aggregate
 from repro.sim.engine import Engine, Event, Timeout
 from repro.sim.resources import Resource
@@ -56,13 +64,13 @@ class Query:
     """
 
     var: str
-    kind: str  # "range" | "point" | "agg"
+    kind: str  # "range" | "agg" (a point is a range with lo == hi)
     conditions: tuple[tuple[int, float, float], ...]
     step: Optional[int] = None
     agg_col: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("range", "point", "agg"):
+        if self.kind not in ("range", "agg"):
             raise ValueError(f"unknown query kind {self.kind!r}")
         if not self.conditions:
             raise ValueError("query needs at least one condition")
@@ -73,11 +81,6 @@ class Query:
     def range(cls, var, ranges: dict, step: Optional[int] = None) -> "Query":
         conds = tuple(sorted((c, float(lo), float(hi)) for c, (lo, hi) in ranges.items()))
         return cls(var=var, kind="range", conditions=conds, step=step)
-
-    @classmethod
-    def point(cls, var, col: int, value: float) -> "Query":
-        v = float(value)
-        return cls(var=var, kind="point", conditions=((col, v, v),))
 
     @classmethod
     def aggregate(
@@ -155,7 +158,7 @@ class QueryService:
             capacity=self.config.credit_bytes,
             config=self.config.flow_config(),
         )
-        self._shards = [Resource(env, 1) for _ in range(self.config.nshards)]
+        self._shards = [Resource(env, 1) for _ in range(NSHARDS)]
         self._steps: dict[tuple[str, int], _StepState] = {}
         #: per variable, the newest step with at least one landed chunk
         self._newest: dict[str, _StepState] = {}
@@ -214,7 +217,7 @@ class QueryService:
         state.index = ShardedStepIndex(
             state.partitions,
             (0,),  # column 0 is the routing column and the only index
-            nshards=self.config.nshards,
+            nshards=NSHARDS,
             bins=self.bins,
         )
         state.committed = True
@@ -301,7 +304,7 @@ class QueryService:
             self._obs_inc("serve_degraded")
             cached = self.cache.get(
                 key, state.version,
-                allow_stale=True, stale_bound=self.config.stale_bound,
+                allow_stale=True, stale_bound=STALE_BOUND,
             )
             if cached is None:
                 self.shed += 1
@@ -331,7 +334,7 @@ class QueryService:
         if state.committed:
             index = state.index
             owners = index.owners_for(ranges)
-            yield self.env.timeout(self.config.route_seconds)  # scatter
+            yield self.env.timeout(ROUTE_SECONDS)  # scatter
             reports: dict[int, object] = {}
             if owners:
                 procs = [
@@ -341,7 +344,7 @@ class QueryService:
                     for shard in owners
                 ]
                 yield self.env.all_of(procs)
-            yield self.env.timeout(self.config.route_seconds)  # gather
+            yield self.env.timeout(ROUTE_SECONDS)  # gather
             if query.kind == "agg":
                 # each shard ships only its aggregation partial; the
                 # gatherer merges them without moving rows
@@ -361,7 +364,7 @@ class QueryService:
             return self._package(query, rows, partial=False, shards=len(owners))
         # in-flight: no index yet — scan the landed partitions at the
         # coordinator and mark the answer partial
-        yield self.env.timeout(self.config.route_seconds)
+        yield self.env.timeout(ROUTE_SECONDS)
         rows, nchecked = self._scan(state.partitions, ranges, state)
         service = (
             self.config.shard_overhead_seconds

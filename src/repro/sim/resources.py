@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.sim.engine import Engine, Event, SimulationError
 
@@ -57,10 +57,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[tuple[Event, int]] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
 
     def request(self, n: int = 1) -> Event:
         """Return an event that fires when *n* units are granted atomically.
@@ -106,14 +102,6 @@ class Resource:
                 return
         if ev.triggered:
             self.release(n)
-
-    def use(self, duration: float) -> Generator:
-        """Convenience process body: acquire a unit, hold *duration*, release."""
-        yield self.request()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
 
 
 class Store:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.flow.config import FlowConfig
 
-__all__ = ["StreamConfig"]
+__all__ = ["MAX_SENDS", "NOTIFY_BYTES", "StreamConfig"]
+
+#: wire size of one watermark notification (server -> client)
+NOTIFY_BYTES = 64.0
+#: hard cap on wire sends per (member, step), duplicates included
+MAX_SENDS = 3
 
 
 @dataclass(frozen=True)
@@ -16,32 +20,18 @@ class StreamConfig:
 
     ``redeliver_rate`` models a lost acknowledgement: after each wire
     send the server redelivers with this (seeded) probability, up to
-    ``max_sends`` total sends — the at-least-once channel whose
-    duplicates the client-side dedup absorbs.  ``credit_bytes`` is the
-    default per-consumer credit budget; ``None`` leaves consumers
-    unthrottled (unbounded lag).
+    :data:`MAX_SENDS` total sends — the at-least-once channel whose
+    duplicates the client-side dedup absorbs.
     """
 
-    #: wire size of one watermark notification (server -> client)
-    notify_bytes: float = 64.0
     #: seeded probability that a delivered notification is re-sent
     redeliver_rate: float = 0.0
-    #: hard cap on wire sends per (member, step), duplicates included
-    max_sends: int = 3
-    #: default per-consumer credit budget in bytes (None = unbounded)
-    credit_bytes: Optional[float] = None
     #: seed of the redelivery draw (per-notifier streams derive from it)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.notify_bytes <= 0:
-            raise ValueError("notify_bytes must be positive")
         if not 0.0 <= self.redeliver_rate < 1.0:
             raise ValueError("redeliver_rate must be in [0, 1)")
-        if self.max_sends < 1:
-            raise ValueError("max_sends must be >= 1")
-        if self.credit_bytes is not None and self.credit_bytes <= 0:
-            raise ValueError("credit_bytes must be positive or None")
 
     def flow_config(self) -> FlowConfig:
         """The flow-control config for consumer credit banks."""

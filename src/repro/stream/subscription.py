@@ -33,7 +33,7 @@ from repro.dataspaces.space import Region
 from repro.flow.credits import CreditBank
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import Store
-from repro.stream.config import StreamConfig
+from repro.stream.config import MAX_SENDS, NOTIFY_BYTES, StreamConfig
 from repro.stream.partition import member_charge_bytes
 
 __all__ = ["CLOSE", "MemberStats", "Subscription", "SubscriptionManager", "Watermark"]
@@ -163,10 +163,7 @@ class SubscriptionManager:
         member_nodes = tuple(member_nodes)
         if not member_nodes:
             raise ValueError("need at least one member node")
-        budget = (
-            credit_bytes if credit_bytes is not None else self.config.credit_bytes
-        )
-        capacity = float("inf") if budget is None else float(budget)
+        capacity = float("inf") if credit_bytes is None else float(credit_bytes)
         sid = self._next_id
         self._next_id += 1
         banks = [
@@ -243,11 +240,11 @@ class SubscriptionManager:
             # resend; the client dedups by step, so redundant arrivals
             # are counted, never re-delivered
             sends = 1
-            while sends < cfg.max_sends and rng.random() < cfg.redeliver_rate:
+            while sends < MAX_SENDS and rng.random() < cfg.redeliver_rate:
                 sends += 1
             for _ in range(sends):
                 yield from self.machine.network.transfer(
-                    self.server_node, node, cfg.notify_bytes
+                    self.server_node, node, NOTIFY_BYTES
                 )
                 st.sent += 1
                 if self.checker is not None:

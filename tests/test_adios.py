@@ -121,7 +121,7 @@ def test_bpwriter_appends_and_indexes():
     f = w.close()
     assert len(f.pgs) == 4
     assert f.extents_for("electrons") == 4
-    assert f.steps() == [0]
+    assert {pg.step for pg in f.pgs} == {0}
 
 
 def test_bp_global_array_assembly():
@@ -167,16 +167,6 @@ def test_bp_read_nonexistent_var():
         f.entries("nope")
 
 
-def test_bp_read_var_chunks():
-    w = BPWriter("t.bp", particle_group())
-    for r in range(3):
-        w.append_step(make_step(rank=r, n=4))
-    f = w.close()
-    chunks = f.read_var_chunks("electrons", 0)
-    assert len(chunks) == 3
-    assert all(v.shape == (4, 8) for _, v in chunks)
-
-
 def two_var_file(nranks, *, nrows=None, sign=1.0):
     """File of ``rho`` and ``phi = -rho``, one PG of two rows per rank."""
     g = GroupDef(
@@ -215,14 +205,8 @@ def test_bp_read_back_unpacks_each_process_group_once(monkeypatch):
     phi = f.read_global_array("phi", 0)
     np.testing.assert_array_equal(phi, -rho)
     np.testing.assert_array_equal(rho[2:4], np.arange(6.0).reshape(2, 3) + 10)
-    box, extents = f.read_region("rho", 0, (1, 1), (5, 3))
-    np.testing.assert_array_equal(box, rho[1:5, 1:3])
-    assert extents == 3
-    chunks = f.read_var_chunks("phi", 0)
-    assert [e.pg_index for e, _ in chunks] == [0, 1, 2, 3]
-    np.testing.assert_array_equal(chunks[2][1], phi[4:6])
+    np.testing.assert_array_equal(f.read_global_array("phi", 0), phi)
     assert [id(b) for b in unpacked] == [id(pg.payload) for pg in f.pgs]
-    assert not chunks[0][1].flags.writeable  # one decode, shared by every reader
 
 
 def test_bp_process_group_appended_or_replaced_after_a_read_is_seen():
@@ -261,7 +245,9 @@ def test_bp_save_load_roundtrip(tmp_path):
     assert path.stat().st_size == size
     loaded = BPFile.load(path)
     np.testing.assert_array_equal(loaded.read_global_array("rho", 0), full)
-    assert loaded.logical_nbytes == pytest.approx(f.logical_nbytes)
+    assert [pg.logical_nbytes for pg in loaded.pgs] == pytest.approx(
+        [pg.logical_nbytes for pg in f.pgs]
+    )
 
 
 def test_bp_load_rejects_garbage(tmp_path):
@@ -321,7 +307,8 @@ def test_bp_append_step_holds_one_copy_of_the_step():
     finally:
         tracemalloc.stop()
     assert data.nbytes <= peak <= 1.1 * data.nbytes
-    np.testing.assert_array_equal(w.close().read_var_chunks("x", 0)[0][1], data)
+    payload = w.close().pgs[0].payload
+    np.testing.assert_array_equal(OutputStep.unpack(g, payload).values["x"], data)
 
 
 def test_writer_closed_rejects_append():

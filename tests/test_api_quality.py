@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.ffs import Schema, SchemaError, decode, encode, peek
+from repro.ffs import Schema, SchemaError, decode, encode
 
 
 def _walk_public_objects():
@@ -80,4 +80,4 @@ def test_ffs_truncation_never_crashes_weirdly(cut, data):
 @given(data=st.binary(min_size=0, max_size=64))
 def test_ffs_garbage_rejected(data):
     with pytest.raises((SchemaError, ValueError)):
-        peek(data)
+        decode(data)

@@ -1,9 +1,9 @@
-"""Tests for the ADIOS XML config and the VisIt-style analysis reader."""
+"""Tests for the ADIOS XML config."""
 
 import numpy as np
 import pytest
 
-from repro.adios import BPWriter, ChunkMeta, GroupDef, OutputStep, SyncMPIIO, VarDef, VarKind
+from repro.adios import ChunkMeta, OutputStep, SyncMPIIO, VarKind
 from repro.adios.config import (
     ConfigError,
     make_transport,
@@ -11,7 +11,6 @@ from repro.adios.config import (
 )
 from repro.adios.config import NullTransport
 from repro.machine import Machine, TESTING_TINY
-from repro.query import AnalysisReader
 from repro.sim import Engine
 
 XML = """
@@ -150,89 +149,3 @@ def test_config_driven_run_swaps_transport_without_code_change():
     assert all(t > 0 for t in mpi_times.values())
     assert all(t == 0.0 for t in null_times.values())
 
-
-# ---------------------------------------------------------------- reader
-def make_field_file(nprocs=8, n=4, nsteps=2):
-    g = GroupDef("f", (VarDef("rho", "float64",
-                              VarKind.GLOBAL_ARRAY, ndim=3),))
-    gx = nprocs * n
-    w = BPWriter("f.bp", g)
-    fulls = []
-    for s in range(nsteps):
-        full = np.arange(gx * n * n, dtype=float).reshape(gx, n, n) + s * 1000
-        fulls.append(full)
-        for r in range(nprocs):
-            lo = r * n
-            w.append_step(OutputStep(
-                group=g, step=s, rank=r, values={"rho": full[lo : lo + n]},
-                chunks={"rho": ChunkMeta((gx, n, n), (lo, 0, 0))},
-            ))
-    return w.close(), fulls
-
-
-def test_reader_full_and_box():
-    f, fulls = make_field_file()
-    reader = AnalysisReader(f)
-    np.testing.assert_array_equal(reader.full("rho", 0), fulls[0])
-    np.testing.assert_array_equal(
-        reader.box("rho", 1, (5, 1, 0), (12, 3, 2)),
-        fulls[1][5:12, 1:3, 0:2],
-    )
-    assert reader.stats.reads == 2
-    assert reader.stats.extents >= 8 + 2
-
-
-def test_reader_slice_plane():
-    f, fulls = make_field_file()
-    reader = AnalysisReader(f)
-    plane = reader.slice_plane("rho", 0, axis=0, index=9)
-    np.testing.assert_array_equal(plane, fulls[0][9])
-    # a plane orthogonal to the decomposition axis touches one chunk
-    assert reader.stats.extents == 1
-    plane_y = reader.slice_plane("rho", 0, axis=1, index=2)
-    np.testing.assert_array_equal(plane_y, fulls[0][:, 2, :])
-    # ... but a plane across it touches every chunk
-    assert reader.stats.extents == 1 + 8
-
-
-def test_reader_time_series():
-    f, fulls = make_field_file(nsteps=2)
-    reader = AnalysisReader(f)
-    series = reader.time_series("rho", point=(7, 2, 1))
-    np.testing.assert_array_equal(
-        series, [fulls[0][7, 2, 1], fulls[1][7, 2, 1]]
-    )
-    assert reader.stats.reads == 2
-
-
-def test_reader_validation_and_stats_reset():
-    f, _ = make_field_file()
-    reader = AnalysisReader(f)
-    with pytest.raises(ValueError):
-        reader.slice_plane("rho", 0, axis=5, index=0)
-    with pytest.raises(ValueError):
-        reader.slice_plane("rho", 0, axis=0, index=10_000)
-    reader.full("rho", 0)
-    stats = reader.reset_stats()
-    assert stats.reads == 1
-    assert reader.stats.reads == 0
-
-
-def test_reader_merged_layout_cheaper_for_every_pattern():
-    """Merged files win on extents for bulk loads and cross slices."""
-    unmerged, fulls = make_field_file(nprocs=16, n=2)
-    # merged: same data in 2 slabs
-    g = unmerged.group
-    w = BPWriter("merged.bp", g)
-    full = fulls[0]
-    for r, lo in enumerate((0, 16)):
-        w.append_step(OutputStep(
-            group=g, step=0, rank=r, values={"rho": full[lo : lo + 16]},
-            chunks={"rho": ChunkMeta(full.shape, (lo, 0, 0))},
-        ))
-    merged = w.close()
-    r_un, r_me = AnalysisReader(unmerged), AnalysisReader(merged)
-    np.testing.assert_array_equal(r_un.full("rho", 0), r_me.full("rho", 0))
-    r_un.slice_plane("rho", 0, axis=1, index=0)
-    r_me.slice_plane("rho", 0, axis=1, index=0)
-    assert r_me.stats.extents < r_un.stats.extents / 4

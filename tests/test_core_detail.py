@@ -308,8 +308,6 @@ def test_staging_memory_ceiling_enforced():
 # ----------------------------------------------------- configuration
 def test_staging_config_validation():
     with pytest.raises(ValueError):
-        StagingConfig(threads_per_process=0)
-    with pytest.raises(ValueError):
         StagingConfig(fetch_pipeline_depth=0)
     with pytest.raises(ValueError):
         StagingConfig(nsteps=0)

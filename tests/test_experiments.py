@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.report import (
-    fmt_bytes,
     fmt_pct,
     fmt_seconds,
     format_table,
@@ -28,13 +27,6 @@ def test_fmt_seconds():
     assert fmt_seconds(1.5) == "1.50 s"
     assert fmt_seconds(0.0123) == "12.30 ms"
     assert fmt_seconds(2e-6) == "2.0 us"
-
-
-def test_fmt_bytes():
-    assert fmt_bytes(2e12) == "2.00 TB"
-    assert fmt_bytes(1.5e9) == "1.50 GB"
-    assert fmt_bytes(3e6) == "3.00 MB"
-    assert fmt_bytes(999) == "999 B"
 
 
 def test_fmt_pct():

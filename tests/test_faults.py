@@ -200,13 +200,9 @@ def test_detector_validates_parameters():
 
 def test_resilience_config_validates():
     with pytest.raises(ValueError):
-        ResilienceConfig(heartbeat_interval=0.0)
-    with pytest.raises(ValueError):
-        ResilienceConfig(heartbeat_timeout=0.1, heartbeat_interval=0.5)
+        ResilienceConfig(fetch_timeout=0.0)
     with pytest.raises(ValueError):
         ResilienceConfig(fetch_max_attempts=0)
-    with pytest.raises(ValueError):
-        ResilienceConfig(min_survivors=-1)
 
 
 # ----------------------------------------- determinism guard (property)

@@ -1,4 +1,4 @@
-"""Unit + property tests for FFS encoding (schemas, roundtrip, peek)."""
+"""Unit + property tests for FFS encoding (schemas, roundtrip, hostile bytes)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ffs import Field, Schema, SchemaError, decode, encode, peek
+from repro.ffs import Field, Schema, SchemaError, decode, encode
 
 
 # ------------------------------------------------------------- schema
@@ -37,7 +37,7 @@ def test_schema_duplicate_names():
 def test_schema_of_shorthand():
     s = Schema.of("rec", x="float64", arr=("int32", (-1, 8)))
     assert s.field_names == ["x", "arr"]
-    assert s.field_by_name("arr").is_variable
+    assert s.fields[1].shape == (-1, 8)
 
 
 def test_schema_validate():
@@ -102,15 +102,6 @@ def test_zero_copy_views():
     assert not out["d"].flags.writeable  # view into immutable bytes
 
 
-def test_peek_does_not_need_payload():
-    s = Schema.of("g", n="int64", chunk=("float64", (-1,)))
-    buf = encode(s, {"n": 99, "chunk": np.zeros(1000)}, attrs={"step": 4})
-    meta = peek(buf)
-    assert meta["scalars"]["n"] == 99
-    assert meta["attrs"]["step"] == 4
-    assert meta["shapes"]["chunk"] == [1000]
-
-
 def test_scalar_special_values():
     s = Schema.of("sv", x="float64", z="complex128")
     buf = encode(s, {"x": float("inf"), "z": 1 + 2j})
@@ -123,7 +114,7 @@ def test_bad_magic_rejected():
     with pytest.raises(SchemaError):
         decode(b"XXXX" + b"\x00" * 100)
     with pytest.raises(SchemaError):
-        peek(b"FF")
+        decode(b"FF")
 
 
 def test_scalar_field_rejects_array_value():
@@ -324,7 +315,7 @@ def test_decode_accepts_a_hand_built_empty_record():
     assert schema == Schema("r") and values == {} and attrs == {}
 
 
-@pytest.mark.parametrize("reader", [decode, peek])
+@pytest.mark.parametrize("reader", [decode])
 @pytest.mark.parametrize(
     "hbytes",
     [

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ffs import Field, Schema, SchemaError, decode, encode, peek
+from repro.ffs import Field, Schema, SchemaError, decode, encode
 
 settings.register_profile("ffs", max_examples=40, deadline=None)
 settings.load_profile("ffs")
@@ -141,15 +141,15 @@ def test_scalar_roundtrip(value):
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
-def test_peek_exposes_scalars_without_payload(value):
+def test_decode_recovers_scalars_and_attrs_beside_a_payload(value):
     schema = Schema("rec", (Field("v", "float64"), Field("a", "int32", (-1,))))
     buf = encode(schema, {"v": value, "a": np.arange(3, dtype="int32")},
                  attrs={"rank": 4})
-    meta = peek(buf)
-    got = meta["scalars"]["v"]
+    _, values, attrs = decode(buf)
+    got = values["v"]
     assert (math.isnan(got) and math.isnan(value)) or got == value
-    assert meta["attrs"] == {"rank": 4}
-    assert meta["shapes"] == {"a": [3]}
+    assert attrs == {"rank": 4}
+    np.testing.assert_array_equal(values["a"], np.arange(3, dtype="int32"))
 
 
 # -- unicode names ----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from tests.helpers import PARTICLE_GROUP, run_staging_pipeline
 from repro.check import Checker
 from repro.core import PreDatA
+from repro.flow.config import MAX_BLOCK
 from repro.flow import (
     BufferPool,
     CreditBank,
@@ -28,9 +29,11 @@ def _engine_machine(nstaging=1):
     return eng, machine
 
 
-def _pool(eng, machine, **cfg_kwargs):
+def _pool(eng, machine, *, spill=True, **cfg_kwargs):
+    """A pool on the first staging node; without a file system it never spills."""
     node = machine.node(machine.staging_node_ids[0])
-    return BufferPool(eng, node, machine.filesystem, FlowConfig(**cfg_kwargs))
+    fs = machine.filesystem if spill else None
+    return BufferPool(eng, node, fs, FlowConfig(**cfg_kwargs))
 
 
 def results_fingerprint(predata):
@@ -48,8 +51,6 @@ def results_fingerprint(predata):
 
 # --------------------------------------------------------------- FlowConfig
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(high_watermark=0.5, low_watermark=0.8)
     with pytest.raises(ValueError):
         FlowConfig(pool_bytes=-1.0)
     with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ def test_pool_acquire_release_roundtrip():
 
 def test_pool_acquire_blocks_until_release_fifo():
     eng, machine = _engine_machine()
-    pool = _pool(eng, machine, pool_bytes=1000.0, spill_enabled=False)
+    pool = _pool(eng, machine, pool_bytes=1000.0, spill=False)
     order = []
 
     def holder():
@@ -109,7 +110,7 @@ def test_pool_acquire_blocks_until_release_fifo():
 
 def test_pool_oversized_single_grant_does_not_deadlock():
     eng, machine = _engine_machine()
-    pool = _pool(eng, machine, pool_bytes=100.0, spill_enabled=False)
+    pool = _pool(eng, machine, pool_bytes=100.0, spill=False)
     done = []
 
     def proc():
@@ -351,10 +352,8 @@ def test_credit_bank_failover_transfer():
 # --------------------------------------------------------- PressureController
 def test_pressure_throttles_above_low_watermark():
     eng, machine = _engine_machine()
-    pool = _pool(eng, machine, pool_bytes=1000.0, spill_enabled=False)
-    ctl = PressureController(
-        eng, {pool.node.id: pool}, FlowConfig(), throttle_rate=1000.0
-    )
+    pool = _pool(eng, machine, pool_bytes=1000.0, spill=False)
+    ctl = PressureController(eng, {pool.node.id: pool}, throttle_rate=1000.0)
     held = {}
 
     def proc():
@@ -376,15 +375,13 @@ def test_pressure_throttles_above_low_watermark():
 
 def test_pressure_blocks_at_high_watermark_with_max_block_bound():
     eng, machine = _engine_machine()
-    pool = _pool(eng, machine, pool_bytes=1000.0, spill_enabled=False)
-    ctl = PressureController(
-        eng, {pool.node.id: pool}, FlowConfig(max_block=2.0), throttle_rate=1e9
-    )
+    pool = _pool(eng, machine, pool_bytes=1000.0, spill=False)
+    ctl = PressureController(eng, {pool.node.id: pool}, throttle_rate=1e9)
     held = {}
 
     def holder():
         t = yield from pool.acquire("full", 950.0)  # above high (850)
-        yield eng.timeout(10.0)
+        yield eng.timeout(2 * MAX_BLOCK)
         pool.release(t)
 
     def fetcher():
@@ -396,8 +393,8 @@ def test_pressure_blocks_at_high_watermark_with_max_block_bound():
     eng.process(holder())
     eng.process(fetcher())
     eng.run()
-    # blocked, but released by the anti-starvation bound (not the 10 s hold)
-    assert held["t"] == pytest.approx(0.1 + 2.0)
+    # blocked, but released by the anti-starvation bound, not the hold
+    assert held["t"] == pytest.approx(0.1 + MAX_BLOCK)
     assert ctl.blocked_fetches == 1
 
 
@@ -420,55 +417,7 @@ def test_pressure_reference_rate_is_the_clients_pacing_rate():
     assert rate == machine.spec.node.memory_bandwidth
 
 
-# ------------------------------------------------------------- Node waitable
-def test_node_request_memory_waits_and_pumps_fifo():
-    eng = Engine()
-    node = Node(eng, 0, NodeConfig(memory_bytes=100.0))
-    got = []
-
-    def holder():
-        node.allocate(80.0)
-        yield eng.timeout(3.0)
-        node.free(80.0)
-
-    def waiter(name, need, delay):
-        yield eng.timeout(delay)
-        ev = node.request_memory(need)
-        yield ev
-        got.append((name, eng.now))
-        node.free(need)
-
-    eng.process(holder())
-    eng.process(waiter("a", 50.0, 0.5))
-    eng.process(waiter("b", 50.0, 1.0))
-    eng.run()
-    assert [n for n, _ in got] == ["a", "b"]
-    assert got[0][1] == pytest.approx(3.0)
-    assert node.memory_used == 0.0
-
-
-def test_node_request_memory_never_fitting_raises():
-    eng = Engine()
-    node = Node(eng, 0, NodeConfig(memory_bytes=100.0))
-    with pytest.raises(MemoryError_):
-        node.request_memory(101.0)
-
-
-def test_node_cancel_memory_dequeues_or_refunds():
-    eng = Engine()
-    node = Node(eng, 0, NodeConfig(memory_bytes=100.0))
-    node.allocate(100.0)
-    ev = node.request_memory(10.0)
-    assert not ev.triggered
-    node.cancel_memory(ev, 10.0)
-    node.free(100.0)
-    assert node.memory_used == 0.0
-    ev2 = node.request_memory(60.0)
-    assert ev2.triggered  # granted immediately
-    node.cancel_memory(ev2, 60.0)  # refund path
-    assert node.memory_used == 0.0
-
-
+# ------------------------------------------------------------- Node ledger
 def test_node_free_relative_tolerance_accepts_float_drift():
     """Regression: huge buffers freed along a different arithmetic path.
 

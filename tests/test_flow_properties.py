@@ -11,6 +11,10 @@ and asserts the ledger invariants the subsystem exists to enforce:
 * after the run drains, every byte is released — node ledgers, pool
   tickets and credit grants all return to zero, even when a staging
   node was killed mid-step and its work failed over;
+* each pool and its node's ledger agree: every pool refund (a spill, a
+  release, a cancelled grant) finds the node ledger already down by
+  the refunded bytes, which is what lets the pool mirror its charges
+  with a plain ``Node.allocate``;
 * the run itself completes with every step recovered.
 
 A separate property pins determinism: identical seeds and flow
@@ -24,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import chaos
+from repro.flow.pool import BufferPool
 
 # Mirror chaos.run_once's sizing so the expected chunk size is known.
 LOCAL_N = 8
@@ -69,8 +74,18 @@ def _run(seed: int, fraction: float, inject: bool, depth: int) -> chaos.ChaosRun
 )
 def test_flow_ledgers_bounded_and_fully_drained(seed, fraction, inject, depth):
     """Memory never exceeds the cap and every byte is released by drain."""
-    run = _run(seed, fraction, inject, depth)
+    refund = BufferPool._refund
+    drift = []  # (pool bytes - refunded) - node ledger, at every refund
+
+    def checked_refund(pool, nbytes):
+        drift.append(pool.used - nbytes - pool.node.memory_used)
+        refund(pool, nbytes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BufferPool, "_refund", checked_refund)
+        run = _run(seed, fraction, inject, depth)
     assert run.complete and not run.missing_steps
+    assert drift and drift == pytest.approx([0.0] * len(drift), abs=1e-6)
 
     machine = run.predata.machine
     chunk = _chunk_bytes()
@@ -87,6 +102,7 @@ def test_flow_ledgers_bounded_and_fully_drained(seed, fraction, inject, depth):
         # the pool may exceed capacity only via a single oversized grant
         assert pool.peak_bytes <= max(pool.capacity, chunk) + 1e-6
         assert pool.used == pytest.approx(0.0, abs=1e-6)
+        assert pool.used == pytest.approx(machine.node(nid).memory_used, abs=1e-6)
         assert not pool._tickets
         assert pool.queued == 0
     for bank in fc.banks.values():

@@ -1,11 +1,8 @@
-"""Tests for online monitoring/steering and BP regions."""
+"""Tests for online monitoring and steering."""
 
-import numpy as np
 import pytest
 
 from tests.helpers import PARTICLE_GROUP, particle_step
-from repro.adios import BPWriter, ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
-from repro.adios.bp import BPError
 from repro.core import OnlineMonitor, PreDatA, SteeringFlag
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World
@@ -88,50 +85,3 @@ def test_steering_flag_keeps_first_reason():
     flag.set(a1)
     flag.set(a2)
     assert flag.reason is a1
-
-
-# ----------------------------------------------------- BP region read
-def field_file(nprocs=4, n=4):
-    g = GroupDef("f", (VarDef("rho", "float64",
-                              VarKind.GLOBAL_ARRAY, ndim=3),))
-    gx = nprocs * n
-    full = np.arange(gx * n * n, dtype=float).reshape(gx, n, n)
-    w = BPWriter("f.bp", g)
-    for r in range(nprocs):
-        lo = r * n
-        w.append_step(OutputStep(
-            group=g, step=0, rank=r, values={"rho": full[lo : lo + n]},
-            chunks={"rho": ChunkMeta((gx, n, n), (lo, 0, 0))},
-        ))
-    return w.close(), full
-
-
-def test_read_region_matches_numpy_slice():
-    f, full = field_file()
-    sub, extents = f.read_region("rho", 0, (3, 1, 0), (9, 3, 4))
-    np.testing.assert_array_equal(sub, full[3:9, 1:3, 0:4])
-    assert extents == 3  # rows 3..9 span chunks 0,1,2
-
-
-def test_read_region_single_chunk():
-    f, full = field_file()
-    sub, extents = f.read_region("rho", 0, (0, 0, 0), (4, 4, 4))
-    np.testing.assert_array_equal(sub, full[:4])
-    assert extents == 1
-
-
-def test_read_region_whole_array():
-    f, full = field_file()
-    sub, extents = f.read_region("rho", 0, (0, 0, 0), full.shape)
-    np.testing.assert_array_equal(sub, full)
-    assert extents == 4
-
-
-def test_read_region_validation():
-    f, full = field_file()
-    with pytest.raises(BPError):
-        f.read_region("rho", 0, (0, 0), (4, 4))  # rank mismatch
-    with pytest.raises(BPError):
-        f.read_region("rho", 0, (0, 0, 0), (99, 4, 4))  # out of bounds
-    with pytest.raises(BPError):
-        f.read_region("rho", 0, (2, 2, 2), (2, 4, 4))  # empty box

@@ -95,8 +95,6 @@ def test_metrics_gauges_and_histograms():
     m.gauge_max("peak", 10.0, node=0)
     m.gauge_max("peak", 5.0, node=0)  # lower: ignored
     assert m.gauge("peak", node=0) == 10.0
-    m.gauge_set("peak", 3.0, node=0)
-    assert m.gauge("peak", node=0) == 3.0
     assert m.gauge("peak", node=1) is None
     for v in (1.0, 2.0, 3.0):
         m.observe("lat", v)
@@ -114,7 +112,7 @@ def test_metrics_summary_table():
     m = MetricsRegistry()
     assert "no metrics" in m.summary_table()
     m.inc("a", 1.0, x=1)
-    m.gauge_set("b", 2.0)
+    m.gauge_max("b", 2.0)
     m.observe("c", 3.0)
     text = m.summary_table(title="T")
     assert text.startswith("T")

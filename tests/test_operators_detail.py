@@ -340,12 +340,15 @@ def test_histogram_empty_chunk_partial():
 
 
 def test_histogram_combine_sums():
-    op = HistogramOperator("electrons", column=0, bins=4)
-    items = [Emit("hist", np.array([1, 2, 3, 4])),
-             Emit("hist", np.array([10, 0, 0, 0]))]
-    out = op.combine(ctx_of(), items)
-    assert len(out) == 1
-    np.testing.assert_array_equal(out[0].value, [11, 2, 3, 4])
+    for op in (HistogramOperator("electrons", column=0, bins=4),
+               Histogram2DOperator("electrons", columns=(0, 1), bins=(2, 2))):
+        first = np.arange(1, 5, dtype=np.int64).reshape(op.bins)
+        second = np.array([10, 0, 0, 0], dtype=np.int64).reshape(op.bins)
+        items = [Emit(op._TAG, first), Emit(op._TAG, second)]
+        out = op.combine(ctx_of(), items)
+        assert len(out) == 1 and out[0].tag == op._TAG
+        np.testing.assert_array_equal(out[0].value, first + second)
+        np.testing.assert_array_equal(first, np.arange(1, 5).reshape(op.bins))
 
 
 def test_histogram_combine_passes_a_lone_item_through():

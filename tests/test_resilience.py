@@ -242,38 +242,11 @@ def test_all_stagers_dead_degrades_and_salvages():
     assert r.degraded_steps > 0  # later dumps went through the fallback
     assert r.fallback_file is not None
     # salvaged + degraded steps really live in the fallback BP file
-    fb_steps = r.fallback_file.steps()
+    fb_steps = sorted({pg.step for pg in r.fallback_file.pgs})
     assert fb_steps, "fallback file is empty"
     for s in fb_steps:
         arr = r.fallback_file.read_global_array("rho", s)
         assert np.isfinite(arr).all()
-
-
-def test_too_few_survivors_degrades_while_stagers_still_serve_skip_notices():
-    """``min_survivors`` above what a crash leaves: later dumps go to the
-    fallback, and the surviving stagers get a (logged, re-routed) skip
-    notice per dump so their step rounds stay matched and commit."""
-    chk = Checker()
-    r = run_once(
-        logical_ranks=64,
-        rep_ranks=4,
-        nsteps=4,
-        local_n=4,
-        per_logical_rank_mb=0.25,
-        seed=3,
-        resilience=ResilienceConfig(min_survivors=3),  # the crash leaves 2 of 4
-        check=chk,
-    )
-    client = r.predata.client
-    assert r.complete, f"missing steps: {r.missing_steps}"
-    assert client.degraded and client.alive_stagers == [0, 1]
-    assert r.restarts == 2  # both survivors re-ran the interrupted step
-    assert r.degraded_steps == 4  # step 3, all four ranks
-    assert r.merged.steps() == [0, 1, 2] and r.fallback_file.steps() == [3]
-    # the skipped step still went through the commit barrier
-    assert sorted(r.predata.service.commit_times) == [0, 1, 2, 3]
-    assert client._requests_log == {}
-    chk.verify(r.predata)
 
 
 def _single_stager_killed_early(nprocs=2, scale=2e6):

@@ -82,6 +82,34 @@ def test_every_scenario_survives_its_promised_invariants(wall):
         assert first.invariants == get(name).invariants
 
 
+def _staging_memory_used(result) -> bool:
+    machine = result.run.predata.machine
+    return any(machine.node(n).memory_high_water > 0 for n in machine.staging_node_ids)
+
+
+#: per ledger invariant, the checker traffic that shows a run fed it
+LEDGER_TRAFFIC = {
+    "chunk-conservation": lambda r: sum(r.checker.mapped.values()) > 0,
+    "byte-ledger": lambda r: sum(r.checker.packed.values()) > 0,
+    "credit-ledger": lambda r: r.checker.credit_grants > 0,
+    "memory-ledger": lambda r: (
+        sum(r.checker.committed.values()) > 0 and _staging_memory_used(r)
+    ),
+    "scheduling-rule": lambda r: len(r.checker.admissions) > 0,
+}
+
+
+def test_every_claimed_ledger_sees_traffic(wall):
+    """A scenario claims a ledger invariant only if its run feeds that
+    ledger: a claim the checker never exercised is vacuously true."""
+    for name, (first, _again) in wall.items():
+        for invariant in get(name).invariants:
+            fed = LEDGER_TRAFFIC.get(invariant)
+            assert fed is None or fed(first), (
+                f"{name} claims {invariant!r} but its fast run never fed it"
+            )
+
+
 # -- (a) seeded determinism -------------------------------------------------
 def test_same_seed_reproduces_fingerprint_and_schedule(wall):
     for name, (first, again) in wall.items():

@@ -192,7 +192,7 @@ def test_point_and_aggregation_queries():
     parts = make_partitions()
     target = float(parts[2][7, 0])
     service.commit_step("rho", 0, partitions=parts)
-    point = serve_one(env, service, Query.point("rho", 0, target), qid=1)
+    point = serve_one(env, service, Query.range("rho", {0: (target, target)}), qid=1)
     assert point.rows.shape[0] >= 1
     assert np.all(point.rows[:, 0] == target)
     agg = serve_one(
@@ -299,8 +299,6 @@ def test_result_not_cached_when_version_moves_during_execution():
 PRESSURE = ServeConfig(
     credit_bytes=64e3,  # exactly one query's worth of credits
     codel_target=1e-4,
-    codel_interval=10.0,
-    stale_bound=1,
     shard_overhead_seconds=0.05,  # make executions hold credits a while
 )
 
@@ -499,13 +497,9 @@ def test_query_validation():
 
 def test_serve_config_validation():
     with pytest.raises(ValueError):
-        ServeConfig(nshards=0)
-    with pytest.raises(ValueError):
-        ServeConfig(stale_bound=-1)
-    with pytest.raises(ValueError):
         ServeConfig(codel_target=0.0)
     with pytest.raises(ValueError):
-        ServeConfig(route_seconds=-1.0)
+        ServeConfig(shard_overhead_seconds=-1.0)
     assert ServeConfig().flow_config().codel_target is not None
 
 
@@ -527,7 +521,7 @@ def test_latest_step_pointer_agrees_with_a_sorted_scan(seed):
     import random
 
     rng = random.Random(seed)
-    service = QueryService(Engine(), ServeConfig(nshards=2), bins=8)
+    service = QueryService(Engine(), bins=8)
     variables = ("rho", "T", "p")
     chunk = np.arange(12.0).reshape(4, 3)
     empty = np.empty((0, 3))

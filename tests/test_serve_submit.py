@@ -31,7 +31,7 @@ from repro.obs import Observability
 from repro.perf import kernels
 from repro.serve import Query, QueryService, WorkloadDriver, workload
 from repro.serve.bench import BENCH_CONFIG
-from repro.serve.config import CACHE_HIT_SECONDS, QUERY_COST_BYTES
+from repro.serve.config import CACHE_HIT_SECONDS, QUERY_COST_BYTES, STALE_BOUND
 from repro.serve.service import Answer
 from repro.sim.engine import Engine
 
@@ -66,7 +66,7 @@ def reference_serve(service, client, qid, query):
         service._obs_inc("serve_degraded")
         cached = service.cache.get(
             key, state.version,
-            allow_stale=True, stale_bound=service.config.stale_bound,
+            allow_stale=True, stale_bound=STALE_BOUND,
         )
         if cached is None:
             service.shed += 1

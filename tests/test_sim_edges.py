@@ -15,9 +15,16 @@ def test_interrupting_waiter_does_not_kill_inner_holder():
     res = Resource(eng, capacity=1)
     got_it = []
 
+    def use(env, duration):
+        yield res.request()
+        try:
+            yield env.timeout(duration)
+        finally:
+            res.release()
+
     def holder(env):
         try:
-            yield env.process(res.use(100.0))
+            yield env.process(use(env, 100.0))
         except Interrupt:
             pass
 

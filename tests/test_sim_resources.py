@@ -50,20 +50,6 @@ def test_resource_release_without_grant_raises():
         res.release()
 
 
-def test_resource_use_helper():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-
-    def proc(env):
-        yield env.process(res.use(3.0))
-        return env.now
-
-    p = eng.process(proc(eng))
-    eng.run()
-    assert p.value == pytest.approx(3.0)
-    assert res.in_use == 0
-
-
 def test_resource_capacity_validation():
     eng = Engine()
     with pytest.raises(ValueError):

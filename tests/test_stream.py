@@ -332,13 +332,9 @@ def test_stream_checker_flags_losses_and_leaks():
 
 def test_stream_config_validation():
     with pytest.raises(ValueError):
-        StreamConfig(notify_bytes=0)
-    with pytest.raises(ValueError):
         StreamConfig(redeliver_rate=1.0)
     with pytest.raises(ValueError):
-        StreamConfig(max_sends=0)
-    with pytest.raises(ValueError):
-        StreamConfig(credit_bytes=-1.0)
+        StreamConfig(redeliver_rate=-0.1)
 
 
 def test_reader_apps_validate_and_track():
