@@ -20,7 +20,7 @@ pytestmark = pytest.mark.perf
 
 
 def test_chaos_matrix_guards_hold(bench_guard):
-    record = bench_guard("chaos_matrix", sweep(fast=True, repeats=2))
+    record = bench_guard("chaos_matrix", sweep(fast=True))
     guards = record["guards"]
     # the fractions must be exactly perfect, not merely within tolerance
     assert guards["scenarios_registered"] >= 8

@@ -27,7 +27,7 @@ def test_ablation_offline(once):
     def measure():
         eng = Engine()
         machine = Machine(eng, 64, spec=JAGUAR_XT5)
-        model = OfflineCostModel(machine, n_analysis_cores=512)
+        model = OfflineCostModel(machine)
         sort_off = model.estimate(STEP_BYTES_16K, reduces_data=False)
         hist_off = model.estimate(
             STEP_BYTES_16K, reduces_data=True, output_bytes=8e6

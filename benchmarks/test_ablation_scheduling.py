@@ -35,7 +35,7 @@ def run_scenario(scheduled: bool) -> dict:
     client = StagingClient(
         eng, machine, [], ncompute=4, nstaging=2,
         staging_nodes=list(machine.staging_node_ids) * 2,
-        scheduler=scheduler, max_buffered_steps=2,
+        scheduler=scheduler,
     )
     comm_time = {}
 

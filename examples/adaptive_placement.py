@@ -61,7 +61,7 @@ def main() -> None:
         machine, [HistogramOperator("particles", column=0, bins=64,
                                     name="hist")]
     )
-    controller = AdaptivePlacement(BUDGET, initial="staging", patience=2)
+    controller = AdaptivePlacement(BUDGET, initial="staging")
     predata.start()
 
     def degrade(env):

@@ -38,7 +38,6 @@ from repro.core.operator import worst_rank
 from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
-from repro.mpi.ops import SUM
 from repro.mpi.world import World
 from repro.sim.engine import Process
 
@@ -226,7 +225,7 @@ class Pixie3DApplication:
                     arrived = (env.now,) * len(ranks)
                 try:
                     yield from world.collective(
-                        ranks, "reduce", payloads, op=SUM, root=0, wire_scale=scale
+                        ranks, "reduce", payloads, root=0, wire_scale=scale
                     )
                     yield from world.collective(
                         ranks, "bcast", payloads, root=0, wire_scale=scale

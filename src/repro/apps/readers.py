@@ -24,20 +24,22 @@ from repro.perf import kernels as K
 
 __all__ = ["InTransitAnalysisReader", "ParticleTrackingFollower"]
 
+#: a cell counts as occupied above this value
+OCCUPANCY_THRESHOLD = 0.5
+
 
 class InTransitAnalysisReader:
     """Running histogram + WAH occupancy bitmap over arriving steps."""
 
-    def __init__(self, edges, threshold: float = 0.5):
+    def __init__(self, edges):
         self.edges = np.asarray(edges, dtype=float)
         if self.edges.ndim != 1 or self.edges.size < 2:
             raise ValueError("edges must be a 1-D array of >= 2 bounds")
-        self.threshold = float(threshold)
         #: running histogram accumulated over every step seen
         self.counts = np.zeros(self.edges.size - 1, dtype=np.int64)
         #: steps processed, in arrival order
         self.steps: list[int] = []
-        #: per-step count of cells above threshold (bitmap popcount)
+        #: per-step count of cells above OCCUPANCY_THRESHOLD (bitmap popcount)
         self.occupancy: list[int] = []
 
     def on_step(self, wm, pieces) -> None:
@@ -50,7 +52,7 @@ class InTransitAnalysisReader:
         self.counts += np.asarray(
             K.histogram1d(vals, self.edges), dtype=np.int64
         )
-        words = K.wah_encode(vals > self.threshold)
+        words = K.wah_encode(vals > OCCUPANCY_THRESHOLD)
         self.steps.append(wm.step)
         self.occupancy.append(int(K.wah_count(words)))
 

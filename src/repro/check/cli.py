@@ -10,13 +10,16 @@ Runs the three verification pillars and prints a pass/fail report:
    schedules.
 2. **Differential oracles** (unless ``--no-oracles``): every built-in
    operator's staged output is checked against an offline numpy
-   reference on ``--oracle-seeds`` independently seeded workloads.
+   reference on three independently seeded workloads.
 3. **Pipeline invariants** (unless ``--no-invariants``): a clean
    pipeline and a chaos run (staging-node crash mid-step) execute with
    the conservation checker enabled; chunk/byte/credit/memory ledgers
    and the §IV.A scheduling rule must all verify at drain.
 
-Exit status 0 when everything passes, 1 otherwise.
+Exit status 0 when everything passes, 1 otherwise, and 2 for a usage
+error: a negative ``--fuzz``, or a run that selects no pillar at all
+(``--fuzz 0 --no-oracles --no-invariants`` verifies nothing, so it may
+not report PASSED).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import time
 from repro.check.fingerprint import result_fingerprint
 from repro.check.fuzzer import ScheduleFuzzer
 from repro.check.invariants import Checker
-from repro.check.oracle import run_differential
+from repro.check.oracle import ORACLE_SEEDS, run_differential
 from repro.check.workloads import run_workload
 
 __all__ = ["main"]
@@ -50,11 +53,11 @@ def _fig7_runner(operation: str):
     return runner
 
 
-def _run_fuzz(n: int, operation: str, base_seed: int) -> bool:
+def _run_fuzz(n: int, operation: str) -> bool:
     print(f"== schedule-perturbation fuzz: {n} seeded run(s), "
           f"fig7 {operation} workload ==")
     t0 = time.time()
-    report = ScheduleFuzzer(_fig7_runner(operation)).run(n, base_seed=base_seed)
+    report = ScheduleFuzzer(_fig7_runner(operation)).run(n)
     dt = time.time() - t0
     print(f"   {report.summary()}  [{dt:.1f}s wall]")
     for run in report.runs:
@@ -74,14 +77,14 @@ def _run_fuzz(n: int, operation: str, base_seed: int) -> bool:
     return True
 
 
-def _run_oracles(seeds: tuple) -> bool:
-    print(f"== differential operator oracles: seeds {seeds} ==")
-    results = run_differential(seeds=seeds)
+def _run_oracles() -> bool:
+    print(f"== differential operator oracles: seeds {ORACLE_SEEDS} ==")
+    results = run_differential()
     for r in results:
         print(f"   {r}")
     ok = all(r.ok for r in results)
     nops = len({r.operator for r in results})
-    print(f"   {nops} operator(s) x {len(seeds)} seed(s): "
+    print(f"   {nops} operator(s) x {len(ORACLE_SEEDS)} seed(s): "
           f"{'all passed' if ok else 'FAILURES'}")
     return ok
 
@@ -135,15 +138,6 @@ def main(argv=None) -> int:
         help="fig7 operation used by the fuzzer (default sort)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0,
-        help="base tie-breaker seed for the fuzz runs (default 0)",
-    )
-    parser.add_argument(
-        "--oracle-seeds", default="1,2,3", metavar="S1,S2,...",
-        help="comma-separated workload seeds for the differential "
-             "oracles (default 1,2,3)",
-    )
-    parser.add_argument(
         "--no-oracles", action="store_true",
         help="skip the differential operator oracles",
     )
@@ -152,13 +146,16 @@ def main(argv=None) -> int:
         help="skip the pipeline conservation invariants",
     )
     args = parser.parse_args(argv)
+    if args.fuzz < 0:
+        parser.error(f"--fuzz must be >= 0, got {args.fuzz}")
+    if args.fuzz == 0 and args.no_oracles and args.no_invariants:
+        parser.error("nothing to verify: --fuzz 0 with --no-oracles and --no-invariants")
 
     ok = True
     if args.fuzz > 0:
-        ok &= _run_fuzz(args.fuzz, args.workload, args.seed)
+        ok &= _run_fuzz(args.fuzz, args.workload)
     if not args.no_oracles:
-        seeds = tuple(int(s) for s in args.oracle_seeds.split(",") if s)
-        ok &= _run_oracles(seeds)
+        ok &= _run_oracles()
     if not args.no_invariants:
         ok &= _run_invariants()
     print()

@@ -106,15 +106,15 @@ class ScheduleFuzzer:
             trace=trace.events,
         )
 
-    def run(self, n: int, *, base_seed: int = 0) -> FuzzReport:
-        """Baseline + ``n`` perturbed executions with seeds base_seed..+n-1."""
+    def run(self, n: int) -> FuzzReport:
+        """Baseline + ``n`` perturbed executions with seeds 0..n-1."""
         if n < 1:
             raise ValueError("need at least one perturbed run")
         baseline = self._one(None)
         runs: list[FuzzRun] = []
         divergences: list[str] = []
         for i in range(n):
-            run = self._one(base_seed + i)
+            run = self._one(i)
             runs.append(run)
             if run.result_hash != baseline.result_hash:
                 diff = minimized_trace_diff(

@@ -28,6 +28,8 @@ __all__ = ["ScheduleTrace", "minimized_trace_diff"]
 MAX_EVENTS = 200_000
 #: events :func:`minimized_trace_diff` renders per side
 _MAX_DIFF_LINES = 40
+#: shared events :func:`minimized_trace_diff` shows before the divergence
+_CONTEXT = 3
 
 
 def _label(event) -> str:
@@ -83,10 +85,10 @@ def minimized_trace_diff(
     a: list[tuple[float, int, str]],
     b: list[tuple[float, int, str]],
     *,
-    context: int = 3,
     names: tuple[str, str] = ("baseline", "perturbed"),
 ) -> str:
-    """Minimal window where two event traces diverge, with context.
+    """Minimal window where two event traces diverge, with
+    :data:`_CONTEXT` shared events before it.
 
     Trims the common prefix and common suffix, then renders the
     remaining windows side by side (prefixed ``-``/``+``).  Returns
@@ -104,14 +106,14 @@ def minimized_trace_diff(
         and a[len(a) - 1 - hi] == b[len(b) - 1 - hi]
     ):
         hi += 1
-    a_win = a[max(0, lo - context) : len(a) - hi]
-    b_win = b[max(0, lo - context) : len(b) - hi]
+    a_win = a[max(0, lo - _CONTEXT) : len(a) - hi]
+    b_win = b[max(0, lo - _CONTEXT) : len(b) - hi]
     lines = [
         f"first divergence at event #{lo} "
         f"({len(a)} vs {len(b)} events total, "
         f"{hi} common trailing events trimmed)"
     ]
-    shared = a[max(0, lo - context) : lo]
+    shared = a[max(0, lo - _CONTEXT) : lo]
     for e in shared:
         lines.append(f"  {_fmt(e)}")
     for e in a_win[len(shared) : len(shared) + _MAX_DIFF_LINES]:

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.adios import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
+from repro.adios import ChunkMeta, OutputStep
+from repro.apps.groups import FIELD_GROUP, PARTICLE_GROUP
 from repro.core import PreDatA
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World
@@ -34,19 +35,6 @@ __all__ = [
     "run_workload",
     "OPERATOR_KINDS",
 ]
-
-# GTC-like particle group: (n, 8) rows; column 0 is the global label.
-PARTICLE_GROUP = GroupDef(
-    "particles",
-    (VarDef("electrons", "float64", VarKind.LOCAL_ARRAY, ndim=2),),
-)
-
-# Pixie3D-like field group: one 3-D global array (stand-in for the eight
-# fields; the merge path is identical per variable), 1-D slab decomposition.
-FIELD_GROUP = GroupDef(
-    "fields",
-    (VarDef("rho", "float64", VarKind.GLOBAL_ARRAY, ndim=3),),
-)
 
 #: every built-in operator the differential oracles cover
 OPERATOR_KINDS = (
@@ -134,7 +122,7 @@ def make_operators(kind: str) -> list:
     if kind == "filter":
         return [FilterOperator("electrons", column=1, lo=-0.5, hi=0.5)]
     if kind == "subsample":
-        return [SubsampleOperator("electrons", fraction=0.25, mode="stride")]
+        return [SubsampleOperator("electrons", fraction=0.25)]
     if kind == "precision_reduce":
         return [PrecisionReduceOperator(["electrons"])]
     raise ValueError(f"unknown operator kind {kind!r}")

@@ -12,11 +12,11 @@ measured outcome afterwards.  The policy:
   static recommendation;
 - **demote staging -> in-compute** when the measured staging-pipeline
   latency exceeds the latency budget (results arriving too late for
-  their consumer) for ``patience`` consecutive dumps;
+  their consumer) for :data:`PATIENCE` consecutive dumps;
 - **promote in-compute -> staging** when the measured visible cost of
   in-compute execution exceeds its budget (the simulation is being
-  slowed too much) for ``patience`` consecutive dumps;
-- never flap faster than ``patience`` allows.
+  slowed too much) for :data:`PATIENCE` consecutive dumps;
+- never flap faster than :data:`PATIENCE` allows.
 
 The controller is transport-agnostic: it only sees measurements, so it
 reacts identically to file-system weather, staging overload, or
@@ -29,6 +29,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["PlacementBudget", "PlacementDecision", "AdaptivePlacement"]
+
+#: consecutive budget violations before the controller switches placement
+PATIENCE = 2
 
 
 @dataclass(frozen=True)
@@ -56,22 +59,14 @@ class PlacementDecision:
 
 
 class AdaptivePlacement:
-    """Per-dump placement controller."""
+    """Per-dump placement controller, starting from the *initial*
+    placement (the advisor's static recommendation)."""
 
-    def __init__(
-        self,
-        budget: PlacementBudget,
-        *,
-        initial: str = "staging",
-        patience: int = 2,
-    ):
+    def __init__(self, budget: PlacementBudget, *, initial: str = "staging"):
         if initial not in ("staging", "incompute"):
             raise ValueError(f"bad initial placement {initial!r}")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
         self.budget = budget
         self.current = initial
-        self.patience = patience
         self.history: list[PlacementDecision] = []
         self._violations = 0
         self.switches = 0
@@ -109,7 +104,7 @@ class AdaptivePlacement:
         decision.violated = violated
         if violated:
             self._violations += 1
-            if self._violations >= self.patience:
+            if self._violations >= PATIENCE:
                 self._switch()
         else:
             self._violations = 0

@@ -37,6 +37,10 @@ from repro.sim.resources import Mailbox
 
 __all__ = ["FetchRequest", "StagingClient", "StagingTransport", "default_route"]
 
+#: packed steps a compute process may hold before its next write blocks
+#: (double buffering: one step in flight while the next is packed)
+MAX_BUFFERED_STEPS = 2
+
 
 def default_route(compute_rank: int, ncompute: int, nstaging: int) -> int:
     """Block mapping of compute ranks onto staging processes."""
@@ -93,7 +97,6 @@ class StagingClient:
         staging_nodes: list[int],
         scheduler: Optional[MovementScheduler] = None,
         route: Optional[Callable[[int, int, int], int]] = None,
-        max_buffered_steps: int = 2,
         fetch_rate_cap: Optional[float] = None,
         resilient: bool = False,
     ):
@@ -126,7 +129,6 @@ class StagingClient:
         self.staging_nodes = list(staging_nodes)
         self.scheduler = scheduler or MovementScheduler(env)
         self._route = route or default_route
-        self.max_buffered_steps = max_buffered_steps
         if fetch_rate_cap is not None and fetch_rate_cap <= 0:
             raise ValueError("fetch_rate_cap must be positive")
         self.fetch_rate_cap = fetch_rate_cap
@@ -245,11 +247,11 @@ class StagingClient:
         start = env.now
         node = self.machine.node(comm.node_id)
 
-        # Back-pressure: at most ``max_buffered_steps`` outstanding
-        # buffers per process.
+        # Back-pressure: at most MAX_BUFFERED_STEPS outstanding buffers
+        # per process.
         pending = self._pending.setdefault(comm.rank, [])
         pending[:] = [ev for ev in pending if not ev.triggered]
-        while len(pending) >= self.max_buffered_steps:
+        while len(pending) >= MAX_BUFFERED_STEPS:
             yield pending[0]
             pending[:] = [ev for ev in pending if not ev.triggered]
         if obs is not None and env.now > start:

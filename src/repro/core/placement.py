@@ -147,13 +147,15 @@ class OfflineEstimate:
 
 #: share of the file system an offline analysis job sustains
 AVAILABLE_FRACTION = 0.25
+#: cores of the offline analysis job
+ANALYSIS_CORES = 512
 
 
 class OfflineCostModel:
     """Analytic model of the §V.B.3 offline alternative.
 
     The raw dump is already on disk; the offline job reads it back,
-    processes it on ``n_analysis_cores``, and — for operations that do
+    processes it on :data:`ANALYSIS_CORES`, and — for operations that do
     not reduce the data (sorting, layout reorganisation) — writes an
     equivalent volume back, tripling disk-controller traffic.
 
@@ -163,11 +165,8 @@ class OfflineCostModel:
     reason the paper estimates "hundreds of seconds" for a 1 TB step).
     """
 
-    def __init__(self, machine: Machine, n_analysis_cores: int = 512):
-        if n_analysis_cores < 1:
-            raise ValueError("need at least one analysis core")
+    def __init__(self, machine: Machine):
         self.machine = machine
-        self.n_analysis_cores = n_analysis_cores
 
     def estimate(
         self,
@@ -180,7 +179,7 @@ class OfflineCostModel:
         """Cost of processing *data_bytes* offline (read back, process, rewrite when the operation does not reduce the data)."""
         fs = self.machine.spec.filesystem
         nclients = max(
-            1, self.n_analysis_cores // self.machine.spec.node.cores
+            1, ANALYSIS_CORES // self.machine.spec.node.cores
         )
         stream = (
             min(fs.aggregate_bandwidth, fs.client_bandwidth * nclients)
@@ -189,7 +188,7 @@ class OfflineCostModel:
         read_s = data_bytes / stream
         flops = data_bytes * flops_per_byte
         process_s = flops / (
-            self.machine.spec.node.core_flops * self.n_analysis_cores
+            self.machine.spec.node.core_flops * ANALYSIS_CORES
         )
         if reduces_data:
             write_bytes = output_bytes

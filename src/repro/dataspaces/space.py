@@ -42,6 +42,9 @@ __all__ = ["Region", "DSQueryStats", "DataSpaces"]
 
 #: discovery round-trips on a client's first query
 _SETUP_ROUNDS = 3
+#: index granularity: a declared domain is cut into about this many
+#: blocks per server
+BLOCKS_PER_SERVER = 8
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,12 @@ class _ContinuousQuery:
 class _DomainIndex:
     """Block partition of one declared domain across servers."""
 
-    def __init__(self, dims: tuple[int, ...], nservers: int, blocks_per_server: int):
+    def __init__(self, dims: tuple[int, ...], nservers: int):
         self.dims = tuple(int(d) for d in dims)
         self.nservers = nservers
         ndim = len(self.dims)
-        # power-of-two block grid with ~blocks_per_server*nservers blocks
-        target = max(nservers * blocks_per_server, 1)
+        # power-of-two block grid with ~BLOCKS_PER_SERVER*nservers blocks
+        target = max(nservers * BLOCKS_PER_SERVER, 1)
         per_dim = max(1, round(target ** (1.0 / ndim)))
         order = max(1, int(np.ceil(np.log2(per_dim))))
         self.order = order
@@ -207,7 +210,6 @@ class DataSpaces:
     env: simulation engine.
     machine: machine hosting the servers.
     server_nodes: machine node id per DataSpaces server process.
-    blocks_per_server: index granularity.
     hash_seconds_per_block: index-hash cost charged per block touched.
     """
 
@@ -217,7 +219,6 @@ class DataSpaces:
         machine: Machine,
         server_nodes: list[int],
         *,
-        blocks_per_server: int = 8,
         hash_seconds_per_block: float = 2e-5,
         wire_scale: float = 1.0,
         serve_bandwidth: float | None = None,
@@ -251,7 +252,6 @@ class DataSpaces:
         self.env = env
         self.machine = machine
         self.server_nodes = list(server_nodes)
-        self.blocks_per_server = blocks_per_server
         self.hash_seconds_per_block = hash_seconds_per_block
         self.wire_scale = wire_scale
         self.serve_bandwidth = serve_bandwidth
@@ -280,7 +280,7 @@ class DataSpaces:
         """Declare a named domain before any put/get."""
         if name in self._indexes:
             raise ValueError(f"domain {name!r} already declared")
-        idx = _DomainIndex(dims, len(self.server_nodes), self.blocks_per_server)
+        idx = _DomainIndex(dims, len(self.server_nodes))
         self._indexes[name] = idx
         self._store[name] = {b: {} for b in idx.blocks}
         self._versions[name] = 0

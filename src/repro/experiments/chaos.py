@@ -32,7 +32,7 @@ import numpy as np
 from repro.adios.bp import BPFile, BPWriter
 from repro.adios.group import ChunkMeta, OutputStep
 from repro.adios.io import SyncMPIIO
-from repro.check.workloads import FIELD_GROUP
+from repro.apps.groups import FIELD_GROUP
 from repro.core import PreDatA
 from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
@@ -50,6 +50,10 @@ __all__ = ["ChaosResult", "ChaosRun", "cli", "fingerprint", "main", "run_chaos",
 #: 0.2 s into step 1
 DUMP_INTERVAL = 2.0
 CRASH_T = DUMP_INTERVAL + 0.2
+#: field-slab edge per simulated rank, and the logical dump volume each
+#: logical rank carries (MB)
+LOCAL_N = 8
+PER_LOGICAL_RANK_MB = 0.5
 
 
 def _expected_field(nprocs: int, local_n: int, step: int) -> np.ndarray:
@@ -128,8 +132,6 @@ def run_once(
     logical_ranks: int = 512,
     rep_ranks: int = 8,
     nsteps: int = 4,
-    local_n: int = 8,
-    per_logical_rank_mb: float = 0.5,
     nstaging_nodes: int = 2,
     inject: bool = True,
     seed: int = 7,
@@ -148,7 +150,7 @@ def run_once(
 
     The ``rep_ranks`` simulated processes stand for ``logical_ranks``
     logical ones: each carries its share of the logical dump volume
-    (``per_logical_rank_mb`` MB per logical rank) as wire/memory
+    (:data:`PER_LOGICAL_RANK_MB` per logical rank) as wire/memory
     inflation, so fetch and shuffle take realistic simulated time and
     the kill genuinely lands inside an in-flight step (:data:`CRASH_T`,
     0.2 s into step 1 of dumps :data:`DUMP_INTERVAL` apart).
@@ -197,10 +199,10 @@ def run_once(
         eng, rep_ranks, nstaging_nodes, spec=TESTING_TINY,
         fs_interference=False, topology=topology,
     )
-    real_bytes = local_n * local_n * local_n * 8
+    real_bytes = LOCAL_N**3 * 8
     scale = max(
         1.0,
-        logical_ranks * per_logical_rank_mb * 1e6 / (rep_ranks * real_bytes),
+        logical_ranks * PER_LOGICAL_RANK_MB * 1e6 / (rep_ranks * real_bytes),
     )
     writer = BPWriter("merged.bp", FIELD_GROUP)
     op = ArrayMergeOperator(["rho"], out_group=FIELD_GROUP, writer=writer)
@@ -247,7 +249,7 @@ def run_once(
 
     def app_main(comm):
         for s in range(nsteps):
-            step = _field_step(comm.rank, rep_ranks, local_n, s, scale)
+            step = _field_step(comm.rank, rep_ranks, LOCAL_N, s, scale)
             yield from predata.transport.write_step(comm, step)
             yield from comm.sleep(DUMP_INTERVAL)
 
@@ -265,7 +267,7 @@ def run_once(
     # -- completeness: every step readable back, bit-for-bit --------------
     missing: list[int] = []
     for s in range(nsteps):
-        expected = _expected_field(rep_ranks, local_n, s)
+        expected = _expected_field(rep_ranks, LOCAL_N, s)
         if not _step_recovered(merged, fallback_file, s, expected):
             missing.append(s)
 

@@ -76,7 +76,6 @@ def _one_scale(q: int) -> Fig9Row:
         machine,
         server_nodes,
         wire_scale=wire_scale,
-        blocks_per_server=8,
         hash_seconds_per_block=0.01,
         serve_bandwidth=0.25e9,
         setup_server_seconds=0.02,

@@ -53,6 +53,11 @@ FAST_FIG8 = dict(ndumps=1, iterations_per_dump=4, compute_seconds_per_iteration=
 #: pacing of the scheduled RDMA gets, bytes/s per staging process
 GTC_FETCH_RATE_CAP = 0.2e9
 PIXIE3D_FETCH_RATE_CAP = 0.1e9
+#: fraction of each compute phase the PreDatA compute-node runtime steals
+#: from a staged application (buffer management, the fetch progress
+#: engine); in-compute runs lose nothing to it
+GTC_STAGING_STEAL = 0.005
+PIXIE3D_STAGING_STEAL = 0.008
 
 #: Paper scales for the GTC experiments (compute cores).
 def gtc_scales() -> list[int]:
@@ -232,7 +237,7 @@ def run_gtc(
     app = GTCApplication(
         machine, app_world, transport, cfg,
         scheduler=scheduler, runner=runner,
-        staging_steal=0.005 if placement == "staging" else 0.0,
+        staging_steal=GTC_STAGING_STEAL if placement == "staging" else 0.0,
     )
     app.spawn()
     eng.run()
@@ -298,7 +303,6 @@ def run_pixie3d(
     collective_rounds: int = 8,
     collect_files: bool = False,
     fs_interference: bool = True,
-    staging_steal: float = 0.008,
 ) -> Pixie3DRunResult:
     """One single-dump Pixie3D run at *cores* on the XT4 with layout
     reorg in *placement*.
@@ -379,7 +383,7 @@ def run_pixie3d(
 
     app = Pixie3DApplication(
         machine, app_world, transport, cfg, scheduler=scheduler,
-        staging_steal=staging_steal if placement == "staging" else 0.0,
+        staging_steal=PIXIE3D_STAGING_STEAL if placement == "staging" else 0.0,
     )
     app.spawn()
     eng.run()

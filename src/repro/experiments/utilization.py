@@ -58,9 +58,9 @@ def run_utilization(scales: list[int] | None = None, **run_kwargs) -> list[Utili
     return rows
 
 
-def main(scales: list[int] | None = None, **kw) -> str:
+def main() -> str:
     """Print the utilization table; returns the formatted text."""
-    rows = run_utilization(scales, **{**FAST_FIG8, **kw})
+    rows = run_utilization(**FAST_FIG8)
     text = format_table(
         ["cores", "I/O interval", "pipeline busy", "interval occupancy",
          "staging-core busy"],

@@ -2,8 +2,9 @@
 
 Each watched staging rank runs a tiny *beat* process that stamps a
 liveness time while its node is up; a monitor process sweeps the stamps
-every ``interval`` and declares any rank silent for longer than
-``timeout`` dead, firing the registered callbacks once per rank.
+every :data:`~repro.faults.config.HEARTBEAT_INTERVAL` and declares any
+rank silent for longer than :data:`~repro.faults.config.HEARTBEAT_TIMEOUT`
+dead, firing the registered callbacks once per rank.
 
 This mirrors the membership service a real staging deployment would run
 over its control channel: detection is *delayed* (roughly the timeout
@@ -16,25 +17,16 @@ from __future__ import annotations
 
 from typing import Callable, Generator
 
+from repro.faults.config import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
+
 __all__ = ["FailureDetector"]
 
 
 class FailureDetector:
-    """Heartbeat-based liveness monitor.
+    """Heartbeat-based liveness monitor on the simulation engine *env*."""
 
-    Parameters
-    ----------
-    env: simulation engine.
-    interval: heartbeat period and monitor sweep period.
-    timeout: silence threshold before a rank is declared failed.
-    """
-
-    def __init__(self, env, *, interval: float = 0.5, timeout: float = 2.0):
-        if interval <= 0 or timeout < interval:
-            raise ValueError("need 0 < interval <= timeout")
+    def __init__(self, env):
         self.env = env
-        self.interval = interval
-        self.timeout = timeout
         self._watched: dict[int, Callable[[], bool]] = {}
         self.last_beat: dict[int, float] = {}
         self.failed: set[int] = set()
@@ -71,17 +63,17 @@ class FailureDetector:
         alive = self._watched[rank]
         while not self._stopped and alive():
             self.last_beat[rank] = self.env.now
-            yield self.env.timeout(self.interval)
+            yield self.env.timeout(HEARTBEAT_INTERVAL)
         return None
 
     def _monitor(self) -> Generator:
         while not self._stopped:
-            yield self.env.timeout(self.interval)
+            yield self.env.timeout(HEARTBEAT_INTERVAL)
             now = self.env.now
             newly = [
                 r
                 for r in sorted(self._watched)
-                if r not in self.failed and now - self.last_beat[r] > self.timeout
+                if r not in self.failed and now - self.last_beat[r] > HEARTBEAT_TIMEOUT
             ]
             if newly:
                 self.failed.update(newly)

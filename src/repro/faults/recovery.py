@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.adios.group import OutputStep
-from repro.faults.config import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
+from repro.faults.config import HEARTBEAT_INTERVAL
 from repro.faults.detector import FailureDetector
 from repro.faults.errors import RecoveryRestart
 from repro.machine.node import NodeFailure
@@ -65,11 +65,7 @@ class ResilienceController:
         self.world = service.world
         self.client = service.client
         self.fallback = fallback
-        self.detector = FailureDetector(
-            env,
-            interval=HEARTBEAT_INTERVAL,
-            timeout=HEARTBEAT_TIMEOUT,
-        )
+        self.detector = FailureDetector(env)
         #: chronological protocol events: (kind, sim_time, detail)
         self.timeline: list[tuple[str, float, object]] = []
         self.epoch = 0
@@ -115,7 +111,7 @@ class ResilienceController:
         # degradation/replay can salvage the uncommitted dumps — don't
         # silence the heartbeats while a death is pending detection.
         while self._undetected_dead_ranks():
-            yield self.env.timeout(self.detector.interval)
+            yield self.env.timeout(HEARTBEAT_INTERVAL)
         self.detector.stop()
         return None
 

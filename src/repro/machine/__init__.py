@@ -5,8 +5,8 @@ paper ran on.  It provides:
 
 - :mod:`repro.machine.topology` — a 3-D torus topology (SeaStar mesh)
   with hop-count routing, plus
-  :class:`RegionalTopology` layering named regions with
-  per-region-pair latency classes over the torus;
+  :class:`RegionalTopology` layering named regions over the torus
+  (cross-region links slow only inside a scenario's window);
 - :mod:`repro.machine.network` — a fluid-flow interconnect model with
   per-node full-duplex NIC pipes, a bisection backbone, RDMA transfers
   and alpha-beta collective cost models;
@@ -26,12 +26,11 @@ from repro.machine.machine import Machine
 from repro.machine.network import Network, NetworkConfig
 from repro.machine.node import MemoryError_, Node, NodeConfig, NodeFailure
 from repro.machine.presets import JAGUAR_XT4, JAGUAR_XT5, MachineSpec, TESTING_TINY
-from repro.machine.topology import LatencyClass, RegionalTopology, TorusTopology
+from repro.machine.topology import RegionalTopology, TorusTopology
 
 __all__ = [
     "FileSystemConfig",
     "JAGUAR_XT4",
-    "LatencyClass",
     "JAGUAR_XT5",
     "Machine",
     "MachineSpec",

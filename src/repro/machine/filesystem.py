@@ -135,55 +135,44 @@ class ParallelFileSystem:
         return mult
 
     # -- helpers ---------------------------------------------------------------
-    def _stream_rate_cap(self, nclients: int, stripes: int) -> float:
+    def _stream_rate_cap(self, stripes: int) -> float:
         """Effective cap for one client stream given striping."""
         per_stripe = self.config.aggregate_bandwidth / self.config.n_osts
         return min(self.config.client_bandwidth, per_stripe * stripes)
 
     # -- operations --------------------------------------------------------------
-    def write(
-        self,
-        nbytes: float,
-        *,
-        nclients: int = 1,
-        stripes: Optional[int] = None,
-        metadata_ops: int = 1,
-        label: Optional[str] = None,
-    ) -> Generator:
-        """Process body: write *nbytes* spread over *nclients* streams.
+    def write(self, nbytes: float, *, label: Optional[str] = None) -> Generator:
+        """Process body: one client writes *nbytes* to a new file.
 
-        Returns elapsed seconds.  Aggregate-pipe sharing plus the
-        per-client cap model both the many-writers regime (aggregate
-        bound) and the few-writers regime (client bound).  ``label``
-        names the traffic class in traces (e.g. flow-control spill I/O
-        competing with ordinary output on the same OSTs).
+        Returns elapsed seconds.  The write is the slower of its share
+        of the aggregate pipe and the one client's streaming cap, so
+        many concurrent ``write()`` calls are aggregate bound and a few
+        are client bound.  ``label`` names the traffic class in traces
+        (e.g. flow-control spill I/O competing with ordinary output on
+        the same OSTs).
         """
         if nbytes < 0:
             raise ValueError("write size must be non-negative")
         start = self.env.now
-        stripes = stripes or self.config.stripe_count
-        yield self.env.timeout(self.config.metadata_latency * metadata_ops)
-        self.metadata_ops += metadata_ops
+        yield self.env.timeout(self.config.metadata_latency)
+        self.metadata_ops += 1
         if nbytes > 0:
-            cap = self._stream_rate_cap(nclients, stripes) * nclients
-            if nbytes / max(nclients, 1) < self.config.small_write_threshold:
+            cap = self._stream_rate_cap(self.config.stripe_count)
+            if nbytes < self.config.small_write_threshold:
                 # small writes never reach streaming rates
-                per_client = min(
+                cap = min(
                     self.config.small_write_bandwidth * self._degradation(self.env.now),
-                    cap / max(nclients, 1),
+                    cap,
                 )
-                cap = per_client * nclients
-            cap_time = nbytes / cap
             done = self.pipe.transfer(nbytes)
-            # The slower of 'share of aggregate pipe' and 'client caps'.
-            cap_ev = self.env.timeout(cap_time)
+            # The slower of 'share of aggregate pipe' and 'client cap'.
+            cap_ev = self.env.timeout(nbytes / cap)
             yield self.env.all_of([done, cap_ev])
             self.bytes_written += nbytes
         obs = self.env.obs
         if obs is not None:
             obs.span(
-                "fs_write", "io", start, tid=label or "filesystem",
-                nbytes=nbytes, nclients=nclients,
+                "fs_write", "io", start, tid=label or "filesystem", nbytes=nbytes,
             )
             obs.metrics.inc("fs_bytes_written", nbytes)
         return self.env.now - start
@@ -192,12 +181,12 @@ class ParallelFileSystem:
         self,
         nbytes: float,
         *,
-        nclients: int = 1,
         extents: int = 1,
         stripes: Optional[int] = None,
         label: Optional[str] = None,
     ) -> Generator:
-        """Process body: read *nbytes* in *extents* discontiguous pieces.
+        """Process body: one client reads *nbytes* in *extents*
+        discontiguous pieces from a file striped over *stripes* OSTs.
 
         The per-extent overhead is what reorganised (merged) layouts
         avoid: reading one global array from an unmerged 4096-writer BP
@@ -212,22 +201,20 @@ class ParallelFileSystem:
         stripes = stripes or self.config.stripe_count
         yield self.env.timeout(self.config.metadata_latency)
         self.metadata_ops += 1
-        # Seek/dispatch cost for gathering scattered extents, shared
-        # across reading clients.
-        seek_time = self.config.extent_overhead * extents / max(nclients, 1)
+        # Seek/dispatch cost for gathering scattered extents.
+        seek_time = self.config.extent_overhead * extents
         if seek_time > 0:
             yield self.env.timeout(seek_time)
         if nbytes > 0:
-            cap = self._stream_rate_cap(nclients, stripes) * nclients
             done = self.pipe.transfer(nbytes)
-            cap_ev = self.env.timeout(nbytes / cap)
+            cap_ev = self.env.timeout(nbytes / self._stream_rate_cap(stripes))
             yield self.env.all_of([done, cap_ev])
             self.bytes_read += nbytes
         obs = self.env.obs
         if obs is not None:
             obs.span(
                 "fs_read", "io", start, tid=label or "filesystem",
-                nbytes=nbytes, nclients=nclients, extents=extents,
+                nbytes=nbytes, extents=extents,
             )
             obs.metrics.inc("fs_bytes_read", nbytes)
         return self.env.now - start

@@ -203,8 +203,9 @@ class Network:
         """
         if not self.regional:
             raise ValueError("network topology has no regions")
-        # validate the names through the topology
-        self.topology.latency_class(region_a, region_b)
+        for r in (region_a, region_b):
+            if r not in self.topology.regions:
+                raise KeyError(f"unknown region {r!r} (have {self.topology.regions})")
         if region_a == region_b:
             raise ValueError("region window needs two distinct regions")
         if end <= start:
@@ -215,17 +216,15 @@ class Network:
         self._region_windows.setdefault(key, []).append((start, end, extra))
 
     def _regional_extra(self, src: int, dst: int, now: float) -> float:
-        """Static pair latency + any active window extras for src->dst."""
+        """The extras of the windows open on src->dst's region pair."""
         topo = self.topology
         ra, rb = topo.region_of(src), topo.region_of(dst)
         if ra == rb:
             return 0.0
-        extra = topo.latency_class(ra, rb).extra_latency
-        windows = self._region_windows.get(frozenset((ra, rb)))
-        if windows:
-            for start, end, window_extra in windows:
-                if start <= now < end:
-                    extra += window_extra
+        extra = 0.0
+        for start, end, window_extra in self._region_windows.get(frozenset((ra, rb)), ()):
+            if start <= now < end:
+                extra += window_extra
         return extra
 
     def _account_region_bytes(self, src: int, dst: int, nbytes: float) -> None:
@@ -268,9 +267,9 @@ class Network:
         if rdma:
             latency += cfg.rdma_setup
         if self.regional:
-            # cross-region latency class + any partition/flap windows
-            # active right now (0.0 intra-region, so a regional topology
-            # with all-local classes stays byte-identical to the torus)
+            # any slow-link/partition windows open right now (0.0 intra-
+            # region or without a window, so a regional topology stays
+            # byte-identical to the torus until a scenario opens one)
             latency += self._regional_extra(src, dst, self.env.now)
         yield self.env.timeout(latency)
         if nbytes > 0 and src != dst:

@@ -6,21 +6,20 @@ mapping, minimal hop counts (dimension-ordered routing), neighbour
 queries and a bisection-width estimate.
 
 :class:`RegionalTopology` layers named *regions* over the torus —
-contiguous id blocks standing for machine rows, cabinets or sites —
-with a per-region-pair :class:`LatencyClass` charged on every
-cross-region transfer.  The adversarial scenario library uses it to
-model slow regions and regional partitions/flaps (THREATS.md);
-:class:`~repro.machine.network.Network` consults it for latency and
-keeps per-region-pair byte accounting.
+contiguous id blocks standing for machine rows, cabinets or sites.
+A cross-region link is slowed one way: a scenario opens a
+:meth:`~repro.machine.network.Network.region_extra_window` on the
+:class:`~repro.machine.network.Network`, which models slow regions and
+regional partitions/flaps (THREATS.md) and keeps per-region-pair byte
+accounting.  Without a window a regional run is the plain torus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-__all__ = ["LatencyClass", "RegionalTopology", "TorusTopology"]
+__all__ = ["RegionalTopology", "TorusTopology"]
 
 
 def _balanced_dims(n: int) -> tuple[int, int, int]:
@@ -140,28 +139,6 @@ class TorusTopology:
         return f"TorusTopology(n={self.n}, dims={self.dims})"
 
 
-@dataclass(frozen=True)
-class LatencyClass:
-    """One cross-region link quality: extra one-way latency in seconds.
-
-    ``extra_latency`` is added on top of the torus routing latency for
-    every transfer whose endpoints fall in a region pair mapped to this
-    class.  The default ``local`` class (0 s) keeps a regional topology
-    byte-identical to the plain torus until a scenario says otherwise.
-    """
-
-    name: str
-    extra_latency: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.extra_latency < 0:
-            raise ValueError("extra_latency must be non-negative")
-
-
-#: the implicit zero-cost class every unmapped region pair falls into
-LOCAL_CLASS = LatencyClass("local", 0.0)
-
-
 class RegionalTopology(TorusTopology):
     """A torus whose nodes are carved into named, contiguous regions.
 
@@ -173,29 +150,10 @@ class RegionalTopology(TorusTopology):
         Ordered region names.  Nodes are striped into contiguous,
         near-equal id blocks in this order (node ``i`` belongs to
         region ``floor(i * len(regions) / n)``), mirroring row/cabinet
-        allocation on a real machine.  Pass ``assign`` for an explicit
-        layout instead.
-    classes:
-        Extra :class:`LatencyClass` instances by name (``local`` is
-        always available).
-    pair_classes:
-        Mapping of region pairs — ``frozenset({a, b})`` or 2-tuples —
-        to a latency-class name.  Unmapped pairs (including every
-        intra-region pair) use ``local``.
-    assign:
-        Optional explicit node -> region-name sequence of length *n*,
-        overriding the contiguous striping.
+        allocation on a real machine.
     """
 
-    def __init__(
-        self,
-        n: int,
-        regions: Sequence[str],
-        *,
-        classes: Optional[Mapping[str, LatencyClass]] = None,
-        pair_classes: Optional[Mapping[object, str]] = None,
-        assign: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, n: int, regions: Sequence[str]):
         super().__init__(n)
         names = tuple(regions)
         if not names:
@@ -203,29 +161,8 @@ class RegionalTopology(TorusTopology):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate region names in {names}")
         self.regions = names
-        self.classes: dict[str, LatencyClass] = {LOCAL_CLASS.name: LOCAL_CLASS}
-        for cname, cls in (classes or {}).items():
-            if cname != cls.name:
-                raise ValueError(f"class key {cname!r} != class name {cls.name!r}")
-            self.classes[cname] = cls
-        if assign is not None:
-            if len(assign) != n:
-                raise ValueError(f"assign covers {len(assign)} nodes, need {n}")
-            bad = sorted(set(assign) - set(names))
-            if bad:
-                raise ValueError(f"assign uses unknown regions {bad}")
-            self._region_of = list(assign)
-        else:
-            k = len(names)
-            self._region_of = [names[min(i * k // n, k - 1)] for i in range(n)]
-        self._pair_class: dict[frozenset, str] = {}
-        for pair, cname in (pair_classes or {}).items():
-            key = frozenset(pair)
-            if not key <= set(names):
-                raise ValueError(f"pair {set(pair)} names unknown regions")
-            if cname not in self.classes:
-                raise ValueError(f"unknown latency class {cname!r}")
-            self._pair_class[key] = cname
+        k = len(names)
+        self._region_of = [names[min(i * k // n, k - 1)] for i in range(n)]
 
     # -- region structure ------------------------------------------------
     def region_of(self, node: int) -> str:
@@ -239,21 +176,6 @@ class RegionalTopology(TorusTopology):
         if region not in self.regions:
             raise KeyError(f"unknown region {region!r} (have {self.regions})")
         return [i for i in range(self.n) if self._region_of[i] == region]
-
-    # -- latency classes -------------------------------------------------
-    def latency_class(self, region_a: str, region_b: str) -> LatencyClass:
-        """The :class:`LatencyClass` governing a region pair."""
-        for r in (region_a, region_b):
-            if r not in self.regions:
-                raise KeyError(f"unknown region {r!r} (have {self.regions})")
-        if region_a == region_b:
-            return self.classes[LOCAL_CLASS.name]
-        cname = self._pair_class.get(frozenset((region_a, region_b)))
-        return self.classes[cname] if cname is not None else self.classes["local"]
-
-    def pair_latency(self, a: int, b: int) -> float:
-        """Static extra latency between nodes *a* and *b* (0 intra-region)."""
-        return self.latency_class(self.region_of(a), self.region_of(b)).extra_latency
 
     def __repr__(self) -> str:
         return (

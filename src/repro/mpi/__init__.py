@@ -41,9 +41,8 @@ the simulation (§IV.C: "The staging area is running as a separate MPI
 program launched independently from the simulation").
 """
 
-from repro.mpi.ops import SUM, Op
 from repro.mpi.communicator import Communicator
 from repro.mpi.world import World
 from repro.mpi.datasize import nbytes_of
 
-__all__ = ["Communicator", "Op", "SUM", "World", "nbytes_of"]
+__all__ = ["Communicator", "World", "nbytes_of"]

@@ -41,8 +41,6 @@ from typing import Any, Generator, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.ops import Op, SUM
-
 __all__ = ["Communicator"]
 
 
@@ -108,17 +106,16 @@ class Communicator:
         return self._collective("bcast", obj, wire_scale, root=root)
 
     def reduce(
-        self, value: Any, op: Op = SUM, root: int = 0,
-        *, wire_scale: Optional[float] = None,
+        self, value: Any, root: int = 0, *, wire_scale: Optional[float] = None
     ) -> Generator:
-        """Process body: returns reduction on *root*, None elsewhere."""
-        return self._collective("reduce", value, wire_scale, op=op, root=root)
+        """Process body: returns the sum on *root*, None elsewhere."""
+        return self._collective("reduce", value, wire_scale, root=root)
 
     def allreduce(
-        self, value: Any, op: Op = SUM, *, wire_scale: Optional[float] = None
+        self, value: Any, *, wire_scale: Optional[float] = None
     ) -> Generator:
-        """Process body: reduction whose result lands on every rank."""
-        return self._collective("allreduce", value, wire_scale, op=op)
+        """Process body: the sum, landing on every rank."""
+        return self._collective("allreduce", value, wire_scale)
 
     def allgather(
         self, value: Any, *, wire_scale: Optional[float] = None

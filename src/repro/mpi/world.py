@@ -14,7 +14,8 @@ a barrier, and any collective of a one-member world, priced for
 
 from __future__ import annotations
 
-from functools import partial
+import operator
+from functools import partial, reduce
 from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -264,9 +265,9 @@ class World:
                 state.kind, state.payloads, state.kwargs, state.arrivals
             )
         except Exception as exc:
-            # Propagate semantic errors (e.g. an op that cannot combine
-            # the payloads) into every waiting rank instead of
-            # deadlocking the world.
+            # Propagate semantic errors (e.g. payloads that cannot be
+            # added) into every waiting rank instead of deadlocking the
+            # world.
             state.done.fail(exc)
             return
         state.done.succeed(results)
@@ -302,7 +303,9 @@ class World:
         elif kind == "bcast":
             value = payloads[kwargs.get("root", 0)]
         elif kind in ("reduce", "allreduce"):
-            value = kwargs["op"].reduce_all([payloads[r] for r in ranks])
+            # the one reduction: ``+`` folded left to right in rank order
+            # (order-stable for determinism; ``np.add`` once an array joins)
+            value = reduce(operator.add, [payloads[r] for r in ranks])
         elif kind == "allgather":
             value = [payloads[r] for r in ranks]
         else:

@@ -184,7 +184,7 @@ class ArrayMergeOperator(PreDatAOperator):
             nbytes = total_real * ctx.volume_scale
 
             def body():
-                yield from self.filesystem.write(nbytes, nclients=1)
+                yield from self.filesystem.write(nbytes)
                 return merged
 
             return body()

@@ -27,51 +27,28 @@ from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 
 __all__ = ["SubsampleOperator", "PrecisionReduceOperator"]
 
-#: base seed of ``mode="random"`` sampling (rank *r* draws from seed + r)
-_SAMPLE_SEED = 13
-
 
 class SubsampleOperator(PreDatAOperator):
-    """Keeps a fraction of a 2-D variable's rows.
+    """Keeps a fraction of a 2-D variable's rows: every
+    ``round(1/fraction)``-th row (deterministic, preserves temporal
+    ordering).
 
     Parameters
     ----------
     var: group variable holding ``(n, k)`` arrays.
     fraction: target fraction of rows to keep, in (0, 1].
-    mode: ``"stride"`` keeps every ``round(1/fraction)``-th row
-        (deterministic, preserves temporal ordering); ``"random"``
-        draws a seeded Bernoulli sample (statistically unbiased).
     """
 
-    def __init__(
-        self,
-        var: str,
-        fraction: float,
-        *,
-        mode: str = "stride",
-    ):
+    def __init__(self, var: str, fraction: float):
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if mode not in ("stride", "random"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.var = var
         self.fraction = fraction
-        self.mode = mode
         self.name = f"subsample:{var}"
-        self.rows_in = 0
-        self.rows_out = 0
 
     def partial_calculate(self, step: OutputStep) -> Any:
         data = np.atleast_2d(step.values[self.var])
-        n = data.shape[0]
-        if self.mode == "stride":
-            stride = max(round(1.0 / self.fraction), 1)
-            kept = data[::stride]
-        else:
-            rng = np.random.default_rng(_SAMPLE_SEED + step.rank)
-            kept = data[rng.random(n) < self.fraction]
-        self.rows_in += n
-        self.rows_out += kept.shape[0]
+        kept = data[:: max(round(1.0 / self.fraction), 1)]
         step.values[self.var] = kept
         return int(kept.shape[0])
 
@@ -100,10 +77,6 @@ class SubsampleOperator(PreDatAOperator):
             "rows": reduced.get(ctx.rank, np.empty((0,))),
             "global_rows": ctx.aggregated,
         }
-
-    @property
-    def achieved_fraction(self) -> float:
-        return self.rows_out / self.rows_in if self.rows_in else 1.0
 
     def logical_fraction_shuffled(self) -> float:
         return self.fraction

@@ -173,7 +173,7 @@ class SampleSortOperator(PreDatAOperator):
             nbytes = float(np.asarray(bucket).nbytes) * ctx.volume_scale
 
             def body():
-                yield from self.filesystem.write(nbytes, nclients=1)
+                yield from self.filesystem.write(nbytes)
                 return bucket
 
             return body()

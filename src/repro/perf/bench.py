@@ -72,10 +72,12 @@ HOST_SPEED_GUARDS = ("events_per_sec_", "weak_scaling_ratio")
 
 #: a timed sample shorter than this is mostly timer and scheduler noise
 _MIN_SAMPLE_SECONDS = 0.01
+#: samples :func:`_best_of` takes the best of
+_SAMPLES = 3
 
 
-def _best_of(fn: Callable[[], Any], repeat: int = 3) -> float:
-    """Best per-call wall time of *repeat* samples (min filters
+def _best_of(fn: Callable[[], Any]) -> float:
+    """Best per-call wall time of :data:`_SAMPLES` samples (min filters
     scheduler noise).
 
     A sample repeats the call until it has lasted
@@ -84,7 +86,7 @@ def _best_of(fn: Callable[[], Any], repeat: int = 3) -> float:
     being timed once; a call longer than that is still one per sample.
     """
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(_SAMPLES):
         calls = 0
         t0 = time.perf_counter()
         while True:

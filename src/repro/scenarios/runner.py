@@ -35,6 +35,9 @@ __all__ = [
 
 #: region names used when a scenario needs a RegionalTopology
 DEFAULT_REGIONS = ("east", "central", "west")
+#: runs per scenario in :func:`sweep`, for its within-process determinism
+#: guard
+REPEATS = 2
 
 
 @dataclass
@@ -158,14 +161,9 @@ def run_named(
     return run_scenarios([scenario], seed=seed, fast=fast, **workload)
 
 
-def sweep(
-    names: Sequence[str] | None = None,
-    *,
-    fast: bool = False,
-    repeats: int = 2,
-) -> dict:
-    """The chaos matrix: every scenario run ``repeats`` times at seed 0
-    and full intensity.
+def sweep(names: Sequence[str] | None = None, *, fast: bool = False) -> dict:
+    """The chaos matrix: every scenario run :data:`REPEATS` times at
+    seed 0 and full intensity.
 
     Returns a benchmark record (see :mod:`repro.perf.bench`) whose
     guards are host-independent *fractions*: scenarios registered,
@@ -183,7 +181,7 @@ def sweep(
     for name in chosen:
         results = [
             run_named(name, fast=fast)
-            for _ in range(max(1, repeats))
+            for _ in range(REPEATS)
         ]
         first = results[0]
         same = all(
@@ -216,7 +214,7 @@ def sweep(
             "seed": 0,
             "intensity": 1.0,
             "fast": fast,
-            "repeats": repeats,
+            "repeats": REPEATS,
             "scenarios": chosen,
             "invariant_vocabulary": list(INVARIANTS),
         },
@@ -237,10 +235,6 @@ def sweep_arguments(parser) -> None:
         "names", nargs="*", help="scenario subset (default: all registered)"
     )
     parser.add_argument("--fast", action="store_true")
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="runs per scenario for the determinism guard (default 2)",
-    )
 
 
 def sweep_failed(record: dict) -> bool:

@@ -254,14 +254,10 @@ class Process(Event):
         except StopIteration as stop:
             self._end(True, stop.value)
             return
-        except Interrupt as exc:
-            # Uncaught interrupt terminates the process with failure.
-            self._end(False, exc)
-            return
         except BaseException as exc:
+            # an uncaught interrupt or error fails the process, not the
+            # run; a waiter re-raises it
             self._end(False, exc)
-            if not env._catch_errors:
-                raise
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -391,12 +387,12 @@ class SeededTieBreaker(TieBreaker):
 class Engine:
     """The discrete-event simulation engine.
 
+    An exception escaping a process marks the process failed instead of
+    aborting the whole run; waiting on the failed process re-raises it
+    (:meth:`run_until_process` does for a process nobody else awaits).
+
     Parameters
     ----------
-    catch_errors:
-        When True (default), an exception escaping a process marks the
-        process failed instead of aborting the whole run; waiting on the
-        failed process re-raises.  Set False to debug tracebacks.
     tie_breaker:
         Optional :class:`TieBreaker` supplying the sub-key that orders
         same-``(time, priority)`` events.  ``None`` (default) assigns
@@ -426,18 +422,12 @@ class Engine:
         default; the fuzzer attaches one to hash the executed schedule.
     """
 
-    def __init__(
-        self,
-        *,
-        catch_errors: bool = True,
-        tie_breaker: Optional[TieBreaker] = None,
-    ):
+    def __init__(self, *, tie_breaker: Optional[TieBreaker] = None):
         self.now = 0.0
         #: heap of ``(time, priority, sub, seq, event)``; ``seq`` is unique,
         #: so comparisons never reach the event
         self._heap: list[tuple[float, int, int, int, Event]] = []
         self._seq = 0
-        self._catch_errors = catch_errors
         self._tie_breaker = tie_breaker
         #: observability sink (see class docstring); set via bind()
         self.obs = None

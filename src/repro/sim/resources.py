@@ -105,53 +105,45 @@ class Resource:
 
 
 class Store:
-    """Unbounded-or-bounded FIFO of items with blocking get/put."""
+    """Unbounded FIFO of items with a blocking get."""
 
-    def __init__(self, env: Engine, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, env: Engine):
         self.env = env
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Deposit *item*; blocks (unfired event) when full."""
+        """Deposit *item*, handing it to the oldest waiting getter.
+
+        Returns an event that has already fired: a put never blocks,
+        but yielding it lets a producer give way to the getter it woke.
+        """
         ev = self.env.event()
         if self._getters:
             self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
         else:
-            self._putters.append((ev, item))
+            self._items.append(item)
+        ev.succeed()
         return ev
 
     def get(self) -> Event:
         """Return event yielding the oldest item."""
         ev = self.env.event()
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                pev, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                pev.succeed()
-            ev.succeed(item)
+            ev.succeed(self._items.popleft())
         else:
             self._getters.append(ev)
         return ev
 
 
 class Mailbox:
-    """Source/tag addressable message store (MPI-style matching).
+    """Tag-matched message store.
 
-    Messages are matched FIFO within a ``(source, tag)`` class, with
-    wildcard support on both fields for receivers.
+    Messages are matched FIFO within a tag, or in arrival order by a
+    receiver that takes any tag; each message keeps its source.
     """
 
     ANY = object()
@@ -159,31 +151,27 @@ class Mailbox:
     def __init__(self, env: Engine):
         self.env = env
         self._messages: Deque[tuple[Any, Any, Any]] = deque()  # (src, tag, payload)
-        self._receivers: Deque[tuple[Any, Any, Event]] = deque()
+        self._receivers: Deque[tuple[Any, Event]] = deque()
 
     def deliver(self, source: Any, tag: Any, payload: Any) -> None:
         """Deposit a message; wakes a matching receiver if one waits."""
-        for i, (rsrc, rtag, ev) in enumerate(self._receivers):
-            if (rsrc is Mailbox.ANY or rsrc == source) and (
-                rtag is Mailbox.ANY or rtag == tag
-            ):
+        for i, (rtag, ev) in enumerate(self._receivers):
+            if rtag is Mailbox.ANY or rtag == tag:
                 del self._receivers[i]
                 ev.succeed((source, tag, payload))
                 return
         self._messages.append((source, tag, payload))
 
-    def receive(self, source: Any = ANY, tag: Any = ANY) -> Event:
+    def receive(self, tag: Any = ANY) -> Event:
         """Return event yielding ``(source, tag, payload)`` of a match."""
-        for i, (msrc, mtag, payload) in enumerate(self._messages):
-            if (source is Mailbox.ANY or msrc == source) and (
-                tag is Mailbox.ANY or mtag == tag
-            ):
+        for i, msg in enumerate(self._messages):
+            if tag is Mailbox.ANY or msg[1] == tag:
                 del self._messages[i]
                 ev = self.env.event()
-                ev.succeed((msrc, mtag, payload))
+                ev.succeed(msg)
                 return ev
         ev = self.env.event()
-        self._receivers.append((source, tag, ev))
+        self._receivers.append((tag, ev))
         return ev
 
     def cancel(self, ev: Event) -> None:
@@ -193,7 +181,7 @@ class Mailbox:
         its receiver, otherwise the stale entry would silently consume
         (and lose) the next matching message.
         """
-        for i, (_src, _tag, rev) in enumerate(self._receivers):
+        for i, (_tag, rev) in enumerate(self._receivers):
             if rev is ev:
                 del self._receivers[i]
                 return

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adios import OutputStep, ChunkMeta
-from repro.check.workloads import FIELD_GROUP, PARTICLE_GROUP
+from repro.apps.groups import FIELD_GROUP, PARTICLE_GROUP
 from repro.core import PreDatA
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.adaptive import (
+    PATIENCE,
     AdaptivePlacement,
     PlacementBudget,
     PlacementDecision,
@@ -21,12 +22,10 @@ def test_budget_validation():
 def test_controller_validation():
     with pytest.raises(ValueError):
         AdaptivePlacement(BUDGET, initial="offline")
-    with pytest.raises(ValueError):
-        AdaptivePlacement(BUDGET, patience=0)
 
 
 def test_stays_put_when_healthy():
-    ctl = AdaptivePlacement(BUDGET, initial="staging", patience=2)
+    ctl = AdaptivePlacement(BUDGET, initial="staging")
     for step in range(5):
         d = ctl.decide(step)
         assert d.placement == "staging"
@@ -36,7 +35,7 @@ def test_stays_put_when_healthy():
 
 
 def test_demotes_staging_on_latency_violations():
-    ctl = AdaptivePlacement(BUDGET, initial="staging", patience=2)
+    ctl = AdaptivePlacement(BUDGET, initial="staging")
     ctl.decide(0)
     ctl.report(0, visible_seconds=0.1, latency_seconds=90.0)  # violation 1
     assert ctl.decide(1).placement == "staging"  # patience not exhausted
@@ -46,14 +45,15 @@ def test_demotes_staging_on_latency_violations():
 
 
 def test_promotes_incompute_on_visible_cost():
-    ctl = AdaptivePlacement(BUDGET, initial="incompute", patience=1)
-    ctl.decide(0)
-    ctl.report(0, visible_seconds=5.0, latency_seconds=1.0)
-    assert ctl.decide(1).placement == "staging"
+    ctl = AdaptivePlacement(BUDGET, initial="incompute")
+    for step in range(PATIENCE):
+        assert ctl.decide(step).placement == "incompute"
+        ctl.report(step, visible_seconds=5.0, latency_seconds=1.0)
+    assert ctl.decide(PATIENCE).placement == "staging"
 
 
 def test_single_violation_resets_on_recovery():
-    ctl = AdaptivePlacement(BUDGET, initial="staging", patience=2)
+    ctl = AdaptivePlacement(BUDGET, initial="staging")
     ctl.decide(0)
     ctl.report(0, visible_seconds=0.1, latency_seconds=90.0)  # violation
     ctl.decide(1)
@@ -67,12 +67,13 @@ def test_single_violation_resets_on_recovery():
 def test_oscillation_both_ways():
     # staging breaks its latency budget; incompute breaks its visible
     # budget: the controller alternates but only after patience expires.
-    ctl = AdaptivePlacement(BUDGET, initial="staging", patience=1)
-    ctl.decide(0)
-    ctl.report(0, visible_seconds=0.1, latency_seconds=90.0)
-    assert ctl.decide(1).placement == "incompute"
-    ctl.report(1, visible_seconds=9.0, latency_seconds=1.0)
-    assert ctl.decide(2).placement == "staging"
+    ctl = AdaptivePlacement(BUDGET, initial="staging")
+    placements = []
+    for step in range(2 * PATIENCE + 1):
+        d = ctl.decide(step)
+        placements.append(d.placement)
+        ctl.report(step, visible_seconds=9.0, latency_seconds=90.0)
+    assert placements == ["staging"] * PATIENCE + ["incompute"] * PATIENCE + ["staging"]
     assert ctl.switches == 2
 
 
@@ -94,7 +95,7 @@ def test_history_records_outcomes():
 
 
 def test_violation_rate():
-    ctl = AdaptivePlacement(BUDGET, initial="staging", patience=10)
+    ctl = AdaptivePlacement(BUDGET, initial="staging")
     for step, lat in enumerate([90.0, 30.0, 90.0, 90.0]):
         ctl.decide(step)
         ctl.report(step, visible_seconds=0.1, latency_seconds=lat)

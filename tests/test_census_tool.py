@@ -115,3 +115,61 @@ def test_funcs_report_names_what_only_one_labelled_run_enters(project):
     assert "steps" in demo and "scaled" not in demo  # both runs enter scaled
     assert other.startswith("1 (2 lines)\n  by package: mod 1\n")
     assert "pkg/mod.py:21 unused (2 lines)" in other
+
+
+def test_the_same_method_in_two_files_is_two_functions(tmp_path):
+    """Code objects compare equal across files; the recorder must not."""
+    (tmp_path / "twin").mkdir()
+    (tmp_path / "twin" / "__init__.py").write_text("")
+    for name in ("a", "b"):
+        (tmp_path / "twin" / f"{name}.py").write_text("def hook():\n    return 0.0\n")
+    (tmp_path / "run.py").write_text("from twin import a, b\na.hook()\nb.hook()\n")
+    common = ["--mode", "funcs", "--src", str(tmp_path / "twin")]
+    subprocess.run(
+        [sys.executable, str(TOOL), "run", *common, "--out", str(tmp_path / "out"), "--",
+         sys.executable, str(tmp_path / "run.py")],
+        check=True, cwd=tmp_path,
+    )
+    report = subprocess.run(
+        [sys.executable, str(TOOL), "report", *common, f"demo={tmp_path / 'out'}"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert "entered by nothing: 0 (0 lines)" in report
+
+
+def test_a_prod_report_fails_until_the_kept_list_names_what_prod_leaves(project, tmp_path):
+    """With a run labelled ``prod``, every function it never enters and
+    every parameter it never moves needs a row, with a reason, in the
+    kept list beside the tool."""
+    tool = tmp_path / "census.py"
+    tool.write_text(TOOL.read_text())
+    kept = tmp_path / "census_kept.md"
+
+    def report(mode):
+        out = project / f"out-{mode}"
+        if not out.exists():
+            _census(project, mode)
+        return subprocess.run(
+            [sys.executable, str(tool), "report", "--mode", mode,
+             "--src", str(project / "pkg"), f"prod={out}"],
+            capture_output=True, text=True,
+        )
+
+    kept.write_text("## functions\n\n| entry | reason |\n|---|---|\n")
+    funcs = report("funcs")
+    assert funcs.returncode == 1
+    assert "functions prod leaves, not in census_kept.md: 1\n  pkg/mod.py unused\n" in funcs.stdout
+
+    kept.write_text(
+        "## functions\n\n| `pkg/mod.py unused` | (8) kept for the test |\n\n"
+        "## parameters\n\n| `pkg/mod.py scaled(limit)` `pkg/mod.py steps(*)` | (10) a seam |\n\n"
+        "## fields\n\n| `pkg/mod.py Config(name)` | (5) a record |\n"
+    )
+    assert report("funcs").returncode == 0
+    args = report("args")
+    assert args.returncode == 0, args.stdout
+    assert "parameters prod leaves, not in census_kept.md: 0" in args.stdout
+
+    kept.write_text("## functions\n\n| `pkg/mod.py unused` | no reason |\n")
+    bad = report("funcs")
+    assert bad.returncode == 1 and "a kept row needs a reason (1)-(10)" in bad.stderr

@@ -283,8 +283,26 @@ def test_schedule_trace_hash_ignores_sub_and_seq():
 def test_minimized_trace_diff_trims_common_affix():
     a = [(0.0, 1, "a"), (1.0, 1, "b"), (2.0, 1, "c"), (3.0, 1, "d")]
     b = [(0.0, 1, "a"), (1.0, 1, "X"), (2.0, 1, "c"), (3.0, 1, "d")]
-    out = minimized_trace_diff(a, b, context=1)
+    out = minimized_trace_diff(a, b)
     assert "divergence at event #1" in out
     assert "b" in out and "X" in out
     assert "t=3" not in out  # common suffix trimmed
     assert minimized_trace_diff(a, a) == "traces identical"
+
+
+# ------------------------------------------------------------ the CLI
+@pytest.mark.parametrize("argv", [
+    ["--fuzz", "0", "--no-oracles", "--no-invariants"],
+    ["--fuzz", "-3", "--no-oracles", "--no-invariants"],
+    ["--fuzz", "-3"],
+    ["--fuzz", "0", "--no-invariants", "--oracle-seeds", ","],
+], ids=["no-pillar", "negative-fuzz-alone", "negative-fuzz", "seed-list"])
+def test_check_cli_rejects_a_run_that_verifies_nothing(argv, capsys):
+    """A usage error exits 2 before anything runs: a check that ran no
+    pillar, or a negative fuzz count, may never print PASSED."""
+    from repro.check.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "PASSED" not in capsys.readouterr().out

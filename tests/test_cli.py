@@ -135,7 +135,7 @@ def _doctored_stream() -> dict:
 def _doctored_chaos_matrix() -> dict:
     from repro.scenarios.runner import sweep
 
-    record = sweep(["corrupt-chunk"], fast=True, repeats=1)
+    record = sweep(["corrupt-chunk"], fast=True)
     assert record["guards"]["complete_fraction"] == 1.0
     record["guards"]["complete_fraction"] = 0.5
     return record

@@ -69,7 +69,7 @@ def simulate(cls, dims, nservers, ops):
     eng = Engine()
     machine = Machine(eng, 8, nservers, spec=TESTING_TINY, fs_interference=False)
     # wire_scale stretches transfers so in-flight puts really overlap
-    ds = cls(eng, machine, list(machine.staging_node_ids), blocks_per_server=4,
+    ds = cls(eng, machine, list(machine.staging_node_ids),
              wire_scale=100.0, serve_bandwidth=5e8, reply_overhead_seconds=1e-6)
     ds.declare("f", dims)
     log = [None] * len(ops)
@@ -117,9 +117,10 @@ def test_out_of_order_commit_matches_linear_scan():
     whole = Region((0, 0), (32, 32))
     ops = [
         Op("put", 0.0, 0, whole, 1.0),
-        Op("put", 7e-4, 1, Region((0, 0), (6, 6)), 2.0),
-        Op("put", 9e-4, 2, Region((4, 4), (8, 8)), 3.0),  # overlaps B and D partially
-        Op("put", 9e-4, 3, Region((0, 0), (6, 6)), 4.0),  # B's region again, C's version
+        # A hashes its 64 blocks for 1.28 ms before it reads its version
+        Op("put", 1.4e-3, 1, Region((0, 0), (6, 6)), 2.0),
+        Op("put", 1.6e-3, 2, Region((4, 4), (8, 8)), 3.0),  # overlaps B and D partially
+        Op("put", 1.56e-3, 3, Region((0, 0), (6, 6)), 4.0),  # B's region again, C's version
         Op("get", 2e-3, 4, whole),
         Op("get", 2e-3, 5, Region((2, 2), (10, 7))),
         Op("reduce", 2e-3, 6, Region((0, 0), (16, 16))),

@@ -8,6 +8,7 @@ from repro.experiments.report import (
     format_table,
 )
 from repro.experiments.runner import (
+    PIXIE3D_STAGING_STEAL,
     _gtc_sizing,
     _pixie_sizing,
     gtc_operators,
@@ -134,8 +135,8 @@ def test_run_pixie3d_collect_files():
 
 
 def test_run_pixie3d_staging_steal_applies_only_to_staging():
-    ic = run_pixie3d(256, "incompute", iterations_per_dump=2,
-                     collective_rounds=2, staging_steal=0.5)
-    st = run_pixie3d(256, "staging", iterations_per_dump=2,
-                     collective_rounds=2, staging_steal=0.5)
-    assert st.metrics.compute > ic.metrics.compute * 1.3
+    ic = run_pixie3d(256, "incompute", iterations_per_dump=2, collective_rounds=2)
+    st = run_pixie3d(256, "staging", iterations_per_dump=2, collective_rounds=2)
+    assert st.metrics.compute == pytest.approx(
+        ic.metrics.compute * (1.0 + PIXIE3D_STAGING_STEAL), rel=1e-12
+    )

@@ -304,7 +304,7 @@ def _stream_replay(run, bridge) -> str:
     edges = np.linspace(0.0, 8192.0, 17)
     group = ConsumerGroup(
         env, stream, bridge.records[0].var, domain, [2, 3],
-        reader_factory=lambda m: InTransitAnalysisReader(edges, threshold=2048.0),
+        reader_factory=lambda m: InTransitAnalysisReader(edges),
         catchup="none", name="replay",
     )
     group.start()

@@ -476,8 +476,8 @@ def test_flow_enabled_uncapped_results_and_timing_identical():
 
 def test_capped_staging_memory_crashes_without_flow_but_completes_with():
     mem = 2.5 * CHUNK  # uncapped peak is 4 concurrent chunks
-    # without flow a fetch proc dies on MemoryError_ (swallowed by
-    # catch_errors) and the service wedges: no results, live procs
+    # without flow a fetch proc dies on MemoryError_ (the engine marks
+    # it failed) and the service wedges: no results, live procs
     _eng, _m, pd_crash, _vis = _run(flow=None, mem=mem)
     assert all(not by_step for by_step in pd_crash.service.results.values())
     assert any(

@@ -31,11 +31,9 @@ from repro.experiments import chaos
 from repro.flow.pool import BufferPool
 
 # Mirror chaos.run_once's sizing so the expected chunk size is known.
-LOCAL_N = 8
 REP_RANKS = 8
 NSTAGING_NODES = 2
 LOGICAL_RANKS = 512
-PER_LOGICAL_RANK_MB = 0.5
 
 COMMON_SETTINGS = settings(
     max_examples=12,
@@ -46,8 +44,8 @@ COMMON_SETTINGS = settings(
 
 def _chunk_bytes() -> float:
     """One compute rank's packed chunk size inside chaos.run_once."""
-    real = LOCAL_N**3 * 8
-    scale = max(1.0, LOGICAL_RANKS * PER_LOGICAL_RANK_MB * 1e6 / (REP_RANKS * real))
+    real = chaos.LOCAL_N**3 * 8
+    scale = max(1.0, LOGICAL_RANKS * chaos.PER_LOGICAL_RANK_MB * 1e6 / (REP_RANKS * real))
     return real * scale
 
 
@@ -55,8 +53,6 @@ def _run(seed: int, fraction: float, inject: bool, depth: int) -> chaos.ChaosRun
     return chaos.run_once(
         logical_ranks=LOGICAL_RANKS,
         rep_ranks=REP_RANKS,
-        local_n=LOCAL_N,
-        per_logical_rank_mb=PER_LOGICAL_RANK_MB,
         nstaging_nodes=NSTAGING_NODES,
         seed=seed,
         inject=inject,

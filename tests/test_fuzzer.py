@@ -87,7 +87,7 @@ def test_engine_accepts_tie_breaker_kwarg():
 
 
 def test_fuzz_results_invariant_with_distinct_schedules():
-    report = ScheduleFuzzer(_runner()).run(4, base_seed=0)
+    report = ScheduleFuzzer(_runner()).run(4)
     assert report.result_invariant, "\n".join(report.divergences)
     assert report.distinct_schedules > 1, (
         "seeded tie-breaking never produced a different executed schedule"
@@ -97,8 +97,8 @@ def test_fuzz_results_invariant_with_distinct_schedules():
 
 def test_fuzz_same_seed_replays_identically():
     fz = ScheduleFuzzer(_runner())
-    one = fz.run(1, base_seed=42)
-    two = fz.run(1, base_seed=42)
+    one = fz.run(1)
+    two = fz.run(1)
     assert one.runs[0].schedule_hash == two.runs[0].schedule_hash
     assert one.runs[0].result_hash == two.runs[0].result_hash
 
@@ -116,7 +116,7 @@ def test_fuzz_divergence_reported_with_minimized_diff():
         # deliberately leak the executed order into the "result"
         return schedule_trace.schedule_hash
 
-    report = ScheduleFuzzer(bad_runner).run(3, base_seed=0)
+    report = ScheduleFuzzer(bad_runner).run(3)
     assert not report.result_invariant
     assert report.divergences
     assert "divergence at event #" in report.divergences[0]

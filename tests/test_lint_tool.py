@@ -1,5 +1,6 @@
-"""tools/lint.py: undefined names (F821) and the layer contract (L001)
-fire on what a deletion leaves behind, and the real tree is clean."""
+"""tools/lint.py: undefined names (F821), the layer contract (L001) and
+package import cycles (L002) fire on what a change leaves behind, and
+the real tree is clean."""
 
 import subprocess
 import sys
@@ -86,6 +87,52 @@ def test_the_named_seams_and_paper_packages_are_not_l001(tmp_path):
         USED = Checker
         ''')
     assert _lint(other) == (0, "")
+
+
+def test_a_package_import_cycle_is_l002_even_through_a_local_import(tmp_path):
+    chaos = _module(tmp_path, "src/repro/experiments/chaos.py", '''
+        from repro.check.workloads import FIELD_GROUP
+
+        GROUP = FIELD_GROUP
+        ''')
+    cli = _module(tmp_path, "src/repro/check/cli.py", '''
+        def main():
+            from repro.experiments.chaos import GROUP
+
+            return GROUP
+        ''')
+    # reported once, where the cycle returns to its first package
+    rc, out = _lint(tmp_path / "src")
+    assert (rc, out) == (
+        1, f"{chaos}:2: L002 package import cycle: check -> experiments -> check\n",
+    )
+    # the same imports one way only: no cycle
+    rc, out = _lint(cli)
+    assert (rc, out) == (0, "")
+
+
+def test_perf_kernels_is_its_own_node_of_the_package_graph(tmp_path):
+    _module(tmp_path, "src/repro/core/mod.py", '''
+        from repro.perf import kernels
+
+        USED = kernels
+        ''')
+    _module(tmp_path, "src/repro/perf/bench.py", '''
+        from repro.core.mod import USED
+
+        BENCHED = USED
+        ''')
+    assert _lint(tmp_path / "src") == (0, "")
+    # ...but the rest of perf is not: core -> perf -> core is a cycle
+    _module(tmp_path, "src/repro/core/other.py", '''
+        from repro.perf.bench import BENCHED
+
+        USED = BENCHED
+        ''')
+    rc, out = _lint(tmp_path / "src")
+    assert rc == 1
+    assert "L001 'core' is a paper-core package and may not import 'repro.perf.bench'" in out
+    assert "L002 package import cycle: core -> perf -> core" in out
 
 
 def test_the_real_tree_is_clean():

@@ -10,7 +10,7 @@ from tests.helpers import awaited_collective
 from repro.check import ScheduleTrace
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
 from repro.machine.network import live_networks, registry_mark
-from repro.mpi import SUM, World
+from repro.mpi import World
 from repro.sim import Engine
 
 
@@ -279,7 +279,7 @@ def test_collective_on_idle_pipes_is_a_handful_of_engine_events():
     def main(comm):
         pops["arrived"] = eng.schedule_trace.count  # the last rank's write stays
         start = eng.now
-        total = yield from comm.allreduce(np.ones(1 << 16), op=SUM)
+        total = yield from comm.allreduce(np.ones(1 << 16))
         pops.setdefault("resumed", eng.schedule_trace.count)
         elapsed[comm.rank] = eng.now - start
         return total[0]
@@ -323,15 +323,10 @@ def test_machine_validation():
 
 # -- regional layering -------------------------------------------------------
 def make_regional_net(**cfg):
-    from repro.machine import LatencyClass, RegionalTopology
+    from repro.machine import RegionalTopology
 
     eng = Engine()
-    topo = RegionalTopology(
-        8,
-        ("east", "west"),
-        classes={"wan": LatencyClass("wan", 0.5)},
-        pair_classes={("east", "west"): "wan"},
-    )
+    topo = RegionalTopology(8, ("east", "west"))
     net = Network(eng, topo, NetworkConfig(**cfg))
     return eng, topo, net
 
@@ -346,15 +341,9 @@ def _timed(eng, net, src, dst, nbytes=0.0):
     return p.value
 
 
-def test_cross_region_transfer_pays_the_latency_class():
-    eng, topo, net = make_regional_net(latency=1e-6, hop_latency=0.0)
-    east = topo.region_nodes("east")[0]
-    west = topo.region_nodes("west")[0]
-    assert _timed(eng, net, east, west) == pytest.approx(0.5 + 1e-6)
-
-
 def test_intra_region_transfer_pays_nothing_extra():
     eng, topo, net = make_regional_net(latency=1e-6, hop_latency=0.0)
+    net.region_extra_window("east", "west", 0.0, 1.0, 0.5)
     a, b = topo.region_nodes("east")[:2]
     assert _timed(eng, net, a, b) == pytest.approx(1e-6)
 
@@ -387,9 +376,9 @@ def test_region_window_adds_only_inside_the_window():
     eng.process(probe("inside", 12.0))
     eng.process(probe("after", 25.0))
     eng.run()
-    assert times["before"] == pytest.approx(0.5)
-    assert times["inside"] == pytest.approx(0.5 + 2.0)
-    assert times["after"] == pytest.approx(0.5)
+    assert times["before"] == 0.0
+    assert times["inside"] == pytest.approx(2.0)
+    assert times["after"] == 0.0
 
 
 def test_region_window_validation():

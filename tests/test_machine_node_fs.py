@@ -91,17 +91,20 @@ def quiet_fs(eng, **cfg):
     return ParallelFileSystem(eng, FileSystemConfig(**defaults), interference=False)
 
 
+def writers(eng, fs, n, nbytes):
+    """*n* concurrent one-client ``write()`` calls sharing *nbytes*: how
+    a many-writer job (e.g. ``SyncMPIIO``'s ranks) reaches the file
+    system.  Returns their processes, valued with each write's seconds."""
+    return [eng.process(fs.write(nbytes / n)) for _ in range(n)]
+
+
 def test_write_time_aggregate_bound():
     eng = Engine()
     fs = quiet_fs(eng)
-
-    def proc():
-        t = yield from fs.write(1e9, nclients=64)
-        return t
-
-    p = eng.process(proc())
+    procs = writers(eng, fs, 64, 1e9)
     eng.run()
-    assert p.value == pytest.approx(1.0, rel=0.05)
+    for p in procs:
+        assert p.value == pytest.approx(1.0, rel=0.05)
     assert fs.bytes_written == pytest.approx(1e9)
 
 
@@ -111,7 +114,7 @@ def test_write_time_client_bound():
 
     def proc():
         # one client capped at 100 MB/s writing 1 GB -> 10 s
-        t = yield from fs.write(1e9, nclients=1, stripes=1000)
+        t = yield from fs.write(1e9)
         return t
 
     p = eng.process(proc())
@@ -125,7 +128,7 @@ def test_concurrent_writers_share_aggregate():
     done = {}
 
     def proc(name):
-        yield from fs.write(1e9, nclients=32)
+        yield eng.all_of(writers(eng, fs, 32, 1e9))
         done[name] = eng.now
 
     eng.process(proc("a"))
@@ -140,8 +143,10 @@ def test_metadata_latency_counted():
     fs = quiet_fs(eng, metadata_latency=0.5)
 
     def proc():
-        t = yield from fs.write(0.0, metadata_ops=3)
-        return t
+        t0 = eng.now
+        for _ in range(3):
+            yield from fs.write(0.0)
+        return eng.now - t0
 
     p = eng.process(proc())
     eng.run()
@@ -187,13 +192,9 @@ def test_interference_reduces_effective_bandwidth():
         interference=True,
     )
 
-    def proc():
-        t = yield from fs.write(1e9, nclients=64)
-        return t
-
-    p = eng.process(proc())
+    procs = writers(eng, fs, 64, 1e9)
     eng.run()
-    assert p.value > 1.1  # slower than the uncontended 1.0 s
+    assert max(p.value for p in procs) > 1.1  # slower than the uncontended 1.0 s
 
 
 def test_interference_is_deterministic():
@@ -201,14 +202,9 @@ def test_interference_is_deterministic():
         eng = Engine()
         fs = ParallelFileSystem(eng, FileSystemConfig(
             aggregate_bandwidth=1e9, metadata_latency=0.0), interference=True)
-
-        def proc():
-            t = yield from fs.write(5e9, nclients=64)
-            return t
-
-        p = eng.process(proc())
+        procs = writers(eng, fs, 64, 5e9)
         eng.run()
-        return p.value
+        return [p.value for p in procs]
 
     assert run() == pytest.approx(run())
 

@@ -169,14 +169,9 @@ def test_neighbor_degree_on_non_cubic_dims(dims, data):
 
 # -- regional topology ------------------------------------------------------
 def _regional():
-    from repro.machine import LatencyClass, RegionalTopology
+    from repro.machine import RegionalTopology
 
-    return RegionalTopology(
-        12,
-        ("east", "west"),
-        classes={"wan": LatencyClass("wan", 0.25)},
-        pair_classes={("east", "west"): "wan"},
-    )
+    return RegionalTopology(12, ("east", "west"))
 
 
 def test_regions_partition_the_nodes():
@@ -199,55 +194,51 @@ def test_contiguous_striping_is_balanced():
     assert max(sizes) - min(sizes) <= 1
 
 
+def _extra(topo, src, dst, window):
+    """Seconds a zero-byte src->dst transfer takes on a zero-latency
+    network with *window* (a region pair) slowed by 0.25 s."""
+    from repro.machine import Network, NetworkConfig
+    from repro.sim import Engine
+
+    eng = Engine()
+    net = Network(eng, topo, NetworkConfig(latency=0.0, hop_latency=0.0))
+    net.region_extra_window(*window, 0.0, 1.0, 0.25)
+    proc = eng.process(net.transfer(src, dst, 0.0))
+    eng.run()
+    return proc.value
+
+
 def test_pair_latency_symmetric_and_intra_zero():
     topo = _regional()
     east = topo.region_nodes("east")[0]
     west = topo.region_nodes("west")[0]
-    assert topo.pair_latency(east, west) == 0.25
-    assert topo.pair_latency(west, east) == 0.25
-    assert topo.pair_latency(east, topo.region_nodes("east")[-1]) == 0.0
-    assert topo.latency_class("east", "east").name == "local"
+    assert _extra(topo, east, west, ("east", "west")) == 0.25
+    assert _extra(topo, west, east, ("east", "west")) == 0.25
+    assert _extra(topo, east, topo.region_nodes("east")[-1], ("east", "west")) == 0.0
 
 
 def test_unmapped_pairs_default_to_local():
     from repro.machine import RegionalTopology
 
     topo = RegionalTopology(9, ("a", "b", "c"))
-    for ra in topo.regions:
-        for rb in topo.regions:
-            assert topo.latency_class(ra, rb).extra_latency == 0.0
-
-
-def test_explicit_assign_overrides_striping():
-    from repro.machine import RegionalTopology
-
-    assign = ["a", "b", "a", "b"]
-    topo = RegionalTopology(4, ("a", "b"), assign=assign)
-    assert [topo.region_of(i) for i in range(4)] == assign
-    assert topo.region_nodes("a") == [0, 2]
+    a, b, c = (topo.region_nodes(r)[0] for r in topo.regions)
+    assert _extra(topo, a, b, ("b", "a")) == 0.25
+    # a window slows its own pair only
+    assert _extra(topo, a, c, ("a", "b")) == 0.0
+    assert _extra(topo, c, b, ("a", "b")) == 0.0
 
 
 def test_regional_validation_errors():
-    from repro.machine import LatencyClass, RegionalTopology
+    from repro.machine import RegionalTopology
 
     with pytest.raises(ValueError):
         RegionalTopology(4, ())
     with pytest.raises(ValueError):
         RegionalTopology(4, ("a", "a"))
-    with pytest.raises(ValueError):
-        RegionalTopology(4, ("a", "b"), assign=["a"])
-    with pytest.raises(ValueError):
-        RegionalTopology(4, ("a", "b"), assign=["a", "a", "c", "b"])
-    with pytest.raises(ValueError):
-        RegionalTopology(4, ("a", "b"), pair_classes={("a", "zzz"): "local"})
-    with pytest.raises(ValueError):
-        RegionalTopology(4, ("a", "b"), pair_classes={("a", "b"): "nope"})
-    with pytest.raises(ValueError):
-        LatencyClass("bad", -0.1)
     with pytest.raises(KeyError):
         _regional().region_nodes("north")
-    with pytest.raises(KeyError):
-        _regional().latency_class("east", "north")
+    with pytest.raises(IndexError):
+        _regional().region_of(12)
 
 
 def test_regional_is_still_a_torus():

@@ -9,7 +9,7 @@ import pytest
 
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
 from repro.core.operator import charge
-from repro.mpi import SUM, Op, World, nbytes_of
+from repro.mpi import World, nbytes_of
 from repro.sim import Engine, Interrupt, SimulationError
 
 
@@ -69,7 +69,7 @@ def test_reduce_sum_scalar():
     results = {}
 
     def main(comm):
-        out = yield from comm.reduce(comm.rank + 1, op=SUM, root=0)
+        out = yield from comm.reduce(comm.rank + 1, root=0)
         results[comm.rank] = out
 
     world.spawn(main)
@@ -78,22 +78,19 @@ def test_reduce_sum_scalar():
     assert results[1] is None
 
 
-def test_allreduce_array_min_max():
+def test_allreduce_array_sum():
     eng, world = make_world(3)
-    mins, maxs = [], []
+    sums = []
 
     def main(comm):
         arr = np.array([comm.rank, 10 - comm.rank], dtype=float)
-        lo = yield from comm.allreduce(arr, op=Op("min", np.minimum))
-        hi = yield from comm.allreduce(arr, op=Op("max", np.maximum))
-        mins.append(lo)
-        maxs.append(hi)
+        sums.append((yield from comm.allreduce(arr)))
 
     world.spawn(main)
     eng.run()
-    for lo, hi in zip(mins, maxs):
-        np.testing.assert_array_equal(lo, [0.0, 8.0])
-        np.testing.assert_array_equal(hi, [2.0, 10.0])
+    assert len(sums) == 3
+    for total in sums:
+        np.testing.assert_array_equal(total, [3.0, 27.0])
 
 
 def test_allgather():
@@ -413,8 +410,8 @@ def _node_calls(world, ranks):
     """The same calls, one arrival per node carrying all its *ranks*."""
     xs = [np.array([_NODE_VALUES[r]]) for r in ranks]
     calls = [
-        ("reduce", xs, dict(op=SUM, root=1)),
-        ("allreduce", xs, dict(op=SUM)),
+        ("reduce", xs, dict(root=1)),
+        ("allreduce", xs, {}),
         ("bcast", xs, dict(root=4)),
         ("allgather", xs, {}),
         ("alltoall", [[x * d for d in range(world.size)] for x in xs], {}),
@@ -537,25 +534,19 @@ def test_call_wire_scale_replaces_the_world_scale():
 
 
 # ------------------------------------------------- the fold and aliasing
-def _first(a, b):
-    return a
-
-
-@pytest.mark.parametrize("values, op, fn", [
-    ([np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])], SUM, np.add),
-    ([2.0, np.array([1.0, 2.0, 3.0]), 3], Op("prod", np.multiply), np.multiply),
-    ([np.array([5.0]), np.array([1.0, 7.0, 3.0])], Op("min", np.minimum),
-     np.minimum),  # (1,) + (3,)
-    ([np.array(1.5), np.array(2.5), np.array(4.0)], SUM, np.add),  # 0-d arrays
-    ([np.array([1.0, 2.0]), np.array([3.0, 4.0])], Op("first", _first), _first),
-], ids=["int32+float64", "scalar+array", "broadcast", "0-d", "custom-op"])
-def test_reduce_value_type_and_dtype_are_those_of_a_pairwise_fold(values, op, fn):
-    expected = functools.reduce(fn, values)
+@pytest.mark.parametrize("values", [
+    [np.array([1, 2], dtype=np.int32), np.array([0.5, 0.25])],
+    [2.0, np.array([1.0, 2.0, 3.0]), 3],
+    [np.array([5.0]), np.array([1.0, 7.0, 3.0])],  # (1,) + (3,)
+    [np.array(1.5), np.array(2.5), np.array(4.0)],  # 0-d arrays
+], ids=["int32+float64", "scalar+array", "broadcast", "0-d"])
+def test_reduce_value_type_and_dtype_are_those_of_a_pairwise_fold(values):
+    expected = functools.reduce(np.add, values)
     before = [np.array(v, copy=True) for v in values]
 
     def main(comm):
-        everywhere = yield from comm.allreduce(values[comm.rank], op=op)
-        at_root = yield from comm.reduce(values[comm.rank], op=op, root=1)
+        everywhere = yield from comm.allreduce(values[comm.rank])
+        at_root = yield from comm.reduce(values[comm.rank], root=1)
         return everywhere, at_root
 
     out = run_ranks(len(values), main)

@@ -38,7 +38,7 @@ SMOKE_ARGV = {
     "query": ["--loads", "50", "--duration", "0.25"],
     "stream": ["--steps", "3"],
     "scale": ["--scale-ranks", "256", "512"],
-    "chaos_matrix": ["corrupt-chunk", "--fast", "--repeats", "1"],
+    "chaos_matrix": ["corrupt-chunk", "--fast"],
 }
 
 

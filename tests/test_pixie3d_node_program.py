@@ -23,7 +23,7 @@ from repro.apps.metrics import AppMetrics
 from repro.apps.pixie3d import COMPUTE_SECONDS_BETWEEN_COLLECTIVES, PIXIE3D_VARS
 from repro.core import MovementScheduler, PreDatA
 from repro.machine import JAGUAR_XT4, Machine
-from repro.mpi import SUM, World
+from repro.mpi import World
 from repro.operators import ArrayMergeOperator
 from repro.sim import Engine
 
@@ -61,7 +61,7 @@ def per_rank_main(app, comm):
             if app.scheduler is not None:
                 app.scheduler.enter_comm_phase(comm.node_id)
             try:
-                yield from comm.reduce(payload, op=SUM, root=0, wire_scale=scale)
+                yield from comm.reduce(payload, root=0, wire_scale=scale)
                 yield from comm.bcast(payload, root=0, wire_scale=scale)
             finally:
                 if app.scheduler is not None:

@@ -100,7 +100,7 @@ def test_in_compute_sort_communication_dominates_at_larger_scale():
 def test_offline_reorganisation_triples_disk_trips():
     eng = Engine()
     machine = Machine(eng, 16, spec=JAGUAR_XT5)
-    model = OfflineCostModel(machine, n_analysis_cores=512)
+    model = OfflineCostModel(machine)
     est = model.estimate(1e12, reduces_data=False)
     assert est.disk_controller_trips == 3
     assert est.extra_storage_bytes == pytest.approx(1e12)
@@ -124,13 +124,6 @@ def test_offline_latency_scales_with_volume():
     small = model.estimate(1e9, reduces_data=True)
     big = model.estimate(1e12, reduces_data=True)
     assert big.latency > small.latency * 100
-
-
-def test_offline_validation():
-    eng = Engine()
-    machine = Machine(eng, 4, spec=TESTING_TINY)
-    with pytest.raises(ValueError):
-        OfflineCostModel(machine, n_analysis_cores=0)
 
 
 # ----------------------------------------------------------- scheduler

@@ -11,29 +11,18 @@ from tests.helpers import run_staging_pipeline
 from repro.adios import BPWriter, ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.dataspaces import Region
 from repro.machine import Network, NetworkConfig, TorusTopology
-from repro.mpi import SUM, Op, World
+from repro.mpi import World
 from repro.operators import SampleSortOperator
 from repro.sim import Engine, SharedBandwidth
 
 
 # ------------------------------------------------- MPI vs local numpy
-# SUM is the one operator the library ships; the others are user-defined
-_OPS = {
-    "sum": SUM,
-    "min": Op("min", np.minimum),
-    "max": Op("max", np.maximum),
-    "prod": Op("prod", np.multiply),
-}
-_NP = {"sum": np.sum, "min": np.min, "max": np.max, "prod": np.prod}
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     nranks=st.integers(min_value=1, max_value=8),
-    opname=st.sampled_from(sorted(_OPS)),
     seed=st.integers(min_value=0, max_value=999),
 )
-def test_allreduce_equals_local_reduction(nranks, opname, seed):
+def test_allreduce_equals_local_reduction(nranks, seed):
     eng = Engine()
     topo = TorusTopology(max(nranks, 2))
     world = World(eng, Network(eng, topo, NetworkConfig()),
@@ -43,12 +32,12 @@ def test_allreduce_equals_local_reduction(nranks, opname, seed):
     out = {}
 
     def main(comm):
-        res = yield from comm.allreduce(values[comm.rank], op=_OPS[opname])
+        res = yield from comm.allreduce(values[comm.rank])
         out[comm.rank] = res
 
     world.spawn(main)
     eng.run()
-    expected = _NP[opname](values, axis=0)
+    expected = np.sum(values, axis=0)
     for r in range(nranks):
         np.testing.assert_allclose(out[r], expected, rtol=1e-12)
 
@@ -73,8 +62,8 @@ def test_reduction_folds_in_rank_order_bit_for_bit(nranks, seed):
     out = {}
 
     def main(comm):
-        everywhere = yield from comm.allreduce(values[comm.rank], op=SUM)
-        at_root = yield from comm.reduce(values[comm.rank], op=SUM, root=nranks - 1)
+        everywhere = yield from comm.allreduce(values[comm.rank])
+        at_root = yield from comm.reduce(values[comm.rank], root=nranks - 1)
         out[comm.rank] = (everywhere, at_root)
 
     world.spawn(main)

@@ -13,21 +13,12 @@ ROWS = 64
 
 # --------------------------------------------------------- subsample
 def test_subsample_stride_deterministic():
-    op = SubsampleOperator("electrons", fraction=0.25, mode="stride")
+    op = SubsampleOperator("electrons", fraction=0.25)
     step = particle_step(0, 1, 100)
     original = step.values["electrons"].copy()
     kept = op.partial_calculate(step)
     assert kept == 25
     np.testing.assert_array_equal(step.values["electrons"], original[::4])
-
-
-def test_subsample_random_fraction_approx():
-    op = SubsampleOperator("electrons", fraction=0.5, mode="random")
-    total_in, total_out = 0, 0
-    for r in range(20):
-        step = particle_step(r, 20, 200)
-        op.partial_calculate(step)
-    assert 0.4 < op.achieved_fraction < 0.6
 
 
 def test_subsample_reduces_packed_volume():
@@ -61,8 +52,6 @@ def test_subsample_validation():
         SubsampleOperator("v", 0.0)
     with pytest.raises(ValueError):
         SubsampleOperator("v", 1.5)
-    with pytest.raises(ValueError):
-        SubsampleOperator("v", 0.5, mode="quantum")
 
 
 # ---------------------------------------------------------- precision

@@ -209,8 +209,6 @@ def test_staging_crash_recovers_with_zero_loss():
         logical_ranks=64,
         rep_ranks=4,
         nsteps=3,
-        local_n=4,
-        per_logical_rank_mb=0.25,
         seed=3,
     )
     assert r.complete, f"missing steps: {r.missing_steps}"
@@ -232,8 +230,6 @@ def test_all_stagers_dead_degrades_and_salvages():
         logical_ranks=64,
         rep_ranks=4,
         nsteps=4,
-        local_n=4,
-        per_logical_rank_mb=0.25,
         nstaging_nodes=1,
         seed=3,
     )

@@ -266,7 +266,7 @@ def test_cli_run_every_scenario(name, capsys):
 def test_cli_sweep_writes_the_matrix(tmp_path, capsys):
     rc = scenarios_cli(
         ["sweep", "corrupt-chunk", "withheld-fetch",
-         "--fast", "--repeats", "2", "--out", str(tmp_path)]
+         "--fast", "--out", str(tmp_path)]
     )
     assert rc == 0
     record_path = tmp_path / "BENCH_chaos_matrix.json"

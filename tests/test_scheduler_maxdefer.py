@@ -13,7 +13,7 @@ from tests.helpers import FIELD_GROUP, field_step
 from repro.adios import BPWriter
 from repro.core import MovementScheduler, PreDatA
 from repro.machine import Machine, TESTING_TINY
-from repro.mpi import SUM, World
+from repro.mpi import World
 from repro.operators import ArrayMergeOperator
 from repro.sim import Engine
 
@@ -75,7 +75,7 @@ def test_continuous_comm_app_does_not_starve_fetches():
             t_end = eng.now + 3.0
             while eng.now < t_end:
                 sched.enter_comm_phase(comm.node_id)
-                total = yield from comm.allreduce(1.0, op=SUM)
+                total = yield from comm.allreduce(1.0)
                 yield from comm.bcast(total, root=0)
                 sched.exit_comm_phase(comm.node_id)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import Network, NetworkConfig, TorusTopology
 from repro.mpi import World
-from repro.sim import Engine, Interrupt, Resource, SimulationError, Store
+from repro.sim import Engine, Interrupt, Resource, SimulationError
 
 
 def test_interrupting_waiter_does_not_kill_inner_holder():
@@ -84,18 +84,6 @@ def test_interrupt_direct_holder_releases():
     ]
 
 
-def test_engine_catch_errors_false_raises():
-    eng = Engine(catch_errors=False)
-
-    def bad(env):
-        yield env.timeout(1.0)
-        raise RuntimeError("boom")
-
-    eng.process(bad(eng))
-    with pytest.raises(RuntimeError, match="boom"):
-        eng.run()
-
-
 def test_multi_unit_request_validation():
     eng = Engine()
     res = Resource(eng, capacity=4)
@@ -129,12 +117,6 @@ def test_multi_unit_fifo_no_starvation():
     # FIFO head-of-line: 'big' runs before 'small-b' even though
     # small-b could have squeezed into the free capacity.
     assert order.index("big") < order.index("small-b")
-
-
-def test_store_bounded_capacity_validation():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        Store(eng, capacity=0)
 
 
 def test_world_argument_validation():

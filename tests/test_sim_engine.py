@@ -255,7 +255,7 @@ def test_interrupt_dead_process_is_noop():
 
 
 def test_yield_non_event_raises():
-    eng = Engine(catch_errors=False)
+    eng = Engine()
 
     def bad(env):
         yield 42
@@ -449,10 +449,10 @@ def test_event_fail_honours_priority():
 
 
 def test_exception_mid_instant_leaves_remaining_events_queued():
-    """After an exception escapes ``run()`` (``catch_errors=False``) the
-    rest of that instant's events are still queued and a second
-    ``run()`` resumes them."""
-    eng = Engine(catch_errors=False)
+    """After an exception escapes ``run()`` (a process yielded a
+    non-event) the rest of that instant's events are still queued and a
+    second ``run()`` resumes them."""
+    eng = Engine()
     ran = []
 
     def ok(i):
@@ -461,13 +461,13 @@ def test_exception_mid_instant_leaves_remaining_events_queued():
 
     def bad():
         yield eng.timeout(1.0)
-        raise RuntimeError("boom")
+        yield "boom"
 
     eng.process(ok(0))
     eng.process(bad())
     eng.process(ok(1))
     eng.process(ok(2))
-    with pytest.raises(RuntimeError, match="boom"):
+    with pytest.raises(SimulationError, match="boom"):
         eng.run()
     assert ran == [0]
     eng.run()
@@ -848,19 +848,6 @@ def test_run_until_process_on_an_unawaited_process_returns_its_value():
 
     with pytest.raises(KeyError, match="boom"):
         eng.run_until_process(eng.process(bad()))
-
-
-def test_unawaited_failure_still_raises_without_catch_errors():
-    eng = Engine(catch_errors=False)
-
-    def bad():
-        yield eng.timeout(1.0)
-        raise RuntimeError("boom")
-
-    proc = eng.process(bad())
-    with pytest.raises(RuntimeError, match="boom"):
-        eng.run()
-    assert proc.triggered and not proc.ok
 
 
 def test_fire_and_forget_processes_cost_two_pops_each():

@@ -97,28 +97,6 @@ def test_store_get_blocks_until_put():
     assert result == [(pytest.approx(7.0), "x")]
 
 
-def test_store_bounded_put_blocks():
-    eng = Engine()
-    store = Store(eng, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("a", env.now))
-        yield store.put("b")  # blocks until consumer gets "a"
-        log.append(("b", env.now))
-
-    def consumer(env):
-        yield env.timeout(5.0)
-        item = yield store.get()
-        log.append((item, env.now))
-
-    eng.process(producer(eng))
-    eng.process(consumer(eng))
-    eng.run()
-    assert ("b", pytest.approx(5.0)) in [(n, t) for n, t in log]
-
-
 def test_store_len():
     eng = Engine()
     store = Store(eng)
@@ -129,14 +107,14 @@ def test_store_len():
 
 
 # ---------------------------------------------------------------- Mailbox
-def test_mailbox_matches_source_and_tag():
+def test_mailbox_matches_tag_and_keeps_source():
     eng = Engine()
     mb = Mailbox(eng)
     mb.deliver(source=1, tag="a", payload="m1")
     mb.deliver(source=2, tag="b", payload="m2")
 
     def proc(env):
-        src, tag, payload = yield mb.receive(source=2, tag="b")
+        src, tag, payload = yield mb.receive(tag="b")
         return (src, tag, payload)
 
     p = eng.process(proc(eng))
@@ -170,8 +148,8 @@ def test_mailbox_fifo_within_class():
     mb.deliver(1, 0, "second")
 
     def proc(env):
-        _, _, a = yield mb.receive(source=1, tag=0)
-        _, _, b = yield mb.receive(source=1, tag=0)
+        _, _, a = yield mb.receive(tag=0)
+        _, _, b = yield mb.receive(tag=0)
         return (a, b)
 
     p = eng.process(proc(eng))

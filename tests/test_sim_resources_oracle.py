@@ -148,7 +148,7 @@ def simulate(cls, rate, script, windows=()):
     Returns the completion time of every row, the row indices in the
     order their completions were delivered, and the drained pipe.
     """
-    eng = Engine(catch_errors=False)  # an exception in either model is a test error
+    eng = Engine()
     pipe = cls(eng, rate, degradation=windows_mult(windows) if windows else None)
     finished_at: list = [None] * len(script)
     order: list[int] = []
@@ -176,9 +176,10 @@ def simulate(cls, rate, script, windows=()):
         yield ev
         finished_at[i] = eng.now
 
-    for i, row in enumerate(script):
-        eng.process(body(i, *row))
+    procs = [eng.process(body(i, *row)) for i, row in enumerate(script)]
     eng.run()
+    for proc in procs:  # an exception in either model is a test error
+        eng.run_until_process(proc)
     return finished_at, order, pipe
 
 

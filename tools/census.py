@@ -22,6 +22,12 @@ dataclass fields that never held anything but their default - with, for
 each one that did, the labels of the runs that supplied a second value.
 A parameter whose default is a literal is marked ``=``, one whose
 default is a name or expression (``x=LIMIT``) is marked ``~``.
+
+The run labelled ``prod`` is the production side.  When one is given,
+``report --mode funcs`` / ``--mode args`` exits 1 unless every function
+``prod`` never enters, and every parameter and field ``prod`` never
+gives a second value, is listed with its reason in :data:`KEPT`
+(``tools/census_kept.md``).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import sys
 import threading
 import types
 from collections import Counter
+from fnmatch import fnmatchcase as fnmatch
 from pathlib import Path
 
 MODES = ("funcs", "lines", "args")
@@ -48,6 +55,12 @@ _GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYN
 #: a dataclass that holds options, not a zero-initialised record of results
 CONFIG_CLASS = re.compile(r"(Config|Spec|Driver|Scenario|Selector)$")
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+#: the kept list: what production may leave unentered or at its default
+KEPT = Path(__file__).resolve().with_name("census_kept.md")
+#: the label of the production run
+PROD = "prod"
+#: a kept row's reason: one of the numbered reasons in KEPT's preamble
+_REASON = re.compile(r"^\((?:[1-9]|10)\)")
 
 
 # -- shared: the parameters and fields that have a default ---------------------
@@ -133,12 +146,17 @@ class Recorder:
         self.root = os.path.dirname(self.src.rstrip(os.sep)) + os.sep
         self.package = os.path.basename(self.src.rstrip(os.sep))
         self._rel: dict[str, str | None] = {}  # co_filename -> path under root
-        self.entered: dict = {}  # code -> "rel:firstline" (funcs, args)
-        self.lines: dict = {}  # code -> set of line numbers (lines)
-        self.todo: dict = {}  # code -> [(param, default)] still only default
-        self.gen_start: dict = {}  # generator code -> f_lasti on its first call event
+        # The tables below are keyed by id(code), not by the code object:
+        # code objects compare by content and ignore co_filename, so the
+        # same two-line method at the same line of two files would be one
+        # key.  `_alive` keeps every keyed code object, so no id is reused.
+        self._alive: list = []
+        self.entered: dict = {}  # id(code) -> "rel:firstline" (funcs, args)
+        self.lines: dict = {}  # id(code) -> set of line numbers (lines)
+        self.todo: dict = {}  # id(code) -> [(param, default)] still only default
+        self.gen_start: dict = {}  # generator id(code) -> f_lasti on its first call event
         self.nondefault: dict[str, set[str]] = {}  # "rel:firstline" -> params
-        self.dc_todo: dict = {}  # __init__ code -> [(field, default, class key)]
+        self.dc_todo: dict = {}  # __init__ id(code) -> [(field, default, class key)]
         self.dc_seen: set[str] = set()
         self.dc_nondefault: dict[str, set[str]] = {}
 
@@ -156,34 +174,37 @@ class Recorder:
     def profile_funcs(self, frame, event, arg):
         if event == "call":
             code = frame.f_code
-            if code not in self.entered:
+            if id(code) not in self.entered:
+                self._alive.append(code)
                 rel = self.rel(code.co_filename)
-                self.entered[code] = rel and f"{rel}:{code.co_firstlineno}"
+                self.entered[id(code)] = rel and f"{rel}:{code.co_firstlineno}"
 
     def profile_args(self, frame, event, arg):
         if event != "call":
             return
         code = frame.f_code
-        todo = self.todo.get(code)
+        key = id(code)
+        todo = self.todo.get(key)
         if todo is None:
-            todo = self.todo[code] = self._first_call(frame)
+            todo = self.todo[key] = self._first_call(frame)
         if todo:
             # a generator gets a call event per resume; its parameters are
             # what the caller passed only on the first
-            if self.gen_start.get(code, frame.f_lasti) != frame.f_lasti:
+            if self.gen_start.get(key, frame.f_lasti) != frame.f_lasti:
                 return
             values = frame.f_locals
             hit = {p for p, d in todo if p in values and not _same(values[p], d)}
             if hit:
-                self.todo[code] = [(p, d) for p, d in todo if p not in hit]
-                self.nondefault.setdefault(self.entered[code], set()).update(hit)
+                self.todo[key] = [(p, d) for p, d in todo if p not in hit]
+                self.nondefault.setdefault(self.entered[key], set()).update(hit)
         elif code.co_filename == "<string>" and code.co_name == "__init__":
             self._dataclass_init(frame)
 
     def _first_call(self, frame) -> list:
         code = frame.f_code
+        self._alive.append(code)
         rel = self.rel(code.co_filename)
-        self.entered[code] = rel and f"{rel}:{code.co_firstlineno}"
+        self.entered[id(code)] = rel and f"{rel}:{code.co_firstlineno}"
         if rel is None:
             return []
         # the defaults live on the function object, which a frame does not name
@@ -197,20 +218,20 @@ class Recorder:
         if todo and code.co_flags & _GENERATOR_FLAGS:
             # where a fresh generator frame stands differs by version (-1 on
             # 3.10, the first RESUME from 3.11): take it from this first event
-            self.gen_start[code] = frame.f_lasti
+            self.gen_start[id(code)] = frame.f_lasti
         return todo
 
     def _dataclass_init(self, frame) -> None:
-        code = frame.f_code
-        todo = self.dc_todo.get(code)
+        cid = id(frame.f_code)  # alive: every code here went through _first_call
+        todo = self.dc_todo.get(cid)
         if todo is None:
-            todo = self.dc_todo[code] = self._first_init(frame)
+            todo = self.dc_todo[cid] = self._first_init(frame)
         if not todo:
             return
         values = frame.f_locals
         hit = {p for p, d, _ in todo if p in values and not _same(values[p], d)}
         if hit:
-            self.dc_todo[code] = [t for t in todo if t[0] not in hit]
+            self.dc_todo[cid] = [t for t in todo if t[0] not in hit]
             for p, _, key in todo:
                 if p in hit:
                     self.dc_nondefault.setdefault(key, set()).add(p)
@@ -241,12 +262,13 @@ class Recorder:
 
     def trace_global(self, frame, event, arg):
         code = frame.f_code
-        seen = self.lines.get(code)
+        seen = self.lines.get(id(code))
         if seen is None:
+            self._alive.append(code)
             if self.rel(code.co_filename) is None:
-                self.lines[code] = False
+                self.lines[id(code)] = False
                 return None
-            seen = self.lines[code] = set()
+            seen = self.lines[id(code)] = set()
         elif seen is False:
             return None
         seen.add(frame.f_lineno)
@@ -303,7 +325,8 @@ class Recorder:
         doc: dict = {"argv": sys.argv}
         if self.mode == "lines":
             per_file: dict[str, set] = {}
-            for code, seen in self.lines.items():
+            for code in self._alive:
+                seen = self.lines[id(code)]
                 if seen:
                     per_file.setdefault(self.rel(code.co_filename), set()).update(seen)
             doc["lines"] = {f: sorted(v) for f, v in per_file.items()}
@@ -374,7 +397,44 @@ def _sources(src: Path):
         yield path, rel, walk_source(path, rel)
 
 
-def report_funcs(src: Path, runs) -> None:
+def load_kept(path: Path = KEPT) -> dict[str, list[tuple[str, str]]]:
+    """``{section: [(pattern, reason), ...]}`` from the kept list.
+
+    Sections are the ``## functions`` / ``## parameters`` / ``## fields``
+    headings; a row is ``| `PATTERN` ... | REASON |``, every backticked
+    pattern of its first cell an ``fnmatch`` pattern over the entry keys
+    the report prints (``repro/pkg/mod.py Qual.name`` for a function,
+    ``repro/pkg/mod.py qual(param)`` for a parameter or field).
+    """
+    kept: dict[str, list[tuple[str, str]]] = {}
+    section = None
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        if line.startswith("## "):
+            section = line[3:].strip()
+            kept.setdefault(section, [])
+        elif section and line.startswith("| `"):
+            first, reason = [c.strip() for c in line.strip().strip("|").split("|", 1)]
+            if not _REASON.match(reason):
+                raise SystemExit(f"{path}:{n}: a kept row needs a reason (1)-(10): {line}")
+            kept[section] += [(pat, reason) for pat in re.findall(r"`([^`]+)`", first)]
+    return kept
+
+
+def check_kept(section: str, keys: list[str]) -> int:
+    """Print the *keys* the kept list's *section* does not cover; return
+    how many.  Also names the section's patterns that match no key."""
+    patterns = load_kept().get(section, [])
+    missing = [k for k in keys if not any(fnmatch(k, p) for p, _ in patterns)]
+    stale = [p for p, _ in patterns if not any(fnmatch(k, p) for k in keys)]
+    print(f"\n{section} {PROD} leaves, not in {KEPT.name}: {len(missing)}")
+    for k in missing:
+        print(f"  {k}")
+    if stale:
+        print(f"  ({len(stale)} kept {section} patterns match nothing: {', '.join(stale)})")
+    return len(missing)
+
+
+def report_funcs(src: Path, runs) -> int:
     entered: dict[str, set] = {}
     for label, dumps in runs:
         entered.setdefault(label, set()).update(k for d in dumps for k in d["entered"])
@@ -398,6 +458,10 @@ def report_funcs(src: Path, runs) -> None:
             print("  by package: " + ", ".join(f"{p} {k}" for p, k in pkgs.most_common()))
         for rel, first, qual, n in rows:
             print(f"  {rel}:{first} {qual} ({n} lines)")
+    if PROD not in entered:
+        return 0
+    return check_kept("functions", [f"{rel} {qual}" for labels, rows in by_label.items()
+                                    if PROD not in labels for rel, _, qual, _ in rows])
 
 
 def _executable_lines(path: Path, rel: str) -> set[int]:
@@ -409,7 +473,7 @@ def _executable_lines(path: Path, rel: str) -> set[int]:
     return lines
 
 
-def report_lines(src: Path, runs) -> None:
+def report_lines(src: Path, runs) -> int:
     ran: dict[str, set] = {}
     for _, dumps in runs:
         for d in dumps:
@@ -434,9 +498,10 @@ def report_lines(src: Path, runs) -> None:
           f"({', '.join(f'{n} {k}' for k, n in sorted(kinds.items()))})")
     for kind, rel, ln, stripped in missed:
         print(f"  {kind:6s} {rel}:{ln}: {stripped}")
+    return 0
 
 
-def report_args(src: Path, runs) -> None:
+def report_args(src: Path, runs) -> int:
     entered = {k for _, dumps in runs for d in dumps for k in d["entered"]}
     dc_seen = {k for _, dumps in runs for d in dumps for k in d["dc_seen"]}
 
@@ -479,14 +544,19 @@ def report_args(src: Path, runs) -> None:
                 if got == s:
                     mark = "=" if _is_literal(expr) else "~"
                     print(f"  {key} {qual}({name}{mark}{ast.unparse(expr)})")
+    if PROD not in (label for label, _ in runs):
+        return 0
+    return sum(check_kept(title, [f"{key.partition(':')[0]} {qual}({name})"
+                                  for key, qual, name, _, got in rows if PROD not in got])
+               for title, rows in (("parameters", params), ("fields", fields)))
 
 
 def report(args) -> int:
     runs = _load(args.mode, args.dirs)
     print(f"census [{args.mode}] over {', '.join(f'{l} ({len(d)} processes)' for l, d in runs)}")
-    {"funcs": report_funcs, "lines": report_lines, "args": report_args}[args.mode](
+    missing = {"funcs": report_funcs, "lines": report_lines, "args": report_args}[args.mode](
         Path(args.src).resolve(), runs)
-    return 0
+    return 1 if missing else 0
 
 
 def main(argv=None) -> int:

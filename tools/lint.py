@@ -3,7 +3,7 @@
 
     python tools/lint.py [PATH ...]     # default: src tests benchmarks tools examples
 
-Five checks, each reported as ``path:line: CODE message``; the exit
+Six checks, each reported as ``path:line: CODE message``; the exit
 status is 1 if any fired:
 
 - ``E999``: the file does not compile (``compile()`` on its source, as
@@ -25,9 +25,14 @@ status is 1 if any fired:
 - ``L001``: the layer contract.  A module of the paper's system
   (:data:`PAPER_CORE`, under ``repro/``) imports from ``repro.*`` only
   those packages and the named seams in :data:`SEAMS`; ``from
-  repro.perf import kernels`` counts as ``perf.kernels``.
+  repro.perf import kernels`` counts as ``perf.kernels``;
+- ``L002``: the package import graph has no cycle.  Its nodes are the
+  packages under ``repro/`` (with ``perf.kernels`` a node of its own, as
+  L001 counts it) and every import in a linted file is an edge, a
+  function-local one too.  A cycle is reported once, at the import that
+  closes it from its alphabetically first package.
 
-``# noqa`` exempts a line from F821 and L001 as well.
+``# noqa`` exempts a line from F821, L001 and L002 as well.
 
 It covers what ``ruff`` selects for these codes closely enough to run
 where ``ruff`` is not installed; it is not a replacement for ``ruff``.
@@ -42,8 +47,8 @@ from pathlib import Path
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "tools", "examples")
 
-#: the packages of the paper's own system (``experiments`` excepted: its
-#: import cycles with ``check`` are not broken yet)
+#: the packages of the paper's own system; ``experiments`` (the paper's
+#: figures) and ``check`` (its verification) drive it from outside
 PAPER_CORE = frozenset(
     {"sim", "machine", "mpi", "ffs", "adios", "dataspaces", "core", "operators",
      "apps", "query"}
@@ -51,6 +56,9 @@ PAPER_CORE = frozenset(
 #: the extension modules the paper core may import: a module path under
 #: ``repro.`` that equals one of these or lies below it
 SEAMS = ("perf.kernels", "faults.config", "faults.errors", "faults.recovery", "flow")
+#: modules the L002 package graph counts as nodes of their own: the paper
+#: core imports the kernels, and the rest of ``perf`` benchmarks the core
+OWN_NODES = ("perf.kernels",)
 
 #: names a module reads without binding them: builtins plus what the
 #: import system sets on a module beyond them
@@ -210,6 +218,84 @@ def _layer_findings(path: Path, tree: ast.Module, lines: list[str]) -> list[str]
     return out
 
 
+def _graph_node(module: str) -> str | None:
+    """The L002 node of a dotted module path under ``repro`` (None for
+    ``repro`` itself and anything outside it)."""
+    top, _, rest = module.partition(".")
+    if top != "repro" or not rest:
+        return None
+    own = next((n for n in OWN_NODES if rest == n or rest.startswith(n + ".")), None)
+    return own or rest.split(".")[0]
+
+
+def package_edges(path: Path, tree: ast.Module, lines: list[str]):
+    """``(importer, imported, lineno)`` for every cross-package import in
+    one file under ``repro/<package>/``."""
+    package = _repro_package(path)
+    if package is None or len(package) < 2:
+        return []
+    dotted = ".".join(package if path.name == "__init__.py" else (*package, path.stem))
+    here = _graph_node(dotted)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa" in lines[node.lineno - 1]:
+            continue
+        modules = _imported_modules(node, package)
+        if isinstance(node, ast.ImportFrom):
+            # ``from M import a``: ``M.a`` when that names an own node
+            # (``from repro.perf import kernels``), else ``M`` itself
+            targets = [m for m in modules[1:] if _graph_node(m) in OWN_NODES] or modules[:1]
+        else:
+            targets = modules
+        for there in {_graph_node(m) for m in targets} - {None, here}:
+            out.append((here, there, node.lineno))
+    return out
+
+
+def cycle_findings(edges: list[tuple[str, str, Path, int]]) -> list[str]:
+    """One L002 finding per strongly connected group of packages."""
+    graph: dict[str, dict[str, tuple[Path, int]]] = {}
+    for src, dst, path, lineno in sorted(edges, key=lambda e: (e[0], e[1], str(e[2]), e[3])):
+        graph.setdefault(src, {}).setdefault(dst, (path, lineno))
+
+    def reach(start: str) -> set[str]:
+        seen, todo = set(), [start]
+        while todo:
+            for nxt in graph.get(todo.pop(), {}):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    out, done = [], set()
+    for start in sorted(graph):
+        if start in done or start not in reach(start):
+            continue
+        group = {n for n in reach(start) if start in reach(n)}
+        done |= group
+        # the shortest way back to *start* inside the group, by BFS
+        prev, queue, last = {start: None}, [start], None
+        while last is None:
+            cur = queue.pop(0)
+            for nxt in sorted(graph.get(cur, {})):
+                if nxt == start:
+                    last = cur
+                    break
+                if nxt in group and nxt not in prev:
+                    prev[nxt] = cur
+                    queue.append(nxt)
+        walk, cur = [], last
+        while cur is not None:  # last, ..., start
+            walk.append(cur)
+            cur = prev[cur]
+        cycle = [*reversed(walk), start]
+        path, lineno = graph[last][start]
+        out.append(f"{path}:{lineno}: L002 package import cycle: {' -> '.join(cycle)}")
+    return out
+
+
 def check_source(path: Path, source: str) -> list[str]:
     """Lint findings for one file's *source*."""
     try:
@@ -269,11 +355,18 @@ def iter_files(paths: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     paths = (sys.argv[1:] if argv is None else argv) or list(DEFAULT_PATHS)
-    findings = []
+    findings, edges = [], []
     nfiles = 0
     for f in iter_files(paths):
         nfiles += 1
-        findings += check_source(f, f.read_text(encoding="utf-8"))
+        source = f.read_text(encoding="utf-8")
+        findings += check_source(f, source)
+        try:
+            tree = ast.parse(source, str(f))
+        except SyntaxError:
+            continue
+        edges += [(a, b, f, n) for a, b, n in package_edges(f, tree, source.splitlines())]
+    findings += cycle_findings(edges)
     for line in findings:
         print(line)
     print(f"lint: {nfiles} files, {len(findings)} findings", file=sys.stderr)
