@@ -31,7 +31,6 @@ def _point(fraction=None):
     """One no-fault chaos run (the shared workload) at a pool fraction."""
     return chaos.run_once(
         inject=False,
-        make_injector=False,
         flow_fraction=fraction,
         fetch_pipeline_depth=DEPTH,
     )

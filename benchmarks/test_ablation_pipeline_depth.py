@@ -11,7 +11,7 @@ from repro.adios import GroupDef, OutputStep, VarDef, VarKind
 from repro.core import PreDatA
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World
-from repro.operators import Histogram2DOperator
+from repro.operators import HistogramOperator
 from repro.sim import Engine
 
 import numpy as np
@@ -31,7 +31,7 @@ def run_depth(depth: int) -> dict:
                       fs_interference=False)
     world = World(eng, machine.network, list(range(NPROCS)),
                   node_lookup=machine.node)
-    op = Histogram2DOperator("electrons", columns=(1, 2), bins=(64, 64))
+    op = HistogramOperator("electrons", (1, 2), (64, 64))
     predata = PreDatA(eng, machine, GROUP, [op], ncompute_procs=NPROCS,
                       nsteps=1, volume_scale=SCALE,
                       fetch_pipeline_depth=depth)

@@ -53,12 +53,12 @@ def main() -> None:
                   node_lookup=machine.node)
     predata = PreDatA(
         eng, machine, GROUP,
-        [HistogramOperator("particles", column=0, bins=64, name="hist")],
+        [HistogramOperator("particles", (0,), (64,), name="hist")],
         ncompute_procs=NPROCS, nsteps=NSTEPS, volume_scale=2000.0,
         fetch_rate_cap=5e9,
     )
     runner = InComputeNodeRunner(
-        machine, [HistogramOperator("particles", column=0, bins=64,
+        machine, [HistogramOperator("particles", (0,), (64,),
                                     name="hist")]
     )
     controller = AdaptivePlacement(BUDGET, initial="staging")

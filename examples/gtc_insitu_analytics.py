@@ -40,7 +40,7 @@ CFG = GTCConfig(
 def make_operators(filesystem=None):
     return [
         SampleSortOperator("electrons", COL_LABEL, name="sort"),
-        HistogramOperator("electrons", column=6, bins=256,
+        HistogramOperator("electrons", (6,), (256,),
                           name="hist", filesystem=filesystem),
     ]
 

@@ -64,7 +64,7 @@ def main() -> None:
                       fs_interference=False)
     world = World(eng, machine.network, list(range(NPROCS)),
                   node_lookup=machine.node)
-    hist = HistogramOperator("particles", column=6, bins=64)
+    hist = HistogramOperator("particles", (6,), (64,))
     predata = PreDatA(eng, machine, GROUP, [hist],
                       ncompute_procs=NPROCS, nsteps=NSTEPS,
                       volume_scale=50.0)

@@ -48,7 +48,7 @@ def main() -> None:
     # 4. PreDatA: operators + staging area, wired to a transport.
     operators = [
         MinMaxOperator("particles"),
-        HistogramOperator("particles", column=0, bins=32),
+        HistogramOperator("particles", (0,), (32,)),
     ]
     predata = PreDatA(
         eng, machine, group, operators,

@@ -139,6 +139,10 @@ class OutputStep:
         """Bytes this step *represents* at full experiment scale."""
         return self.nbytes_real * self.volume_scale
 
+    def rows_logical(self, var: str) -> float:
+        """Rows of array *var* (its first axis) at full experiment scale."""
+        return np.atleast_2d(self.values[var]).shape[0] * self.volume_scale
+
     # -- FFS packing -------------------------------------------------------
     def _runtime_schema(self) -> Schema:
         """FFS schema using each array value's *actual* dtype.

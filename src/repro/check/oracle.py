@@ -111,36 +111,24 @@ def _oracle_minmax(run: WorkloadRun, step: int, results: dict) -> None:
 
 def _oracle_histogram(run: WorkloadRun, step: int, results: dict) -> None:
     op = run.operators[0]
-    col = _concat_inputs(run, step, "electrons")[:, op.column]
-    edges = _reference_edges(col, op.bins)
-    ref_counts, _ = np.histogram(col, bins=edges)
-    owners = {r: v for r, v in results.items() if v is not None}
-    if len(owners) != 1:
-        _fail(f"expected exactly one tag-owning rank, got {sorted(owners)}")
-    (res,) = owners.values()
-    if not np.allclose(res["edges"], edges):
-        _fail("bin edges differ from reference linspace")
-    if not np.array_equal(res["counts"], ref_counts.astype(np.int64)):
-        _fail("histogram counts differ from np.histogram reference")
-    if int(res["counts"].sum()) != col.size:
-        _fail("histogram does not conserve row count")
-
-
-def _oracle_histogram2d(run: WorkloadRun, step: int, results: dict) -> None:
-    op = run.operators[0]
     data = _concat_inputs(run, step, "electrons")
-    cx, cy = op.columns
-    ex = _reference_edges(data[:, cx], op.bins[0])
-    ey = _reference_edges(data[:, cy], op.bins[1])
-    ref, _, _ = np.histogram2d(data[:, cx], data[:, cy], bins=(ex, ey))
+    cols = [data[:, c] for c in op.columns]
+    edges = [_reference_edges(col, nbins) for col, nbins in zip(cols, op.bins)]
+    if len(cols) == 1:
+        ref, _ = np.histogram(cols[0], bins=edges[0])
+    else:
+        ref, _, _ = np.histogram2d(cols[0], cols[1], bins=edges)
     owners = {r: v for r, v in results.items() if v is not None}
     if len(owners) != 1:
         _fail(f"expected exactly one tag-owning rank, got {sorted(owners)}")
     (res,) = owners.values()
-    if not (np.allclose(res["edges"][0], ex) and np.allclose(res["edges"][1], ey)):
-        _fail("2-D bin edges differ from reference")
+    got = [res["edges"]] if len(cols) == 1 else res["edges"]
+    if not all(np.allclose(g, e) for g, e in zip(got, edges)):
+        _fail("bin edges differ from reference linspace")
     if not np.array_equal(res["counts"], ref.astype(np.int64)):
-        _fail("2-D histogram counts differ from np.histogram2d reference")
+        _fail("histogram counts differ from the numpy reference")
+    if int(res["counts"].sum()) != data.shape[0]:
+        _fail("histogram does not conserve row count")
 
 
 def _oracle_sort(run: WorkloadRun, step: int, results: dict) -> None:
@@ -258,7 +246,7 @@ def _oracle_precision_reduce(run: WorkloadRun, step: int, results: dict) -> None
 _ORACLES = {
     "minmax": _oracle_minmax,
     "histogram": _oracle_histogram,
-    "histogram2d": _oracle_histogram2d,
+    "histogram2d": _oracle_histogram,
     "sort": _oracle_sort,
     "bitmap": _oracle_bitmap,
     "array_merge": _oracle_array_merge,

@@ -99,7 +99,6 @@ def make_operators(kind: str) -> list:
         ArrayMergeOperator,
         BitmapIndexOperator,
         FilterOperator,
-        Histogram2DOperator,
         HistogramOperator,
         MinMaxOperator,
         PrecisionReduceOperator,
@@ -110,9 +109,9 @@ def make_operators(kind: str) -> list:
     if kind == "minmax":
         return [MinMaxOperator("electrons")]
     if kind == "histogram":
-        return [HistogramOperator("electrons", column=1, bins=16)]
+        return [HistogramOperator("electrons", (1,), (16,))]
     if kind == "histogram2d":
-        return [Histogram2DOperator("electrons", columns=(1, 2), bins=(8, 8))]
+        return [HistogramOperator("electrons", (1, 2), (8, 8))]
     if kind == "sort":
         return [SampleSortOperator("electrons", key_column=0, samples_per_rank=8)]
     if kind == "bitmap":

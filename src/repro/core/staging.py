@@ -68,9 +68,9 @@ class StagingConfig:
     also ... place the data chunks present within the data stream into
     some desired order to ease implementing such data analysis
     services"): a callable receiving the step's fetch requests (each
-    carrying the attached partial results) and returning them in the
-    order the pipeline should fetch and Map them.  Default: by
-    compute rank.
+    carrying the attached partial results) in compute-rank order and
+    returning them in the order the pipeline should fetch and Map them.
+    Default: compute-rank order.
     """
 
     fetch_pipeline_depth: int = 2
@@ -320,37 +320,25 @@ class StagingService:
         # (timed from the first request's arrival: the wait for the
         # application to reach its dump is idle time, not pipeline cost)
         box = self.client.request_box(comm.rank)
-        requests: list[FetchRequest] = []
         received: dict[int, Optional[FetchRequest]] = {}
         t_first = None
-        if resilience is None:
-            for _ in my_computes:
-                _src, _tag, req = yield box.receive(tag=step)
-                if t_first is None:
-                    t_first = env.now
-                if req is not None:  # None = skip notice (adaptive placement)
-                    requests.append(req)
-        else:
-            # Keyed by source so a redelivered duplicate cannot skew the
-            # count; the receive is withdrawn cleanly if we are aborted.
-            expected = set(my_computes)
-            while not expected <= received.keys():
-                ev = box.receive(tag=step)
-                try:
-                    src, _tag, req = yield ev
-                except BaseException:
-                    box.cancel(ev)
-                    raise
-                if t_first is None:
-                    t_first = env.now
-                received[src] = req
-            requests = [
-                received[r] for r in sorted(received) if received[r] is not None
-            ]
+        # Keyed by source so a redelivered duplicate cannot skew the
+        # count; the receive is withdrawn cleanly if we are aborted.
+        expected = set(my_computes)
+        while not expected <= received.keys():
+            ev = box.receive(tag=step)
+            try:
+                src, _tag, req = yield ev
+            except BaseException:
+                box.cancel(ev)
+                raise
+            if t_first is None:
+                t_first = env.now
+            received[src] = req
+        # in source (= compute rank) order; None = skip notice (adaptive placement)
+        requests = [received[r] for r in sorted(received) if received[r] is not None]
         if self.config.chunk_order is not None:
             requests = list(self.config.chunk_order(requests))
-        else:
-            requests.sort(key=lambda r: r.compute_rank)
         report.gather_requests = env.now - t_first if t_first is not None else 0.0
         report.t_dump_start = (
             min(r.t_dump_start for r in requests) if requests else env.now

@@ -136,7 +136,6 @@ def run_once(
     inject: bool = True,
     seed: int = 7,
     resilience: ResilienceConfig | None = None,
-    make_injector: bool = True,
     obs=None,
     flow_fraction: float | None = None,
     fetch_pipeline_depth: int = 2,
@@ -155,12 +154,9 @@ def run_once(
     the kill genuinely lands inside an in-flight step (:data:`CRASH_T`,
     0.2 s into step 1 of dumps :data:`DUMP_INTERVAL` apart).
 
-    ``inject=False`` runs the *identical* configuration (same seed,
-    same injector object constructed) with every injection disabled —
-    the interference baseline and the determinism control.
-    ``make_injector=False`` goes further and builds no injector at
-    all, for asserting that a disabled injector is bit-identical to
-    its complete absence.  ``obs`` binds an
+    ``inject=False`` runs the *identical* configuration (same seed)
+    without building the injector — the interference baseline and the
+    determinism control.  ``obs`` binds an
     :class:`repro.obs.Observability` sink to the run's engine so the
     crash/detection/recovery protocol shows up as trace instants.
 
@@ -229,8 +225,8 @@ def run_once(
         stream_bridge.attach(predata.service)
     injector = None
     killed = -1
-    if make_injector:
-        injector = FaultInjector(eng, machine, seed=seed, enabled=inject)
+    if inject:
+        injector = FaultInjector(eng, machine, seed=seed)
         injector.arm(predata.client)
         killed = injector.crash_staging_node(at=CRASH_T)
     if scenario_harness is not None:

@@ -24,11 +24,7 @@ from repro.core.placement import InComputeNodeRunner, InComputeTiming
 from repro.machine.machine import Machine
 from repro.machine.presets import JAGUAR_XT4, JAGUAR_XT5, MachineSpec
 from repro.mpi.world import World
-from repro.operators import (
-    Histogram2DOperator,
-    HistogramOperator,
-    SampleSortOperator,
-)
+from repro.operators import HistogramOperator, SampleSortOperator
 from repro.sim.engine import Engine
 
 __all__ = [
@@ -87,16 +83,16 @@ def gtc_operators(which: str, filesystem=None) -> list[PreDatAOperator]:
     if which == "histogram":
         return [
             HistogramOperator(
-                var, column=6, bins=1000, name=f"histogram:{var}",
+                var, (6,), (1000,), name=f"histogram:{var}",
                 filesystem=filesystem,
             )
             for var in species
         ]
     if which == "histogram2d":
         return [
-            Histogram2DOperator(
-                var, columns=(0, 3), bins=(256, 256),
-                name=f"histogram2d:{var}", filesystem=filesystem,
+            HistogramOperator(
+                var, (0, 3), (256, 256), name=f"histogram2d:{var}",
+                filesystem=filesystem,
             )
             for var in species
         ]

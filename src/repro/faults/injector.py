@@ -20,9 +20,7 @@ through the fault hooks added for resilience work:
 Everything is driven either by explicit (time, target) plans or by a
 seeded ``numpy`` generator, so a fixed seed reproduces the exact same
 failure scenario event-for-event — the property the chaos benchmark
-asserts.  Constructing an injector with ``enabled=False`` turns every
-method into a no-op, guaranteeing bit-identical behaviour with a run
-that has no injector at all.
+asserts.  A run without faults builds no injector.
 """
 
 from __future__ import annotations
@@ -44,14 +42,12 @@ class FaultInjector:
     env: simulation engine.
     machine: machine model to break.
     seed: seed for all randomised choices.
-    enabled: when False, every injection method is a no-op.
     """
 
-    def __init__(self, env, machine, *, seed: int = 0, enabled: bool = True):
+    def __init__(self, env, machine, *, seed: int = 0):
         self.env = env
         self.machine = machine
         self.seed = seed
-        self.enabled = enabled
         self.rng = np.random.default_rng(seed)
         #: chronological record of faults actually fired: (kind, time, detail)
         self.injected: list[tuple[str, float, object]] = []
@@ -82,8 +78,6 @@ class FaultInjector:
     # -- node crashes -----------------------------------------------------
     def crash_node(self, node_id: int, *, at: float) -> None:
         """Kill machine node *node_id* at time *at*."""
-        if not self.enabled:
-            return
 
         def fire() -> None:
             node = self.machine.node(node_id)
@@ -96,8 +90,7 @@ class FaultInjector:
     def crash_staging_node(self, *, at: float) -> int:
         """Kill one seeded-random staging node at *at*.
 
-        Returns the chosen node id (even when disabled, so experiment
-        code can report the plan).
+        Returns the chosen node id.
         """
         ids = list(self.machine.staging_node_ids)
         if not ids:
@@ -111,15 +104,11 @@ class FaultInjector:
         self, node_id: int, *, at: float, duration: float, factor: float
     ) -> None:
         """NIC of *node_id* runs at *factor* of peak during the window."""
-        if not self.enabled:
-            return
         self.machine.network.degrade_link(node_id, at, at + duration, factor)
         self._record("degrade_link", at, (node_id, duration, factor))
 
     def stall_filesystem(self, *, at: float, duration: float) -> None:
         """File system bandwidth clamped to ``STALL_FLOOR`` of peak in the window."""
-        if not self.enabled:
-            return
         self.machine.filesystem.stall_window(at, at + duration)
         self._record("fs_stall", at, (duration, STALL_FLOOR))
 
@@ -133,15 +122,11 @@ class FaultInjector:
         reports the descriptor failed.  Requires the resilient fetch
         path (retry + timeout) to make progress afterwards.
         """
-        if not self.enabled:
-            return
         plan = self._fetch_plans.setdefault((compute_rank, step), [])
         plan.extend([("drop", delay)] * attempts)
 
     def slow_fetch(self, compute_rank: int, step: int, *, delay: float) -> None:
         """Add *delay* seconds to the next fetch attempt of (rank, step)."""
-        if not self.enabled:
-            return
         self._fetch_plans.setdefault((compute_rank, step), []).append(
             ("slow", delay)
         )
@@ -157,8 +142,6 @@ class FaultInjector:
         primitive requires the resilient fetch path (retry budget >
         *attempts*) to make progress.
         """
-        if not self.enabled:
-            return
         plan = self._fetch_plans.setdefault((compute_rank, step), [])
         plan.extend([("corrupt", 0.0)] * attempts)
 
@@ -170,8 +153,6 @@ class FaultInjector:
         hangs until the puller's per-attempt timeout interrupts it, so
         progress requires the resilient fetch path.
         """
-        if not self.enabled:
-            return
         plan = self._fetch_plans.setdefault((compute_rank, step), [])
         plan.append(("withhold", 0.0))
 
@@ -190,8 +171,6 @@ class FaultInjector:
         exceeds the fetch timeout; schedule several short windows for a
         flapping link).  Requires a :class:`RegionalTopology` network.
         """
-        if not self.enabled:
-            return
         self.machine.network.region_extra_window(
             region_a, region_b, at, at + duration, extra
         )
@@ -202,8 +181,6 @@ class FaultInjector:
     ) -> None:
         """Every transfer into/out of *region* posted during the window
         pays *extra* seconds (a congested or distant site)."""
-        if not self.enabled:
-            return
         net = self.machine.network
         for other in net.topology.regions:
             if other != region:
@@ -223,8 +200,6 @@ class FaultInjector:
         converges; determinism comes from the injector seed plus the
         engine's deterministic event ordering.
         """
-        if not self.enabled:
-            return
         if drop_prob + slow_prob > 1.0:
             raise ValueError("drop_prob + slow_prob must be <= 1")
         self._random_fetch = {
@@ -241,8 +216,6 @@ class FaultInjector:
         Returns ``None`` (no fault), ``("drop", delay)`` or
         ``("slow", delay)`` for this fetch attempt.
         """
-        if not self.enabled:
-            return None
         plan = self._fetch_plans.get((compute_rank, step))
         if plan and attempt < len(plan):
             mode, delay = plan[attempt]
@@ -267,11 +240,10 @@ class FaultInjector:
 
     def arm(self, client) -> None:
         """Install the fetch-fault hook on a :class:`StagingClient`."""
-        if self.enabled:
-            client.fault_hook = self.fetch_fault
+        client.fault_hook = self.fetch_fault
 
     def __repr__(self) -> str:
         return (
-            f"FaultInjector(seed={self.seed}, enabled={self.enabled}, "
+            f"FaultInjector(seed={self.seed}, "
             f"fired={len(self.injected)})"
         )

@@ -19,10 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
-__all__ = ["HistogramStat", "MetricsRegistry"]
+__all__ = ["HistogramStat", "MetricsRegistry", "quantile"]
 
 LabelKey = tuple[str, tuple[tuple[str, object], ...]]
+
+
+def quantile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank *q*-quantile of *values* (0.0 for an empty sequence)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
+    return ordered[rank - 1]
 
 
 def _key(name: str, labels: dict[str, object]) -> LabelKey:
@@ -91,13 +103,7 @@ class HistogramStat:
         observed; an even-stride approximation afterwards.  Returns 0.0
         before any observation.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
-        return ordered[rank - 1]
+        return quantile(self.samples, q)
 
 
 class MetricsRegistry:

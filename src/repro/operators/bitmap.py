@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.adios.group import OutputStep
 from repro.core.operator import Emit, OperatorContext, PreDatAOperator
+from repro.operators.histogram import column_ranges, global_edges
 from repro.perf import kernels
 
 __all__ = ["WAHBitmap", "BitmapIndex", "BitmapIndexOperator"]
@@ -180,30 +181,21 @@ class BitmapIndexOperator(PreDatAOperator):
 
     # global edges via pass 1, so every rank's index is aligned
     def partial_calculate(self, step: OutputStep) -> Any:
-        col = np.atleast_2d(step.values[self.var])[:, self.column]
-        if col.size == 0:
-            return None
-        return (float(col.min()), float(col.max()))
+        return column_ranges(step.values[self.var], (self.column,))
 
     def partial_flops(self, step: OutputStep) -> float:
-        return 2.0 * self._n_logical(step)
+        return 2.0 * step.rows_logical(self.var)
 
     def aggregate(self, partials: list[Any]) -> Any:
-        partials = [p for p in partials if p is not None]
-        if not partials:
-            return None
-        lo = min(p[0] for p in partials)
-        hi = max(p[1] for p in partials)
-        if lo == hi:
-            hi = lo + 1.0
-        return np.linspace(lo, hi, self.bins + 1)
+        edges = global_edges(partials, (self.bins,))
+        return None if edges is None else edges[0]
 
     def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
         col = np.atleast_2d(step.values[self.var])[:, self.column]
         return [Emit(ctx.rank, np.asarray(col, dtype=float))]
 
     def map_flops(self, step: OutputStep) -> float:
-        return 6.0 * self._n_logical(step)
+        return 6.0 * step.rows_logical(self.var)
 
     def partition(self, ctx: OperatorContext, tag: Any) -> int:
         return int(tag)  # stay local
@@ -222,6 +214,3 @@ class BitmapIndexOperator(PreDatAOperator):
 
     def logical_fraction_shuffled(self) -> float:
         return 0.0
-
-    def _n_logical(self, step: OutputStep) -> float:
-        return np.atleast_2d(step.values[self.var]).shape[0] * step.volume_scale

@@ -1,18 +1,23 @@
-"""1-D histogram operator (GTC online monitoring, Fig. 7(b)(e)).
+"""Histogram operator over one or two columns (GTC, Fig. 7(b)(c)(e)(f)).
 
 Computation-dominant (§V.B.1): each chunk is scanned once to bin one
-particle attribute; the shuffle moves only per-bin count vectors
-(kilobytes), and a single reducer rank owns the global histogram, which
-Finalize writes as the ~8 MB histogram file whose synchronous write
-variability (0.25 s–7 s) motivates the Staging placement.
+particle attribute (online monitoring) or an attribute pair (the 2-D
+histogram behind parallel-coordinates visualisation [21]); the shuffle
+moves only count arrays (kilobytes), and a single reducer rank owns
+the global histogram, which Finalize writes as the ~8 MB histogram file
+whose synchronous write variability (0.25 s–7 s) motivates the Staging
+placement.  The 2-D case needs quadratically more bins, hence more
+computation and communication, with the same placement conclusions.
 
 Bin edges come from the aggregation stage: ``Partial_calculate``
-supplies local min/max so edges are global before streaming starts.
+supplies local min/max (:func:`column_ranges`) so edges are global
+(:func:`global_edges`) before streaming starts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+import math
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,63 +26,90 @@ from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 from repro.machine.filesystem import ParallelFileSystem
 from repro.perf import kernels
 
-__all__ = ["HistogramOperator"]
+__all__ = ["HistogramOperator", "column_ranges", "global_edges"]
 
 #: size of a histogram result file (paper: 8 MB)
 OUTPUT_BYTES = 8e6
 
 
+def column_ranges(values: Any, columns: Sequence[int]) -> Optional[tuple[float, ...]]:
+    """Pass 1 of global binning: ``(min0, max0, min1, max1, ...)`` of the
+    *columns* of a 2-D array, or None for an empty chunk."""
+    data = np.atleast_2d(values)
+    if data.shape[0] == 0:
+        return None
+    out: list[float] = []
+    for c in columns:
+        out += (float(data[:, c].min()), float(data[:, c].max()))
+    return tuple(out)
+
+
+def global_edges(partials: list[Any], bins: Sequence[int]) -> Optional[tuple[np.ndarray, ...]]:
+    """One ``linspace`` edge array per column over every partial's range
+    (a degenerate range is widened by 1.0); None if every chunk was empty."""
+    partials = [p for p in partials if p is not None]
+    if not partials:
+        return None
+    edges = []
+    for i, nbins in enumerate(bins):
+        lo = min(p[2 * i] for p in partials)
+        hi = max(p[2 * i + 1] for p in partials)
+        if lo == hi:
+            hi = lo + 1.0
+        edges.append(np.linspace(lo, hi, nbins + 1))
+    return tuple(edges)
+
+
 class HistogramOperator(PreDatAOperator):
-    """Histogram of one column of a 2-D array variable.
+    """Histogram of one column, or joint histogram of two, of a 2-D array
+    variable.
 
     Parameters
     ----------
     var: group variable holding ``(n, k)`` arrays.
-    column: attribute index to histogram.
-    bins: number of bins.
+    columns: one or two attribute indexes.
+    bins: one bin count per column.
     filesystem: when given, Finalize writes the histogram file
         (:data:`OUTPUT_BYTES`) through it — the visible-I/O effect the
         paper measures in the In-Compute-Node configuration.
-    """
 
-    _TAG = "hist"
+    The result is ``{"counts", "edges"}``: over one column ``counts`` has
+    shape ``(bins,)`` and ``edges`` is one array; over two, ``counts`` is
+    ``bins``-shaped and ``edges`` a pair.
+    """
 
     def __init__(
         self,
         var: str,
-        column: int,
-        bins: int = 1000,
+        columns: Sequence[int],
+        bins: Sequence[int],
         *,
         name: Optional[str] = None,
         filesystem: Optional[ParallelFileSystem] = None,
     ):
-        if bins < 1:
+        columns, bins = tuple(columns), tuple(bins)
+        if len(columns) not in (1, 2):
+            raise ValueError("a histogram has one or two columns")
+        if len(bins) != len(columns):
+            raise ValueError("bins must give one count per column")
+        if min(bins) < 1:
             raise ValueError("bins must be >= 1")
         self.var = var
-        self.column = column
+        self.columns = columns
         self.bins = bins
-        self.name = name or f"hist:{var}[{column}]"
+        self.tag = "hist" if len(columns) == 1 else "hist2d"
+        self.name = name or f"{self.tag}:{var}[{','.join(map(str, columns))}]"
         self.filesystem = filesystem
 
     # -- pass 1: local min/max for global edges -------------------------
     def partial_calculate(self, step: OutputStep) -> Any:
-        col = np.atleast_2d(step.values[self.var])[:, self.column]
-        if col.size == 0:
-            return None
-        return (float(col.min()), float(col.max()))
+        return column_ranges(step.values[self.var], self.columns)
 
     def partial_flops(self, step: OutputStep) -> float:
-        return 2.0 * self._n_logical(step)
+        return 2.0 * len(self.columns) * step.rows_logical(self.var)
 
     def aggregate(self, partials: list[Any]) -> Any:
-        partials = [p for p in partials if p is not None]
-        if not partials:
-            return None
-        lo = min(p[0] for p in partials)
-        hi = max(p[1] for p in partials)
-        if lo == hi:
-            hi = lo + 1.0
-        return np.linspace(lo, hi, self.bins + 1)
+        return global_edges(partials, self.bins)
 
     # -- stage 4 -----------------------------------------------------------
     def initialize(self, ctx: OperatorContext) -> None:
@@ -86,13 +118,15 @@ class HistogramOperator(PreDatAOperator):
         ctx.storage["edges"] = ctx.aggregated
 
     def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
-        edges = ctx.storage["edges"]
-        col = np.atleast_2d(step.values[self.var])[:, self.column]
-        return [Emit(self._TAG, kernels.histogram1d(col, edges))]
+        data = np.atleast_2d(step.values[self.var])
+        kernel = kernels.histogram1d if len(self.columns) == 1 else kernels.histogram2d
+        cols = [data[:, c] for c in self.columns]
+        return [Emit(self.tag, kernel(*cols, *ctx.storage["edges"]))]
 
     def map_flops(self, step: OutputStep) -> float:
-        # binning: ~4 flops per element (subtract, scale, floor, add)
-        return 4.0 * self._n_logical(step)
+        # binning: ~4 flops per element and column (subtract, scale,
+        # floor, add)
+        return 4.0 * len(self.columns) * step.rows_logical(self.var)
 
     def combine(self, ctx: OperatorContext, items: list[Emit]) -> list[Emit]:
         if len(items) < 2:
@@ -100,10 +134,10 @@ class HistogramOperator(PreDatAOperator):
         total = items[0].value.copy()
         for e in items[1:]:
             total += e.value
-        return [Emit(self._TAG, total)]
+        return [Emit(self.tag, total)]
 
     def reduce(self, ctx: OperatorContext, tag: Any, values: list[Any]) -> Any:
-        """Sum count vectors (an empty bucket sums to all-zero counts)."""
+        """Sum count arrays (an empty bucket sums to all-zero counts)."""
         if not values:
             return np.zeros(self.bins, dtype=np.int64)
         total = values[0].copy()
@@ -112,28 +146,24 @@ class HistogramOperator(PreDatAOperator):
         return total
 
     def reduce_flops(self, ctx, tag: Any, values: list[Any]) -> float:
-        # summing count vectors is cheap and does NOT scale with the
+        # summing count arrays is cheap and does NOT scale with the
         # data volume, so the true (unscaled) cost is returned.
-        return float(len(values) * self.bins)
+        return float(len(values) * math.prod(self.bins))
 
     def finalize(self, ctx: OperatorContext, reduced: dict):
-        counts = reduced.get(self._TAG)
+        counts = reduced.get(self.tag)
         if counts is None:
             return None  # this rank does not own the histogram tag
         edges = ctx.storage["edges"]
+        result = {"counts": counts, "edges": edges[0] if len(edges) == 1 else edges}
         if self.filesystem is not None:
             # generator finalize: visible simulated I/O
             def body():
                 yield from self.filesystem.write(OUTPUT_BYTES)
-                return {"counts": counts, "edges": edges}
+                return result
 
             return body()
-        return {"counts": counts, "edges": edges}
+        return result
 
     def logical_fraction_shuffled(self) -> float:
-        return 0.0  # only count vectors move
-
-    # -- helpers ------------------------------------------------------------
-    def _n_logical(self, step: OutputStep) -> float:
-        data = np.atleast_2d(step.values[self.var])
-        return data.shape[0] * step.volume_scale
+        return 0.0  # only count arrays move

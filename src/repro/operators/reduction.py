@@ -18,17 +18,18 @@ report achieved reduction ratios.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from repro.adios.group import OutputStep
-from repro.core.operator import Emit, OperatorContext, PreDatAOperator
+from repro.core.operator import OperatorContext, PreDatAOperator
+from repro.operators.filter import RowSelectOperator
 
 __all__ = ["SubsampleOperator", "PrecisionReduceOperator"]
 
 
-class SubsampleOperator(PreDatAOperator):
+class SubsampleOperator(RowSelectOperator):
     """Keeps a fraction of a 2-D variable's rows: every
     ``round(1/fraction)``-th row (deterministic, preserves temporal
     ordering).
@@ -39,6 +40,8 @@ class SubsampleOperator(PreDatAOperator):
     fraction: target fraction of rows to keep, in (0, 1].
     """
 
+    RESULT_KEY = "global_rows"
+
     def __init__(self, var: str, fraction: float):
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
@@ -46,37 +49,12 @@ class SubsampleOperator(PreDatAOperator):
         self.fraction = fraction
         self.name = f"subsample:{var}"
 
-    def partial_calculate(self, step: OutputStep) -> Any:
-        data = np.atleast_2d(step.values[self.var])
-        kept = data[:: max(round(1.0 / self.fraction), 1)]
-        step.values[self.var] = kept
-        return int(kept.shape[0])
+    def select(self, data: np.ndarray) -> np.ndarray:
+        """Every ``round(1/fraction)``-th row of *data*, from the first."""
+        return data[:: max(round(1.0 / self.fraction), 1)]
 
     def partial_flops(self, step: OutputStep) -> float:
-        return np.atleast_2d(step.values[self.var]).shape[0] * (
-            step.volume_scale
-        )
-
-    def aggregate(self, partials: list[Any]) -> Any:
-        return int(sum(p for p in partials if p is not None))
-
-    def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
-        return [Emit(ctx.rank, np.atleast_2d(step.values[self.var]))]
-
-    def map_flops(self, step: OutputStep) -> float:
-        return 0.0
-
-    def partition(self, ctx: OperatorContext, tag: Any) -> int:
-        return int(tag)
-
-    def reduce(self, ctx: OperatorContext, tag: Any, values: list[Any]) -> Any:
-        return np.concatenate(values, axis=0) if values else np.empty((0,))
-
-    def finalize(self, ctx: OperatorContext, reduced: dict):
-        return {
-            "rows": reduced.get(ctx.rank, np.empty((0,))),
-            "global_rows": ctx.aggregated,
-        }
+        return step.rows_logical(self.var)
 
     def logical_fraction_shuffled(self) -> float:
         return self.fraction

@@ -132,7 +132,7 @@ class SampleSortOperator(PreDatAOperator):
     def map_flops(self, step: OutputStep) -> float:
         # binary search per row over the splitters + a partition pass;
         # splitter count is O(nworkers) so the search is ~10 ops/row.
-        return 10.0 * self._rows_logical(step)
+        return 10.0 * step.rows_logical(self.var)
 
     def partition(self, ctx: OperatorContext, tag: Any) -> int:
         return int(tag)  # bucket b sorts on reducer b
@@ -181,7 +181,3 @@ class SampleSortOperator(PreDatAOperator):
 
     def logical_fraction_shuffled(self) -> float:
         return 1.0  # the whole dataset crosses the shuffle
-
-    # -- helpers ---------------------------------------------------------------
-    def _rows_logical(self, step: OutputStep) -> float:
-        return np.atleast_2d(step.values[self.var]).shape[0] * step.volume_scale

@@ -85,9 +85,7 @@ class ScenarioHarness:
         from repro.faults import FaultInjector
 
         fold = crc32("|".join(s.name for s in self.active).encode())
-        self.injector = FaultInjector(
-            env, machine, seed=(self.seed << 16) ^ fold, enabled=True
-        )
+        self.injector = FaultInjector(env, machine, seed=(self.seed << 16) ^ fold)
         self.injector.arm(predata.client)
         for scenario in self.active:
             ctx = ScenarioContext(

@@ -7,9 +7,9 @@ invariant checker bound, and distils the outcome into a
 invariants, and the two determinism digests (run fingerprint +
 schedule hash) combined into one scenario fingerprint.
 
-The runner builds its *own* resilient configuration and disables the
-workload's built-in injector (``make_injector=False``) — all adversity
-comes from the harness, so the scenario set fully owns the fault
+The runner builds its *own* resilient configuration and runs the
+workload without its built-in injector (``inject=False``) — all
+adversity comes from the harness, so the scenario set fully owns the fault
 schedule.
 """
 
@@ -105,7 +105,6 @@ def run_scenarios(
     checker = Checker()
     config = dict(
         inject=False,
-        make_injector=False,
         seed=seed,
         resilience=ResilienceConfig(
             fetch_timeout=1.0,

@@ -31,7 +31,7 @@ from repro.serve.shard import (
     merge_aggregates,
     partial_aggregate,
 )
-from repro.serve.workload import LoadPoint, WorkloadDriver, quantile
+from repro.serve.workload import LoadPoint, WorkloadDriver
 
 __all__ = [
     "Answer",
@@ -45,5 +45,4 @@ __all__ = [
     "WorkloadDriver",
     "merge_aggregates",
     "partial_aggregate",
-    "quantile",
 ]

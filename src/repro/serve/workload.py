@@ -16,29 +16,18 @@ invalidation under traffic).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from repro.obs.metrics import quantile
 from repro.serve.config import ServeConfig
 from repro.serve.service import Query, QueryService
 from repro.sim.engine import Engine
 
-__all__ = ["LoadPoint", "WorkloadDriver", "quantile"]
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of *values* (0 for an empty sequence)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
-    return ordered[rank - 1]
+__all__ = ["LoadPoint", "WorkloadDriver"]
 
 
 @dataclass

@@ -29,6 +29,7 @@ from repro.apps.readers import InTransitAnalysisReader, ParticleTrackingFollower
 from repro.check.stream import StreamChecker
 from repro.dataspaces.space import DataSpaces, Region
 from repro.machine import TESTING_TINY, Machine
+from repro.obs.metrics import quantile
 from repro.sim.engine import Engine
 from repro.stream.config import StreamConfig
 from repro.stream.consumer import ConsumerGroup
@@ -143,14 +144,6 @@ class StreamRun:
         }
 
 
-def _quantile(values: list, q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered), max(1, int(np.ceil(q * len(ordered)))))
-    return float(ordered[rank - 1])
-
-
 def _report(group: ConsumerGroup, checker: StreamChecker) -> GroupReport:
     sub = group.sub
     latencies = [v for st in sub.stats for v in st.notify_latencies]
@@ -170,8 +163,8 @@ def _report(group: ConsumerGroup, checker: StreamChecker) -> GroupReport:
         max_lag=group.max_lag,
         bytes_fetched=group.bytes_fetched,
         throughput=group.throughput(),
-        notify_p50=_quantile(latencies, 0.50),
-        notify_p99=_quantile(latencies, 0.99),
+        notify_p50=quantile(latencies, 0.50),
+        notify_p99=quantile(latencies, 0.99),
     )
 
 

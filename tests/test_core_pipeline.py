@@ -83,7 +83,7 @@ def test_staging_sort_report_phases_populated():
 
 # ---------------------------------------------------------- histogram
 def test_staging_histogram_matches_numpy():
-    op = HistogramOperator("electrons", column=7, bins=32)
+    op = HistogramOperator("electrons", (7,), (32,))
     _, _, predata, _ = run_staging_pipeline([op])
     svc = predata.service
     results = [
@@ -172,7 +172,7 @@ def test_staging_filter_reduces_rows():
 
 # ------------------------------------------------------ write latency
 def test_staging_hides_write_latency():
-    op = HistogramOperator("electrons", column=7)
+    op = HistogramOperator("electrons", (7,), (1000,))
     _, _, predata, visible = run_staging_pipeline([op], scale=100.0)
     report = predata.service.step_report(0)
     # visible blocking time on compute nodes is far less than the
@@ -194,7 +194,7 @@ def test_multiple_steps_processed():
 def test_multiple_operators_one_pass():
     ops = [
         MinMaxOperator("electrons"),
-        HistogramOperator("electrons", column=7, bins=16),
+        HistogramOperator("electrons", (7,), (16,)),
         SampleSortOperator("electrons", key_column=0),
     ]
     _, _, predata, _ = run_staging_pipeline(ops)

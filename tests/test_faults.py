@@ -1,6 +1,5 @@
 """Unit tests for the fault hooks and the deterministic injector."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,22 +104,6 @@ def test_filesystem_stall_window_slows_write():
 
 
 # ------------------------------------------------------ fault injector
-def test_disabled_injector_schedules_nothing():
-    eng, machine = _machine()
-    inj = FaultInjector(eng, machine, seed=3, enabled=False)
-    node_id = inj.crash_staging_node(at=1.0)
-    inj.degrade_link(0, at=0.0, duration=1.0, factor=0.5)
-    inj.stall_filesystem(at=0.0, duration=1.0)
-    inj.drop_fetch(0, 0)
-    inj.slow_fetch(0, 0, delay=1.0)
-    inj.random_fetch_faults(drop_prob=0.5)
-    assert node_id in machine.staging_node_ids  # plan still reported
-    eng.run()
-    assert inj.injected == []
-    assert all(machine.node(n).alive for n in machine.staging_node_ids)
-    assert inj.fetch_fault(0, 0, 0) is None
-
-
 def test_injector_seed_fixes_the_victim_and_timing():
     picks = []
     for _ in range(3):
@@ -218,19 +201,6 @@ def test_fixed_seed_runs_are_bit_identical(seed):
     assert a.complete and b.complete
 
 
-@settings(max_examples=5, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_disabled_injector_is_bit_identical_to_no_injector(seed):
-    disabled = run_once(inject=False, seed=seed, **_SMALL)
-    absent = run_once(make_injector=False, **_SMALL)
-    assert fingerprint(disabled) == fingerprint(absent)
-    for s in range(_SMALL["nsteps"]):
-        np.testing.assert_array_equal(
-            disabled.merged.read_global_array("rho", s),
-            absent.merged.read_global_array("rho", s),
-        )
-
-
 # ------------------------------------ corrupt / withheld fetch primitives
 def test_corrupt_and_withhold_plans_consumed_per_attempt():
     eng, machine = _machine()
@@ -246,29 +216,20 @@ def test_corrupt_and_withhold_plans_consumed_per_attempt():
     ]
 
 
-def test_corrupt_and_withhold_disabled_are_noops():
-    eng, machine = _machine()
-    inj = FaultInjector(eng, machine, seed=0, enabled=False)
-    inj.corrupt_chunk(0, 0)
-    inj.withhold_fetch(0, 0)
-    assert inj.fetch_fault(0, 0, 0) is None
-    assert inj.injected == []
-
-
 def test_corrupt_chunk_is_rejected_and_refetched_end_to_end():
     """A corrupted fetch must be detected via the pack-time checksum,
     rejected, and satisfied by a clean re-fetch — zero data loss."""
 
     class _Harness:
         def attach(self, env, machine, predata, *, nsteps):
-            inj = FaultInjector(env, machine, seed=5, enabled=True)
+            inj = FaultInjector(env, machine, seed=5)
             inj.arm(predata.client)
             inj.corrupt_chunk(0, 0)
             self.injector = inj
 
     h = _Harness()
     run = run_once(
-        inject=False, make_injector=False, scenario_harness=h,
+        inject=False, scenario_harness=h,
         resilience=ResilienceConfig(fetch_timeout=1.0, fetch_max_attempts=4),
         **_SMALL,
     )
@@ -286,14 +247,14 @@ def test_withheld_fetch_recovers_end_to_end():
 
     class _Harness:
         def attach(self, env, machine, predata, *, nsteps):
-            inj = FaultInjector(env, machine, seed=5, enabled=True)
+            inj = FaultInjector(env, machine, seed=5)
             inj.arm(predata.client)
             inj.withhold_fetch(0, 0)
             self.injector = inj
 
     h = _Harness()
     run = run_once(
-        inject=False, make_injector=False, scenario_harness=h,
+        inject=False, scenario_harness=h,
         resilience=ResilienceConfig(fetch_timeout=0.5, fetch_max_attempts=4),
         **_SMALL,
     )
@@ -311,7 +272,7 @@ class _RandomFaultHarness:
         self.injector = None
 
     def attach(self, env, machine, predata, *, nsteps):
-        inj = FaultInjector(env, machine, seed=self.seed, enabled=True)
+        inj = FaultInjector(env, machine, seed=self.seed)
         inj.arm(predata.client)
         inj.random_fetch_faults(drop_prob=0.3, slow_prob=0.3, slow_seconds=0.2)
         self.injector = inj
@@ -320,7 +281,7 @@ class _RandomFaultHarness:
 def _random_fault_run(seed: int):
     h = _RandomFaultHarness(seed)
     run = run_once(
-        inject=False, make_injector=False, scenario_harness=h,
+        inject=False, scenario_harness=h,
         resilience=ResilienceConfig(
             fetch_timeout=1.0, fetch_retry_backoff=0.25, fetch_max_attempts=6
         ),

@@ -1,6 +1,6 @@
-"""tools/lint.py: undefined names (F821), the layer contract (L001) and
-package import cycles (L002) fire on what a change leaves behind, and
-the real tree is clean."""
+"""tools/lint.py: undefined names (F821), the layer contract (L001),
+package import cycles (L002) and duplicate function bodies (D001) fire
+on what a change leaves behind, and the real tree is clean."""
 
 import subprocess
 import sys
@@ -133,6 +133,58 @@ def test_perf_kernels_is_its_own_node_of_the_package_graph(tmp_path):
     assert rc == 1
     assert "L001 'core' is a paper-core package and may not import 'repro.perf.bench'" in out
     assert "L002 package import cycle: core -> perf -> core" in out
+
+
+def test_two_functions_with_one_body_under_repro_are_d001(tmp_path):
+    first = _module(tmp_path, "src/repro/operators/a.py", '''
+        class A:
+            def total(self, values):
+                """Sum of the values."""
+                out = values[0].copy()
+                for v in values[1:]:
+                    out += v
+                return out
+        ''')
+    second = _module(tmp_path, "src/repro/operators/b.py", '''
+        def total(values):
+            # the same statements under another docstring and comment
+            """Another docstring."""
+            out = values[0].copy()
+            for v in values[1:]:
+                out += v
+            return out
+        ''')
+    rc, out = _lint(tmp_path / "src")
+    assert (rc, out) == (
+        1, f"{second}:2: D001 body of total repeats A.total ({first}:3)\n",
+    )
+
+
+def test_one_statement_bodies_and_code_outside_repro_are_not_d001(tmp_path):
+    _module(tmp_path, "src/repro/core/a.py", '''
+        def rows(step):
+            return step.shape[0]
+
+
+        def also_rows(step):
+            return step.shape[0]
+
+
+        def scaled(values):
+            out = values.copy()
+            return out * 2
+        ''')
+    _module(tmp_path, "src/repro/core/b.py", '''
+        def scaled(values):
+            out = values.copy()
+            return out * 3
+        ''')
+    _module(tmp_path, "tools/c.py", '''
+        def scaled(values):
+            out = values.copy()
+            return out * 2
+        ''')
+    assert _lint(tmp_path / "src", tmp_path / "tools") == (0, "")
 
 
 def test_the_real_tree_is_clean():

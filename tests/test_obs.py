@@ -24,7 +24,7 @@ from repro.core import PreDatA
 from repro.machine import TESTING_TINY, Machine
 from repro.mpi import World
 from repro.obs import HistogramStat, MetricsRegistry, Observability, Tracer
-from repro.operators import Histogram2DOperator, MinMaxOperator, SampleSortOperator
+from repro.operators import HistogramOperator, MinMaxOperator, SampleSortOperator
 from repro.sim import Engine
 
 
@@ -147,12 +147,12 @@ def test_instrumented_pipeline_produces_phase_spans():
 _PLACEMENT_PROBE = """
 from tests.helpers import run_staging_pipeline
 from repro.obs import Observability
-from repro.operators import Histogram2DOperator, HistogramOperator
+from repro.operators import HistogramOperator
 
 obs = Observability()
 ops = [
-    HistogramOperator("electrons", column=7, bins=16),
-    Histogram2DOperator("electrons", columns=(0, 3), bins=(8, 8)),
+    HistogramOperator("electrons", (7,), (16,)),
+    HistogramOperator("electrons", (0, 3), (8, 8)),
 ]
 _, _, predata, _ = run_staging_pipeline(ops, obs=obs)
 for op in ops:
@@ -205,7 +205,7 @@ def test_step_report_equals_the_sum_of_its_pipeline_spans():
     obs = Observability()
     ops = [
         SampleSortOperator("electrons", key_column=0),
-        Histogram2DOperator("electrons", columns=(1, 2), bins=(8, 8)),
+        HistogramOperator("electrons", (1, 2), (8, 8)),
     ]
     _, _, predata, _ = run_staging_pipeline(ops, nsteps=2, obs=obs)
     sums = {}

@@ -13,7 +13,6 @@ from repro.machine.filesystem import ParallelFileSystem
 from repro.mpi import nbytes_of
 from repro.operators import (
     HistogramOperator,
-    Histogram2DOperator,
     MinMaxOperator,
     SampleSortOperator,
 )
@@ -323,38 +322,46 @@ def test_sort_initialize_without_aggregate_fails():
 
 
 # ------------------------------------------------------- histograms
+#: one operator, over one column and over two: (columns, bins)
+HIST_CASES = [((0,), (8,)), ((0, 1), (8, 8))]
+
+
 def test_histogram_constant_column():
-    op = HistogramOperator("electrons", column=0, bins=8)
     data = np.zeros((20, 8))
-    agg = op.aggregate([op.partial_calculate(step_of(data))])
-    assert agg is not None and len(agg) == 9  # degenerate range widened
-    ctx = ctx_of(aggregated=agg)
-    op.initialize(ctx)
-    emits = list(op.map(ctx, step_of(data)))
-    assert emits[0].value.sum() == 20
+    for columns, bins in HIST_CASES:
+        op = HistogramOperator("electrons", columns, bins)
+        agg = op.aggregate([op.partial_calculate(step_of(data))])
+        # degenerate ranges widened
+        assert agg is not None and [len(e) for e in agg] == [9] * len(columns)
+        ctx = ctx_of(aggregated=agg)
+        op.initialize(ctx)
+        emits = list(op.map(ctx, step_of(data)))
+        assert emits[0].value.shape == bins and emits[0].value.sum() == 20
 
 
 def test_histogram_empty_chunk_partial():
-    op = HistogramOperator("electrons", column=0)
-    assert op.partial_calculate(step_of(np.empty((0, 8)))) is None
+    for columns, bins in HIST_CASES:
+        op = HistogramOperator("electrons", columns, bins)
+        assert op.partial_calculate(step_of(np.empty((0, 8)))) is None
+        assert op.aggregate([None, None]) is None
 
 
 def test_histogram_combine_sums():
-    for op in (HistogramOperator("electrons", column=0, bins=4),
-               Histogram2DOperator("electrons", columns=(0, 1), bins=(2, 2))):
+    for columns, bins in (((0,), (4,)), ((0, 1), (2, 2))):
+        op = HistogramOperator("electrons", columns, bins)
         first = np.arange(1, 5, dtype=np.int64).reshape(op.bins)
         second = np.array([10, 0, 0, 0], dtype=np.int64).reshape(op.bins)
-        items = [Emit(op._TAG, first), Emit(op._TAG, second)]
+        items = [Emit(op.tag, first), Emit(op.tag, second)]
         out = op.combine(ctx_of(), items)
-        assert len(out) == 1 and out[0].tag == op._TAG
+        assert len(out) == 1 and out[0].tag == op.tag
         np.testing.assert_array_equal(out[0].value, first + second)
         np.testing.assert_array_equal(first, np.arange(1, 5).reshape(op.bins))
 
 
 def test_histogram_combine_passes_a_lone_item_through():
-    for op in (HistogramOperator("electrons", column=0, bins=4),
-               Histogram2DOperator("electrons", columns=(0, 1), bins=(2, 2))):
-        items = [Emit(op._TAG, np.ones(op.bins, dtype=np.int64))]
+    for columns, bins in (((0,), (4,)), ((0, 1), (2, 2))):
+        op = HistogramOperator("electrons", columns, bins)
+        items = [Emit(op.tag, np.ones(op.bins, dtype=np.int64))]
         assert op.combine(ctx_of(), items) is items
         assert op.combine(ctx_of(), []) == []
 
@@ -372,17 +379,58 @@ def test_emit_is_sized_once_and_frozen():
 
 def test_histogram_validation():
     with pytest.raises(ValueError):
-        HistogramOperator("v", 0, bins=0)
+        HistogramOperator("v", (0,), (0,))
     with pytest.raises(ValueError):
-        Histogram2DOperator("v", columns=(0,))
-    with pytest.raises(ValueError):
-        Histogram2DOperator("v", columns=(0, 1), bins=(0, 4))
+        HistogramOperator("v", (0, 1), (0, 4))
+    for columns, bins in (((), ()), ((0, 1, 2), (4, 4, 4)), ((0,), (4, 4)),
+                          ((0, 1), (4,))):
+        with pytest.raises(ValueError):
+            HistogramOperator("v", columns, bins)
+
+
+def test_histogram_tags_and_default_names():
+    one = HistogramOperator("electrons", (6,), (4,))
+    two = HistogramOperator("electrons", (0, 3), (4, 4))
+    assert (one.tag, one.name) == ("hist", "hist:electrons[6]")
+    assert (two.tag, two.name) == ("hist2d", "hist2d:electrons[0,3]")
+    assert HistogramOperator("e", (1,), (2,), name="mine").name == "mine"
+
+
+@pytest.mark.parametrize("columns,bins", [((2,), (12,)), ((0, 2), (6, 9))])
+def test_histogram_result_matches_numpy(columns, bins):
+    rng = np.random.default_rng(5)
+    chunks = [rng.normal(size=(n, 4)) for n in (40, 0, 75)]
+    op = HistogramOperator("electrons", columns, bins)
+    agg = op.aggregate([op.partial_calculate(step_of(c)) for c in chunks])
+    ctxs = [ctx_of(rank=r, aggregated=agg) for r in range(len(chunks))]
+    emits = []
+    for ctx, chunk in zip(ctxs, chunks):
+        op.initialize(ctx)
+        emits += op.combine(ctx, list(op.map(ctx, step_of(chunk))))
+    owner = ctxs[op.partition(ctxs[0], op.tag)]
+    reduced = {op.tag: op.reduce(owner, op.tag, [e.value for e in emits])}
+    res = op.finalize(owner, reduced)
+    data = np.concatenate(chunks)
+    cols = [data[:, c] for c in columns]
+    if len(columns) == 1:
+        ref, ref_edges = np.histogram(cols[0], bins=bins[0],
+                                      range=(cols[0].min(), cols[0].max()))
+        assert isinstance(res["edges"], np.ndarray)
+        np.testing.assert_array_equal(res["edges"], ref_edges)
+    else:
+        ref, ex, ey = np.histogram2d(cols[0], cols[1], bins=bins,
+                                     range=[(c.min(), c.max()) for c in cols])
+        assert len(res["edges"]) == 2
+        np.testing.assert_array_equal(res["edges"][0], ex)
+        np.testing.assert_array_equal(res["edges"][1], ey)
+    assert res["counts"].shape == bins and res["counts"].dtype == np.int64
+    np.testing.assert_array_equal(res["counts"], ref)
 
 
 def test_histogram2d_counts_match_numpy():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(500, 8))
-    op = Histogram2DOperator("electrons", columns=(0, 1), bins=(8, 8))
+    op = HistogramOperator("electrons", (0, 1), (8, 8))
     agg = op.aggregate([op.partial_calculate(step_of(data))])
     ctx = ctx_of(aggregated=agg)
     op.initialize(ctx)
@@ -392,27 +440,38 @@ def test_histogram2d_counts_match_numpy():
     np.testing.assert_array_equal(emits[0].value, expected)
 
 
+def test_histogram_flops_per_column():
+    step = step_of(np.zeros((10, 8)), scale=3.0)
+    counts = [np.zeros((4, 8), dtype=np.int64)] * 3
+    for columns, bins, cells in (((0,), (32,), 32), ((0, 1), (4, 8), 32)):
+        op = HistogramOperator("electrons", columns, bins)
+        assert op.partial_flops(step) == 2.0 * len(columns) * 30.0
+        assert op.map_flops(step) == 4.0 * len(columns) * 30.0
+        assert op.reduce_flops(ctx_of(), op.tag, counts) == 3.0 * cells
+
+
 # ----------------------------------------- degenerate-input audit
 def test_histogram_reduce_empty_values():
-    op = HistogramOperator("electrons", column=0, bins=16)
+    op = HistogramOperator("electrons", (0,), (16,))
     out = op.reduce(ctx_of(), "hist", [])
     assert out.shape == (16,) and out.sum() == 0
 
 
 def test_histogram2d_reduce_empty_values():
-    op = Histogram2DOperator("electrons", columns=(0, 1), bins=(4, 8))
+    op = HistogramOperator("electrons", (0, 1), (4, 8))
     out = op.reduce(ctx_of(), "hist2d", [])
     assert out.shape == (4, 8) and out.sum() == 0
 
 
 def test_histogram2d_map_empty_chunk():
-    op = Histogram2DOperator("electrons", columns=(0, 1), bins=(4, 4))
     data = np.random.default_rng(2).normal(size=(10, 8))
-    agg = op.aggregate([op.partial_calculate(step_of(data))])
-    ctx = ctx_of(aggregated=agg)
-    op.initialize(ctx)
-    emits = list(op.map(ctx, step_of(np.empty((0, 8)))))
-    assert emits[0].value.sum() == 0
+    for columns, bins in HIST_CASES:
+        op = HistogramOperator("electrons", columns, bins)
+        agg = op.aggregate([op.partial_calculate(step_of(data))])
+        ctx = ctx_of(aggregated=agg)
+        op.initialize(ctx)
+        emits = list(op.map(ctx, step_of(np.empty((0, 8)))))
+        assert emits[0].value.shape == bins and emits[0].value.sum() == 0
 
 
 def test_bitmap_operator_empty_step_uses_configured_bins():
@@ -495,7 +554,7 @@ def test_cost_hooks_scale_sanely():
     small = step_of(np.random.default_rng(0).random((10, 8)), scale=1.0)
     big = step_of(np.random.default_rng(0).random((10, 8)), scale=100.0)
     assert sort.map_flops(big) == pytest.approx(sort.map_flops(small) * 100)
-    hist = HistogramOperator("electrons", 0)
+    hist = HistogramOperator("electrons", (0,), (1000,))
     assert hist.map_flops(big) == pytest.approx(hist.map_flops(small) * 100)
     # histogram reduce cost must NOT scale with data volume
     counts = [np.zeros(hist.bins, dtype=np.int64)] * 3

@@ -55,7 +55,7 @@ def test_in_compute_sort_correct():
 
 
 def test_in_compute_histogram_matches():
-    op = HistogramOperator("electrons", column=7, bins=16)
+    op = HistogramOperator("electrons", (7,), (16,))
     _, _, runner, _ = run_in_compute([op])
     owned = [
         r for r in runner.results[op.name][0].values() if r is not None
@@ -80,7 +80,7 @@ def test_in_compute_partials_are_not_inflated_by_the_world_wire_scale():
     allgather ignores the world's logical-volume inflation."""
 
     def communicate(wire_scale):
-        op = HistogramOperator("electrons", column=7, bins=16)
+        op = HistogramOperator("electrons", (7,), (16,))
         _, _, runner, _ = run_in_compute([op], wire_scale=wire_scale)
         return runner.step_timing(op.name, 0).communicate
 

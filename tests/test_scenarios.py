@@ -130,7 +130,7 @@ def test_different_seed_moves_the_schedule():
 def _traced(**kw):
     sinks = dict(schedule_trace=ScheduleTrace(), check=Checker())
     run = run_once(
-        inject=False, make_injector=False,
+        inject=False,
         logical_ranks=128, rep_ranks=4, nsteps=2, **sinks, **kw,
     )
     return fingerprint(run), sinks["schedule_trace"]

@@ -27,8 +27,8 @@ from repro.serve import (
     WorkloadDriver,
     merge_aggregates,
     partial_aggregate,
-    quantile,
 )
+from repro.obs.metrics import quantile
 from repro.serve.bench import BENCH_CONFIG, bench_query
 from repro.serve.config import QUERY_COST_BYTES
 from repro.sim.engine import Engine

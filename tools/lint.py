@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Stdlib lint: the errors a deletion leaves behind, syntax, and the layer contract.
+"""Stdlib lint: the errors a deletion leaves behind, syntax, the layer contract and copies.
 
     python tools/lint.py [PATH ...]     # default: src tests benchmarks tools examples
 
-Six checks, each reported as ``path:line: CODE message``; the exit
+Seven checks, each reported as ``path:line: CODE message``; the exit
 status is 1 if any fired:
 
 - ``E999``: the file does not compile (``compile()`` on its source, as
@@ -30,7 +30,11 @@ status is 1 if any fired:
   packages under ``repro/`` (with ``perf.kernels`` a node of its own, as
   L001 counts it) and every import in a linted file is an edge, a
   function-local one too.  A cycle is reported once, at the import that
-  closes it from its alphabetically first package.
+  closes it from its alphabetically first package;
+- ``D001``: two functions under ``repro/`` (methods and nested functions
+  included) whose bodies, docstrings left out, are the same AST and at
+  least two statements long.  Reported at every copy after the first,
+  in path and line order, naming the first.
 
 ``# noqa`` exempts a line from F821, L001 and L002 as well.
 
@@ -296,6 +300,44 @@ def cycle_findings(edges: list[tuple[str, str, Path, int]]) -> list[str]:
     return out
 
 
+def function_bodies(path: Path, tree: ast.Module):
+    """``(dump, lineno, qualname)`` of every function in a file under
+    ``repro/`` whose body, docstring left out, has at least 2 statements."""
+    if _repro_package(path) is None:
+        return []
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    body = child.body
+                    if ast.get_docstring(child, clean=False) is not None:
+                        body = body[1:]
+                    if len(body) >= 2:
+                        out.append((ast.dump(ast.Module(body, [])), child.lineno, name))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def duplicate_findings(bodies: list[tuple[str, Path, int, str]]) -> list[str]:
+    """One D001 finding per function whose body repeats an earlier one."""
+    first: dict[str, tuple[Path, int, str]] = {}
+    out = []
+    for dump, path, lineno, name in sorted(bodies, key=lambda b: (str(b[1]), b[2])):
+        if dump not in first:
+            first[dump] = (path, lineno, name)
+            continue
+        fpath, fline, fname = first[dump]
+        out.append(f"{path}:{lineno}: D001 body of {name} repeats {fname} ({fpath}:{fline})")
+    return out
+
+
 def check_source(path: Path, source: str) -> list[str]:
     """Lint findings for one file's *source*."""
     try:
@@ -355,7 +397,7 @@ def iter_files(paths: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     paths = (sys.argv[1:] if argv is None else argv) or list(DEFAULT_PATHS)
-    findings, edges = [], []
+    findings, edges, bodies = [], [], []
     nfiles = 0
     for f in iter_files(paths):
         nfiles += 1
@@ -366,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         except SyntaxError:
             continue
         edges += [(a, b, f, n) for a, b, n in package_edges(f, tree, source.splitlines())]
-    findings += cycle_findings(edges)
+        bodies += [(d, f, n, name) for d, n, name in function_bodies(f, tree)]
+    findings += cycle_findings(edges) + duplicate_findings(bodies)
     for line in findings:
         print(line)
     print(f"lint: {nfiles} files, {len(findings)} findings", file=sys.stderr)
