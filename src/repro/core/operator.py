@@ -170,7 +170,13 @@ class PreDatAOperator:
 
     # -- stage 4: streaming phases ----------------------------------------
     def initialize(self, ctx: OperatorContext) -> None:
-        """Once per step, before the first chunk, with ctx.aggregated set."""
+        """Once per step, before the first chunk, with ctx.aggregated set.
+
+        Reads only ``ctx.aggregated`` and ``ctx.nworkers`` and writes
+        ``ctx.storage``: the in-compute runner initializes once per
+        ``(operator, step)`` and hands every rank a shallow copy of that
+        storage.
+        """
 
     def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
         """Process one packed partial data chunk; yield tagged items."""
@@ -313,32 +319,33 @@ def combine_to_finalize(
             "combine", "pipeline", t_combine, end=t_shuffle, tid=tid,
             step=step, op=op.name, items=len(items),
         )
-    outbound: list[list[Emit]] = [[] for _ in range(comm.size)]
+    outbound: dict[int, list[Emit]] = {}
     for e in items:
         # partition() indexes workers; map onto the participating ranks
         # (the surviving staging ranks, or the whole compute world)
-        outbound[ranks[op.partition(ctx, e.tag) % len(ranks)]].append(e)
+        dst = ranks[op.partition(ctx, e.tag) % len(ranks)]
+        outbound.setdefault(dst, []).append(e)
+    outbound = dict(sorted(outbound.items()))  # destinations ascending
     # Reduction-type operators shuffle fixed-size summaries; the wire
     # inflation only applies to the data fraction that really crosses
     # the shuffle at full scale.
     eff_scale = 1.0 + (ctx.volume_scale - 1.0) * op.logical_fraction_shuffled()
-    inbound_rows = yield from comm.alltoall(outbound, wire_scale=eff_scale)
-    shuffled = sum(e.nbytes for row in outbound for e in row) * eff_scale
+    inbound = yield from comm.alltoall(outbound, wire_scale=eff_scale)
+    shuffled = sum(e.nbytes for row in outbound.values() for e in row) * eff_scale
     t_reduce = env.now
     if obs is not None:
         obs.span("shuffle", "pipeline", t_shuffle, tid=tid, step=step, op=op.name)
         # per (sender, reducer) wire volume — the skew that collapses a
         # sort onto one reducer shows up here.
-        for dst, row in enumerate(outbound):
-            if row:
-                obs.metrics.inc(
-                    "shuffle_bytes",
-                    sum(e.nbytes for e in row) * eff_scale,
-                    op=op.name, src=comm.rank, dst=dst,
-                )
+        for dst, row in outbound.items():
+            obs.metrics.inc(
+                "shuffle_bytes",
+                sum(e.nbytes for e in row) * eff_scale,
+                op=op.name, src=comm.rank, dst=dst,
+            )
 
     groups: dict[Hashable, list[Any]] = {}
-    for row in inbound_rows:
+    for row in inbound.values():
         for e in row:
             groups.setdefault(e.tag, []).append(e.value)
     if obs is not None:

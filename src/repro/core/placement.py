@@ -63,11 +63,12 @@ class InComputeNodeRunner:
         self.timings: dict[str, dict[int, dict[int, InComputeTiming]]] = {
             op.name: {} for op in self.operators
         }
-        #: ``((operator, step), aggregate)`` of the latest allgather: every
-        #: rank receives the same partials, so the first rank to resume
-        #: aggregates and the others share its result, as the staging
-        #: ranks share the service's
-        self._aggregated: tuple = (None, None)
+        #: ``((operator, step), aggregate, storage)`` of the latest
+        #: allgather: every rank receives the same partials, so the first
+        #: rank to resume aggregates and initializes, and the others share
+        #: its aggregate and a shallow copy of its storage, as the staging
+        #: ranks share the service's aggregate
+        self._shared: tuple = (None, None, None)
 
     def run_step(self, comm: Communicator, step: OutputStep):
         """Process body: execute every operator on *step* synchronously.
@@ -91,22 +92,23 @@ class InComputeNodeRunner:
             # fixed-size summaries, so no logical-volume inflation applies
             t0 = env.now
             allp = yield from comm.allgather(partial, wire_scale=1.0)
-            key = (op, step.step)
-            if self._aggregated[0] != key:
-                present = [p for p in allp if p is not None]
-                self._aggregated = (key, op.aggregate(present) if present else None)
-            aggregated = self._aggregated[1]
-            t_aggregate = env.now - t0
-
             ctx = OperatorContext(
                 rank=comm.rank,
                 nworkers=comm.size,
                 step=step.step,
-                aggregated=aggregated,
                 placement="compute",
                 volume_scale=step.volume_scale,
             )
-            op.initialize(ctx)
+            key = (op, step.step)
+            if self._shared[0] != key:
+                present = [p for p in allp if p is not None]
+                ctx.aggregated = op.aggregate(present) if present else None
+                op.initialize(ctx)
+                self._shared = (key, ctx.aggregated, dict(ctx.storage))
+            else:
+                ctx.aggregated = self._shared[1]
+                ctx.storage = dict(self._shared[2])
+            t_aggregate = env.now - t0
 
             # map on own chunk, then combine → shuffle → reduce → finalize
             t_map = env.now

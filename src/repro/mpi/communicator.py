@@ -24,43 +24,55 @@ names the logical volume apart: the call is timed exactly like the
 unscaled one on a payload ``wire_scale`` times larger.  All ranks of a
 call pass the same value.
 
+All-to-all is sparse: a rank passes ``{dst: payload}`` for the
+destinations it sends to and receives ``{src: payload}`` from the ranks
+that sent it something, in ascending ``src``.  An absent destination
+costs nothing to build, wrap or match, and is priced as the empty list
+it stands for (16 bytes): the exchange is timed as the dense one in
+which every absent slot is ``[]``.
+
 Aliasing: payloads travel by reference.  An ``ndarray`` that reaches a
-rank — a collective's result, or one held directly in a list or tuple
-result — is a read-only view, since other ranks may
+rank — a collective's result, or one held directly in a list, tuple or
+all-to-all dict result — is a read-only view, since other ranks may
 hold the same buffer; ``.copy()`` it to mutate.  The ranks of one
-collective share one read-only view of each array in its result (every
-rank of a ``bcast`` or ``allreduce`` receives the same object), while a
-list or tuple result is each arrival's own container (a one-rank
-arrival's: the rank's).  No call writes into, or changes the flags of,
-an object its caller passed in.
+collective share one read-only view of each array (every rank of a
+``bcast`` or ``allreduce`` receives the same object), made once per
+collective.  A list result is each arrival's own container (a one-rank
+arrival's: the rank's), a C-level copy of the one read-only list; an
+all-to-all dict is each rank's own.  No call writes into, or changes
+the flags of, an object its caller passed in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Mapping, Optional
 
 import numpy as np
 
 __all__ = ["Communicator"]
 
 
-def _readonly(obj: Any, views: dict[int, np.ndarray]) -> Any:
-    """*obj* as a receiving rank sees it (module docstring, "Aliasing").
+def _readonly_array(obj: Any, views: dict[int, np.ndarray]) -> Any:
+    """*obj*, or the read-only view of it when it is an ``ndarray``.
 
-    *views* maps ``id(array)`` to the read-only view already made of it,
-    so that every rank of one collective receives the same view.
+    *views* maps ``id(array)`` to the view already made of it, so that
+    every rank of one collective receives the same view.
     """
-    if isinstance(obj, np.ndarray):
-        view = views.get(id(obj))
-        if view is None:
-            view = views[id(obj)] = obj.view()
-            view.flags.writeable = False
-        return view
+    if not isinstance(obj, np.ndarray):
+        return obj
+    view = views.get(id(obj))
+    if view is None:
+        view = views[id(obj)] = obj.view()
+        view.flags.writeable = False
+    return view
+
+
+def _readonly(obj: Any, views: dict[int, np.ndarray]) -> Any:
+    """*obj* as a receiving rank sees it (module docstring, "Aliasing"):
+    an array, or each array held directly in a list or tuple, read-only."""
     if type(obj) in (list, tuple):
-        return type(obj)(
-            _readonly(v, views) if isinstance(v, np.ndarray) else v for v in obj
-        )
-    return obj
+        return type(obj)(_readonly_array(v, views) for v in obj)
+    return _readonly_array(obj, views)
 
 
 class Communicator:
@@ -124,18 +136,20 @@ class Communicator:
         return self._collective("allgather", value, wire_scale)
 
     def alltoall(
-        self, values: Sequence[Any], *, wire_scale: Optional[float] = None
+        self, values: Mapping[int, Any], *, wire_scale: Optional[float] = None
     ) -> Generator:
-        """Process body: personalised exchange.
+        """Process body: sparse personalised exchange.
 
-        Each rank passes a length-``size`` sequence; rank *i* receives
-        ``[values_0[i], values_1[i], ...]``.
+        Each rank passes ``{dst: payload}``; rank *i* receives
+        ``{src: values_src[i]}`` over the ranks that sent it something,
+        in ascending ``src`` (module docstring).
         """
-        if len(values) != self.size:
-            raise ValueError(
-                f"alltoall needs {self.size} payloads, got {len(values)}"
-            )
-        return self._collective("alltoall", list(values), wire_scale)
+        for dst in values:
+            if not 0 <= dst < self.size:
+                raise ValueError(
+                    f"alltoall destination {dst} outside world of size {self.size}"
+                )
+        return self._collective("alltoall", dict(values), wire_scale)
 
     def _collective(
         self, kind: str, payload: Any, wire_scale: Optional[float] = None, **kwargs

@@ -21,11 +21,15 @@ from typing import Any, Callable, Generator, Optional, Sequence
 import numpy as np
 
 from repro.machine.network import Network
-from repro.mpi.communicator import Communicator, _readonly
+from repro.mpi.communicator import Communicator, _readonly, _readonly_array
 from repro.mpi.datasize import nbytes_of
 from repro.sim.engine import Engine, Event, SimulationError
 
 __all__ = ["World"]
+
+#: wire bytes of an all-to-all destination a rank does not send to:
+#: what the empty list that used to fill its slot was priced at
+_ABSENT_BYTES = nbytes_of([])
 
 
 class _CollectiveState:
@@ -294,9 +298,13 @@ class World:
         ranks = self._members
         views: dict[int, np.ndarray] = {}
         if kind == "alltoall":
+            # one walk over what was sent; senders in ascending rank
+            inbox: dict[int, dict[int, Any]] = {}
+            for src in ranks:
+                for dst, value in payloads[src].items():
+                    inbox.setdefault(dst, {})[src] = _readonly_array(value, views)
             return [
-                [_readonly([payloads[src][r] for src in ranks], views) for r in arrival]
-                for arrival in arrivals
+                [inbox.get(r, {}) for r in arrival] for arrival in arrivals
             ]
         if kind == "barrier":
             value = None
@@ -310,13 +318,16 @@ class World:
             value = [payloads[r] for r in ranks]
         else:
             raise SimulationError(f"unknown collective kind {kind!r}")
+        value = _readonly(value, views)
         if kind == "reduce":
             root = kwargs.get("root", 0)
             return [
-                [_readonly(value, views) if r == root else None for r in arrival]
+                [value if r == root else None for r in arrival]
                 for arrival in arrivals
             ]
-        return [[_readonly(value, views)] * len(arrival) for arrival in arrivals]
+        if type(value) is list:  # each arrival's own container
+            return [[value.copy()] * len(arrival) for arrival in arrivals]
+        return [[value] * len(arrival) for arrival in arrivals]
 
     def _wire_bytes(
         self,
@@ -337,9 +348,12 @@ class World:
         members = {id(p): p for p in map(payloads.__getitem__, self._members)}
         if kind == "alltoall":
             # per-pair bytes at model scale: the largest per-rank total
-            # divided by the effective process count.
+            # divided by the effective process count; an absent
+            # destination prices as the empty list it stands for.
             per_rank_totals = [
-                sum(map(nbytes_of, row)) for row in members.values()
+                sum(map(nbytes_of, sent.values()))
+                + _ABSENT_BYTES * (self.size - len(sent))
+                for sent in members.values()
             ]
             return max(per_rank_totals) / max(self.model_size, 1) * scale
         return max(map(nbytes_of, members.values())) * scale

@@ -9,6 +9,12 @@ whose synchronous write variability (0.25 s–7 s) motivates the Staging
 placement.  The 2-D case needs quadratically more bins, hence more
 computation and communication, with the same placement conclusions.
 
+Map and Combine hold a partial as its nonzero :class:`Cells`: a chunk
+of 64 particles fills at most 64 of a 256 x 256 grid's 65 536 cells.
+The model still prices what the paper ships, the dense int64 count
+array (``Cells.nbytes``), so shuffle bytes and times are those of the
+dense partial; Reduce returns the dense ``bins``-shaped counts.
+
 Bin edges come from the aggregation stage: ``Partial_calculate``
 supplies local min/max (:func:`column_ranges`) so edges are global
 (:func:`global_edges`) before streaming starts.
@@ -17,6 +23,7 @@ supplies local min/max (:func:`column_ranges`) so edges are global
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,10 +33,46 @@ from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 from repro.machine.filesystem import ParallelFileSystem
 from repro.perf import kernels
 
-__all__ = ["HistogramOperator", "column_ranges", "global_edges"]
+__all__ = ["Cells", "HistogramOperator", "column_ranges", "global_edges", "merge_cells"]
 
 #: size of a histogram result file (paper: 8 MB)
 OUTPUT_BYTES = 8e6
+
+
+@dataclass(frozen=True, slots=True)
+class Cells:
+    """A histogram partial as its nonzero cells.
+
+    ``index`` holds C-order flat cell indexes, ascending and distinct,
+    ``counts`` their int64 counts, and ``shape`` the dense grid.
+    ``nbytes`` is the dense int64 array's size: the wire prices what the
+    paper ships, the host holds what the value contains.
+    """
+
+    index: np.ndarray
+    counts: np.ndarray
+    shape: tuple[int, ...]
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * 8
+
+    def dense(self) -> np.ndarray:
+        """The int64 counts as a ``shape``-d array."""
+        out = np.zeros(math.prod(self.shape), dtype=np.int64)
+        out[self.index] = self.counts
+        return out.reshape(self.shape)
+
+
+def merge_cells(cells: Sequence[Cells], shape: tuple[int, ...]) -> Cells:
+    """The cell-wise sum of *cells* over the grid *shape*, exact in int64
+    (no cells sum to none)."""
+    index = np.concatenate([np.empty(0, np.int64)] + [c.index for c in cells])
+    counts = np.concatenate([np.empty(0, np.int64)] + [c.counts for c in cells])
+    order = np.argsort(index, kind="stable")
+    index, counts = index[order], counts[order]
+    first = np.flatnonzero(np.diff(index, prepend=-1))  # each run's start
+    return Cells(index[first], np.add.reduceat(counts, first), shape)
 
 
 def column_ranges(values: Any, columns: Sequence[int]) -> Optional[tuple[float, ...]]:
@@ -119,9 +162,9 @@ class HistogramOperator(PreDatAOperator):
 
     def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
         data = np.atleast_2d(step.values[self.var])
-        kernel = kernels.histogram1d if len(self.columns) == 1 else kernels.histogram2d
         cols = [data[:, c] for c in self.columns]
-        return [Emit(self.tag, kernel(*cols, *ctx.storage["edges"]))]
+        index, counts = kernels.histogram_cells(cols, ctx.storage["edges"])
+        return [Emit(self.tag, Cells(index, counts, self.bins))]
 
     def map_flops(self, step: OutputStep) -> float:
         # binning: ~4 flops per element and column (subtract, scale,
@@ -131,19 +174,11 @@ class HistogramOperator(PreDatAOperator):
     def combine(self, ctx: OperatorContext, items: list[Emit]) -> list[Emit]:
         if len(items) < 2:
             return items  # nothing to sum: the lone item goes as it is
-        total = items[0].value.copy()
-        for e in items[1:]:
-            total += e.value
-        return [Emit(self.tag, total)]
+        return [Emit(self.tag, merge_cells([e.value for e in items], self.bins))]
 
     def reduce(self, ctx: OperatorContext, tag: Any, values: list[Any]) -> Any:
-        """Sum count arrays (an empty bucket sums to all-zero counts)."""
-        if not values:
-            return np.zeros(self.bins, dtype=np.int64)
-        total = values[0].copy()
-        for v in values[1:]:
-            total += v
-        return total
+        """The dense int64 sum of the cells (an empty bucket is all-zero)."""
+        return merge_cells(values, self.bins).dense()
 
     def reduce_flops(self, ctx, tag: Any, values: list[Any]) -> float:
         # summing count arrays is cheap and does NOT scale with the

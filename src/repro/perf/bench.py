@@ -127,6 +127,7 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
     return {
         "histogram1d": (values, edges),
         "histogram2d": (x, y, ex, ey),
+        "histogram_cells": ((x, y), (ex, ey)),
         "wah_encode": (mask,),
         "wah_decode": (words, dense.size),
         "wah_count": (words,),

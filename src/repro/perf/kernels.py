@@ -1,10 +1,11 @@
 """Hot-path operator kernels: one numpy body each, beside its reference.
 
 The public functions (:func:`histogram1d`, :func:`histogram2d`,
-:func:`wah_encode`, :func:`wah_decode`, :func:`wah_count`,
-:func:`select_splitters`, :func:`partition_rows`, :func:`group_rows`,
-:func:`stable_order`, :func:`column_minmax`, :func:`paste_pieces`) are
-what the operators in :mod:`repro.operators` call.  Each sits below a
+:func:`histogram_cells`, :func:`wah_encode`, :func:`wah_decode`,
+:func:`wah_count`, :func:`select_splitters`, :func:`partition_rows`,
+:func:`group_rows`, :func:`stable_order`, :func:`column_minmax`,
+:func:`paste_pieces`) are what the operators in :mod:`repro.operators`
+call.  Each sits below a
 straightforward reference body (per element, or the plain numpy call
 it must equal) — slow, obviously correct, never run by the pipeline —
 collected in :data:`NAIVE` for the property tests, the flag matrix and
@@ -17,6 +18,8 @@ Contracts (shared by both bodies — property-tested bit-for-bit):
   is right-inclusive.  This matches ``np.histogram``/``np.histogram2d``
   exactly.  ``histogram2d`` raises ``ValueError`` when ``x`` and ``y``
   differ in length (a length-1 axis does not broadcast).
+  ``histogram_cells`` is the same count over one or two columns as its
+  nonzero cells: C-order flat indexes ascending, with int64 counts.
 - WAH words are the rows of one ``(nwords, 3)`` int64 array,
   ``(is_fill, value, ngroups)``: ``(0, payload, 1)`` for a literal
   31-bit group, ``(1, bit, ngroups)`` for a run of all-*bit* groups,
@@ -53,6 +56,7 @@ import numpy as np
 __all__ = [
     "histogram1d",
     "histogram2d",
+    "histogram_cells",
     "wah_encode",
     "wah_decode",
     "wah_count",
@@ -137,6 +141,28 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _joint_index(
+    columns: Sequence[np.ndarray], edges: Sequence[np.ndarray]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """C-order flat bin of each row that lands in the grid, and the
+    grid's shape; ``ValueError`` when the columns differ in length."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+    if any(c.size != cols[0].size for c in cols):
+        sizes = " != ".join(str(c.size) for c in cols)
+        raise ValueError(f"columns must have the same length ({sizes})")
+    flat = keep = None
+    shape = []
+    for c, e in zip(cols, edges):
+        e = np.asarray(e, dtype=float)
+        n = e.size - 1
+        idx = _bin_index(c, e)
+        inside = (idx >= 0) & (idx < n)
+        flat = idx if flat is None else flat * n + idx
+        keep = inside if keep is None else keep & inside
+        shape.append(n)
+    return flat[keep], tuple(shape)
+
+
 def histogram2d(
     x: np.ndarray, y: np.ndarray, ex: np.ndarray, ey: np.ndarray
 ) -> np.ndarray:
@@ -146,18 +172,56 @@ def histogram2d(
     bin index: the only full-size allocation is the result itself, where
     ``np.histogram2d`` builds a float matrix and casts it.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError(f"x and y must have the same length ({x.size} != {y.size})")
-    ex = np.asarray(ex, dtype=float)
-    ey = np.asarray(ey, dtype=float)
-    nx, ny = ex.size - 1, ey.size - 1
-    ix = _bin_index(x, ex)
-    iy = _bin_index(y, ey)
-    keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    flat = np.bincount(ix[keep] * ny + iy[keep], minlength=nx * ny)
-    return flat.astype(np.int64, copy=False).reshape(nx, ny)
+    flat, shape = _joint_index((x, y), (ex, ey))
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    return counts.astype(np.int64, copy=False).reshape(shape)
+
+
+# =====================================================================
+# Histogram as nonzero cells
+# =====================================================================
+
+def _histogram_cells_naive(
+    columns: Sequence[np.ndarray], edges: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    edges_l = [np.asarray(e, dtype=float).tolist() for e in edges]
+    rows = zip(*(np.asarray(c, dtype=float).ravel().tolist() for c in columns))
+    cells: dict[int, int] = {}
+    for row in rows:
+        flat = 0
+        for v, el in zip(row, edges_l):
+            b = _bin_of(v, el)
+            if b is None:
+                break
+            flat = flat * (len(el) - 1) + b
+        else:
+            cells[flat] = cells.get(flat, 0) + 1
+    index = sorted(cells)
+    return (np.asarray(index, dtype=np.int64),
+            np.asarray([cells[i] for i in index], dtype=np.int64))
+
+
+def histogram_cells(
+    columns: Sequence[np.ndarray], edges: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero cells ``(flat index ascending, int64 counts)`` of the
+    histogram of one or two *columns* over their *edges*.
+
+    With fewer rows than the grid has cells, ``np.unique`` of the joint
+    index makes no grid-sized allocation; otherwise the dense kernel
+    (:func:`histogram1d` or :func:`histogram2d`) and its nonzero cells
+    are cheaper.
+    """
+    ncells = math.prod(np.size(e) - 1 for e in edges)
+    if np.size(columns[0]) < ncells:
+        flat, _shape = _joint_index(columns, edges)
+        index, counts = np.unique(flat, return_counts=True)
+    else:
+        dense = (histogram1d if len(columns) == 1 else histogram2d)(*columns, *edges)
+        dense = dense.ravel()
+        index = np.flatnonzero(dense)
+        counts = dense[index]
+    return index.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
 
 
 # =====================================================================
@@ -485,6 +549,7 @@ def paste_pieces(shape: tuple, dtype: Any, pieces: Sequence, origin: tuple) -> t
 NAIVE: dict[str, Callable] = {
     "histogram1d": _histogram1d_naive,
     "histogram2d": _histogram2d_naive,
+    "histogram_cells": _histogram_cells_naive,
     "wah_encode": _wah_encode_naive,
     "wah_decode": _wah_decode_naive,
     "wah_count": _wah_count_naive,

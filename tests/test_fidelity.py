@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.fig8 import run_fig8
 from repro.experiments.runner import run_gtc, run_pixie3d
 from repro.machine import JAGUAR_XT4, JAGUAR_XT5, TESTING_TINY
 
@@ -37,6 +38,18 @@ def test_rep_rank_scaling_consistent_gtc_staging():
     lat_exact = exact.staging_reports[0].latency
     lat_rep = rep.staging_reports[0].latency
     assert lat_rep == pytest.approx(lat_exact, rel=0.25)
+
+
+def test_rep_rank_scaling_consistent_gtc_all_operations_at_full_rank_count():
+    # R = P: all 128 GTC processes of the 1024-core Fig. 8 pair are
+    # simulated, every operator shuffling over the whole compute world
+    (exact,) = run_fig8([1024], rep_ranks=128)
+    (rep,) = run_fig8([1024], rep_ranks=64)
+    assert rep.total_staging == pytest.approx(exact.total_staging, rel=1e-6)
+    assert rep.total_incompute == pytest.approx(exact.total_incompute, rel=1e-3)
+    # pinned: the sparse shuffle prices exactly what the dense one did
+    assert exact.total_incompute == 222.27105085800628
+    assert exact.total_staging == 217.14358935521722
 
 
 def test_rep_rank_scaling_consistent_pixie():

@@ -117,6 +117,44 @@ def test_histogram2d_variants_agree(pts, ex, ey):
     assert_same_array(*both("histogram2d", x, y, ex, ey))
 
 
+def densify(cells, edges):
+    """A ``(flat index, counts)`` cell pair as the dense int64 count array."""
+    index, counts = cells
+    dense = np.zeros(tuple(e.size - 1 for e in edges), dtype=np.int64)
+    dense.ravel()[index] = counts
+    return dense
+
+
+def assert_cells_match_dense(columns, edges):
+    """``histogram_cells`` equals its reference bit for bit, and densified
+    equals the dense reference of the same columns."""
+    naive, fast = both("histogram_cells", columns, edges)
+    for a, b in zip(naive, fast):
+        assert_same_array(a, b)
+    index, counts = fast
+    assert index.dtype == counts.dtype == np.int64
+    assert np.all(np.diff(index) > 0) and np.all(counts > 0)
+    dense = K.NAIVE["histogram1d" if len(columns) == 1 else "histogram2d"](
+        *columns, *edges
+    )
+    assert_same_array(densify(fast, edges), dense)
+
+
+@FAST
+@given(values=fields, e=edges)
+def test_histogram_cells_1d_agree(values, e):
+    assert_cells_match_dense((values,), (e,))
+
+
+@FAST
+@given(pts=st.lists(st.tuples(anyfloat, anyfloat), max_size=120),
+       ex=st.one_of(edges, wide_edges), ey=st.one_of(edges, wide_edges))
+def test_histogram_cells_2d_agree(pts, ex, ey):
+    x = np.asarray([p[0] for p in pts], dtype=float)
+    y = np.asarray([p[1] for p in pts], dtype=float)
+    assert_cells_match_dense((x, y), (ex, ey))
+
+
 # WAH bitmap kernels --------------------------------------------------
 
 @FAST
@@ -349,6 +387,39 @@ def test_histogram2d_edge_values():
     zero_top = np.asarray([-1.0, 0.0])  # -0.0 equals the last edge
     assert K.histogram2d(np.asarray([-0.0]), np.asarray([-0.0]), zero_top, zero_top).tolist() == [[1]]
     assert K.histogram2d(np.asarray([-0.0]), np.asarray([0.5]), e, e).tolist() == [[0, 0], [0, 1]]
+
+
+def test_histogram_cells_both_regimes_with_nan_out_of_range_and_last_edge():
+    # 4 x 4 = 16 cells: 10 rows take the np.unique path, 40 the bincount one
+    e = np.asarray([-1.0, 0.0, 0.5, 1.0, 2.0])
+    specials = np.asarray([np.nan, -1.5, 3.0, 2.0, -1.0, np.inf, -0.0, 1.0, 2.0, 0.5])
+    for nrows in (10, 40):
+        x = np.resize(specials, nrows)
+        y = np.resize(specials[::-1], nrows)
+        assert_cells_match_dense((x,), (e,))
+        assert_cells_match_dense((x, y), (e, e))
+    # the last edge lands in the last cell, in both regimes
+    for nrows in (1, 20):
+        top = np.full(nrows, 2.0)
+        index, counts = K.histogram_cells((top, top), (e, e))
+        assert index.tolist() == [15] and counts.tolist() == [nrows]
+    x, y, ex, ey = _gtc_map_chunk(3)  # 64 rows into 65 536 cells
+    assert_cells_match_dense((x, y), (ex, ey))
+    with pytest.raises(ValueError, match="same length"):
+        K.histogram_cells((x, y[:63]), (ex, ey))
+
+
+def test_histogram_cells_allocate_no_grid_below_one_row_per_cell():
+    x, y, ex, ey = _gtc_map_chunk(4)
+    K.histogram_cells((x, y), (ex, ey))  # first call outside the measurement
+    tracemalloc.start()
+    try:
+        index, counts = K.histogram_cells((x, y), (ex, ey))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 64
+    assert peak < 0.1 * 256 * 256 * 8  # a dense grid would be 512 KiB
 
 
 def test_histogram2d_rejects_unequal_lengths():

@@ -111,14 +111,14 @@ def test_alltoall_personalised_exchange():
     out = {}
 
     def main(comm):
-        sends = [f"{comm.rank}->{d}" for d in range(3)]
+        sends = {d: f"{comm.rank}->{d}" for d in reversed(range(3))}
         recvd = yield from comm.alltoall(sends)
         out[comm.rank] = recvd
 
     world.spawn(main)
     eng.run()
-    assert out[0] == ["0->0", "1->0", "2->0"]
-    assert out[2] == ["0->2", "1->2", "2->2"]
+    assert out[0] == {0: "0->0", 1: "1->0", 2: "2->0"}
+    assert list(out[2].items()) == [(0, "0->2"), (1, "1->2"), (2, "2->2")]
 
 
 def test_alltoall_with_numpy_rows_reassembles_data():
@@ -126,9 +126,9 @@ def test_alltoall_with_numpy_rows_reassembles_data():
     out = {}
 
     def main(comm):
-        rows = [np.full(3, 10 * comm.rank + d, dtype=np.int64) for d in range(4)]
+        rows = {d: np.full(3, 10 * comm.rank + d, dtype=np.int64) for d in range(4)}
         recvd = yield from comm.alltoall(rows)
-        out[comm.rank] = np.concatenate(recvd)
+        out[comm.rank] = np.concatenate(list(recvd.values()))
 
     world.spawn(main)
     eng.run()
@@ -147,6 +147,43 @@ def test_alltoall_requires_size_payloads():
     eng.run()
     assert all(not p.ok for p in procs) or any(
         isinstance(p.value, ValueError) for p in procs
+    )
+
+
+def test_alltoall_rejects_a_destination_outside_the_world():
+    for dst in (3, -1):
+        with pytest.raises(ValueError, match=f"destination {dst} outside world of size 3"):
+            make_world(3)[1].comm(0).alltoall({0: "ok", dst: "lost"})
+
+
+def test_alltoall_sends_only_where_asked_and_prices_absence_as_an_empty_list():
+    # rank r sends a 400-byte array to rank (r + 1) % 4 only; the dense
+    # exchange it replaces filled the other three slots with []
+    def exchange(dense):
+        def main(comm):
+            payload = np.full(50, float(comm.rank))
+            dst = (comm.rank + 1) % comm.size
+            if dense:
+                sends = {d: [] for d in range(comm.size)}
+                sends[dst] = payload
+            else:
+                sends = {dst: payload}
+            got = yield from comm.alltoall(sends)
+            return got, comm.env.now
+
+        return run_ranks(4, main, link_bandwidth=1e6)
+
+    sparse, dense = exchange(False), exchange(True)
+    for r in range(4):
+        (got, t), (_, t_dense) = sparse[r], dense[r]
+        src = (r - 1) % 4
+        assert list(got) == [src] and np.array_equal(got[src], np.full(50, float(src)))
+        assert t == t_dense > 0
+    # every absent slot is 16 bytes on the wire, as an empty list is
+    assert nbytes_of([]) == 16
+    world = make_world(4)[1]
+    assert world._wire_bytes("alltoall", {r: {0: np.zeros(50)} for r in range(4)}) == (
+        (400 + 3 * 16) / 4
     )
 
 
@@ -400,7 +437,7 @@ def _rank_calls(comm):
         (yield from comm.allreduce(x)),
         (yield from comm.bcast(x, root=4)),
         (yield from comm.allgather(x)),
-        (yield from comm.alltoall([x * d for d in range(comm.size)])),
+        (yield from comm.alltoall({d: x * d for d in range(comm.size)})),
         (yield from comm.barrier()),
     ]
     return got, comm.env.now
@@ -414,7 +451,7 @@ def _node_calls(world, ranks):
         ("allreduce", xs, {}),
         ("bcast", xs, dict(root=4)),
         ("allgather", xs, {}),
-        ("alltoall", [[x * d for d in range(world.size)] for x in xs], {}),
+        ("alltoall", [{d: x * d for d in range(world.size)} for x in xs], {}),
         ("barrier", [None] * len(ranks), {}),
     ]
     got = []
@@ -440,6 +477,9 @@ def test_a_node_arrival_receives_and_times_what_its_ranks_would_alone():
             assert type(g) is type(w)
             if isinstance(w, list):
                 assert len(g) == len(w) and all(map(np.array_equal, g, w))
+            elif isinstance(w, dict):
+                assert list(g) == list(w) == list(range(6))
+                assert all(map(np.array_equal, g.values(), w.values()))
             else:
                 assert g is w is None or np.array_equal(g, w)
     # one value per node: its ranks share the bcast view and the allgather
@@ -447,6 +487,7 @@ def test_a_node_arrival_receives_and_times_what_its_ranks_would_alone():
     reduced, allreduced, bcast, gathered, exchanged, _ = together[0][0]
     assert together[2][0][2] is bcast and together[2][0][3] is gathered
     assert not bcast.flags.writeable and not gathered[5].flags.writeable
+    assert not exchanged[3].flags.writeable and together[2][0][4] is not exchanged
     assert together[1][0][0] is not None and together[3][0][0] is None
 
 
@@ -492,7 +533,7 @@ def _collective_call(comm, kind, n, **kw):
     """One *kind* collective in which every rank contributes 8*n bytes."""
     payload = np.zeros(n)
     if kind == "alltoall":
-        payload = [np.zeros(n // comm.size)] * comm.size
+        payload = dict.fromkeys(range(comm.size), np.zeros(n // comm.size))
     return getattr(comm, kind)(payload, **kw)
 
 
@@ -568,7 +609,7 @@ def _every_collective(comm, x):
     got.append((yield from comm.reduce(x, root=0)))
     got.append((yield from comm.allreduce(x)))
     got.extend((yield from comm.allgather(x)))
-    got.extend((yield from comm.alltoall([x] * comm.size)))
+    got.extend((yield from comm.alltoall(dict.fromkeys(range(comm.size), x))).values())
     got.extend((yield from comm.bcast((x, x))))  # a tuple's own elements
     return [g for g in got if g is not None]
 

@@ -17,6 +17,7 @@ from repro.operators import (
     SampleSortOperator,
 )
 from repro.operators.bitmap import BitmapIndex, WAHBitmap
+from repro.operators.histogram import Cells
 from repro.sim import Engine
 
 GROUP = GroupDef(
@@ -336,7 +337,8 @@ def test_histogram_constant_column():
         ctx = ctx_of(aggregated=agg)
         op.initialize(ctx)
         emits = list(op.map(ctx, step_of(data)))
-        assert emits[0].value.shape == bins and emits[0].value.sum() == 20
+        counts = emits[0].value.dense()
+        assert counts.shape == bins and counts.sum() == 20
 
 
 def test_histogram_empty_chunk_partial():
@@ -346,16 +348,40 @@ def test_histogram_empty_chunk_partial():
         assert op.aggregate([None, None]) is None
 
 
+def _cells_of(counts):
+    """The nonzero cells of a dense int64 count array."""
+    index = np.flatnonzero(counts)
+    return Cells(index, counts.ravel()[index], counts.shape)
+
+
 def test_histogram_combine_sums():
     for columns, bins in (((0,), (4,)), ((0, 1), (2, 2))):
         op = HistogramOperator("electrons", columns, bins)
         first = np.arange(1, 5, dtype=np.int64).reshape(op.bins)
         second = np.array([10, 0, 0, 0], dtype=np.int64).reshape(op.bins)
-        items = [Emit(op.tag, first), Emit(op.tag, second)]
+        items = [Emit(op.tag, _cells_of(first)), Emit(op.tag, _cells_of(second))]
         out = op.combine(ctx_of(), items)
         assert len(out) == 1 and out[0].tag == op.tag
-        np.testing.assert_array_equal(out[0].value, first + second)
+        np.testing.assert_array_equal(out[0].value.dense(), first + second)
         np.testing.assert_array_equal(first, np.arange(1, 5).reshape(op.bins))
+        assert out[0].value.counts.dtype == np.int64
+        assert out[0].value.index.tolist() == [0, 1, 2, 3]  # ascending, distinct
+
+
+def test_histogram_emit_prices_the_dense_partial():
+    # the host holds <= 10 cells; the wire carries the dense int64 array
+    data = np.random.default_rng(3).normal(size=(10, 8))
+    for columns, bins in HIST_CASES + [((0, 1), (256, 256))]:
+        op = HistogramOperator("electrons", columns, bins)
+        ctx = ctx_of(aggregated=op.aggregate([op.partial_calculate(step_of(data))]))
+        op.initialize(ctx)
+        items = list(op.map(ctx, step_of(data))) * 2
+        (merged,) = op.combine(ctx, items)
+        for e in items[:1] + [merged]:
+            assert e.value.index.size <= 10
+            assert e.nbytes == nbytes_of(np.zeros(bins, dtype=np.int64)) + 16
+            assert e.nbytes == np.prod(bins) * 8 + 16
+        np.testing.assert_array_equal(merged.value.dense(), 2 * items[0].value.dense())
 
 
 def test_histogram_combine_passes_a_lone_item_through():
@@ -437,7 +463,7 @@ def test_histogram2d_counts_match_numpy():
     emits = list(op.map(ctx, step_of(data)))
     expected, _, _ = np.histogram2d(data[:, 0], data[:, 1],
                                     bins=(agg[0], agg[1]))
-    np.testing.assert_array_equal(emits[0].value, expected)
+    np.testing.assert_array_equal(emits[0].value.dense(), expected)
 
 
 def test_histogram_flops_per_column():
@@ -471,7 +497,8 @@ def test_histogram2d_map_empty_chunk():
         ctx = ctx_of(aggregated=agg)
         op.initialize(ctx)
         emits = list(op.map(ctx, step_of(np.empty((0, 8)))))
-        assert emits[0].value.shape == bins and emits[0].value.sum() == 0
+        counts = emits[0].value.dense()
+        assert counts.shape == bins and counts.sum() == 0
 
 
 def test_bitmap_operator_empty_step_uses_configured_bins():

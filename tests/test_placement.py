@@ -1,10 +1,13 @@
 """Tests for In-Compute-Node placement, offline model, and the scheduler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tests.helpers import particle_step
 from repro.core import InComputeNodeRunner, MovementScheduler, OfflineCostModel
+from repro.experiments.runner import run_gtc
 from repro.machine import Machine, TESTING_TINY, JAGUAR_XT5
 from repro.mpi import World
 from repro.operators import HistogramOperator, SampleSortOperator
@@ -202,3 +205,17 @@ def test_scheduler_nested_phases():
     assert not sched.in_comm_phase(1)
     with pytest.raises(RuntimeError):
         sched.exit_comm_phase(1)
+
+
+@pytest.mark.parametrize("placement", ["staging", "incompute"])
+def test_histogram2d_at_16384_cores_holds_only_nonzero_cells(placement):
+    # 64 ranks x 2 species of 64-particle chunks: a dense 256 x 256 int64
+    # partial per chunk would be 512 KiB each; its nonzero cells are <= 1 KiB
+    run_gtc(256, placement, "histogram2d", ndumps=1)  # imports and caches
+    tracemalloc.start()
+    try:
+        run_gtc(16384, placement, "histogram2d", ndumps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -86,17 +86,21 @@ def test_alltoall_is_a_transpose(nranks, seed):
                   list(range(nranks)))
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, 100, size=(nranks, nranks))
+    matrix[rng.random((nranks, nranks)) < 0.3] = 0
     out = {}
 
     def main(comm):
-        row = [int(v) for v in matrix[comm.rank]]
+        # a zero entry is a destination the rank does not send to
+        row = {d: int(v) for d, v in enumerate(matrix[comm.rank]) if v}
         got = yield from comm.alltoall(row)
         out[comm.rank] = got
 
     world.spawn(main)
     eng.run()
     for r in range(nranks):
-        assert out[r] == [int(v) for v in matrix[:, r]]
+        assert list(out[r].items()) == [
+            (src, int(v)) for src, v in enumerate(matrix[:, r]) if v
+        ]
 
 
 # --------------------------------------------------------- conservation
