@@ -47,9 +47,9 @@ def _jsonable(v):
 
 
 def _bench_name(node_name: str) -> str:
-    # "test_fig7_sort" -> "fig7_sort"; parametrized ids keep their suffix
+    # "test_fig7_sort" -> "fig7_sort"; "test_full_rank[fig8]" -> "full_rank_fig8"
     name = node_name.removeprefix("test_")
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
+    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name).rstrip("_")
 
 
 def write_bench_json(name: str, record: dict) -> Path:

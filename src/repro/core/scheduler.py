@@ -24,6 +24,11 @@ from repro.sim.engine import Engine, Event, Process
 
 __all__ = ["MovementScheduler"]
 
+#: upper bound in seconds a fetch may be deferred; prevents starvation
+#: when an application communicates continuously (Pixie3D's
+#: reduce/bcast-heavy inner loop is exactly such a case, §V.C)
+MAX_DEFER = 30.0
+
 
 class MovementScheduler:
     """Phase-aware admission control for staging fetches.
@@ -34,30 +39,19 @@ class MovementScheduler:
     enabled:
         When False, :meth:`wait_clear` returns immediately
         (unscheduled movement — the ablation baseline).
-    max_defer:
-        Upper bound in seconds a fetch may be deferred; prevents
-        starvation when an application communicates continuously
-        (Pixie3D's reduce/bcast-heavy inner loop is exactly such a
-        case, §V.C).
 
     Deferred fetches park on a per-node waiter heap keyed
     ``(deadline, seq)``; one timer process per node enforces
-    ``max_defer`` for every waiter on that node, and
+    ``max_defer`` (:data:`MAX_DEFER`) for every waiter on that node, and
     :meth:`exit_comm_phase` releases the node's waiters directly —
     O(changed node's waiters) work with no per-waiter
     ``Timeout``/``AnyOf`` allocation per loop turn.
     """
 
-    def __init__(
-        self,
-        env: Engine,
-        *,
-        enabled: bool = True,
-        max_defer: float = 30.0,
-    ):
+    def __init__(self, env: Engine, *, enabled: bool = True):
         self.env = env
         self.enabled = enabled
-        self.max_defer = max_defer
+        self.max_defer = MAX_DEFER
         #: per-node comm-phase nesting depth
         self._depth: dict[int, int] = {}
         #: per-node waiter heaps [(deadline, seq, event)]

@@ -6,9 +6,6 @@ sidecar each:
 - ``kernels`` (:func:`bench_kernels`) — every kernel, its
   :data:`~repro.perf.kernels.NAIVE` reference body vs the production
   one, on adversarially dense inputs (default 1M elements);
-- ``scale`` (:func:`repro.perf.scale.bench_scale`) — 10k/50k/100k-rank
-  weak scaling of the whole engine + scheduler stack (its two guards are
-  host speed: recorded, not compared);
 - ``query``, ``stream``, ``chaos_matrix`` — the seeded simulated-time
   runs of :mod:`repro.serve.bench`, :mod:`repro.stream.bench` and
   :func:`repro.scenarios.runner.sweep`.
@@ -64,11 +61,6 @@ HOT_KERNELS = ("histogram1d", "histogram2d", "wah_encode")
 
 #: allowed fractional regression of a guard below its baseline
 TOLERANCE = 0.2
-
-#: ``scale``'s guards are absolute host speed (events/second at the largest
-#: point, and the ratio of two such readings): printed and written to the
-#: sidecar for humans, never compared
-HOST_SPEED_GUARDS = ("events_per_sec_", "weak_scaling_ratio")
 
 #: a timed sample shorter than this is mostly timer and scheduler noise
 _MIN_SAMPLE_SECONDS = 0.01
@@ -186,15 +178,12 @@ def compare(record: dict, baseline: dict) -> list[str]:
     Only ``guards`` entries present in the *baseline* are enforced: a
     guard regresses when it falls more than :data:`TOLERANCE` below the
     baseline value.  Guards are ratios measured within one process, so
-    the comparison is host-speed independent; the
-    :data:`HOST_SPEED_GUARDS`, which are not, are skipped.
+    the comparison is host-speed independent.
     """
     problems = []
     base_guards = baseline.get("guards", {})
     cur_guards = record.get("guards", {})
     for key, base_val in base_guards.items():
-        if key.startswith(HOST_SPEED_GUARDS):
-            continue
         cur = cur_guards.get(key)
         if cur is None:
             problems.append(f"guard {key!r} missing from current run")
@@ -266,13 +255,6 @@ def _kernels_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale-ranks", dest="ranks", type=int, nargs="+", default=None, metavar="N",
-        help="weak-scaling rank counts (default 10000 50000 100000)",
-    )
-
-
 BENCHES: dict[str, Bench] = {
     b.name: b
     for b in (
@@ -290,7 +272,6 @@ BENCHES: dict[str, Bench] = {
             _lazy("repro.stream.bench:render"),
             _lazy("repro.stream.bench:failed"),
         ),
-        Bench("scale", _lazy("repro.perf.scale:bench_scale"), _scale_arguments),
         Bench(
             "chaos_matrix",
             _lazy("repro.scenarios.runner:sweep"),

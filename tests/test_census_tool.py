@@ -169,6 +169,14 @@ def test_a_prod_report_fails_until_the_kept_list_names_what_prod_leaves(project,
     args = report("args")
     assert args.returncode == 0, args.stdout
     assert "parameters prod leaves, not in census_kept.md: 0" in args.stdout
+    assert "kept parameters patterns that match nothing: 0" in args.stdout
+
+    # a row whose entry is gone, or now runs in prod, is stale: it fails too
+    kept.write_text(kept.read_text().replace(
+        "`pkg/mod.py unused`", "`pkg/mod.py unused` `pkg/mod.py scaled`"))
+    stale = report("funcs")
+    assert stale.returncode == 1
+    assert "kept functions patterns that match nothing: 1\n  pkg/mod.py scaled\n" in stale.stdout
 
     kept.write_text("## functions\n\n| `pkg/mod.py unused` | no reason |\n")
     bad = report("funcs")

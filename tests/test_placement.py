@@ -1,5 +1,7 @@
 """Tests for In-Compute-Node placement, offline model, and the scheduler."""
 
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -182,7 +184,8 @@ def test_scheduler_clear_node_no_wait():
 
 def test_scheduler_max_defer_bound():
     eng = Engine()
-    sched = MovementScheduler(eng, max_defer=1.5)
+    sched = MovementScheduler(eng)
+    sched.max_defer = 1.5
     sched.enter_comm_phase(0)  # never exits
 
     def fetcher(env):
@@ -205,6 +208,54 @@ def test_scheduler_nested_phases():
     assert not sched.in_comm_phase(1)
     with pytest.raises(RuntimeError):
         sched.exit_comm_phase(1)
+
+
+def test_scheduler_defers_12935_fetches_of_10000_ranks_exactly():
+    # The Fig. 8 and Fig. 10 runs defer no fetch, so this is the one run
+    # of many deferred fetches per node: 10 000 ranks, 128 to a node,
+    # each fetching twice while its node's application cycles through two
+    # comm phases of seeded length.  Every simulated value is pinned.
+    nranks, ranks_per_node, cycles = 10_000, 128, 2
+    nnodes = -(-nranks // ranks_per_node)
+    rng = np.random.default_rng(13)
+    comm_len = np.round(0.5 + rng.random(nnodes), 6)
+    gap_len = np.round(0.5 + rng.random(nnodes), 6)
+    jitter = np.round(rng.random(nranks) * 0.25, 6)
+    eng = Engine()
+    sched = MovementScheduler(eng)
+    sched.max_defer = 1.0
+    visible = np.zeros(nranks)  # per-rank deferred seconds
+
+    def app(node):
+        for _ in range(cycles):
+            sched.enter_comm_phase(node)
+            yield eng.timeout(comm_len[node].item())
+            sched.exit_comm_phase(node)
+            yield eng.timeout(gap_len[node].item())
+
+    def fetcher(rank):
+        for _ in range(cycles):
+            yield eng.timeout(jitter[rank].item())
+            visible[rank] += yield from sched.wait_clear(rank // ranks_per_node)
+
+    for node in range(nnodes):
+        eng.process(app(node))
+    for rank in range(nranks):
+        eng.process(fetcher(rank))
+    eng.run()
+
+    h = hashlib.sha256()
+    h.update(struct.pack("<d", eng.now))
+    h.update(visible.tobytes())
+    h.update(struct.pack("<q", sched.deferred_fetches))
+    h.update(struct.pack("<d", sched.total_defer_seconds))
+    assert eng.now == 5.89927
+    assert eng._seq == 47_668
+    assert sched.deferred_fetches == 12_935
+    assert sched.total_defer_seconds == 8716.971585999974
+    assert h.hexdigest() == (
+        "8e275696d846d62b1989a21694cec89ea9ace79b3dcdaad59f3b0f392d71dd18"
+    )
 
 
 @pytest.mark.parametrize("placement", ["staging", "incompute"])

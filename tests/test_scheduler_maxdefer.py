@@ -20,7 +20,8 @@ from repro.sim import Engine
 
 def test_wait_clear_returns_at_the_deadline():
     eng = Engine()
-    sched = MovementScheduler(eng, max_defer=2.5)
+    sched = MovementScheduler(eng)
+    sched.max_defer = 2.5
     sched.enter_comm_phase(0)  # never exited: worst-case starvation
     out = {}
 

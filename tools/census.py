@@ -27,7 +27,7 @@ The run labelled ``prod`` is the production side.  When one is given,
 ``report --mode funcs`` / ``--mode args`` exits 1 unless every function
 ``prod`` never enters, and every parameter and field ``prod`` never
 gives a second value, is listed with its reason in :data:`KEPT`
-(``tools/census_kept.md``).
+(``tools/census_kept.md``), and every kept row matches one of them.
 """
 
 from __future__ import annotations
@@ -421,17 +421,18 @@ def load_kept(path: Path = KEPT) -> dict[str, list[tuple[str, str]]]:
 
 
 def check_kept(section: str, keys: list[str]) -> int:
-    """Print the *keys* the kept list's *section* does not cover; return
-    how many.  Also names the section's patterns that match no key."""
+    """Print the *keys* the kept list's *section* does not cover, and the
+    section's patterns that match no key; return how many of both."""
     patterns = load_kept().get(section, [])
     missing = [k for k in keys if not any(fnmatch(k, p) for p, _ in patterns)]
     stale = [p for p, _ in patterns if not any(fnmatch(k, p) for k in keys)]
     print(f"\n{section} {PROD} leaves, not in {KEPT.name}: {len(missing)}")
     for k in missing:
         print(f"  {k}")
-    if stale:
-        print(f"  ({len(stale)} kept {section} patterns match nothing: {', '.join(stale)})")
-    return len(missing)
+    print(f"kept {section} patterns that match nothing: {len(stale)}")
+    for p in stale:
+        print(f"  {p}")
+    return len(missing) + len(stale)
 
 
 def report_funcs(src: Path, runs) -> int:
