@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -151,14 +152,11 @@ class OutputStep:
         demoted a variable's precision (float64 -> float32) produces a
         legal, smaller chunk; the embedded schema carries the truth.
         """
-        fields = []
-        for v in self.group.vars:
-            if v.kind is VarKind.SCALAR:
-                fields.append(FFSField(v.name, v.dtype))
-            else:
-                dtype = np.asarray(self.values[v.name]).dtype.str
-                fields.append(FFSField(v.name, dtype, (-1,) * v.ndim))
-        return Schema(self.group.name, tuple(fields))
+        return _ffs_schema(self.group, tuple(
+            None if v.kind is VarKind.SCALAR
+            else np.asarray(self.values[v.name]).dtype.str
+            for v in self.group.vars
+        ))
 
     def pack(self) -> memoryview:
         """Encode into a packed partial data chunk: a read-only view
@@ -178,10 +176,15 @@ class OutputStep:
     def unpack(cls, group: GroupDef, buf) -> "OutputStep":
         """Decode a packed partial data chunk produced by :meth:`pack`."""
         _, values, attrs = decode(buf)
-        chunks = {
-            name: ChunkMeta(tuple(c["global_dims"]), tuple(c["offsets"]))
-            for name, c in attrs.get("chunks", {}).items()
-        }
+        # the vars of one step mostly share a placement: one ChunkMeta each
+        metas: dict[tuple, ChunkMeta] = {}
+        chunks = {}
+        for name, c in attrs.get("chunks", {}).items():
+            key = (tuple(c["global_dims"]), tuple(c["offsets"]))
+            meta = metas.get(key)
+            if meta is None:
+                meta = metas[key] = ChunkMeta(*key)
+            chunks[name] = meta
         return cls(
             group=group,
             step=int(attrs["step"]),
@@ -190,3 +193,16 @@ class OutputStep:
             chunks=chunks,
             volume_scale=float(attrs.get("volume_scale", 1.0)),
         )
+
+
+@lru_cache(maxsize=64)
+def _ffs_schema(group: GroupDef, dtypes: tuple) -> Schema:
+    """The FFS schema of *group* whose array vars have *dtypes* (None for
+    a scalar), built once per distinct pair."""
+    fields = []
+    for v, dtype in zip(group.vars, dtypes):
+        if v.kind is VarKind.SCALAR:
+            fields.append(FFSField(v.name, v.dtype))
+        else:
+            fields.append(FFSField(v.name, dtype, (-1,) * v.ndim))
+    return Schema(group.name, tuple(fields))

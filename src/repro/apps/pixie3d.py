@@ -16,17 +16,17 @@ Reproduced properties:
   same chunk-count-vs-extents economics that Fig. 11 measures; see
   DESIGN.md substitutions).
 
-One process per node runs the ranks the node hosts (one per XT4 core):
-from one collective to the next they share a clock, so the node makes
-one compute timeout, one comm phase and one collective arrival for all
-of them.  Only a dump parts their clocks; ``tests/`` keeps the program
-as one process per rank and checks the two agree rank for rank.
+One process runs every rank of the world (one per XT4 core): from one
+dump to the next they share a clock, so the world makes one compute
+timeout and one collective arrival for all of them, and each node one
+comm phase.  Only a dump parts their clocks; ``tests/`` keeps the
+program as one process per rank and checks the two agree rank for
+rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Generator, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
 from repro.mpi.world import World
-from repro.sim.engine import Process
 
 __all__ = [
     "PIXIE3D_VARS",
@@ -102,7 +101,7 @@ class Pixie3DApplication:
     """The Pixie3D skeleton, runnable under any ADIOS transport.
 
     ``metrics`` holds each rank's :class:`AppMetrics`; :meth:`spawn`
-    starts one process per node of the world (module docstring).
+    starts one process for the whole world (module docstring).
     """
 
     def __init__(
@@ -130,8 +129,6 @@ class Pixie3DApplication:
         self.staging_steal = staging_steal
         self.metrics: dict[int, AppMetrics] = {}
         self.group = pixie3d_group()
-        #: rank writes queued in this instant, and the process to start them
-        self._queued_dumps: Optional[tuple[list, Process]] = None
 
     # -- data ------------------------------------------------------------
     def make_step(self, rank: int, step: int) -> OutputStep:
@@ -176,37 +173,36 @@ class Pixie3DApplication:
         return COMPUTE_SECONDS_BETWEEN_COLLECTIVES * (1.0 + self.staging_steal)
 
     def spawn(self):
-        """Start the skeleton: one process per node of its world."""
+        """Start the skeleton: one process for its whole world."""
         world = self.world
         nodes: dict[int, list[int]] = {}
         for rank, node in enumerate(world.rank_nodes):
             nodes.setdefault(node, []).append(rank)
-        return [
-            world.env.process(
-                self._node_main(tuple(ranks)), name=f"{world.name}@node{node}"
-            )
-            for node, ranks in nodes.items()
-        ]
+        return [world.env.process(self._main(nodes), name=world.name)]
 
-    def _node_main(self, ranks: tuple[int, ...]) -> Generator:
-        """The program of the ranks one node hosts: reduce/bcast-dense loop.
+    def _main(self, nodes: dict[int, list[int]]) -> Generator:
+        """The program of every rank: the reduce/bcast-dense loop.
 
-        Between two collectives the ranks share one clock, so the node
-        makes one compute timeout, one comm phase and one arrival per
-        collective for all of them.  ``arrived`` holds each rank's own
-        arrival at the next collective when a dump gave them different
-        clocks; compute and comm are measured from it, per rank.
+        Between two dumps every rank is on one clock, so the world makes
+        one compute timeout, one arrival and one resume per collective
+        for all of them.  Each node of *nodes* (node -> its ranks) still
+        enters and leaves its comm phase, in ``order``: the order its
+        ranks left the last dump, spawn order before the first.
+        ``arrived`` holds each rank's own arrival at the next collective
+        when a dump gave them different clocks; compute and comm are
+        measured from it, per rank.
         """
         cfg, world, sched = self.config, self.world, self.scheduler
         env = world.env
-        node_id = world.rank_nodes[ranks[0]]
+        ranks = tuple(range(world.size))
+        order = list(nodes)
         metrics = [AppMetrics() for _ in ranks]
         start = env.now
         # Nothing reads the solver's reductions, only their phase and
-        # wire volume: one element stands for every rank of the node,
-        # and each call names the logical count.
+        # wire volume: one float (8 bytes, as one float64 element)
+        # stands for every rank, and each call names the logical count.
         ws = world.wire_scale
-        payloads = (np.zeros(1),) * len(ranks)
+        payloads = (0.0,) * len(ranks)
         scale = max(int(cfg.reduce_payload_logical_bytes / ws / 8), 1) * ws
         arrived = None
         niter = cfg.ndumps * cfg.iterations_per_dump
@@ -221,7 +217,8 @@ class Pixie3DApplication:
                     for m in metrics:
                         m.compute += dt
                     if sched is not None:
-                        sched.enter_comm_phase(node_id)
+                        for node in order:
+                            sched.enter_comm_phase(node)
                     arrived = (env.now,) * len(ranks)
                 try:
                     yield from world.collective(
@@ -232,57 +229,48 @@ class Pixie3DApplication:
                     )
                 finally:
                     if sched is not None:
-                        sched.exit_comm_phase(node_id)
+                        for node in order:
+                            sched.exit_comm_phase(node)
                 for m, t0 in zip(metrics, arrived):
                     m.comm += env.now - t0
                 arrived = None
             if (it + 1) % cfg.iterations_per_dump == 0:
                 arrived = yield from self._dump(
-                    ranks, metrics, it // cfg.iterations_per_dump, start,
-                    last=it + 1 == niter,
+                    nodes, order, metrics, it // cfg.iterations_per_dump,
+                    start, last=it + 1 == niter,
                 )
 
     def _dump(
-        self, ranks: tuple[int, ...], metrics: list[AppMetrics], dump: int,
-        start: float, *, last: bool,
+        self, nodes: dict[int, list[int]], order: list[int],
+        metrics: list[AppMetrics], dump: int, start: float, *, last: bool,
     ) -> Generator:
-        """Process body: the node's ranks write dump *dump*.
+        """Process body: every rank writes dump *dump*.
 
         File-system and staging timing is per rank, so each rank writes
-        in a process of its own, started together with every other
-        node's in rank order.  Returns, once the node's ranks are done,
-        each one's arrival at the next collective (None after the last
-        dump).
+        in a process of its own, started in rank order.  Rewrites
+        *order* to the order in which each node's ranks finished, and
+        returns, once all are done, each rank's arrival at the next
+        collective (None after the last dump).
         """
-        env, comm = self.world.env, self.world.comm
-        if self._queued_dumps is None:
-            self._queued_dumps = ([], env.process(self._start_dumps()))
-        queued, starter = self._queued_dumps
-        queued.extend(
-            (r, self._rank_dump(comm(r), m, dump, start, last=last))
-            for r, m in zip(ranks, metrics)
-        )
-        started = yield starter
-        procs = [started[r] for r in ranks]
-        yield env.all_of(procs)
-        return None if last else tuple(p.value for p in procs)
-
-    def _start_dumps(self) -> Generator:
-        """Process body: start the rank writes queued in this instant.
-
-        Node processes queue their ranks' writes as a collective resumes
-        them, and this process runs after all of them, so the writes
-        begin in rank order, as one process per rank would reach them.
-        Returns ``{rank: write process}``.
-        """
-        (queued, _starter), self._queued_dumps = self._queued_dumps, None
-        queued.sort(key=itemgetter(0))
-        env = self.world.env
-        return {
-            rank: env.process(body, name=f"{self.world.name}[{rank}]")
-            for rank, body in queued
-        }
-        yield  # pragma: no cover - generator marker
+        env, comm, name = self.world.env, self.world.comm, self.world.name
+        procs = [
+            env.process(
+                self._rank_dump(comm(r), m, dump, start, last=last),
+                name=f"{name}[{r}]",
+            )
+            for r, m in enumerate(metrics)
+        ]
+        if last:
+            yield env.all_of(procs)
+            return None
+        order.clear()
+        done = []
+        for node, ranks in nodes.items():
+            node_done = env.all_of([procs[r] for r in ranks])
+            node_done.callbacks.append(lambda _ev, node=node: order.append(node))
+            done.append(node_done)
+        yield env.all_of(done)
+        return tuple(p.value for p in procs)
 
     def _rank_dump(
         self, comm: Communicator, m: AppMetrics, dump: int, start: float, *,

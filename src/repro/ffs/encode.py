@@ -27,17 +27,27 @@ from it.
 Decoding is zero-copy for arrays (``np.frombuffer`` views over the
 original buffer, ``bytes``/``bytearray``/``memoryview`` alike);
 callers that need writable arrays copy explicitly.
+
+A record's format is described once, as in FFS: each schema is compiled
+once into its header JSON text and field dtypes, held in a bounded cache
+keyed by the :class:`Schema`, and :func:`encode` splices that text into
+each header; the bytes are exactly ``json.dumps`` of the whole header.
+:func:`decode` finds the compiled format of a header's schema through a
+bounded cache keyed by the schema's JSON text; a miss builds and
+validates the schema as if nothing were cached, and every record's
+extents and sizes are checked whatever the cache holds.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import prod
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
-from repro.ffs.schema import Schema, SchemaError
+from repro.ffs.schema import Field, Schema, SchemaError
 
 __all__ = ["encode", "decode"]
 
@@ -46,7 +56,41 @@ _ALIGN = 8
 #: header entries that must be JSON objects when present
 _HEADER_OBJECTS = ("schema", "shapes", "scalars", "attrs")
 
+#: distinct schemas each format cache remembers
+_FORMATS = 64
+
 Buffer = Union[bytes, bytearray, memoryview]
+
+#: every header's JSON: ``json.dumps`` with compact separators
+_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _Format(NamedTuple):
+    """A schema compiled once: what packing and unpacking read per record."""
+
+    schema: Schema
+    #: the schema's JSON in a header
+    text: str
+    #: each field with its numpy dtype, in schema order
+    fields: tuple[tuple[Field, np.dtype], ...]
+
+
+def _compile(schema: Schema) -> _Format:
+    return _Format(
+        schema,
+        _json(schema.to_dict()),
+        tuple((f, np.dtype(f.dtype)) for f in schema.fields),
+    )
+
+
+#: the format :func:`encode` packs a schema with
+_format = lru_cache(maxsize=_FORMATS)(_compile)
+
+
+@lru_cache(maxsize=_FORMATS)
+def _decoded_format(text: str) -> _Format:
+    """The format of a header's schema, given as its JSON *text*."""
+    return _compile(Schema.from_dict(json.loads(text)))
 
 
 def _align(n: int) -> int:
@@ -74,31 +118,33 @@ def _prepare(
     Returns ``(header_bytes, [(payload_offset, array), ...], total)``
     where *total* is the full packed size in bytes.
     """
+    fmt = _format(schema)
     schema.validate(values)
     shapes: dict[str, list[int]] = {}
     scalars: dict[str, Any] = {}
-    arrays: list[tuple[str, np.ndarray]] = []
-    for f in schema.fields:
+    arrays: list[np.ndarray] = []
+    for f, dtype in fmt.fields:
         v = values[f.name]
         if f.is_scalar:
-            arr = np.asarray(v, dtype=np.dtype(f.dtype))
+            arr = np.asarray(v, dtype=dtype)
             if arr.shape != ():
                 raise SchemaError(f"field {f.name!r} expects a scalar")
             scalars[f.name] = arr.item()
         else:
-            arr = _wire_array(v, np.dtype(f.dtype))
+            arr = _wire_array(v, dtype)
             shapes[f.name] = list(f.resolve_shape(arr))
-            arrays.append((f.name, arr))
-    header = {
-        "schema": schema.to_dict(),
-        "shapes": shapes,
-        "scalars": _jsonify_scalars(scalars),
-        "attrs": attrs or {},
-    }
-    hbytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+            arrays.append(arr)
+    # json.dumps of {"schema", "shapes", "scalars", "attrs"}, the schema
+    # part compiled once
+    hbytes = (
+        '{"schema":' + fmt.text
+        + ',"shapes":' + _json(shapes)
+        + ',"scalars":' + _json(_jsonify_scalars(scalars))
+        + ',"attrs":' + _json(attrs or {}) + "}"
+    ).encode("utf-8")
     offset = 0
     placements = []
-    for _name, arr in arrays:
+    for arr in arrays:
         offset = _align(offset)
         placements.append((offset, arr))
         offset += arr.nbytes
@@ -157,8 +203,8 @@ def _unjsonify_scalar(v: Any) -> Any:
     return v
 
 
-def _parse_header(buf: Buffer) -> tuple[dict, Schema, int]:
-    """The header, its schema and where the payload starts.
+def _parse_header(buf: Buffer) -> tuple[dict, _Format, int]:
+    """The header, its schema's format and where the payload starts.
 
     A header that is not UTF-8 JSON, not an object, lacks ``schema`` or
     ``shapes``, holds a non-object where one belongs, or carries a schema
@@ -181,10 +227,10 @@ def _parse_header(buf: Buffer) -> tuple[dict, Schema, int]:
     ):
         raise SchemaError("FFS header must be an object with 'schema' and 'shapes'")
     try:
-        schema = Schema.from_dict(header["schema"])
+        fmt = _decoded_format(_json(header["schema"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad schema in FFS header: {exc!r}") from None
-    return header, schema, 8 + hlen
+    return header, fmt, 8 + hlen
 
 
 def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
@@ -199,17 +245,16 @@ def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
     the trailing pad raise :class:`SchemaError` before any array is
     made.
     """
-    header, schema, payload_base = _parse_header(buf)
+    header, fmt, payload_base = _parse_header(buf)
     shapes = header["shapes"]
     values: dict[str, Any] = {
         k: _unjsonify_scalar(v) for k, v in header.get("scalars", {}).items()
     }
     offset = 0
-    for f in schema.fields:
+    for f, dt in fmt.fields:
         if f.is_scalar:
             continue
         shape = _checked_shape(f, shapes.get(f.name))
-        dt = np.dtype(f.dtype)
         count = prod(shape)
         offset = _align(offset)
         start = payload_base + offset
@@ -225,7 +270,7 @@ def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
             f"FFS buffer holds {len(buf)} bytes, its header describes "
             f"{payload_base + _align(offset)}"
         )
-    return schema, values, header.get("attrs", {})
+    return fmt.schema, values, header.get("attrs", {})
 
 
 def _checked_shape(f, shape: Any) -> tuple[int, ...]:

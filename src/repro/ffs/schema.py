@@ -64,7 +64,7 @@ class Field:
         """Concrete shape of *value*, validated against the declaration."""
         if self.shape is None:
             raise SchemaError(f"field {self.name!r} is a scalar")
-        actual = tuple(int(s) for s in np.asarray(value).shape)
+        actual = np.shape(value)
         if len(actual) != len(self.shape):
             raise SchemaError(
                 f"field {self.name!r}: rank {len(actual)} != declared "

@@ -15,7 +15,7 @@ sequence index is reported as a :class:`~repro.sim.engine.SimulationError`
 — the simulated analogue of an MPI mismatch hang.  Each call here is a
 one-rank arrival at :meth:`World.collective
 <repro.mpi.world.World.collective>`, the one matching path, where one
-process may also bring several co-located ranks at once.
+process may also bring several ranks at once.
 
 ``wire_scale``: ``bcast``, ``reduce``, ``allreduce``, ``allgather`` and
 ``alltoall`` take a keyword-only ``wire_scale`` that replaces the world's

@@ -2,7 +2,7 @@
 
 A world owns the rank-to-node mapping and the collective matching
 engine, whose one entry point, :meth:`World.collective`, takes one
-arrival: one rank, or the co-located ranks one process drives, with a
+arrival: one rank, or the ranks one process drives on one clock, with a
 payload each.  Collective timing has one path: every collective among
 two or more members is realised through the members' NIC pipes
 (:meth:`Network.start_collective`), so concurrent traffic (asynchronous
@@ -177,8 +177,8 @@ class World:
     ) -> Generator:
         """Process body: one arrival of *ranks* at their next collective.
 
-        The one matching entry point.  *ranks* are co-located ranks that
-        one process drives on one clock (a :class:`Communicator` is the
+        The one matching entry point.  *ranks* are the ranks one
+        process drives on one clock (a :class:`Communicator` is the
         one-rank case) and *payloads* holds each one's contribution, in
         the same order.  The arrival takes each rank's next sequence
         number, which all of them must share.  Returns what each rank of
@@ -226,6 +226,10 @@ class World:
     def _maybe_complete(self, seq: int, state: _CollectiveState) -> None:
         """Start the exchange once every *active* rank has arrived."""
         if state.started or not state.payloads or not self._active:
+            return
+        # a count first: one-rank arrivals would pay O(P) each for the
+        # subset test, O(P^2) per collective
+        if len(state.payloads) < len(self._active):
             return
         if not self._active <= state.payloads.keys():
             return
@@ -339,8 +343,8 @@ class World:
 
         A rank deactivated after it contributed is no member: its data
         is dropped from the result, so it does not size the exchange
-        either.  A payload object several ranks contributed (the
-        co-located ranks of one arrival) is sized once.
+        either.  A payload object several ranks contributed (the ranks
+        of one arrival) is sized once.
         """
         scale = self.wire_scale if wire_scale is None else wire_scale
         if kind == "barrier":

@@ -447,18 +447,15 @@ def test_default_config_comm_seconds_pinned(name, wire_scale, comm):
     assert metrics.comm == pytest.approx(comm, rel=1e-13, abs=0.0)
 
 
-def test_pixie3d_makes_one_arrival_per_node_per_collective():
-    # 16 ranks round-robin over 4 nodes: node n hosts ranks n, n+4, n+8,
-    # n+12, and one process per node carries all four to each collective
+def test_pixie3d_makes_one_arrival_per_collective():
+    # 16 ranks round-robin over 4 nodes, and one process carries all of
+    # them to each collective, the rounds after a dump included
     rank_nodes = [r % 4 for r in range(16)]
     cfg = small_pixie_cfg(ndumps=2)
     _, arrivals = _run_app(Pixie3DApplication, cfg, rank_nodes=rank_nodes)
     rounds = cfg.ndumps * cfg.iterations_per_dump * cfg.collective_rounds_per_iteration
-    assert len(arrivals) == 4 * 2 * rounds
-    assert [kind for kind, *_ in arrivals[::4]] == ["reduce", "bcast"] * rounds
-    node_ranks = {tuple(range(n, 16, 4)) for n in range(4)}
-    for i in range(0, len(arrivals), 4):
-        assert {ranks for _, ranks, _ in arrivals[i:i + 4]} == node_ranks
+    assert [kind for kind, *_ in arrivals] == ["reduce", "bcast"] * rounds
+    assert {ranks for _, ranks, _ in arrivals} == {tuple(range(16))}
     assert max(nbytes for *_, nbytes in arrivals) <= 64
     # GTC runs one process per rank: every arrival carries one rank
     _, arrivals = _run_app(GTCApplication, small_gtc_cfg(), rank_nodes=rank_nodes[:8])

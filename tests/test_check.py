@@ -306,3 +306,18 @@ def test_check_cli_rejects_a_run_that_verifies_nothing(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "PASSED" not in capsys.readouterr().out
+
+
+def test_two_fuzz_runs_print_the_same_stdout(capsys):
+    """Host seconds go to stderr: a fuzz report's stdout is a function of
+    the tree alone, so two runs can be diffed."""
+    from repro.check.cli import _run_fuzz
+
+    outs = []
+    for _ in range(2):
+        assert _run_fuzz(1, "sort")
+        captured = capsys.readouterr()
+        assert "wall]" in captured.err
+        outs.append(captured.out)
+    assert "wall" not in outs[0]
+    assert outs[0] == outs[1]

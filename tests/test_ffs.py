@@ -1,5 +1,9 @@
 """Unit + property tests for FFS encoding (schemas, roundtrip, hostile bytes)."""
 
+import importlib
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +112,70 @@ def test_scalar_special_values():
     _, out, _ = decode(buf)
     assert out["x"] == float("inf")
     assert out["z"] == 1 + 2j
+
+
+def _reference_header(schema, values, attrs):
+    """The header as one ``json.dumps`` of the whole header dict."""
+    shapes, scalars = {}, {}
+    for f in schema.fields:
+        if not f.is_scalar:
+            shapes[f.name] = list(np.shape(values[f.name]))
+            continue
+        v = np.asarray(values[f.name], dtype=f.dtype).item()
+        if isinstance(v, complex):
+            v = {"__complex__": [v.real, v.imag]}
+        elif isinstance(v, float) and not math.isfinite(v):
+            v = {"__float__": repr(v)}
+        scalars[f.name] = v
+    header = {"schema": schema.to_dict(), "shapes": shapes,
+              "scalars": scalars, "attrs": attrs or {}}
+    return json.dumps(header, separators=(",", ":")).encode("utf-8")
+
+
+@pytest.mark.parametrize("attrs", [None, {}, {
+    "step": 3, "rank": 17, "volume_scale": 4096.0, "note": "\u00e9t\u00e9 \u2192",
+    "chunks": {"rho": {"global_dims": [12, 6, 6], "offsets": [6, 0, 0]}},
+    "flags": [True, None, -0.0, 1e300],
+}], ids=["none", "empty", "nested"])
+def test_encode_header_is_one_json_dumps_of_the_whole_header(attrs):
+    schema = Schema.of(
+        "rec", n="int64", ok="bool", x="float64", z="complex128",
+        nan="float64", inf="float64", ninf="float32",
+        a=("float64", (-1, 3)), b=("int16", (4,)),
+    )
+    values = {"n": -7, "ok": True, "x": 0.1, "z": 1.5 - 2j,
+              "nan": float("nan"), "inf": float("inf"), "ninf": -np.inf,
+              "a": np.arange(6.0).reshape(2, 3), "b": np.arange(4)}
+    for _ in range(2):  # the second packs from the compiled format
+        buf = bytes(encode(schema, values, attrs=attrs))
+        want = _reference_header(schema, values, attrs)
+        hlen = int.from_bytes(buf[4:8], "little")
+        assert buf[8:8 + hlen] == want
+
+
+def test_format_caches_stay_bounded_and_decode_the_right_schema():
+    enc = importlib.import_module("repro.ffs.encode")
+    bound = enc._FORMATS
+    # more schemas than the bound, seven names among them: only the
+    # content tells two apart
+    schemas = [
+        Schema.of(f"s{i % 7}", k="int32",
+                  **{f"v{i}": ("float64", (-1,)) if i % 2 else ("int8", (2, -1))})
+        for i in range(bound + 10)
+    ]
+    bufs = []
+    for i, schema in enumerate(schemas):
+        value = np.full((2, i + 1) if i % 2 == 0 else (i + 1,), i)
+        bufs.append(bytes(encode(schema, {"k": i, f"v{i}": value})))
+    for _ in range(2):  # the first of the second pass were evicted
+        for i, (buf, schema) in enumerate(zip(bufs, schemas)):
+            got, values, _ = decode(buf)
+            assert got == schema
+            assert values["k"] == i and values[f"v{i}"].flat[0] == i
+    for cache in (enc._format, enc._decoded_format):
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
 
 
 def test_bad_magic_rejected():

@@ -1,18 +1,20 @@
-"""Pixie3D's one-process-per-node program against the per-rank oracle.
+"""Pixie3D's one-process world program against the per-rank oracle.
 
 ``per_rank_main`` is the skeleton as one process per rank: every rank
 makes its own compute timeout, comm phase and collective calls.  It is
-the reference the node-level ``Pixie3DApplication`` must reproduce rank
+the reference the world-level ``Pixie3DApplication`` must reproduce rank
 for rank, the way ``kernels.NAIVE`` serves the kernels: the same
 ``AppMetrics`` fields, end time, BP bytes, the same instants at which
 each node enters and leaves its comm phase and, when staged, the same
 scheduler deferrals and step reports.  Covered: one to four ranks per
 node, one and two dumps (the rounds after the first start from the
-clocks a staged dump parted), synchronous MPI-IO, and the PreDatA
+clocks a staged dump parted, and whose nodes change phase in the order
+they finished it), synchronous MPI-IO, and the PreDatA
 staging transport with its movement scheduler and a staging steal.
 """
 
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -96,6 +98,15 @@ def _phase_log(sched):
     return log
 
 
+def _same_instant_nodes(phases):
+    """The nodes of each run of same-instant, same-direction phase
+    changes, in the order they changed."""
+    return [
+        [node for _, node, _ in run]
+        for _, run in groupby(phases, key=lambda e: (e[0], e[2]))
+    ]
+
+
 def _run(per_node, ndumps, transport, *, oracle, tmp_path):
     """One Pixie3D run: what the oracle and the node program must share."""
     nranks = NODES * per_node
@@ -165,3 +176,7 @@ def test_node_program_matches_the_per_rank_oracle(per_node, ndumps, transport,
         assert len({want["metrics"][r].io_blocking for r in node0}) == per_node
         if ndumps == 2 and per_node > 1:
             assert want["deferrals"][0] > 0  # fetches met comm phases
+        if ndumps == 2:
+            # after the first dump the nodes change phase in the order
+            # their ranks finished it, which is not spawn order
+            assert [0, 3, 1, 2] in _same_instant_nodes(want["phases"])

@@ -3,8 +3,9 @@
 #
 #     tools/smoke.sh [OUT_DIR]
 #
-# Run from the repository root.  Artifacts (paper-tables.txt, the chaos and
-# flow traces, serve-out/, stream-out/, scenarios-out/) land in OUT_DIR
+# Run from the repository root.  Artifacts (paper-tables.txt,
+# fuzz-stdout.txt, the chaos and flow traces, serve-out/, stream-out/,
+# scenarios-out/) land in OUT_DIR
 # (default: the current directory).  CI's tests job runs this script and
 # uploads the artifacts; the census job runs the same script as the
 # production half of the function census, so the two lists cannot drift.
@@ -29,8 +30,10 @@ echo "== chaos trace, and memory pressure under flow control (1/4 working set)"
 quiet python -m repro chaos --trace "$out/chaos_trace.json"
 quiet python -m repro chaos --flow 0.25 --trace "$out/flow_trace.json"
 
-echo "== schedule fuzz (fig7 histogram), then full verification"
+echo "== schedule fuzz (fig7 histogram), two fuzz runs print the same, then full verification"
 quiet python -m repro check --fuzz 10 --workload histogram --no-oracles --no-invariants
+python -m repro check --fuzz 2 --no-oracles --no-invariants > "$out/fuzz-stdout.txt"
+python -m repro check --fuzz 2 --no-oracles --no-invariants | diff -u "$out/fuzz-stdout.txt" -
 quiet python -m repro check --fuzz 5
 
 echo "== query serving and streaming (guarded against the committed baselines)"
