@@ -3,7 +3,8 @@
 Every benchmark runs its experiment exactly once (simulated runs are
 deterministic; repeating them only re-measures host speed), prints the
 paper's series, and asserts the paper's *shape* claims: who wins, by
-roughly what factor, and where crossovers fall.
+roughly what factor, and where crossovers fall.  The figure claims live
+in ``repro.experiments.claims``; ``test_claims.py`` checks them.
 
 Each ``once``-driven benchmark also emits a ``BENCH_<name>.json``
 sidecar — simulated seconds, host wall seconds, interconnect bytes
@@ -40,6 +41,8 @@ def _jsonable(v):
             for f in dataclasses.fields(v)
             if isinstance(getattr(v, f.name), (bool, int, float, str, type(None)))
         }
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         rows = [_jsonable(x) for x in v]
         return [r for r in rows if r is not None]
@@ -47,8 +50,9 @@ def _jsonable(v):
 
 
 def _bench_name(node_name: str) -> str:
-    # "test_fig7_sort" -> "fig7_sort"; "test_full_rank[fig8]" -> "full_rank_fig8"
-    name = node_name.removeprefix("test_")
+    # "test_chaos_recovery" -> "chaos_recovery"; "test_full_rank[fig8]" ->
+    # "full_rank_fig8"; a claims run is named by itself: "test_claims[fig8_gtc]" -> "fig8_gtc"
+    name = node_name.removeprefix("test_claims[").removeprefix("test_")
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name).rstrip("_")
 
 

@@ -13,7 +13,7 @@ COMMANDS = {
     "fig9": ("repro.experiments.fig9:cli", "DataSpaces query service"),
     "fig10": ("repro.experiments.fig10:cli", "Pixie3D simulation performance"),
     "fig11": ("repro.experiments.fig11:cli", "merged vs unmerged reads"),
-    "headline": ("repro.experiments.headline:cli", "§V prose numbers, paper vs measured"),
+    "headline": ("repro.experiments.claims:cli", "§V prose numbers, paper vs measured"),
     "utilization": ("repro.experiments.utilization:cli", "staging-node headroom between dumps"),
     "chaos": ("repro.experiments.chaos:cli", "staging-node crash recovery (resilience)"),
     "check": (

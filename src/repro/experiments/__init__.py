@@ -2,9 +2,13 @@
 
 Each ``fig*`` module exposes a ``run_*`` function that executes the
 experiment at (scaled-down but ratio-faithful) configurations and
-returns structured rows, plus a ``main()`` that prints the same
-series the paper plots.  ``benchmarks/`` wraps these with
-pytest-benchmark and asserts the paper's shape claims.
+returns structured rows, a ``table(rows)`` that formats them as the
+paper plots them, and a ``main()`` that runs and prints.  The paper's
+§V claims are data in ``claims``: each names the figure runs it reads
+and its threshold; the ``headline`` command and
+``benchmarks/test_claims.py`` are views of that registry.  Neither the
+figure modules nor ``claims`` is imported here, so importing
+``experiments.runner`` stays cheap.
 
 Representative-rank methodology (see DESIGN.md): runs at paper scales
 simulate ``R`` representative MPI ranks standing for ``P`` logical

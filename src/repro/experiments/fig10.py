@@ -23,7 +23,7 @@ from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
 from repro.experiments.runner import pixie3d_scales, run_pixie3d
 
-__all__ = ["Fig10Row", "run_fig10", "main", "cli"]
+__all__ = ["Fig10Row", "run_fig10", "table", "main", "cli"]
 
 
 @dataclass
@@ -69,9 +69,8 @@ def run_fig10(
     return rows
 
 
-def main(scales: list[int] | None = None, **run_kwargs) -> str:
-    """Print the Fig. 10 tables; returns the formatted text."""
-    rows = run_fig10(scales, **run_kwargs)
+def table(rows: list[Fig10Row]) -> str:
+    """The Fig. 10(b) and 10(a) tables."""
     t1 = format_table(
         ["cores", "total IC", "total ST", "main IC", "main ST",
          "io IC", "io ST"],
@@ -104,7 +103,12 @@ def main(scales: list[int] | None = None, **run_kwargs) -> str:
         ],
         title="Fig. 10(a) — Pixie3D total CPU cost",
     )
-    text = t1 + "\n\n" + t2
+    return t1 + "\n\n" + t2
+
+
+def main(scales: list[int] | None = None, **run_kwargs) -> str:
+    """Print the Fig. 10 tables; returns the formatted text."""
+    text = table(run_fig10(scales, **run_kwargs))
     print(text)
     return text
 

@@ -31,7 +31,7 @@ from repro.machine.filesystem import ParallelFileSystem
 from repro.machine.presets import JAGUAR_XT4
 from repro.sim.engine import Engine
 
-__all__ = ["Fig11Row", "run_fig11", "main", "cli"]
+__all__ = ["Fig11Row", "run_fig11", "table", "main", "cli"]
 
 
 @dataclass
@@ -138,10 +138,9 @@ def run_fig11(*, rep_cores: int = 512, functional: bool = True) -> Fig11Result:
     return Fig11Result(rows, identical, rep_unmerged, rep_merged)
 
 
-def main(**kw) -> str:
-    """Print the Fig. 11 table; returns the formatted text."""
-    res = run_fig11(**kw)
-    text = format_table(
+def table(res: Fig11Result) -> str:
+    """The Fig. 11 table."""
+    return format_table(
         ["var", "bytes", "extents unmerged", "extents merged",
          "read unmerged", "read merged", "speedup"],
         [
@@ -161,6 +160,11 @@ def main(**kw) -> str:
             f"unmerged (functional files identical: {res.functional_identical})"
         ),
     )
+
+
+def main(**kw) -> str:
+    """Print the Fig. 11 table; returns the formatted text."""
+    text = table(run_fig11(**kw))
     print(text)
     return text
 

@@ -24,7 +24,7 @@ from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_seconds, format_table
 from repro.experiments.runner import FAST_FIG7, gtc_scales, run_gtc
 
-__all__ = ["Fig7Row", "run_fig7", "main", "cli", "OPERATIONS"]
+__all__ = ["Fig7Row", "run_fig7", "table", "main", "cli", "OPERATIONS"]
 
 OPERATIONS = ("sort", "histogram", "histogram2d")
 
@@ -41,6 +41,7 @@ class Fig7Row:
     movement: float  # staging-side data fetch (0 for in-compute)
     total: float  # operation time (excl. movement), the Fig. 7 y-axis
     latency: float  # dump start -> results available
+    visible_write: float  # the simulation's own output write it waits on, per dump
 
 
 def run_fig7(
@@ -60,6 +61,7 @@ def run_fig7(
             Fig7Row(
                 cores, "incompute",
                 compute, communicate, io, 0.0, total, latency=total,
+                visible_write=ic.visible_write_seconds,
             )
         )
         st = run_gtc(cores, "staging", operation, **run_kwargs)
@@ -77,36 +79,37 @@ def run_fig7(
                 movement=rep.fetch,
                 total=op_time,
                 latency=rep.latency,
+                visible_write=st.visible_write_seconds,
             )
         )
     return rows
 
 
+def table(operation: str, rows: list[Fig7Row]) -> str:
+    """The Fig. 7 table of one operation."""
+    return format_table(
+        ["cores", "config", "compute", "communicate", "io",
+         "movement", "op time", "latency"],
+        [
+            [
+                r.cores,
+                r.placement,
+                fmt_seconds(r.compute),
+                fmt_seconds(r.communicate),
+                fmt_seconds(r.io),
+                fmt_seconds(r.movement),
+                fmt_seconds(r.total),
+                fmt_seconds(r.latency),
+            ]
+            for r in rows
+        ],
+        title=f"Fig. 7 — {operation} operation (In-Compute-Node vs Staging)",
+    )
+
+
 def main(scales: list[int] | None = None, **run_kwargs) -> str:
     """Print the Fig. 7 series; returns the formatted text."""
-    blocks = []
-    for op in OPERATIONS:
-        rows = run_fig7(op, scales, **run_kwargs)
-        table = format_table(
-            ["cores", "config", "compute", "communicate", "io",
-             "movement", "op time", "latency"],
-            [
-                [
-                    r.cores,
-                    r.placement,
-                    fmt_seconds(r.compute),
-                    fmt_seconds(r.communicate),
-                    fmt_seconds(r.io),
-                    fmt_seconds(r.movement),
-                    fmt_seconds(r.total),
-                    fmt_seconds(r.latency),
-                ]
-                for r in rows
-            ],
-            title=f"Fig. 7 — {op} operation (In-Compute-Node vs Staging)",
-        )
-        blocks.append(table)
-    text = "\n\n".join(blocks)
+    text = "\n\n".join(table(op, run_fig7(op, scales, **run_kwargs)) for op in OPERATIONS)
     print(text)
     return text
 

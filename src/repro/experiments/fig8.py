@@ -21,7 +21,7 @@ from repro.experiments.cli import command_parser
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
 from repro.experiments.runner import FAST_FIG8, gtc_operators, gtc_scales, run_gtc
 
-__all__ = ["Fig8Row", "run_fig8", "main", "cli"]
+__all__ = ["Fig8Row", "run_fig8", "table", "main", "cli"]
 
 
 def _all_operations(which: str, filesystem=None) -> list[PreDatAOperator]:
@@ -96,9 +96,8 @@ def run_fig8(
     return rows
 
 
-def main(scales: list[int] | None = None, **run_kwargs) -> str:
-    """Print the Fig. 8 tables; returns the formatted text."""
-    rows = run_fig8(scales, **run_kwargs)
+def table(rows: list[Fig8Row]) -> str:
+    """The Fig. 8(b) and 8(a) tables."""
     t1 = format_table(
         ["cores", "total IC", "total ST", "main IC", "main ST",
          "ops IC", "io IC", "io ST"],
@@ -130,7 +129,12 @@ def main(scales: list[int] | None = None, **run_kwargs) -> str:
         ],
         title="Fig. 8(a) — Staging improvement over In-Compute-Node",
     )
-    text = t1 + "\n\n" + t2
+    return t1 + "\n\n" + t2
+
+
+def main(scales: list[int] | None = None, **run_kwargs) -> str:
+    """Print the Fig. 8 tables; returns the formatted text."""
+    text = table(run_fig8(scales, **run_kwargs))
     print(text)
     return text
 

@@ -28,7 +28,7 @@ from repro.machine.machine import Machine
 from repro.machine.presets import JAGUAR_XT5
 from repro.sim.engine import Engine
 
-__all__ = ["Fig9Row", "run_fig9", "main", "cli"]
+__all__ = ["Fig9Row", "run_fig9", "table", "main", "cli"]
 
 #: logical rows per querying core (~200 MB = 100k x 256 x 8 B)
 ROWS_PER_CORE_LOGICAL = 100_000
@@ -153,10 +153,9 @@ def _one_scale(q: int) -> Fig9Row:
     )
 
 
-def main(n_query_cores_list: list[int] | None = None) -> str:
-    """Print the Fig. 9 table; returns the formatted text."""
-    rows = run_fig9(n_query_cores_list)
-    text = format_table(
+def table(rows: list[Fig9Row]) -> str:
+    """The Fig. 9 table."""
+    return format_table(
         ["query cores", "servers", "setup", "hashing", "query",
          "indexing", "all queries done"],
         [
@@ -173,6 +172,11 @@ def main(n_query_cores_list: list[int] | None = None) -> str:
         ],
         title="Fig. 9 — DataSpaces setup, hashing and query time",
     )
+
+
+def main(n_query_cores_list: list[int] | None = None) -> str:
+    """Print the Fig. 9 table; returns the formatted text."""
+    text = table(run_fig9(n_query_cores_list))
     print(text)
     return text
 

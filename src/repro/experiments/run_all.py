@@ -6,14 +6,14 @@ Usage::
     python -m repro.experiments.run_all --fast   # trimmed runs
 
 Prints the Fig. 7/8/9/10/11 series and the headline paper-vs-measured
-table; this output is the source of EXPERIMENTS.md.
+table of :mod:`repro.experiments.claims`; this output is the source of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.experiments import fig7, fig8, fig9, fig10, fig11, headline
+from repro.experiments import claims, fig7, fig8, fig9, fig10, fig11
 from repro.experiments.cli import command_parser
 from repro.experiments.runner import FAST_FIG7, FAST_FIG8
 
@@ -46,7 +46,7 @@ def run_all(fast: bool = False) -> None:
     fig11.main(rep_cores=256)
 
     banner("Headline §V numbers — paper vs measured")
-    headline.main(fast=fast)
+    claims.main(fast=fast)
 
     print(f"\n[run_all completed in {time.time() - t_start:.1f} s wall]")
 

@@ -19,7 +19,7 @@ from repro.experiments.cli import flagless_cli
 from repro.experiments.report import fmt_pct, fmt_seconds, format_table
 from repro.experiments.runner import FAST_FIG8, run_gtc
 
-__all__ = ["UtilizationRow", "run_utilization", "main", "cli"]
+__all__ = ["UtilizationRow", "run_utilization", "table", "main", "cli"]
 
 
 @dataclass
@@ -58,10 +58,9 @@ def run_utilization(scales: list[int] | None = None, **run_kwargs) -> list[Utili
     return rows
 
 
-def main() -> str:
-    """Print the utilization table; returns the formatted text."""
-    rows = run_utilization(**FAST_FIG8)
-    text = format_table(
+def table(rows: list[UtilizationRow]) -> str:
+    """The staging-utilization table."""
+    return format_table(
         ["cores", "I/O interval", "pipeline busy", "interval occupancy",
          "staging-core busy"],
         [
@@ -77,6 +76,11 @@ def main() -> str:
         title=("Staging-area utilization between dumps "
                "(the under-utilization premise, §VI)"),
     )
+
+
+def main() -> str:
+    """Print the utilization table; returns the formatted text."""
+    text = table(run_utilization(**FAST_FIG8))
     print(text)
     return text
 
