@@ -71,13 +71,13 @@ def once(benchmark, request):
         t0 = time.perf_counter()
         result = run_once(benchmark, fn, *args, **kwargs)
         wall = time.perf_counter() - t0
-        nets = _network.live_networks(mark)
+        totals = _network.network_totals(mark)
         record = {
             "name": request.node.name,
             "wall_seconds": wall,
-            "sim_seconds": max((n.env.now for n in nets), default=0.0),
-            "bytes_moved": sum(n.total_bytes() for n in nets),
-            "simulations": len(nets),
+            "sim_seconds": max((clock for clock, _rx in totals), default=0.0),
+            "bytes_moved": sum(rx for _clock, rx in totals),
+            "simulations": len(totals),
             "series": _jsonable(result),
         }
         write_bench_json(_bench_name(request.node.name), record)

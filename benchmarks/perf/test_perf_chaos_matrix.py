@@ -23,7 +23,7 @@ def test_chaos_matrix_guards_hold(bench_guard):
     record = bench_guard("chaos_matrix", sweep(fast=True))
     guards = record["guards"]
     # the fractions must be exactly perfect, not merely within tolerance
-    assert guards["scenarios_registered"] >= 8
+    assert guards["scenarios_registered"] >= 9
     assert guards["complete_fraction"] == 1.0
     assert guards["invariant_clean_fraction"] == 1.0
     assert guards["determinism_fraction"] == 1.0

@@ -21,7 +21,7 @@ Shape claims asserted:
   never a crash — at a bounded slowdown.
 """
 
-from repro.experiments import chaos
+from repro.scenarios import run_once
 
 FRACTIONS = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
 DEPTH = 6  # deep fetch pipeline: worst-case concurrent chunk pressure
@@ -29,8 +29,7 @@ DEPTH = 6  # deep fetch pipeline: worst-case concurrent chunk pressure
 
 def _point(fraction=None):
     """One no-fault chaos run (the shared workload) at a pool fraction."""
-    return chaos.run_once(
-        inject=False,
+    return run_once(
         flow_fraction=fraction,
         fetch_pipeline_depth=DEPTH,
     )

@@ -1,8 +1,8 @@
 """Chaos benchmark: staging-node crash mid-step, recovery + zero loss.
 
 The resilience subsystem's acceptance scenario at 512–2048 logical
-ranks: a seeded :class:`~repro.faults.injector.FaultInjector` kills one
-staging node while a step is in flight.  Asserted here:
+ranks: the seeded ``staging-crash`` scenario kills one staging node
+while a step is in flight.  Asserted here:
 
 - the run completes and **every** dump step reads back bit-for-bit
   from the merged BP file (or the synchronous fallback) — zero data
@@ -15,22 +15,23 @@ staging node while a step is in flight.  Asserted here:
   synchronous In-Compute-Node writes instead of losing dumps.
 """
 
-from repro.experiments.chaos import fingerprint, run_chaos, run_once
 from repro.faults.config import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
+from repro.scenarios import crash_run, fingerprint, run_chaos
 
 
 def test_chaos_recovery(once):
-    rows = once(run_chaos)
+    pairs = once(run_chaos)
+    rows = [(r, (r.wall_seconds - base_wall) / base_wall) for r, base_wall in pairs]
     print()
-    for r in rows:
+    for r, overhead in rows:
         print(
             f"{r.logical_ranks:5d} logical ranks: killed node "
             f"{r.killed_node}, detect {r.detection_seconds:.2f} s, "
             f"recover {r.recovery_seconds:.2f} s, "
             f"restarts {r.restarts}, complete={r.complete}, "
-            f"overhead {r.overhead_fraction * 100:.1f}%"
+            f"overhead {overhead * 100:.1f}%"
         )
-    for r in rows:
+    for r, overhead in rows:
         # the run completed and every step is readable back
         assert r.complete, f"{r.logical_ranks}: data lost"
         # the crash was actually recovered from, not avoided
@@ -39,15 +40,15 @@ def test_chaos_recovery(once):
         # detection is bounded by heartbeat timeout + sweep interval
         assert r.detection_seconds <= HEARTBEAT_TIMEOUT + 2 * HEARTBEAT_INTERVAL
         # recovery costs something but the run is not derailed
-        assert 0.0 <= r.overhead_fraction < 1.0
+        assert 0.0 <= overhead < 1.0
     # more logical volume -> at least as much re-fetch work to recover
-    recoveries = [r.recovery_seconds for r in rows]
+    recoveries = [r.recovery_seconds for r, _overhead in rows]
     assert recoveries == sorted(recoveries)
 
 
 def test_chaos_deterministic_under_fixed_seed(once):
     def both():
-        return run_once(seed=21), run_once(seed=21), run_once(seed=22)
+        return crash_run(21), crash_run(21), crash_run(22)
 
     a, b, c = once(both)
     assert fingerprint(a) == fingerprint(b)
@@ -58,8 +59,7 @@ def test_chaos_all_stagers_dead_degrades_without_loss(once):
     """Kill every staging node: dumps fall back synchronously, none lost."""
 
     def run():
-        r = run_once(nstaging_nodes=1, seed=5)
-        return r
+        return crash_run(5, nstaging_nodes=1)
 
     r = once(run)
     print()

@@ -15,7 +15,6 @@ COMMANDS = {
     "fig11": ("repro.experiments.fig11:cli", "merged vs unmerged reads"),
     "headline": ("repro.experiments.claims:cli", "§V prose numbers, paper vs measured"),
     "utilization": ("repro.experiments.utilization:cli", "staging-node headroom between dumps"),
-    "chaos": ("repro.experiments.chaos:cli", "staging-node crash recovery (resilience)"),
     "check": (
         "repro.check.cli:main",
         "verification: schedule fuzzing, pipeline invariants, operator oracles",
@@ -28,7 +27,7 @@ COMMANDS = {
     "stream": ("repro.perf.bench:stream_main", "coupled-workflow step streaming (perf stream)"),
     "scenarios": (
         "repro.scenarios.cli:main",
-        "adversarial scenario library: list, run, sweep (perf chaos_matrix)",
+        "adversarial scenario library: list, run, chaos (crash recovery), sweep (perf chaos_matrix)",
     ),
 }
 

@@ -1,6 +1,6 @@
 """The two small output groups the verification workloads
-(:mod:`repro.check.workloads`) and the chaos experiment
-(:mod:`repro.experiments.chaos`) write.
+(:mod:`repro.check.workloads`) and the chaos workload
+(:mod:`repro.scenarios.workload`) write.
 
 They stand in for the skeleton apps' groups with one variable each, so a
 run stays small while it takes the same path through the pipeline.

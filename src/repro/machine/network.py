@@ -45,7 +45,9 @@ from repro.sim.engine import Engine, Event
 from repro.sim.resources import SharedBandwidth
 from repro.machine.topology import TorusTopology
 
-__all__ = ["NetworkConfig", "Network", "NIC", "registry_mark", "live_networks"]
+__all__ = [
+    "NetworkConfig", "Network", "NIC", "registry_mark", "live_networks", "network_totals",
+]
 
 #: weak refs to every Network ever constructed, in creation order.  The
 #: benchmark harness brackets an experiment with :func:`registry_mark` /
@@ -54,6 +56,9 @@ __all__ = ["NetworkConfig", "Network", "NIC", "registry_mark", "live_networks"]
 #: this from pinning finished simulations in memory; a finished network
 #: stays listed until the next gc pass (see ``Network._keepalive``).
 _LIVE: list = []
+#: registry index -> (final clock, RX bytes) of every network gc already
+#: collected, recorded by the finalizer each network registers
+_FINAL: dict[int, tuple[float, float]] = {}
 
 
 def _settle_all(pipes: list, _ev: Event) -> None:
@@ -70,6 +75,20 @@ def registry_mark() -> int:
 def live_networks(mark: int = 0) -> list:
     """Networks created since *mark* that are still alive."""
     return [net for ref in _LIVE[mark:] if (net := ref()) is not None]
+
+
+def _record_final(index: int, env: Engine, nics: dict) -> None:
+    _FINAL[index] = (env.now, sum(nic.bytes_rx for nic in nics.values()))
+
+
+def network_totals(mark: int) -> list[tuple[float, float]]:
+    """(clock, RX bytes) of every network created since *mark*: read off
+    a live one, recorded at collection for one gc has already taken, so
+    the list does not depend on when gc last ran."""
+    return [
+        (net.env.now, net.total_bytes()) if (net := ref()) is not None else _FINAL[i]
+        for i, ref in enumerate(_LIVE[mark:], mark)
+    ]
 
 
 @dataclass(frozen=True)
@@ -149,6 +168,10 @@ class Network:
         #: network any more; the cycle defers its collection to the next gc
         #: pass instead of the moment the last caller frame unwinds.
         self._keepalive = self
+        # holds the engine and NICs, not the network: a finished run has
+        # no path from them back to it (one stopped with events still
+        # queued does, and stays alive)
+        weakref.finalize(self, _record_final, len(_LIVE), env, self._nics)
         _LIVE.append(weakref.ref(self))
 
     # -- fault hooks -------------------------------------------------------

@@ -166,7 +166,7 @@ class ScenarioSpec:
             )
 
 
-#: name -> spec, in registration order (the library registers 8+)
+#: name -> spec, in registration order (the library registers nine)
 REGISTRY: dict[str, ScenarioSpec] = {}
 
 

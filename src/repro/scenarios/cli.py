@@ -1,9 +1,12 @@
 """``python -m repro scenarios`` — the adversarial scenario library.
 
-Three verbs:
+Four verbs:
 
 - ``list``            — registered scenarios with threat + invariants
 - ``run <name>``      — one scenario against the chaos workload
+- ``chaos``           — the recovery table: ``staging-crash`` at 512,
+  1024 and 2048 logical ranks beside its no-fault baseline, optionally
+  traced (``--trace``) and under flow control (``--flow``)
 - ``sweep``           — every scenario twice (the chaos matrix),
   writing ``BENCH_chaos_matrix.json`` and optionally guarding against
   the committed baseline: the ``chaos_matrix`` bench of
@@ -72,6 +75,48 @@ def _cmd_run(args) -> int:
     return 0 if result.surviving else 1
 
 
+def _cmd_chaos(args) -> int:
+    from repro.experiments.report import fmt_pct, fmt_seconds
+
+    from .runner import run_chaos
+
+    obs = None
+    workload = {}
+    if args.trace is not None:
+        from repro.obs import Observability
+
+        obs = workload["obs"] = Observability(label="chaos")
+    if args.flow is not None:
+        # a deeper fetch pipeline, so the pool cap genuinely bites
+        workload.update(flow_fraction=args.flow, fetch_pipeline_depth=6)
+    table = [
+        [
+            r.logical_ranks,
+            r.predata.nstaging_procs,
+            r.killed_node,
+            fmt_seconds(r.detection_seconds) if r.detection_seconds else "-",
+            fmt_seconds(r.recovery_seconds) if r.recovery_seconds else "-",
+            r.restarts,
+            r.fetch_retries,
+            "yes" if r.complete else "NO",
+            fmt_pct((r.wall_seconds - base_wall) / base_wall),
+        ]
+        for r, base_wall in run_chaos(**workload)
+    ]
+    print(
+        format_table(
+            ["logical ranks", "stagers", "killed node", "detect", "recover",
+             "restarts", "retries", "all steps readable", "overhead"],
+            table,
+            title="Chaos: one staging node killed mid-step (seeded, deterministic)",
+        )
+    )
+    if obs is not None:
+        print()
+        print(obs.report(args.trace, "Chaos metrics"))
+    return 0
+
+
 def main(argv: list | None = None) -> int:
     """Run the scenarios CLI; returns a process exit code."""
     argv = sys.argv[1:] if argv is None else argv
@@ -95,7 +140,23 @@ def main(argv: list | None = None) -> int:
         help="trimmed workload (128 logical ranks, 2 steps)",
     )
 
+    chaos_p = sub.add_parser(
+        "chaos", help="staging-node crash recovery at 512-2048 logical ranks"
+    )
+    chaos_p.add_argument(
+        "--trace", nargs="?", const="chaos_trace.json", default=None, metavar="PATH",
+        help="write a Chrome trace (default PATH: chaos_trace.json) "
+             "plus a .jsonl sidecar and a metrics summary",
+    )
+    chaos_p.add_argument(
+        "--flow", nargs="?", const=0.25, default=None, type=float, metavar="FRACTION",
+        help="enable flow control; cap each staging node's buffer pool "
+             "at FRACTION of its per-step working set (default 0.25)",
+    )
+
     # dispatched above; listed here so `scenarios --help` shows it
     sub.add_parser("sweep", help="the chaos matrix: `repro perf chaos_matrix` under this name")
     args = ap.parse_args(argv)
-    return _cmd_list() if args.verb == "list" else _cmd_run(args)
+    if args.verb == "list":
+        return _cmd_list()
+    return _cmd_chaos(args) if args.verb == "chaos" else _cmd_run(args)

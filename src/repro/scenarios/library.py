@@ -1,4 +1,4 @@
-"""The shipped scenario library: eight named adversarial conditions.
+"""The shipped scenario library: nine named adversarial conditions.
 
 Each scenario is registered with its threat-model row (the adversary it
 models and the :mod:`repro.check` invariants that must survive it —
@@ -18,12 +18,14 @@ withheld-fetch      RDMA gets silently never answer (timeout-only exit)
 regional-partition  a cross-region link partitions (optionally flapping)
 slow-region         one region's links are uniformly distant/congested
 kitchen-sink        everything at once, plus a crash and an FS stall
+staging-crash       one staging node dies mid-step (the recovery run)
 ==================  ====================================================
 """
 
 from __future__ import annotations
 
 from .base import ScenarioContext, ScenarioSpec, TargetSelector, register
+from .workload import CRASH_T
 
 __all__ = ["register_library"]
 
@@ -189,6 +191,13 @@ def _apply_kitchen_sink(ctx: ScenarioContext) -> None:
     ctx.plan("fs_stall", stall_at, 0.3 * (end - start))
 
 
+def _apply_staging_crash(ctx: ScenarioContext) -> None:
+    """Kill one seeded staging node at :data:`CRASH_T`, 0.2 s into the
+    chaos workload's step 1 (intensity only switches the crash on)."""
+    node = ctx.injector.crash_staging_node(at=CRASH_T)
+    ctx.plan("crash_staging", CRASH_T, node)
+
+
 # -- registration -----------------------------------------------------------
 #: the Checker ledgers a flow-less scenario run feeds (credit-ledger
 #: needs flow control, which no scenario run enables)
@@ -202,7 +211,7 @@ _ALL = _CONSERVATION + ("zero-dump-loss", "seeded-determinism")
 
 
 def register_library() -> None:
-    """Register the eight shipped scenarios (idempotent)."""
+    """Register the nine shipped scenarios (idempotent)."""
     from .base import REGISTRY
 
     if "hotspot-skew" in REGISTRY:
@@ -315,5 +324,19 @@ def register_library() -> None:
             invariants=_ALL,
             apply=_apply_kitchen_sink,
             needs_regions=True,
+        )
+    )
+    register(
+        ScenarioSpec(
+            name="staging-crash",
+            summary="one staging node dies mid-step (the recovery run)",
+            threat=(
+                "A staging node crashes while a step is in flight: the "
+                "survivors must detect it, adopt its compute clients and "
+                "re-execute the step, or degrade to synchronous writes "
+                "when no stager is left — no dump may be lost."
+            ),
+            invariants=_ALL,
+            apply=_apply_staging_crash,
         )
     )

@@ -1,30 +1,34 @@
 """Scenario runner: one chaos-workload run per scenario set.
 
 Glues a :class:`~repro.scenarios.harness.ScenarioHarness` onto the
-chaos workload (:func:`repro.experiments.chaos.run_once`) with the
+chaos workload (:func:`repro.scenarios.workload.run_once`) with the
 invariant checker bound, and distils the outcome into a
 :class:`ScenarioRunResult`: completeness, fired faults, surviving
 invariants, and the two determinism digests (run fingerprint +
-schedule hash) combined into one scenario fingerprint.
+schedule hash) combined into one scenario fingerprint.  The harness is
+the workload's only source of faults, so the scenario set fully owns
+the fault schedule.
 
-The runner builds its *own* resilient configuration and runs the
-workload without its built-in injector (``inject=False``) — all
-adversity comes from the harness, so the scenario set fully owns the fault
-schedule.
+:func:`crash_run` and :func:`run_chaos` are the ``staging-crash``
+scenario at the workload's own resilience defaults: the recovery table
+of ``python -m repro scenarios chaos``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .base import INVARIANTS, Scenario, make
 from .harness import ScenarioHarness
+from .workload import ChaosRun, fingerprint, run_once
 
 __all__ = [
     "DEFAULT_REGIONS",
     "ScenarioRunResult",
+    "crash_run",
+    "run_chaos",
     "run_named",
     "run_scenarios",
     "sweep",
@@ -94,18 +98,14 @@ def run_scenarios(
 
     ``fast`` shrinks the workload (fewer ranks and steps) for test and
     smoke use; extra ``workload`` kwargs are forwarded verbatim to
-    :func:`repro.experiments.chaos.run_once`.
+    :func:`repro.scenarios.workload.run_once`.
     """
     from repro.check import Checker
-    from repro.experiments.chaos import fingerprint as run_fingerprint
-    from repro.experiments.chaos import run_once
     from repro.faults import ResilienceConfig
 
     harness = ScenarioHarness(list(scenarios), seed=seed)
     checker = Checker()
     config = dict(
-        inject=False,
-        seed=seed,
         resilience=ResilienceConfig(
             fetch_timeout=1.0,
             fetch_retry_backoff=0.25,
@@ -122,8 +122,9 @@ def run_scenarios(
     run = run_once(**config)
 
     schedule_hash = harness.schedule_hash()
+    # the schedule hash already digests the fired-fault log
     combined = hashlib.sha256(
-        (run_fingerprint(run) + "|" + schedule_hash).encode()
+        (fingerprint(replace(run, injector=None)) + "|" + schedule_hash).encode()
     ).hexdigest()
     violations = checker.violations(run.predata)
     fired = harness.fired
@@ -158,6 +159,27 @@ def run_named(
     """Run one registered scenario by name (the CLI entry point)."""
     scenario = make(name, seed=seed, intensity=intensity)
     return run_scenarios([scenario], seed=seed, fast=fast, **workload)
+
+
+def crash_run(seed: int, **workload) -> ChaosRun:
+    """The chaos workload under ``staging-crash`` alone, harness-seeded
+    with *seed*, at :func:`run_once`'s own resilience defaults and with
+    no checker bound; *workload* is forwarded to :func:`run_once`."""
+    harness = ScenarioHarness([make("staging-crash")], seed=seed)
+    return run_once(scenario_harness=harness, **workload)
+
+
+def run_chaos(**workload) -> list[tuple[ChaosRun, float]]:
+    """(fault run, no-fault baseline wall seconds) at 512, 1024 and 2048
+    logical ranks: :func:`crash_run` at seed 7 beside the identical
+    run without a harness, which isolates the recovery's cost."""
+    return [
+        (
+            crash_run(7, logical_ranks=logical, **workload),
+            run_once(logical_ranks=logical, **workload).wall_seconds,
+        )
+        for logical in (512, 1024, 2048)
+    ]
 
 
 def sweep(names: Sequence[str] | None = None, *, fast: bool = False) -> dict:

@@ -1,12 +1,13 @@
-"""Chaos experiment: staging-node crash mid-step, recovery measured.
+"""The chaos workload every scenario runs against.
 
-Exercises the resilience subsystem end to end at 512–2048 *logical*
-ranks (representative-rank methodology, see DESIGN.md): a Pixie3D-like
-application dumps 3-D field steps through the Staging configuration
-with the layout-reorganisation operator, and a seeded
-:class:`~repro.faults.injector.FaultInjector` kills one staging node in
-the middle of a step.  The run must then demonstrate the protocol's
-guarantees:
+A Pixie3D-like application dumps 3-D field steps through the Staging
+configuration with the layout-reorganisation operator, at 512–2048
+*logical* ranks (representative-rank methodology, see DESIGN.md).  The
+run itself injects nothing: every fault comes from the
+:class:`~repro.scenarios.harness.ScenarioHarness` passed in, so the
+``staging-crash`` scenario — one staging node killed at :data:`CRASH_T`,
+in the middle of step 1 — is the resilience subsystem's acceptance run.
+A run must then demonstrate the protocol's guarantees:
 
 - the surviving staging processes detect the death via heartbeats,
   adopt the dead node's compute clients and re-execute the interrupted
@@ -14,12 +15,8 @@ guarantees:
 - the run completes and **every** dump step is readable back from the
   merged BP file (or the synchronous fallback file under degradation)
   bit-for-bit — zero data loss;
-- the whole scenario is reproducible event-for-event under a fixed
-  injector seed (the :func:`fingerprint` of two same-seed runs is
-  identical).
-
-``main()`` prints one row per logical scale, comparing against an
-identical no-fault baseline to isolate recovery interference.
+- the whole run is reproducible event-for-event under a fixed harness
+  seed (the :func:`fingerprint` of two same-seed runs is identical).
 """
 
 from __future__ import annotations
@@ -29,25 +26,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.adios.bp import BPFile, BPWriter
+from repro.adios.bp import BPError, BPFile, BPWriter
 from repro.adios.group import ChunkMeta, OutputStep
 from repro.adios.io import SyncMPIIO
 from repro.apps.groups import FIELD_GROUP
 from repro.core import PreDatA
-from repro.experiments.cli import command_parser
-from repro.experiments.report import fmt_pct, fmt_seconds, format_table
-from repro.faults import FaultInjector, ResilienceConfig
+from repro.faults import ResilienceConfig
+from repro.ffs import SchemaError
 from repro.flow import FlowConfig
 from repro.machine import TESTING_TINY, Machine
 from repro.mpi import World
 from repro.operators.array_merge import ArrayMergeOperator
 from repro.sim import Engine
 
-__all__ = ["ChaosResult", "ChaosRun", "cli", "fingerprint", "main", "run_chaos", "run_once"]
+__all__ = ["CRASH_T", "ChaosRun", "fingerprint", "run_once"]
 
-#: simulated seconds between this experiment's dumps (its own workload, not
-#: :mod:`repro.check.workloads`'), and when the staging node is killed:
-#: 0.2 s into step 1
+#: simulated seconds between this workload's dumps (its own, not
+#: :mod:`repro.check.workloads`'), and when ``staging-crash`` kills a
+#: staging node: 0.2 s into step 1
 DUMP_INTERVAL = 2.0
 CRASH_T = DUMP_INTERVAL + 0.2
 #: field-slab edge per simulated rank, and the logical dump volume each
@@ -82,12 +78,12 @@ def _field_step(
 
 @dataclass
 class ChaosRun:
-    """Everything one chaos run produced (handles + derived metrics)."""
+    """Everything one chaos-workload run produced (handles + metrics)."""
 
     logical_ranks: int
     rep_ranks: int
     nsteps: int
-    injected: bool
+    #: the staging node whose crash fired first, -1 when none did
     killed_node: int
     wall_seconds: float
     complete: bool
@@ -101,30 +97,13 @@ class ChaosRun:
     fallback_file: BPFile | None
     engine: Engine = field(repr=False, default=None)
     predata: PreDatA = field(repr=False, default=None)
-    injector: FaultInjector | None = field(repr=False, default=None)
+    #: the harness's injector (None without a harness or fault)
+    injector: object = field(repr=False, default=None)
     # -- flow-control counters (all zero when flow is disabled) -----------
     flow_spill_bytes: float = 0.0
     flow_unspill_bytes: float = 0.0
     flow_mean_sojourn: float = 0.0
     flow_overflow_steps: int = 0
-
-
-@dataclass
-class ChaosResult:
-    """One printed row: fault run vs. its no-fault baseline."""
-
-    logical_ranks: int
-    rep_ranks: int
-    nstaging_procs: int
-    killed_node: int
-    detection_seconds: float | None
-    recovery_seconds: float | None
-    restarts: int
-    fetch_retries: int
-    degraded_steps: int
-    complete: bool
-    wall_seconds: float
-    overhead_fraction: float
 
 
 def run_once(
@@ -133,8 +112,6 @@ def run_once(
     rep_ranks: int = 8,
     nsteps: int = 4,
     nstaging_nodes: int = 2,
-    inject: bool = True,
-    seed: int = 7,
     resilience: ResilienceConfig | None = None,
     obs=None,
     flow_fraction: float | None = None,
@@ -145,18 +122,22 @@ def run_once(
     scenario_harness=None,
     topology=None,
 ) -> ChaosRun:
-    """One complete chaos scenario; returns metrics + readable files.
+    """One complete chaos-workload run; returns metrics + readable files.
 
     The ``rep_ranks`` simulated processes stand for ``logical_ranks``
     logical ones: each carries its share of the logical dump volume
     (:data:`PER_LOGICAL_RANK_MB` per logical rank) as wire/memory
     inflation, so fetch and shuffle take realistic simulated time and
-    the kill genuinely lands inside an in-flight step (:data:`CRASH_T`,
-    0.2 s into step 1 of dumps :data:`DUMP_INTERVAL` apart).
+    a crash at :data:`CRASH_T` genuinely lands inside an in-flight step
+    (dumps are :data:`DUMP_INTERVAL` apart).
 
-    ``inject=False`` runs the *identical* configuration (same seed)
-    without building the injector — the interference baseline and the
-    determinism control.  ``obs`` binds an
+    ``scenario_harness`` (a :class:`repro.scenarios.ScenarioHarness`)
+    is attached before the application starts and is the run's only
+    source of faults; without one the run is the interference baseline.
+    A harness whose every scenario has zero intensity attaches nothing
+    and leaves the run byte-identical.  ``topology`` is forwarded to
+    :class:`~repro.machine.Machine` (regional scenarios pass a
+    ``RegionalTopology`` factory).  ``obs`` binds an
     :class:`repro.obs.Observability` sink to the run's engine so the
     crash/detection/recovery protocol shows up as trace instants.
 
@@ -175,13 +156,6 @@ def run_once(
     so the run stays byte-identical (fingerprint *and* schedule hash)
     with streaming enabled; the recorded steps are replayed into a
     live stream as a separate post-pass.
-
-    ``scenario_harness`` attaches an adversarial scenario set
-    (:class:`repro.scenarios.ScenarioHarness`) to the run before the
-    application starts; a harness whose every scenario has zero
-    intensity attaches nothing and leaves the run byte-identical.
-    ``topology`` is forwarded to :class:`~repro.machine.Machine`
-    (regional scenarios pass a ``RegionalTopology`` factory).
     """
     eng = Engine()
     if schedule_trace is not None:
@@ -189,7 +163,7 @@ def run_once(
     if check is not None:
         check.bind(eng)
     if obs is not None:
-        kind = "fault" if inject else "baseline"
+        kind = "baseline" if scenario_harness is None else "fault"
         obs.bind(eng, label=f"chaos:{logical_ranks}:{kind}")
     machine = Machine(
         eng, rep_ranks, nstaging_nodes, spec=TESTING_TINY,
@@ -224,13 +198,9 @@ def run_once(
     if stream_bridge is not None:
         stream_bridge.attach(predata.service)
     injector = None
-    killed = -1
-    if inject:
-        injector = FaultInjector(eng, machine, seed=seed)
-        injector.arm(predata.client)
-        killed = injector.crash_staging_node(at=CRASH_T)
     if scenario_harness is not None:
         scenario_harness.attach(eng, machine, predata, nsteps=nsteps)
+        injector = scenario_harness.injector
 
     app = World(
         eng,
@@ -267,30 +237,28 @@ def run_once(
         if not _step_recovered(merged, fallback_file, s, expected):
             missing.append(s)
 
+    # the first node crash that actually fired, whichever scenario set it
+    fired = injector.injected if injector else ()
+    crash = next(((t, node) for k, t, node in fired if k == "crash"), None)
     controller = predata.controller
     detection = controller.detection_latency() if controller else None
     # Recovery latency: crash -> commit of the step the survivors had to
     # re-execute (the restart step recorded in the recovery timeline).
     recovery = None
-    if inject and controller is not None:
+    if crash is not None and controller is not None:
         restart_step = next(
             (d["step"] for k, _t, d in controller.timeline if k == "recovery"),
             None,
         )
-        commit = (
-            predata.service.commit_times.get(restart_step)
-            if restart_step is not None
-            else None
-        )
-        if commit is not None and commit > CRASH_T:
-            recovery = commit - CRASH_T
+        commit = predata.service.commit_times.get(restart_step)
+        if commit is not None and commit > crash[0]:
+            recovery = commit - crash[0]
     fc = predata.flow
     return ChaosRun(
         logical_ranks=logical_ranks,
         rep_ranks=rep_ranks,
         nsteps=nsteps,
-        injected=inject,
-        killed_node=killed,
+        killed_node=-1 if crash is None else crash[1],
         wall_seconds=wall,
         complete=not missing,
         missing_steps=missing,
@@ -317,13 +285,18 @@ def _step_recovered(
     step: int,
     expected: np.ndarray,
 ) -> bool:
-    """Whether *step*'s global array reads back exactly from any file."""
+    """Whether *step*'s global array reads back exactly from any file.
+
+    A file that lacks the step (or holds it only partly) raises
+    :class:`BPError`, one whose record does not decode raises
+    :class:`SchemaError`; any other error is a bug and propagates.
+    """
     for f in (merged, fallback_file):
         if f is None:
             continue
         try:
             got = f.read_global_array("rho", step)
-        except Exception:
+        except (BPError, SchemaError):
             continue
         if np.array_equal(got, expected):
             return True
@@ -372,116 +345,3 @@ def fingerprint(run: ChaosRun) -> str:
             h.update(f"pg|{f.name}|{pg.rank}|{pg.step}|".encode())
             h.update(pg.payload)
     return h.hexdigest()
-
-
-def run_chaos(**kwargs) -> list[ChaosResult]:
-    """Fault run + no-fault baseline at 512, 1024 and 2048 logical ranks."""
-    rows = []
-    for logical in (512, 1024, 2048):
-        fault = run_once(logical_ranks=logical, inject=True, **kwargs)
-        base = run_once(logical_ranks=logical, inject=False, **kwargs)
-        overhead = (
-            (fault.wall_seconds - base.wall_seconds) / base.wall_seconds
-            if base.wall_seconds > 0
-            else 0.0
-        )
-        rows.append(
-            ChaosResult(
-                logical_ranks=logical,
-                rep_ranks=fault.rep_ranks,
-                nstaging_procs=fault.predata.nstaging_procs,
-                killed_node=fault.killed_node,
-                detection_seconds=fault.detection_seconds,
-                recovery_seconds=fault.recovery_seconds,
-                restarts=fault.restarts,
-                fetch_retries=fault.fetch_retries,
-                degraded_steps=fault.degraded_steps,
-                complete=fault.complete,
-                wall_seconds=fault.wall_seconds,
-                overhead_fraction=overhead,
-            )
-        )
-    return rows
-
-
-def main(
-    trace: str | None = None, flow_fraction: float | None = None
-) -> None:
-    """Print the chaos-recovery series (one staging node killed mid-step).
-
-    ``trace``: path of a Chrome ``trace_event`` JSON to write; fault
-    and baseline runs each get a track group, recovery-protocol events
-    (crash/detected/recovery/replayed) appear as instants, and the
-    metrics summary is printed after the table.
-
-    ``flow_fraction``: enable flow control with the staging buffer
-    pool capped at that fraction of the per-node working set (the
-    ``--flow`` CLI flag); a deeper fetch pipeline is used so the cap
-    genuinely bites.
-    """
-    obs = None
-    kwargs = {}
-    if trace is not None:
-        from repro.obs import Observability
-
-        obs = Observability(label="chaos")
-        kwargs["obs"] = obs
-    if flow_fraction is not None:
-        kwargs["flow_fraction"] = flow_fraction
-        kwargs["fetch_pipeline_depth"] = 6
-    rows = run_chaos(**kwargs)
-    table = [
-        [
-            r.logical_ranks,
-            r.nstaging_procs,
-            r.killed_node,
-            fmt_seconds(r.detection_seconds) if r.detection_seconds else "-",
-            fmt_seconds(r.recovery_seconds) if r.recovery_seconds else "-",
-            r.restarts,
-            r.fetch_retries,
-            "yes" if r.complete else "NO",
-            fmt_pct(r.overhead_fraction),
-        ]
-        for r in rows
-    ]
-    print(
-        format_table(
-            [
-                "logical ranks",
-                "stagers",
-                "killed node",
-                "detect",
-                "recover",
-                "restarts",
-                "retries",
-                "all steps readable",
-                "overhead",
-            ],
-            table,
-            title="Chaos: one staging node killed mid-step (seeded, deterministic)",
-        )
-    )
-    if obs is not None:
-        print()
-        print(obs.report(trace, "Chaos metrics"))
-
-
-def cli(argv: list[str] | None = None) -> None:
-    """``python -m repro chaos``: parse the flags, run :func:`main`."""
-    p = command_parser("chaos", "Chaos: staging-node crash recovery")
-    p.add_argument(
-        "--trace", nargs="?", const="chaos_trace.json", default=None, metavar="PATH",
-        help="write a Chrome trace (default PATH: chaos_trace.json) "
-             "plus a .jsonl sidecar and a metrics summary",
-    )
-    p.add_argument(
-        "--flow", nargs="?", const=0.25, default=None, type=float, metavar="FRACTION",
-        help="enable flow control; cap each staging node's buffer pool "
-             "at FRACTION of its per-step working set (default 0.25)",
-    )
-    a = p.parse_args(argv)
-    main(trace=a.trace, flow_fraction=a.flow)
-
-
-if __name__ == "__main__":
-    cli()

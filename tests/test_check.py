@@ -165,17 +165,6 @@ def test_end_state_names_a_compute_side_buffer_nobody_fetched():
     )
 
 
-def test_chaos_run_passes_invariants_under_faults():
-    from repro.experiments.chaos import run_once
-
-    chk = Checker()
-    run = run_once(check=chk)
-    assert run.complete
-    assert chk.faults, "injector fired no fault"
-    assert chk.perturbed
-    chk.verify(run.predata)
-
-
 # -- oracle inputs ----------------------------------------------------------
 
 

@@ -80,7 +80,7 @@ def test_module_guard_is_the_registry_callable():
         ["fig9", "--fast"],
         ["fig10", "--trace"],
         ["utilization", "--fast"],
-        ["chaos", "--fast"],
+        ["scenarios", "chaos", "--fast"],
         ["headline", "--flow"],
         ["headline", "--trace"],
         ["fig7", "--flow"],

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.chaos import fingerprint, run_once
 from repro.faults import (
     FailureDetector,
     FaultInjector,
@@ -13,6 +12,7 @@ from repro.faults import (
 )
 from repro.faults.config import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
 from repro.machine import Machine, TESTING_TINY
+from repro.scenarios import crash_run, fingerprint, run_once
 from repro.sim import Engine
 
 
@@ -195,8 +195,8 @@ _SMALL = dict(
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_fixed_seed_runs_are_bit_identical(seed):
-    a = run_once(seed=seed, **_SMALL)
-    b = run_once(seed=seed, **_SMALL)
+    a = crash_run(seed, **_SMALL)
+    b = crash_run(seed, **_SMALL)
     assert fingerprint(a) == fingerprint(b)
     assert a.complete and b.complete
 
@@ -229,7 +229,7 @@ def test_corrupt_chunk_is_rejected_and_refetched_end_to_end():
 
     h = _Harness()
     run = run_once(
-        inject=False, scenario_harness=h,
+        scenario_harness=h,
         resilience=ResilienceConfig(fetch_timeout=1.0, fetch_max_attempts=4),
         **_SMALL,
     )
@@ -254,7 +254,7 @@ def test_withheld_fetch_recovers_end_to_end():
 
     h = _Harness()
     run = run_once(
-        inject=False, scenario_harness=h,
+        scenario_harness=h,
         resilience=ResilienceConfig(fetch_timeout=0.5, fetch_max_attempts=4),
         **_SMALL,
     )
@@ -281,7 +281,7 @@ class _RandomFaultHarness:
 def _random_fault_run(seed: int):
     h = _RandomFaultHarness(seed)
     run = run_once(
-        inject=False, scenario_harness=h,
+        scenario_harness=h,
         resilience=ResilienceConfig(
             fetch_timeout=1.0, fetch_retry_backoff=0.25, fetch_max_attempts=6
         ),

@@ -3,7 +3,7 @@
 Every combination of the three optional subsystems runs the same seeded
 chaos workload twice — on the production kernels and with every
 ``repro.perf.kernels.NAIVE`` reference body patched over them; the run
-:func:`~repro.experiments.chaos.fingerprint` must match the all-off
+:func:`~repro.scenarios.fingerprint` must match the all-off
 baseline wherever byte-identity is promised:
 
 - the *trace* dimension (observability + schedule trace + invariant
@@ -29,9 +29,9 @@ import itertools
 import pytest
 
 from repro.check import Checker, ScheduleTrace
-from repro.experiments.chaos import fingerprint, run_once
 from repro.obs import Observability
 from repro.perf import kernels
+from repro.scenarios import crash_run, fingerprint, run_once
 
 #: "naive" = every ``kernels.NAIVE`` body patched over its production name
 VARIANTS = ("naive", "vectorized")
@@ -40,7 +40,7 @@ COMBOS = [(*flags, kern) for flags in FLAGS for kern in VARIANTS]  # 16
 
 
 def _run(flow: bool, trace: bool, faults: bool, kern: str = "vectorized"):
-    kw = dict(inject=faults)
+    kw = {}
     if flow:
         kw["flow_fraction"] = 0.5
     sinks = {}
@@ -53,7 +53,8 @@ def _run(flow: bool, trace: bool, faults: bool, kern: str = "vectorized"):
         if kern == "naive":
             for name, reference in kernels.NAIVE.items():
                 patch.setattr(kernels, name, reference)
-        run = run_once(**kw)
+        # faults: the staging-crash scenario at harness seed 7
+        run = crash_run(7, **kw) if faults else run_once(**kw)
     return fingerprint(run), run, sinks
 
 
@@ -228,7 +229,7 @@ def _run_with_stream_bridge():
         schedule_trace=ScheduleTrace(),
         check=Checker(),
     )
-    run = run_once(inject=False, stream_bridge=bridge, **sinks)
+    run = run_once(stream_bridge=bridge, **sinks)
     return fingerprint(run), run, sinks, bridge
 
 
@@ -349,7 +350,7 @@ def _run_with_zero_scenarios():
         schedule_trace=ScheduleTrace(),
         check=Checker(),
     )
-    run = run_once(inject=False, scenario_harness=harness, **sinks)
+    run = run_once(scenario_harness=harness, **sinks)
     return fingerprint(run), run, sinks, harness
 
 

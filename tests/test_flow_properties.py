@@ -27,10 +27,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import chaos
 from repro.flow.pool import BufferPool
+from repro.scenarios import ChaosRun, crash_run, fingerprint, run_once, workload
 
-# Mirror chaos.run_once's sizing so the expected chunk size is known.
+# Mirror run_once's sizing so the expected chunk size is known.
 REP_RANKS = 8
 NSTAGING_NODES = 2
 LOGICAL_RANKS = 512
@@ -43,22 +43,23 @@ COMMON_SETTINGS = settings(
 
 
 def _chunk_bytes() -> float:
-    """One compute rank's packed chunk size inside chaos.run_once."""
-    real = chaos.LOCAL_N**3 * 8
-    scale = max(1.0, LOGICAL_RANKS * chaos.PER_LOGICAL_RANK_MB * 1e6 / (REP_RANKS * real))
+    """One compute rank's packed chunk size inside run_once."""
+    real = workload.LOCAL_N**3 * 8
+    scale = max(1.0, LOGICAL_RANKS * workload.PER_LOGICAL_RANK_MB * 1e6 / (REP_RANKS * real))
     return real * scale
 
 
-def _run(seed: int, fraction: float, inject: bool, depth: int) -> chaos.ChaosRun:
-    return chaos.run_once(
+def _run(seed: int, fraction: float, inject: bool, depth: int) -> ChaosRun:
+    """A staging-crash run at harness seed *seed*, or, when *inject* is
+    false, the same workload without faults."""
+    config = dict(
         logical_ranks=LOGICAL_RANKS,
         rep_ranks=REP_RANKS,
         nstaging_nodes=NSTAGING_NODES,
-        seed=seed,
-        inject=inject,
         flow_fraction=fraction,
         fetch_pipeline_depth=depth,
     )
+    return crash_run(seed, **config) if inject else run_once(**config)
 
 
 @COMMON_SETTINGS
@@ -130,6 +131,6 @@ def test_flow_chaos_fingerprint_deterministic(seed):
     """Same seed + same flow config reproduce the fingerprint exactly."""
     a = _run(seed, 0.25, True, 4)
     b = _run(seed, 0.25, True, 4)
-    assert chaos.fingerprint(a) == chaos.fingerprint(b)
+    assert fingerprint(a) == fingerprint(b)
     assert a.engine.now == b.engine.now
     assert a.flow_spill_bytes == b.flow_spill_bytes

@@ -9,7 +9,7 @@ import pytest
 from tests.helpers import awaited_collective
 from repro.check import ScheduleTrace
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
-from repro.machine.network import live_networks, registry_mark
+from repro.machine.network import live_networks, network_totals, registry_mark
 from repro.mpi import World
 from repro.sim import Engine
 
@@ -443,3 +443,24 @@ def test_finished_network_stays_listed_until_the_next_gc_pass():
         assert live_networks(mark) == []
     finally:
         gc.enable()
+
+
+def test_network_totals_count_every_simulation_whatever_gc_did():
+    """A benchmark's sidecar counts every simulation its call built: one
+    that gc already collected still reports its final clock and bytes."""
+
+    def run(nbytes):
+        eng, net = make_net(link_bandwidth=1e9)
+        eng.process(net.transfer(0, 1, nbytes))
+        eng.run()
+        return eng.now
+
+    mark = registry_mark()
+    first = run(1e6)
+    gc.collect()
+    second = run(2e6)
+    assert len(live_networks(mark)) < 2  # the first one is gone
+    assert network_totals(mark) == [(first, 1e6), (second, 2e6)]
+    gc.collect()
+    assert live_networks(mark) == []
+    assert network_totals(mark) == [(first, 1e6), (second, 2e6)]

@@ -243,11 +243,11 @@ def test_disabled_observability_is_byte_identical():
     """Tier-1 guard: the default (obs=None) pipeline must match the
     pre-instrumentation pipeline event-for-event and bit-for-bit, and
     an *enabled* sink must not change the simulated results either."""
-    from repro.experiments.chaos import fingerprint, run_once
+    from repro.scenarios import crash_run, fingerprint
 
-    plain = fingerprint(run_once(rep_ranks=4, nsteps=2))
-    again = fingerprint(run_once(rep_ranks=4, nsteps=2))
-    traced = fingerprint(run_once(rep_ranks=4, nsteps=2, obs=Observability()))
+    plain = fingerprint(crash_run(7, rep_ranks=4, nsteps=2))
+    again = fingerprint(crash_run(7, rep_ranks=4, nsteps=2))
+    traced = fingerprint(crash_run(7, rep_ranks=4, nsteps=2, obs=Observability()))
     assert plain == again  # baseline determinism
     assert plain == traced  # recording never perturbs the simulation
 

@@ -7,13 +7,13 @@ from tests.helpers import FIELD_GROUP, field_step
 from repro.adios import BPWriter, SyncMPIIO
 from repro.check import Checker
 from repro.core import DrainTimeout, PreDatA
-from repro.experiments.chaos import run_once
 from repro.faults import FaultInjector, FetchTimeout, NoLiveStagers, ResilienceConfig
 from repro.flow import FlowConfig
 from repro.machine import Machine, TESTING_TINY
 from repro.mpi import World
 from repro.obs import Observability
 from repro.operators import ArrayMergeOperator
+from repro.scenarios import crash_run
 from repro.sim import Engine
 
 
@@ -205,12 +205,7 @@ def test_exhausted_fetch_retries_end_the_run_in_fetch_timeout():
 
 # ------------------------------------------- end-to-end crash recovery
 def test_staging_crash_recovers_with_zero_loss():
-    r = run_once(
-        logical_ranks=64,
-        rep_ranks=4,
-        nsteps=3,
-        seed=3,
-    )
+    r = crash_run(3, logical_ranks=64, rep_ranks=4, nsteps=3)
     assert r.complete, f"missing steps: {r.missing_steps}"
     assert r.restarts >= 1
     assert r.detection_seconds is not None and r.detection_seconds > 0
@@ -226,13 +221,7 @@ def test_staging_crash_recovers_with_zero_loss():
 def test_all_stagers_dead_degrades_and_salvages():
     # 4 steps so at least one dump happens *after* detection flips the
     # client into degraded mode (detection takes ~heartbeat timeout)
-    r = run_once(
-        logical_ranks=64,
-        rep_ranks=4,
-        nsteps=4,
-        nstaging_nodes=1,
-        seed=3,
-    )
+    r = crash_run(3, logical_ranks=64, rep_ranks=4, nsteps=4, nstaging_nodes=1)
     assert r.complete, f"missing steps: {r.missing_steps}"
     assert r.predata.client.degraded
     assert r.degraded_steps > 0  # later dumps went through the fallback

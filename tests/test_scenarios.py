@@ -21,23 +21,29 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main as repro_main
+from repro.adios.bp import BPError
 from repro.check import Checker, ScheduleTrace
-from repro.experiments.chaos import fingerprint, run_once
+from repro.ffs import SchemaError
 from repro.scenarios import (
     INVARIANTS,
     REGISTRY,
     Scenario,
     ScenarioHarness,
+    crash_run,
+    fingerprint,
     get,
     make,
     names,
+    run_once,
     run_scenarios,
 )
+from repro.scenarios.workload import CRASH_T, _step_recovered
 
 SEED = 11
 INTENSITY = 0.8
@@ -129,10 +135,7 @@ def test_different_seed_moves_the_schedule():
 # -- (c) off-state byte-identity -------------------------------------------
 def _traced(**kw):
     sinks = dict(schedule_trace=ScheduleTrace(), check=Checker())
-    run = run_once(
-        inject=False,
-        logical_ranks=128, rep_ranks=4, nsteps=2, **sinks, **kw,
-    )
+    run = run_once(logical_ranks=128, rep_ranks=4, nsteps=2, **sinks, **kw)
     return fingerprint(run), sinks["schedule_trace"]
 
 
@@ -185,6 +188,55 @@ def test_kitchen_sink_composes_everything(wall):
     assert {"crash", "fs_stall", "degrade_link"} <= kinds, kinds
     assert first.restarts > 0, "the crash must force a step re-execution"
     assert first.complete and first.violations == []
+
+
+def test_harness_crash_reports_recovery_latency(wall):
+    """Recovery latency runs from the crash that fired, whichever
+    scenario scheduled it: kitchen-sink kills its node mid-window, not
+    at the staging-crash scenario's CRASH_T."""
+    run = wall["kitchen-sink"][0].run
+    assert run.restarts >= 1
+    (crash_t,) = [t for kind, t, _node in run.injector.injected if kind == "crash"]
+    assert crash_t != CRASH_T
+    restart = next(
+        d["step"] for kind, _t, d in run.predata.controller.timeline if kind == "recovery"
+    )
+    assert run.recovery_seconds > 0
+    assert run.recovery_seconds == run.predata.service.commit_times[restart] - crash_t
+
+
+def test_chaos_run_passes_invariants_under_faults():
+    """The staging-crash scenario at harness seed 7 and the workload's
+    default resilience settings (512 logical ranks, 8 simulated, 4
+    steps): recovered, with the checker in perturbed mode and clean."""
+    chk = Checker()
+    run = crash_run(7, check=chk)
+    assert run.complete
+    assert chk.faults, "injector fired no fault"
+    assert chk.perturbed
+    chk.verify(run.predata)
+
+
+class _Unreadable:
+    """A BP file whose every global-array read raises *exc*."""
+
+    def __init__(self, exc: Exception):
+        self.exc = exc
+
+    def read_global_array(self, var, step):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc", [BPError("no chunks"), SchemaError("bad record")])
+def test_an_unreadable_step_counts_as_lost(exc):
+    assert not _step_recovered(_Unreadable(exc), None, 0, np.zeros(1))
+
+
+def test_a_bug_in_the_read_path_propagates():
+    """Any error but a missing step or an undecodable record is a bug,
+    and must surface as one instead of as "data lost"."""
+    with pytest.raises(TypeError, match="bug"):
+        _step_recovered(_Unreadable(TypeError("bug")), None, 0, np.zeros(1))
 
 
 def test_regional_scenarios_request_regions():

@@ -27,8 +27,8 @@ grep -v '^\[run_all completed in .* s wall\]$' "$out/paper-tables.txt" \
 quiet python -m repro utilization
 
 echo "== chaos trace, and memory pressure under flow control (1/4 working set)"
-quiet python -m repro chaos --trace "$out/chaos_trace.json"
-quiet python -m repro chaos --flow 0.25 --trace "$out/flow_trace.json"
+quiet python -m repro scenarios chaos --trace "$out/chaos_trace.json"
+quiet python -m repro scenarios chaos --flow 0.25 --trace "$out/flow_trace.json"
 
 echo "== schedule fuzz (fig7 histogram), two fuzz runs print the same, then full verification"
 quiet python -m repro check --fuzz 10 --workload histogram --no-oracles --no-invariants
@@ -45,5 +45,7 @@ quiet python -m repro scenarios list
 for name in $(python -c "from repro.scenarios import names; print(' '.join(names()))"); do
   quiet python -m repro scenarios run "$name" --fast --intensity 0.5
 done
+# the full-size staging-node crash with the invariant checker bound
+quiet python -m repro scenarios run staging-crash --seed 7
 quiet python -m repro scenarios sweep --fast --out "$out/scenarios-out" --baseline default
 echo "smoke OK"
