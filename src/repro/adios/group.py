@@ -77,6 +77,12 @@ class GroupDef:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate var names in group {self.name!r}")
         object.__setattr__(self, "vars", tuple(self.vars))
+        object.__setattr__(self, "_hash", hash((self.name, self.vars)))
+
+    def __hash__(self) -> int:
+        # the fields' hash, taken once: every packed step looks its
+        # schema up by its group
+        return self._hash
 
     def var(self, name: str) -> VarDef:
         """The :class:`VarDef` named *name* (KeyError if absent)."""

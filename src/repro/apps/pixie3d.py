@@ -27,6 +27,7 @@ rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Generator, Optional
 
 import numpy as np
@@ -97,6 +98,22 @@ COMPUTE_SECONDS_BETWEEN_COLLECTIVES = 0.7
 _FIELD_SEED = 11
 
 
+@lru_cache(maxsize=8)
+def _factors(n: int) -> tuple[np.ndarray, ...]:
+    """What a dump's block shares across ranks and steps at size *n*:
+    the variable index, the ``cos(2πy)`` and ``cos(πz)`` factors, and
+    the per-variable offset, each shaped to broadcast into ``(8, n, n, n)``."""
+    vi = np.arange(len(PIXIE3D_VARS))
+    y = (np.arange(n) + 0.5) / n
+    z = (np.arange(n) + 0.5) / n
+    return (
+        vi,
+        np.cos(2 * np.pi * y)[None, None, :, None],
+        np.cos(np.pi * z)[None, None, None, :],
+        (0.1 * vi)[:, None, None, None],
+    )
+
+
 class Pixie3DApplication:
     """The Pixie3D skeleton, runnable under any ADIOS transport.
 
@@ -144,16 +161,12 @@ class Pixie3DApplication:
         n = cfg.functional_size
         gx = self.world.size * n
         lo = rank * n
-        vi = np.arange(len(PIXIE3D_VARS))
+        vi, cos_y, cos_z, offset = _factors(n)
         x = (np.arange(lo, lo + n) + 0.5) / gx
-        y = (np.arange(n) + 0.5) / n
-        z = (np.arange(n) + 0.5) / n
         phase = 0.37 * vi + 0.11 * step + _FIELD_SEED * 1e-3
         block = (
             np.sin(2 * np.pi * (x[None, :] + phase[:, None]))[:, :, None, None]
-            * np.cos(2 * np.pi * y)[None, None, :, None]
-            * np.cos(np.pi * z)[None, None, None, :]
-            + (0.1 * vi)[:, None, None, None]
+            * cos_y * cos_z + offset
         )
         block[0] += 2.0  # mass density stays strictly positive
         chunk = ChunkMeta((gx, n, n), (lo, 0, 0))

@@ -29,13 +29,18 @@ original buffer, ``bytes``/``bytearray``/``memoryview`` alike);
 callers that need writable arrays copy explicitly.
 
 A record's format is described once, as in FFS: each schema is compiled
-once into its header JSON text and field dtypes, held in a bounded cache
-keyed by the :class:`Schema`, and :func:`encode` splices that text into
-each header; the bytes are exactly ``json.dumps`` of the whole header.
-:func:`decode` finds the compiled format of a header's schema through a
-bounded cache keyed by the schema's JSON text; a miss builds and
-validates the schema as if nothing were cached, and every record's
-extents and sizes are checked whatever the cache holds.
+once into its header JSON text, field dtypes and extent rules, held in a
+bounded cache keyed by the :class:`Schema`, and :func:`encode` splices
+that text into each header; the bytes are exactly ``json.dumps`` of the
+whole header.  :func:`decode` finds the format from the header's bytes:
+a header that begins ``{"schema":`` + the text of a schema it has
+compiled before + ``,"shapes":`` parses only what follows that text.
+Any other header — an unknown or differently spaced schema text, or a
+rest that is not JSON or repeats ``"schema"`` — is parsed whole, and its
+schema, re-serialised, keys a bounded cache of compiled formats; a miss
+builds and validates the schema as if nothing were cached.  Every
+record's extents are checked against the compiled format, and its sizes
+against the buffer, whatever the cache holds.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ __all__ = ["encode", "decode"]
 
 MAGIC = b"FFS1"
 _ALIGN = 8
+#: the one type a header's extents may have (a bool is no extent)
+_INT = {int}
 #: header entries that must be JSON objects when present
 _HEADER_OBJECTS = ("schema", "shapes", "scalars", "attrs")
 
@@ -71,26 +78,69 @@ class _Format(NamedTuple):
     schema: Schema
     #: the schema's JSON in a header
     text: str
-    #: each field with its numpy dtype, in schema order
-    fields: tuple[tuple[Field, np.dtype], ...]
+    #: each field with its numpy dtype and, for an array, its fixed
+    #: ``(axis, extent)`` pairs (None for a scalar), in schema order
+    fields: tuple[tuple[Field, np.dtype, Optional[tuple[tuple[int, int], ...]]], ...]
+    #: each array field's name, dtype, rank and fixed pairs, in schema
+    #: order: what a header's extents are checked against
+    arrays: tuple[tuple[str, np.dtype, int, tuple[tuple[int, int], ...]], ...]
 
 
 def _compile(schema: Schema) -> _Format:
+    fields = tuple(
+        (f, np.dtype(f.dtype),
+         None if f.is_scalar else tuple((i, d) for i, d in enumerate(f.shape) if d != -1))
+        for f in schema.fields
+    )
     return _Format(
         schema,
         _json(schema.to_dict()),
-        tuple((f, np.dtype(f.dtype)) for f in schema.fields),
+        fields,
+        tuple((f.name, dt, len(f.shape), fixed) for f, dt, fixed in fields if fixed is not None),
     )
 
 
 #: the format :func:`encode` packs a schema with
 _format = lru_cache(maxsize=_FORMATS)(_compile)
 
+#: the formats :func:`decode` has compiled, keyed by their schema's text
+_DECODED: dict[str, _Format] = {}
+_HEAD = '{"schema":'
+_SHAPES = ',"shapes":'
 
-@lru_cache(maxsize=_FORMATS)
+
 def _decoded_format(text: str) -> _Format:
-    """The format of a header's schema, given as its JSON *text*."""
-    return _compile(Schema.from_dict(json.loads(text)))
+    """The format of a header's schema, given as its canonical JSON *text*:
+    compiled on first sight, then found by the text alone."""
+    fmt = _DECODED.get(text)
+    if fmt is None:
+        fmt = _compile(Schema.from_dict(json.loads(text)))
+        if len(_DECODED) >= _FORMATS:
+            del _DECODED[next(iter(_DECODED))]  # the oldest
+        _DECODED[text] = fmt
+    return fmt
+
+
+def _known_header(text: str) -> Optional[tuple[dict, _Format]]:
+    """The rest of a header that begins with a compiled schema's text.
+
+    ``{"schema":`` + a text in :data:`_DECODED` + ``,"shapes":`` ...: the
+    schema member is that format and only the members after it are
+    parsed.  None — decode the whole header — when the text is unknown,
+    the rest is not JSON, or the rest holds another ``"schema"`` member
+    (``json.loads`` would keep that last one).
+    """
+    end = text.find(_SHAPES, len(_HEAD))
+    if end < 0 or not text.startswith(_HEAD):
+        return None
+    fmt = _DECODED.get(text[len(_HEAD):end])
+    if fmt is None:
+        return None
+    try:
+        rest = json.loads("{" + text[end + 1:])
+    except ValueError:
+        return None
+    return None if "schema" in rest else (rest, fmt)
 
 
 def _align(n: int) -> int:
@@ -123,25 +173,24 @@ def _prepare(
     shapes: dict[str, list[int]] = {}
     scalars: dict[str, Any] = {}
     arrays: list[np.ndarray] = []
-    for f, dtype in fmt.fields:
+    for f, dtype, fixed in fmt.fields:
         v = values[f.name]
-        if f.is_scalar:
+        if fixed is None:
             arr = np.asarray(v, dtype=dtype)
             if arr.shape != ():
                 raise SchemaError(f"field {f.name!r} expects a scalar")
             scalars[f.name] = arr.item()
         else:
             arr = _wire_array(v, dtype)
-            shapes[f.name] = list(f.resolve_shape(arr))
+            shape = arr.shape
+            if len(shape) != len(f.shape) or fixed and any(shape[i] != d for i, d in fixed):
+                shape = f.resolve_shape(arr)  # raises what does not match
+            shapes[f.name] = list(shape)
             arrays.append(arr)
     # json.dumps of {"schema", "shapes", "scalars", "attrs"}, the schema
-    # part compiled once
-    hbytes = (
-        '{"schema":' + fmt.text
-        + ',"shapes":' + _json(shapes)
-        + ',"scalars":' + _json(_jsonify_scalars(scalars))
-        + ',"attrs":' + _json(attrs or {}) + "}"
-    ).encode("utf-8")
+    # part compiled once and spliced in front of the rest
+    rest = _json({"shapes": shapes, "scalars": _jsonify_scalars(scalars), "attrs": attrs or {}})
+    hbytes = ('{"schema":' + fmt.text + "," + rest[1:]).encode("utf-8")
     offset = 0
     placements = []
     for arr in arrays:
@@ -216,16 +265,20 @@ def _parse_header(buf: Buffer) -> tuple[dict, _Format, int]:
     if 8 + hlen > len(buf):
         raise SchemaError("truncated FFS buffer header")
     try:
-        header = json.loads(bytes(buf[8 : 8 + hlen]).decode("utf-8"))
+        text = bytes(buf[8 : 8 + hlen]).decode("utf-8")
+        known = _known_header(text)
+        header = json.loads(text) if known is None else known[0]
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise SchemaError(f"unreadable FFS header: {exc}") from None
     if not (
         isinstance(header, dict)
-        and "schema" in header
+        and ("schema" in header or known is not None)
         and "shapes" in header
         and all(isinstance(header.get(k, {}), dict) for k in _HEADER_OBJECTS)
     ):
         raise SchemaError("FFS header must be an object with 'schema' and 'shapes'")
+    if known is not None:
+        return header, known[1], 8 + hlen
     try:
         fmt = _decoded_format(_json(header["schema"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -251,19 +304,25 @@ def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
         k: _unjsonify_scalar(v) for k, v in header.get("scalars", {}).items()
     }
     offset = 0
-    for f, dt in fmt.fields:
-        if f.is_scalar:
-            continue
-        shape = _checked_shape(f, shapes.get(f.name))
+    for name, dt, ndim, fixed in fmt.arrays:
+        shape = shapes.get(name)
+        if not (
+            type(shape) is list
+            and len(shape) == ndim
+            and {*map(type, shape)} <= _INT
+            and (not shape or min(shape) >= 0)
+            and not (fixed and any(shape[i] != d for i, d in fixed))
+        ):
+            raise SchemaError(f"field {name!r}: bad extents {shape!r} in header")
         count = prod(shape)
         offset = _align(offset)
         start = payload_base + offset
         if start + count * dt.itemsize > len(buf):
-            raise SchemaError(f"field {f.name!r} runs past the FFS buffer")
+            raise SchemaError(f"field {name!r} runs past the FFS buffer")
         arr = np.frombuffer(buf, dtype=dt, count=count, offset=start)
         if arr.flags.writeable:
             arr.flags.writeable = False
-        values[f.name] = arr.reshape(shape)
+        values[name] = arr.reshape(shape)
         offset += count * dt.itemsize
     if payload_base + _align(offset) != len(buf):
         raise SchemaError(
@@ -271,15 +330,3 @@ def decode(buf: Buffer) -> tuple[Schema, dict, dict]:
             f"{payload_base + _align(offset)}"
         )
     return fmt.schema, values, header.get("attrs", {})
-
-
-def _checked_shape(f, shape: Any) -> tuple[int, ...]:
-    """The header's extents of array field *f*, validated against it."""
-    if (
-        not isinstance(shape, list)
-        or len(shape) != len(f.shape)
-        or not all(type(n) is int and n >= 0 for n in shape)
-        or any(d not in (-1, n) for d, n in zip(f.shape, shape))
-    ):
-        raise SchemaError(f"field {f.name!r}: bad extents {shape!r} in header")
-    return tuple(shape)

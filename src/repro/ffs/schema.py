@@ -108,6 +108,12 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in schema {self.name!r}")
         object.__setattr__(self, "fields", flds)
+        object.__setattr__(self, "_hash", hash((self.name, flds)))
+
+    def __hash__(self) -> int:
+        # the fields' hash, taken once: every encoded record looks its
+        # format up by its schema
+        return self._hash
 
     @property
     def field_names(self) -> list[str]:

@@ -23,13 +23,15 @@ describes (≤6 % main-loop slowdown when movement is well scheduled).
 A collective enters each pipe once: the ranks a node hosts arrive
 together with equal volumes, so they are one entry of that weight
 (``SharedBandwidth.occupy``).  Ownership of the wakeup: a pipe that was
-idle at entry is left unarmed and the *collective* wakes it, with one
-timer for all the pipes due at the same instant — one timer in all when
-nothing contends — at exactly the time the pipe would have woken
-itself; a pipe that was busy at entry, or that a fetch enters while the
-collective occupies it, arms and drives itself as for any transfer and
+idle at entry holds the entry outside its heap, unarmed, and the
+*collective* wakes it, with one timer for all the pipes due at the same
+instant — one timer in all when nothing contends — at exactly the time
+the pipe would have woken itself; a pipe nobody entered meanwhile
+finishes the entry there in closed form.  A pipe that was busy at
+entry, or that a fetch enters while the collective occupies it, puts
+the entry in its heap, arms and drives itself as for any transfer, and
 the collective's timer passes it by.  Every collective goes through the
-pipes; none is priced in closed form.
+pipes, at the price the heap would give it.
 """
 
 from __future__ import annotations
@@ -162,6 +164,9 @@ class Network:
         self._region_windows: dict[frozenset, list[tuple[float, float, float]]] = {}
         #: bytes moved between each region pair (sorted-name key)
         self.region_bytes: dict[tuple[str, str], float] = {}
+        #: a collective's node list -> each of its NIC pipes with the
+        #: number of ranks that node hosts
+        self._wire_plans: dict[tuple[int, ...], list[tuple[SharedBandwidth, int]]] = {}
         #: deliberate reference cycle.  Harnesses read a run's clock and
         #: byte counters through live_networks() right after the call that
         #: built the simulation returns, when nothing else references the
@@ -405,15 +410,23 @@ class Network:
     ) -> None:
         """Occupy every rank's NIC pipes with *wire_bytes*; then ``on_done()``.
 
-        The ranks a node hosts are one weighted entry per pipe.  A pipe
-        that was idle is left unarmed (see ``SharedBandwidth``): this
-        collective owns its wakeup, one timer per distinct delay — one
-        in all when every node hosts as many ranks at the same link
-        rate — and settles the pipe at exactly the instant the pipe
-        would have woken itself.
+        The ranks a node hosts are one weighted entry per pipe; the
+        pipes and counts of a node list are worked out once per list.
+        A pipe that was idle holds its entry unarmed (see
+        ``SharedBandwidth``): this collective owns its wakeup, one timer
+        per distinct delay — one in all when every node hosts as many
+        ranks at the same link rate — and settles the pipe at exactly
+        the instant the pipe would have woken itself.
         """
-        per_node = Counter(ranks_nodes)
-        pending = 2 * len(per_node)
+        key = tuple(ranks_nodes)
+        plan = self._wire_plans.get(key)
+        if plan is None:
+            plan = self._wire_plans[key] = [
+                (pipe, count)
+                for node, count in Counter(ranks_nodes).items()
+                for pipe in (self.nic(node).tx, self.nic(node).rx)
+            ]
+        pending = len(plan)
 
         def entry_done(_now: float) -> None:
             nonlocal pending
@@ -422,12 +435,15 @@ class Network:
                 on_done()
 
         owned: dict[float, list[SharedBandwidth]] = {}
-        for node, count in per_node.items():
-            nic = self.nic(node)
-            for pipe in (nic.tx, nic.rx):
-                delay = pipe.occupy(wire_bytes, count, entry_done)
-                if delay is not None:
-                    owned.setdefault(delay, []).append(pipe)
+        last = pipes = None
+        for pipe, count in plan:
+            delay = pipe.occupy(wire_bytes, count, entry_done)
+            if delay is None:
+                continue
+            if delay != last:  # nodes in a row mostly share a delay
+                pipes = owned.setdefault(delay, [])
+                last = delay
+            pipes.append(pipe)
         for delay, pipes in owned.items():
             self.env.timeout(delay)._add_callback(partial(_settle_all, pipes))
 

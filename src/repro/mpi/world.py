@@ -349,7 +349,13 @@ class World:
         scale = self.wire_scale if wire_scale is None else wire_scale
         if kind == "barrier":
             return 0.0
-        members = {id(p): p for p in map(payloads.__getitem__, self._members)}
+        # the members all contributed: when nobody else did, the payloads
+        # are exactly theirs
+        contributed = (
+            payloads.values() if len(payloads) == len(self._members)
+            else map(payloads.__getitem__, self._members)
+        )
+        members = {id(p): p for p in contributed}
         if kind == "alltoall":
             # per-pair bytes at model scale: the largest per-rank total
             # divided by the effective process count; an absent

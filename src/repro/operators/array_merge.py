@@ -17,6 +17,8 @@ writer and charges the (logical-volume) file-system write.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -25,9 +27,38 @@ from repro.adios.bp import BPWriter
 from repro.adios.group import ChunkMeta, GroupDef, OutputStep
 from repro.core.operator import Emit, OperatorContext, PreDatAOperator
 from repro.machine.filesystem import ParallelFileSystem
+from repro.mpi.datasize import nbytes_of
 from repro.perf import kernels
 
-__all__ = ["ArrayMergeOperator"]
+__all__ = ["ArrayMergeOperator", "ChunkGeometry"]
+
+#: wire bytes of an empty dict, of one variable's geometry with empty
+#: extent lists, and of one extent in such a list
+_EMPTY_DICT = nbytes_of({})
+_EMPTY_GEOMETRY = nbytes_of({"global_dims": [], "offsets": [], "local_dims": []})
+_EXTENT = nbytes_of(0)
+
+
+@dataclass(frozen=True)
+class ChunkGeometry:
+    """Partial_calculate's result: where one process's chunks sit.
+
+    ``dims`` maps each variable to ``(global_dims, offsets,
+    local_dims)``.  Frozen, so ``nbytes`` — its wire size — is priced
+    once, when it is made, however many gathers carry it: exactly what
+    :func:`nbytes_of` charges for the ``{var: {"global_dims": [..],
+    "offsets": [..], "local_dims": [..]}}`` dict of lists it stands for.
+    """
+
+    dims: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
+    nbytes: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # a key costs its UTF-8 length, as nbytes_of prices a str
+        object.__setattr__(self, "nbytes", _EMPTY_DICT + sum(
+            len(var.encode("utf-8")) + _EMPTY_GEOMETRY + _EXTENT * sum(map(len, extents))
+            for var, extents in self.dims.items()
+        ))
 
 
 class ArrayMergeOperator(PreDatAOperator):
@@ -62,22 +93,22 @@ class ArrayMergeOperator(PreDatAOperator):
         self.writer = writer
 
     # -- pass 1: publish chunk geometry so slabs can be planned ----------
-    def partial_calculate(self, step: OutputStep) -> Any:
-        return {
-            var: {
-                "global_dims": list(step.chunks[var].global_dims),
-                "offsets": list(step.chunks[var].offsets),
-                "local_dims": list(np.asarray(step.values[var]).shape),
-            }
+    def partial_calculate(self, step: OutputStep) -> ChunkGeometry:
+        return ChunkGeometry({
+            var: (
+                step.chunks[var].global_dims,
+                step.chunks[var].offsets,
+                np.shape(step.values[var]),
+            )
             for var in self.variables
-        }
+        })
 
-    def aggregate(self, partials: list[Any]) -> Any:
+    def aggregate(self, partials: list[ChunkGeometry]) -> dict[str, tuple[int, ...]]:
         # global dims are identical across processes; keep one copy.
         dims = {}
         for p in partials:
-            for var, meta in p.items():
-                dims.setdefault(var, tuple(meta["global_dims"]))
+            for var, (global_dims, _offsets, _local) in p.dims.items():
+                dims.setdefault(var, global_dims)
         return dims
 
     # -- stage 4 ------------------------------------------------------------
@@ -89,13 +120,13 @@ class ArrayMergeOperator(PreDatAOperator):
         # Slab ownership: split dim 0 evenly across staging workers.
         starts = {}
         for var, gd in dims.items():
-            starts[var] = np.linspace(0, gd[0], ctx.nworkers + 1).astype(int)
+            starts[var] = np.linspace(0, gd[0], ctx.nworkers + 1).astype(int).tolist()
         ctx.storage["slab_starts"] = starts
 
-    def _owners(self, starts: np.ndarray, lo: int, hi: int) -> Iterable[int]:
+    def _owners(self, starts: list[int], lo: int, hi: int) -> Iterable[int]:
         """Slab indices overlapping global rows [lo, hi)."""
-        first = int(np.searchsorted(starts, lo, side="right") - 1)
-        last = int(np.searchsorted(starts, hi - 1, side="right") - 1)
+        first = bisect_right(starts, lo) - 1
+        last = bisect_right(starts, hi - 1) - 1
         return range(max(first, 0), min(last, len(starts) - 2) + 1)
 
     def map(self, ctx: OperatorContext, step: OutputStep) -> Iterable[Emit]:
@@ -108,7 +139,7 @@ class ArrayMergeOperator(PreDatAOperator):
             lo = chunk.offsets[0]
             hi = lo + data.shape[0]
             for owner in self._owners(starts, lo, hi):
-                s_lo, s_hi = int(starts[owner]), int(starts[owner + 1])
+                s_lo, s_hi = starts[owner], starts[owner + 1]
                 cut_lo = max(lo, s_lo)
                 cut_hi = min(hi, s_hi)
                 piece = data[cut_lo - lo : cut_hi - lo]
@@ -139,7 +170,7 @@ class ArrayMergeOperator(PreDatAOperator):
         var, owner = tag
         dims = ctx.storage["global_dims"][var]
         starts = ctx.storage["slab_starts"][var]
-        s_lo, s_hi = int(starts[owner]), int(starts[owner + 1])
+        s_lo, s_hi = starts[owner], starts[owner + 1]
         slab_shape = (s_hi - s_lo, *dims[1:])
         origin = (s_lo,) + (0,) * (len(dims) - 1)
         dtype = values[0][1].dtype if values else np.float64

@@ -231,13 +231,17 @@ class SharedBandwidth:
     arrive together, finishing into a callable — leaves a pipe it found
     idle *unarmed* and returns the seconds until the entry is due: the
     caller owns that wakeup and must call ``settle()`` then (one timer
-    can settle every pipe that shares the delay).  Any later arrival
-    finds a non-empty heap and arms the pipe as usual, after which the
-    pipe drives itself and the owner's ``settle()`` is a no-op; a pipe
-    that is busy (or still armed) at entry is armed normally and
-    ``occupy()`` returns ``None``.  Either way the entries finish at the
-    instants, and degradation is sampled at the instants, that ``count``
-    separate ``transfer()`` calls would produce.
+    can settle every pipe that shares the delay).  Without a degradation
+    hook the idle pipe does not even queue the entry: it holds it aside,
+    and the owner's ``settle()`` finishes it in closed form — the same
+    arithmetic and ε test as ``_advance`` on a heap holding only it.
+    Any later arrival first pushes a held entry into the heap, exactly
+    as ``occupy()`` would have pushed it, then arms the pipe as usual,
+    after which the pipe drives itself and the owner's ``settle()`` is a
+    no-op; a pipe that is busy (or still armed) at entry is armed
+    normally and ``occupy()`` returns ``None``.  Either way the entries
+    finish at the instants, and degradation is sampled at the instants,
+    that ``count`` separate ``transfer()`` calls would produce.
     """
 
     # Residual work below this many seconds (at current rate) counts as
@@ -269,12 +273,15 @@ class SharedBandwidth:
         self._wake_at = _NEVER  # fire time of the live wakeup, if one is armed
         self._gen = 0  # generation of the live wakeup; older ones are no-ops
         self._bytes_moved = 0.0
+        #: an idle pipe's one undisturbed ``occupy()`` entry, kept out of
+        #: the heap: (start, bytes per unit weight, weight, size, on_done)
+        self._held: Optional[tuple[float, float, float, float, Callable[[float], Any]]] = None
 
     # -- public ----------------------------------------------------------
     @property
     def active_transfers(self) -> int:
         """Number of transfers currently in flight."""
-        return len(self._heap)
+        return len(self._heap) + (self._held is not None)
 
     @property
     def bytes_moved(self) -> float:
@@ -319,14 +326,23 @@ class SharedBandwidth:
         if nbytes <= 0 or count < 1:
             raise ValueError("occupy needs a positive size and count")
         now = self.env.now
-        idle = not self._heap and self._wake_at == _NEVER
         # the tag is bytes per unit weight: nbytes itself, never
         # (count * nbytes) / count, which is inexact off powers of two
-        rate = self._enter(now, nbytes, float(count), count * float(nbytes), on_done)
-        if idle:
-            return self._project(now, rate)
-        self._arm(now, rate)
-        return None
+        per_weight, weight = float(nbytes), float(count)
+        size = count * per_weight
+        if self._held is not None or self._heap or self._wake_at != _NEVER:
+            self._arm(now, self._enter(now, per_weight, weight, size, on_done))
+            return None
+        if self.degradation is not None:
+            return self._project(now, self._enter(now, per_weight, weight, size, on_done))
+        # idle: held out of the heap, due when it would have been projected
+        # there (V and the weight start from zero)
+        eta = per_weight * weight / self.rate
+        if eta < self._EPS_SECONDS or eta < now * 1e-12:  # _project's floors
+            eta = max(now * 1e-12, self._EPS_SECONDS)
+        self._due = now + eta
+        self._held = (now, per_weight, weight, size, on_done)
+        return eta
 
     def settle(self) -> None:
         """Owner's wakeup of a pipe ``occupy()`` left unarmed.
@@ -334,11 +350,27 @@ class SharedBandwidth:
         A no-op when the pipe has armed itself since (something arrived),
         has drained, or holds a later owner's entry that is not due yet;
         otherwise it is the pipe's own wakeup: finish what is due, re-arm
-        for what is left.
+        for what is left.  A held entry nobody disturbed finishes here in
+        closed form, with ``_advance``'s arithmetic and ε test.
         """
         now = self.env.now
-        if self._wake_at == _NEVER and self._heap and now >= self._due:
-            self._wake(now)
+        held = self._held
+        if held is None:  # a heap entry, unless the pipe armed itself
+            if self._wake_at == _NEVER and self._heap and now >= self._due:
+                self._wake(now)
+            return
+        if now < self._due:  # held entries are never armed: is it due?
+            return
+        start, per_weight, weight, size, on_done = held
+        if self.degradation is None:
+            speed = self.rate / weight
+            if per_weight <= speed * (now - start) + speed * self._EPS_SECONDS:
+                self._held = None
+                self._bytes_moved += size
+                on_done(now)
+                return
+        self._push_held()
+        self._wake(now)
 
     # -- internals ---------------------------------------------------------
     def _enter(
@@ -350,6 +382,8 @@ class SharedBandwidth:
         on_done: Callable[[float], Any],
     ) -> float:
         """Queue one entry at the current virtual time; returns the rate sampled."""
+        if self._held is not None:
+            self._push_held()
         rate = self.rate if self.degradation is None else self.effective_rate()
         if self._heap:
             self._advance(now, rate)
@@ -361,6 +395,17 @@ class SharedBandwidth:
             self._heap, (self._vtime + per_weight, self._seq, weight, size, on_done)
         )
         return rate
+
+    def _push_held(self) -> None:
+        """Put the held entry in the heap, exactly as ``occupy()`` would
+        have pushed it at its start: the pipe was idle then, so ``V`` and
+        the weight start from zero."""
+        start, per_weight, weight, size, on_done = self._held
+        self._held = None
+        self._last = start
+        self._weight = weight
+        self._seq += 1
+        self._heap.append((per_weight, self._seq, weight, size, on_done))
 
     def _advance(self, now: float, rate: float) -> None:
         """Run the virtual clock up to *now* at *rate*; finish what is due."""

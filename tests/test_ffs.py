@@ -172,10 +172,10 @@ def test_format_caches_stay_bounded_and_decode_the_right_schema():
             got, values, _ = decode(buf)
             assert got == schema
             assert values["k"] == i and values[f"v{i}"].flat[0] == i
-    for cache in (enc._format, enc._decoded_format):
-        info = cache.cache_info()
-        assert info.maxsize == bound
-        assert info.currsize <= bound
+    info = enc._format.cache_info()
+    assert info.maxsize == bound
+    assert info.currsize <= bound
+    assert len(enc._DECODED) == bound  # decode's cache: full, never past it
 
 
 def test_bad_magic_rejected():
@@ -421,3 +421,115 @@ def test_decode_rejects_a_truncated_or_padded_payload():
         decode(buf[:-100])
     with pytest.raises(SchemaError):
         decode(buf + bytes(8))
+
+
+# ------------------------------------------ headers against the format cache
+#: two schemas whose records are the same size: a header naming one can
+#: carry the other's payload and still decode
+_FLOATS = Schema.of("rec", n="int32", a=("float64", (2, -1)))
+_INTS = Schema.of("rec", n="int32", a=("int64", (2, -1)))
+
+
+def _record(schema, cols=3):
+    return bytes(encode(schema, {"n": 7, "a": np.arange(2 * cols).reshape(2, cols)}, {"r": 1}))
+
+
+def _reheader(buf, text):
+    """*buf*'s payload behind the header *text*."""
+    hlen = int.from_bytes(buf[4:8], "little")
+    head = text.encode("utf-8")
+    return buf[:4] + len(head).to_bytes(4, "little") + head + buf[8 + hlen:]
+
+
+def _outcome(buf):
+    """What decode makes of *buf*: the result, or the error type."""
+    try:
+        schema, values, attrs = decode(buf)
+    except SchemaError:
+        return SchemaError
+    return schema, {k: (v.dtype, v.tolist()) if isinstance(v, np.ndarray) else v
+                    for k, v in values.items()}, attrs
+
+
+_TEXT = json.dumps(_FLOATS.to_dict(), separators=(",", ":"))
+_REST = ',"shapes":{"a":[2,3]},"scalars":{"n":7},"attrs":{"r":1}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a later "schema" member: json.loads keeps it, so the ints decode
+        '{"schema":' + _TEXT + _REST[:-1] + ',"schema":'
+        + json.dumps(_INTS.to_dict(), separators=(",", ":")) + "}",
+        '{"schema":' + _TEXT + _REST[:-1] + ',"schema":{"name":"rec"}}',
+        '{"schema":' + _TEXT + _REST[:-1] + ',"schema":7}',
+        # the cached prefix, then a truncated or non-JSON remainder
+        '{"schema":' + _TEXT + _REST[:18],
+        '{"schema":' + _TEXT + ',"shapes":nope}',
+        '{"schema":' + _TEXT + ',"shapes":{"a":[2,3]}}trailing',
+        '{"schema":' + _TEXT + ',"shapes":[]' + _REST[21:],
+        # the same schema, spelled with other whitespace
+        '{"schema": ' + _TEXT + _REST,
+        '{"schema":' + json.dumps(_FLOATS.to_dict()) + _REST,
+        '{ "schema":' + _TEXT + _REST,
+        # the valid header itself
+        '{"schema":' + _TEXT + _REST,
+    ],
+)
+def test_a_header_decodes_as_it_would_with_nothing_cached(monkeypatch, text):
+    enc = importlib.import_module("repro.ffs.encode")
+    valid, other = _record(_FLOATS), _record(_INTS)
+    hostile = _reheader(valid, text)
+    monkeypatch.setattr(enc, "_DECODED", {})
+    want = _outcome(hostile)  # every header parsed whole, as with no cache
+    monkeypatch.setattr(enc, "_DECODED", {})
+    assert _outcome(valid) != SchemaError  # _FLOATS' text is now cached
+    assert _outcome(hostile) == want
+    # what the hostile header left behind decodes later records right
+    assert decode(valid)[0] == _FLOATS and decode(other)[0] == _INTS
+    assert decode(valid)[1]["a"].dtype == np.float64
+    assert _outcome(valid) == _outcome(_record(_FLOATS))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize(
+    "schema, extents",
+    [
+        # a fixed axis, the rank, the type and the sign of an extent
+        (_FLOATS, "[3,2]"),
+        (_FLOATS, "[2]"),
+        (_FLOATS, "[2,3,1]"),
+        (_FLOATS, "[true,3]"),
+        (_FLOATS, "[2,3.0]"),
+        (_FLOATS, "[2,-3]"),
+        (_FLOATS, '"2,3"'),
+        (_FLOATS, None),  # no extents for the field at all
+        # two free axes: negative extents whose product is the right count
+        (Schema.of("rec", n="int32", a=("float64", (-1, -1))), "[-2,-3]"),
+        (Schema.of("rec", n="int32", a=("float64", (-1, -1))), "[-1,6]"),
+    ],
+)
+def test_extents_that_contradict_the_compiled_format_are_schema_errors(
+    monkeypatch, schema, extents, cached
+):
+    enc = importlib.import_module("repro.ffs.encode")
+    monkeypatch.setattr(enc, "_DECODED", {})
+    valid = _record(schema)
+    if cached:
+        decode(valid)
+    text = json.dumps(schema.to_dict(), separators=(",", ":"))
+    shapes = "{}" if extents is None else '{"a":' + extents + "}"
+    hostile = _reheader(valid, '{"schema":' + text + _REST.replace('{"a":[2,3]}', shapes))
+    with pytest.raises(SchemaError):
+        decode(hostile)
+    assert decode(valid)[1]["a"].shape == (2, 3)
+
+
+def test_the_duplicate_schema_member_wins_over_the_cached_prefix():
+    valid = _record(_FLOATS)
+    decode(valid)  # cache _FLOATS' text
+    ints = json.dumps(_INTS.to_dict(), separators=(",", ":"))
+    text = '{"schema":' + _TEXT + _REST[:-1] + ',"schema":' + ints + "}"
+    schema, values, _ = decode(_reheader(valid, text))
+    assert schema == _INTS and values["a"].dtype == np.int64
+    assert decode(valid)[0] == _FLOATS

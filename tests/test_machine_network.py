@@ -265,6 +265,36 @@ def test_grouped_collective_prices_as_one_transfer_per_rank(
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("where", [0.25, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("nodes", [[0, 0, 1, 1, 2, 2], [0, 0, 0, 1, 1, 2]])
+def test_point_to_point_transfer_into_a_collectives_held_wire_phase(nodes, where):
+    """The collective finds every pipe idle, so each holds its entry out
+    of the heap; a transfer into one of those pipes, entering at *where*
+    of the wire phase (1.0: exactly when the node's entry is due), prices
+    both as the one-transfer-per-rank reference does."""
+    eng, net = make_net(n=8, latency=1e-6, hop_latency=0.0, bisection_bandwidth_per_link=1e12)
+    cfg = net.config
+    latency = cfg.latency * ceil(log2(len(nodes)))
+    wire = net.collective_time("allreduce", len(nodes), 1e8) - latency
+    # the transfer waits its own latency, then enters node 0's TX pipe
+    enter = latency + where * nodes.count(0) * wire
+    start = enter - cfg.latency
+    held = []
+
+    def probe():
+        yield eng.timeout(latency + 0.01 * wire)
+        held.extend(net.nic(n).tx._held is not None for n in sorted(set(nodes)))
+
+    eng.process(awaited_collective(net, "allreduce", nodes, 1e8))
+    eng.process(probe())
+    eng.run()
+    assert held == [True] * len(set(nodes))
+    background = [(start, 0, 5, 3e7), (start, 6, 1, 2e7)]
+    got = collective_elapsed(awaited_collective, nodes, background=background)
+    want = collective_elapsed(per_rank_collective, nodes, background=background)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_collective_on_idle_pipes_is_a_handful_of_engine_events():
     """64 ranks on 16 four-core nodes: between the last rank's arrival
     and the ranks' resumption the engine pops the latency timeout, the

@@ -621,3 +621,43 @@ def test_sort_finalize_writes_its_bucket_through_the_filesystem():
     proc = eng.process(op.finalize(ctx, {1: bucket}))
     assert eng.run_until_process(proc) is bucket
     assert fs.bytes_written == bucket.nbytes * 10.0 and eng.now > 0.0
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        {"rho": ((384, 6, 6), (30, 0, 0), (6, 6, 6))},
+        {"ρ": ((5,), (0,), (5,)), "v2": ((1, 2), (0, 0), (1, 2))},  # a 2-byte key
+        {f"v{i}": ((64, 2, 2, 2), (8, 0, 0, 0), (2, 2, 2, 2)) for i in range(8)},
+        {},
+    ],
+)
+def test_chunk_geometry_is_priced_as_the_dict_of_lists_it_stands_for(dims):
+    from repro.operators.array_merge import ChunkGeometry
+
+    as_lists = {
+        var: {"global_dims": list(g), "offsets": list(o), "local_dims": list(loc)}
+        for var, (g, o, loc) in dims.items()
+    }
+    geometry = ChunkGeometry(dims)
+    assert geometry.nbytes == nbytes_of(as_lists) == nbytes_of(geometry)
+    # what a staging rank gathers: the same bytes as the dicts priced whole
+    gathered = {"n": 3, "partials": {"array_merge": [geometry] * 3}}
+    assert nbytes_of(gathered) == nbytes_of(
+        {"n": 3, "partials": {"array_merge": [as_lists] * 3}})
+
+
+def test_array_merge_partial_carries_the_chunk_placement():
+    from repro.adios.group import ChunkMeta
+    from repro.operators import ArrayMergeOperator
+
+    g = GroupDef("f", (VarDef("a", "float64", VarKind.GLOBAL_ARRAY, ndim=2),
+                       VarDef("b", "float32", VarKind.GLOBAL_ARRAY, ndim=2)))
+    s = OutputStep(
+        group=g, step=0, rank=1, values={"a": np.ones((2, 3)), "b": np.ones((2, 3), "f4")},
+        chunks={"a": ChunkMeta((4, 3), (2, 0)), "b": ChunkMeta((4, 3), (2, 0))},
+    )
+    op = ArrayMergeOperator(["a", "b"])
+    partial = op.partial_calculate(s)
+    assert partial.dims == {"a": ((4, 3), (2, 0), (2, 3)), "b": ((4, 3), (2, 0), (2, 3))}
+    assert op.aggregate([partial, partial]) == {"a": (4, 3), "b": (4, 3)}

@@ -41,3 +41,18 @@ def test_fewer_than_ten_pairs_claim_nothing():
     r = pairs.judge(PARENT[:3], [p / 2 for p in PARENT[:3]], "lower")
     assert r["wins"] == 3 and r["verdict"] == "needs 10 pairs"
     assert pairs.quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+
+def test_the_bound_column_is_compare_pys_verdict_over_the_per_run_values():
+    # a 1.35x gain whose ranges overlap, each side spread past the 25 % bound
+    parent = [0.30, 0.40, 0.36, 0.33, 0.45, 0.38, 0.31, 0.42, 0.37, 0.35]
+    change = [p / 1.35 for p in parent]
+    assert min(parent) <= max(change)
+    assert (max(parent) - min(parent)) / sorted(parent)[5] > 0.25
+    assert pairs.bound_verdict(parent, change, "lower", 0.25) == "unresolved"
+    # the same gain on a quiet host clears the bound
+    quiet = [0.378 + 0.001 * i for i in range(10)]
+    assert pairs.bound_verdict(quiet, [q / 1.35 for q in quiet], "lower", 0.25) == "better"
+    assert pairs.bound_verdict(quiet, [q * 1.35 for q in quiet], "lower", 0.25) == "worse"
+    assert pairs.bound_verdict(quiet, quiet[::-1], "lower", 0.25) == "same"
+    assert pairs.bound_verdict(quiet, [q * 1.35 for q in quiet], "higher", 0.25) == "better"

@@ -334,6 +334,145 @@ def test_degradation_window_across_a_grouped_entry(windows):
     assert_models_agree(100.0, [_GROUP, (2.0, 100.0, 1.0)], windows)
 
 
+# ------------------------------------------------------------ held entries
+def _due(start, nbytes, count, rate=100.0):
+    """When a grouped row entering an idle pipe at *start* is due, in the
+    pipe's own float arithmetic."""
+    return start + max(float(nbytes) * float(count) / rate, start * 1e-12, 1e-12)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_seeded_foreign_arrivals_around_a_held_entry(block):
+    """An idle pipe holds a grouped entry out of its heap; a foreign
+    ``transfer()`` arriving before it is due, at the instant it entered,
+    or exactly at its due time (both same-instant orders) pushes it into
+    the heap as ``occupy`` would have, and the oracle sees no difference."""
+    for seed in range(25 * block, 25 * block + 25):
+        rng = random.Random(7000 + seed)
+        start = rng.choice([0.0, 1.0, rng.uniform(0.0, 5.0)])
+        nbytes = rng.choice([50.0, 1e5 / 3, rng.uniform(1.0, 500.0)])
+        count = rng.choice([1, 2, 3, 4, 7])
+        due = _due(start, nbytes, count)
+        group = (start, nbytes, 1.0, count)
+        for at in (rng.uniform(start, due), start, due, due + rng.uniform(0.0, 1.0)):
+            foreign = (at, rng.choice([1e-7, 20.0, rng.uniform(1.0, 500.0)]),
+                       rng.choice([1.0, rng.uniform(0.1, 5.0)]))
+            assert_models_agree(100.0, [group, foreign])
+            assert_models_agree(100.0, [foreign, group])
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        (1.0, 20.0, 1.0, 3),  # same instant: the first is pushed, the second armed
+        (2.0, 20.0, 1.0, 3),  # mid-entry
+        (2.0, 300.0, 1.0, 2),  # outlives the first
+        (3.0, 20.0, 1.0, 5),  # exactly when the first is due
+    ],
+)
+def test_two_grouped_entries_overlapping_on_one_pipe(second):
+    assert_models_agree(100.0, [_GROUP, second])
+    assert_models_agree(100.0, [second, _GROUP])
+    assert_models_agree(100.0, [_GROUP, second, (2.5, 40.0, 1.0)])
+
+
+def test_an_idle_pipe_holds_the_entry_until_another_arrival():
+    eng = Engine()
+    pipe = SharedBandwidth(eng, 100.0)
+    done = []
+    assert pipe.occupy(50.0, 4, done.append) == 2.0
+    assert pipe._held is not None and pipe._heap == [] and pipe.active_transfers == 1
+    eng.run(until=1.0)
+    pipe.transfer(100.0)  # the held entry enters the heap first, then this one
+    assert pipe._held is None and len(pipe._heap) == 2
+    assert [entry[1] for entry in sorted(pipe._heap)] == [1, 2]  # arrival order kept
+    eng.run()
+    assert done == [2.25]
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_an_undisturbed_held_entry_finishes_in_closed_form(block):
+    """Nothing arrives: the owner's settle finishes a held entry exactly
+    when and as the heap path does (a twin pipe with a degradation hook
+    of 1.0 takes that path), and without ever pushing it whenever the
+    heap path finished it at that first wakeup, rounding included."""
+    closed = 0
+    for seed in range(100 * block, 100 * block + 100):
+        rng = random.Random(9000 + seed)
+        rate = rng.choice([100.0, 3e3, 6.4e9, rng.uniform(1.0, 1e10)])
+        start = rng.choice([0.0, rng.uniform(0.0, 1e3), rng.uniform(0.0, 1e-3)])
+        nbytes = rng.choice([rng.uniform(1.0, 1e9), 1e5 / 3, 0.1 * rng.randrange(1, 99)])
+        count = rng.choice([1, 2, 3, 4, 7, 64])
+        runs = []
+        for hook in (None, lambda _now: 1.0):
+            eng = Engine()
+            pipe = SharedBandwidth(eng, rate, degradation=hook)
+            done = []
+
+            def owner(eng=eng, pipe=pipe, done=done):
+                yield eng.timeout(start)
+                delay = pipe.occupy(nbytes, count, done.append)
+                eng.timeout(delay)._add_callback(lambda _ev: pipe.settle())
+
+            eng.process(owner())
+            eng.run()
+            runs.append((done, pipe.bytes_moved, pipe))
+        (held_done, held_bytes, held), (heap_done, heap_bytes, heap) = runs
+        assert held_done == heap_done and held_bytes == heap_bytes
+        assert held._held is None and held.active_transfers == 0
+        if heap._gen == 0:  # the heap path finished it at the owner's timer
+            assert held._seq == 0
+            closed += 1
+    assert closed >= 50
+
+
+def test_an_entry_on_a_degraded_pipe_takes_the_heap():
+    eng = Engine()
+    pipe = SharedBandwidth(eng, 100.0, degradation=windows_mult([(5.0, 6.0, 0.5)]))
+    done = []
+    delay = pipe.occupy(50.0, 4, done.append)
+    assert delay == 2.0 and pipe._held is None and len(pipe._heap) == 1
+    eng.timeout(delay)._add_callback(lambda _ev: pipe.settle())
+    eng.run()
+    assert done == [2.0]
+
+
+def test_a_pipe_degraded_while_it_holds_an_entry_is_charged_like_the_oracle():
+    """``Network.degrade_link`` can give a pipe its hook while an entry is
+    held: the owner's settle then samples it, as the heap path would."""
+    got = {}
+    for cls in (SharedBandwidth, RescanBandwidth):
+        eng = Engine()
+        pipe = cls(eng, 100.0)
+        if cls is SharedBandwidth:
+            done = eng.event()
+            delay = pipe.occupy(50.0, 4, done.succeed)
+            eng.timeout(delay)._add_callback(lambda _ev, pipe=pipe: pipe.settle())
+        else:
+            done = eng.all_of([pipe.transfer(50.0) for _ in range(4)])
+        eng.run(until=1.0)
+        pipe.degradation = windows_mult([(1.5, 10.0, 0.5)])
+        eng.run()
+        got[cls] = eng.now
+    assert got[SharedBandwidth] == pytest.approx(got[RescanBandwidth], rel=1e-12)
+    assert got[SharedBandwidth] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_a_stray_settle_on_a_drained_pipe_changes_nothing():
+    eng = Engine()
+    pipe = SharedBandwidth(eng, 100.0)
+    done = []
+    delay = pipe.occupy(50.0, 4, done.append)
+    eng.timeout(delay)._add_callback(lambda _ev: pipe.settle())
+    eng.run()
+    assert done == [2.0] and pipe.bytes_moved == 200.0
+    before = dict(vars(pipe))
+    pipe.settle()
+    eng.timeout(5.0)._add_callback(lambda _ev: pipe.settle())
+    eng.run()
+    assert vars(pipe) == before and done == [2.0]
+
+
 @given(
     script=st.lists(
         st.tuples(

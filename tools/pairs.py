@@ -11,7 +11,11 @@ each end-to-end metric the parent's ``BENCHMARK.json`` declares: each side's
 median and quartiles, how many pairs the change won, and the verdict of the
 choosing-metrics guide — a gain only when the change wins at least nine
 tenths of the pairs (ties count for neither) *and* the medians differ by more
-than the parent's own interquartile range.  ``setup_s`` and ``peak_rss_mb``
+than the parent's own interquartile range.  Beside it, the bound verdict of
+``benchmarks/pipeline/compare.py`` over the two sides' per-run values:
+``better``, ``same``, ``worse`` or ``unresolved`` against the metric's
+``BENCHMARK.json`` bound (``unresolved``: a side's min-max spread exceeds
+the bound and the two ranges overlap).  ``setup_s`` and ``peak_rss_mb``
 get the same table as the time metrics so that a drifting host shows up as
 drift, not as a result.
 
@@ -21,6 +25,7 @@ Exits 1 if any run failed a check (``failed_frac`` > 0) or did not finish.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import shutil
 import statistics
@@ -31,6 +36,11 @@ from pathlib import Path
 
 #: the guide asks for at least ten pairs before anything is claimed
 MIN_PAIRS = 10
+
+_COMPARE = Path(__file__).resolve().parents[1] / "benchmarks" / "pipeline" / "compare.py"
+_spec = importlib.util.spec_from_file_location("pipeline_compare", _COMPARE)
+_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_compare)
 
 
 def run_once(tree: Path, out: Path, args) -> dict | None:
@@ -54,6 +64,16 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4)
     return q1, q2, q3
+
+
+def bound_verdict(parent: list[float], change: list[float], better: str,
+                  bound: float) -> str:
+    """``compare.py``'s verdict for the change against the parent, each
+    side's per-run values taken as that side's samples."""
+    def stats(xs):
+        return {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
+
+    return _compare.verdict(stats(parent), stats(change), better, bound)
 
 
 def judge(parent: list[float], change: list[float], better: str) -> dict:
@@ -113,15 +133,18 @@ def main(argv=None) -> int:
           + (f", --seed {args.seed}" if args.seed is not None else "")
           + (", --quick" if args.quick else ""))
     print(f"{'metric':12s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s}"
-          f"  {'ratio':>6s}  wins  parent IQR  verdict")
+          f"  {'ratio':>6s}  wins  parent IQR  verdict    bound")
     for m in metrics:
-        r = judge(samples["parent"][m["name"]], samples["change"][m["name"]], m["better"])
+        parent, change = samples["parent"][m["name"]], samples["change"][m["name"]]
+        r = judge(parent, change, m["better"])
         (pm, p1, p3), (cm, c1, c3) = r["parent"], r["change"]
         print(f"{m['name']:12s} {pm:12.5g} [{p1:8.5g},{p3:8.5g}] "
               f"{cm:12.5g} [{c1:8.5g},{c3:8.5g}]  {r['ratio']:5.3f}x "
-              f"{r['wins']:2d}/{args.pairs:<2d} {r['iqr']:10.4g}  {r['verdict']}")
+              f"{r['wins']:2d}/{args.pairs:<2d} {r['iqr']:10.4g}  {r['verdict']:9s}  "
+              + bound_verdict(parent, change, m["better"], m["bound"]))
     print("ratio > 1: the change is better; wins: pairs in which it was; "
-          "gain/loss: >= 9/10 of the pairs and medians apart by more than the parent's IQR")
+          "gain/loss: >= 9/10 of the pairs and medians apart by more than the parent's IQR; "
+          "bound: compare.py's verdict against the metric's BENCHMARK.json bound")
     return 1 if failed else 0
 
 
