@@ -86,7 +86,17 @@ class Region:
                 return None
             lb.append(lo)
             ub.append(hi)
-        return Region(tuple(lb), tuple(ub))
+        return Region._trusted(tuple(lb), tuple(ub))
+
+    @classmethod
+    def _trusted(cls, lb: tuple[int, ...], ub: tuple[int, ...]) -> Region:
+        """A region from bounds already known to be int tuples with
+        ``lb < ub`` on every axis: ``__post_init__``'s checks skipped."""
+        region = object.__new__(cls)
+        fields = region.__dict__  # frozen: set the fields past __setattr__
+        fields["lb"] = lb
+        fields["ub"] = ub
+        return region
 
     def slice_within(self, outer: Region) -> tuple[slice, ...]:
         """Numpy selection of *self* inside an array covering *outer*."""
@@ -153,6 +163,9 @@ class _DomainIndex:
         for i, b in enumerate(blocks):
             self.owner[b] = min(i // per, nservers - 1)
         self.load_bytes: dict[tuple[int, ...], float] = {b: 0.0 for b in blocks}
+        #: ``repro.stream.member_pieces`` answers by (region, nmembers,
+        #: member); independent of ``owner``, so ``rebalance`` keeps it
+        self.member_memo: dict[tuple[Region, int, int], tuple[Region, ...]] = {}
         # trailing blocks are empty when block_shape does not divide dims
         self._block_regions: dict[tuple[int, ...], Region] = {}
         for b in blocks:
@@ -425,14 +438,20 @@ class DataSpaces:
         t0 = self.env.now
         out, filled, charged, examined = self._overlay(name, region, by_server)
         stats.pieces_examined += examined
-        events = []
-        for server, nbytes in charged.items():
-            stats.bytes_moved += nbytes
-            events.append(
-                self.env.process(self._serve_and_ship(server, client_node, nbytes), name="ds-serve")
-            )
         stats.servers_contacted += len(by_server)
-        if events:
+        if len(charged) == 1:  # one server replies: ship it inline
+            ((server, nbytes),) = charged.items()
+            stats.bytes_moved += nbytes
+            yield from self._serve_and_ship(server, client_node, nbytes)
+        elif charged:
+            events = []
+            for server, nbytes in charged.items():
+                stats.bytes_moved += nbytes
+                events.append(
+                    self.env.process(
+                        self._serve_and_ship(server, client_node, nbytes), name="ds-serve"
+                    )
+                )
             yield self.env.all_of(events)
         if self.reply_overhead_seconds > 0:
             yield self.env.timeout(self.reply_overhead_seconds * len(by_server))

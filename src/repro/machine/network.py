@@ -20,18 +20,23 @@ contributes is pushed through that rank's NIC pipes, so background
 staging traffic stretches collective time exactly as the paper
 describes (≤6 % main-loop slowdown when movement is well scheduled).
 
-A collective enters each pipe once: the ranks a node hosts arrive
-together with equal volumes, so they are one entry of that weight
-(``SharedBandwidth.occupy``).  Ownership of the wakeup: a pipe that was
-idle at entry holds the entry outside its heap, unarmed, and the
-*collective* wakes it, with one timer for all the pipes due at the same
-instant — one timer in all when nothing contends — at exactly the time
-the pipe would have woken itself; a pipe nobody entered meanwhile
-finishes the entry there in closed form.  A pipe that was busy at
-entry, or that a fetch enters while the collective occupies it, puts
-the entry in its heap, arms and drives itself as for any transfer, and
-the collective's timer passes it by.  Every collective goes through the
-pipes, at the price the heap would give it.
+Both enter the pipes the same way, as ``SharedBandwidth.occupy``
+entries: a collective's ranks on one node are one entry of that weight
+(they arrive together with equal volumes), and a point-to-point
+transfer is one entry per pipe of count 1 — the tag, weight and size
+``transfer()`` would queue, so the price is the same to the bit.
+Ownership of the wakeup: a pipe that was idle at entry holds the entry
+outside its heap, unarmed, and the *caller* wakes it, with one timer for
+all the pipes due at the same instant, at exactly the time the pipe
+would have woken itself; a pipe nobody entered meanwhile finishes the
+entry there in closed form.  A pipe that was busy at entry, or that
+someone else enters while it holds the entry, puts the entry in its
+heap, arms and drives itself as for any transfer, and the caller's
+timer passes it by.  One countdown over the entries makes the single
+completion.  An uncontended point-to-point transfer therefore pops its
+latency timeout, one owner timer per distinct pipe delay (one when the
+backbone is due with the NICs, else two) and its completion event —
+not three pipe wakeups, three completion events and an ``AllOf``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, log2
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import SharedBandwidth
@@ -165,8 +170,8 @@ class Network:
         #: bytes moved between each region pair (sorted-name key)
         self.region_bytes: dict[tuple[str, str], float] = {}
         #: a collective's node list -> each of its NIC pipes with the
-        #: number of ranks that node hosts
-        self._wire_plans: dict[tuple[int, ...], list[tuple[SharedBandwidth, int]]] = {}
+        #: number of ranks that node hosts, each at unit weight
+        self._wire_plans: dict[tuple[int, ...], list[tuple[SharedBandwidth, int, float]]] = {}
         #: deliberate reference cycle.  Harnesses read a run's clock and
         #: byte counters through live_networks() right after the call that
         #: built the simulation returns, when nothing else references the
@@ -291,7 +296,8 @@ class Network:
             raise ValueError("transfer size must be non-negative")
         start = self.env.now
         cfg = self.config
-        latency = cfg.latency + cfg.hop_latency * self.topology.hops(src, dst)
+        hops = self.topology.hops(src, dst)
+        latency = cfg.latency + cfg.hop_latency * hops
         if rdma:
             latency += cfg.rdma_setup
         if self.regional:
@@ -302,14 +308,15 @@ class Network:
         yield self.env.timeout(latency)
         if nbytes > 0 and src != dst:
             snic, dnic = self.nic(src), self.nic(dst)
-            hops = max(self.topology.hops(src, dst), 1)
-            backbone_weight = hops / self._avg_hops
-            done = self.env.all_of(
-                [
-                    snic.tx.transfer(nbytes),
-                    dnic.rx.transfer(nbytes),
-                    self.backbone.transfer(nbytes, weight=backbone_weight),
-                ]
+            done = self.env.event()
+            self._occupy(
+                (
+                    (snic.tx, 1, 1.0),
+                    (dnic.rx, 1, 1.0),
+                    (self.backbone, 1, max(hops, 1) / self._avg_hops),
+                ),
+                nbytes,
+                done.succeed,
             )
             yield done
             snic.bytes_tx += nbytes
@@ -412,20 +419,32 @@ class Network:
 
         The ranks a node hosts are one weighted entry per pipe; the
         pipes and counts of a node list are worked out once per list.
-        A pipe that was idle holds its entry unarmed (see
-        ``SharedBandwidth``): this collective owns its wakeup, one timer
-        per distinct delay — one in all when every node hosts as many
-        ranks at the same link rate — and settles the pipe at exactly
-        the instant the pipe would have woken itself.
         """
         key = tuple(ranks_nodes)
         plan = self._wire_plans.get(key)
         if plan is None:
             plan = self._wire_plans[key] = [
-                (pipe, count)
+                (pipe, count, 1.0)
                 for node, count in Counter(ranks_nodes).items()
                 for pipe in (self.nic(node).tx, self.nic(node).rx)
             ]
+        self._occupy(plan, wire_bytes, on_done)
+
+    def _occupy(
+        self,
+        plan: Sequence[tuple[SharedBandwidth, int, float]],
+        nbytes: float,
+        on_done: Callable[[], object],
+    ) -> None:
+        """Enter *nbytes* into every ``(pipe, count, weight)`` of *plan*
+        (``SharedBandwidth.occupy``); then ``on_done()``, once, when the
+        last entry finishes.
+
+        A pipe that was idle holds its entry unarmed: the caller owns its
+        wakeup, one timer per distinct delay — one in all when every pipe
+        has the same rate and load — and settles the pipe at exactly the
+        instant the pipe would have woken itself.
+        """
         pending = len(plan)
 
         def entry_done(_now: float) -> None:
@@ -436,11 +455,11 @@ class Network:
 
         owned: dict[float, list[SharedBandwidth]] = {}
         last = pipes = None
-        for pipe, count in plan:
-            delay = pipe.occupy(wire_bytes, count, entry_done)
+        for pipe, count, weight in plan:
+            delay = pipe.occupy(nbytes, count, entry_done, weight=weight)
             if delay is None:
                 continue
-            if delay != last:  # nodes in a row mostly share a delay
+            if delay != last:  # pipes in a row mostly share a delay
                 pipes = owned.setdefault(delay, [])
                 last = delay
             pipes.append(pipe)

@@ -227,11 +227,12 @@ class SharedBandwidth:
     re-arms itself when it fires before the head is due.
 
     Who arms the wakeup.  ``transfer()`` always arms the pipe.
-    ``occupy()`` — one entry standing for ``count`` equal transfers that
-    arrive together, finishing into a callable — leaves a pipe it found
-    idle *unarmed* and returns the seconds until the entry is due: the
-    caller owns that wakeup and must call ``settle()`` then (one timer
-    can settle every pipe that shares the delay).  Without a degradation
+    ``occupy()`` — one entry standing for ``count`` equal transfers of
+    one weight that arrive together (count 1: one ``transfer()``),
+    finishing into a callable — leaves a pipe it found idle *unarmed*
+    and returns the seconds until the entry is due: the caller owns that
+    wakeup and must call ``settle()`` then (one timer can settle every
+    pipe that shares the delay).  Without a degradation
     hook the idle pipe does not even queue the entry: it holds it aside,
     and the owner's ``settle()`` finishes it in closed form — the same
     arithmetic and ε test as ``_advance`` on a heap holding only it.
@@ -311,25 +312,34 @@ class SharedBandwidth:
         return done
 
     def occupy(
-        self, nbytes: float, count: int, on_done: Callable[[float], Any]
+        self,
+        nbytes: float,
+        count: int,
+        on_done: Callable[[float], Any],
+        *,
+        weight: float = 1.0,
     ) -> Optional[float]:
-        """Enter *count* same-instant transfers of *nbytes* each as one entry.
+        """Enter *count* same-instant transfers of *nbytes* each, every
+        one of *weight*, as one entry.
 
         On a processor-sharing pipe they are indistinguishable from one
-        transfer of weight ``count``, so that is what is queued;
+        transfer of weight ``count * weight``, so that is what is queued,
+        with the tag ``transfer(nbytes, weight=weight)`` would get (one
+        ``occupy`` of count 1 *is* that transfer, bit for bit);
         ``on_done(now)`` runs once when it finishes and may only trigger
         events, never re-enter a pipe.  Returns the seconds until the
         entry is due when the pipe was idle — it is then left unarmed and
         the caller must ``settle()`` it at that time — else ``None``
         (the pipe arms itself).  See the class docstring.
         """
-        if nbytes <= 0 or count < 1:
-            raise ValueError("occupy needs a positive size and count")
+        if nbytes <= 0 or count < 1 or weight <= 0:
+            raise ValueError("occupy needs a positive size, count and weight")
         now = self.env.now
-        # the tag is bytes per unit weight: nbytes itself, never
-        # (count * nbytes) / count, which is inexact off powers of two
-        per_weight, weight = float(nbytes), float(count)
-        size = count * per_weight
+        # the tag is bytes per unit weight: nbytes / weight, never
+        # (count * nbytes) / (count * weight), which is inexact off powers of two
+        per_weight = nbytes / weight
+        size = count * float(nbytes)
+        weight = count * weight
         if self._held is not None or self._heap or self._wake_at != _NEVER:
             self._arm(now, self._enter(now, per_weight, weight, size, on_done))
             return None

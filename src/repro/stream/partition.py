@@ -33,16 +33,21 @@ def member_pieces(
 
     Pieces of different members are disjoint and jointly cover the
     region exactly (tested by property), so a group fetches each cell
-    exactly once.
+    exactly once.  Remembered on *index* per ``(region, nmembers,
+    member)``: the answer reads only the SFC and the fixed block
+    regions, never the server owners ``rebalance()`` moves.  Each call
+    returns a new list.
     """
-    out = []
-    for b in index.blocks_for(region):
-        if block_owner(index, b, nmembers) != member:
-            continue
-        cut = index.block_region(b).intersect(region)
-        if cut is not None:
-            out.append(cut)
-    return out
+    key = (region, nmembers, member)
+    pieces = index.member_memo.get(key)
+    if pieces is None:
+        pieces = index.member_memo[key] = tuple(
+            cut
+            for b in index.blocks_for(region)
+            if block_owner(index, b, nmembers) == member
+            and (cut := index.block_region(b).intersect(region)) is not None
+        )
+    return list(pieces)
 
 
 def member_charge_bytes(index, region: Region, nmembers: int, member: int) -> float:

@@ -1,5 +1,7 @@
 """Tests for the DataSpaces service: SFC, put/get, queries, coherency."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,36 @@ def test_region_basics():
     assert r.intersect(Region((4, 0), (5, 5))) is None
     with pytest.raises(ValueError):
         Region((0,), (0,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ndim=st.integers(min_value=1, max_value=4))
+def test_an_intersection_is_the_region_validation_would_build(data, ndim):
+    """``intersect`` builds its result without re-validating bounds it
+    already checked: equal to, and hashing like, ``Region(lb, ub)``."""
+    def box():
+        lb = [data.draw(st.integers(-8, 8)) for _ in range(ndim)]
+        return Region(lb, [lo + data.draw(st.integers(1, 8)) for lo in lb])
+
+    a, b = box(), box()
+    cut = a.intersect(b)
+    if cut is None:
+        return
+    validated = Region(list(cut.lb), list(cut.ub))
+    assert cut == validated and hash(cut) == hash(validated)
+    assert {cut: 1}[validated] == 1
+    assert type(cut.lb) is tuple and all(type(v) is int for v in cut.lb + cut.ub)
+    assert cut.shape == validated.shape and cut.cells == validated.cells
+
+
+def test_region_constructor_still_validates():
+    assert Region([np.int64(1)], [np.int64(3)]).lb == (1,)
+    assert type(Region([np.int64(1)], [np.int64(3)]).lb[0]) is int
+    for lb, ub in [((0, 0), (4,)), ((2,), (2,)), ((0, 5), (4, 3))]:
+        with pytest.raises(ValueError):
+            Region(lb, ub)
+    with pytest.raises(AttributeError):  # frozen, trusted or not
+        Region((0,), (1,)).intersect(Region((0,), (2,))).lb = (5,)
 
 
 def test_region_slice_within():
@@ -443,3 +475,61 @@ def test_get_examines_as_many_pieces_after_50_reputs_as_after_one():
     assert last.pieces_examined == first.pieces_examined > 0
     # ... while every version's bytes are still charged
     assert last.bytes_moved == 50 * first.bytes_moved
+
+
+# ----------------------------------------------------------- event budget
+class PopTypes:
+    """Schedule-trace sink: engine pops counted by event type."""
+
+    def __init__(self):
+        self.types = Counter()
+
+    def record(self, _t, _prio, _sub, _seq, event):
+        self.types[type(event).__name__] += 1
+
+
+def one_get(region):
+    """Pops, stats and elapsed seconds of one warm get of *region* on two
+    servers with a serve rate and a reply overhead; the domain is
+    written and the client's discovery paid beforehand."""
+    eng = Engine()
+    machine = Machine(eng, 4, 2, spec=TESTING_TINY, fs_interference=False)
+    ds = DataSpaces(eng, machine, list(machine.staging_node_ids),
+                    serve_bandwidth=1e9, reply_overhead_seconds=1e-5)
+    ds.declare("field", (32, 32))
+
+    def warm():
+        yield from ds.put(0, "field", Region((0, 0), (32, 32)), np.ones((32, 32)))
+        yield from ds.get(1, "field", Region((0, 0), (4, 4)))
+
+    run(eng, warm())
+    pops, stats, start = PopTypes(), DSQueryStats(), eng.now
+    eng.schedule_trace = pops
+    run(eng, ds.get(1, "field", region, stats=stats))
+    return pops.types, stats, eng.now - start
+
+
+def test_a_single_server_get_ships_its_reply_inline():
+    """No ``ds-serve`` process and no ``AllOf``: the get process pops its
+    Initialize; timeouts for hashing, the serve's core time, the
+    transfer's latency, its two owner timers and the reply overhead;
+    and events for the core grant and the transfer's completion."""
+    types, stats, took = one_get(Region((0, 0), (8, 8)))
+    assert types == {"Initialize": 1, "Timeout": 6, "Event": 2}
+    # what the process-per-server fan-out gave, to the bit
+    assert stats == DSQueryStats(
+        hashing_seconds=1.9999999999999998e-05, query_seconds=3.1124000000000104e-05,
+        servers_contacted=1, bytes_moved=512.0, pieces_examined=1,
+    )
+    assert took == 5.11240000000001e-05
+
+
+def test_a_two_server_get_still_fans_out():
+    types, stats, took = one_get(Region((0, 0), (32, 32)))
+    assert types["Process"] == 2 and types["AllOf"] == 1  # one ds-serve each
+    assert sum(types.values()) == 23
+    assert stats == DSQueryStats(
+        hashing_seconds=0.00032, query_seconds=5.2388e-05,
+        servers_contacted=2, bytes_moved=8192.0, pieces_examined=16,
+    )
+    assert took == 0.000372388

@@ -17,6 +17,7 @@ from repro.stream import (
     ConsumerGroup,
     StepStream,
     StreamConfig,
+    block_owner,
     member_charge_bytes,
     member_pieces,
 )
@@ -188,6 +189,55 @@ def test_member_partition_is_disjoint_and_covers(nmembers):
         for m in range(nmembers)
     )
     assert total == pytest.approx(region.cells * 8.0)
+
+
+def fresh_member_pieces(index, region, nmembers, member):
+    """``member_pieces`` recomputed, never remembered."""
+    out = []
+    for b in index.blocks_for(region):
+        if block_owner(index, b, nmembers) == member:
+            cut = index.block_region(b).intersect(region)
+            if cut is not None:
+                out.append(cut)
+    return out
+
+
+def test_remembered_member_pieces_equal_a_fresh_computation_across_rebalance():
+    eng, ds, _stream, _ = build_stream(nservers=4)
+    idx = ds.index("field")
+    regions = [DOMAIN, Region((3, 5), (29, 31)), Region((0, 0), (1, 1)), Region((8, 0), (9, 32))]
+    queries = [(r, n, m) for r in regions for n in (1, 2, 3, 5) for m in range(n)]
+
+    def check():
+        for r, n, m in queries:
+            assert member_pieces(idx, r, n, m) == fresh_member_pieces(idx, r, n, m)
+
+    check()  # fills the memo
+    assert len(idx.member_memo) == len(queries)
+    owners = dict(idx.owner)
+
+    def skewed():
+        yield from ds.put(0, "field", Region((0, 0), (8, 8)), np.ones((8, 8)))
+
+    eng.run_until_process(eng.process(skewed()))
+    assert ds.rebalance("field") > 0 and idx.owner != owners
+    check()  # remembered answers, after the servers' blocks moved
+    assert len(idx.member_memo) == len(queries)
+
+
+def test_a_caller_mutating_member_pieces_leaves_the_memo_alone():
+    _eng, ds, _stream, _ = build_stream()
+    idx = ds.index("field")
+    region = Region((3, 5), (29, 31))
+    first = member_pieces(idx, region, 3, 1)
+    want = list(first)
+    first.clear()
+    again = member_pieces(idx, region, 3, 1)
+    assert again == want and again is not first
+    again.append(DOMAIN)
+    assert member_pieces(idx, region, 3, 1) == want
+    with pytest.raises(ValueError):  # no memo entry for a bad group
+        member_pieces(idx, region, 0, 0)
 
 
 def test_group_fetches_reconstruct_the_data():
