@@ -96,9 +96,9 @@ FIGURES = {
         committed={64: (242.230, 217.144, 10.36), 2048: (242.605, 217.144, 10.49)},
         change_abs=5e-3,
         pins={
-            64: (242.22991027995283, 217.14437581959228, 7_144,
+            64: (242.22991027995283, 217.14437581959228, 6_316,
                  "066c113f1c66f289f31194d6a799498c9b062b3ecc32c1ee171b1f17c31e76d8"),
-            2048: (242.6045080654096, 217.14437663959228, 219_808,
+            2048: (242.6045080654096, 217.14437663959228, 193_184,
                    "aebc77436bc557862b4b7dae6493672520618134912dc57bc6c0c04548c4f5fd"),
         },
         incompute_rel=2e-3,

@@ -34,7 +34,7 @@ PINS = {
                       bytes_shuffled=139810133.3333333,
                       peak_buffer_bytes=2097151.9999999995)],
         clock=104.23924657583346,
-        seq=2885,
+        seq=2452,
         net_bytes=134234111.99999997,
     ),
     "incompute": dict(
