@@ -439,20 +439,18 @@ class DataSpaces:
         out, filled, charged, examined = self._overlay(name, region, by_server)
         stats.pieces_examined += examined
         stats.servers_contacted += len(by_server)
+        for nbytes in charged.values():
+            stats.bytes_moved += nbytes
         if len(charged) == 1:  # one server replies: ship it inline
             ((server, nbytes),) = charged.items()
-            stats.bytes_moved += nbytes
             yield from self._serve_and_ship(server, client_node, nbytes)
         elif charged:
-            events = []
-            for server, nbytes in charged.items():
-                stats.bytes_moved += nbytes
-                events.append(
-                    self.env.process(
-                        self._serve_and_ship(server, client_node, nbytes), name="ds-serve"
-                    )
-                )
-            yield self.env.all_of(events)
+            yield self.env.all_of(
+                [
+                    self.env.process(self._serve_and_ship(s, client_node, n), name="ds-serve")
+                    for s, n in charged.items()
+                ]
+            )
         if self.reply_overhead_seconds > 0:
             yield self.env.timeout(self.reply_overhead_seconds * len(by_server))
         stats.query_seconds += self.env.now - t0
