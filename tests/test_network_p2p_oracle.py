@@ -8,8 +8,8 @@ and an ``AllOf`` over them.  ``Network.transfer`` enters the same three
 pipes as ``occupy()`` entries of count 1 — the tag, weight and size a
 ``transfer()`` would queue — and owns the wakeup of every pipe it found
 idle, as a collective does.  The same script run through both must
-agree on every completion time (1e-9 relative), on the order rows
-complete in, and on every NIC's ``bytes_tx``/``bytes_rx`` and every
+agree on every completion time (1e-9 relative), on which rows
+complete at each instant, and on every NIC's ``bytes_tx``/``bytes_rx`` and every
 pipe's ``bytes_moved``.
 
 Script rows, each started by its own process at ``start``:
@@ -131,9 +131,9 @@ def assert_models_agree(script, **kw):
     new_t, new_order, new_bytes, new = simulate(Network, script, **kw)
     old_t, old_order, old_bytes, old = simulate(OracleNetwork, script, **kw)
     assert new_t == pytest.approx(old_t, rel=1e-9, abs=0.0)
+    # the same rows complete at each instant; within one instant the
+    # order rows resume in may differ (one pop after the last pipe)
     assert instants(new_t, new_order) == instants(old_t, old_order)
-    p2p = [i for i, row in enumerate(script) if row[0] == "p2p"]
-    assert [i for i in new_order if i in p2p] == [i for i in old_order if i in p2p]
     assert new_bytes == old_bytes
     assert new.region_bytes == old.region_bytes
     return new_t
